@@ -48,7 +48,7 @@ def _pairwise_products(stack, shape):
     """All products b_a b_b of the stacked basis, flattened, plus adjoints."""
     n = shape[0]
     mats = stack.reshape(-1, n, n)
-    prods = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n * n)
+    prods = (mats[:, None] @ mats[None]).reshape(-1, n * n)
     adjs = mats.conj().transpose(0, 2, 1).reshape(-1, n * n)
     return np.vstack([prods, adjs])
 
@@ -220,25 +220,23 @@ def unitize(algebra, tol=None):
 _PROBE_SEED = 0x0C57A
 
 
-def _center_coords(space, probe_mats):
+def _center_coords(space, probe_mats, tol):
     """Coordinate-space solutions of [x, p] = 0 for all probes p."""
     d = space.dim
     mats = space.matrices
-    rows = []
-    for p in probe_mats:
-        comm = np.einsum("aij,jk->aik", mats, p) - np.einsum("ij,ajk->aik", p, mats)
-        rows.append(comm.reshape(d, -1))
+    rows = [(mats @ p - p @ mats).reshape(d, -1) for p in probe_mats]
     m = np.hstack(rows).T  # (constraints, d)
     if m.shape[0] == 0:
         return np.eye(d, dtype=np.complex128)
-    u, s, vh = npl.svd(m, full_matrices=True)
-    del u
+    # vh must be d x d to hold the nullspace; the reduced SVD already gives
+    # that when there are at least d constraint rows
+    _, s, vh = npl.svd(m, full_matrices=m.shape[0] < d)
     # The rank cutoff is floored at the scale of the probes themselves
     # (the basis rows have unit norm): when every commutator is roundoff
     # noise the constraint matrix must count as zero, not full rank.
     scale = max((hs_norm(p) for p in probe_mats), default=1.0)
     top = s[0] if s.size else 0.0
-    tol_rank = DEFAULT_TOL.rank * max(top, scale)
+    tol_rank = tol.rank * max(top, scale)
     rank = int(np.sum(s > tol_rank))
     return vh[rank:].conj().T  # columns span the nullspace
 
@@ -262,7 +260,7 @@ def center(algebra, tol=None):
         coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         probes.append(np.einsum("a,aij->ij", coeff, mats))
     for attempt in range(2):
-        coords = _center_coords(space, probes if attempt == 0 else list(mats))
+        coords = _center_coords(space, probes if attempt == 0 else list(mats), tol)
         cand = coords.T @ space.stack  # rows: center elements, flattened
         elements = list(cand.reshape(-1, *space.shape))
         elements += [m.conj().T for m in elements]
@@ -271,9 +269,7 @@ def center(algebra, tol=None):
         )
         # verify: every candidate commutes with every basis element
         cm = result.basis.matrices
-        comm = np.einsum("aij,bjk->abik", cm, mats) - np.einsum(
-            "bij,ajk->abik", mats, cm
-        )
+        comm = cm[:, None] @ mats[None] - mats[None] @ cm[:, None]
         worst = float(np.max(np.abs(comm), initial=0.0))
         if worst <= tol.member:
             result.unit = algebra.unit if algebra.unit is not None else unit_of(result, tol=tol)

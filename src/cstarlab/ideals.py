@@ -127,7 +127,7 @@ def _right_module_defect(parent, space):
         return 0.0
     xs = space.matrices
     bs = parent.basis.matrices
-    prods = np.einsum("aij,bjk->abik", xs, bs).reshape(-1, space.rows * space.cols)
+    prods = (xs[:, None] @ bs[None]).reshape(-1, space.rows * space.cols)
     coeff = prods @ space.stack.conj().T
     resid = prods - coeff @ space.stack
     norms = np.linalg.norm(resid, axis=1)
@@ -151,7 +151,7 @@ def generate_right_ideal(parent, generators, tol=None):
     if gens and unital.dim:
         amats = unital.basis.matrices
         gmats = np.array(gens)
-        prods = np.einsum("gij,ajk->gaik", gmats, amats).reshape(-1, n * n)
+        prods = (gmats[:, None] @ amats[None]).reshape(-1, n * n)
         space = span_rows(prods, (n, n), tol_rank=tol.rank)
     else:
         space = Subspace.empty(n, n)
@@ -227,7 +227,7 @@ def projection_generator(parent, ideal, tol=None):
     unital = unitize(parent, tol=tol)
     amats = unital.basis.matrices
     d1 = unital.dim
-    cols = np.einsum("gij,ajk->gaik", gmats, amats).reshape(len(gens) * d1, n * n)
+    cols = (gmats[:, None] @ amats[None]).reshape(len(gens) * d1, n * n)
     coeff, _, _, _ = np.linalg.lstsq(cols.T, quarter.ravel(), rcond=None)
     solve_residual = float(np.linalg.norm(cols.T @ coeff - quarter.ravel()))
     if solve_residual > tol.member * max(1.0, hs_norm(quarter)):
@@ -310,7 +310,7 @@ def _corner_space(parent, e, f, tol):
     renormalized noise span.
     """
     mats = parent.basis.matrices
-    prods = np.einsum("ij,ajk,kl->ail", e, mats, f)
+    prods = e @ mats @ f
     flat = prods.reshape(-1, parent.ambient_dim ** 2)
     scale = max(1.0, hs_norm(e)) * max(1.0, hs_norm(f))
     keep = np.linalg.norm(flat, axis=1) > tol.rank * scale

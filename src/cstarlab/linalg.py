@@ -296,7 +296,9 @@ def grow_span(stack, candidates, tol_rank=None):
     SVD-based: candidates are projected off the current span (twice, to
     kill roundoff leakage), and right singular vectors of the residual
     block with singular value above ``tol_rank * scale`` are appended.
-    Used for the inner loops of algebraic closure, where per-vector
+    When the residual block's Frobenius norm is already at most that
+    cutoff no singular value can pass it, and the SVD is skipped.  Used
+    for the inner loops of algebraic closure, where per-vector
     Gram-Schmidt would dominate the runtime.
     """
     tol_rank = DEFAULT_TOL.rank if tol_rank is None else tol_rank
@@ -311,6 +313,10 @@ def grow_span(stack, candidates, tol_rank=None):
     if stack.shape[0]:
         for _ in range(2):
             resid = resid - (resid @ stack.conj().T) @ stack
+    # no singular value exceeds the Frobenius norm: below the cutoff the
+    # SVD would keep nothing, so a closure that is already closed costs no SVD
+    if np.linalg.norm(resid) <= tol_rank * scale:
+        return stack, False
     try:
         _, svals, vh = np.linalg.svd(resid, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

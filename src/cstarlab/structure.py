@@ -299,7 +299,7 @@ def _basis_change(parent, blocks, tol):
             f"basis change is not square: {u.shape}; block data inconsistent"
         )
     defect = hs_norm(u.conj().T @ u - np.eye(n_amb))
-    if defect > DEFAULT_TOL.member * n_amb:
+    if defect > tol.member * n_amb:
         raise VerificationFailure(f"basis change is not unitary (defect {defect:.3e})")
     return u
 

@@ -73,11 +73,8 @@ def _triple_products(stack, shape):
     """All products x y* z over the stacked basis, flattened."""
     m, n = shape
     mats = stack.reshape(-1, m, n)
-    d = mats.shape[0]
-    # x y* gives (d, d, m, m); contracting with z in chunks bounds memory
-    left = np.einsum("aij,bkj->abik", mats, mats.conj()).reshape(d * d, m, m)
-    out = np.einsum("pik,ckl->pcil", left, mats)
-    return out.reshape(d * d * d, m * n)
+    left = _left_products(stack, shape).reshape(-1, m, m)
+    return (left[:, None] @ mats[None]).reshape(-1, m * n)
 
 
 def _ternary_defect(space):
@@ -95,13 +92,13 @@ def _ternary_defect(space):
 def _left_products(stack, shape):
     m, n = shape
     mats = stack.reshape(-1, m, n)
-    return np.einsum("aij,bkj->abik", mats, mats.conj()).reshape(-1, m * m)
+    return (mats[:, None] @ mats.conj().transpose(0, 2, 1)[None]).reshape(-1, m * m)
 
 
 def _right_products(stack, shape):
     m, n = shape
     mats = stack.reshape(-1, m, n)
-    return np.einsum("aji,bjk->abik", mats.conj(), mats).reshape(-1, n * n)
+    return (mats.conj().transpose(0, 2, 1)[:, None] @ mats[None]).reshape(-1, n * n)
 
 
 @dataclass(eq=False)
@@ -256,7 +253,7 @@ def classify_tro(tro, seed=0, tol=None):
     for k in range(dec.num_blocks):
         c = dec.central_projections[k]
         m_k = dec.block_sizes[k]
-        prods = np.einsum("ij,ajk->aik", c, zs).reshape(-1, m_amb * n_amb)
+        prods = (c @ zs).reshape(-1, m_amb * n_amb)
         zk = span_rows(prods, (m_amb, n_amb), tol_rank=tol.rank)
         if zk.dim % m_k:
             raise VerificationFailure(
@@ -273,7 +270,7 @@ def classify_tro(tro, seed=0, tol=None):
         transporters = [units[i, 0] for i in range(m_k)]
         u_iso = np.column_stack([v @ u_vec for v in transporters])
 
-        rows = np.einsum("i,ij,ajk->ak", u_vec.conj(), e11, zk.matrices)
+        rows = (u_vec.conj() @ e11) @ zk.matrices
         row_space = span_rows(rows, (1, n_amb), tol_rank=tol.rank)
         if row_space.dim != n_k:
             raise VerificationFailure(
@@ -316,24 +313,29 @@ def classify_tro(tro, seed=0, tol=None):
     return cls
 
 
-def _morphism_defect(tro, cls, limit=4096):
-    """Worst ``T(x y* z) - T(x) T(y)* T(z)`` over basis triples (all of
-    them up to ``limit``, then a deterministic subsample)."""
+# Triples per batch in _morphism_defect: bounds its working memory
+# independently of d^3.
+_MORPHISM_CHUNK = 4096
+
+
+def _morphism_defect(tro, cls):
+    """Worst ``||T(x y* z) - T(x) T(y)* T(z)||`` over all basis triples and
+    blocks, evaluated in batches of at most ``_MORPHISM_CHUNK`` triples."""
     zs = tro.basis.matrices
-    d = zs.shape[0]
-    triples = [
-        (i, j, k) for i in range(d) for j in range(d) for k in range(d)
+    d = tro.dim
+    left = _left_products(tro.basis.stack, tro.basis.shape).reshape(d * d, tro.rows, tro.rows)
+    images = [u.conj().T @ zs @ v for u, v in cls.isometries]
+    image_left = [
+        _left_products(im.reshape(d, -1), im.shape[1:]).reshape(d * d, im.shape[1], im.shape[1])
+        for im in images
     ]
-    if len(triples) > limit:
-        step = len(triples) // limit + 1
-        triples = triples[::step]
     worst = 0.0
-    images = [cls.apply(z) for z in zs]
-    for i, j, k in triples:
-        lhs = cls.apply(zs[i] @ zs[j].conj().T @ zs[k])
-        for b in range(cls.num_blocks):
-            rhs = images[i][b] @ images[j][b].conj().T @ images[k][b]
-            worst = max(worst, hs_norm(lhs[b] - rhs))
+    for start in range(0, d ** 3, _MORPHISM_CHUNK):
+        pair, k = np.divmod(np.arange(start, min(start + _MORPHISM_CHUNK, d ** 3)), d)
+        triples = left[pair] @ zs[k]
+        for (u, v), im, im_left in zip(cls.isometries, images, image_left):
+            diff = u.conj().T @ triples @ v - im_left[pair] @ im[k]
+            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=(1, 2)))))
     return worst
 
 
@@ -384,7 +386,7 @@ def generate_submodule(tro, generators, tol=None):
     if gens and unital_right.dim:
         amats = unital_right.basis.matrices
         gmats = np.array(gens)
-        prods = np.einsum("gij,ajk->gaik", gmats, amats).reshape(-1, m * n)
+        prods = (gmats[:, None] @ amats[None]).reshape(-1, m * n)
         space = span_rows(prods, (m, n), tol_rank=tol.rank)
     else:
         space = Subspace.empty(m, n)
@@ -404,7 +406,7 @@ def _module_defect(tro, space):
         return 0.0
     ws = space.matrices
     rs = tro.right_algebra.basis.matrices
-    prods = np.einsum("aij,bjk->abik", ws, rs).reshape(-1, space.rows * space.cols)
+    prods = (ws[:, None] @ rs[None]).reshape(-1, space.rows * space.cols)
     coeff = prods @ space.stack.conj().T
     resid = prods - coeff @ space.stack
     norms = np.linalg.norm(resid, axis=1)
@@ -430,13 +432,14 @@ def submodule_ideal_roundtrip(tro, submodule, tol=None):
             parent=left, generators=[], basis=Subspace.empty(m, m)
         )
         return ideal, {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
-    j_prods = np.einsum("aij,bkj->abik", ws, zs.conj()).reshape(-1, m * m)
+    zs_adj = zs.conj().transpose(0, 2, 1)
+    j_prods = (ws[:, None] @ zs_adj[None]).reshape(-1, m * m)
     j_space = span_rows(j_prods, (m, m), tol_rank=tol.rank)
     ideal = generate_right_ideal(left, list(j_space.matrices), tol=tol)
 
-    jz = np.einsum("aij,bjk->abik", ideal.basis.matrices, zs).reshape(-1, m * n)
+    jz = (ideal.basis.matrices[:, None] @ zs[None]).reshape(-1, m * n)
     w_back = span_rows(jz, (m, n), tol_rank=tol.rank)
-    back_prods = np.einsum("aij,bkj->abik", w_back.matrices, zs.conj()).reshape(-1, m * m)
+    back_prods = (w_back.matrices[:, None] @ zs_adj[None]).reshape(-1, m * m)
     j_back = span_rows(back_prods, (m, m), tol_rank=tol.rank)
 
     report = {
@@ -519,7 +522,7 @@ def finite_generation_certificate(submodule, tol=None):
 
     fix = float(np.max(np.linalg.norm(np.einsum("ij,ajk->aik", e, ws) - ws, axis=(1, 2))))
     members = float(np.max([submodule.basis.residual(z) for z in zs]))
-    left_prods = np.einsum("aij,bkj->abik", ws, ws.conj()).reshape(-1, e.shape[0] ** 2)
+    left_prods = _left_products(submodule.basis.stack, submodule.basis.shape)
     left_span = span_rows(left_prods, e.shape, tol_rank=tol.rank)
     residuals = {
         "projection": hs_norm(e @ e - e),

@@ -1,6 +1,8 @@
 """Tests for *-algebra construction: closure under products and adjoints,
 units, unitization, and centers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from cstarlab import (
     unit_of,
     unitize,
 )
-from cstarlab.algebra import sample_element, sample_self_adjoint
+from cstarlab.algebra import _center_coords, sample_element, sample_self_adjoint
+from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import ClosureViolation, NotInAlgebra, ShapeMismatch
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -80,6 +83,18 @@ def test_center_oracles():
         3, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
     )
     assert center(diag).dim == 3
+
+
+def test_center_coords_use_callers_rank_tolerance():
+    """The commutant's rank cut follows ``tol.rank``: on M2 the nonzero
+    singular values of x -> ([x, diag(1, -1)], [x, E12 + E21]) sit at
+    ratios 1, 1/sqrt(2), 1/sqrt(2), so a cut at 0.9 of the largest adds
+    the two smaller ones to the one-dimensional center."""
+    full = generate_algebra(2, [E12])
+    probes = [np.diag([1.0, -1.0]).astype(complex), E12 + E12.T]
+    assert _center_coords(full.basis, probes, DEFAULT_TOL).shape == (4, 1)
+    loose = replace(DEFAULT_TOL, rank=0.9)
+    assert _center_coords(full.basis, probes, loose).shape == (4, 3)
 
 
 def test_center_of_planted_algebras_counts_blocks():

@@ -1,0 +1,178 @@
+"""Equivalence tests for the batched contraction kernels.
+
+Each kernel runs as BLAS matrix products; the references below are the
+plain ``einsum`` contractions and Python loops they replaced.  Random
+complex stacks must agree to a relative difference of 1e-12.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cstarlab.ideals as ideals_mod
+import cstarlab.tro as tro_mod
+from cstarlab import StarAlgebra, classify_tro, generate_tro, planted_block_tro
+from cstarlab.algebra import _pairwise_products
+from cstarlab.config import DEFAULT_TOL
+from cstarlab.ideals import _corner_space, _right_module_defect
+from cstarlab.linalg import Subspace, hs_norm, orthonormalize
+from cstarlab.tro import (
+    TRO,
+    TROClassification,
+    _left_products,
+    _module_defect,
+    _morphism_defect,
+    _right_products,
+    _triple_products,
+)
+
+REL = 1e-12
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
+
+
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_rel_close(new, ref):
+    assert new.shape == ref.shape
+    assert np.linalg.norm(new - ref) <= REL * np.linalg.norm(ref)
+
+
+def random_space(rng, dim, rows, cols):
+    return orthonormalize(list(cplx(rng, dim, rows, cols)), shape=(rows, cols))
+
+
+def loop_defect(space, factors):
+    """Largest relative residual of ``x a`` against ``space``, one product
+    at a time."""
+    worst = 0.0
+    for x in space.matrices:
+        for a in factors:
+            p = x @ a
+            worst = max(worst, space.residual(p) / max(1.0, hs_norm(p)))
+    return worst
+
+
+def loop_morphism_defects(tro, cls):
+    """Defect of every basis triple, in (i, j, k) order, one at a time."""
+    zs = tro.basis.matrices
+    images = [cls.apply(z) for z in zs]
+    out = []
+    for i, j, k in itertools.product(range(len(zs)), repeat=3):
+        lhs = cls.apply(zs[i] @ zs[j].conj().T @ zs[k])
+        out.append(max(
+            hs_norm(lhs[b] - images[i][b] @ images[j][b].conj().T @ images[k][b])
+            for b in range(cls.num_blocks)
+        ))
+    return np.array(out)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.integers(1, 8))
+def test_corner_space_products_match_einsum(seed, n, d):
+    rng = np.random.default_rng(seed)
+    mats = cplx(rng, d, n, n)
+    e, f = cplx(rng, n, n), cplx(rng, n, n)
+    parent = StarAlgebra(basis=Subspace(n, n, mats.reshape(d, -1)))
+    seen = []
+    real_span_rows = ideals_mod.span_rows
+
+    def capture(candidates, shape, tol_rank=None):
+        seen.append(candidates)
+        return real_span_rows(candidates, shape, tol_rank=tol_rank)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals_mod, "span_rows", capture)
+        _corner_space(parent, e, f, DEFAULT_TOL)
+    ref = np.einsum("ij,ajk,kl->ail", e, mats, f).reshape(d, -1)
+    assert_rel_close(seen[0], ref)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 5), st.integers(1, 8))
+def test_pairwise_products_match_einsum(seed, n, d):
+    mats = cplx(np.random.default_rng(seed), d, n, n)
+    ref = np.vstack([
+        np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n * n),
+        mats.conj().transpose(0, 2, 1).reshape(-1, n * n),
+    ])
+    assert_rel_close(_pairwise_products(mats.reshape(d, -1), (n, n)), ref)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.integers(1, 6))
+def test_tro_products_match_einsum(seed, m, n, d):
+    mats = cplx(np.random.default_rng(seed), d, m, n)
+    stack = mats.reshape(d, -1)
+    left = np.einsum("aij,bkj->abik", mats, mats.conj())
+    assert_rel_close(_left_products(stack, (m, n)), left.reshape(-1, m * m))
+    right = np.einsum("aji,bjk->abik", mats.conj(), mats)
+    assert_rel_close(_right_products(stack, (m, n)), right.reshape(-1, n * n))
+    triple = np.einsum("pik,ckl->pcil", left.reshape(d * d, m, m), mats)
+    assert_rel_close(_triple_products(stack, (m, n)), triple.reshape(-1, m * n))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(2, 4), st.integers(1, 5), st.integers(1, 3))
+def test_right_module_defect_matches_loop(seed, n, d_parent, d_space):
+    rng = np.random.default_rng(seed)
+    parent = StarAlgebra(basis=random_space(rng, d_parent, n, n))
+    space = random_space(rng, d_space, n, n)
+    ref = loop_defect(space, parent.basis.matrices)
+    assert _right_module_defect(parent, space) == pytest.approx(ref, rel=REL)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(2, 4), st.integers(1, 5), st.integers(1, 3))
+def test_module_defect_matches_loop(seed, m, n, d_right, d_space):
+    rng = np.random.default_rng(seed)
+    right = StarAlgebra(basis=random_space(rng, d_right, n, n))
+    space = random_space(rng, d_space, m, n)
+    tro = TRO(basis=space, left_algebra=None, right_algebra=right)
+    ref = loop_defect(space, right.basis.matrices)
+    assert _module_defect(tro, space) == pytest.approx(ref, rel=REL)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 2))
+def test_morphism_defect_matches_loop(seed, m, n, d, num_blocks):
+    """Random (non-morphism) isometries make every triple's defect O(1);
+    a batch of 7 triples makes batches straddle the (i, j, k) rows."""
+    rng = np.random.default_rng(seed)
+    tro = TRO(basis=Subspace(m, n, cplx(rng, d, m * n)), left_algebra=None, right_algebra=None)
+    isometries = []
+    for _ in range(num_blocks):
+        u, _ = np.linalg.qr(cplx(rng, m, m))
+        v, _ = np.linalg.qr(cplx(rng, n, n))
+        isometries.append((u[:, : int(rng.integers(1, m + 1))], v[:, : int(rng.integers(1, n + 1))]))
+    cls = TROClassification(
+        blocks=[(u.shape[1], v.shape[1]) for u, v in isometries],
+        isometries=isometries,
+        central_projections=[None] * num_blocks,
+    )
+    ref = loop_morphism_defects(tro, cls).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tro_mod, "_MORPHISM_CHUNK", 7)
+        assert _morphism_defect(tro, cls) == pytest.approx(ref, rel=REL)
+
+
+def test_morphism_defect_covers_every_triple():
+    """For d^3 > 4096 the check still sees every basis triple, including
+    the worst one, which an every-other-triple subsample would skip."""
+    planted = planted_block_tro([(3, 3), (2, 4)], seed=4)
+    tro = generate_tro(planted.tro.rows, planted.tro.cols, planted.tro.basis.matrices)
+    assert tro.dim ** 3 > 4096
+    cls = classify_tro(tro)
+    assert cls.residuals["ternary_morphism"] <= 1e-10
+    rng = np.random.default_rng(0)
+    bent = TROClassification(
+        blocks=cls.blocks,
+        isometries=[(u + 0.3 * cplx(rng, *u.shape), v) for u, v in cls.isometries],
+        central_projections=cls.central_projections,
+    )
+    per_triple = loop_morphism_defects(tro, bent)
+    assert per_triple.max() > per_triple[::2].max()
+    assert _morphism_defect(tro, bent) == pytest.approx(per_triple.max(), rel=REL)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import (
     GapNotFound,
     NotSelfAdjoint,
@@ -228,6 +229,61 @@ def test_grow_span_appends_only_new_directions():
     stack2, changed2 = grow_span(stack, np.array([(E11 + 3.0 * E12).ravel()]))
     assert not changed2
     assert stack2.shape[0] == 3
+
+
+def grow_span_by_svd(stack, candidates, tol_rank):
+    """Reference: ``grow_span`` deciding every call by the SVD alone."""
+    scale = float(np.max(np.linalg.norm(candidates, axis=1)))
+    resid = candidates
+    if stack.shape[0]:
+        for _ in range(2):
+            resid = resid - (resid @ stack.conj().T) @ stack
+    _, svals, vh = np.linalg.svd(resid, full_matrices=False)
+    keep = int(np.sum(svals > tol_rank * scale))
+    if keep == 0:
+        return stack, False
+    return np.vstack([stack, vh[:keep]]), True
+
+
+def test_grow_span_confirms_closed_span_without_svd(monkeypatch):
+    rng = np.random.default_rng(17)
+    stack = orthonormalize(list(rng.standard_normal((5, 4, 4)))).stack
+    coeff = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("grow_span ran an SVD on in-span candidates")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    out, grew = grow_span(stack, coeff @ stack)
+    assert out is stack
+    assert grew is False
+
+
+@pytest.mark.parametrize("factor, grows", [(1.01, True), (0.99, False)])
+def test_grow_span_cutoff_is_the_rank_tolerance(factor, grows):
+    """An out-of-span part just above ``tol_rank * scale`` is kept; one just
+    below is not."""
+    tol = DEFAULT_TOL.rank
+    stack = E11.ravel()[None, :]
+    cand = (E11 + factor * tol * E22).ravel()[None, :]
+    out, grew = grow_span(stack, cand, tol_rank=tol)
+    assert grew is grows
+    assert out.shape[0] == (2 if grows else 1)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(0, 5), st.integers(1, 6))
+def test_grow_span_growth_matches_svd_path(seed, dim, new):
+    """Spans that grow are bit-identical to the SVD-only path."""
+    rng = np.random.default_rng(seed)
+    stack = orthonormalize(list(rng.standard_normal((dim, 3, 3))), shape=(3, 3)).stack
+    cands = rng.standard_normal((new, 9)) + 1j * rng.standard_normal((new, 9))
+    if dim:
+        cands = np.vstack([cands, rng.standard_normal((2, dim)) @ stack])
+    out, grew = grow_span(stack, cands)
+    ref, ref_grew = grow_span_by_svd(stack, cands, DEFAULT_TOL.rank)
+    assert grew and ref_grew
+    assert np.array_equal(out, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cstarlab import (
+    center,
     corner_dimension,
     generate_algebra,
     is_minimal_projection,
@@ -16,9 +17,16 @@ from cstarlab import (
     verify_dales_zelazko,
     wedderburn_decompose,
 )
+from cstarlab.config import DEFAULT_TOL
+from cstarlab.errors import VerificationFailure
 from cstarlab.instances import random_block_structure
 from cstarlab.linalg import hs_norm
-from cstarlab.structure import cluster_partition
+from cstarlab.structure import (
+    _basis_change,
+    _block_data,
+    _central_projections,
+    cluster_partition,
+)
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -100,6 +108,17 @@ def test_planted_structures_recovered_exactly():
         # dimension identity: dim A = sum of squared block sizes
         assert sum(n * n for n in dec.block_sizes) == planted.algebra.dim
         assert dec.residuals["block_form"] <= 1e-8
+
+
+def test_basis_change_unitarity_uses_callers_member_tolerance():
+    alg = planted_block_algebra([2, 1], [2, 1], seed=3).algebra
+    rng = np.random.default_rng(0)
+    centrals = _central_projections(alg, center(alg), rng, DEFAULT_TOL)
+    blocks = [_block_data(alg, c, rng, DEFAULT_TOL) for c in centrals]
+    u = _basis_change(alg, blocks, DEFAULT_TOL)
+    assert hs_norm(u.conj().T @ u - np.eye(alg.ambient_dim)) > 0.0
+    with pytest.raises(VerificationFailure, match="not unitary"):
+        _basis_change(alg, blocks, DEFAULT_TOL.with_member(1e-30))
 
 
 def test_matrix_units_multiply_correctly():
