@@ -53,17 +53,6 @@ def _pairwise_products(stack, shape):
     return np.vstack([prods, adjs])
 
 
-def _max_membership_residual(space, candidates):
-    """Largest relative distance from the rows of ``candidates`` to the span."""
-    if candidates.shape[0] == 0:
-        return 0.0
-    coeff = candidates @ space.stack.conj().T
-    resid = candidates - coeff @ space.stack
-    norms = np.linalg.norm(resid, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(candidates, axis=1))
-    return float(np.max(norms / scales))
-
-
 @dataclass(eq=False)
 class StarAlgebra:
     """A *-closed algebra of ``N x N`` complex matrices.
@@ -107,7 +96,7 @@ class StarAlgebra:
     def closure_defect(self):
         """Largest residual of basis products/adjoints against the span."""
         cands = _pairwise_products(self.basis.stack, self.basis.shape)
-        return _max_membership_residual(self.basis, cands)
+        return self.basis.max_relative_residual(cands)
 
     @classmethod
     def from_span(cls, mats, ambient_dim=None, tol=None, validate=True):

@@ -123,16 +123,10 @@ class RightIdeal:
 
 def _right_module_defect(parent, space):
     """Largest residual of ``x a`` against ``space`` for basis ``x``, ``a``."""
-    if space.dim == 0 or parent.dim == 0:
-        return 0.0
     xs = space.matrices
     bs = parent.basis.matrices
     prods = (xs[:, None] @ bs[None]).reshape(-1, space.rows * space.cols)
-    coeff = prods @ space.stack.conj().T
-    resid = prods - coeff @ space.stack
-    norms = np.linalg.norm(resid, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-    return float(np.max(norms / scales))
+    return space.max_relative_residual(prods)
 
 
 def generate_right_ideal(parent, generators, tol=None):

@@ -215,18 +215,31 @@ class Subspace:
         x = as_matrix(x, shape=self.shape)
         return self.residual(x) <= tol * max(1.0, hs_norm(x))
 
+    def row_residuals(self, flat):
+        """Distance to the span of every row of a ``(k, rows*cols)`` block,
+        by one batched projection ``flat - (flat S*) S``."""
+        return np.linalg.norm(flat - (flat @ self.stack.conj().T) @ self.stack, axis=1)
+
+    def max_relative_residual(self, flat):
+        """Largest ``dist(row, span) / max(1, ||row||)`` over the rows of
+        ``flat``; 0.0 for no rows."""
+        scales = np.maximum(1.0, np.linalg.norm(flat, axis=1))
+        return float(np.max(self.row_residuals(flat) / scales, initial=0.0))
+
+    def distance(self, other):
+        """Worst residual of either basis against the other span; ``inf``
+        when the shapes or dimensions differ."""
+        if self.shape != other.shape or self.dim != other.dim:
+            return float("inf")
+        return float(max(
+            np.max(other.row_residuals(self.stack), initial=0.0),
+            np.max(self.row_residuals(other.stack), initial=0.0),
+        ))
+
     def equals(self, other, tol=None):
         """Same span: equal dimensions and mutual containment of bases."""
         tol = DEFAULT_TOL.member if tol is None else tol
-        if self.shape != other.shape or self.dim != other.dim:
-            return False
-        for i in range(self.dim):
-            if other.residual(self.matrices[i]) > tol:
-                return False
-        for i in range(other.dim):
-            if self.residual(other.matrices[i]) > tol:
-                return False
-        return True
+        return self.distance(other) <= tol
 
 
 def _stack_inputs(mats, shape=None):
@@ -237,45 +250,30 @@ def _stack_inputs(mats, shape=None):
             raise ShapeMismatch("empty input needs an explicit shape")
         r, c = shape
         return (int(r), int(c)), np.zeros((0, int(r) * int(c)), dtype=np.complex128)
-    first = as_matrix(mats[0], shape=shape)
-    r, c = first.shape
-    rows = [first.ravel()]
-    for m in mats[1:]:
-        rows.append(as_matrix(m, shape=(r, c)).ravel())
-    return (r, c), np.array(rows)
+    try:
+        arr = np.asarray(mats, dtype=np.complex128)
+    except ValueError as exc:
+        raise ShapeMismatch("matrices of unequal shapes") from exc
+    if arr.ndim != 3:
+        raise ShapeMismatch(f"expected 2-d arrays, got ndim={arr.ndim - 1}")
+    if shape is not None and arr.shape[1:] != tuple(shape):
+        raise ShapeMismatch(f"expected shape {tuple(shape)}, got {arr.shape[1:]}")
+    if not np.all(np.isfinite(arr)):
+        raise NumericalFailure("matrix has non-finite entries")
+    return arr.shape[1:], arr.reshape(len(mats), -1)
 
 
 def orthonormalize(mats, tol_rank=None, shape=None):
-    """Modified Gram-Schmidt orthonormalization of a family of matrices.
+    """Orthonormal basis of the span of a family of matrices.
 
-    Runs one full reorthogonalization pass per vector, so the output basis
-    is orthonormal to machine precision.  Vectors whose residual after
-    projection is at most ``tol_rank * max ||input||`` are discarded as
-    dependent.  Deterministic: the basis depends only on the input order.
-    Feeding the output back in reproduces it (up to roundoff), because each
-    basis vector projects to itself.
+    The family is validated as one stack and handed to :func:`span_rows`,
+    so the rank rule is that of :func:`grow_span`: right singular vectors
+    with singular value above ``tol_rank * max ||input||`` are kept.
 
     ``shape`` is only needed when ``mats`` is empty.
     """
-    tol_rank = DEFAULT_TOL.rank if tol_rank is None else tol_rank
-    (r, c), flat = _stack_inputs(mats, shape=shape)
-    if flat.shape[0] == 0:
-        return Subspace.empty(r, c)
-    scale = float(np.max(np.linalg.norm(flat, axis=1)))
-    if scale == 0.0:
-        return Subspace.empty(r, c)
-    kept = []
-    for v in flat:
-        w = v.copy()
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for b in kept:
-                w -= np.vdot(b, w) * b
-        norm = np.linalg.norm(w)
-        if norm > tol_rank * scale:
-            kept.append(w / norm)
-    if not kept:
-        return Subspace.empty(r, c)
-    return Subspace(r, c, np.array(kept))
+    shape, flat = _stack_inputs(mats, shape=shape)
+    return span_rows(flat, shape, tol_rank=tol_rank)
 
 
 def solve_membership(x, space, tol=None):
@@ -296,10 +294,10 @@ def grow_span(stack, candidates, tol_rank=None):
     SVD-based: candidates are projected off the current span (twice, to
     kill roundoff leakage), and right singular vectors of the residual
     block with singular value above ``tol_rank * scale`` are appended.
-    When the residual block's Frobenius norm is already at most that
-    cutoff no singular value can pass it, and the SVD is skipped.  Used
-    for the inner loops of algebraic closure, where per-vector
-    Gram-Schmidt would dominate the runtime.
+    When the residual block's Frobenius norm is at most that cutoff after
+    either pass no singular value can pass it, and the rest is skipped.
+    Used for the inner loops of algebraic closure and, through
+    :func:`span_rows`, for every orthonormal basis in the package.
     """
     tol_rank = DEFAULT_TOL.rank if tol_rank is None else tol_rank
     candidates = np.asarray(candidates, dtype=np.complex128)
@@ -313,10 +311,11 @@ def grow_span(stack, candidates, tol_rank=None):
     if stack.shape[0]:
         for _ in range(2):
             resid = resid - (resid @ stack.conj().T) @ stack
-    # no singular value exceeds the Frobenius norm: below the cutoff the
-    # SVD would keep nothing, so a closure that is already closed costs no SVD
-    if np.linalg.norm(resid) <= tol_rank * scale:
-        return stack, False
+            # no singular value exceeds the Frobenius norm, and a second pass
+            # cannot raise it: below the cutoff the SVD would keep nothing, so
+            # a closure that is already closed costs one pass and no SVD
+            if np.linalg.norm(resid) <= tol_rank * scale:
+                return stack, False
     try:
         _, svals, vh = np.linalg.svd(resid, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare

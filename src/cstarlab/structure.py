@@ -454,13 +454,14 @@ class DalesZelazkoTrial:
     support_agreement: float
     is_maximal: bool
     single_generation: bool
+    tol_member: float
 
     @property
     def ok(self):
         return (
             self.is_maximal
             and self.single_generation
-            and self.support_agreement <= DEFAULT_TOL.member
+            and self.support_agreement <= self.tol_member
         )
 
 
@@ -518,6 +519,7 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=None):
                 support_agreement=agreement,
                 is_maximal=maximal,
                 single_generation=single,
+                tol_member=tol.member,
             )
         )
     dim_ok = sum(n * n for n in dec.block_sizes) == parent.dim

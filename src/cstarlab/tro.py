@@ -79,14 +79,7 @@ def _triple_products(stack, shape):
 
 def _ternary_defect(space):
     """Largest residual of basis triple products against the span."""
-    if space.dim == 0:
-        return 0.0
-    prods = _triple_products(space.stack, space.shape)
-    coeff = prods @ space.stack.conj().T
-    resid = prods - coeff @ space.stack
-    norms = np.linalg.norm(resid, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-    return float(np.max(norms / scales))
+    return space.max_relative_residual(_triple_products(space.stack, space.shape))
 
 
 def _left_products(stack, shape):
@@ -402,16 +395,10 @@ def generate_submodule(tro, generators, tol=None):
 def _module_defect(tro, space):
     """Largest residual of ``w r`` against the span, for ``w`` in the
     submodule basis and ``r`` in the right algebra basis."""
-    if space.dim == 0 or tro.right_algebra.dim == 0:
-        return 0.0
     ws = space.matrices
     rs = tro.right_algebra.basis.matrices
     prods = (ws[:, None] @ rs[None]).reshape(-1, space.rows * space.cols)
-    coeff = prods @ space.stack.conj().T
-    resid = prods - coeff @ space.stack
-    norms = np.linalg.norm(resid, axis=1)
-    scales = np.maximum(1.0, np.linalg.norm(prods, axis=1))
-    return float(np.max(norms / scales))
+    return space.max_relative_residual(prods)
 
 
 def submodule_ideal_roundtrip(tro, submodule, tol=None):
@@ -443,8 +430,8 @@ def submodule_ideal_roundtrip(tro, submodule, tol=None):
     j_back = span_rows(back_prods, (m, m), tol_rank=tol.rank)
 
     report = {
-        "module_roundtrip": _span_distance(w_back, submodule.basis),
-        "ideal_roundtrip": _span_distance(j_back, ideal.basis),
+        "module_roundtrip": w_back.distance(submodule.basis),
+        "ideal_roundtrip": j_back.distance(ideal.basis),
     }
     report["ok"] = (
         w_back.dim == submodule.dim
@@ -457,19 +444,6 @@ def submodule_ideal_roundtrip(tro, submodule, tol=None):
             f"{report['module_roundtrip']:.3e} / {report['ideal_roundtrip']:.3e}"
         )
     return ideal, report
-
-
-def _span_distance(a, b):
-    """Worst mutual basis residual between two subspaces (inf if the
-    dimensions differ)."""
-    if a.dim != b.dim:
-        return float("inf")
-    worst = 0.0
-    for i in range(a.dim):
-        worst = max(worst, b.residual(a.matrices[i]))
-    for i in range(b.dim):
-        worst = max(worst, a.residual(b.matrices[i]))
-    return worst
 
 
 def is_maximal_submodule(tro, submodule, tol=None):
@@ -521,7 +495,7 @@ def finite_generation_certificate(submodule, tol=None):
     support = support_projection_of_psd(s, tol=tol)
 
     fix = float(np.max(np.linalg.norm(np.einsum("ij,ajk->aik", e, ws) - ws, axis=(1, 2))))
-    members = float(np.max([submodule.basis.residual(z) for z in zs]))
+    members = float(np.max(submodule.basis.row_residuals(zs.reshape(len(zs), -1))))
     left_prods = _left_products(submodule.basis.stack, submodule.basis.shape)
     left_span = span_rows(left_prods, e.shape, tol_rank=tol.rank)
     residuals = {

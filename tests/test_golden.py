@@ -1,0 +1,100 @@
+"""Golden structural reports.
+
+Fixed-seed CLI reports are compared with the reports committed under
+``tests/golden/``: ``selftest --seed 7``, and ``decompose``, ``ideal`` and
+``tro-classify`` on ``cstarlab random`` fixtures for seeds 1-3.  Every
+non-float field (block lists, dimensions, ``ok`` flags, counts) must match
+exactly; floats (residuals, spectra, projection entries) may move by
+roundoff, at most 1e-12 absolute.  A refactor that changes a rank
+decision, a block signature or a verdict fails here.
+
+``verify-dz`` is left out on purpose.  Its maximal ideals are sampled
+through matrix units that come from random draws taken as coefficient
+vectors against SVD bases; those bases are fixed only up to a rotation
+inside clusters of equal singular values, so a last-bit change upstream
+moves the sampled projections by O(1) while every verdict stays the same.
+
+The fixtures are regenerated by ``cstarlab random`` on each run (they are
+written down directly from the seed, without closure or rank decisions).
+To rewrite the committed reports, when a change is meant to alter them,
+run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+from cstarlab import cli
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+ABS_TOL = 1e-12
+
+FIXTURES = {
+    "decompose": ["algebra", "--blocks", "3,2,1", "--mults", "2,1,2"],
+    "ideal": ["ideal", "--blocks", "3,2", "--gens", "2"],
+    "tro-classify": ["tro", "--blocks", "3x4,2x2,1x3"],
+}
+
+CASES = ["selftest-seed7"] + [
+    f"{command}-seed{seed}" for command in FIXTURES for seed in (1, 2, 3)
+]
+
+
+def produce(case, workdir):
+    """Run one case through the CLI and return its report text."""
+    command, _, seed = case.rpartition("-seed")
+    out = pathlib.Path(workdir) / f"{case}.json"
+    if command == "selftest":
+        argv = ["selftest"]
+    else:
+        fixture = pathlib.Path(workdir) / f"{case}.fixture.json"
+        rc = cli.main(["random", *FIXTURES[command], "--seed", seed, "--json", str(fixture)])
+        assert rc == 0
+        argv = [command, str(fixture)]
+    assert cli.main([*argv, "--seed", seed, "--json", str(out)]) == 0
+    return out.read_text()
+
+
+def assert_matches(new, ref, path="$"):
+    if isinstance(ref, float) and isinstance(new, float):
+        assert new == ref or abs(new - ref) <= ABS_TOL, f"{path}: {new!r} != {ref!r}"
+    elif isinstance(ref, dict):
+        assert isinstance(new, dict) and sorted(new) == sorted(ref), path
+        for key in ref:
+            assert_matches(new[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert isinstance(new, list) and len(new) == len(ref), path
+        for i, (a, b) in enumerate(zip(new, ref)):
+            assert_matches(a, b, f"{path}[{i}]")
+    else:
+        assert type(new) is type(ref) and new == ref, f"{path}: {new!r} != {ref!r}"
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_matches_golden(case, tmp_path):
+    ref = json.loads((GOLDEN / f"{case}.json").read_text())
+    assert_matches(json.loads(produce(case, tmp_path)), ref)
+
+
+def test_comparison_catches_structural_change():
+    ref = {"blocks": [{"size": 3, "multiplicity": 2}], "ok": True, "residual": 1e-14}
+    assert_matches({"blocks": [{"size": 3, "multiplicity": 2}], "ok": True,
+                    "residual": 5e-13}, ref)
+    for bad in (
+        {"blocks": [{"size": 2, "multiplicity": 2}], "ok": True, "residual": 1e-14},
+        {"blocks": [{"size": 3, "multiplicity": 2}], "ok": False, "residual": 1e-14},
+        {"blocks": [{"size": 3, "multiplicity": 2}], "ok": True, "residual": 2e-12},
+        {"blocks": [], "ok": True, "residual": 1e-14},
+    ):
+        with pytest.raises(AssertionError):
+            assert_matches(bad, ref)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            (GOLDEN / f"{name}.json").write_text(produce(name, tmp))

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cstarlab.algebra import StarAlgebra
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import (
     GapNotFound,
     NotSelfAdjoint,
+    NumericalFailure,
     ShapeMismatch,
     ThresholdInsideSpectrum,
 )
@@ -221,6 +223,111 @@ def test_subspace_equals():
     assert not a.equals(Subspace.empty(2, 2))
 
 
+def mgs_orthonormalize(mats, tol_rank):
+    """Reference: modified Gram-Schmidt with one reorthogonalization pass,
+    dropping vectors whose residual is at most ``tol_rank * max ||input||``."""
+    flat = np.array([np.asarray(m, dtype=np.complex128).ravel() for m in mats])
+    scale = float(np.max(np.linalg.norm(flat, axis=1)))
+    kept = []
+    for v in flat:
+        w = v.copy()
+        for _ in range(2):
+            for b in kept:
+                w -= np.vdot(b, w) * b
+        norm = np.linalg.norm(w)
+        if norm > tol_rank * scale:
+            kept.append(w / norm)
+    return Subspace(*np.shape(mats[0]), np.array(kept).reshape(len(kept), -1))
+
+
+def loop_span_distance(a, b):
+    """Reference: worst mutual basis residual, one basis row at a time."""
+    if a.dim != b.dim:
+        return float("inf")
+    worst = 0.0
+    for x in a.matrices:
+        worst = max(worst, b.residual(x))
+    for x in b.matrices:
+        worst = max(worst, a.residual(x))
+    return worst
+
+
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 8), st.integers(0, 5))
+def test_orthonormalize_matches_gram_schmidt(seed, rows, cols, rank, dependent):
+    """Random complex families with planted linear dependencies: the SVD
+    basis spans what modified Gram-Schmidt spans, with the same rank."""
+    rng = np.random.default_rng(seed)
+    rank = min(rank, rows * cols)
+    free = cplx(rng, rank, rows, cols) * 10.0 ** rng.uniform(-2, 2, size=(rank, 1, 1))
+    combos = np.einsum("ka,aij->kij", cplx(rng, dependent, rank), free)
+    mats = list(np.concatenate([free, combos])[rng.permutation(rank + dependent)])
+    space = orthonormalize(mats)
+    ref = mgs_orthonormalize(mats, DEFAULT_TOL.rank)
+    assert space.dim == ref.dim == rank
+    assert loop_span_distance(space, ref) <= 1e-12
+    np.testing.assert_allclose(space.stack @ space.stack.conj().T, np.eye(rank), atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [orthonormalize, StarAlgebra.from_span])
+def test_span_constructors_validate_the_stack(make):
+    with pytest.raises(ShapeMismatch):
+        make([E11, np.eye(3)])
+    with pytest.raises(ShapeMismatch):
+        make([np.ones(4), np.ones(4)])
+    with pytest.raises(ShapeMismatch):
+        make([])
+    for bad in (np.nan, np.inf):
+        m = E12.copy()
+        m[0, 1] = bad
+        with pytest.raises(NumericalFailure):
+            make([E11, m])
+
+
+def test_orthonormalize_checks_the_requested_shape():
+    with pytest.raises(ShapeMismatch):
+        orthonormalize([E11, E12], shape=(3, 3))
+    assert orthonormalize([E11, E12], shape=(2, 2)).dim == 2
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 6), st.booleans())
+def test_subspace_distance_matches_row_loop(seed, rows, cols, dim, same):
+    """Batched ``distance``/``equals`` agree with the row-by-row loop, on
+    equal spans in rotated bases and on unrelated spans."""
+    rng = np.random.default_rng(seed)
+    dim = min(dim, rows * cols)
+    a = orthonormalize(list(cplx(rng, dim, rows, cols)))
+    if same:
+        b = orthonormalize(list(np.einsum("ka,aij->kij", cplx(rng, dim, dim), a.matrices)))
+    else:
+        b = orthonormalize(list(cplx(rng, dim, rows, cols)))
+    ref = loop_span_distance(a, b)
+    assert abs(a.distance(b) - ref) <= 1e-15
+    for tol in (1e-8, 0.5):
+        assert a.equals(b, tol=tol) == (ref <= tol)
+    flat = cplx(rng, 4, rows * cols)
+    loop = [a.residual(x.reshape(rows, cols)) for x in flat]
+    np.testing.assert_allclose(a.row_residuals(flat), loop, rtol=0, atol=1e-15)
+
+
+def test_subspace_distance_of_unequal_spaces_is_infinite():
+    a = orthonormalize([E11, E22])
+    assert a.distance(orthonormalize([E11])) == float("inf")
+    assert not a.equals(orthonormalize([E11]), tol=1e3)
+    wide = Subspace(1, 4, a.stack)
+    assert wide.dim == a.dim
+    assert a.distance(wide) == float("inf")
+    assert not a.equals(wide, tol=1e3)
+    assert Subspace.empty(2, 2).distance(Subspace.empty(2, 2)) == 0.0
+
+
 def test_grow_span_appends_only_new_directions():
     space = span_rows([E11.ravel(), E22.ravel()], (2, 2))
     stack, changed = grow_span(space.stack, np.array([E11.ravel(), E12.ravel()]))
@@ -269,6 +376,33 @@ def test_grow_span_cutoff_is_the_rank_tolerance(factor, grows):
     out, grew = grow_span(stack, cand, tol_rank=tol)
     assert grew is grows
     assert out.shape[0] == (2 if grows else 1)
+
+
+@pytest.mark.parametrize("kind", ["in_span", "growing", "cutoff_0.99", "cutoff_1.01"])
+def test_grow_span_early_stop_matches_svd_path(kind):
+    """Stopping after the first projection pass when nothing can be kept
+    gives bit-identical results to deciding every call by the SVD."""
+    rng = np.random.default_rng(23)
+    tol = DEFAULT_TOL.rank
+    stack = orthonormalize(list(cplx(rng, 4, 3, 3))).stack
+    inside = cplx(rng, 6, 4) @ stack
+    if kind == "in_span":
+        cands = inside
+    elif kind == "growing":
+        cands = np.vstack([inside, cplx(rng, 2, 9)])
+    else:
+        out_dir = cplx(rng, 9)
+        out_dir -= (out_dir @ stack.conj().T) @ stack
+        out_dir /= np.linalg.norm(out_dir)
+        scale = float(np.max(np.linalg.norm(inside, axis=1)))
+        factor = float(kind.split("_")[1])
+        cands = inside.copy()
+        cands[0] += factor * tol * scale * out_dir
+    out, grew = grow_span(stack, cands, tol_rank=tol)
+    ref, ref_grew = grow_span_by_svd(stack, cands, tol)
+    assert grew is ref_grew
+    assert grew is (kind in ("growing", "cutoff_1.01"))
+    assert np.array_equal(out, ref)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None)

@@ -2,6 +2,8 @@
 matrix units, the block-diagonalizing basis change, and the
 maximal-ideal/single-generator verification built on top of them."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,22 @@ def test_verify_single_generation_of_maximal_ideals_m2():
         assert t.is_maximal
         assert t.single_generation
         assert t.support_agreement <= 1e-8
+
+
+def test_dales_zelazko_trial_uses_the_callers_member_bound():
+    """``ok`` compares the support agreement with the ``member`` bound the
+    sweep ran under: an agreement of 5e-8 fails the default 1e-8 bound and
+    passes a caller's 1e-7."""
+    loose = DEFAULT_TOL.with_member(1e-7)
+    report = verify_dales_zelazko(generate_algebra(2, [E12]), trials=2, seed=2, tol=loose)
+    assert report.all_ok
+    trial = report.trials[0]
+    assert trial.tol_member == 1e-7
+    off = dataclasses.replace(trial, support_agreement=5e-8)
+    assert off.ok
+    assert not dataclasses.replace(off, tol_member=DEFAULT_TOL.member).ok
+    default = verify_dales_zelazko(generate_algebra(2, [E12]), trials=1, seed=2)
+    assert default.trials[0].tol_member == DEFAULT_TOL.member
 
 
 def test_verify_single_generation_scalar_algebra():
