@@ -41,7 +41,6 @@ from .linalg import (
     functional_calculus,
     hermitian_eig,
     orthonormalize,
-    solve_membership,
     spectral_projection_above,
 )
 from .algebra import (

@@ -13,13 +13,14 @@ it that way and verifies the result.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy.linalg as npl
 
 from .config import DEFAULT_TOL
 from .errors import (
     ClosureViolation,
+    NotAProjection,
     NotInAlgebra,
     NumericalFailure,
     ParamError,
@@ -28,6 +29,7 @@ from .errors import (
 from .linalg import (
     Subspace,
     as_matrix,
+    close_span,
     grow_span,
     hs_norm,
     orthonormalize,
@@ -64,14 +66,10 @@ class StarAlgebra:
     unit : ndarray or None
         The multiplicative identity of the algebra (a projection in the
         ambient matrices), or None for the zero algebra.
-    is_unitized : bool
-        Whether this algebra was produced by adjoining the ambient
-        identity to a smaller one.
     """
 
     basis: Subspace
     unit: np.ndarray | None = None
-    is_unitized: bool = False
 
     @property
     def ambient_dim(self):
@@ -92,6 +90,16 @@ class StarAlgebra:
                 f"(residual {self.basis.residual(x):.3e})"
             )
         return x
+
+    def require_projection(self, e, tol=None, what="element"):
+        """``e`` as a member of the algebra that is a self-adjoint
+        idempotent, both to within ``tol * max(1, ||e||)``."""
+        tol = DEFAULT_TOL.member if tol is None else tol
+        e = self.require_member(e, tol=tol, what=what)
+        scale = max(1.0, hs_norm(e))
+        if hs_norm(e @ e - e) > tol * scale or hs_norm(e - e.conj().T) > tol * scale:
+            raise NotAProjection(f"{what} is not a self-adjoint idempotent")
+        return e
 
     def closure_defect(self):
         """Largest residual of basis products/adjoints against the span."""
@@ -123,36 +131,17 @@ class StarAlgebra:
         return alg
 
 
-def generate_algebra(ambient_dim, generators, include_identity=False, tol=None):
+def generate_algebra(ambient_dim, generators, tol=None):
     """Smallest *-closed algebra of ``ambient_dim`` square matrices
-    containing the generators.
-
-    Iterates adjoints and pairwise products until the span stabilizes;
-    with ``include_identity`` the ambient identity is adjoined first.
-    The dimension can only grow, so at most ``ambient_dim ** 2`` rounds
-    occur; exceeding that bound means the arithmetic went bad and raises
-    :class:`NumericalFailure`.
+    containing the generators: :func:`close_span` under adjoints and
+    pairwise products.
     """
     tol = DEFAULT_TOL if tol is None else tol
     n = int(ambient_dim)
     if n < 1:
         raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
-    seed = [as_matrix(g, shape=(n, n)) for g in generators]
-    if include_identity:
-        seed.append(np.eye(n, dtype=np.complex128))
-    stack = np.zeros((0, n * n), dtype=np.complex128)
-    if seed:
-        stack, _ = grow_span(stack, np.array([g.ravel() for g in seed]), tol_rank=tol.rank)
-    for _ in range(n * n + 1):
-        if stack.shape[0] == 0:
-            break
-        cands = _pairwise_products(stack, (n, n))
-        stack, grew = grow_span(stack, cands, tol_rank=tol.rank)
-        if not grew:
-            break
-    else:  # pragma: no cover - closure must stabilize within n^2 rounds
-        raise NumericalFailure("algebra closure failed to stabilize")
-    alg = StarAlgebra(basis=Subspace(n, n, stack))
+    seeds = [as_matrix(g, shape=(n, n)) for g in generators]
+    alg = StarAlgebra(basis=close_span(seeds, (n, n), _pairwise_products, tol_rank=tol.rank))
     alg.unit = unit_of(alg, tol=tol)
     return alg
 
@@ -198,7 +187,7 @@ def unitize(algebra, tol=None):
     if algebra.basis.contains(eye, tol=tol.member):
         return algebra
     stack, _ = grow_span(algebra.basis.stack, eye.ravel()[None, :], tol_rank=tol.rank)
-    return StarAlgebra(basis=Subspace(n, n, stack), unit=eye, is_unitized=True)
+    return StarAlgebra(basis=Subspace(n, n, stack), unit=eye)
 
 
 # Fixed probe coefficients keep center() deterministic without a seed
@@ -266,13 +255,12 @@ def center(algebra, tol=None):
     raise NumericalFailure("center computation failed verification")  # pragma: no cover
 
 
-def random_self_adjoint(algebra, seed, tol=None):
+def random_self_adjoint(algebra, seed):
     """A reproducible random self-adjoint element of the algebra.
 
     Real standard-normal coefficients against the Hermitian parts of the
     orthonormal basis; the same seed always gives the same element.
     """
-    del tol
     rng = np.random.default_rng(seed)
     return sample_self_adjoint(algebra, rng)
 
@@ -288,7 +276,8 @@ def sample_self_adjoint(algebra, rng):
 
 
 def sample_element(algebra, rng):
-    """A random (generally non-self-adjoint) element of the algebra."""
+    """A random (generally non-self-adjoint) element of the algebra, or of
+    any space with an orthonormal ``basis``, such as a TRO."""
     if algebra.dim == 0:
         raise ParamError("cannot sample from the zero algebra")
     coeff = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)

@@ -225,11 +225,11 @@ def _parse_blocks(text):
         part = part.strip()
         if not part:
             continue
-        if "x" in part:
-            lhs, _, rhs = part.partition("x")
-            out.append((int(lhs), int(rhs)))
-        else:
-            out.append(int(part))
+        lhs, x, rhs = part.partition("x")
+        try:
+            out.append((int(lhs), int(rhs)) if x else int(part))
+        except ValueError as exc:
+            raise ParamError(f"cannot parse block list {text!r}: {exc}") from exc
     if not out:
         raise ParamError("empty block list")
     return out
@@ -238,10 +238,7 @@ def _parse_blocks(text):
 def _cmd_random(args):
     seed = _resolve_seed(args)
     tol = _resolve_tol(args)
-    try:
-        blocks = _parse_blocks(args.blocks)
-    except ValueError as exc:
-        raise ParamError(f"cannot parse --blocks {args.blocks!r}: {exc}") from exc
+    blocks = _parse_blocks(args.blocks)
     if args.kind == "tro":
         if not all(isinstance(b, tuple) for b in blocks):
             raise ParamError("TRO blocks must be ROWSxCOLS pairs, e.g. 2x3,1x1")

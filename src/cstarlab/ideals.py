@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_TOL
 from .errors import (
     CoefficientSolveFailed,
+    GapNotFound,
     NotAProjection,
     NotProper,
     NotMaximal,
@@ -27,12 +28,10 @@ from .errors import (
 from .algebra import StarAlgebra, unitize
 from .linalg import (
     Subspace,
-    hermitian_eig,
     hs_norm,
     op_norm,
-    place_cut_in_gap,
+    psd_cut,
     span_rows,
-    split_spectrum_at_zero,
     support_projection_of_psd,
 )
 
@@ -40,6 +39,7 @@ __all__ = [
     "RightIdeal",
     "ProjectionCertificate",
     "generate_right_ideal",
+    "right_module_span",
     "projection_generator",
     "support_projection",
     "is_minimal_projection",
@@ -129,33 +129,38 @@ def _right_module_defect(parent, space):
     return space.max_relative_residual(prods)
 
 
-def generate_right_ideal(parent, generators, tol=None):
-    """The right ideal of ``parent`` generated by the given elements.
-
-    Each generator must belong to the algebra.  The span is
-    ``sum_j g_j A^1`` with coefficients in the unitization, so the
-    generators lie in the ideal even when the algebra has no unit of its
-    own; right-module closure of the result is verified.
-    """
+def right_module_span(algebra, generators, rows, tol=None):
+    """Span of ``g a`` over the ``rows x N`` generators ``g`` and ``a`` in
+    the unitization of ``algebra`` (so the generators belong to it), verified
+    closed under right multiplication by ``algebra``.  Right ideals
+    ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here."""
     tol = DEFAULT_TOL if tol is None else tol
-    n = parent.ambient_dim
-    gens = [parent.require_member(g, tol=tol.member, what="ideal generator")
-            for g in generators]
-    unital = unitize(parent, tol=tol)
-    if gens and unital.dim:
+    n = algebra.ambient_dim
+    unital = unitize(algebra, tol=tol)
+    if generators and unital.dim:
         amats = unital.basis.matrices
-        gmats = np.array(gens)
-        prods = (gmats[:, None] @ amats[None]).reshape(-1, n * n)
-        space = span_rows(prods, (n, n), tol_rank=tol.rank)
+        gmats = np.array(generators)
+        prods = (gmats[:, None] @ amats[None]).reshape(-1, rows * n)
+        space = span_rows(prods, (rows, n), tol_rank=tol.rank)
     else:
-        space = Subspace.empty(n, n)
-    ideal = RightIdeal(parent=parent, generators=gens, basis=space)
-    defect = _right_module_defect(parent, space)
+        space = Subspace.empty(rows, n)
+    defect = _right_module_defect(algebra, space)
     if defect > tol.member:
         raise VerificationFailure(
             f"generated span is not right-module closed (residual {defect:.3e})"
         )
-    return ideal
+    return space
+
+
+def generate_right_ideal(parent, generators, tol=None):
+    """The right ideal ``sum_j g_j A^1`` of ``parent`` generated by the
+    given elements (:func:`right_module_span`); each generator must belong
+    to the algebra."""
+    tol = DEFAULT_TOL if tol is None else tol
+    gens = [parent.require_member(g, tol=tol.member, what="ideal generator")
+            for g in generators]
+    space = right_module_span(parent, gens, parent.ambient_dim, tol=tol)
+    return RightIdeal(parent=parent, generators=gens, basis=space)
 
 
 def _trivial_certificate(ambient_dim):
@@ -209,10 +214,9 @@ def projection_generator(parent, ideal, tol=None):
     b = np.einsum("gij,gkj->ik", gmats, gmats.conj())
     b = 0.5 * (b + b.conj().T)
 
-    dec = hermitian_eig(b, tol=tol.spec)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    zero_hi, pos_lo = split_spectrum_at_zero(dec.eigenvalues, tol_gap=tol.gap)
-    cut = place_cut_in_gap(zero_hi, pos_lo, top, tol_gap=tol.gap, tol_floor=tol.spec)
+    dec, cut, pos_lo = psd_cut(b, tol=tol)
+    if cut is None:
+        raise GapNotFound("spectrum has no positive part separated from zero")
     # the quartic root must flush the zero cluster: raw t**0.25 would blow
     # roundoff-sized eigenvalues up to the fourth root of machine epsilon
     quarter = dec.apply(lambda t: t ** 0.25 if t > cut else 0.0)
@@ -315,14 +319,6 @@ def _corner_space(parent, e, f, tol):
     )
 
 
-def _require_projection(parent, e, tol, what="element"):
-    e = parent.require_member(e, tol=tol.member, what=what)
-    scale = max(1.0, hs_norm(e))
-    if hs_norm(e @ e - e) > tol.member * scale or hs_norm(e - e.conj().T) > tol.member * scale:
-        raise NotAProjection(f"{what} is not a self-adjoint idempotent")
-    return e
-
-
 def is_minimal_projection(parent, e, tol=None):
     """Whether the corner ``e A e`` is one-dimensional.
 
@@ -331,7 +327,7 @@ def is_minimal_projection(parent, e, tol=None):
     (a block with multiplicity has minimal projections of higher rank).
     """
     tol = DEFAULT_TOL if tol is None else tol
-    e = _require_projection(parent, e, tol, what="projection")
+    e = parent.require_projection(e, tol=tol.member, what="projection")
     if hs_norm(e) <= tol.member:
         raise NotAProjection("the zero projection is not minimal")
     return _corner_space(parent, e, e, tol).dim == 1

@@ -16,7 +16,6 @@ from .errors import ParseError
 __all__ = [
     "encode_matrix",
     "decode_matrix",
-    "encode_fixture",
     "decode_fixture",
     "dumps_report",
 ]
@@ -82,16 +81,6 @@ def encode_ideal_fixture(ambient_dim, algebra_generators, ideal_generators):
         "algebra_generators": [encode_matrix(g) for g in algebra_generators],
         "ideal_generators": [encode_matrix(g) for g in ideal_generators],
     }
-
-
-def encode_fixture(kind, **kw):
-    if kind == "algebra":
-        return encode_algebra_fixture(**kw)
-    if kind == "tro":
-        return encode_tro_fixture(**kw)
-    if kind == "ideal":
-        return encode_ideal_fixture(**kw)
-    raise ParseError(f"unknown fixture kind {kind!r}")
 
 
 def decode_fixture(obj):

@@ -10,7 +10,10 @@ and that is how :class:`Subspace` stores them.
 The spectral side (``hermitian_eig``, ``functional_calculus``,
 ``spectral_projection_above``) deliberately keeps a single code path: a
 spectral projection *is* the functional calculus of an indicator function
-evaluated on the same eigendecomposition, so the two agree exactly.
+evaluated on the same eigendecomposition, so the two agree exactly.  For
+positive semidefinite matrices :func:`psd_cut` is the one spectral cut
+between the zero cluster and the positive part, and :func:`close_span` is
+the one closure loop of algebras and TROs.
 """
 
 import numpy as np
@@ -37,8 +40,9 @@ __all__ = [
     "spectral_projection_above",
     "Subspace",
     "orthonormalize",
-    "solve_membership",
+    "close_span",
     "split_spectrum_at_zero",
+    "psd_cut",
     "support_projection_of_psd",
 ]
 
@@ -191,9 +195,6 @@ class Subspace:
         """Basis as a (dim, rows, cols) array."""
         return self.stack.reshape(-1, self.rows, self.cols)
 
-    def basis_list(self):
-        return [self.matrices[i].copy() for i in range(self.dim)]
-
     def coords(self, x):
         """Coefficients of the orthogonal projection of ``x`` onto the span,
         together with the residual norm of ``x`` minus that projection."""
@@ -202,10 +203,6 @@ class Subspace:
         c = self.stack.conj() @ flat
         resid = flat - c @ self.stack
         return c, float(np.linalg.norm(resid))
-
-    def project(self, x):
-        c, _ = self.coords(x)
-        return (c @ self.stack).reshape(self.shape)
 
     def residual(self, x):
         return self.coords(x)[1]
@@ -276,17 +273,6 @@ def orthonormalize(mats, tol_rank=None, shape=None):
     return span_rows(flat, shape, tol_rank=tol_rank)
 
 
-def solve_membership(x, space, tol=None):
-    """Least-squares coefficients of ``x`` against the basis of ``space``.
-
-    Returns ``(coefficients, residual)``; the residual is the distance from
-    ``x`` to the span.  ``x`` belongs to the span when the residual is at
-    most ``tol * max(1, ||x||)``.
-    """
-    del tol  # the caller applies the membership test; kept for signature symmetry
-    return space.coords(x)
-
-
 def grow_span(stack, candidates, tol_rank=None):
     """Extend an orthonormal row ``stack`` by the directions of
     ``candidates`` not already in its span.
@@ -331,6 +317,26 @@ def span_rows(candidates, shape, tol_rank=None):
     r, c = shape
     empty = np.zeros((0, r * c), dtype=np.complex128)
     stack, _ = grow_span(empty, candidates, tol_rank=tol_rank)
+    return Subspace(r, c, stack)
+
+
+def close_span(seeds, shape, products, tol_rank=None):
+    """Smallest span (a Subspace) containing the matrices ``seeds`` and
+    closed under ``products(stack, shape)``, grown by :func:`grow_span`.
+    The dimension grows every round, so more than ``rows * cols + 1``
+    rounds means the arithmetic went bad: :class:`NumericalFailure`."""
+    r, c = shape
+    stack = np.zeros((0, r * c), dtype=np.complex128)
+    if seeds:
+        stack, _ = grow_span(stack, np.array([g.ravel() for g in seeds]), tol_rank=tol_rank)
+    for _ in range(r * c + 1):
+        if stack.shape[0] == 0:
+            break
+        stack, grew = grow_span(stack, products(stack, shape), tol_rank=tol_rank)
+        if not grew:
+            break
+    else:  # pragma: no cover - the dimension is bounded by rows * cols
+        raise NumericalFailure("span closure failed to stabilize")
     return Subspace(r, c, stack)
 
 
@@ -393,13 +399,14 @@ def place_cut_in_gap(zero_hi, pos_lo, scale, tol_gap=None, tol_floor=None):
     return float(np.clip(cut, zero_hi + 1.25 * g, pos_lo - 1.25 * g))
 
 
-def support_projection_of_psd(s, tol=None):
-    """Range projection of a positive semidefinite matrix.
+def psd_cut(s, tol=None):
+    """``(dec, cut, pos_lo)``: the eigendecomposition of a positive
+    semidefinite ``s``, the cut between its zero cluster and positive part
+    (:func:`place_cut_in_gap`) and the smallest eigenvalue above the cut.
 
-    Splits the spectrum into its zero cluster and the positive part, places
-    a cut in the gap and projects above it.  Returns the zero matrix when
-    the spectrum is all zero cluster; raises :class:`GapNotFound` when no
-    gap separates the two.
+    ``cut`` and ``pos_lo`` are None when the spectrum is one negligible
+    zero cluster; :class:`GapNotFound` is raised when it is one cluster
+    that is not negligible, or when no gap separates the two parts.
     """
     tol = DEFAULT_TOL if tol is None else tol
     dec = hermitian_eig(s, tol=tol.spec)
@@ -408,26 +415,30 @@ def support_projection_of_psd(s, tol=None):
     if pos_lo is None:
         if zero_hi > tol.member * max(1.0, top):
             raise GapNotFound("spectrum is one cluster not separated from zero")
-        return np.zeros_like(np.asarray(s, dtype=np.complex128))
+        return dec, None, None
     cut = place_cut_in_gap(zero_hi, pos_lo, top, tol_gap=tol.gap, tol_floor=tol.spec)
+    return dec, cut, pos_lo
+
+
+def support_projection_of_psd(s, tol=None):
+    """Range projection of a positive semidefinite matrix: the indicator of
+    the positive side of :func:`psd_cut`, or the zero matrix when the
+    spectrum is all zero cluster."""
+    dec, cut, _ = psd_cut(s, tol=tol)
+    if cut is None:
+        return np.zeros_like(np.asarray(s, dtype=np.complex128))
     return dec.apply(lambda t: 1.0 if t > cut else 0.0)
 
 
 def pseudo_inverse_sqrt(s, tol=None):
     """``f(s)`` for ``f(t) = t^(-1/2)`` on the positive part, 0 on the kernel.
 
-    The split between kernel and positive part uses the same zero-cluster
-    chaining as :func:`support_projection_of_psd`, so
+    The split between kernel and positive part is :func:`psd_cut`, as in
+    :func:`support_projection_of_psd`, so
     ``pseudo_inverse_sqrt(s) @ s @ pseudo_inverse_sqrt(s)`` is the support
     projection of ``s``.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    dec = hermitian_eig(s, tol=tol.spec)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    zero_hi, pos_lo = split_spectrum_at_zero(dec.eigenvalues, tol_gap=tol.gap)
-    if pos_lo is None:
-        if zero_hi > tol.member * max(1.0, top):
-            raise GapNotFound("spectrum is one cluster not separated from zero")
+    dec, cut, _ = psd_cut(s, tol=tol)
+    if cut is None:
         return np.zeros_like(np.asarray(s, dtype=np.complex128))
-    cut = place_cut_in_gap(zero_hi, pos_lo, top, tol_gap=tol.gap, tol_floor=tol.spec)
     return dec.apply(lambda t: t ** -0.5 if t > cut else 0.0)

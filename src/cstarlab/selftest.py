@@ -9,6 +9,7 @@ Given the same seed the report is identical byte for byte.
 import numpy as np
 
 from .config import DEFAULT_TOL
+from .algebra import sample_element
 from .ideals import projection_generator, support_projection
 from .instances import (
     planted_block_algebra,
@@ -109,7 +110,7 @@ def _check_tro(seed, tol):
         cls = classify_tro(tro, seed=int(rng.integers(2**32)), tol=tol)
         ok = ok and sorted(cls.blocks, reverse=True) == planted.signature()
         worst = max(worst, cls.residuals["ternary_morphism"])
-        gens = [sample_element_of_tro(tro, rng) for _ in range(2)]
+        gens = [sample_element(tro, rng) for _ in range(2)]
         sub = generate_submodule(tro, gens, tol=tol)
         if sub.dim:
             _, round_report = submodule_ideal_roundtrip(tro, sub, tol=tol)
@@ -120,11 +121,6 @@ def _check_tro(seed, tol):
             worst = max(worst, max(cert.residuals.values()))
     return {"name": "tro_classification", "instances": count,
             "worst_residual": worst, "ok": bool(ok and worst <= 10 * tol.member)}
-
-
-def sample_element_of_tro(tro, rng):
-    coeff = rng.standard_normal(tro.dim) + 1j * rng.standard_normal(tro.dim)
-    return np.einsum("a,aij->ij", coeff, tro.basis.matrices)
 
 
 def run_selftest(seed=0, tol=None):

@@ -33,7 +33,6 @@ from .errors import (
 from .algebra import center, sample_self_adjoint
 from .ideals import (
     _corner_space,
-    _require_projection,
     generate_right_ideal,
     is_maximal_right_ideal,
     is_minimal_projection,
@@ -51,6 +50,7 @@ __all__ = [
     "corner_dimension",
     "verify_dales_zelazko",
     "minimal_projection_below",
+    "spectral_clusters",
 ]
 
 _MAX_DRAWS = 3
@@ -75,6 +75,25 @@ def cluster_partition(eigenvalues, tol_gap=None):
         else:
             groups.append([idx])
     return [np.array(g) for g in groups]
+
+
+def spectral_clusters(x, tol=None):
+    """Eigenvalue clusters of a self-adjoint ``x`` in ascending order, as
+    ``(eigenvalues, projection)`` pairs; ``projection`` is None for the
+    cluster within ``tol.gap * max|lambda|`` of zero, and the list is empty
+    for ``x = 0``."""
+    tol = DEFAULT_TOL if tol is None else tol
+    dec = hermitian_eig(x, tol=tol.spec)
+    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
+    if top == 0.0:
+        return []
+    gap = tol.gap * top
+    out = []
+    for cl in cluster_partition(dec.eigenvalues, tol_gap=tol.gap):
+        vals = dec.eigenvalues[cl]
+        cols = dec.basis[:, cl]
+        out.append((vals, None if np.min(np.abs(vals)) <= gap else cols @ cols.conj().T))
+    return out
 
 
 @dataclass(eq=False)
@@ -127,22 +146,14 @@ def _extreme_cluster_projection(parent, e, corner, rng, tol):
     herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
     coeff = rng.standard_normal(corner.dim)
     x = np.einsum("a,aij->ij", coeff, herm)
-    dec = hermitian_eig(x, tol=tol.spec)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    if top == 0.0:
-        return None
-    gap = tol.gap * top
-    clusters = cluster_partition(dec.eigenvalues, tol_gap=tol.gap)
+    clusters = spectral_clusters(x, tol)
     if len(clusters) < 2:
         return None
     lo, hi = clusters[0], clusters[-1]
-    prefer = [hi, lo] if abs(dec.eigenvalues[hi[-1]]) >= abs(dec.eigenvalues[lo[0]]) else [lo, hi]
-    for cl in prefer:
-        vals = dec.eigenvalues[cl]
-        if np.min(np.abs(vals)) <= gap:  # cluster touches the ambient kernel
+    prefer = [hi, lo] if abs(hi[0][-1]) >= abs(lo[0][0]) else [lo, hi]
+    for _, cand in prefer:
+        if cand is None:  # cluster touches the ambient kernel
             continue
-        cols = dec.basis[:, cl]
-        cand = cols @ cols.conj().T
         if not parent.contains(cand, tol=tol.member):
             continue
         if np.real(np.trace(cand)) > np.real(np.trace(e)) - 0.5:
@@ -178,7 +189,7 @@ def minimal_projection_below(parent, start, seed=0, tol=None):
     randomized but reproducible through ``seed``.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    start = _require_projection(parent, start, tol, what="starting projection")
+    start = parent.require_projection(start, tol=tol.member, what="starting projection")
     rng = np.random.default_rng(seed)
     return _minimal_below_rng(parent, start, rng, tol)
 
@@ -191,24 +202,9 @@ def _central_projections(parent, centre, rng, tol):
         return [u.copy()]
     for attempt in range(_MAX_DRAWS):
         z = sample_self_adjoint(centre, rng)
-        dec = hermitian_eig(z, tol=tol.spec)
-        top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-        if top == 0.0:
-            continue
-        gap = tol.gap * top
-        found = []
-        ok = True
-        for cl in cluster_partition(dec.eigenvalues, tol_gap=tol.gap):
-            vals = dec.eigenvalues[cl]
-            if np.min(np.abs(vals)) <= gap:
-                continue  # ambient kernel (or a block the draw failed to separate)
-            cols = dec.basis[:, cl]
-            cand = cols @ cols.conj().T
-            if not parent.contains(cand, tol=tol.member):
-                ok = False
-                break
-            found.append(cand)
-        if not ok or len(found) != want:
+        # the zero cluster is the ambient kernel (or blocks the draw merged)
+        found = [p for _, p in spectral_clusters(z, tol) if p is not None]
+        if len(found) != want or not all(parent.contains(p, tol=tol.member) for p in found):
             continue
         total = sum(found)
         if hs_norm(total - u) <= tol.member * max(1.0, hs_norm(u)):
@@ -433,8 +429,8 @@ def corner_dimension(parent, e, f, tol=None):
     when they live in different blocks); that bound is asserted.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    e = _require_projection(parent, e, tol, what="left projection")
-    f = _require_projection(parent, f, tol, what="right projection")
+    e = parent.require_projection(e, tol=tol.member, what="left projection")
+    f = parent.require_projection(f, tol=tol.member, what="right projection")
     dim = _corner_space(parent, e, f, tol).dim
     nonzero = hs_norm(e) > tol.member and hs_norm(f) > tol.member
     if nonzero and dim > 1:

@@ -30,21 +30,21 @@ from .errors import (
     ClosureViolation,
     MembershipViolation,
     NotProper,
-    NumericalFailure,
     ParamError,
     VerificationFailure,
     ZeroSubmodule,
 )
-from .algebra import StarAlgebra, unitize
+from .algebra import StarAlgebra
 from .ideals import (
     RightIdeal,
     generate_right_ideal,
     is_maximal_right_ideal,
+    right_module_span,
 )
 from .linalg import (
     Subspace,
     as_matrix,
-    grow_span,
+    close_span,
     hermitian_eig,
     hs_norm,
     orthonormalize,
@@ -168,29 +168,16 @@ def _check_nondegenerate(tro, tol):
 def generate_tro(rows, cols, generators, tol=None):
     """Smallest TRO of ``rows x cols`` matrices containing the generators.
 
-    Iterates the triple product ``x y* z`` over the current span until it
-    stabilizes (at most ``rows * cols`` rounds, since the dimension grows
-    each round), then assembles the left and right algebras and verifies
-    nondegeneracy.
+    :func:`close_span` under the triple product ``x y* z``, then the left
+    and right algebras are assembled and nondegeneracy is verified.
     """
     tol = DEFAULT_TOL if tol is None else tol
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
-    stack = np.zeros((0, m * n), dtype=np.complex128)
-    if gens:
-        stack, _ = grow_span(stack, np.array([g.ravel() for g in gens]), tol_rank=tol.rank)
-    for _ in range(m * n + 1):
-        if stack.shape[0] == 0:
-            break
-        cands = _triple_products(stack, (m, n))
-        stack, grew = grow_span(stack, cands, tol_rank=tol.rank)
-        if not grew:
-            break
-    else:  # pragma: no cover - dimension is bounded by rows*cols
-        raise NumericalFailure("ternary closure failed to stabilize")
-    return _build_tro(Subspace(m, n, stack), tol, check_closure=False)
+    space = close_span(gens, (m, n), _triple_products, tol_rank=tol.rank)
+    return _build_tro(space, tol, check_closure=False)
 
 
 def tro_from_span(mats, shape=None, tol=None, check_closure=True):
@@ -361,9 +348,9 @@ class Submodule:
 
 
 def generate_submodule(tro, generators, tol=None):
-    """Right submodule of the TRO generated by the given elements:
-    the span of ``g (unitized right algebra)``, verified to be
-    module-closed (stable under right multiplication by Z* Z)."""
+    """Right submodule of the TRO generated by the given elements: the
+    span of ``g (Z* Z)^1`` (:func:`right_module_span` over the right
+    algebra); each generator must belong to the TRO."""
     tol = DEFAULT_TOL if tol is None else tol
     m, n = tro.basis.shape
     gens = []
@@ -375,30 +362,8 @@ def generate_submodule(tro, generators, tol=None):
                 f"(residual {tro.basis.residual(g):.3e})"
             )
         gens.append(g)
-    unital_right = unitize(tro.right_algebra, tol=tol)
-    if gens and unital_right.dim:
-        amats = unital_right.basis.matrices
-        gmats = np.array(gens)
-        prods = (gmats[:, None] @ amats[None]).reshape(-1, m * n)
-        space = span_rows(prods, (m, n), tol_rank=tol.rank)
-    else:
-        space = Subspace.empty(m, n)
-    sub = Submodule(parent=tro, generators=gens, basis=space)
-    defect = _module_defect(tro, space)
-    if defect > tol.member:
-        raise VerificationFailure(
-            f"generated span is not module-closed (residual {defect:.3e})"
-        )
-    return sub
-
-
-def _module_defect(tro, space):
-    """Largest residual of ``w r`` against the span, for ``w`` in the
-    submodule basis and ``r`` in the right algebra basis."""
-    ws = space.matrices
-    rs = tro.right_algebra.basis.matrices
-    prods = (ws[:, None] @ rs[None]).reshape(-1, space.rows * space.cols)
-    return space.max_relative_residual(prods)
+    space = right_module_span(tro.right_algebra, gens, m, tol=tol)
+    return Submodule(parent=tro, generators=gens, basis=space)
 
 
 def submodule_ideal_roundtrip(tro, submodule, tol=None):
@@ -462,9 +427,8 @@ def is_maximal_submodule(tro, submodule, tol=None):
             basis=Subspace.empty(tro.rows, tro.rows),
         )
         return is_maximal_right_ideal(tro.left_algebra, ideal, tol=tol)
-    ideal, report = submodule_ideal_roundtrip(tro, submodule, tol=tol)
-    if report["module_roundtrip"] > tol.member:
-        return False
+    # the roundtrip raises unless W Z* Z recovers W
+    ideal, _ = submodule_ideal_roundtrip(tro, submodule, tol=tol)
     return is_maximal_right_ideal(tro.left_algebra, ideal, tol=tol)
 
 

@@ -104,9 +104,11 @@ def test_wrong_fixture_kind_is_input_error(tmp_path):
 
 
 def test_malformed_blocks_argument_is_input_error():
-    r = run_cli("random", "algebra", "--blocks", "2,,x", "--seed", 1)
-    assert r.returncode == 1
-    assert "error:" in r.stderr
+    for flags in (["--blocks", "2,,x"], ["--blocks", "2,1", "--mults", "a,b"]):
+        r = run_cli("random", "algebra", *flags, "--seed", 1)
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
 
 
 def test_tampered_ground_truth_fails_verification(tmp_path):

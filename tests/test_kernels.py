@@ -22,7 +22,6 @@ from cstarlab.tro import (
     TRO,
     TROClassification,
     _left_products,
-    _module_defect,
     _morphism_defect,
     _right_products,
     _ternary_defect,
@@ -134,7 +133,7 @@ def test_module_defect_matches_loop(seed, m, n, d_right, d_space):
     space = random_space(rng, d_space, m, n)
     tro = TRO(basis=space, left_algebra=None, right_algebra=right)
     ref = loop_defect(space, right.basis.matrices)
-    assert _module_defect(tro, space) == pytest.approx(ref, rel=REL)
+    assert _right_module_defect(tro.right_algebra, space) == pytest.approx(ref, rel=REL)
 
 
 def removed_max_relative_residual(space, prods):
@@ -165,7 +164,7 @@ def test_shared_residual_is_bit_identical_to_removed_copies(seed, m, n, d_alg, d
     tspace = random_space(rng, min(d_space, m * n), m, n)
     tro = TRO(basis=tspace, left_algebra=None, right_algebra=parent)
     mod = (tspace.matrices[:, None] @ bs[None]).reshape(-1, m * n)
-    assert _module_defect(tro, tspace) == removed_max_relative_residual(tspace, mod)
+    assert _right_module_defect(tro.right_algebra, tspace) == removed_max_relative_residual(tspace, mod)
     triples = _triple_products(tspace.stack, tspace.shape)
     assert _ternary_defect(tspace) == removed_max_relative_residual(tspace, triples)
 

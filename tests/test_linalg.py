@@ -25,8 +25,8 @@ from cstarlab.linalg import (
     op_norm,
     orthonormalize,
     place_cut_in_gap,
+    psd_cut,
     pseudo_inverse_sqrt,
-    solve_membership,
     span_rows,
     spectral_projection_above,
     split_spectrum_at_zero,
@@ -202,7 +202,7 @@ def test_subspace_membership_and_coords():
     assert space.contains(np.diag([2.0, -1.0]))
     assert not space.contains(E12)
     assert space.residual(E12) == pytest.approx(1.0)
-    coords, resid = solve_membership(np.diag([2.0, -1.0]), space)
+    coords, resid = space.coords(np.diag([2.0, -1.0]))
     assert resid == pytest.approx(0.0, abs=1e-14)
     rebuilt = (coords @ space.stack).reshape(2, 2)
     np.testing.assert_allclose(rebuilt, np.diag([2.0, -1.0]), atol=1e-14)
@@ -445,6 +445,23 @@ def test_pseudo_inverse_sqrt_random():
         half = pseudo_inverse_sqrt(s)
         supp = support_projection_of_psd(s)
         np.testing.assert_allclose(half @ s @ half, supp, atol=1e-8)
+
+
+@pytest.mark.parametrize("cut", [psd_cut, support_projection_of_psd, pseudo_inverse_sqrt])
+def test_spectrum_not_separated_from_zero_raises(cut):
+    """5e-8 chains onto the zero cluster (gap 1e-7) and nothing lies above
+    it, but the cluster is too large to count as zero."""
+    with pytest.raises(GapNotFound):
+        cut(np.diag([-1.0, 0.0, 5e-8]).astype(complex))
+
+
+def test_zero_matrix_has_no_cut():
+    zero = np.zeros((3, 3), dtype=complex)
+    _, cut, pos_lo = psd_cut(zero)
+    assert cut is None and pos_lo is None
+    for f in (support_projection_of_psd, pseudo_inverse_sqrt):
+        out = f(zero)
+        assert out.shape == (3, 3) and not np.any(out)
 
 
 def test_split_spectrum_at_zero():

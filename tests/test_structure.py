@@ -28,6 +28,7 @@ from cstarlab.structure import (
     _block_data,
     _central_projections,
     cluster_partition,
+    spectral_clusters,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -51,6 +52,16 @@ def test_cluster_partition_oracle():
 def test_cluster_partition_single_value():
     groups = cluster_partition(np.array([3.0]))
     assert len(groups) == 1
+
+
+def test_spectral_clusters_oracle():
+    clusters = spectral_clusters(np.diag([-2.0, 0.0, 0.0, 3.0, 3.0 + 1e-9]).astype(complex))
+    assert [list(vals) for vals, _ in clusters] == [[-2.0], [0.0, 0.0], [3.0, 3.0 + 1e-9]]
+    (_, lo), (_, zero), (_, hi) = clusters
+    assert zero is None
+    np.testing.assert_array_equal(lo, np.diag([1.0, 0, 0, 0, 0]))
+    np.testing.assert_array_equal(hi, np.diag([0.0, 0, 0, 1, 1]))
+    assert spectral_clusters(np.zeros((3, 3), dtype=complex)) == []
 
 
 # ---------------------------------------------------------------------------
