@@ -79,10 +79,10 @@ class StarAlgebra:
     def dim(self):
         return self.basis.dim
 
-    def contains(self, x, tol=None):
+    def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
 
-    def require_member(self, x, tol=None, what="element"):
+    def require_member(self, x, tol=DEFAULT_TOL, what="element"):
         x = as_matrix(x, shape=self.basis.shape)
         if not self.contains(x, tol=tol):
             raise NotInAlgebra(
@@ -91,13 +91,12 @@ class StarAlgebra:
             )
         return x
 
-    def require_projection(self, e, tol=None, what="element"):
+    def require_projection(self, e, tol=DEFAULT_TOL, what="element"):
         """``e`` as a member of the algebra that is a self-adjoint
-        idempotent, both to within ``tol * max(1, ||e||)``."""
-        tol = DEFAULT_TOL.member if tol is None else tol
+        idempotent, both to within ``tol.member * max(1, ||e||)``."""
         e = self.require_member(e, tol=tol, what=what)
-        scale = max(1.0, hs_norm(e))
-        if hs_norm(e @ e - e) > tol * scale or hs_norm(e - e.conj().T) > tol * scale:
+        bound = tol.member * max(1.0, hs_norm(e))
+        if hs_norm(e @ e - e) > bound or hs_norm(e - e.conj().T) > bound:
             raise NotAProjection(f"{what} is not a self-adjoint idempotent")
         return e
 
@@ -107,7 +106,7 @@ class StarAlgebra:
         return self.basis.max_relative_residual(cands)
 
     @classmethod
-    def from_span(cls, mats, ambient_dim=None, tol=None, validate=True):
+    def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL, validate=True):
         """Build an algebra from a family already spanning one.
 
         The span must be closed under products and adjoints; when
@@ -115,9 +114,8 @@ class StarAlgebra:
         :class:`ClosureViolation` raised otherwise.  The unit is detected
         afterwards.
         """
-        tol = DEFAULT_TOL if tol is None else tol
         shape = None if ambient_dim is None else (ambient_dim, ambient_dim)
-        space = orthonormalize(mats, tol_rank=tol.rank, shape=shape)
+        space = orthonormalize(mats, tol=tol, shape=shape)
         if space.rows != space.cols:
             raise ShapeMismatch("algebra elements must be square")
         alg = cls(basis=space)
@@ -131,22 +129,21 @@ class StarAlgebra:
         return alg
 
 
-def generate_algebra(ambient_dim, generators, tol=None):
+def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
     """Smallest *-closed algebra of ``ambient_dim`` square matrices
     containing the generators: :func:`close_span` under adjoints and
     pairwise products.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     n = int(ambient_dim)
     if n < 1:
         raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
     seeds = [as_matrix(g, shape=(n, n)) for g in generators]
-    alg = StarAlgebra(basis=close_span(seeds, (n, n), _pairwise_products, tol_rank=tol.rank))
+    alg = StarAlgebra(basis=close_span(seeds, (n, n), _pairwise_products, tol=tol))
     alg.unit = unit_of(alg, tol=tol)
     return alg
 
 
-def unit_of(algebra, tol=None):
+def unit_of(algebra, tol=DEFAULT_TOL):
     """The multiplicative identity of the algebra, or None if there is none.
 
     The candidate is the range projection of ``sum_i b_i* b_i`` over the
@@ -155,7 +152,6 @@ def unit_of(algebra, tol=None):
     identity on the span.  The candidate is verified (projection, member,
     two-sided identity on the basis) before being returned.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     space = algebra.basis
     if space.dim == 0:
         return None
@@ -174,19 +170,18 @@ def unit_of(algebra, tol=None):
     return u
 
 
-def unitize(algebra, tol=None):
+def unitize(algebra, tol=DEFAULT_TOL):
     """Adjoin the ambient identity, returning a unital algebra.
 
     If the algebra already contains the ambient identity it is returned
     unchanged; otherwise the span is extended by the identity (which keeps
     it closed: products of members with the identity are members).
     """
-    tol = DEFAULT_TOL if tol is None else tol
     n = algebra.ambient_dim
     eye = np.eye(n, dtype=np.complex128)
-    if algebra.basis.contains(eye, tol=tol.member):
+    if algebra.basis.contains(eye, tol=tol):
         return algebra
-    stack, _ = grow_span(algebra.basis.stack, eye.ravel()[None, :], tol_rank=tol.rank)
+    stack, _ = grow_span(algebra.basis.stack, eye.ravel()[None, :], tol=tol)
     return StarAlgebra(basis=Subspace(n, n, stack), unit=eye)
 
 
@@ -214,12 +209,11 @@ def _center_coords(space, probe_mats, tol):
     # noise the constraint matrix must count as zero, not full rank.
     scale = max((hs_norm(p) for p in probe_mats), default=1.0)
     top = s[0] if s.size else 0.0
-    tol_rank = tol.rank * max(top, scale)
-    rank = int(np.sum(s > tol_rank))
+    rank = int(np.sum(s > tol.rank * max(top, scale)))
     return vh[rank:].conj().T  # columns span the nullspace
 
 
-def center(algebra, tol=None):
+def center(algebra, tol=DEFAULT_TOL):
     """The center of the algebra, as a (commutative) StarAlgebra.
 
     Solves the commutation equations against two pseudo-random probe
@@ -227,7 +221,6 @@ def center(algebra, tol=None):
     falls back to the full commutant system when it does not.  The probe
     coefficients are fixed, so the result is deterministic.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     space = algebra.basis
     if space.dim == 0:
         return algebra

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -42,15 +43,16 @@ from .tro import classify_tro, generate_tro
 
 
 def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("CSTAR_SEED")
-    if env is not None:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("CSTAR_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ParamError(f"CSTAR_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise ParamError(f"the seed must be non-negative, got {seed}")
+    return seed
 
 
 def _resolve_tol(args):
@@ -58,11 +60,11 @@ def _resolve_tol(args):
     if getattr(args, "tol_member", None) is not None:
         if args.tol_member <= 0:
             raise ParamError("--tol-member must be positive")
-        tol = tol.with_member(args.tol_member)
+        tol = replace(tol, member=args.tol_member)
     if getattr(args, "tol_spec", None) is not None:
         if args.tol_spec <= 0:
             raise ParamError("--tol-spec must be positive")
-        tol = tol.with_spec(args.tol_spec)
+        tol = replace(tol, spec=args.tol_spec)
     return tol
 
 
@@ -327,10 +329,7 @@ def build_parser():
                    help="ambient dimension (algebra kinds; default: occupied rank)")
     p.add_argument("--gens", type=int, default=2,
                    help="ideal generator count (ideal kind)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol-member", type=float, default=None)
-    p.add_argument("--tol-spec", type=float, default=None)
-    p.add_argument("--json", default=None, metavar="PATH")
+    common(p, fixture=False)
     p.set_defaults(func=_cmd_random)
 
     return parser

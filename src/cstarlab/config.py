@@ -1,6 +1,13 @@
-"""Tolerance configuration shared by all numerical predicates."""
+"""Tolerance configuration shared by all numerical predicates.
 
-from dataclasses import dataclass, replace
+Convention: every routine that decides anything takes one parameter,
+``tol``, which is a :class:`Tolerances`, and reads the field it needs.
+Public signatures default to ``tol=DEFAULT_TOL`` (safe, as the dataclass
+is frozen) and pass ``tol`` on whole; no function body falls back to
+``DEFAULT_TOL``.
+"""
+
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,11 +40,12 @@ class Tolerances:
     member: float = 1e-8
     gap: float = 1e-7
 
-    def with_member(self, member):
-        return replace(self, member=member)
-
-    def with_spec(self, spec):
-        return replace(self, spec=spec)
+    @property
+    def composite(self):
+        """``member * 10``: the bound for identities checked on products of
+        factors that were each verified to ``member`` (block forms, ternary
+        morphisms, generation certificates), whose errors compound."""
+        return self.member * 10
 
 
 DEFAULT_TOL = Tolerances()

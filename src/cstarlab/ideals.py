@@ -117,7 +117,7 @@ class RightIdeal:
     def dim(self):
         return self.basis.dim
 
-    def contains(self, x, tol=None):
+    def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
 
 
@@ -129,19 +129,18 @@ def _right_module_defect(parent, space):
     return space.max_relative_residual(prods)
 
 
-def right_module_span(algebra, generators, rows, tol=None):
+def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     """Span of ``g a`` over the ``rows x N`` generators ``g`` and ``a`` in
     the unitization of ``algebra`` (so the generators belong to it), verified
     closed under right multiplication by ``algebra``.  Right ideals
     ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here."""
-    tol = DEFAULT_TOL if tol is None else tol
     n = algebra.ambient_dim
     unital = unitize(algebra, tol=tol)
     if generators and unital.dim:
         amats = unital.basis.matrices
         gmats = np.array(generators)
         prods = (gmats[:, None] @ amats[None]).reshape(-1, rows * n)
-        space = span_rows(prods, (rows, n), tol_rank=tol.rank)
+        space = span_rows(prods, (rows, n), tol=tol)
     else:
         space = Subspace.empty(rows, n)
     defect = _right_module_defect(algebra, space)
@@ -152,12 +151,11 @@ def right_module_span(algebra, generators, rows, tol=None):
     return space
 
 
-def generate_right_ideal(parent, generators, tol=None):
+def generate_right_ideal(parent, generators, tol=DEFAULT_TOL):
     """The right ideal ``sum_j g_j A^1`` of ``parent`` generated by the
     given elements (:func:`right_module_span`); each generator must belong
     to the algebra."""
-    tol = DEFAULT_TOL if tol is None else tol
-    gens = [parent.require_member(g, tol=tol.member, what="ideal generator")
+    gens = [parent.require_member(g, tol=tol, what="ideal generator")
             for g in generators]
     space = right_module_span(parent, gens, parent.ambient_dim, tol=tol)
     return RightIdeal(parent=parent, generators=gens, basis=space)
@@ -180,7 +178,7 @@ def _trivial_certificate(ambient_dim):
     )
 
 
-def projection_generator(parent, ideal, tol=None):
+def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     """Projection ``p`` in ``J`` with ``J = pA``, plus its certificate.
 
     Implements the constructive factorization described in the module
@@ -199,7 +197,6 @@ def projection_generator(parent, ideal, tol=None):
     VerificationFailure
         If any of the certified identities fails its tolerance.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     n = parent.ambient_dim
     # drop generators that are zero relative to the largest one (the span
     # construction is scale-invariant, so the filter must be too)
@@ -282,13 +279,12 @@ def projection_generator(parent, ideal, tol=None):
     return cert
 
 
-def support_projection(parent, ideal, tol=None):
+def support_projection(parent, ideal, tol=DEFAULT_TOL):
     """Range projection of ``sum_x x x*`` over an orthonormal basis of
     the ideal: the smallest projection acting as identity on it from the
     left.  Independent of :func:`projection_generator` (no generators, no
     coefficient factorization), which makes the two a cross-check pair.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     n = parent.ambient_dim
     if ideal.basis.dim == 0:
         return np.zeros((n, n), dtype=np.complex128)
@@ -312,28 +308,23 @@ def _corner_space(parent, e, f, tol):
     flat = prods.reshape(-1, parent.ambient_dim ** 2)
     scale = max(1.0, hs_norm(e)) * max(1.0, hs_norm(f))
     keep = np.linalg.norm(flat, axis=1) > tol.rank * scale
-    return span_rows(
-        flat[keep],
-        (parent.ambient_dim, parent.ambient_dim),
-        tol_rank=tol.rank,
-    )
+    return span_rows(flat[keep], (parent.ambient_dim, parent.ambient_dim), tol=tol)
 
 
-def is_minimal_projection(parent, e, tol=None):
+def is_minimal_projection(parent, e, tol=DEFAULT_TOL):
     """Whether the corner ``e A e`` is one-dimensional.
 
     Minimality of a projection is equivalent to its corner being the
     scalars ``C e``; rank of ``e`` in the ambient matrices is irrelevant
     (a block with multiplicity has minimal projections of higher rank).
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    e = parent.require_projection(e, tol=tol.member, what="projection")
+    e = parent.require_projection(e, tol=tol, what="projection")
     if hs_norm(e) <= tol.member:
         raise NotAProjection("the zero projection is not minimal")
     return _corner_space(parent, e, e, tol).dim == 1
 
 
-def is_maximal_right_ideal(parent, ideal, tol=None):
+def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
     """Whether ``J`` is maximal among proper right ideals.
 
     For a unital algebra this is equivalent to ``J = pA`` with ``u - p``
@@ -341,14 +332,13 @@ def is_maximal_right_ideal(parent, ideal, tol=None):
     single-generate ``J``, and its complement in the unit must have a
     one-dimensional corner.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     u = parent.unit
     if u is None:
         raise NotUnital("maximality needs an algebra with a unit")
-    if ideal.basis.contains(u, tol=tol.member):
+    if ideal.basis.contains(u, tol=tol):
         raise NotProper("the ideal contains the unit, so it is not proper")
     p = support_projection(parent, ideal, tol=tol)
-    if not parent.contains(p, tol=tol.member):
+    if not parent.contains(p, tol=tol):
         return False
     jb = ideal.basis.matrices
     if jb.shape[0]:
@@ -363,14 +353,13 @@ def is_maximal_right_ideal(parent, ideal, tol=None):
     return is_minimal_projection(parent, e, tol=tol)
 
 
-def maximal_ideal_minimality_certificate(parent, ideal, tol=None):
+def maximal_ideal_minimality_certificate(parent, ideal, tol=DEFAULT_TOL):
     """For a maximal ``J = pA``, the complement ``q = u - p`` and the
     one-dimensional corner ``q A q = C q`` witnessing minimality.
 
     Returns ``(q, corner)`` with ``corner`` the (dimension-one) subspace
     ``q A q``.  Raises :class:`NotMaximal` when ``J`` is not maximal.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if not is_maximal_right_ideal(parent, ideal, tol=tol):
         raise NotMaximal("ideal is not a maximal right ideal")
     u = parent.unit

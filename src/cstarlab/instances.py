@@ -120,14 +120,13 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
     )
 
 
-def planted_block_tro(blocks, seed=0, tol=None):
+def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
     """Conjugated ``sum_k B(C^{n_k}, C^{m_k})`` with known ground truth.
 
     Blocks are embedded at diagonal offsets of an ``(sum m_k) x
     (sum n_k)`` ambient rectangle and rotated by independent Haar
     unitaries on each side.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:
         raise ParamError("need a nonempty list of positive (rows, cols) blocks")
@@ -182,19 +181,18 @@ def random_tro_blocks(rng, max_blocks=3, max_size=4, max_total=16):
     return [(1, 1)]  # pragma: no cover
 
 
-def random_projection(algebra, rng, tol=None):
+def random_projection(algebra, rng, tol=DEFAULT_TOL):
     """A random projection in the algebra (possibly zero or the unit).
 
     Squares a random self-adjoint element to get a positive one, then
     projects above a spectral cut chosen uniformly among the gaps of the
     positive spectrum.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     x = sample_self_adjoint(algebra, rng)
     s = x @ x
     s = 0.5 * (s + s.conj().T)
-    dec = hermitian_eig(s, tol=tol.spec)
-    clusters = cluster_partition(dec.eigenvalues, tol_gap=tol.gap)
+    dec = hermitian_eig(s, tol=tol)
+    clusters = cluster_partition(dec.eigenvalues, tol=tol)
     top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
     if top == 0.0:
         return np.zeros_like(s)
@@ -213,14 +211,13 @@ def random_projection(algebra, rng, tol=None):
     return dec.apply(lambda t: 1.0 if t > cut else 0.0)
 
 
-def random_right_ideal(algebra, n_generators, rng, tol=None):
+def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):
     """A random right ideal with the requested number of generators.
 
     Mixes full random elements (which tend to generate everything) with
     range-restricted ones ``p x`` for a random projection ``p``, so the
     sampled ideals cover the whole lattice.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     gens = []
     for _ in range(int(n_generators)):
         x = sample_element(algebra, rng)

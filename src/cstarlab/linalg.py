@@ -101,19 +101,18 @@ class SpectralDecomposition:
         return (self.basis * self.eigenvalues) @ self.basis.conj().T
 
 
-def hermitian_eig(m, tol=None):
+def hermitian_eig(m, tol=DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Raises :class:`NotSelfAdjoint` when ``||m - m*||`` exceeds
-    ``tol * max(1, ||m||)`` (``tol`` defaults to the spectral tolerance),
-    and :class:`NumericalFailure` should the underlying solver not converge.
+    ``tol.spec * max(1, ||m||)``, and :class:`NumericalFailure` should the
+    underlying solver not converge.
     """
-    tol = DEFAULT_TOL.spec if tol is None else tol
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {m.shape}")
     dev = hs_norm(m - m.conj().T)
-    if dev > tol * max(1.0, hs_norm(m)):
+    if dev > tol.spec * max(1.0, hs_norm(m)):
         raise NotSelfAdjoint(f"||m - m*|| = {dev:.3e} exceeds tolerance")
     h = 0.5 * (m + m.conj().T)
     try:
@@ -123,7 +122,7 @@ def hermitian_eig(m, tol=None):
     return SpectralDecomposition(eigenvalues=w, basis=v)
 
 
-def functional_calculus(m, f, tol=None):
+def functional_calculus(m, f, tol=DEFAULT_TOL):
     """Apply a real scalar function to a Hermitian matrix spectrally.
 
     Returns ``U diag(f(lambda)) U*`` for the eigendecomposition
@@ -132,22 +131,21 @@ def functional_calculus(m, f, tol=None):
     return hermitian_eig(m, tol=tol).apply(f)
 
 
-def spectral_projection_above(m, threshold, tol_gap=None, tol=None):
+def spectral_projection_above(m, threshold, tol=DEFAULT_TOL):
     """Orthogonal projection onto the span of eigenvectors with
     eigenvalue strictly above ``threshold``.
 
     The cut must fall in a genuine gap: if any eigenvalue lies within
-    ``tol_gap * max(1, |lambda|_max)`` of ``threshold`` the result would be
+    ``tol.gap * max(1, |lambda|_max)`` of ``threshold`` the result would be
     ill-conditioned and :class:`ThresholdInsideSpectrum` is raised.
 
     Equals ``functional_calculus(m, indicator(> threshold))`` exactly, as
     both evaluate the same indicator on the same eigendecomposition.
     """
-    tol_gap = DEFAULT_TOL.gap if tol_gap is None else tol_gap
     dec = hermitian_eig(m, tol=tol)
     scale = max(1.0, float(np.max(np.abs(dec.eigenvalues), initial=0.0)))
     closest = float(np.min(np.abs(dec.eigenvalues - threshold)))
-    if closest <= tol_gap * scale:
+    if closest <= tol.gap * scale:
         raise ThresholdInsideSpectrum(
             f"eigenvalue at distance {closest:.3e} from cut {threshold:.6g}"
         )
@@ -207,10 +205,9 @@ class Subspace:
     def residual(self, x):
         return self.coords(x)[1]
 
-    def contains(self, x, tol=None):
-        tol = DEFAULT_TOL.member if tol is None else tol
+    def contains(self, x, tol=DEFAULT_TOL):
         x = as_matrix(x, shape=self.shape)
-        return self.residual(x) <= tol * max(1.0, hs_norm(x))
+        return self.residual(x) <= tol.member * max(1.0, hs_norm(x))
 
     def row_residuals(self, flat):
         """Distance to the span of every row of a ``(k, rows*cols)`` block,
@@ -233,10 +230,9 @@ class Subspace:
             np.max(self.row_residuals(other.stack), initial=0.0),
         ))
 
-    def equals(self, other, tol=None):
+    def equals(self, other, tol=DEFAULT_TOL):
         """Same span: equal dimensions and mutual containment of bases."""
-        tol = DEFAULT_TOL.member if tol is None else tol
-        return self.distance(other) <= tol
+        return self.distance(other) <= tol.member
 
 
 def _stack_inputs(mats, shape=None):
@@ -260,32 +256,31 @@ def _stack_inputs(mats, shape=None):
     return arr.shape[1:], arr.reshape(len(mats), -1)
 
 
-def orthonormalize(mats, tol_rank=None, shape=None):
+def orthonormalize(mats, tol=DEFAULT_TOL, shape=None):
     """Orthonormal basis of the span of a family of matrices.
 
     The family is validated as one stack and handed to :func:`span_rows`,
     so the rank rule is that of :func:`grow_span`: right singular vectors
-    with singular value above ``tol_rank * max ||input||`` are kept.
+    with singular value above ``tol.rank * max ||input||`` are kept.
 
     ``shape`` is only needed when ``mats`` is empty.
     """
     shape, flat = _stack_inputs(mats, shape=shape)
-    return span_rows(flat, shape, tol_rank=tol_rank)
+    return span_rows(flat, shape, tol=tol)
 
 
-def grow_span(stack, candidates, tol_rank=None):
+def grow_span(stack, candidates, tol=DEFAULT_TOL):
     """Extend an orthonormal row ``stack`` by the directions of
     ``candidates`` not already in its span.
 
     SVD-based: candidates are projected off the current span (twice, to
     kill roundoff leakage), and right singular vectors of the residual
-    block with singular value above ``tol_rank * scale`` are appended.
+    block with singular value above ``tol.rank * scale`` are appended.
     When the residual block's Frobenius norm is at most that cutoff after
     either pass no singular value can pass it, and the rest is skipped.
     Used for the inner loops of algebraic closure and, through
     :func:`span_rows`, for every orthonormal basis in the package.
     """
-    tol_rank = DEFAULT_TOL.rank if tol_rank is None else tol_rank
     candidates = np.asarray(candidates, dtype=np.complex128)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
         return stack, False
@@ -300,27 +295,27 @@ def grow_span(stack, candidates, tol_rank=None):
             # no singular value exceeds the Frobenius norm, and a second pass
             # cannot raise it: below the cutoff the SVD would keep nothing, so
             # a closure that is already closed costs one pass and no SVD
-            if np.linalg.norm(resid) <= tol_rank * scale:
+            if np.linalg.norm(resid) <= tol.rank * scale:
                 return stack, False
     try:
         _, svals, vh = np.linalg.svd(resid, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailure(f"svd failed while growing span: {exc}") from exc
-    keep = int(np.sum(svals > tol_rank * scale))
+    keep = int(np.sum(svals > tol.rank * scale))
     if keep == 0:
         return stack, False
     return np.vstack([stack, vh[:keep]]), True
 
 
-def span_rows(candidates, shape, tol_rank=None):
+def span_rows(candidates, shape, tol=DEFAULT_TOL):
     """Orthonormal basis (as a Subspace) of the row space of ``candidates``."""
     r, c = shape
     empty = np.zeros((0, r * c), dtype=np.complex128)
-    stack, _ = grow_span(empty, candidates, tol_rank=tol_rank)
+    stack, _ = grow_span(empty, candidates, tol=tol)
     return Subspace(r, c, stack)
 
 
-def close_span(seeds, shape, products, tol_rank=None):
+def close_span(seeds, shape, products, tol=DEFAULT_TOL):
     """Smallest span (a Subspace) containing the matrices ``seeds`` and
     closed under ``products(stack, shape)``, grown by :func:`grow_span`.
     The dimension grows every round, so more than ``rows * cols + 1``
@@ -328,11 +323,11 @@ def close_span(seeds, shape, products, tol_rank=None):
     r, c = shape
     stack = np.zeros((0, r * c), dtype=np.complex128)
     if seeds:
-        stack, _ = grow_span(stack, np.array([g.ravel() for g in seeds]), tol_rank=tol_rank)
+        stack, _ = grow_span(stack, np.array([g.ravel() for g in seeds]), tol=tol)
     for _ in range(r * c + 1):
         if stack.shape[0] == 0:
             break
-        stack, grew = grow_span(stack, products(stack, shape), tol_rank=tol_rank)
+        stack, grew = grow_span(stack, products(stack, shape), tol=tol)
         if not grew:
             break
     else:  # pragma: no cover - the dimension is bounded by rows * cols
@@ -344,22 +339,21 @@ def close_span(seeds, shape, products, tol_rank=None):
 # spectral gap utilities
 
 
-def split_spectrum_at_zero(eigenvalues, tol_gap=None):
+def split_spectrum_at_zero(eigenvalues, tol=DEFAULT_TOL):
     """Partition a real spectrum into its zero cluster and the rest.
 
     The zero cluster is grown by chaining: starting from 0, an eigenvalue
-    joins when it lies within ``gap = tol_gap * max|lambda|`` of the cluster
+    joins when it lies within ``gap = tol.gap * max|lambda|`` of the cluster
     built so far (on either side).  Returns ``(zero_hi, pos_lo)`` where
     ``zero_hi`` is the largest magnitude inside the cluster and ``pos_lo``
     the smallest eigenvalue above it, or ``None`` when the chain swallows
     the whole spectrum.
     """
-    tol_gap = DEFAULT_TOL.gap if tol_gap is None else tol_gap
     w = np.sort(np.asarray(eigenvalues, dtype=float))
     top = float(np.max(np.abs(w), initial=0.0))
     if top == 0.0:
         return 0.0, None
-    gap = tol_gap * top
+    gap = tol.gap * top
     upper = 0.0
     for t in w[w > 0]:
         if t - upper <= gap:
@@ -378,28 +372,26 @@ def split_spectrum_at_zero(eigenvalues, tol_gap=None):
     return zero_hi, pos_lo
 
 
-def place_cut_in_gap(zero_hi, pos_lo, scale, tol_gap=None, tol_floor=None):
+def place_cut_in_gap(zero_hi, pos_lo, scale, tol=DEFAULT_TOL):
     """Pick a spectral cut between a zero cluster and the positive part.
 
     The cut is the geometric mean of the cluster edge (clamped below by the
     spectral tolerance relative to ``scale``) and the first positive
     eigenvalue, then clipped so it keeps a safe margin from both sides.
     """
-    tol_gap = DEFAULT_TOL.gap if tol_gap is None else tol_gap
-    tol_floor = DEFAULT_TOL.spec if tol_floor is None else tol_floor
     if pos_lo is None:
         raise GapNotFound("spectrum has no positive part separated from zero")
-    g = tol_gap * scale  # relative, consistent with the cluster chaining
+    g = tol.gap * scale  # relative, consistent with the cluster chaining
     if pos_lo - zero_hi <= 2.5 * g:
         raise GapNotFound(
             f"gap [{zero_hi:.3e}, {pos_lo:.3e}] too narrow for tolerance {g:.3e}"
         )
-    lo_edge = max(zero_hi, tol_floor * scale)
+    lo_edge = max(zero_hi, tol.spec * scale)
     cut = float(np.sqrt(lo_edge * pos_lo))
     return float(np.clip(cut, zero_hi + 1.25 * g, pos_lo - 1.25 * g))
 
 
-def psd_cut(s, tol=None):
+def psd_cut(s, tol=DEFAULT_TOL):
     """``(dec, cut, pos_lo)``: the eigendecomposition of a positive
     semidefinite ``s``, the cut between its zero cluster and positive part
     (:func:`place_cut_in_gap`) and the smallest eigenvalue above the cut.
@@ -408,19 +400,18 @@ def psd_cut(s, tol=None):
     zero cluster; :class:`GapNotFound` is raised when it is one cluster
     that is not negligible, or when no gap separates the two parts.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    dec = hermitian_eig(s, tol=tol.spec)
+    dec = hermitian_eig(s, tol=tol)
     top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    zero_hi, pos_lo = split_spectrum_at_zero(dec.eigenvalues, tol_gap=tol.gap)
+    zero_hi, pos_lo = split_spectrum_at_zero(dec.eigenvalues, tol=tol)
     if pos_lo is None:
         if zero_hi > tol.member * max(1.0, top):
             raise GapNotFound("spectrum is one cluster not separated from zero")
         return dec, None, None
-    cut = place_cut_in_gap(zero_hi, pos_lo, top, tol_gap=tol.gap, tol_floor=tol.spec)
+    cut = place_cut_in_gap(zero_hi, pos_lo, top, tol=tol)
     return dec, cut, pos_lo
 
 
-def support_projection_of_psd(s, tol=None):
+def support_projection_of_psd(s, tol=DEFAULT_TOL):
     """Range projection of a positive semidefinite matrix: the indicator of
     the positive side of :func:`psd_cut`, or the zero matrix when the
     spectrum is all zero cluster."""
@@ -430,7 +421,7 @@ def support_projection_of_psd(s, tol=None):
     return dec.apply(lambda t: 1.0 if t > cut else 0.0)
 
 
-def pseudo_inverse_sqrt(s, tol=None):
+def pseudo_inverse_sqrt(s, tol=DEFAULT_TOL):
     """``f(s)`` for ``f(t) = t^(-1/2)`` on the positive part, 0 on the kernel.
 
     The split between kernel and positive part is :func:`psd_cut`, as in

@@ -36,7 +36,7 @@ def _check_spectral(seed, tol):
         n = int(rng.integers(2, 11))
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = 0.5 * (g + g.conj().T)
-        dec = hermitian_eig(h, tol=tol.spec)
+        dec = hermitian_eig(h, tol=tol)
         worst = max(worst, hs_norm(dec.reconstruct() - h) / max(1.0, hs_norm(h)))
     return {"name": "spectral_roundtrip", "instances": count,
             "worst_residual": worst, "ok": worst <= tol.spec}
@@ -78,7 +78,7 @@ def _check_block_recovery(seed, tol):
         part = unit_partition_certificate(planted.algebra, decomposition=dec, tol=tol)
         worst = max(worst, dec.residuals["block_form"], part.residual)
     return {"name": "block_recovery", "instances": count,
-            "worst_residual": worst, "ok": bool(ok and worst <= 10 * tol.member)}
+            "worst_residual": worst, "ok": bool(ok and worst <= tol.composite)}
 
 
 def _check_maximal_ideals(seed, tol):
@@ -120,12 +120,11 @@ def _check_tro(seed, tol):
             cert = finite_generation_certificate(sub, tol=tol)
             worst = max(worst, max(cert.residuals.values()))
     return {"name": "tro_classification", "instances": count,
-            "worst_residual": worst, "ok": bool(ok and worst <= 10 * tol.member)}
+            "worst_residual": worst, "ok": bool(ok and worst <= tol.composite)}
 
 
-def run_selftest(seed=0, tol=None):
+def run_selftest(seed=0, tol=DEFAULT_TOL):
     """Run all checks; returns a JSON-ready deterministic report."""
-    tol = DEFAULT_TOL if tol is None else tol
     checks = [
         _check_spectral(seed, tol),
         _check_projection_generator(seed, tol),

@@ -28,6 +28,7 @@ from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
     NotUnital,
+    ParamError,
     VerificationFailure,
 )
 from .algebra import center, sample_self_adjoint
@@ -56,18 +57,17 @@ __all__ = [
 _MAX_DRAWS = 3
 
 
-def cluster_partition(eigenvalues, tol_gap=None):
+def cluster_partition(eigenvalues, tol=DEFAULT_TOL):
     """Partition a real spectrum into clusters separated by more than
-    ``tol_gap * max|lambda|``.  Returns a list of index arrays into the
+    ``tol.gap * max|lambda|``.  Returns a list of index arrays into the
     ascending sort, each one cluster."""
-    tol_gap = DEFAULT_TOL.gap if tol_gap is None else tol_gap
     w = np.asarray(eigenvalues, dtype=float)
     order = np.argsort(w)
     ws = w[order]
     top = float(np.max(np.abs(ws), initial=0.0))
     if ws.size == 0:
         return []
-    gap = tol_gap * top
+    gap = tol.gap * top
     groups = [[order[0]]]
     for prev, idx in zip(ws[:-1], order[1:]):
         if w[idx] - prev <= gap:
@@ -77,19 +77,18 @@ def cluster_partition(eigenvalues, tol_gap=None):
     return [np.array(g) for g in groups]
 
 
-def spectral_clusters(x, tol=None):
+def spectral_clusters(x, tol=DEFAULT_TOL):
     """Eigenvalue clusters of a self-adjoint ``x`` in ascending order, as
     ``(eigenvalues, projection)`` pairs; ``projection`` is None for the
     cluster within ``tol.gap * max|lambda|`` of zero, and the list is empty
     for ``x = 0``."""
-    tol = DEFAULT_TOL if tol is None else tol
-    dec = hermitian_eig(x, tol=tol.spec)
+    dec = hermitian_eig(x, tol=tol)
     top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
     if top == 0.0:
         return []
     gap = tol.gap * top
     out = []
-    for cl in cluster_partition(dec.eigenvalues, tol_gap=tol.gap):
+    for cl in cluster_partition(dec.eigenvalues, tol=tol):
         vals = dec.eigenvalues[cl]
         cols = dec.basis[:, cl]
         out.append((vals, None if np.min(np.abs(vals)) <= gap else cols @ cols.conj().T))
@@ -154,7 +153,7 @@ def _extreme_cluster_projection(parent, e, corner, rng, tol):
     for _, cand in prefer:
         if cand is None:  # cluster touches the ambient kernel
             continue
-        if not parent.contains(cand, tol=tol.member):
+        if not parent.contains(cand, tol=tol):
             continue
         if np.real(np.trace(cand)) > np.real(np.trace(e)) - 0.5:
             continue
@@ -182,14 +181,13 @@ def _minimal_below_rng(parent, start, rng, tol):
     raise DegenerateRandomness("projection descent did not terminate")  # pragma: no cover
 
 
-def minimal_projection_below(parent, start, seed=0, tol=None):
+def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     """A minimal projection of the algebra dominated by ``start``.
 
     ``start`` must be a nonzero projection in the algebra.  The search is
     randomized but reproducible through ``seed``.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    start = parent.require_projection(start, tol=tol.member, what="starting projection")
+    start = parent.require_projection(start, tol=tol, what="starting projection")
     rng = np.random.default_rng(seed)
     return _minimal_below_rng(parent, start, rng, tol)
 
@@ -204,7 +202,7 @@ def _central_projections(parent, centre, rng, tol):
         z = sample_self_adjoint(centre, rng)
         # the zero cluster is the ambient kernel (or blocks the draw merged)
         found = [p for _, p in spectral_clusters(z, tol) if p is not None]
-        if len(found) != want or not all(parent.contains(p, tol=tol.member) for p in found):
+        if len(found) != want or not all(parent.contains(p, tol=tol) for p in found):
             continue
         total = sum(found)
         if hs_norm(total - u) <= tol.member * max(1.0, hs_norm(u)):
@@ -249,12 +247,12 @@ def _block_data(parent, central, rng, tol):
 
     mult_f = float(np.real(np.trace(minimals[0])))
     mult = int(round(mult_f))
-    if abs(mult_f - mult) > 1e-6 * max(1.0, mult_f) or mult < 1:
+    if abs(mult_f - mult) > tol.member * max(1.0, mult_f) or mult < 1:
         raise VerificationFailure(
             f"multiplicity is not a positive integer: trace {mult_f!r}"
         )
     rank_f = float(np.real(np.trace(central)))
-    if abs(rank_f - size * mult) > 1e-6 * max(1.0, rank_f):
+    if abs(rank_f - size * mult) > tol.member * max(1.0, rank_f):
         raise VerificationFailure(
             f"block rank {rank_f!r} is not size*multiplicity = {size * mult}"
         )
@@ -273,7 +271,7 @@ def _basis_change(parent, blocks, tol):
     cols = []
     for blk in blocks:
         e11 = blk["units"][0, 0]
-        dec = hermitian_eig(e11, tol=tol.spec)
+        dec = hermitian_eig(e11, tol=tol)
         sel = dec.eigenvalues > 0.5
         if int(np.sum(sel)) != blk["multiplicity"]:
             raise VerificationFailure("rank of a diagonal unit disagrees with multiplicity")
@@ -285,7 +283,7 @@ def _basis_change(parent, blocks, tol):
     unit = parent.unit
     if unit is None:
         return np.eye(n_amb, dtype=np.complex128)
-    dec = hermitian_eig(unit, tol=tol.spec)
+    dec = hermitian_eig(unit, tol=tol)
     kernel = dec.basis[:, dec.eigenvalues < 0.5]
     for j in range(kernel.shape[1]):
         cols.append(kernel[:, j])
@@ -320,7 +318,7 @@ def _block_form_residual(parent, blocks, u):
     return worst
 
 
-def wedderburn_decompose(parent, seed=0, tol=None):
+def wedderburn_decompose(parent, seed=0, tol=DEFAULT_TOL):
     """Block decomposition of a *-closed matrix algebra.
 
     Deterministic given ``(parent, seed)``.  Blocks are ordered by
@@ -333,7 +331,6 @@ def wedderburn_decompose(parent, seed=0, tol=None):
     of multiplicities, ``dim A = sum n_k^2``, unitarity of the basis
     change) fails numerically.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     n_amb = parent.ambient_dim
     if parent.dim == 0:
         return BlockDecomposition(
@@ -364,7 +361,7 @@ def wedderburn_decompose(parent, seed=0, tol=None):
 
     u = _basis_change(parent, blocks, tol)
     worst = _block_form_residual(parent, blocks, u)
-    if worst > tol.member * 10:
+    if worst > tol.composite:
         raise VerificationFailure(f"block form residual {worst:.3e} too large")
 
     return BlockDecomposition(
@@ -377,13 +374,12 @@ def wedderburn_decompose(parent, seed=0, tol=None):
     )
 
 
-def socle(parent, decomposition=None, seed=0, tol=None):
+def socle(parent, decomposition=None, seed=0, tol=DEFAULT_TOL):
     """The right ideal generated by all minimal projections.
 
     For these (semisimple) algebras the socle is everything, so the
     returned ideal must coincide with the algebra; that is asserted.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     dec = decomposition or wedderburn_decompose(parent, seed=seed, tol=tol)
     gens = [dec.matrix_units[k][i, i] for k in range(dec.num_blocks)
             for i in range(dec.block_sizes[k])]
@@ -395,13 +391,12 @@ def socle(parent, decomposition=None, seed=0, tol=None):
     return ideal
 
 
-def unit_partition_certificate(parent, decomposition=None, seed=0, tol=None):
+def unit_partition_certificate(parent, decomposition=None, seed=0, tol=DEFAULT_TOL):
     """Write the unit as ``sum_i e_i a_i`` with every ``e_i`` minimal.
 
     The diagonal matrix units do it with ``a_i = e_i``; each factor is
     re-verified minimal and the sum checked against the unit.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if parent.unit is None:
         raise NotUnital("algebra has no unit to partition")
     dec = decomposition or wedderburn_decompose(parent, seed=seed, tol=tol)
@@ -422,15 +417,14 @@ def unit_partition_certificate(parent, decomposition=None, seed=0, tol=None):
     )
 
 
-def corner_dimension(parent, e, f, tol=None):
+def corner_dimension(parent, e, f, tol=DEFAULT_TOL):
     """Dimension of ``e A f`` for projections ``e``, ``f`` in the algebra.
 
     When both projections are minimal the dimension is 0 or 1 (0 exactly
     when they live in different blocks); that bound is asserted.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    e = parent.require_projection(e, tol=tol.member, what="left projection")
-    f = parent.require_projection(f, tol=tol.member, what="right projection")
+    e = parent.require_projection(e, tol=tol, what="left projection")
+    f = parent.require_projection(f, tol=tol, what="right projection")
     dim = _corner_space(parent, e, f, tol).dim
     nonzero = hs_norm(e) > tol.member and hs_norm(f) > tol.member
     if nonzero and dim > 1:
@@ -473,7 +467,7 @@ class DalesZelazkoReport:
         return self.dimension_identity_ok and all(t.ok for t in self.trials)
 
 
-def verify_dales_zelazko(parent, trials=10, seed=0, tol=None):
+def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
     """Check that every sampled maximal right ideal is singly generated
     by a projection (and re-derive it via the certificate machinery).
 
@@ -481,9 +475,11 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=None):
     unit inside a cycling choice of block with a random block unitary,
     forming ``J = (u - e) A``, and running the full projection-generator
     pipeline on it.  Also records the dimension identity
-    ``dim A = sum n_k^2``.
+    ``dim A = sum n_k^2``.  At least one trial is required: a sweep of
+    none would certify nothing (:class:`ParamError`).
     """
-    tol = DEFAULT_TOL if tol is None else tol
+    if trials < 1:
+        raise ParamError(f"need at least one trial, got {trials}")
     if parent.unit is None:
         raise NotUnital("maximal ideal analysis needs a unital algebra")
     dec = wedderburn_decompose(parent, seed=seed, tol=tol)
@@ -507,7 +503,7 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=None):
         agreement = hs_norm(cert.projection - (u - e))
         maximal = is_maximal_right_ideal(parent, ideal, tol=tol)
         regen = generate_right_ideal(parent, [cert.projection], tol=tol)
-        single = regen.basis.equals(ideal.basis, tol=tol.member)
+        single = regen.basis.equals(ideal.basis, tol=tol)
         out.append(
             DalesZelazkoTrial(
                 block_index=k,

@@ -114,7 +114,7 @@ class TRO:
     def dim(self):
         return self.basis.dim
 
-    def contains(self, x, tol=None):
+    def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
 
 
@@ -165,25 +165,23 @@ def _check_nondegenerate(tro, tol):
         )
 
 
-def generate_tro(rows, cols, generators, tol=None):
+def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     """Smallest TRO of ``rows x cols`` matrices containing the generators.
 
     :func:`close_span` under the triple product ``x y* z``, then the left
     and right algebras are assembled and nondegeneracy is verified.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
-    space = close_span(gens, (m, n), _triple_products, tol_rank=tol.rank)
+    space = close_span(gens, (m, n), _triple_products, tol=tol)
     return _build_tro(space, tol, check_closure=False)
 
 
-def tro_from_span(mats, shape=None, tol=None, check_closure=True):
+def tro_from_span(mats, shape=None, tol=DEFAULT_TOL, check_closure=True):
     """Build a TRO from a family already spanning one (verified)."""
-    tol = DEFAULT_TOL if tol is None else tol
-    space = orthonormalize(mats, tol_rank=tol.rank, shape=shape)
+    space = orthonormalize(mats, tol=tol, shape=shape)
     return _build_tro(space, tol, check_closure=check_closure)
 
 
@@ -212,7 +210,7 @@ class TROClassification:
         return sum(m * n for m, n in self.blocks)
 
 
-def classify_tro(tro, seed=0, tol=None):
+def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     """Identify the rectangular blocks of a TRO and build the isometries
     realizing them.
 
@@ -223,7 +221,6 @@ def classify_tro(tro, seed=0, tol=None):
     ternary-morphism property of the assembled maps is verified on all
     basis triples and the worst residual recorded.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if tro.dim == 0:
         return TROClassification(blocks=[], isometries=[], central_projections=[])
     dec = wedderburn_decompose(tro.left_algebra, seed=seed, tol=tol)
@@ -234,7 +231,7 @@ def classify_tro(tro, seed=0, tol=None):
         c = dec.central_projections[k]
         m_k = dec.block_sizes[k]
         prods = (c @ zs).reshape(-1, m_amb * n_amb)
-        zk = span_rows(prods, (m_amb, n_amb), tol_rank=tol.rank)
+        zk = span_rows(prods, (m_amb, n_amb), tol=tol)
         if zk.dim % m_k:
             raise VerificationFailure(
                 f"dim(c_k Z) = {zk.dim} is not a multiple of the block size {m_k}"
@@ -245,13 +242,13 @@ def classify_tro(tro, seed=0, tol=None):
 
         units = dec.matrix_units[k]
         e11 = units[0, 0]
-        edec = hermitian_eig(e11, tol=tol.spec)
+        edec = hermitian_eig(e11, tol=tol)
         u_vec = edec.basis[:, -1]  # unit vector in the range of e11
         transporters = [units[i, 0] for i in range(m_k)]
         u_iso = np.column_stack([v @ u_vec for v in transporters])
 
         rows = (u_vec.conj() @ e11) @ zk.matrices
-        row_space = span_rows(rows, (1, n_amb), tol_rank=tol.rank)
+        row_space = span_rows(rows, (1, n_amb), tol=tol)
         if row_space.dim != n_k:
             raise VerificationFailure(
                 f"row space of a block column has dimension {row_space.dim}, "
@@ -285,7 +282,7 @@ def classify_tro(tro, seed=0, tol=None):
             if defect > tol.member * max(1.0, g.shape[1]):
                 raise VerificationFailure(f"{lbl} is not an isometry ({defect:.3e})")
     cls.residuals["ternary_morphism"] = _morphism_defect(tro, cls)
-    if cls.residuals["ternary_morphism"] > tol.member * 10:
+    if cls.residuals["ternary_morphism"] > tol.composite:
         raise VerificationFailure(
             "classification maps fail the ternary morphism identity "
             f"({cls.residuals['ternary_morphism']:.3e})"
@@ -343,20 +340,19 @@ class Submodule:
     def dim(self):
         return self.basis.dim
 
-    def contains(self, x, tol=None):
+    def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
 
 
-def generate_submodule(tro, generators, tol=None):
+def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     """Right submodule of the TRO generated by the given elements: the
     span of ``g (Z* Z)^1`` (:func:`right_module_span` over the right
     algebra); each generator must belong to the TRO."""
-    tol = DEFAULT_TOL if tol is None else tol
     m, n = tro.basis.shape
     gens = []
     for g in generators:
         g = as_matrix(g, shape=(m, n))
-        if not tro.contains(g, tol=tol.member):
+        if not tro.contains(g, tol=tol):
             raise MembershipViolation(
                 f"submodule generator is not in the TRO "
                 f"(residual {tro.basis.residual(g):.3e})"
@@ -366,7 +362,7 @@ def generate_submodule(tro, generators, tol=None):
     return Submodule(parent=tro, generators=gens, basis=space)
 
 
-def submodule_ideal_roundtrip(tro, submodule, tol=None):
+def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
     """The right ideal ``J = span(W Z*)`` of the left algebra, with both
     directions of the correspondence verified: ``J Z`` must recover ``W``
     and ``(J Z) Z*`` must recover ``J``.
@@ -374,7 +370,6 @@ def submodule_ideal_roundtrip(tro, submodule, tol=None):
     Returns ``(ideal, report)`` where the report carries the two span
     comparisons.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     m, n = tro.basis.shape
     left = tro.left_algebra
     ws = submodule.basis.matrices
@@ -386,13 +381,13 @@ def submodule_ideal_roundtrip(tro, submodule, tol=None):
         return ideal, {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
     zs_adj = zs.conj().transpose(0, 2, 1)
     j_prods = (ws[:, None] @ zs_adj[None]).reshape(-1, m * m)
-    j_space = span_rows(j_prods, (m, m), tol_rank=tol.rank)
+    j_space = span_rows(j_prods, (m, m), tol=tol)
     ideal = generate_right_ideal(left, list(j_space.matrices), tol=tol)
 
     jz = (ideal.basis.matrices[:, None] @ zs[None]).reshape(-1, m * n)
-    w_back = span_rows(jz, (m, n), tol_rank=tol.rank)
+    w_back = span_rows(jz, (m, n), tol=tol)
     back_prods = (w_back.matrices[:, None] @ zs_adj[None]).reshape(-1, m * m)
-    j_back = span_rows(back_prods, (m, m), tol_rank=tol.rank)
+    j_back = span_rows(back_prods, (m, m), tol=tol)
 
     report = {
         "module_roundtrip": w_back.distance(submodule.basis),
@@ -411,28 +406,20 @@ def submodule_ideal_roundtrip(tro, submodule, tol=None):
     return ideal, report
 
 
-def is_maximal_submodule(tro, submodule, tol=None):
+def is_maximal_submodule(tro, submodule, tol=DEFAULT_TOL):
     """Whether ``W`` is maximal among proper submodules: pushed through
     the correspondence, its ideal ``W Z*`` must be a maximal right ideal
     of the left algebra, and ``(W Z*) Z`` must recover ``W``."""
-    tol = DEFAULT_TOL if tol is None else tol
     if submodule.dim == tro.dim:
         raise NotProper("the submodule is the whole TRO")
-    if submodule.dim == 0:
-        # the zero submodule is maximal only when the TRO has no proper
-        # nonzero submodule, i.e. the zero ideal is maximal in the left algebra
-        ideal = RightIdeal(
-            parent=tro.left_algebra,
-            generators=[],
-            basis=Subspace.empty(tro.rows, tro.rows),
-        )
-        return is_maximal_right_ideal(tro.left_algebra, ideal, tol=tol)
-    # the roundtrip raises unless W Z* Z recovers W
+    # the roundtrip raises unless W Z* Z recovers W; the zero submodule maps
+    # to the zero ideal, maximal only when the TRO has no proper nonzero
+    # submodule
     ideal, _ = submodule_ideal_roundtrip(tro, submodule, tol=tol)
     return is_maximal_right_ideal(tro.left_algebra, ideal, tol=tol)
 
 
-def finite_generation_certificate(submodule, tol=None):
+def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     """Algebraic generators with a reproducing projection for a nonzero
     submodule.
 
@@ -446,7 +433,6 @@ def finite_generation_certificate(submodule, tol=None):
     Raises :class:`ZeroSubmodule` for the zero submodule, which has no
     spanning family to normalize (its certificate is vacuous).
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if submodule.dim == 0:
         raise ZeroSubmodule("the zero submodule has no generation certificate")
     ws = submodule.basis.matrices
@@ -461,7 +447,7 @@ def finite_generation_certificate(submodule, tol=None):
     fix = float(np.max(np.linalg.norm(np.einsum("ij,ajk->aik", e, ws) - ws, axis=(1, 2))))
     members = float(np.max(submodule.basis.row_residuals(zs.reshape(len(zs), -1))))
     left_prods = _left_products(submodule.basis.stack, submodule.basis.shape)
-    left_span = span_rows(left_prods, e.shape, tol_rank=tol.rank)
+    left_span = span_rows(left_prods, e.shape, tol=tol)
     residuals = {
         "projection": hs_norm(e @ e - e),
         "support_agreement": hs_norm(e - support),
@@ -470,7 +456,7 @@ def finite_generation_certificate(submodule, tol=None):
         "projection_in_WWstar": left_span.residual(e),
     }
     worst = max(residuals.values())
-    if worst > tol.member * 10:
+    if worst > tol.composite:
         name = max(residuals, key=residuals.get)
         raise VerificationFailure(
             f"generation certificate identity '{name}' off by {worst:.3e}"
@@ -482,12 +468,11 @@ def finite_generation_certificate(submodule, tol=None):
     return cert
 
 
-def linking_algebra(tro, tol=None):
+def linking_algebra(tro, tol=DEFAULT_TOL):
     """The *-algebra of ``(rows+cols)^2`` matrices spanned by the corner
     embeddings of Z, Z*, the left algebra and the right algebra.  Useful
     as a cross-check: it is closed because the four corners multiply into
     each other exactly as the TRO identities dictate."""
-    tol = DEFAULT_TOL if tol is None else tol
     m, n = tro.basis.shape
     big = m + n
     mats = []

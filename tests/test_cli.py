@@ -111,6 +111,31 @@ def test_malformed_blocks_argument_is_input_error():
         assert "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+def test_verify_dz_without_trials_is_input_error(tmp_path, trials):
+    """A sweep of no trials certifies nothing, so it is refused."""
+    fix = tmp_path / "alg.json"
+    run_cli("random", "algebra", "--blocks", "2", "--seed", 5, "--json", fix)
+    r = run_cli("verify-dz", fix, "--trials", trials)
+    assert r.returncode == 1
+    assert "error:" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("seed_args, env", [
+    (["--seed", -1], None),
+    ([], {"CSTAR_SEED": "-2"}),
+])
+def test_negative_seed_is_input_error(tmp_path, seed_args, env):
+    fix = tmp_path / "alg.json"
+    run_cli("random", "algebra", "--blocks", "2", "--seed", 5, "--json", fix)
+    for argv in (["random", "algebra", "--blocks", "2"], ["decompose", fix]):
+        r = run_cli(*argv, *seed_args, env_extra=env)
+        assert r.returncode == 1
+        assert "error:" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_tampered_ground_truth_fails_verification(tmp_path):
     fix = tmp_path / "alg.json"
     run_cli("random", "algebra", "--blocks", "2,1", "--seed", 3, "--json", fix)

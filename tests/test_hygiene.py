@@ -1,9 +1,14 @@
-"""Source hygiene: every name a library module imports is used there.
+"""Source hygiene of the library modules.
 
-An import that nothing in its module reads is dead code, and a private
-helper imported across modules shows up here once its last caller goes.
-``__init__`` is exempt: it imports names to re-export them.  A module may
-also re-export an imported name by listing it in its ``__all__``.
+Every name a module imports is used there.  An import that nothing in its
+module reads is dead code, and a private helper imported across modules
+shows up here once its last caller goes.  ``__init__`` is exempt: it
+imports names to re-export them.  A module may also re-export an imported
+name by listing it in its ``__all__``.
+
+Tolerances follow one convention (see ``cstarlab.config``): a routine
+that decides anything takes a whole :class:`Tolerances` as ``tol`` and
+every library call to it passes one on.
 """
 
 import ast
@@ -37,3 +42,74 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used - exported_names(tree))
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def definitions(tree):
+    """``(function, is_method)`` for every function and method (the
+    library has no static methods, so a method's first parameter is
+    ``self`` or ``cls``)."""
+    methods = {
+        id(f) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for f in cls.body if isinstance(f, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            yield node, id(node) in methods
+
+
+def parameters(fn):
+    """``(name, default)`` pairs of every parameter, default None if absent."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    defaults = [None] * (len(positional) - len(a.defaults)) + a.defaults
+    pairs = list(zip(positional, defaults)) + list(zip(a.kwonlyargs, a.kw_defaults))
+    return [(arg.arg, default) for arg, default in pairs]
+
+
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def tol_positions():
+    """``{name: index}`` of the ``tol`` parameter (``self``/``cls`` not
+    counted) of every library function and method taking one."""
+    found = {}
+    for tree in TREES.values():
+        for fn, is_method in definitions(tree):
+            names = [name for name, _ in parameters(fn)][int(is_method):]
+            if "tol" in names:
+                found.setdefault(fn.name, set()).add(names.index("tol"))
+    return found
+
+
+def test_tolerances_are_passed_whole():
+    """No ``tol_*`` float knobs; ``tol`` defaults to ``DEFAULT_TOL`` or to
+    nothing; no function body reads ``DEFAULT_TOL`` except the CLI's
+    starting value; every library call to a routine taking ``tol`` passes
+    it."""
+    positions = tol_positions()
+    problems = []
+    for module, tree in TREES.items():
+        for fn, _ in definitions(tree):
+            where = f"{module}.{fn.name}"
+            for name, default in parameters(fn):
+                if name.startswith("tol_"):
+                    problems.append(f"{where} takes {name}")
+                if name == "tol" and default is not None and not (
+                    isinstance(default, ast.Name) and default.id == "DEFAULT_TOL"
+                ):
+                    problems.append(f"{where} defaults tol to {ast.unparse(default)}")
+            if (module, fn.name) != ("cli", "_resolve_tol"):
+                for node in ast.walk(ast.Module(body=fn.body, type_ignores=[])):
+                    if isinstance(node, ast.Name) and node.id == "DEFAULT_TOL":
+                        problems.append(f"{where} reads DEFAULT_TOL")
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name not in positions:
+                continue
+            passed = any(k.arg == "tol" for k in call.keywords)
+            if not passed and len(call.args) <= min(positions[name]):
+                problems.append(f"{module} line {call.lineno}: {name}() without tol")
+    assert not problems, "\n".join(problems)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cstarlab import (
+    DEFAULT_TOL,
     StarAlgebra,
     generate_algebra,
     generate_right_ideal,
@@ -131,7 +132,7 @@ def test_projection_generator_random_ideals():
             assert ideal.contains(p)
         regen = generate_right_ideal(a, [p])
         assert regen.dim == ideal.dim
-        assert regen.basis.equals(ideal.basis, tol=1e-8)
+        assert regen.basis.equals(ideal.basis, tol=DEFAULT_TOL)
         # independent route: range projection of sum x x* over the ideal
         supp = support_projection(a, ideal)
         assert hs_norm(supp - p) <= 1e-8

@@ -80,9 +80,9 @@ def test_corner_space_products_match_einsum(seed, n, d):
     seen = []
     real_span_rows = ideals_mod.span_rows
 
-    def capture(candidates, shape, tol_rank=None):
+    def capture(candidates, shape, tol):
         seen.append(candidates)
-        return real_span_rows(candidates, shape, tol_rank=tol_rank)
+        return real_span_rows(candidates, shape, tol=tol)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ideals_mod, "span_rows", capture)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cstarlab.algebra import StarAlgebra
-from cstarlab.config import DEFAULT_TOL
+from cstarlab.config import DEFAULT_TOL, Tolerances
 from cstarlab.errors import (
     GapNotFound,
     NotSelfAdjoint,
@@ -311,7 +311,7 @@ def test_subspace_distance_matches_row_loop(seed, rows, cols, dim, same):
     ref = loop_span_distance(a, b)
     assert abs(a.distance(b) - ref) <= 1e-15
     for tol in (1e-8, 0.5):
-        assert a.equals(b, tol=tol) == (ref <= tol)
+        assert a.equals(b, tol=Tolerances(member=tol)) == (ref <= tol)
     flat = cplx(rng, 4, rows * cols)
     loop = [a.residual(x.reshape(rows, cols)) for x in flat]
     np.testing.assert_allclose(a.row_residuals(flat), loop, rtol=0, atol=1e-15)
@@ -320,11 +320,11 @@ def test_subspace_distance_matches_row_loop(seed, rows, cols, dim, same):
 def test_subspace_distance_of_unequal_spaces_is_infinite():
     a = orthonormalize([E11, E22])
     assert a.distance(orthonormalize([E11])) == float("inf")
-    assert not a.equals(orthonormalize([E11]), tol=1e3)
+    assert not a.equals(orthonormalize([E11]), tol=Tolerances(member=1e3))
     wide = Subspace(1, 4, a.stack)
     assert wide.dim == a.dim
     assert a.distance(wide) == float("inf")
-    assert not a.equals(wide, tol=1e3)
+    assert not a.equals(wide, tol=Tolerances(member=1e3))
     assert Subspace.empty(2, 2).distance(Subspace.empty(2, 2)) == 0.0
 
 
@@ -368,12 +368,12 @@ def test_grow_span_confirms_closed_span_without_svd(monkeypatch):
 
 @pytest.mark.parametrize("factor, grows", [(1.01, True), (0.99, False)])
 def test_grow_span_cutoff_is_the_rank_tolerance(factor, grows):
-    """An out-of-span part just above ``tol_rank * scale`` is kept; one just
+    """An out-of-span part just above ``tol.rank * scale`` is kept; one just
     below is not."""
     tol = DEFAULT_TOL.rank
     stack = E11.ravel()[None, :]
     cand = (E11 + factor * tol * E22).ravel()[None, :]
-    out, grew = grow_span(stack, cand, tol_rank=tol)
+    out, grew = grow_span(stack, cand, tol=DEFAULT_TOL)
     assert grew is grows
     assert out.shape[0] == (2 if grows else 1)
 
@@ -398,7 +398,7 @@ def test_grow_span_early_stop_matches_svd_path(kind):
         factor = float(kind.split("_")[1])
         cands = inside.copy()
         cands[0] += factor * tol * scale * out_dir
-    out, grew = grow_span(stack, cands, tol_rank=tol)
+    out, grew = grow_span(stack, cands, tol=DEFAULT_TOL)
     ref, ref_grew = grow_span_by_svd(stack, cands, tol)
     assert grew is ref_grew
     assert grew is (kind in ("growing", "cutoff_1.01"))

@@ -131,7 +131,21 @@ def test_basis_change_unitarity_uses_callers_member_tolerance():
     u = _basis_change(alg, blocks, DEFAULT_TOL)
     assert hs_norm(u.conj().T @ u - np.eye(alg.ambient_dim)) > 0.0
     with pytest.raises(VerificationFailure, match="not unitary"):
-        _basis_change(alg, blocks, DEFAULT_TOL.with_member(1e-30))
+        _basis_change(alg, blocks, dataclasses.replace(DEFAULT_TOL, member=1e-30))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_block_integrality_uses_callers_member_tolerance(m):
+    """A block whose trace is ``1e-7 m`` off the integer ``m`` fails the
+    multiplicity check under the default ``member`` bound and passes a
+    caller's ``member=1e-6``."""
+    alg = generate_algebra(m, [np.eye(m)])
+    central = (1.0 + 1e-7) * np.eye(m, dtype=complex)
+    rng = np.random.default_rng(0)
+    with pytest.raises(VerificationFailure, match="multiplicity"):
+        _block_data(alg, central, rng, DEFAULT_TOL)
+    blk = _block_data(alg, central, rng, dataclasses.replace(DEFAULT_TOL, member=1e-6))
+    assert (blk["size"], blk["multiplicity"]) == (1, m)
 
 
 def test_matrix_units_multiply_correctly():
@@ -252,7 +266,7 @@ def test_dales_zelazko_trial_uses_the_callers_member_bound():
     """``ok`` compares the support agreement with the ``member`` bound the
     sweep ran under: an agreement of 5e-8 fails the default 1e-8 bound and
     passes a caller's 1e-7."""
-    loose = DEFAULT_TOL.with_member(1e-7)
+    loose = dataclasses.replace(DEFAULT_TOL, member=1e-7)
     report = verify_dales_zelazko(generate_algebra(2, [E12]), trials=2, seed=2, tol=loose)
     assert report.all_ok
     trial = report.trials[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cstarlab import (
+    DEFAULT_TOL,
     classify_tro,
     finite_generation_certificate,
     generate_right_ideal,
@@ -246,7 +247,7 @@ def test_finite_generation_random_submodules():
         cert = finite_generation_certificate(w)
         regen = generate_submodule(p.tro, cert.generators)
         assert regen.dim == w.dim
-        assert regen.basis.equals(w.basis, tol=1e-8)
+        assert regen.basis.equals(w.basis, tol=DEFAULT_TOL)
 
 
 def test_zero_submodule_has_no_certificate():
