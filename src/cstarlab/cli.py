@@ -57,14 +57,14 @@ def _resolve_seed(args):
 
 def _resolve_tol(args):
     tol = DEFAULT_TOL
-    if getattr(args, "tol_member", None) is not None:
-        if args.tol_member <= 0:
-            raise ParamError("--tol-member must be positive")
-        tol = replace(tol, member=args.tol_member)
-    if getattr(args, "tol_spec", None) is not None:
-        if args.tol_spec <= 0:
-            raise ParamError("--tol-spec must be positive")
-        tol = replace(tol, spec=args.tol_spec)
+    for name in ("member", "spec"):
+        value = getattr(args, f"tol_{name}", None)
+        if value is None:
+            continue
+        # nan and inf would make every check against the bound vacuous
+        if not (np.isfinite(value) and value > 0):
+            raise ParamError(f"--tol-{name} must be finite and positive, got {value!r}")
+        tol = replace(tol, **{name: value})
     return tol
 
 

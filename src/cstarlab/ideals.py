@@ -223,7 +223,9 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     amats = unital.basis.matrices
     d1 = unital.dim
     cols = (gmats[:, None] @ amats[None]).reshape(len(gens) * d1, n * n)
-    coeff, _, _, _ = np.linalg.lstsq(cols.T, quarter.ravel(), rcond=None)
+    # the rank cut is the package's, so the minimum-norm solution does not
+    # depend on which orthonormal basis of the algebra spans the columns
+    coeff, _, _, _ = np.linalg.lstsq(cols.T, quarter.ravel(), rcond=tol.rank)
     solve_residual = float(np.linalg.norm(cols.T @ coeff - quarter.ravel()))
     if solve_residual > tol.member * max(1.0, hs_norm(quarter)):
         raise CoefficientSolveFailed(

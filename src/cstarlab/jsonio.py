@@ -31,22 +31,24 @@ def encode_matrix(m):
 
 
 def decode_matrix(obj):
+    """The matrix of an encoded object, its ``[re, im]`` entries converted
+    as one float array and reinterpreted bit for bit as complex128."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        entries = obj["entries"]
-        if len(entries) != rows * cols:
-            raise ParseError(
-                f"matrix entry count {len(entries)} != rows*cols = {rows * cols}"
-            )
-        flat = np.array(
-            [complex(float(re), float(im)) for re, im in entries],
-            dtype=np.complex128,
-        )
-    except ParseError:
-        raise
+        pairs = np.asarray(obj["entries"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
-    return flat.reshape(rows, cols)
+    if pairs.shape == (0,):  # the empty matrix
+        pairs = pairs.reshape(0, 2)
+    if pairs.shape != (rows * cols, 2):
+        raise ParseError(
+            f"matrix entries have shape {pairs.shape}, expected "
+            f"({rows * cols}, 2) [re, im] pairs"
+        )
+    # numpy reads a JSON null as nan
+    if not np.all(np.isfinite(pairs)):
+        raise ParseError("matrix has a null or non-finite entry")
+    return pairs.view(np.complex128).reshape(rows, cols)
 
 
 def encode_algebra_fixture(ambient_dim, generators, ground_truth=None):

@@ -9,12 +9,17 @@ unitary constructively:
 1. central projections from the spectral clusters of a random
    self-adjoint central element (the cluster at zero belongs to the
    ambient kernel and is discarded);
-2. inside each block, a maximal family of orthogonal minimal projections
-   by repeated spectral splitting of random corner elements;
-3. matrix units by polar-normalizing corner transporters between the
-   minimal projections;
+2. inside each block ``c A``, the minimal projections as the spectral
+   clusters of one generic self-adjoint element, all at once; their count
+   ``n_k`` is certified by ``dim A = sum n_k^2``;
+3. matrix units from the polar parts of ``e_i y e_1`` for one generic
+   ``y``, the transporters from each minimal projection to the first;
 4. the basis change from eigenvectors of the first minimal projection,
    moved around by the matrix units.
+
+Every random element is the orthogonal projection of a seeded Gaussian
+matrix onto a span, so for a given seed it depends on the span only, not
+on the basis that represents it.
 
 Everything downstream (socle, unit partition, the identity
 ``dim A = sum n_k^2``, the Dales-Zelazko style maximal-ideal check) reads
@@ -31,7 +36,7 @@ from .errors import (
     ParamError,
     VerificationFailure,
 )
-from .algebra import center, sample_self_adjoint
+from .algebra import center
 from .ideals import (
     _corner_space,
     generate_right_ideal,
@@ -137,75 +142,54 @@ class UnitPartition:
     residual: float
 
 
-def _extreme_cluster_projection(parent, e, corner, rng, tol):
-    """One descent step: a strictly smaller subprojection of ``e`` in the
-    algebra, obtained from an extreme spectral cluster of a random
-    self-adjoint corner element.  Returns None when the draw was unlucky."""
-    mats = corner.matrices
-    herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
-    coeff = rng.standard_normal(corner.dim)
-    x = np.einsum("a,aij->ij", coeff, herm)
-    clusters = spectral_clusters(x, tol)
-    if len(clusters) < 2:
-        return None
-    lo, hi = clusters[0], clusters[-1]
-    prefer = [hi, lo] if abs(hi[0][-1]) >= abs(lo[0][0]) else [lo, hi]
-    for _, cand in prefer:
-        if cand is None:  # cluster touches the ambient kernel
-            continue
-        if not parent.contains(cand, tol=tol):
-            continue
-        if np.real(np.trace(cand)) > np.real(np.trace(e)) - 0.5:
-            continue
-        if hs_norm(cand @ e - cand) > tol.member * max(1.0, hs_norm(cand)):
-            continue
-        return cand
-    return None
+def _draw(space, rng):
+    """Orthogonal projection onto ``space`` of a seeded complex Gaussian
+    matrix.  For a fixed generator state the result depends on the span
+    only, not on the orthonormal basis that represents it."""
+    g = rng.standard_normal(space.shape) + 1j * rng.standard_normal(space.shape)
+    return ((space.stack.conj() @ g.ravel()) @ space.stack).reshape(space.shape)
 
 
-def _minimal_below_rng(parent, start, rng, tol):
-    e = start
-    for _ in range(parent.ambient_dim + 1):
-        corner = _corner_space(parent, e, e, tol)
-        if corner.dim == 1:
-            return e
-        for attempt in range(_MAX_DRAWS):
-            nxt = _extreme_cluster_projection(parent, e, corner, rng, tol)
-            if nxt is not None:
-                e = nxt
-                break
-        else:
-            raise DegenerateRandomness(
-                "spectral splitting failed to find a smaller subprojection"
-            )
-    raise DegenerateRandomness("projection descent did not terminate")  # pragma: no cover
+def _clusters(space, p, rng, tol):
+    """Nonzero spectral clusters, in ascending order, of ``p h p + 2||h|| p``
+    for the Hermitian part ``h`` of one draw from ``space``.  The shift
+    lifts the range of ``p`` clear of zero, so the discarded zero cluster
+    is the kernel of ``p``."""
+    y = _draw(space, rng)
+    h = 0.5 * (y + y.conj().T)
+    x = p @ h @ p + 2.0 * hs_norm(h) * p
+    return [q for _, q in spectral_clusters(x, tol) if q is not None]
 
 
 def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
-    """A minimal projection of the algebra dominated by ``start``.
+    """A minimal projection of the algebra dominated by ``start``: the top
+    spectral cluster of a generic self-adjoint element of ``start A start``,
+    certified by the one-dimensional corner ``e A e = C e``.
 
-    ``start`` must be a nonzero projection in the algebra.  The search is
+    ``start`` must be a nonzero projection in the algebra.  The draw is
     randomized but reproducible through ``seed``.
     """
     start = parent.require_projection(start, tol=tol, what="starting projection")
     rng = np.random.default_rng(seed)
-    return _minimal_below_rng(parent, start, rng, tol)
+    for _ in range(_MAX_DRAWS):
+        found = _clusters(parent.basis, start, rng, tol)
+        if found and parent.contains(found[-1], tol=tol):
+            if _corner_space(parent, found[-1], found[-1], tol).dim == 1:
+                return found[-1]
+    raise DegenerateRandomness(
+        f"{_MAX_DRAWS} random corner elements failed to isolate a minimal projection"
+    )
 
 
 def _central_projections(parent, centre, rng, tol):
-    """Spectral-cluster extraction of the minimal central projections."""
+    """The minimal central projections: the spectral clusters of one
+    generic self-adjoint element of the centre."""
     u = parent.unit
-    want = centre.dim
-    if want == 1:
-        return [u.copy()]
-    for attempt in range(_MAX_DRAWS):
-        z = sample_self_adjoint(centre, rng)
-        # the zero cluster is the ambient kernel (or blocks the draw merged)
-        found = [p for _, p in spectral_clusters(z, tol) if p is not None]
-        if len(found) != want or not all(parent.contains(p, tol=tol) for p in found):
+    for _ in range(_MAX_DRAWS):
+        found = _clusters(centre.basis, u, rng, tol)
+        if len(found) != centre.dim or not all(parent.contains(p, tol=tol) for p in found):
             continue
-        total = sum(found)
-        if hs_norm(total - u) <= tol.member * max(1.0, hs_norm(u)):
+        if hs_norm(sum(found) - u) <= tol.member * max(1.0, hs_norm(u)):
             return found
     raise DegenerateRandomness(
         f"{_MAX_DRAWS} random central elements failed to separate the blocks"
@@ -214,38 +198,35 @@ def _central_projections(parent, centre, rng, tol):
 
 def _block_data(parent, central, rng, tol):
     """Minimal projections, matrix units and (size, multiplicity) of the
-    block cut out by one minimal central projection."""
-    n_amb = parent.ambient_dim
-    minimals = []
-    remainder = central.copy()
-    for _ in range(n_amb + 1):
-        if hs_norm(remainder) <= tol.member:
+    block cut out by one minimal central projection ``c``.
+
+    The minimal projections are the spectral clusters of one generic
+    self-adjoint element of ``c A``; a draw whose clusters have unequal
+    traces or leave the algebra is redrawn.  Their minimality is certified
+    by the caller's identity ``dim A = sum n_k^2``: ``r`` orthogonal nonzero
+    projections of ``A`` summing to ``c`` have ``r <= n_k``, with equality
+    only when every one is minimal.  The transporters ``e_i -> e_1`` are the
+    polar parts of ``e_i y e_1`` for one generic ``y`` in ``A``.
+    """
+    for _ in range(_MAX_DRAWS):
+        minimals = _clusters(parent.basis, central, rng, tol)
+        traces = [float(np.real(np.trace(e))) for e in minimals]
+        if traces and max(traces) - min(traces) <= 0.5 and all(
+            parent.contains(e, tol=tol) for e in minimals
+        ):
             break
-        e = _minimal_below_rng(parent, remainder, rng, tol)
-        minimals.append(e)
-        remainder = remainder - e
-        remainder = 0.5 * (remainder + remainder.conj().T)
-    else:  # pragma: no cover - bounded by ambient rank
-        raise DegenerateRandomness("minimal projection extraction did not terminate")
+    else:
+        raise DegenerateRandomness(
+            f"{_MAX_DRAWS} random elements failed to split a block into minimal projections"
+        )
     size = len(minimals)
 
-    # transporters e_i -> e_1 via polar decomposition of the 1-dim corners
-    vs = []
-    for e in minimals:
-        corner = _corner_space(parent, e, minimals[0], tol)
-        if corner.dim != 1:
-            raise VerificationFailure(
-                f"corner between minimal projections has dimension {corner.dim}"
-            )
-        w = corner.matrices[0]
-        s = w.conj().T @ w
-        s = 0.5 * (s + s.conj().T)
-        v = w @ pseudo_inverse_sqrt(s, tol=tol)
-        vs.append(v)
-    varr = np.array(vs)
+    y = _draw(parent.basis, rng)
+    ws = [e @ y @ minimals[0] for e in minimals]
+    varr = np.array([w @ pseudo_inverse_sqrt(w.conj().T @ w, tol=tol) for w in ws])
     units = np.einsum("iab,jcb->ijac", varr, varr.conj())
 
-    mult_f = float(np.real(np.trace(minimals[0])))
+    mult_f = traces[0]
     mult = int(round(mult_f))
     if abs(mult_f - mult) > tol.member * max(1.0, mult_f) or mult < 1:
         raise VerificationFailure(

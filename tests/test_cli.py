@@ -122,6 +122,40 @@ def test_verify_dz_without_trials_is_input_error(tmp_path, trials):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("command, kind, flag, value", [
+    ("decompose", "algebra", "--tol-member", "nan"),
+    ("ideal", "ideal", "--tol-spec", "inf"),
+])
+def test_non_finite_tolerance_is_input_error(tmp_path, command, kind, flag, value):
+    """A nan or infinite bound would make every check against it vacuous."""
+    fix = tmp_path / "fixture.json"
+    run_cli("random", kind, "--blocks", "2", "--seed", 5, "--json", fix)
+    r = run_cli(command, fix, flag, value)
+    assert r.returncode == 1
+    assert "error:" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("replacement", [
+    [[1.0, 0.0, 2.0]],  # a triple
+    [1.0],  # a single number
+    [["one", 0.0]],  # a string
+    [None],
+    [[None, 0.0]],
+    [],  # one entry short
+])
+def test_malformed_matrix_entries_are_input_errors(tmp_path, replacement):
+    fix = tmp_path / "alg.json"
+    run_cli("random", "algebra", "--blocks", "2", "--seed", 5, "--json", fix)
+    obj = json.loads(fix.read_text())
+    obj["generators"][0]["entries"][1:2] = replacement
+    fix.write_text(json.dumps(obj))
+    r = run_cli("decompose", fix)
+    assert r.returncode == 1
+    assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 @pytest.mark.parametrize("seed_args, env", [
     (["--seed", -1], None),
     ([], {"CSTAR_SEED": "-2"}),

@@ -1,18 +1,18 @@
 """Golden structural reports.
 
 Fixed-seed CLI reports are compared with the reports committed under
-``tests/golden/``: ``selftest --seed 7``, and ``decompose``, ``ideal`` and
-``tro-classify`` on ``cstarlab random`` fixtures for seeds 1-3.  Every
-non-float field (block lists, dimensions, ``ok`` flags, counts) must match
-exactly; floats (residuals, spectra, projection entries) may move by
-roundoff, at most 1e-12 absolute.  A refactor that changes a rank
+``tests/golden/``: ``selftest --seed 7``, and ``decompose``, ``verify-dz``,
+``ideal`` and ``tro-classify`` on ``cstarlab random`` fixtures for seeds
+1-3.  Every non-float field (block lists, dimensions, ``ok`` flags, counts)
+must match exactly; floats (residuals, spectra, projection entries) may
+move by roundoff, at most 1e-12 absolute.  A refactor that changes a rank
 decision, a block signature or a verdict fails here.
 
-``verify-dz`` is left out on purpose.  Its maximal ideals are sampled
-through matrix units that come from random draws taken as coefficient
-vectors against SVD bases; those bases are fixed only up to a rotation
-inside clusters of equal singular values, so a last-bit change upstream
-moves the sampled projections by O(1) while every verdict stays the same.
+``verify-dz`` samples its maximal ideals through matrix units built from
+random draws.  Each draw is the orthogonal projection of a seeded Gaussian
+matrix onto a span, which does not depend on the basis that represents the
+span, so its sampled projections are pinned to roundoff like every other
+float (``test_invariance`` checks the same under changes of the generators).
 
 The fixtures are regenerated by ``cstarlab random`` on each run (they are
 written down directly from the seed, without closure or rank decisions).
@@ -32,6 +32,7 @@ ABS_TOL = 1e-12
 
 FIXTURES = {
     "decompose": ["algebra", "--blocks", "3,2,1", "--mults", "2,1,2"],
+    "verify-dz": ["algebra", "--blocks", "3,2,1", "--mults", "2,1,2"],
     "ideal": ["ideal", "--blocks", "3,2", "--gens", "2"],
     "tro-classify": ["tro", "--blocks", "3x4,2x2,1x3"],
 }

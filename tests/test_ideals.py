@@ -24,7 +24,12 @@ from cstarlab import (
     support_projection,
 )
 from cstarlab.errors import NotAProjection, NotInAlgebra, NotProper, NotUnital
-from cstarlab.instances import random_block_structure, random_right_ideal
+from cstarlab.instances import (
+    haar_unitary,
+    random_block_structure,
+    random_projection,
+    random_right_ideal,
+)
 from cstarlab.linalg import hs_norm
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -161,6 +166,30 @@ def test_certificate_reconstructs_quartic_root_random():
         np.testing.assert_allclose(
             recon @ recon @ recon @ recon, b, atol=1e-7 * max(1.0, hs_norm(b))
         )
+
+
+def test_coefficient_bound_does_not_depend_on_the_algebra_basis():
+    """``K`` comes from the minimum-norm factorization of ``b^(1/4)``; with
+    the package's rank cut it is the same for every orthonormal basis of the
+    algebra.  Ideals generated by projections, each certified once over the
+    planted basis and once over a unitary rotation of it."""
+    worst = 0.0
+    for seed in range(1, 9):
+        a = planted_block_algebra([3, 2, 1], [2, 1, 2], seed=seed).algebra
+        gens = a.basis.matrices
+        q = haar_unitary(len(gens), np.random.default_rng(100 + seed))
+        b = generate_algebra(a.ambient_dim, list(np.einsum("ab,bij->aij", q, gens)))
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            p = random_projection(a, rng)
+            if hs_norm(p) <= 1e-8:
+                continue
+            bounds = [
+                projection_generator(alg, generate_right_ideal(alg, [p])).coefficient_bound
+                for alg in (a, b)
+            ]
+            worst = max(worst, abs(bounds[0] - bounds[1]))
+    assert worst <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,13 @@ from cstarlab import (
 )
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import VerificationFailure
-from cstarlab.instances import random_block_structure
-from cstarlab.linalg import hs_norm
+from cstarlab.instances import haar_unitary, random_block_structure
+from cstarlab.linalg import Subspace, hs_norm
 from cstarlab.structure import (
     _basis_change,
     _block_data,
     _central_projections,
+    _draw,
     cluster_partition,
     spectral_clusters,
 )
@@ -62,6 +63,16 @@ def test_spectral_clusters_oracle():
     np.testing.assert_array_equal(lo, np.diag([1.0, 0, 0, 0, 0]))
     np.testing.assert_array_equal(hi, np.diag([0.0, 0, 0, 1, 1]))
     assert spectral_clusters(np.zeros((3, 3), dtype=complex)) == []
+
+
+def test_draw_depends_on_the_span_only():
+    """Two orthonormal bases of one span give the same draw for one seed."""
+    alg = planted_block_algebra([2, 1], [2, 1], seed=3).algebra
+    q = haar_unitary(alg.dim, np.random.default_rng(1))
+    rotated = Subspace(alg.ambient_dim, alg.ambient_dim, q @ alg.basis.stack)
+    x = _draw(alg.basis, np.random.default_rng(5))
+    assert alg.contains(x)
+    assert hs_norm(_draw(rotated, np.random.default_rng(5)) - x) <= 1e-12 * hs_norm(x)
 
 
 # ---------------------------------------------------------------------------
