@@ -3,8 +3,8 @@
 A :class:`StarAlgebra` is a subspace of ``N x N`` matrices closed under
 products and adjoints, held as an orthonormal basis.  Closedness is what
 separates an algebra from a mere subspace, so constructors either verify
-it (:meth:`StarAlgebra.from_span`) or enforce it by iterating products
-(:func:`generate_algebra`).
+it (:meth:`StarAlgebra.from_span`) or build it by closing under a
+generating family, which :func:`generate_algebra` keeps.
 
 Every such algebra is semisimple and has a unit ``u`` (usually not the
 ambient identity): the sum of squares of any spanning family has range
@@ -46,13 +46,24 @@ __all__ = [
 ]
 
 
-def _pairwise_products(stack, shape):
-    """All products b_a b_b of the stacked basis, flattened, plus adjoints."""
+def _pairwise_products(stack, shape, rows=slice(None)):
+    """Products b_a b_b of the stacked basis for ``a`` in ``rows`` and
+    every ``b``, flattened, plus the adjoints of those b_a."""
     n = shape[0]
     mats = stack.reshape(-1, n, n)
-    prods = (mats[:, None] @ mats[None]).reshape(-1, n * n)
-    adjs = mats.conj().transpose(0, 2, 1).reshape(-1, n * n)
+    prods = (mats[rows, None] @ mats[None]).reshape(-1, n * n)
+    adjs = mats[rows].conj().transpose(0, 2, 1).reshape(-1, n * n)
     return np.vstack([prods, adjs])
+
+
+def _with_adjoints(mats):
+    """A ``(k, n, n)`` family followed by its adjoints."""
+    return np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
+
+
+# Products per batch in StarAlgebra.closure_defect: bounds its working memory
+# independently of d^2.
+_PAIR_CHUNK = 1024
 
 
 @dataclass(eq=False)
@@ -66,10 +77,16 @@ class StarAlgebra:
     unit : ndarray or None
         The multiplicative identity of the algebra (a projection in the
         ambient matrices), or None for the zero algebra.
+    family : ndarray or None
+        ``(k, N, N)`` orthonormal elements whose products span the
+        algebra: the family :func:`generate_algebra` certified the closure
+        with.  None when no such family is known (an algebra built by
+        :meth:`from_span` or planted); the basis then stands in for it.
     """
 
     basis: Subspace
     unit: np.ndarray | None = None
+    family: np.ndarray | None = None
 
     @property
     def ambient_dim(self):
@@ -101,9 +118,15 @@ class StarAlgebra:
         return e
 
     def closure_defect(self):
-        """Largest residual of basis products/adjoints against the span."""
-        cands = _pairwise_products(self.basis.stack, self.basis.shape)
-        return self.basis.max_relative_residual(cands)
+        """Largest residual of all basis products and adjoints against the
+        span, in batches of about ``_PAIR_CHUNK`` products."""
+        space = self.basis
+        step = max(1, _PAIR_CHUNK // max(1, space.dim))
+        worst = 0.0
+        for lo in range(0, space.dim, step):
+            prods = _pairwise_products(space.stack, space.shape, slice(lo, lo + step))
+            worst = max(worst, space.max_relative_residual(prods))
+        return worst
 
     @classmethod
     def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL, validate=True):
@@ -131,14 +154,22 @@ class StarAlgebra:
 
 def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
     """Smallest *-closed algebra of ``ambient_dim`` square matrices
-    containing the generators: :func:`close_span` under adjoints and
-    pairwise products.
+    containing the generators.
+
+    :func:`close_span` closes by generators: ``T`` is an orthonormal
+    basis of ``span(G u G*)`` for two generic combinations ``G`` of the
+    generators, the span grows under left multiplication by ``T``, and no
+    step forms all pairwise products of the basis.  The returned algebra
+    keeps ``T`` as its ``family``.
     """
     n = int(ambient_dim)
     if n < 1:
         raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
     seeds = [as_matrix(g, shape=(n, n)) for g in generators]
-    alg = StarAlgebra(basis=close_span(seeds, (n, n), _pairwise_products, tol=tol))
+    space, family = close_span(
+        seeds, (n, n), start=_with_adjoints, multipliers=lambda family: family, tol=tol
+    )
+    alg = StarAlgebra(basis=space, family=family.reshape(-1, n, n))
     alg.unit = unit_of(alg, tol=tol)
     return alg
 

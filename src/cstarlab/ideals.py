@@ -122,9 +122,12 @@ class RightIdeal:
 
 
 def _right_module_defect(parent, space):
-    """Largest residual of ``x a`` against ``space`` for basis ``x``, ``a``."""
+    """Largest residual of ``x a`` against ``space`` for basis ``x`` of
+    ``space`` and ``a`` in ``parent.family``, or in its basis when it has
+    no family: ``J t`` inside ``J`` for every ``t`` of a family whose
+    products span ``A`` gives ``J A`` inside ``J``."""
     xs = space.matrices
-    bs = parent.basis.matrices
+    bs = parent.basis.matrices if parent.family is None else parent.family
     prods = (xs[:, None] @ bs[None]).reshape(-1, space.rows * space.cols)
     return space.max_relative_residual(prods)
 

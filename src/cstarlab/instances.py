@@ -125,7 +125,7 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     Blocks are embedded at diagonal offsets of an ``(sum m_k) x
     (sum n_k)`` ambient rectangle and rotated by independent Haar
-    unitaries on each side.
+    unitaries on each side.  The whole span is verified to be a TRO.
     """
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:
@@ -149,8 +149,7 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     conj = np.einsum("ab,kbc,dc->kad", u, np.array(basis), v.conj())
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
-    sample = len(basis) ** 3 > 20000
-    tro = _build_tro(space, tol, check_closure=not sample)
+    tro = _build_tro(space, tol)
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v
     )

@@ -12,8 +12,14 @@ The spectral side (``hermitian_eig``, ``functional_calculus``,
 spectral projection *is* the functional calculus of an indicator function
 evaluated on the same eigendecomposition, so the two agree exactly.  For
 positive semidefinite matrices :func:`psd_cut` is the one spectral cut
-between the zero cluster and the positive part, and :func:`close_span` is
-the one closure loop of algebras and TROs.
+between the zero cluster and the positive part.
+
+:func:`close_span` is the one closure loop of algebras and TROs.  It
+closes by generators rather than by all pairs: a small seeded generating
+family multiplies only the rows each round adds, so closing a span of
+dimension ``d`` offers :func:`grow_span` O(d) candidate rows instead of
+``d^2`` per round, and it returns the family as the certificate that the
+span is closed.
 """
 
 import numpy as np
@@ -315,24 +321,72 @@ def span_rows(candidates, shape, tol=DEFAULT_TOL):
     return Subspace(r, c, stack)
 
 
-def close_span(seeds, shape, products, tol=DEFAULT_TOL):
-    """Smallest span (a Subspace) containing the matrices ``seeds`` and
-    closed under ``products(stack, shape)``, grown by :func:`grow_span`.
-    The dimension grows every round, so more than ``rows * cols + 1``
-    rounds means the arithmetic went bad: :class:`NumericalFailure`."""
+# Seed of the generic combinations a closure draws its generating family
+# from: fixed, so a closure is deterministic without a seed parameter.
+_FAMILY_SEED = 0xFA317
+
+
+def _family_draw(gens):
+    """Two seeded complex-Gaussian combinations of the generator rows."""
+    rng = np.random.default_rng(_FAMILY_SEED)
+    k = gens.shape[0]
+    return (rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))) @ gens
+
+
+def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
+    """Smallest span containing the ``generators`` and closed under the
+    products they generate, with a family ``T`` certifying the closure.
+
+    Semi-naive closure by generators.  ``T`` starts as the orthonormal
+    basis :func:`grow_span` keeps from ``start`` of two generic
+    combinations of the generators, so its rows have unit Hilbert-Schmidt
+    norm and are well conditioned however the generators are written down.
+    The span grows under left multiplication by ``multipliers(T)`` (both
+    callables map a ``(k, rows, cols)`` stack to a stack of matrices), and
+    each round multiplies only the rows the last round added, so the first
+    round that adds nothing certifies the span closed under ``T``.  The
+    generators are then offered to :func:`grow_span`, under its own rank
+    rule; the directions they add, with those ``start`` adds to them, are
+    in the closure of the generators, join ``T`` and the loop runs again.
+    So the span contains the generators and lies inside their closure: it
+    is the closure.
+
+    Returns ``(space, family)``: the Subspace and ``T`` as flattened rows.
+    The dimension grows every round that does not return, so more than
+    ``rows * cols + 1`` rounds means the arithmetic went bad:
+    :class:`NumericalFailure`.
+    """
     r, c = shape
+    _, gens = _stack_inputs(generators, shape=shape)
+
+    def started(rows):
+        return start(rows.reshape(-1, r, c)).reshape(-1, r * c)
+
+    def products(rows):
+        return (mults[:, None] @ rows.reshape(-1, r, c)[None]).reshape(-1, r * c)
+
     stack = np.zeros((0, r * c), dtype=np.complex128)
-    if seeds:
-        stack, _ = grow_span(stack, np.array([g.ravel() for g in seeds]), tol=tol)
+    stack, _ = grow_span(stack, started(_family_draw(gens)), tol=tol)
+    family = stack
+    mults = multipliers(family.reshape(-1, r, c))
+    cands = products(stack)
     for _ in range(r * c + 1):
-        if stack.shape[0] == 0:
-            break
-        stack, grew = grow_span(stack, products(stack, shape), tol=tol)
+        before = stack.shape[0]
+        stack, grew = grow_span(stack, cands, tol=tol)
+        if grew:
+            cands = products(stack[before:])
+            continue
+        stack, grew = grow_span(stack, gens, tol=tol)
         if not grew:
-            break
-    else:  # pragma: no cover - the dimension is bounded by rows * cols
-        raise NumericalFailure("span closure failed to stabilize")
-    return Subspace(r, c, stack)
+            return Subspace(r, c, stack), family
+        # a generator left the span: its new directions, and what start
+        # adds to them, join the family, and the whole span meets the new
+        # multipliers once
+        stack, _ = grow_span(stack, started(stack[before:]), tol=tol)
+        family = np.vstack([family, stack[before:]])
+        mults = multipliers(family.reshape(-1, r, c))
+        cands = products(stack)
+    raise NumericalFailure("span closure failed to stabilize")
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,181 @@
+"""Closure by generators against the all-pairs and all-triples loops.
+
+``close_span`` closes a span from a small generic family and multiplies
+only the rows each round adds.  The references below are the loops it
+replaced: every round offers ``grow_span`` all pairwise products and
+adjoints of the basis (algebras) or all triple products ``x y* z``
+(TROs), until a round adds nothing.  Both must give the same span.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cstarlab.linalg as linalg_mod
+from cstarlab import generate_algebra, generate_right_ideal, generate_tro, tro_from_span
+from cstarlab.algebra import sample_element
+from cstarlab.config import DEFAULT_TOL
+from cstarlab.ideals import _right_module_defect
+from cstarlab.instances import (
+    planted_block_algebra,
+    planted_block_tro,
+    random_block_structure,
+    random_projection,
+    random_tro_blocks,
+)
+from cstarlab.linalg import Subspace, grow_span, orthonormalize
+
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
+SPAN_TOL = 1e-12
+# A TRO generated by one element x is span{x (x* x)^k}, which the closure
+# reaches as a Krylov sequence, one dimension per round, and forward errors
+# grow with each round: where singular values of x nearly coincide the span
+# can sit 3e-11 from the exact one, against 8e-13 for the all-triples loop,
+# which needs fewer rounds.  Both stay far inside the membership tolerance.
+KRYLOV_SPAN_TOL = 1e-10
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def all_products_closure(gens, shape, products):
+    """Reference: grow the span of ``gens`` by ``products(basis)`` until a
+    round adds nothing."""
+    r, c = shape
+    stack = np.zeros((0, r * c), dtype=np.complex128)
+    if len(gens):
+        stack, _ = grow_span(stack, np.array([g.ravel() for g in gens]), tol=DEFAULT_TOL)
+    for _ in range(r * c + 1):
+        if not stack.shape[0]:
+            break
+        stack, grew = grow_span(stack, products(stack.reshape(-1, r, c)), tol=DEFAULT_TOL)
+        if not grew:
+            break
+    return Subspace(r, c, stack)
+
+
+def all_pairs(mats):
+    n = mats.shape[1]
+    prods = (mats[:, None] @ mats[None]).reshape(-1, n * n)
+    return np.vstack([prods, mats.conj().transpose(0, 2, 1).reshape(-1, n * n)])
+
+
+def all_triples(mats):
+    m, n = mats.shape[1:]
+    left = mats[:, None] @ mats.conj().transpose(0, 2, 1)[None]
+    return (left.reshape(-1, m, m)[:, None] @ mats[None]).reshape(-1, m * n)
+
+
+def algebra_generators(kind, seed):
+    """``(N, generators)`` for one case of the algebra closure tests."""
+    rng = np.random.default_rng(seed)
+    if kind == "e12":
+        return 2, [E12]
+    if kind == "none":
+        return 3, []
+    if kind == "zero":
+        return 3, [np.zeros((3, 3), dtype=complex)] * 2
+    sizes, mults = random_block_structure(rng, max_ambient=8)
+    planted = planted_block_algebra(sizes, mults, seed=seed)
+    n = planted.algebra.ambient_dim
+    if kind == "basis":
+        return n, list(planted.algebra.basis.matrices)
+    count = int(rng.integers(1, 4))
+    return n, [sample_element(planted.algebra, rng) for _ in range(count)]
+
+
+def tro_generators(kind, seed):
+    rng = np.random.default_rng(seed)
+    tro = planted_block_tro(random_tro_blocks(rng, max_total=14), seed=seed).tro
+    if kind == "basis":
+        return tro.basis.shape, list(tro.basis.matrices)
+    count = int(rng.integers(1, 4))
+    return tro.basis.shape, [sample_element(tro, rng) for _ in range(count)]
+
+
+def assert_same_algebra(n, gens):
+    alg = generate_algebra(n, gens)
+    ref = all_products_closure(gens, (n, n), all_pairs)
+    assert alg.basis.distance(ref) <= SPAN_TOL
+    assert alg.closure_defect() <= DEFAULT_TOL.member
+
+
+def assert_same_tro(shape, gens):
+    tro = generate_tro(*shape, gens)
+    ref = all_products_closure(gens, shape, all_triples)
+    assert tro.basis.distance(ref) <= (KRYLOV_SPAN_TOL if len(gens) == 1 else SPAN_TOL)
+    tro_from_span(list(tro.basis.matrices), shape=shape)  # raises unless closed
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.sampled_from(["basis", "elements", "e12", "none", "zero"]), SEEDS)
+def test_algebra_closure_matches_all_pairs(kind, seed):
+    assert_same_algebra(*algebra_generators(kind, seed))
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(st.sampled_from(["basis", "elements"]), SEEDS)
+def test_tro_closure_matches_all_triples(kind, seed):
+    assert_same_tro(*tro_generators(kind, seed))
+
+
+def first_generator_only(gens):
+    return gens[:1]
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(st.sampled_from(["basis", "elements"]), SEEDS)
+def test_closure_from_the_first_generator_still_reaches_every_generator(kind, seed):
+    """With a family that generates too little, the generators that stay
+    outside its closure join the family until the span is the closure of
+    all of them."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "_family_draw", first_generator_only)
+        assert_same_algebra(*algebra_generators(kind, seed))
+        assert_same_tro(*tro_generators(kind, seed))
+
+
+def test_two_generator_closure_offers_linearly_many_rows():
+    """At N=48 (dimension 136) the closure offers grow_span a few rows per
+    basis element, not the d^2 products of every round of the all-pairs
+    loop."""
+    planted = planted_block_algebra([8, 6, 4, 4, 2], [2, 2, 2, 2, 2], seed=1)
+    rng = np.random.default_rng(2)
+    gens = [sample_element(planted.algebra, rng) for _ in range(2)]
+    offered = []
+    real_grow_span = linalg_mod.grow_span
+
+    def counting(stack, candidates, tol):
+        offered.append(np.shape(candidates)[0])
+        return real_grow_span(stack, candidates, tol=tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "grow_span", counting)
+        alg = generate_algebra(48, gens)
+    d = alg.dim
+    assert d == planted.algebra.dim == 136
+    assert sum(offered) <= 5 * d
+
+
+def non_ideal_near(alg, rng, offset):
+    """A proper right ideal of ``alg`` and the span of its basis with one
+    element moved by ``offset`` out of the ideal, inside the algebra."""
+    p = random_projection(alg, rng)
+    ideal = generate_right_ideal(alg, [p @ sample_element(alg, rng)])
+    outside = sample_element(alg, rng).ravel()
+    outside -= (outside @ ideal.basis.stack.conj().T) @ ideal.basis.stack
+    moved = ideal.basis.stack.copy()
+    moved[0] += offset * outside / np.linalg.norm(outside)
+    return ideal, orthonormalize(list(moved.reshape(-1, *ideal.basis.shape)))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_right_module_verdict_ignores_the_scale_of_the_algebra_generators(scale):
+    """The family is kept at unit norm, so the ``max(1, ||row||)`` floor
+    of the residual does not loosen the check on small generators."""
+    planted = planted_block_algebra([3, 2], [1, 2], seed=5)
+    rng = np.random.default_rng(6)
+    gens = [scale * sample_element(planted.algebra, rng) for _ in range(2)]
+    alg = generate_algebra(planted.algebra.ambient_dim, gens)
+    ideal, moved = non_ideal_near(alg, np.random.default_rng(7), 1e-4)
+    assert 0 < ideal.dim < alg.dim
+    assert _right_module_defect(alg, ideal.basis) <= DEFAULT_TOL.member
+    assert _right_module_defect(alg, moved) > 1e3 * DEFAULT_TOL.member

@@ -1,11 +1,13 @@
-"""Invariance of the ``decompose`` and ``verify-dz`` reports.
+"""Invariance of the ``decompose``, ``verify-dz`` and ``tro-classify``
+reports.
 
-Both commands analyse the algebra a fixture generates, so their reports
-must not depend on how its generators are written down.  Under a unitary
-rotation of the generator family, a reversal of its order, or a scaling
-by 1e-6 to 1e6, the whole report must match (floats to 1e-12, as in
-``test_golden``).  Under a unitary conjugation of the ambient space the
-same algebra sits elsewhere, so every non-float field must match.
+Each command analyses the algebra or TRO a fixture generates, so its
+report must not depend on how the generators are written down.  Under a
+unitary rotation of the generator family, a reversal of its order, or a
+scaling by 1e-6 to 1e6, the whole report must match (floats to 1e-12, as
+in ``test_golden``).  Under a unitary conjugation of the ambient space
+(on both sides, independently, for a TRO) the same object sits
+elsewhere, so every non-float field must match.
 """
 
 import json
@@ -19,11 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from cstarlab import cli
 from cstarlab.instances import haar_unitary
-from cstarlab.jsonio import decode_fixture, encode_algebra_fixture
-from test_golden import assert_matches
+from cstarlab.jsonio import decode_fixture, encode_matrix
+from test_golden import FIXTURES, assert_matches
 
-COMMANDS = ["decompose", "verify-dz"]
-FIXTURE = ["random", "algebra", "--blocks", "3,2,1", "--mults", "2,1,2"]
+COMMANDS = ["decompose", "verify-dz", "tro-classify"]
 SEEDS = st.integers(min_value=1, max_value=2**16)
 SETTINGS = settings(max_examples=4, derandomize=True, deadline=None)
 
@@ -39,24 +40,27 @@ def run(command, fixture, seed):
 
 
 @lru_cache(maxsize=None)
-def fixture(seed):
+def fixture(command, seed):
+    """The ``cstarlab random`` fixture ``test_golden`` uses for the command."""
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "fixture.json"
-        assert cli.main([*FIXTURE, "--seed", str(seed), "--json", str(path)]) == 0
+        argv = ["random", *FIXTURES[command], "--seed", str(seed), "--json", str(path)]
+        assert cli.main(argv) == 0
         return path.read_text()
 
 
 @lru_cache(maxsize=None)
 def reference(command, seed):
-    return run(command, json.loads(fixture(seed)), seed)
+    return run(command, json.loads(fixture(command, seed)), seed)
 
 
-def transformed(seed, transform):
+def transformed(command, seed, transform):
     """The seed's fixture with its generator stack replaced by
     ``transform(stack)``."""
-    fix = decode_fixture(json.loads(fixture(seed)))
-    gens = transform(np.array(fix["generators"]))
-    return encode_algebra_fixture(fix["ambient"], list(gens), fix["ground_truth"])
+    raw = json.loads(fixture(command, seed))
+    gens = transform(np.array(decode_fixture(raw)["generators"]))
+    raw["generators"] = [encode_matrix(g) for g in gens]
+    return raw
 
 
 def skeleton(report):
@@ -78,14 +82,14 @@ def test_report_ignores_a_rotation_of_the_generators(command, seed, rotation):
         q = haar_unitary(len(gens), np.random.default_rng(rotation))
         return np.einsum("ab,bij->aij", q, gens)
 
-    assert_matches(run(command, transformed(seed, rotate), seed), reference(command, seed))
+    assert_matches(run(command, transformed(command, seed, rotate), seed), reference(command, seed))
 
 
 @pytest.mark.parametrize("command", COMMANDS)
 @SETTINGS
 @given(seed=SEEDS)
 def test_report_ignores_the_order_of_the_generators(command, seed):
-    reverse = transformed(seed, lambda gens: gens[::-1])
+    reverse = transformed(command, seed, lambda gens: gens[::-1])
     assert_matches(run(command, reverse, seed), reference(command, seed))
 
 
@@ -93,7 +97,7 @@ def test_report_ignores_the_order_of_the_generators(command, seed):
 @SETTINGS
 @given(seed=SEEDS, exponent=st.floats(min_value=-6.0, max_value=6.0))
 def test_report_ignores_the_scale_of_the_generators(command, seed, exponent):
-    scaled = transformed(seed, lambda gens: gens * 10.0 ** exponent)
+    scaled = transformed(command, seed, lambda gens: gens * 10.0 ** exponent)
     assert_matches(run(command, scaled, seed), reference(command, seed))
 
 
@@ -102,8 +106,10 @@ def test_report_ignores_the_scale_of_the_generators(command, seed, exponent):
 @given(seed=SEEDS, rotation=SEEDS)
 def test_report_structure_survives_ambient_conjugation(command, seed, rotation):
     def conjugate(gens):
-        w = haar_unitary(gens.shape[1], np.random.default_rng(rotation))
-        return w @ gens @ w.conj().T
+        rng = np.random.default_rng(rotation)
+        left = haar_unitary(gens.shape[1], rng)
+        right = haar_unitary(gens.shape[2], rng) if command == "tro-classify" else left
+        return left @ gens @ right.conj().T
 
-    moved = run(command, transformed(seed, conjugate), seed)
+    moved = run(command, transformed(command, seed, conjugate), seed)
     assert_matches(skeleton(moved), skeleton(reference(command, seed)))

@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cstarlab.algebra as algebra_mod
 import cstarlab.ideals as ideals_mod
 import cstarlab.tro as tro_mod
-from cstarlab import StarAlgebra, classify_tro, generate_tro, planted_block_tro
+from cstarlab import (
+    StarAlgebra,
+    classify_tro,
+    generate_tro,
+    planted_block_algebra,
+    planted_block_tro,
+)
 from cstarlab.algebra import _pairwise_products
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.ideals import _corner_space, _right_module_defect
@@ -25,7 +32,6 @@ from cstarlab.tro import (
     _morphism_defect,
     _right_products,
     _ternary_defect,
-    _triple_products,
 )
 
 REL = 1e-12
@@ -111,8 +117,6 @@ def test_tro_products_match_einsum(seed, m, n, d):
     assert_rel_close(_left_products(stack, (m, n)), left.reshape(-1, m * m))
     right = np.einsum("aji,bjk->abik", mats.conj(), mats)
     assert_rel_close(_right_products(stack, (m, n)), right.reshape(-1, n * n))
-    triple = np.einsum("pik,ckl->pcil", left.reshape(d * d, m, m), mats)
-    assert_rel_close(_triple_products(stack, (m, n)), triple.reshape(-1, m * n))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -165,8 +169,27 @@ def test_shared_residual_is_bit_identical_to_removed_copies(seed, m, n, d_alg, d
     tro = TRO(basis=tspace, left_algebra=None, right_algebra=parent)
     mod = (tspace.matrices[:, None] @ bs[None]).reshape(-1, m * n)
     assert _right_module_defect(tro.right_algebra, tspace) == removed_max_relative_residual(tspace, mod)
-    triples = _triple_products(tspace.stack, tspace.shape)
-    assert _ternary_defect(tspace) == removed_max_relative_residual(tspace, triples)
+    lspace = random_space(rng, min(d_alg, m * m), m, m)
+    lz = (lspace.matrices[:, None] @ tspace.matrices[None]).reshape(-1, m * n)
+    assert _ternary_defect(tspace, lspace) == removed_max_relative_residual(tspace, lz)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 2, 5, 7]))
+def test_closure_defect_in_batches_is_bit_identical(seed, n, d, chunk):
+    """Batches of a few products give exactly the value of one batch of
+    all d^2 products, on a random (not closed) span and on an algebra."""
+    rng = np.random.default_rng(seed)
+    spans = [
+        random_space(rng, min(d, n * n), n, n),
+        planted_block_algebra([n, 1], [1, 2], seed=seed).algebra.basis,
+    ]
+    for space in spans:
+        pair = _pairwise_products(space.stack, space.shape)
+        ref = removed_max_relative_residual(space, pair)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebra_mod, "_PAIR_CHUNK", chunk)
+            assert StarAlgebra(basis=space).closure_defect() == ref
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
