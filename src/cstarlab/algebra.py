@@ -2,9 +2,11 @@
 
 A :class:`StarAlgebra` is a subspace of ``N x N`` matrices closed under
 products and adjoints, held as an orthonormal basis.  Closedness is what
-separates an algebra from a mere subspace, so constructors either verify
-it (:meth:`StarAlgebra.from_span`) or build it by closing under a
-generating family, which :func:`generate_algebra` keeps.
+separates an algebra from a mere subspace, and it has one certificate:
+closing the span under products and adjoints adds no direction.
+:func:`generate_algebra` closes a generating family and keeps it;
+:meth:`StarAlgebra.from_span` closes a family that should already span an
+algebra and refuses it when the closure is larger.
 
 Every such algebra is semisimple and has a unit ``u`` (usually not the
 ambient identity): the sum of squares of any spanning family has range
@@ -32,7 +34,9 @@ from .linalg import (
     close_span,
     grow_span,
     hs_norm,
+    identity_defect,
     orthonormalize,
+    span_rows,
     support_projection_of_psd,
 )
 
@@ -46,24 +50,9 @@ __all__ = [
 ]
 
 
-def _pairwise_products(stack, shape, rows=slice(None)):
-    """Products b_a b_b of the stacked basis for ``a`` in ``rows`` and
-    every ``b``, flattened, plus the adjoints of those b_a."""
-    n = shape[0]
-    mats = stack.reshape(-1, n, n)
-    prods = (mats[rows, None] @ mats[None]).reshape(-1, n * n)
-    adjs = mats[rows].conj().transpose(0, 2, 1).reshape(-1, n * n)
-    return np.vstack([prods, adjs])
-
-
 def _with_adjoints(mats):
     """A ``(k, n, n)`` family followed by its adjoints."""
     return np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
-
-
-# Products per batch in StarAlgebra.closure_defect: bounds its working memory
-# independently of d^2.
-_PAIR_CHUNK = 1024
 
 
 @dataclass(eq=False)
@@ -79,9 +68,10 @@ class StarAlgebra:
         ambient matrices), or None for the zero algebra.
     family : ndarray or None
         ``(k, N, N)`` orthonormal elements whose products span the
-        algebra: the family :func:`generate_algebra` certified the closure
-        with.  None when no such family is known (an algebra built by
-        :meth:`from_span` or planted); the basis then stands in for it.
+        algebra: the family the closure was certified with, set by
+        :func:`generate_algebra` and so by :meth:`from_span`.  None when
+        no such family is known (a planted algebra, a center, the algebras
+        of a TRO); the basis then stands in for it.
     """
 
     basis: Subspace
@@ -117,38 +107,26 @@ class StarAlgebra:
             raise NotAProjection(f"{what} is not a self-adjoint idempotent")
         return e
 
-    def closure_defect(self):
-        """Largest residual of all basis products and adjoints against the
-        span, in batches of about ``_PAIR_CHUNK`` products."""
-        space = self.basis
-        step = max(1, _PAIR_CHUNK // max(1, space.dim))
-        worst = 0.0
-        for lo in range(0, space.dim, step):
-            prods = _pairwise_products(space.stack, space.shape, slice(lo, lo + step))
-            worst = max(worst, space.max_relative_residual(prods))
-        return worst
-
     @classmethod
-    def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL, validate=True):
+    def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL):
         """Build an algebra from a family already spanning one.
 
-        The span must be closed under products and adjoints; when
-        ``validate`` is set (the default) this is checked and a
-        :class:`ClosureViolation` raised otherwise.  The unit is detected
-        afterwards.
+        The family is orthonormalized and closed by :func:`generate_algebra`.
+        A span is a *-closed algebra exactly when its closure has the same
+        dimension (both spans decided by the ``tol.rank`` rule of
+        :func:`grow_span`); otherwise :class:`ClosureViolation` is raised.
+        Returns the generated algebra, with its unit and ``family``.
         """
         shape = None if ambient_dim is None else (ambient_dim, ambient_dim)
         space = orthonormalize(mats, tol=tol, shape=shape)
         if space.rows != space.cols:
             raise ShapeMismatch("algebra elements must be square")
-        alg = cls(basis=space)
-        if validate and space.dim:
-            defect = alg.closure_defect()
-            if defect > tol.member:
-                raise ClosureViolation(
-                    f"span is not a *-closed algebra (residual {defect:.3e})"
-                )
-        alg.unit = unit_of(alg, tol=tol)
+        alg = generate_algebra(space.rows, space.matrices, tol=tol)
+        if alg.dim > space.dim:
+            raise ClosureViolation(
+                f"span of dimension {space.dim} is not a *-closed algebra: "
+                f"its closure has dimension {alg.dim}"
+            )
         return alg
 
 
@@ -193,8 +171,8 @@ def unit_of(algebra, tol=DEFAULT_TOL):
         hs_norm(u @ u - u),
         hs_norm(u - u.conj().T),
         space.residual(u),
-        float(np.max(np.linalg.norm(np.einsum("ij,ajk->aik", u, mats) - mats, axis=(1, 2)))),
-        float(np.max(np.linalg.norm(np.einsum("aij,jk->aik", mats, u) - mats, axis=(1, 2)))),
+        identity_defect(u, mats),
+        identity_defect(u, mats, right=True),
     ]
     if max(checks) > tol.member * max(1.0, hs_norm(u)):
         return None
@@ -264,11 +242,9 @@ def center(algebra, tol=DEFAULT_TOL):
     for attempt in range(2):
         coords = _center_coords(space, probes if attempt == 0 else list(mats), tol)
         cand = coords.T @ space.stack  # rows: center elements, flattened
-        elements = list(cand.reshape(-1, *space.shape))
-        elements += [m.conj().T for m in elements]
-        result = StarAlgebra.from_span(
-            elements, ambient_dim=space.rows, tol=tol, validate=False
-        )
+        adjs = cand.reshape(-1, *space.shape).conj().transpose(0, 2, 1)
+        elements = np.vstack([cand, adjs.reshape(cand.shape)])
+        result = StarAlgebra(basis=span_rows(elements, space.shape, tol=tol))
         # verify: every candidate commutes with every basis element
         cm = result.basis.matrices
         comm = cm[:, None] @ mats[None] - mats[None] @ cm[:, None]

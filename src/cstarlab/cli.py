@@ -70,11 +70,11 @@ def _resolve_tol(args):
 
 def _load_fixture(path, want):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     fix = decode_fixture(raw)
     if fix["kind"] not in want:

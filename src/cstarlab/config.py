@@ -25,7 +25,9 @@ class Tolerances:
         reconstruction residuals of eigendecompositions.
     rank : float
         Rank decisions when orthonormalizing spanning sets; singular values
-        or residual norms at or below ``rank * scale`` count as zero.
+        or residual norms at or below ``rank * scale`` count as zero.  It
+        also decides closure certificates: a span is closed when closing
+        it adds no direction above this cut.
     member : float
         Subspace membership: largest acceptable residual of a vector
         against an orthonormal basis.

@@ -29,6 +29,7 @@ from .algebra import StarAlgebra, unitize
 from .linalg import (
     Subspace,
     hs_norm,
+    identity_defect,
     op_norm,
     psd_cut,
     span_rows,
@@ -249,18 +250,12 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
             f"below proven threshold {threshold:.6e}"
         )
 
-    jb = ideal.basis.matrices
     residuals = {
         "idempotent": hs_norm(p @ p - p),
         "self_adjoint": hs_norm(p - p.conj().T),
         "pb_minus_b": hs_norm(p @ b - b) / max(1.0, hs_norm(b)),
         "p_in_ideal": ideal.basis.residual(p),
-        "ideal_equals_pA": float(
-            np.max(
-                np.linalg.norm(np.einsum("ij,ajk->aik", p, jb) - jb, axis=(1, 2)),
-                initial=0.0,
-            )
-        ),
+        "ideal_equals_pA": identity_defect(p, ideal.basis.matrices),
     }
     worst = max(residuals.values())
     if worst > tol.member:
@@ -345,13 +340,9 @@ def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
     p = support_projection(parent, ideal, tol=tol)
     if not parent.contains(p, tol=tol):
         return False
-    jb = ideal.basis.matrices
-    if jb.shape[0]:
-        fix = float(
-            np.max(np.linalg.norm(np.einsum("ij,ajk->aik", p, jb) - jb, axis=(1, 2)))
-        )
-        if fix > tol.member or ideal.basis.residual(p) > tol.member:
-            return False
+    fix = identity_defect(p, ideal.basis.matrices)
+    if fix > tol.member or ideal.basis.residual(p) > tol.member:
+        return False
     e = u - p
     if hs_norm(e) <= tol.member:  # pragma: no cover - excluded by properness
         return False

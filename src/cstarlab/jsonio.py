@@ -104,10 +104,14 @@ def decode_fixture(obj):
             }
             gt = obj.get("ground_truth")
             if gt is not None:
-                out["ground_truth"] = (
-                    [int(x) for x in gt["block_sizes"]],
-                    [int(x) for x in gt["multiplicities"]],
-                )
+                sizes = [int(x) for x in gt["block_sizes"]]
+                mults = [int(x) for x in gt["multiplicities"]]
+                if len(sizes) != len(mults):
+                    raise ParseError(
+                        f"ground truth lists {len(sizes)} block sizes but "
+                        f"{len(mults)} multiplicities"
+                    )
+                out["ground_truth"] = (sizes, mults)
             return out
         if kind == "tro":
             rows, cols = (int(x) for x in obj["ambient"])

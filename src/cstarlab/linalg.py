@@ -47,6 +47,7 @@ __all__ = [
     "Subspace",
     "orthonormalize",
     "close_span",
+    "identity_defect",
     "split_spectrum_at_zero",
     "psd_cut",
     "support_projection_of_psd",
@@ -387,6 +388,14 @@ def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
         mults = multipliers(family.reshape(-1, r, c))
         cands = products(stack)
     raise NumericalFailure("span closure failed to stabilize")
+
+
+def identity_defect(e, mats, right=False):
+    """Largest ``||e x - x||`` over a ``(k, rows, cols)`` stack ``x``, or
+    ``||x e - x||`` when ``right`` is set: how far ``e`` is from acting as
+    the identity on the stack; 0.0 for an empty stack."""
+    prods = np.einsum("aij,jk->aik", mats, e) if right else np.einsum("ij,ajk->aik", e, mats)
+    return float(np.max(np.linalg.norm(prods - mats, axis=(1, 2)), initial=0.0))
 
 
 # --------------------------------------------------------------------------

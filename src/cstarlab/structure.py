@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
+    NotAProjection,
     NotUnital,
     ParamError,
     VerificationFailure,
@@ -166,10 +167,13 @@ def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     spectral cluster of a generic self-adjoint element of ``start A start``,
     certified by the one-dimensional corner ``e A e = C e``.
 
-    ``start`` must be a nonzero projection in the algebra.  The draw is
-    randomized but reproducible through ``seed``.
+    ``start`` must be a nonzero projection in the algebra, else
+    :class:`NotAProjection` is raised.  The draw is randomized but
+    reproducible through ``seed``.
     """
     start = parent.require_projection(start, tol=tol, what="starting projection")
+    if hs_norm(start) <= tol.member:
+        raise NotAProjection("no minimal projection lies below the zero projection")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
         found = _clusters(parent.basis, start, rng, tol)

@@ -47,6 +47,7 @@ from .linalg import (
     close_span,
     hermitian_eig,
     hs_norm,
+    identity_defect,
     orthonormalize,
     pseudo_inverse_sqrt,
     span_rows,
@@ -114,7 +115,7 @@ class TRO:
         return self.basis.contains(x, tol=tol)
 
 
-def _build_tro(space, tol, check_closure=True):
+def _build_tro(space, tol):
     m, n = space.shape
     if not space.dim:
         return TRO(
@@ -123,20 +124,16 @@ def _build_tro(space, tol, check_closure=True):
             right_algebra=StarAlgebra(basis=Subspace.empty(n, n)),
         )
     # the left span comes first: the closure check multiplies by it, and
-    # the unit is sought only in a span that passed
+    # the units are sought only once the span passed
     left = StarAlgebra(basis=span_rows(_left_products(space.stack, space.shape), (m, m), tol=tol))
-    if check_closure:
-        defect = _ternary_defect(space, left.basis)
-        if defect > tol.member:
-            raise ClosureViolation(
-                f"span is not closed under x y* z (residual {defect:.3e})"
-            )
+    defect = _ternary_defect(space, left.basis)
+    if defect > tol.member:
+        raise ClosureViolation(
+            f"span is not closed under x y* z (residual {defect:.3e})"
+        )
     left.unit = unit_of(left, tol=tol)
-    right = StarAlgebra.from_span(
-        list(_right_products(space.stack, space.shape).reshape(-1, n, n)),
-        tol=tol,
-        validate=False,
-    )
+    right = StarAlgebra(basis=span_rows(_right_products(space.stack, space.shape), (n, n), tol=tol))
+    right.unit = unit_of(right, tol=tol)
     tro = TRO(basis=space, left_algebra=left, right_algebra=right)
     _check_nondegenerate(tro, tol)
     return tro
@@ -151,10 +148,7 @@ def _check_nondegenerate(tro, tol):
     u_r = tro.right_algebra.unit
     if u_l is None or u_r is None:
         raise VerificationFailure("a TRO algebra came out without a unit")
-    worst = max(
-        float(np.max(np.linalg.norm(np.einsum("ij,ajk->aik", u_l, zs) - zs, axis=(1, 2)))),
-        float(np.max(np.linalg.norm(np.einsum("aij,jk->aik", zs, u_r) - zs, axis=(1, 2)))),
-    )
+    worst = max(identity_defect(u_l, zs), identity_defect(u_r, zs, right=True))
     if worst > tol.member:
         raise VerificationFailure(
             f"TRO is degenerate over its algebras (residual {worst:.3e})"
@@ -175,8 +169,7 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     grows under left multiplication by the products ``x y*`` over ``T``.
     Those words are exactly the odd words ``x1 y1* x2 ... z`` that span
     the TRO, so no step forms the ``d^3`` triple products of the basis.
-    Then the left and right algebras are assembled and nondegeneracy is
-    verified.
+    Then the TRO is assembled as in :func:`tro_from_span`.
     """
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
@@ -185,13 +178,20 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     space, _ = close_span(
         gens, (m, n), start=lambda family: family, multipliers=_left_multipliers, tol=tol
     )
-    return _build_tro(space, tol, check_closure=False)
+    return _build_tro(space, tol)
 
 
-def tro_from_span(mats, shape=None, tol=DEFAULT_TOL, check_closure=True):
-    """Build a TRO from a family already spanning one (verified)."""
+def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
+    """Build a TRO from a family already spanning one.
+
+    The family is orthonormalized into ``V`` and the left algebra
+    ``span(V V*)`` is built; ``V`` is closed under ``x y* z`` exactly when
+    ``span(V V*) V`` lies in ``V``, which is checked on the ``dim L * d``
+    products of the two bases (:class:`ClosureViolation` otherwise).  Then
+    both algebras get their units and nondegeneracy is verified.
+    """
     space = orthonormalize(mats, tol=tol, shape=shape)
-    return _build_tro(space, tol, check_closure=check_closure)
+    return _build_tro(space, tol)
 
 
 @dataclass(eq=False)
@@ -453,7 +453,7 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     e = 0.5 * (e + e.conj().T)
     support = support_projection_of_psd(s, tol=tol)
 
-    fix = float(np.max(np.linalg.norm(np.einsum("ij,ajk->aik", e, ws) - ws, axis=(1, 2))))
+    fix = identity_defect(e, ws)
     members = float(np.max(submodule.basis.row_residuals(zs.reshape(len(zs), -1))))
     left_prods = _left_products(submodule.basis.stack, submodule.basis.shape)
     left_span = span_rows(left_prods, e.shape, tol=tol)
@@ -500,4 +500,4 @@ def linking_algebra(tro, tol=DEFAULT_TOL):
         blk = np.zeros((big, big), dtype=np.complex128)
         blk[m:, m:] = b
         mats.append(blk)
-    return StarAlgebra.from_span(mats, ambient_dim=big, tol=tol, validate=True)
+    return StarAlgebra.from_span(mats, ambient_dim=big, tol=tol)

@@ -287,10 +287,7 @@ def test_criterion_5_ternary_morphism_invariance(scoreboard):
         base = classify_tro(planted.tro, seed=i)
         u = haar_unitary(planted.tro.rows, rng)
         v = haar_unitary(planted.tro.cols, rng)
-        moved = tro_from_span(
-            [u @ m @ v.conj().T for m in planted.tro.basis.matrices],
-            check_closure=False,
-        )
+        moved = tro_from_span([u @ m @ v.conj().T for m in planted.tro.basis.matrices])
         cls = classify_tro(moved, seed=i)
         if cls.blocks != base.blocks:
             failures.append((i, "block data moved"))

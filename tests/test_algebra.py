@@ -18,6 +18,7 @@ from cstarlab import (
 from cstarlab.algebra import _center_coords, sample_element, sample_self_adjoint
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import ClosureViolation, NotInAlgebra, ShapeMismatch
+from test_closure import closure_defect
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -30,7 +31,7 @@ def test_single_offdiagonal_generates_full_matrix_algebra():
     assert a.dim == 4
     np.testing.assert_allclose(a.unit, np.eye(2), atol=1e-12)
     assert a.contains(np.array([[1.0, 2.0], [3.0 - 1.0j, 4.0]]))
-    assert a.closure_defect() <= 1e-12
+    assert closure_defect(a.basis) <= 1e-12
 
 
 def test_doubled_copy_generates_four_dimensional_algebra():
@@ -54,7 +55,7 @@ def test_diagonal_algebra():
 
 def test_from_span_validates_closure():
     with pytest.raises(ClosureViolation):
-        StarAlgebra.from_span([E12], 2, validate=True)
+        StarAlgebra.from_span([E12], 2)
 
 
 def test_unit_of_proper_corner():
@@ -154,4 +155,4 @@ def test_generated_algebra_closure_random():
         y = sample_element(a, rng)
         assert a.contains(x @ y)
         assert a.contains(x.conj().T)
-        assert a.closure_defect() <= 1e-10
+        assert closure_defect(a.basis) <= 1e-10

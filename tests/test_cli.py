@@ -183,6 +183,28 @@ def test_tampered_ground_truth_fails_verification(tmp_path):
     assert not report["ground_truth_match"]
 
 
+def test_ground_truth_of_unequal_lengths_is_input_error(tmp_path):
+    """Pairing [2, 1] with [1] would compare only the first block."""
+    fix = tmp_path / "alg.json"
+    run_cli("random", "algebra", "--blocks", "2", "--seed", 3, "--json", fix)
+    obj = json.loads(fix.read_text())
+    obj["ground_truth"] = {"block_sizes": [2, 1], "multiplicities": [1]}
+    fix.write_text(json.dumps(obj))
+    r = run_cli("decompose", fix)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:")
+    assert r.stdout == ""
+
+
+def test_fixture_that_is_not_utf8_is_input_error(tmp_path):
+    fix = tmp_path / "utf16.json"
+    fix.write_bytes(b"\xff\xfe" + json.dumps({"kind": "algebra"}).encode("utf-16-le"))
+    r = run_cli("decompose", fix)
+    assert r.returncode == 1
+    assert r.stderr.startswith("error:")
+    assert r.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # determinism and seeding
 

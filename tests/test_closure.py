@@ -12,18 +12,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cstarlab.linalg as linalg_mod
-from cstarlab import generate_algebra, generate_right_ideal, generate_tro, tro_from_span
+from cstarlab import (
+    StarAlgebra,
+    generate_algebra,
+    generate_right_ideal,
+    generate_tro,
+    tro_from_span,
+)
 from cstarlab.algebra import sample_element
 from cstarlab.config import DEFAULT_TOL
+from cstarlab.errors import ClosureViolation
 from cstarlab.ideals import _right_module_defect
 from cstarlab.instances import (
+    haar_unitary,
     planted_block_algebra,
     planted_block_tro,
     random_block_structure,
     random_projection,
     random_tro_blocks,
 )
-from cstarlab.linalg import Subspace, grow_span, orthonormalize
+from cstarlab.linalg import Subspace, grow_span, hs_norm, orthonormalize
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -56,6 +64,12 @@ def all_pairs(mats):
     n = mats.shape[1]
     prods = (mats[:, None] @ mats[None]).reshape(-1, n * n)
     return np.vstack([prods, mats.conj().transpose(0, 2, 1).reshape(-1, n * n)])
+
+
+def closure_defect(space):
+    """Largest residual of the basis products and adjoints against an
+    algebra's span: the all-pairs check of closedness."""
+    return space.max_relative_residual(all_pairs(space.matrices))
 
 
 def all_triples(mats):
@@ -95,7 +109,7 @@ def assert_same_algebra(n, gens):
     alg = generate_algebra(n, gens)
     ref = all_products_closure(gens, (n, n), all_pairs)
     assert alg.basis.distance(ref) <= SPAN_TOL
-    assert alg.closure_defect() <= DEFAULT_TOL.member
+    assert closure_defect(alg.basis) <= DEFAULT_TOL.member
 
 
 def assert_same_tro(shape, gens):
@@ -179,3 +193,78 @@ def test_right_module_verdict_ignores_the_scale_of_the_algebra_generators(scale)
     assert 0 < ideal.dim < alg.dim
     assert _right_module_defect(alg, ideal.basis) <= DEFAULT_TOL.member
     assert _right_module_defect(alg, moved) > 1e3 * DEFAULT_TOL.member
+
+
+# ---------------------------------------------------------------------------
+# closure verdicts of from_span and tro_from_span: a span is accepted exactly
+# when closing it adds no direction
+
+
+KINDS = st.sampled_from(["algebra", "tro"])
+REFERENCE = {"algebra": all_pairs, "tro": all_triples}
+
+
+def from_span(kind, mats, shape):
+    if kind == "algebra":
+        return StarAlgebra.from_span(mats, ambient_dim=shape[0])
+    return tro_from_span(mats, shape=shape)
+
+
+def planted_instance(kind, rng, seed, room=False):
+    """The planted orthonormal basis of a random algebra or TRO; with
+    ``room`` it leaves part of the ambient space outside the span (a kernel
+    for algebras, one more 1x1 block for TROs)."""
+    if kind == "algebra":
+        sizes, mults = random_block_structure(rng, max_ambient=8)
+        occupied = sum(n * m for n, m in zip(sizes, mults))
+        return planted_block_algebra(
+            sizes, mults, ambient_dim=occupied + room, seed=seed
+        ).algebra
+    blocks = random_tro_blocks(rng, max_total=14) + [(1, 1)] * room
+    return planted_block_tro(blocks, seed=seed).tro
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(KINDS, SEEDS, st.floats(-6.0, 6.0))
+def test_closed_spans_are_accepted_in_any_basis_and_scale(kind, seed, log_scale):
+    rng = np.random.default_rng(seed)
+    planted = planted_instance(kind, rng, seed)
+    space = planted.basis
+    rotated = haar_unitary(space.dim, rng) @ space.stack
+    for stack in (space.stack, 10.0 ** log_scale * rotated):
+        built = from_span(kind, list(stack.reshape(-1, *space.shape)), space.shape)
+        assert built.basis.distance(space) <= SPAN_TOL
+    if kind == "algebra":
+        assert hs_norm(built.unit - planted.unit) <= DEFAULT_TOL.member
+        assert built.family is not None
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(KINDS, SEEDS, st.integers(0, 2**16))
+def test_a_perturbed_element_is_refused(kind, seed, pick):
+    """One basis element moved by 1e-6 of its norm out of the span."""
+    rng = np.random.default_rng(seed)
+    space = planted_instance(kind, rng, seed, room=True).basis
+    outside = rng.standard_normal(space.stack.shape[1]) + 1j * rng.standard_normal(
+        space.stack.shape[1]
+    )
+    outside -= (outside @ space.stack.conj().T) @ space.stack
+    moved = space.stack.copy()
+    moved[pick % space.dim] += 1e-6 * outside / np.linalg.norm(outside)
+    with pytest.raises(ClosureViolation):
+        from_span(kind, list(moved.reshape(-1, *space.shape)), space.shape)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(KINDS, SEEDS, st.integers(0, 2**16))
+def test_a_dropped_element_is_refused_unless_the_rest_is_closed(kind, seed, pick):
+    """Dropping a planted basis element leaves a closed span only when it
+    was a whole 1x1 block; the all-products loop decides which."""
+    rng = np.random.default_rng(seed)
+    space = planted_instance(kind, rng, seed).basis
+    rest = list(np.delete(space.matrices, pick % space.dim, axis=0))
+    if all_products_closure(rest, space.shape, REFERENCE[kind]).dim == len(rest):
+        assert from_span(kind, rest, space.shape).dim == len(rest)
+    else:
+        with pytest.raises(ClosureViolation):
+            from_span(kind, rest, space.shape)

@@ -12,9 +12,14 @@ every library call to it passes one on.
 """
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import pytest
+
+from cstarlab.algebra import StarAlgebra
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cstarlab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -113,3 +118,26 @@ def test_tolerances_are_passed_whole():
             if not passed and len(call.args) <= min(positions[name]):
                 problems.append(f"{module} line {call.lineno}: {name}() without tol")
     assert not problems, "\n".join(problems)
+
+
+def test_benchmark_traced_names_resolve():
+    """The benchmark's tracer (``perfbench/tracing.py``) rebinds each name
+    in its ``TRACED`` list and stops at the first it cannot find, and it
+    rewraps ``StarAlgebra.from_span`` as a classmethod.  Loading the file
+    by path, without importing the benchmark package, keeps a rename or
+    deletion in the library from passing here and failing only there."""
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for name in tracing.TRACED:
+        mod_name, _, attr = name.partition(".")
+        owner = importlib.import_module("cstarlab." + mod_name)
+        *outer, leaf = attr.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if not callable(getattr(owner, leaf, None)):
+            missing.append(name)
+    assert not missing, f"perfbench/tracing.py traces missing names {missing}"
+    assert isinstance(inspect.getattr_static(StarAlgebra, "from_span"), classmethod)

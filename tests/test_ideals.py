@@ -22,6 +22,7 @@ from cstarlab import (
     planted_block_algebra,
     projection_generator,
     support_projection,
+    unit_of,
 )
 from cstarlab.errors import NotAProjection, NotInAlgebra, NotProper, NotUnital
 from cstarlab.instances import (
@@ -30,7 +31,7 @@ from cstarlab.instances import (
     random_projection,
     random_right_ideal,
 )
-from cstarlab.linalg import hs_norm
+from cstarlab.linalg import hs_norm, orthonormalize
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -231,9 +232,8 @@ def test_whole_algebra_is_not_proper(m2):
 def test_maximality_requires_unit():
     # a *-closed span that is not an algebra has no unit; the maximality
     # test refuses to run on it
-    span = StarAlgebra.from_span(
-        [E12, E12.conj().T], ambient_dim=2, validate=False
-    )
+    span = StarAlgebra(basis=orthonormalize([E12, E12.conj().T]))
+    assert unit_of(span) is None
     ideal = generate_right_ideal(span, [])
     with pytest.raises(NotUnital):
         is_maximal_right_ideal(span, ideal)
@@ -252,6 +252,13 @@ def test_minimal_projection_below_descends():
         # determinism
         e2 = minimal_projection_below(a, a.unit, seed=trial)
         assert hs_norm(e - e2) <= 1e-12
+
+
+def test_minimal_projection_below_zero_is_not_a_projection(m2):
+    """Nothing nonzero lies below 0: an input error, like asking whether 0
+    is minimal, not a failed random draw."""
+    with pytest.raises(NotAProjection):
+        minimal_projection_below(m2, np.zeros((2, 2), dtype=complex))
 
 
 def test_complement_of_minimal_generates_maximal_ideal():

@@ -11,17 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cstarlab.algebra as algebra_mod
 import cstarlab.ideals as ideals_mod
 import cstarlab.tro as tro_mod
 from cstarlab import (
     StarAlgebra,
     classify_tro,
     generate_tro,
-    planted_block_algebra,
     planted_block_tro,
 )
-from cstarlab.algebra import _pairwise_products
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.ideals import _corner_space, _right_module_defect
 from cstarlab.linalg import Subspace, hs_norm, orthonormalize
@@ -98,17 +95,6 @@ def test_corner_space_products_match_einsum(seed, n, d):
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
-@given(SEEDS, st.integers(1, 5), st.integers(1, 8))
-def test_pairwise_products_match_einsum(seed, n, d):
-    mats = cplx(np.random.default_rng(seed), d, n, n)
-    ref = np.vstack([
-        np.einsum("aij,bjk->abik", mats, mats).reshape(-1, n * n),
-        mats.conj().transpose(0, 2, 1).reshape(-1, n * n),
-    ])
-    assert_rel_close(_pairwise_products(mats.reshape(d, -1), (n, n)), ref)
-
-
-@settings(max_examples=25, derandomize=True, deadline=None)
 @given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.integers(1, 6))
 def test_tro_products_match_einsum(seed, m, n, d):
     mats = cplx(np.random.default_rng(seed), d, m, n)
@@ -159,8 +145,6 @@ def test_shared_residual_is_bit_identical_to_removed_copies(seed, m, n, d_alg, d
     rng = np.random.default_rng(seed)
     parent = StarAlgebra(basis=random_space(rng, min(d_alg, n * n), n, n))
     space = random_space(rng, min(d_space, n * n), n, n)
-    pair = _pairwise_products(parent.basis.stack, parent.basis.shape)
-    assert parent.closure_defect() == removed_max_relative_residual(parent.basis, pair)
     xs, bs = space.matrices, parent.basis.matrices
     right = (xs[:, None] @ bs[None]).reshape(-1, n * n)
     assert _right_module_defect(parent, space) == removed_max_relative_residual(space, right)
@@ -172,24 +156,6 @@ def test_shared_residual_is_bit_identical_to_removed_copies(seed, m, n, d_alg, d
     lspace = random_space(rng, min(d_alg, m * m), m, m)
     lz = (lspace.matrices[:, None] @ tspace.matrices[None]).reshape(-1, m * n)
     assert _ternary_defect(tspace, lspace) == removed_max_relative_residual(tspace, lz)
-
-
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(SEEDS, st.integers(1, 4), st.integers(1, 9), st.sampled_from([1, 2, 5, 7]))
-def test_closure_defect_in_batches_is_bit_identical(seed, n, d, chunk):
-    """Batches of a few products give exactly the value of one batch of
-    all d^2 products, on a random (not closed) span and on an algebra."""
-    rng = np.random.default_rng(seed)
-    spans = [
-        random_space(rng, min(d, n * n), n, n),
-        planted_block_algebra([n, 1], [1, 2], seed=seed).algebra.basis,
-    ]
-    for space in spans:
-        pair = _pairwise_products(space.stack, space.shape)
-        ref = removed_max_relative_residual(space, pair)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(algebra_mod, "_PAIR_CHUNK", chunk)
-            assert StarAlgebra(basis=space).closure_defect() == ref
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
