@@ -196,9 +196,7 @@ def unitize(algebra, tol=DEFAULT_TOL):
 
 # Fixed probe coefficients keep center() deterministic without a seed
 # parameter: the commutant of two generic elements of the algebra is
-# already the center, and the cheap result is verified against the full
-# basis (with a fall back to the full commutant solve if the probes were
-# unlucky).
+# already the center, and the result is verified against the full basis.
 _PROBE_SEED = 0x0C57A
 
 
@@ -208,17 +206,14 @@ def _center_coords(space, probe_mats, tol):
     mats = space.matrices
     rows = [(mats @ p - p @ mats).reshape(d, -1) for p in probe_mats]
     m = np.hstack(rows).T  # (constraints, d)
-    if m.shape[0] == 0:
-        return np.eye(d, dtype=np.complex128)
-    # vh must be d x d to hold the nullspace; the reduced SVD already gives
-    # that when there are at least d constraint rows
-    _, s, vh = npl.svd(m, full_matrices=m.shape[0] < d)
+    # each probe gives N^2 >= d constraint rows, so the reduced SVD's vh is
+    # d x d and holds the nullspace
+    _, s, vh = npl.svd(m, full_matrices=False)
     # The rank cutoff is floored at the scale of the probes themselves
     # (the basis rows have unit norm): when every commutator is roundoff
     # noise the constraint matrix must count as zero, not full rank.
-    scale = max((hs_norm(p) for p in probe_mats), default=1.0)
-    top = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol.rank * max(top, scale)))
+    scale = max(hs_norm(p) for p in probe_mats)
+    rank = int(np.sum(s > tol.rank * max(s[0], scale)))
     return vh[rank:].conj().T  # columns span the nullspace
 
 
@@ -226,9 +221,9 @@ def center(algebra, tol=DEFAULT_TOL):
     """The center of the algebra, as a (commutative) StarAlgebra.
 
     Solves the commutation equations against two pseudo-random probe
-    elements, verifies the candidate commutes with the whole basis, and
-    falls back to the full commutant system when it does not.  The probe
-    coefficients are fixed, so the result is deterministic.
+    elements and verifies that the candidate commutes with the whole
+    basis (:class:`NumericalFailure` otherwise).  The probe coefficients
+    are fixed, so the result is deterministic.
     """
     space = algebra.basis
     if space.dim == 0:
@@ -239,20 +234,22 @@ def center(algebra, tol=DEFAULT_TOL):
     for _ in range(2):
         coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
         probes.append(np.einsum("a,aij->ij", coeff, mats))
-    for attempt in range(2):
-        coords = _center_coords(space, probes if attempt == 0 else list(mats), tol)
-        cand = coords.T @ space.stack  # rows: center elements, flattened
-        adjs = cand.reshape(-1, *space.shape).conj().transpose(0, 2, 1)
-        elements = np.vstack([cand, adjs.reshape(cand.shape)])
-        result = StarAlgebra(basis=span_rows(elements, space.shape, tol=tol))
-        # verify: every candidate commutes with every basis element
-        cm = result.basis.matrices
-        comm = cm[:, None] @ mats[None] - mats[None] @ cm[:, None]
-        worst = float(np.max(np.abs(comm), initial=0.0))
-        if worst <= tol.member:
-            result.unit = algebra.unit if algebra.unit is not None else unit_of(result, tol=tol)
-            return result
-    raise NumericalFailure("center computation failed verification")  # pragma: no cover
+    coords = _center_coords(space, probes, tol)
+    cand = coords.T @ space.stack  # rows: center elements, flattened
+    adjs = cand.reshape(-1, *space.shape).conj().transpose(0, 2, 1)
+    elements = np.vstack([cand, adjs.reshape(cand.shape)])
+    result = StarAlgebra(basis=span_rows(elements, space.shape, tol=tol))
+    # verify: every candidate commutes with every basis element
+    cm = result.basis.matrices
+    comm = cm[:, None] @ mats[None] - mats[None] @ cm[:, None]
+    worst = float(np.max(np.abs(comm), initial=0.0))
+    if worst > tol.member:
+        raise NumericalFailure(
+            f"center candidate fails to commute with the algebra "
+            f"(residual {worst:.3e}, bound {tol.member:.3e})"
+        )
+    result.unit = algebra.unit if algebra.unit is not None else unit_of(result, tol=tol)
+    return result
 
 
 def random_self_adjoint(algebra, seed):

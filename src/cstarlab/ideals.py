@@ -105,14 +105,12 @@ class RightIdeal:
     """A right ideal ``J`` of a :class:`StarAlgebra`, with its generators.
 
     ``basis`` spans ``sum_j g_j A^1`` (unitization coefficients, so the
-    generators themselves belong to ``J``).  ``certificate`` is filled in
-    by :func:`projection_generator`.
+    generators themselves belong to ``J``).
     """
 
     parent: StarAlgebra
     generators: list
     basis: Subspace
-    certificate: ProjectionCertificate | None = None
 
     @property
     def dim(self):
@@ -207,9 +205,7 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     gen_scale = max((hs_norm(g) for g in ideal.generators), default=0.0)
     gens = [g for g in ideal.generators if hs_norm(g) > tol.rank * gen_scale]
     if not gens or ideal.basis.dim == 0:
-        cert = _trivial_certificate(n)
-        ideal.certificate = cert
-        return cert
+        return _trivial_certificate(n)
 
     gmats = np.array(gens)
     b = np.einsum("gij,gkj->ik", gmats, gmats.conj())
@@ -262,7 +258,7 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
         name = max(residuals, key=residuals.get)
         raise VerificationFailure(f"certificate identity '{name}' off by {worst:.3e}")
 
-    cert = ProjectionCertificate(
+    return ProjectionCertificate(
         projection=p,
         gram=b,
         coefficients=list(cs),
@@ -275,8 +271,6 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
         solve_residual=solve_residual,
         residuals=residuals,
     )
-    ideal.certificate = cert
-    return cert
 
 
 def support_projection(parent, ideal, tol=DEFAULT_TOL):

@@ -107,7 +107,7 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
         unit[offset : offset + span, offset : offset + span] = np.eye(span)
         offset += span
 
-    conj = np.einsum("ab,kbc,dc->kad", u, np.array(basis), u.conj())
+    conj = u @ np.array(basis) @ u.conj().T
     algebra = StarAlgebra(
         basis=Subspace(n_amb, n_amb, conj.reshape(len(basis), -1)),
         unit=u @ unit @ u.conj().T,
@@ -147,7 +147,7 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
         r_off += m_k
         c_off += n_k
 
-    conj = np.einsum("ab,kbc,dc->kad", u, np.array(basis), v.conj())
+    conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
     tro = _build_tro(space, tol)
     return PlantedTRO(
@@ -184,8 +184,8 @@ def random_projection(algebra, rng, tol=DEFAULT_TOL):
     """A random projection in the algebra (possibly zero or the unit).
 
     Squares a random self-adjoint element to get a positive one, then
-    projects above a spectral cut chosen uniformly among the gaps of the
-    positive spectrum.
+    projects onto a uniformly chosen cluster of its positive spectrum and
+    every cluster above it.
     """
     x = sample_self_adjoint(algebra, rng)
     s = x @ x
@@ -201,13 +201,10 @@ def random_projection(algebra, rng, tol=DEFAULT_TOL):
     ]
     if not positive:
         return np.zeros_like(s)
-    # cut below a uniformly chosen positive cluster: everything above joins
+    # a uniformly chosen positive cluster and everything above it
     pick = int(rng.integers(0, len(positive)))
     lo = float(np.min(dec.eigenvalues[positive[pick]]))
-    below = dec.eigenvalues[dec.eigenvalues < lo - gap]
-    floor = float(np.max(below, initial=0.0))
-    cut = np.sqrt(max(floor, tol.spec * max(1.0, top)) * lo)
-    return dec.apply(lambda t: 1.0 if t > cut else 0.0)
+    return dec.apply(lambda t: 1.0 if t >= lo else 0.0)
 
 
 def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):

@@ -9,11 +9,10 @@ two, and a right Hilbert module over its right algebra via the pairing
 
 Structurally ``Z`` is a direct sum of rectangular blocks
 ``B(C^{n_k}, C^{m_k})``, discovered here through the left algebra's block
-decomposition: a minimal central projection ``c_k`` cuts out
-``Z_k = c_k Z``, whose column dimension ``n_k`` is read off from
-``dim Z_k / m_k``.  Explicit isometries mapping each block onto plain
-rectangular matrices come from transporting one column of ``Z_k`` around
-by the left algebra's matrix units.
+decomposition: its basis change gives the isometry ``U_k`` onto one
+copy of the block's rows, and the column isometry ``V_k`` and ``n_k``
+come from the projection ``sum z* u u* z`` over the basis of ``Z``, for
+one column ``u`` of ``U_k``.
 
 Submodules (right-ideal analogues) correspond bijectively to right
 ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``; that
@@ -223,10 +222,14 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     """Identify the rectangular blocks of a TRO and build the isometries
     realizing them.
 
-    Works through the left algebra: its block decomposition provides
-    minimal central projections ``c_k`` (block shapes ``m_k``) and matrix
-    units; ``n_k = dim(c_k Z) / m_k`` must come out an integer, and the
-    total ``sum m_k n_k`` must equal ``dim Z`` — both are asserted.  The
+    Works through the left algebra: its block decomposition provides the
+    minimal central projections ``c_k``, the block sizes ``m_k`` and, as
+    the first ``m_k`` of the block's columns of its basis change, ``U_k``.
+    For the first column ``u`` of ``U_k`` and the orthonormal basis of
+    ``Z``, ``sum z* u u* z`` times the block's multiplicity is the
+    projection onto the block's column space: ``V_k`` is its eigenvectors
+    above 1/2 and ``n_k`` their count, which must be at least 1 and match
+    the trace.  The total ``sum m_k n_k`` must equal ``dim Z``.  The
     ternary-morphism property of the assembled maps is verified on all
     basis triples and the worst residual recorded.
     """
@@ -234,38 +237,31 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
         return TROClassification(blocks=[], isometries=[], central_projections=[])
     dec = wedderburn_decompose(tro.left_algebra, seed=seed, tol=tol)
     zs = tro.basis.matrices
-    m_amb, n_amb = tro.basis.shape
     entries = []
+    off = 0
     for k in range(dec.num_blocks):
-        c = dec.central_projections[k]
-        m_k = dec.block_sizes[k]
-        prods = (c @ zs).reshape(-1, m_amb * n_amb)
-        zk = span_rows(prods, (m_amb, n_amb), tol=tol)
-        if zk.dim % m_k:
+        m_k, mult = dec.block_sizes[k], dec.multiplicities[k]
+        # the basis change lists each block as `mult` copies of `m_k`
+        # columns; the first copy is U_k
+        u_iso = dec.basis_change[:, off : off + m_k]
+        off += m_k * mult
+        # over the orthonormal basis of Z, sum z* u u* z for the first
+        # column u of U_k is the projection onto the block's column space,
+        # divided by the multiplicity
+        rows = u_iso[:, 0].conj() @ zs
+        g = mult * (rows.conj().T @ rows)
+        edec = hermitian_eig(g, tol=tol)
+        sel = edec.eigenvalues > 0.5
+        n_k = int(np.sum(sel))
+        trace = float(np.real(np.trace(g)))
+        if n_k < 1 or abs(trace - n_k) > tol.member * max(1.0, n_k):
             raise VerificationFailure(
-                f"dim(c_k Z) = {zk.dim} is not a multiple of the block size {m_k}"
+                f"column projection of a block has trace {trace!r} "
+                f"and {n_k} eigenvalues above 1/2"
             )
-        n_k = zk.dim // m_k
-        if n_k == 0:
-            raise VerificationFailure("a left-algebra block does not meet the TRO")
-
-        units = dec.matrix_units[k]
-        e11 = units[0, 0]
-        edec = hermitian_eig(e11, tol=tol)
-        u_vec = edec.basis[:, -1]  # unit vector in the range of e11
-        transporters = [units[i, 0] for i in range(m_k)]
-        u_iso = np.column_stack([v @ u_vec for v in transporters])
-
-        rows = (u_vec.conj() @ e11) @ zk.matrices
-        row_space = span_rows(rows, (1, n_amb), tol=tol)
-        if row_space.dim != n_k:
-            raise VerificationFailure(
-                f"row space of a block column has dimension {row_space.dim}, "
-                f"expected {n_k}"
-            )
-        v_iso = row_space.stack.conj().T  # (n_amb, n_k), orthonormal columns
         entries.append(
-            {"shape": (m_k, n_k), "U": u_iso, "V": v_iso, "central": c}
+            {"shape": (m_k, n_k), "U": u_iso, "V": edec.basis[:, sel],
+             "central": dec.central_projections[k]}
         )
 
     entries.sort(
@@ -343,7 +339,6 @@ class Submodule:
     parent: TRO
     generators: list
     basis: Subspace
-    certificate: ModuleGenerationCertificate | None = None
 
     @property
     def dim(self):
@@ -470,11 +465,9 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
         raise VerificationFailure(
             f"generation certificate identity '{name}' off by {worst:.3e}"
         )
-    cert = ModuleGenerationCertificate(
+    return ModuleGenerationCertificate(
         generators=list(zs), projection=e, residuals=residuals
     )
-    submodule.certificate = cert
-    return cert
 
 
 def linking_algebra(tro, tol=DEFAULT_TOL):

@@ -15,9 +15,10 @@ from cstarlab import (
     unit_of,
     unitize,
 )
+from cstarlab import algebra as algebra_module
 from cstarlab.algebra import _center_coords, sample_element, sample_self_adjoint
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.errors import ClosureViolation, NotInAlgebra, ShapeMismatch
+from cstarlab.errors import ClosureViolation, NotInAlgebra, NumericalFailure, ShapeMismatch
 from test_closure import closure_defect
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -96,6 +97,20 @@ def test_center_coords_use_callers_rank_tolerance():
     assert _center_coords(full.basis, probes, DEFAULT_TOL).shape == (4, 1)
     loose = replace(DEFAULT_TOL, rank=0.9)
     assert _center_coords(full.basis, probes, loose).shape == (4, 3)
+
+
+def test_center_that_fails_to_commute_raises(monkeypatch):
+    """A candidate is checked against the whole basis: when the solve
+    returns the whole coordinate space of M2, the commutator check fails
+    and names the residual and the bound."""
+    full = generate_algebra(2, [E12])
+    monkeypatch.setattr(
+        algebra_module,
+        "_center_coords",
+        lambda space, probes, tol: np.eye(space.dim, dtype=complex),
+    )
+    with pytest.raises(NumericalFailure, match=r"residual .*, bound 1\.000e-08"):
+        center(full)
 
 
 def test_center_of_planted_algebras_counts_blocks():

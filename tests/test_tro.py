@@ -27,7 +27,7 @@ from cstarlab.errors import (
     NotProper,
     ZeroSubmodule,
 )
-from cstarlab.instances import random_tro_blocks
+from cstarlab.instances import haar_unitary, random_tro_blocks
 from cstarlab.linalg import hs_norm
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -112,6 +112,42 @@ def test_classification_is_a_ternary_morphism():
             assert hs_norm(l - a @ b.conj().T @ c) <= 1e-8 * max(
                 1.0, hs_norm(a) * hs_norm(b) * hs_norm(c)
             )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classification_at_the_old_rank_edge(seed):
+    """Blocks (3,3), (4,1), (4,3) with every basis element moved by 3e-10
+    along a unit-norm complex Gaussian direction.  Deciding dim(c_k Z) by a
+    singular-value cut at tol.rank split a 4-row block into 14, 18 and 7
+    dimensions on seeds 1, 3 and 10; reading U_k off the basis change and
+    n_k off a projection recovers the planted blocks on every seed."""
+    blocks = [(3, 3), (4, 1), (4, 3)]
+    mats = planted_block_tro(blocks, seed=seed).tro.basis.matrices
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
+    g /= np.linalg.norm(g, axis=(1, 2), keepdims=True)
+    z = tro_from_span(list(mats + 3e-10 * g))
+    assert sorted(classify_tro(z, seed=seed).blocks) == sorted(blocks)
+
+
+def test_classification_of_a_repeated_block():
+    """x (+) x (+) y with x in M_{2x3}: the left algebra has a block of size
+    2 and multiplicity 2, and the TRO block is one (2, 3) copy."""
+    mats = []
+    for a in range(2):
+        for b in range(3):
+            m = np.zeros((5, 7), dtype=complex)
+            m[a, b] = m[2 + a, 3 + b] = 1.0
+            mats.append(m)
+    last = np.zeros((5, 7), dtype=complex)
+    last[4, 6] = 1.0
+    mats.append(last)
+    rng = np.random.default_rng(5)
+    u, v = haar_unitary(5, rng), haar_unitary(7, rng)
+    t = tro_from_span([u @ m @ v.conj().T for m in mats])
+    cls = classify_tro(t)
+    assert cls.blocks == [(2, 3), (1, 1)]
+    assert cls.residuals["ternary_morphism"] <= 1e-12
 
 
 def test_classification_isometries_are_isometric():
