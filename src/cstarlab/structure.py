@@ -285,22 +285,16 @@ def _basis_change(parent, blocks, tol):
 
 def _block_form_residual(parent, blocks, u):
     """Largest deviation of any basis element from blockdiag(I_m (x) alpha)."""
-    n_amb = parent.ambient_dim
-    worst = 0.0
-    for a in parent.basis.matrices:
-        t = u.conj().T @ a @ u
-        recon = np.zeros_like(t)
-        off = 0
-        for blk in blocks:
-            n_k, m_k = blk["size"], blk["multiplicity"]
-            span = n_k * m_k
-            alpha = t[off : off + n_k, off : off + n_k]
-            recon[off : off + span, off : off + span] = np.kron(
-                np.eye(m_k), alpha
-            )
-            off += span
-        worst = max(worst, hs_norm(t - recon))
-    return worst
+    t = u.conj().T @ parent.basis.matrices @ u
+    recon = np.zeros_like(t)
+    off = 0
+    for blk in blocks:
+        n_k = blk["size"]
+        alpha = t[:, off : off + n_k, off : off + n_k]
+        for _ in range(blk["multiplicity"]):
+            recon[:, off : off + n_k, off : off + n_k] = alpha
+            off += n_k
+    return float(np.max(np.linalg.norm(t - recon, axis=(1, 2)), initial=0.0))
 
 
 def wedderburn_decompose(parent, seed=0, tol=DEFAULT_TOL):

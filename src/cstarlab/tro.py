@@ -28,6 +28,7 @@ from .config import DEFAULT_TOL
 from .errors import (
     ClosureViolation,
     MembershipViolation,
+    NotInAlgebra,
     NotProper,
     ParamError,
     VerificationFailure,
@@ -36,7 +37,7 @@ from .errors import (
 from .algebra import StarAlgebra, unit_of
 from .ideals import (
     RightIdeal,
-    generate_right_ideal,
+    _right_module_defect,
     is_maximal_right_ideal,
     right_module_span,
 )
@@ -302,22 +303,38 @@ _MORPHISM_CHUNK = 4096
 
 def _morphism_defect(tro, cls):
     """Worst ``||T(x y* z) - T(x) T(y)* T(z)||`` over all basis triples and
-    blocks, evaluated in batches of at most ``_MORPHISM_CHUNK`` triples."""
+    blocks.
+
+    Both sides are linear in ``z``, so for a batch of pairs ``(x, y)`` and a
+    block ``T(z) = u* z v`` every ``z`` is met by two matrix products:
+    ``(u* x y*) [z v]`` and ``(T(x) T(y)*) [u* z v]``, with ``[.]`` the basis
+    images side by side.  A batch holds ``max(1, _MORPHISM_CHUNK // d)``
+    pairs, so at most ``_MORPHISM_CHUNK`` triples once ``d`` is below it."""
     zs = tro.basis.matrices
-    d = tro.dim
-    left = _left_products(tro.basis.stack, tro.basis.shape).reshape(d * d, tro.rows, tro.rows)
-    images = [u.conj().T @ zs @ v for u, v in cls.isometries]
-    image_left = [
-        _left_products(im.reshape(d, -1), im.shape[1:]).reshape(d * d, im.shape[1], im.shape[1])
-        for im in images
-    ]
+    d, m, _ = zs.shape
+    zs_adj = zs.conj().transpose(0, 2, 1)
+    blocks = []
+    for u, v in cls.isometries:
+        m_k, n_k = u.shape[1], v.shape[1]
+        uz = u.conj().T @ zs
+        image = uz @ v
+        blocks.append((
+            uz,
+            image,
+            image.conj().transpose(0, 2, 1),
+            (zs @ v).transpose(1, 0, 2).reshape(m, d * n_k),
+            image.transpose(1, 0, 2).reshape(m_k, d * n_k),
+        ))
+    step = max(1, _MORPHISM_CHUNK // d)
     worst = 0.0
-    for start in range(0, d ** 3, _MORPHISM_CHUNK):
-        pair, k = np.divmod(np.arange(start, min(start + _MORPHISM_CHUNK, d ** 3)), d)
-        triples = left[pair] @ zs[k]
-        for (u, v), im, im_left in zip(cls.isometries, images, image_left):
-            diff = u.conj().T @ triples @ v - im_left[pair] @ im[k]
-            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=(1, 2)))))
+    for start in range(0, d * d, step):
+        i, j = np.divmod(np.arange(start, min(start + step, d * d)), d)
+        for uz, image, image_adj, zv_row, image_row in blocks:
+            m_k = image.shape[1]
+            lhs = (uz[i] @ zs_adj[j]).reshape(-1, m) @ zv_row
+            rhs = (image[i] @ image_adj[j]).reshape(-1, m_k) @ image_row
+            diff = (lhs - rhs).reshape(len(i), m_k, d, -1)
+            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=(1, 3)))))
     return worst
 
 
@@ -334,11 +351,16 @@ class ModuleGenerationCertificate:
 
 @dataclass(eq=False)
 class Submodule:
-    """A right submodule ``W`` of a TRO over its right algebra."""
+    """A right submodule ``W`` of a TRO over its right algebra.
+
+    ``_roundtrip`` holds the last verified
+    :func:`submodule_ideal_roundtrip` against ``parent`` as
+    ``(tol, basis, ideal, report)``."""
 
     parent: TRO
     generators: list
     basis: Subspace
+    _roundtrip: tuple = field(default=None, init=False, repr=False)
 
     @property
     def dim(self):
@@ -351,29 +373,44 @@ class Submodule:
 def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     """Right submodule of the TRO generated by the given elements: the
     span of ``g (Z* Z)^1`` (:func:`right_module_span` over the right
-    algebra); each generator must belong to the TRO."""
+    algebra); each generator must belong to the TRO, to
+    ``tol.member * max(1, ||g||)``."""
     m, n = tro.basis.shape
-    gens = []
-    for g in generators:
-        g = as_matrix(g, shape=(m, n))
-        if not tro.contains(g, tol=tol):
-            raise MembershipViolation(
-                f"submodule generator is not in the TRO "
-                f"(residual {tro.basis.residual(g):.3e})"
-            )
-        gens.append(g)
+    gens = [as_matrix(g, shape=(m, n)) for g in generators]
+    worst = tro.basis.max_relative_residual(
+        np.array(gens, dtype=np.complex128).reshape(len(gens), m * n)
+    )
+    if worst > tol.member:
+        raise MembershipViolation(
+            f"submodule generator is not in the TRO (relative residual {worst:.3e})"
+        )
     space = right_module_span(tro.right_algebra, gens, m, tol=tol)
     return Submodule(parent=tro, generators=gens, basis=space)
 
 
 def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
     """The right ideal ``J = span(W Z*)`` of the left algebra, with both
-    directions of the correspondence verified: ``J Z`` must recover ``W``
-    and ``(J Z) Z*`` must recover ``J``.
+    directions of the correspondence verified: ``J`` must lie in the left
+    algebra (:class:`NotInAlgebra` otherwise) and be closed under right
+    multiplication by it, ``J Z`` must recover ``W`` and ``(J Z) Z*`` must
+    recover ``J``.
 
     Returns ``(ideal, report)`` where the report carries the two span
-    comparisons.
+    comparisons.  A verified result is kept on the submodule, so a repeat
+    call against its parent with an equal ``tol`` and the same basis
+    returns the same ideal and a copy of the report without recomputing.
     """
+    kept = submodule._roundtrip
+    if (tro is submodule.parent and kept is not None and kept[0] == tol
+            and kept[1] is submodule.basis):
+        return kept[2], dict(kept[3])
+    ideal, report = _verify_roundtrip(tro, submodule, tol)
+    if tro is submodule.parent:
+        submodule._roundtrip = (tol, submodule.basis, ideal, dict(report))
+    return ideal, report
+
+
+def _verify_roundtrip(tro, submodule, tol):
     m, n = tro.basis.shape
     left = tro.left_algebra
     ws = submodule.basis.matrices
@@ -386,20 +423,30 @@ def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
     zs_adj = zs.conj().transpose(0, 2, 1)
     j_prods = (ws[:, None] @ zs_adj[None]).reshape(-1, m * m)
     j_space = span_rows(j_prods, (m, m), tol=tol)
-    ideal = generate_right_ideal(left, list(j_space.matrices), tol=tol)
+    outside = left.basis.max_relative_residual(j_space.stack)
+    if outside > tol.member:
+        raise NotInAlgebra(
+            f"span(W Z*) is not in the left algebra (relative residual {outside:.3e})"
+        )
+    defect = _right_module_defect(left, j_space)
+    if defect > tol.member:
+        raise VerificationFailure(
+            f"span(W Z*) is not a right ideal of the left algebra (residual {defect:.3e})"
+        )
+    ideal = RightIdeal(parent=left, generators=list(j_space.matrices), basis=j_space)
 
-    jz = (ideal.basis.matrices[:, None] @ zs[None]).reshape(-1, m * n)
+    jz = (j_space.matrices[:, None] @ zs[None]).reshape(-1, m * n)
     w_back = span_rows(jz, (m, n), tol=tol)
     back_prods = (w_back.matrices[:, None] @ zs_adj[None]).reshape(-1, m * m)
     j_back = span_rows(back_prods, (m, m), tol=tol)
 
     report = {
         "module_roundtrip": w_back.distance(submodule.basis),
-        "ideal_roundtrip": j_back.distance(ideal.basis),
+        "ideal_roundtrip": j_back.distance(j_space),
     }
     report["ok"] = (
         w_back.dim == submodule.dim
-        and j_back.dim == ideal.dim
+        and j_back.dim == j_space.dim
         and max(report["module_roundtrip"], report["ideal_roundtrip"]) <= tol.member
     )
     if not report["ok"]:
@@ -416,7 +463,8 @@ def is_maximal_submodule(tro, submodule, tol=DEFAULT_TOL):
     of the left algebra, and ``(W Z*) Z`` must recover ``W``."""
     if submodule.dim == tro.dim:
         raise NotProper("the submodule is the whole TRO")
-    # the roundtrip raises unless W Z* Z recovers W; the zero submodule maps
+    # the roundtrip raises unless W Z* Z recovers W, and stays on the
+    # submodule for a caller that asks for it next; the zero submodule maps
     # to the zero ideal, maximal only when the TRO has no proper nonzero
     # submodule
     ideal, _ = submodule_ideal_roundtrip(tro, submodule, tol=tol)

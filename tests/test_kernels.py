@@ -17,11 +17,14 @@ from cstarlab import (
     StarAlgebra,
     classify_tro,
     generate_tro,
+    planted_block_algebra,
     planted_block_tro,
+    wedderburn_decompose,
 )
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.ideals import _corner_space, _right_module_defect
 from cstarlab.linalg import Subspace, hs_norm, orthonormalize
+from cstarlab.structure import _block_form_residual
 from cstarlab.tro import (
     TRO,
     TROClassification,
@@ -220,3 +223,41 @@ def test_morphism_defect_covers_every_triple():
     per_triple = loop_morphism_defects(tro, bent)
     assert per_triple.max() > per_triple[::2].max()
     assert _morphism_defect(tro, bent) == pytest.approx(per_triple.max(), rel=REL)
+
+
+def loop_block_form_residual(parent, blocks, u):
+    """Deviation of each basis element from blockdiag(I_m (x) alpha), one
+    element and one ``np.kron`` at a time."""
+    worst = 0.0
+    for a in parent.basis.matrices:
+        t = u.conj().T @ a @ u
+        recon = np.zeros_like(t)
+        off = 0
+        for blk in blocks:
+            n_k, m_k = blk["size"], blk["multiplicity"]
+            span = n_k * m_k
+            alpha = t[off : off + n_k, off : off + n_k]
+            recon[off : off + span, off : off + span] = np.kron(np.eye(m_k), alpha)
+            off += span
+        worst = max(worst, hs_norm(t - recon))
+    return worst
+
+
+@pytest.mark.parametrize("sizes, mults, seed", [
+    ([3, 2, 1], [2, 1, 2], 1),
+    ([2, 2], [1, 3], 2),
+    ([4, 1], [1, 1], 3),
+    ([1, 1, 1], [2, 1, 3], 4),
+])
+def test_block_form_residual_matches_kron_loop(sizes, mults, seed):
+    """On the decomposition's own basis change the residual is roundoff; a
+    basis change bent by noise makes it O(1e-3).  Both agree with the loop."""
+    algebra = planted_block_algebra(sizes, mults, seed=seed).algebra
+    dec = wedderburn_decompose(algebra, seed=seed)
+    blocks = [{"size": n, "multiplicity": m}
+              for n, m in zip(dec.block_sizes, dec.multiplicities)]
+    u = dec.basis_change
+    bent = u + 1e-3 * cplx(np.random.default_rng(seed), *u.shape)
+    for basis_change in (u, bent):
+        ref = loop_block_form_residual(algebra, blocks, basis_change)
+        assert _block_form_residual(algebra, blocks, basis_change) == pytest.approx(ref, rel=REL)

@@ -2,9 +2,12 @@
 block classification up to unitaries, the submodule <-> right-ideal
 correspondence, maximality transfer, and finite-generation certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import cstarlab.tro as tro_mod
 from cstarlab import (
     DEFAULT_TOL,
     classify_tro,
@@ -24,11 +27,14 @@ from cstarlab import (
 from cstarlab.errors import (
     ClosureViolation,
     MembershipViolation,
+    NotInAlgebra,
     NotProper,
+    VerificationFailure,
     ZeroSubmodule,
 )
 from cstarlab.instances import haar_unitary, random_tro_blocks
-from cstarlab.linalg import hs_norm
+from cstarlab.linalg import Subspace, hs_norm, span_rows
+from cstarlab.tro import TRO, Submodule
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -218,6 +224,112 @@ def test_submodule_ideal_roundtrip():
         # the ideal lives in the left algebra
         for x in ideal.basis.matrices:
             assert p.tro.left_algebra.contains(x)
+
+
+def count_spans(monkeypatch):
+    """Count the ``span_rows`` calls the TRO module makes from now on."""
+    calls = []
+
+    def counted(candidates, shape, tol):
+        calls.append(shape)
+        return span_rows(candidates, shape, tol=tol)
+
+    monkeypatch.setattr(tro_mod, "span_rows", counted)
+    return calls
+
+
+def maximal_submodule(p, seed):
+    """A maximal submodule ``(1 - e) Z`` for a minimal projection ``e`` of
+    the left algebra."""
+    left = p.tro.left_algebra
+    e = minimal_projection_below(left, left.unit, seed=seed)
+    zs = p.tro.basis.matrices
+    return generate_submodule(p.tro, list((left.unit - e) @ zs))
+
+
+def test_repeat_roundtrip_is_not_recomputed(monkeypatch):
+    p = planted_block_tro([(2, 3), (2, 1)], seed=11)
+    w = maximal_submodule(p, seed=1)
+    calls = count_spans(monkeypatch)
+    assert is_maximal_submodule(p.tro, w)
+    assert len(calls) == 3
+    ideal, report = submodule_ideal_roundtrip(p.tro, w)
+    assert len(calls) == 3
+    again_ideal, again = submodule_ideal_roundtrip(p.tro, w, tol=dataclasses.replace(DEFAULT_TOL))
+    assert len(calls) == 3
+    assert again_ideal is ideal
+    assert again == report and report["ok"]
+
+
+def test_mutating_a_returned_report_does_not_change_the_next():
+    p = planted_block_tro([(2, 3), (2, 1)], seed=11)
+    w = maximal_submodule(p, seed=1)
+    _, first = submodule_ideal_roundtrip(p.tro, w)
+    expected = dict(first)
+    first["module_roundtrip"] = 1.0
+    first["ok"] = False
+    _, second = submodule_ideal_roundtrip(p.tro, w)
+    assert second == expected
+    second.clear()
+    assert submodule_ideal_roundtrip(p.tro, w)[1] == expected
+
+
+def test_roundtrip_with_another_tol_or_tro_recomputes(monkeypatch):
+    p = planted_block_tro([(2, 3), (2, 1)], seed=11)
+    w = maximal_submodule(p, seed=1)
+    _, report = submodule_ideal_roundtrip(p.tro, w)
+    calls = count_spans(monkeypatch)
+    loose = dataclasses.replace(DEFAULT_TOL, member=2e-8)
+    assert submodule_ideal_roundtrip(p.tro, w, tol=loose)[1] == report
+    assert len(calls) == 3
+    twin = TRO(basis=p.tro.basis, left_algebra=p.tro.left_algebra,
+               right_algebra=p.tro.right_algebra)
+    assert submodule_ideal_roundtrip(twin, w)[1] == report
+    assert len(calls) == 6
+    # the other TRO's result is not kept: the parent's call still hits the
+    # result kept under the loose tolerance
+    assert submodule_ideal_roundtrip(p.tro, w, tol=loose)[1] == report
+    assert len(calls) == 6
+
+
+def test_a_submodule_that_is_not_right_closed_is_refused():
+    """One TRO element spans no submodule: span(z Z*) is a right ideal, but
+    (z Z*) Z is larger than span(z), so the module side does not close.
+    The refusal is not kept, so it is raised again."""
+    p = planted_block_tro([(3, 3), (2, 2)], seed=1)
+    z = p.tro.basis
+    w = Submodule(parent=p.tro, generators=[z.matrices[0]],
+                  basis=Subspace(z.rows, z.cols, z.stack[:1]))
+    for _ in range(2):
+        with pytest.raises(VerificationFailure):
+            submodule_ideal_roundtrip(p.tro, w)
+        with pytest.raises(VerificationFailure):
+            is_maximal_submodule(p.tro, w)
+    assert w._roundtrip is None
+
+
+def test_a_submodule_outside_the_tro_is_refused():
+    """span(W Z*) must lie in the left algebra: a hand-built basis element
+    that is not in Z puts it outside."""
+    p = planted_block_tro([(2, 2), (1, 1)], seed=3)
+    z = p.tro.basis
+    outside = np.ones((1, z.rows * z.cols)) / np.sqrt(z.rows * z.cols)
+    w = Submodule(parent=p.tro, generators=[], basis=Subspace(z.rows, z.cols, outside))
+    with pytest.raises(NotInAlgebra):
+        submodule_ideal_roundtrip(p.tro, w)
+
+
+def test_one_span_ideal_is_the_generated_right_ideal():
+    """span(W Z*) is already a right ideal: the ideal its basis generates
+    over the left algebra has the same dimension and the same span."""
+    rng = np.random.default_rng(61)
+    for trial in range(6):
+        p = planted_block_tro(random_tro_blocks(rng), seed=2100 + trial)
+        w = generate_submodule(p.tro, [sample_member(p.tro, rng)])
+        ideal, _ = submodule_ideal_roundtrip(p.tro, w)
+        generated = generate_right_ideal(p.tro.left_algebra, list(ideal.basis.matrices))
+        assert ideal.dim == generated.dim
+        assert ideal.basis.distance(generated.basis) <= 1e-12
 
 
 def test_maximality_transfers_both_ways():
