@@ -15,15 +15,15 @@ it that way and verifies the result.
 """
 
 import numpy as np
-from dataclasses import dataclass
-
-import numpy.linalg as npl
+from dataclasses import dataclass, replace
 
 from .config import DEFAULT_TOL
 from .errors import (
     ClosureViolation,
+    DegenerateRandomness,
     NotAProjection,
     NotInAlgebra,
+    NotUnital,
     NumericalFailure,
     ParamError,
     ShapeMismatch,
@@ -36,7 +36,7 @@ from .linalg import (
     hs_norm,
     identity_defect,
     orthonormalize,
-    span_rows,
+    spectral_clusters,
     support_projection_of_psd,
 )
 
@@ -45,6 +45,7 @@ __all__ = [
     "generate_algebra",
     "unit_of",
     "unitize",
+    "central_projections",
     "center",
     "random_self_adjoint",
 ]
@@ -194,62 +195,67 @@ def unitize(algebra, tol=DEFAULT_TOL):
     return StarAlgebra(basis=Subspace(n, n, stack), unit=eye)
 
 
-# Fixed probe coefficients keep center() deterministic without a seed
-# parameter: the commutant of two generic elements of the algebra is
-# already the center, and the result is verified against the full basis.
-_PROBE_SEED = 0x0C57A
+def central_projections(algebra, h, tol=DEFAULT_TOL):
+    """The minimal central projections of the algebra, read off one
+    element ``h`` of it, or None when ``h`` does not separate the blocks.
+
+    ``Phi(h) = sum_i b_i h b_i*`` over an orthonormal basis is
+    ``tr(c_k h) / m_k^2`` times ``c_k`` on each block and ``S = Phi(1)`` is
+    ``n_k / m_k`` times ``c_k``.  The candidates are the nonzero spectral
+    clusters of ``x + 2||x|| u``, ``x = Phi(h + h*)``, for the unit ``u``.
+    They must sum to ``u``, lie in the algebra and have ``S c = (n^2/tr c) c``
+    for an integer ``n >= 1``: a cluster merging two blocks fails unless
+    they share ``n / m`` and ``n_i^2 + n_j^2`` is a square.
+    """
+    u = algebra.unit
+    mats = algebra.basis.matrices
+    probes = np.stack([h + h.conj().T, np.eye(algebra.ambient_dim)])
+    phi, s = np.tensordot(mats @ probes[:, None], mats.conj(), axes=([1, 3], [0, 2]))
+    shifted = phi + 2.0 * hs_norm(phi) * u
+    found = [q for _, q in spectral_clusters(shifted, tol=tol) if q is not None]
+    if hs_norm(sum(found) - u) > tol.member * max(1.0, hs_norm(u)):
+        return None
+    if algebra.basis.max_relative_residual(np.array([c.ravel() for c in found])) > tol.member:
+        return None
+    for c in found:
+        sc = s @ c
+        n = round(float(np.real(np.trace(sc))) ** 0.5)  # S >= u / N, so tr(c S) > 0
+        rho = n * n / float(np.real(np.trace(c)))
+        if n < 1 or hs_norm(sc - rho * c) > tol.member * max(1.0, hs_norm(sc)):
+            return None
+    return found
 
 
-def _center_coords(space, probe_mats, tol):
-    """Coordinate-space solutions of [x, p] = 0 for all probes p."""
-    d = space.dim
-    mats = space.matrices
-    rows = [(mats @ p - p @ mats).reshape(d, -1) for p in probe_mats]
-    m = np.hstack(rows).T  # (constraints, d)
-    # each probe gives N^2 >= d constraint rows, so the reduced SVD's vh is
-    # d x d and holds the nullspace
-    _, s, vh = npl.svd(m, full_matrices=False)
-    # The rank cutoff is floored at the scale of the probes themselves
-    # (the basis rows have unit norm): when every commutator is roundoff
-    # noise the constraint matrix must count as zero, not full rank.
-    scale = max(hs_norm(p) for p in probe_mats)
-    rank = int(np.sum(s > tol.rank * max(s[0], scale)))
-    return vh[rank:].conj().T  # columns span the nullspace
+_PROBE_SEED = 0x0C57A  # fixed, so center() is deterministic without a seed
 
 
 def center(algebra, tol=DEFAULT_TOL):
-    """The center of the algebra, as a (commutative) StarAlgebra.
-
-    Solves the commutation equations against two pseudo-random probe
-    elements and verifies that the candidate commutes with the whole
-    basis (:class:`NumericalFailure` otherwise).  The probe coefficients
-    are fixed, so the result is deterministic.
+    """The center of the algebra, as a (commutative) StarAlgebra: the span
+    of the :func:`central_projections` of one probe with a fixed seed.
+    Raises :class:`DegenerateRandomness` when the probe does not separate
+    the blocks, and :class:`NumericalFailure` when a projection fails to
+    commute with the ``family`` (or, without one, the basis).
     """
     space = algebra.basis
     if space.dim == 0:
         return algebra
-    mats = space.matrices
-    rng = np.random.default_rng(_PROBE_SEED)
-    probes = []
-    for _ in range(2):
-        coeff = rng.standard_normal(space.dim) + 1j * rng.standard_normal(space.dim)
-        probes.append(np.einsum("a,aij->ij", coeff, mats))
-    coords = _center_coords(space, probes, tol)
-    cand = coords.T @ space.stack  # rows: center elements, flattened
-    adjs = cand.reshape(-1, *space.shape).conj().transpose(0, 2, 1)
-    elements = np.vstack([cand, adjs.reshape(cand.shape)])
-    result = StarAlgebra(basis=span_rows(elements, space.shape, tol=tol))
-    # verify: every candidate commutes with every basis element
-    cm = result.basis.matrices
-    comm = cm[:, None] @ mats[None] - mats[None] @ cm[:, None]
+    if algebra.unit is None:
+        algebra = replace(algebra, unit=unit_of(algebra, tol=tol))
+        if algebra.unit is None:
+            raise NotUnital("algebra has no detected unit; cannot find its center")
+    found = central_projections(algebra, random_self_adjoint(algebra, _PROBE_SEED), tol=tol)
+    if found is None:
+        raise DegenerateRandomness("the center probe failed to separate the blocks")
+    cm = np.array([c / hs_norm(c) for c in found])
+    gens = space.matrices if algebra.family is None else algebra.family
+    comm = cm[:, None] @ gens[None] - gens[None] @ cm[:, None]
     worst = float(np.max(np.abs(comm), initial=0.0))
     if worst > tol.member:
         raise NumericalFailure(
             f"center candidate fails to commute with the algebra "
             f"(residual {worst:.3e}, bound {tol.member:.3e})"
         )
-    result.unit = algebra.unit if algebra.unit is not None else unit_of(result, tol=tol)
-    return result
+    return StarAlgebra(basis=Subspace(*space.shape, cm.reshape(len(cm), -1)), unit=algebra.unit)
 
 
 def random_self_adjoint(algebra, seed):

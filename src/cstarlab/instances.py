@@ -16,8 +16,7 @@ from .config import DEFAULT_TOL
 from .errors import ParamError
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
-from .linalg import Subspace, hermitian_eig
-from .structure import cluster_partition
+from .linalg import Subspace, cluster_partition, hermitian_eig
 from .tro import _build_tro
 
 __all__ = [
@@ -212,8 +211,10 @@ def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):
 
     Mixes full random elements (which tend to generate everything) with
     range-restricted ones ``p x`` for a random projection ``p``, so the
-    sampled ideals cover the whole lattice.
+    sampled ideals cover the whole lattice.  A negative count is refused.
     """
+    if n_generators < 0:
+        raise ParamError(f"need a non-negative number of generators, got {n_generators}")
     gens = []
     for _ in range(int(n_generators)):
         x = sample_element(algebra, rng)

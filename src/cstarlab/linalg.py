@@ -10,9 +10,9 @@ and that is how :class:`Subspace` stores them.
 The spectral side (``hermitian_eig``, ``functional_calculus``,
 ``spectral_projection_above``) deliberately keeps a single code path: a
 spectral projection *is* the functional calculus of an indicator function
-evaluated on the same eigendecomposition, so the two agree exactly.  For
-positive semidefinite matrices :func:`psd_cut` is the one spectral cut
-between the zero cluster and the positive part.
+evaluated on the same eigendecomposition, so the two agree exactly.
+:func:`spectral_clusters` is the one grouping of a spectrum and, for
+positive semidefinite matrices, :func:`psd_cut` the one zero/positive cut.
 
 :func:`close_span` is the one closure loop of algebras and TROs.  It
 closes by generators rather than by all pairs: a small seeded generating
@@ -44,6 +44,8 @@ __all__ = [
     "hermitian_eig",
     "functional_calculus",
     "spectral_projection_above",
+    "cluster_partition",
+    "spectral_clusters",
     "Subspace",
     "orthonormalize",
     "close_span",
@@ -157,6 +159,44 @@ def spectral_projection_above(m, threshold, tol=DEFAULT_TOL):
             f"eigenvalue at distance {closest:.3e} from cut {threshold:.6g}"
         )
     return dec.apply(lambda t: 1.0 if t > threshold else 0.0)
+
+
+def cluster_partition(eigenvalues, tol=DEFAULT_TOL):
+    """Partition a real spectrum into clusters separated by more than
+    ``tol.gap * max|lambda|``.  Returns a list of index arrays into the
+    ascending sort, each one cluster."""
+    w = np.asarray(eigenvalues, dtype=float)
+    order = np.argsort(w)
+    ws = w[order]
+    top = float(np.max(np.abs(ws), initial=0.0))
+    if ws.size == 0:
+        return []
+    gap = tol.gap * top
+    groups = [[order[0]]]
+    for prev, idx in zip(ws[:-1], order[1:]):
+        if w[idx] - prev <= gap:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return [np.array(g) for g in groups]
+
+
+def spectral_clusters(x, tol=DEFAULT_TOL):
+    """Eigenvalue clusters of a self-adjoint ``x`` in ascending order, as
+    ``(eigenvalues, projection)`` pairs; ``projection`` is None for the
+    cluster within ``tol.gap * max|lambda|`` of zero, and the list is empty
+    for ``x = 0``."""
+    dec = hermitian_eig(x, tol=tol)
+    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
+    if top == 0.0:
+        return []
+    gap = tol.gap * top
+    out = []
+    for cl in cluster_partition(dec.eigenvalues, tol=tol):
+        vals = dec.eigenvalues[cl]
+        cols = dec.basis[:, cl]
+        out.append((vals, None if np.min(np.abs(vals)) <= gap else cols @ cols.conj().T))
+    return out
 
 
 # --------------------------------------------------------------------------

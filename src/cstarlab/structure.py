@@ -6,9 +6,9 @@ element into ``blockdiag_k (I_{m_k} (x) alpha_k)`` with ``alpha_k`` an
 arbitrary ``n_k x n_k`` matrix.  :func:`wedderburn_decompose` finds that
 unitary constructively:
 
-1. central projections from the spectral clusters of a random
-   self-adjoint central element (the cluster at zero belongs to the
-   ambient kernel and is discarded);
+1. central projections from the spectral clusters of one central element
+   ``sum_i b_i h b_i*`` over an orthonormal basis ``(b_i)``, for a generic
+   ``h`` (:func:`~cstarlab.algebra.central_projections`);
 2. inside each block ``c A``, the minimal projections as the spectral
    clusters of one generic self-adjoint element, all at once; their count
    ``n_k`` is certified by ``dim A = sum n_k^2``;
@@ -37,7 +37,7 @@ from .errors import (
     ParamError,
     VerificationFailure,
 )
-from .algebra import center
+from .algebra import central_projections
 from .ideals import (
     _corner_space,
     generate_right_ideal,
@@ -45,7 +45,7 @@ from .ideals import (
     is_minimal_projection,
     projection_generator,
 )
-from .linalg import hermitian_eig, hs_norm, pseudo_inverse_sqrt
+from .linalg import hermitian_eig, hs_norm, pseudo_inverse_sqrt, spectral_clusters
 
 __all__ = [
     "BlockDecomposition",
@@ -57,48 +57,9 @@ __all__ = [
     "corner_dimension",
     "verify_dales_zelazko",
     "minimal_projection_below",
-    "spectral_clusters",
 ]
 
 _MAX_DRAWS = 3
-
-
-def cluster_partition(eigenvalues, tol=DEFAULT_TOL):
-    """Partition a real spectrum into clusters separated by more than
-    ``tol.gap * max|lambda|``.  Returns a list of index arrays into the
-    ascending sort, each one cluster."""
-    w = np.asarray(eigenvalues, dtype=float)
-    order = np.argsort(w)
-    ws = w[order]
-    top = float(np.max(np.abs(ws), initial=0.0))
-    if ws.size == 0:
-        return []
-    gap = tol.gap * top
-    groups = [[order[0]]]
-    for prev, idx in zip(ws[:-1], order[1:]):
-        if w[idx] - prev <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
-
-
-def spectral_clusters(x, tol=DEFAULT_TOL):
-    """Eigenvalue clusters of a self-adjoint ``x`` in ascending order, as
-    ``(eigenvalues, projection)`` pairs; ``projection`` is None for the
-    cluster within ``tol.gap * max|lambda|`` of zero, and the list is empty
-    for ``x = 0``."""
-    dec = hermitian_eig(x, tol=tol)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    if top == 0.0:
-        return []
-    gap = tol.gap * top
-    out = []
-    for cl in cluster_partition(dec.eigenvalues, tol=tol):
-        vals = dec.eigenvalues[cl]
-        cols = dec.basis[:, cl]
-        out.append((vals, None if np.min(np.abs(vals)) <= gap else cols @ cols.conj().T))
-    return out
 
 
 @dataclass(eq=False)
@@ -185,15 +146,11 @@ def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     )
 
 
-def _central_projections(parent, centre, rng, tol):
-    """The minimal central projections: the spectral clusters of one
-    generic self-adjoint element of the centre."""
-    u = parent.unit
+def _central_projections(parent, rng, tol):
+    """:func:`central_projections` of generic draws, until one separates."""
     for _ in range(_MAX_DRAWS):
-        found = _clusters(centre.basis, u, rng, tol)
-        if len(found) != centre.dim or not all(parent.contains(p, tol=tol) for p in found):
-            continue
-        if hs_norm(sum(found) - u) <= tol.member * max(1.0, hs_norm(u)):
+        found = central_projections(parent, _draw(parent.basis, rng), tol=tol)
+        if found is not None:
             return found
     raise DegenerateRandomness(
         f"{_MAX_DRAWS} random central elements failed to separate the blocks"
@@ -265,10 +222,7 @@ def _basis_change(parent, blocks, tol):
             uj = u_cols[:, j]
             for v in blk["transporters"]:
                 cols.append(v @ uj)
-    unit = parent.unit
-    if unit is None:
-        return np.eye(n_amb, dtype=np.complex128)
-    dec = hermitian_eig(unit, tol=tol)
+    dec = hermitian_eig(parent.unit, tol=tol)
     kernel = dec.basis[:, dec.eigenvalues < 0.5]
     for j in range(kernel.shape[1]):
         cols.append(kernel[:, j])
@@ -323,8 +277,7 @@ def wedderburn_decompose(parent, seed=0, tol=DEFAULT_TOL):
     if parent.unit is None:
         raise NotUnital("algebra has no detected unit; cannot decompose")
     rng = np.random.default_rng(seed)
-    centre = center(parent, tol=tol)
-    centrals = _central_projections(parent, centre, rng, tol)
+    centrals = _central_projections(parent, rng, tol)
     blocks = [_block_data(parent, c, rng, tol) for c in centrals]
 
     def fingerprint(blk):

@@ -16,9 +16,16 @@ from cstarlab import (
     unitize,
 )
 from cstarlab import algebra as algebra_module
-from cstarlab.algebra import _center_coords, sample_element, sample_self_adjoint
+from cstarlab.algebra import sample_element, sample_self_adjoint
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.errors import ClosureViolation, NotInAlgebra, NumericalFailure, ShapeMismatch
+from cstarlab.errors import (
+    ClosureViolation,
+    CStarError,
+    DegenerateRandomness,
+    NotInAlgebra,
+    NumericalFailure,
+    ShapeMismatch,
+)
 from test_closure import closure_defect
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -87,30 +94,45 @@ def test_center_oracles():
     assert center(diag).dim == 3
 
 
-def test_center_coords_use_callers_rank_tolerance():
-    """The commutant's rank cut follows ``tol.rank``: on M2 the nonzero
-    singular values of x -> ([x, diag(1, -1)], [x, E12 + E21]) sit at
-    ratios 1, 1/sqrt(2), 1/sqrt(2), so a cut at 0.9 of the largest adds
-    the two smaller ones to the one-dimensional center."""
-    full = generate_algebra(2, [E12])
-    probes = [np.diag([1.0, -1.0]).astype(complex), E12 + E12.T]
-    assert _center_coords(full.basis, probes, DEFAULT_TOL).shape == (4, 1)
-    loose = replace(DEFAULT_TOL, rank=0.9)
-    assert _center_coords(full.basis, probes, loose).shape == (4, 3)
-
-
 def test_center_that_fails_to_commute_raises(monkeypatch):
-    """A candidate is checked against the whole basis: when the solve
-    returns the whole coordinate space of M2, the commutator check fails
-    and names the residual and the bound."""
+    """The projections are checked against the generating family: when
+    one is not central, as diag(1, 0) in M2 is not, the commutator check
+    fails and names the residual and the bound."""
     full = generate_algebra(2, [E12])
     monkeypatch.setattr(
         algebra_module,
-        "_center_coords",
-        lambda space, probes, tol: np.eye(space.dim, dtype=complex),
+        "central_projections",
+        lambda algebra, h, tol: [np.diag([1.0, 0.0]).astype(complex)],
     )
     with pytest.raises(NumericalFailure, match=r"residual .*, bound 1\.000e-08"):
         center(full)
+
+
+def test_center_probe_at_the_unit_is_refused(monkeypatch):
+    """On blocks of sizes 2 and 2 with multiplicities 1 and 1, Phi(u) is
+    twice the unit: one cluster with tr(c S) = 8, not a square.  A probe
+    that does not separate the blocks raises, never returns a
+    one-dimensional center."""
+    alg = planted_block_algebra([2, 2], [1, 1], seed=4).algebra
+    assert center(alg).dim == 2
+    monkeypatch.setattr(algebra_module, "random_self_adjoint", lambda algebra, seed: algebra.unit)
+    with pytest.raises(DegenerateRandomness):
+        center(alg)
+
+
+def test_center_uses_callers_tolerance():
+    alg = planted_block_algebra([2, 1], [1, 2], seed=6).algebra
+    assert center(alg).dim == 2
+    with pytest.raises(CStarError):
+        center(alg, tol=replace(DEFAULT_TOL, member=1e-30))
+
+
+def test_center_without_a_stored_unit_matches_the_unital_one():
+    alg = planted_block_algebra([3, 1], [1, 2], ambient_dim=7, seed=8).algebra
+    bare = center(StarAlgebra(basis=alg.basis))
+    z = center(alg)
+    assert bare.basis.equals(z.basis)
+    np.testing.assert_allclose(bare.unit, alg.unit, atol=1e-12)
 
 
 def test_center_of_planted_algebras_counts_blocks():

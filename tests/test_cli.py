@@ -122,6 +122,19 @@ def test_verify_dz_without_trials_is_input_error(tmp_path, trials):
     assert r.stdout == ""
 
 
+def test_random_ideal_with_negative_generator_count_is_input_error(tmp_path):
+    """``--gens 0`` is the zero ideal; a negative count is refused and
+    writes no fixture."""
+    fix = tmp_path / "ideal.json"
+    r = run_cli("random", "ideal", "--blocks", "2", "--gens", -1, "--json", fix)
+    assert r.returncode == 1
+    assert "error:" in r.stderr
+    assert not fix.exists()
+    r = run_cli("random", "ideal", "--blocks", "2", "--gens", 0, "--json", fix)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(fix.read_text())["ideal_generators"] == []
+
+
 @pytest.mark.parametrize("command, kind, flag, value", [
     ("decompose", "algebra", "--tol-member", "nan"),
     ("ideal", "ideal", "--tol-spec", "inf"),

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cstarlab import (
-    center,
     corner_dimension,
     generate_algebra,
     is_minimal_projection,
@@ -20,16 +19,16 @@ from cstarlab import (
     wedderburn_decompose,
 )
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.errors import VerificationFailure
+from cstarlab import structure as structure_module
+from cstarlab.algebra import central_projections
+from cstarlab.errors import CStarError, DegenerateRandomness, VerificationFailure
 from cstarlab.instances import haar_unitary, random_block_structure
-from cstarlab.linalg import Subspace, hs_norm
+from cstarlab.linalg import Subspace, cluster_partition, hs_norm, spectral_clusters
 from cstarlab.structure import (
     _basis_change,
     _block_data,
     _central_projections,
     _draw,
-    cluster_partition,
-    spectral_clusters,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -137,7 +136,7 @@ def test_planted_structures_recovered_exactly():
 def test_basis_change_unitarity_uses_callers_member_tolerance():
     alg = planted_block_algebra([2, 1], [2, 1], seed=3).algebra
     rng = np.random.default_rng(0)
-    centrals = _central_projections(alg, center(alg), rng, DEFAULT_TOL)
+    centrals = _central_projections(alg, rng, DEFAULT_TOL)
     blocks = [_block_data(alg, c, rng, DEFAULT_TOL) for c in centrals]
     u = _basis_change(alg, blocks, DEFAULT_TOL)
     assert hs_norm(u.conj().T @ u - np.eye(alg.ambient_dim)) > 0.0
@@ -185,6 +184,57 @@ def test_central_projections_sum_to_unit():
         assert hs_norm(z @ z - z) <= 1e-8
         for b in a.basis.matrices:
             assert hs_norm(z @ b - b @ z) <= 1e-8
+
+
+def test_decomposition_runs_without_an_svd(monkeypatch):
+    """The central projections come from one averaged element, not from a
+    null space: no step of the decomposition calls an SVD."""
+    planted = planted_block_algebra([3, 2, 1], [1, 2, 2], seed=17)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    dec = wedderburn_decompose(planted.algebra, seed=2)
+    assert dec.block_signature() == planted.signature()
+
+
+def force_draws(monkeypatch, unit, forced):
+    """Make the first ``forced`` draws of a decomposition return ``unit``,
+    after drawing as usual so the rest of the seeded stream is kept."""
+    calls = []
+
+    def draw(space, rng):
+        y = _draw(space, rng)
+        calls.append(y)
+        return unit if len(calls) <= forced else y
+
+    monkeypatch.setattr(structure_module, "_draw", draw)
+
+
+def test_central_draw_at_the_unit_is_redrawn(monkeypatch):
+    """On blocks of sizes 2 and 2 with multiplicities 1 and 1, Phi(u) = 2u
+    is one cluster with tr(c S) = 8, not a square: that draw is redrawn,
+    and when every central draw is the unit the decomposition raises."""
+    planted = planted_block_algebra([2, 2], [1, 1], seed=4)
+    force_draws(monkeypatch, planted.algebra.unit, 1)
+    assert wedderburn_decompose(planted.algebra).block_signature() == planted.signature()
+    force_draws(monkeypatch, planted.algebra.unit, 3)
+    with pytest.raises(DegenerateRandomness):
+        wedderburn_decompose(planted.algebra)
+
+
+def test_merged_blocks_never_decompose(monkeypatch):
+    """Blocks of sizes 3 and 4 with multiplicities 3 and 4 have n/m = 1 and
+    3^2 + 4^2 = 5^2, so the unit passes as one central projection; the
+    block step must refuse that merge rather than return a result."""
+    planted = planted_block_algebra([3, 4], [3, 4], seed=9)
+    u = planted.algebra.unit
+    merged = central_projections(planted.algebra, u)
+    assert len(merged) == 1 and hs_norm(merged[0] - u) <= 1e-8
+    force_draws(monkeypatch, u, 1)
+    with pytest.raises(CStarError):
+        wedderburn_decompose(planted.algebra)
 
 
 def test_decomposition_is_deterministic():
