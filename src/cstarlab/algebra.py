@@ -261,15 +261,18 @@ def center(algebra, tol=DEFAULT_TOL):
 def random_self_adjoint(algebra, seed):
     """A reproducible random self-adjoint element of the algebra.
 
-    Real standard-normal coefficients against the Hermitian parts of the
-    orthonormal basis; the same seed always gives the same element.
+    The Hermitian part of a complex standard-normal combination of the
+    orthonormal basis, so every self-adjoint direction is reached whatever
+    the phases of the basis; the same seed always gives the same element.
     """
-    rng = np.random.default_rng(seed)
-    return sample_self_adjoint(algebra, rng)
+    x = sample_element(algebra, np.random.default_rng(seed))
+    return 0.5 * (x + x.conj().T)
 
 
 def sample_self_adjoint(algebra, rng):
-    """Like :func:`random_self_adjoint` but drawing from a live generator."""
+    """A random self-adjoint element drawn from a live generator: real
+    standard-normal coefficients against the Hermitian parts of the
+    orthonormal basis."""
     if algebra.dim == 0:
         raise ParamError("cannot sample from the zero algebra")
     mats = algebra.basis.matrices

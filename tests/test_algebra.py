@@ -18,6 +18,7 @@ from cstarlab import (
 from cstarlab import algebra as algebra_module
 from cstarlab.algebra import sample_element, sample_self_adjoint
 from cstarlab.config import DEFAULT_TOL
+from cstarlab.linalg import Subspace
 from cstarlab.errors import (
     ClosureViolation,
     CStarError,
@@ -92,6 +93,15 @@ def test_center_oracles():
         3, [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
     )
     assert center(diag).dim == 3
+
+
+def test_center_of_an_imaginary_basis():
+    """Every basis element of M2 times i has a traceless Hermitian part, so
+    a real combination of those parts averages to zero; the probe must
+    still reach the unit direction and find the one-dimensional center."""
+    rotated = StarAlgebra(basis=Subspace(2, 2, 1j * np.eye(4)), unit=np.eye(2, dtype=complex))
+    assert abs(np.trace(random_self_adjoint(rotated, seed=0))) > 1e-3
+    assert center(rotated).dim == 1
 
 
 def test_center_that_fails_to_commute_raises(monkeypatch):
