@@ -85,8 +85,11 @@ def _load_fixture(path, want):
 def _emit(report, args):
     text = dumps_report(report)
     if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.json, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParamError(f"cannot write {args.json}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -160,6 +163,7 @@ def _cmd_tro_classify(args):
         "right_algebra_dim": tro.right_algebra.dim,
         "blocks": [{"rows": m, "cols": n} for m, n in cls.blocks],
         "dimension_identity_ok": cls.total_dim() == tro.dim,
+        # an upper bound on the defect over all basis triples
         "ternary_morphism_residual": cls.residuals["ternary_morphism"],
     }
     gt = fix.get("ground_truth")

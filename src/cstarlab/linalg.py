@@ -245,7 +245,8 @@ class Subspace:
         together with the residual norm of ``x`` minus that projection."""
         x = as_matrix(x, shape=self.shape)
         flat = x.ravel()
-        c = self.stack.conj() @ flat
+        # conjugating the vector, not the stack, avoids copying the basis
+        c = (self.stack @ flat.conj()).conj()
         resid = flat - c @ self.stack
         return c, float(np.linalg.norm(resid))
 

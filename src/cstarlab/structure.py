@@ -109,7 +109,7 @@ def _draw(space, rng):
     matrix.  For a fixed generator state the result depends on the span
     only, not on the orthonormal basis that represents it."""
     g = rng.standard_normal(space.shape) + 1j * rng.standard_normal(space.shape)
-    return ((space.stack.conj() @ g.ravel()) @ space.stack).reshape(space.shape)
+    return ((space.stack @ g.ravel().conj()).conj() @ space.stack).reshape(space.shape)
 
 
 def _clusters(space, p, rng, tol):
@@ -185,7 +185,7 @@ def _block_data(parent, central, rng, tol):
     y = _draw(parent.basis, rng)
     ws = [e @ y @ minimals[0] for e in minimals]
     varr = np.array([w @ pseudo_inverse_sqrt(w.conj().T @ w, tol=tol) for w in ws])
-    units = np.einsum("iab,jcb->ijac", varr, varr.conj())
+    units = varr[:, None] @ varr.conj().transpose(0, 2, 1)[None]
 
     mult_f = traces[0]
     mult = int(round(mult_f))

@@ -200,7 +200,9 @@ class TROClassification:
     pair of isometries (U_k, V_k) such that ``z -> U_k* z V_k`` restricts
     to a ternary isomorphism of the block onto full ``m_k x n_k``
     matrices.  ``central_projections[k]`` is the left-algebra central
-    support of the block."""
+    support of the block.  ``residuals["ternary_morphism"]`` is an upper
+    bound on ``||T(x) T(y)* T(z) - T(x y* z)||`` over all basis triples
+    and blocks."""
 
     blocks: list
     isometries: list
@@ -231,8 +233,10 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     projection onto the block's column space: ``V_k`` is its eigenvectors
     above 1/2 and ``n_k`` their count, which must be at least 1 and match
     the trace.  The total ``sum m_k n_k`` must equal ``dim Z``.  The
-    ternary-morphism property of the assembled maps is verified on all
-    basis triples and the worst residual recorded.
+    ternary-morphism property of the assembled maps is certified for
+    every basis triple at once: ``residuals["ternary_morphism"]`` is an
+    upper bound on the worst triple's defect, built from ``O(d)``
+    products per block, and must stay within ``tol.composite``.
     """
     if tro.dim == 0:
         return TROClassification(blocks=[], isometries=[], central_projections=[])
@@ -284,7 +288,7 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     )
     for u_iso, v_iso in cls.isometries:
         for g, lbl in ((u_iso, "U"), (v_iso, "V")):
-            defect = hs_norm(g.conj().T @ g - np.eye(g.shape[1]))
+            defect = _isometry_defect(g)
             if defect > tol.member * max(1.0, g.shape[1]):
                 raise VerificationFailure(f"{lbl} is not an isometry ({defect:.3e})")
     cls.residuals["ternary_morphism"] = _morphism_defect(tro, cls)
@@ -296,45 +300,32 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     return cls
 
 
-# Triples per batch in _morphism_defect: bounds its working memory
-# independently of d^3.
-_MORPHISM_CHUNK = 4096
+def _isometry_defect(g):
+    """``||g* g - 1||`` in the Hilbert-Schmidt norm."""
+    return hs_norm(g.conj().T @ g - np.eye(g.shape[1]))
 
 
 def _morphism_defect(tro, cls):
-    """Worst ``||T(x y* z) - T(x) T(y)* T(z)||`` over all basis triples and
-    blocks.
+    """Upper bound on ``||T(x) T(y)* T(z) - T(x y* z)||`` over all basis
+    triples and blocks, from four batched products per block.
 
-    Both sides are linear in ``z``, so for a batch of pairs ``(x, y)`` and a
-    block ``T(z) = u* z v`` every ``z`` is met by two matrix products:
-    ``(u* x y*) [z v]`` and ``(T(x) T(y)*) [u* z v]``, with ``[.]`` the basis
-    images side by side.  A batch holds ``max(1, _MORPHISM_CHUNK // d)``
-    pairs, so at most ``_MORPHISM_CHUNK`` triples once ``d`` is below it."""
+    For ``T(z) = U* z V``, ``P = U U*`` and ``Q = V V*`` the defect is
+    exactly ``U* x (Q - 1) y* P z V + U* x y* (P - 1) z V``.  Orthonormal
+    basis elements have operator norm at most 1 and ``||P|| = ||U||^2``,
+    so each triple is bounded by ``||U||^2 ||V|| max_x ||U* x (1 - Q)||
+    + ||U|| max_z ||(1 - P) z V||``.  ``||U||^2 <= 1 + ||U* U - 1||``
+    keeps the bound valid for isometries that are exact only to
+    roundoff."""
     zs = tro.basis.matrices
-    d, m, _ = zs.shape
-    zs_adj = zs.conj().transpose(0, 2, 1)
-    blocks = []
-    for u, v in cls.isometries:
-        m_k, n_k = u.shape[1], v.shape[1]
-        uz = u.conj().T @ zs
-        image = uz @ v
-        blocks.append((
-            uz,
-            image,
-            image.conj().transpose(0, 2, 1),
-            (zs @ v).transpose(1, 0, 2).reshape(m, d * n_k),
-            image.transpose(1, 0, 2).reshape(m_k, d * n_k),
-        ))
-    step = max(1, _MORPHISM_CHUNK // d)
     worst = 0.0
-    for start in range(0, d * d, step):
-        i, j = np.divmod(np.arange(start, min(start + step, d * d)), d)
-        for uz, image, image_adj, zv_row, image_row in blocks:
-            m_k = image.shape[1]
-            lhs = (uz[i] @ zs_adj[j]).reshape(-1, m) @ zv_row
-            rhs = (image[i] @ image_adj[j]).reshape(-1, m_k) @ image_row
-            diff = (lhs - rhs).reshape(len(i), m_k, d, -1)
-            worst = max(worst, float(np.max(np.linalg.norm(diff, axis=(1, 3)))))
+    for u, v in cls.isometries:
+        u_sq = 1.0 + _isometry_defect(u)
+        v_sq = 1.0 + _isometry_defect(v)
+        left = (u.conj().T @ zs) @ (np.eye(v.shape[0]) - v @ v.conj().T)
+        right = (np.eye(u.shape[0]) - u @ u.conj().T) @ (zs @ v)
+        bound = (u_sq * np.sqrt(v_sq) * np.max(np.linalg.norm(left, axis=(1, 2)))
+                 + np.sqrt(u_sq) * np.max(np.linalg.norm(right, axis=(1, 2))))
+        worst = max(worst, float(bound))
     return worst
 
 

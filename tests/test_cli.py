@@ -111,6 +111,20 @@ def test_malformed_blocks_argument_is_input_error():
         assert "Traceback" not in r.stderr
 
 
+def test_unwritable_report_path_is_input_error(tmp_path):
+    """A ``--json`` path in a missing directory ends in ``error:``, both
+    for a report and for a fixture."""
+    fix = tmp_path / "tro.json"
+    run_cli("random", "tro", "--blocks", "2x1", "--seed", 1, "--json", fix)
+    out = tmp_path / "missing" / "out.json"
+    for args in (["tro-classify", fix], ["random", "tro", "--blocks", "2x1"]):
+        r = run_cli(*args, "--json", out)
+        assert r.returncode == 1
+        assert "error: cannot write" in r.stderr
+        assert "Traceback" not in r.stderr
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_verify_dz_without_trials_is_input_error(tmp_path, trials):
     """A sweep of no trials certifies nothing, so it is refused."""
