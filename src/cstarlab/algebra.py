@@ -70,9 +70,11 @@ class StarAlgebra:
     family : ndarray or None
         ``(k, N, N)`` orthonormal elements whose products span the
         algebra: the family the closure was certified with, set by
-        :func:`generate_algebra` and so by :meth:`from_span`.  None when
-        no such family is known (a planted algebra, a center, the algebras
-        of a TRO); the basis then stands in for it.
+        :func:`generate_algebra` and so by :meth:`from_span`, or
+        ``span(T T*)`` and ``span(T* T)`` for the algebras of a TRO with
+        family ``T``.  None when no such family is known (a planted
+        algebra, a center, the algebras of a TRO without a family); the
+        basis then stands in for it.
     """
 
     basis: Subspace

@@ -32,6 +32,7 @@ from .linalg import (
     identity_defect,
     op_norm,
     psd_cut,
+    saturate,
     span_rows,
     support_projection_of_psd,
 )
@@ -135,16 +136,30 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     """Span of ``g a`` over the ``rows x N`` generators ``g`` and ``a`` in
     the unitization of ``algebra`` (so the generators belong to it), verified
     closed under right multiplication by ``algebra``.  Right ideals
-    ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here."""
+    ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here.
+
+    With a ``family``, whose products span the algebra, ``span(g)`` grows
+    semi-naively under right multiplication by it (:func:`saturate`): each
+    round multiplies only the rows the last one added, and neither the
+    unitization nor the ``|g| * dim A^1`` products are formed.  Without one
+    the products with a basis of the unitization are spanned at once.
+    """
     n = algebra.ambient_dim
-    unital = unitize(algebra, tol=tol)
-    if generators and unital.dim:
-        amats = unital.basis.matrices
+    if not generators:
+        space = Subspace.empty(rows, n)
+    elif algebra.family is None:
+        amats = unitize(algebra, tol=tol).basis.matrices
         gmats = np.array(generators)
         prods = (gmats[:, None] @ amats[None]).reshape(-1, rows * n)
         space = span_rows(prods, (rows, n), tol=tol)
     else:
-        space = Subspace.empty(rows, n)
+        family = algebra.family
+
+        def products(fresh):
+            return (fresh.reshape(-1, rows, n)[:, None] @ family[None]).reshape(-1, rows * n)
+
+        start = span_rows(np.array(generators).reshape(len(generators), -1), (rows, n), tol=tol)
+        space = Subspace(rows, n, saturate(start.stack, start.stack, products, tol=tol))
     defect = _right_module_defect(algebra, space)
     if defect > tol.member:
         raise VerificationFailure(

@@ -13,11 +13,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
-from .errors import ParamError
+from .errors import ClosureViolation, ParamError
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
 from .linalg import Subspace, cluster_partition, hermitian_eig
-from .tro import _build_tro
+from .tro import _build_tro, _close_tro
 
 __all__ = [
     "haar_unitary",
@@ -124,7 +124,10 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     Blocks are embedded at diagonal offsets of an ``(sum m_k) x
     (sum n_k)`` ambient rectangle and rotated by independent Haar
-    unitaries on each side.  The whole span is verified to be a TRO.
+    unitaries on each side.  The TRO keeps that basis and gets the family
+    of closing it once, which must give the same span
+    (:class:`ClosureViolation` otherwise); the whole span is then verified
+    to be a TRO.
     """
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:
@@ -148,7 +151,11 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
-    tro = _build_tro(space, tol)
+    closed, family = _close_tro(conj, (m_tot, n_tot), tol)
+    gap = closed.distance(space)
+    if gap > tol.member:
+        raise ClosureViolation(f"the planted span is not its closure (distance {gap:.3e})")
+    tro = _build_tro(space, family, tol)
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v
     )

@@ -19,7 +19,8 @@ closes by generators rather than by all pairs: a small seeded generating
 family multiplies only the rows each round adds, so closing a span of
 dimension ``d`` offers :func:`grow_span` O(d) candidate rows instead of
 ``d^2`` per round, and it returns the family as the certificate that the
-span is closed.
+span is closed.  Its inner loop, :func:`saturate`, is the one semi-naive
+growth of a span under a fixed family, which right modules share.
 """
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = [
     "Subspace",
     "orthonormalize",
     "close_span",
+    "saturate",
     "identity_defect",
     "split_spectrum_at_zero",
     "psd_cut",
@@ -328,6 +330,13 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
     either pass no singular value can pass it, and the rest is skipped.
     Used for the inner loops of algebraic closure and, through
     :func:`span_rows`, for every orthonormal basis in the package.
+
+    The kept rows are projected off ``stack`` once more and checked
+    orthonormal, against each other and against ``stack``, to
+    ``tol.member`` in every inner product, at the cost of products with
+    the new rows only: a defective LAPACK SVD that returns rows which are
+    not orthonormal raises :class:`NumericalFailure` instead of corrupting
+    every span built on the stack.
     """
     candidates = np.asarray(candidates, dtype=np.complex128)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
@@ -352,7 +361,23 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
     keep = int(np.sum(svals > tol.rank * scale))
     if keep == 0:
         return stack, False
-    return np.vstack([stack, vh[:keep]]), True
+    fresh = vh[:keep]
+    if stack.shape[0]:
+        # a row whose singular value sits near the cut carries the
+        # residual's roundoff along the stack magnified by scale / sval
+        # (up to 2e-8 with an accurate SVD); one more projection of the new
+        # rows removes it and moves their inner products by its square
+        fresh = fresh - (fresh @ stack.conj().T) @ stack
+    worst = max(
+        float(np.max(np.abs(fresh @ fresh.conj().T - np.eye(keep)))),
+        float(np.max(np.abs(fresh @ stack.conj().T), initial=0.0)),
+    )
+    if worst > tol.member:
+        raise NumericalFailure(
+            f"svd returned rows that are not orthonormal (inner product off by "
+            f"{worst:.3e}, bound {tol.member:.3e})"
+        )
+    return np.vstack([stack, fresh]), True
 
 
 def span_rows(candidates, shape, tol=DEFAULT_TOL):
@@ -411,13 +436,9 @@ def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
     stack, _ = grow_span(stack, started(_family_draw(gens)), tol=tol)
     family = stack
     mults = multipliers(family.reshape(-1, r, c))
-    cands = products(stack)
     for _ in range(r * c + 1):
+        stack = saturate(stack, stack, products, tol=tol)
         before = stack.shape[0]
-        stack, grew = grow_span(stack, cands, tol=tol)
-        if grew:
-            cands = products(stack[before:])
-            continue
         stack, grew = grow_span(stack, gens, tol=tol)
         if not grew:
             return Subspace(r, c, stack), family
@@ -427,8 +448,28 @@ def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
         stack, _ = grow_span(stack, started(stack[before:]), tol=tol)
         family = np.vstack([family, stack[before:]])
         mults = multipliers(family.reshape(-1, r, c))
-        cands = products(stack)
     raise NumericalFailure("span closure failed to stabilize")
+
+
+def saturate(stack, fresh, products, tol=DEFAULT_TOL):
+    """Grow an orthonormal row ``stack`` until ``products`` of the rows it
+    adds offer :func:`grow_span` no new direction, starting from the
+    products of its rows ``fresh``.
+
+    Semi-naive: each round multiplies only the rows the last round added,
+    so for a ``products`` that is linear in the rows and multiplies by a
+    fixed family the result is closed under that family.  The dimension
+    grows every round that does not return, so more rounds than the
+    flattened row length plus one means the arithmetic went bad:
+    :class:`NumericalFailure`.
+    """
+    for _ in range(stack.shape[1] + 1):
+        before = stack.shape[0]
+        stack, grew = grow_span(stack, products(fresh), tol=tol)
+        if not grew:
+            return stack
+        fresh = stack[before:]
+    raise NumericalFailure("span saturation failed to stabilize")
 
 
 def identity_defect(e, mats, right=False):

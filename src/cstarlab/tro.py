@@ -19,6 +19,17 @@ ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``; that
 correspondence carries maximality back and forth and turns the projection
 generator of an ideal into a finite generation certificate for the
 matching submodule.
+
+Every span on the TRO side is built from the closure family ``T``: the
+few elements of ``Z`` whose odd words ``t1 t2* t3 ...`` span it, which
+:func:`generate_tro` closes with and keeps as ``TRO.family``.  One factor
+of each product then runs over ``T`` instead of a basis, so a span costs
+``O(d |T|)`` products instead of ``d^2``: ``span(Z Z*) = span(Z T*)``,
+``span(Z* Z) = span(T* Z)``, ``span(W Z*) = span(W T*)`` for a right
+submodule ``W``, and ``span(J Z) = span(J T)`` for a right ideal ``J``.
+The two algebras get ``span(T T*)`` and ``span(T* T)`` as families, so
+their module checks multiply by a handful of elements too.  A TRO without
+a family (:func:`tro_from_span`) lets its basis stand in for ``T``.
 """
 
 import numpy as np
@@ -72,32 +83,47 @@ __all__ = [
 
 def _ternary_defect(space, left):
     """Largest residual of ``l z`` against the span, over the basis ``z``
-    and the basis ``l`` of ``left = span(V V*)``: ``V`` is closed under
-    ``x y* z`` exactly when ``span(V V*) V`` lies in ``V``, which costs
-    ``dim(left) * d`` products instead of ``d^3``."""
+    and the basis ``l`` of ``left``, either ``span(V V*)`` or ``span(T T*)``
+    for the family ``T`` of ``V``: ``V`` is closed under ``x y* z``
+    exactly when ``left V`` lies in ``V``, which costs ``dim(left) * d``
+    products instead of ``d^3``."""
     prods = left.matrices[:, None] @ space.matrices[None]
     return space.max_relative_residual(prods.reshape(-1, space.rows * space.cols))
 
 
-def _left_products(stack, shape):
+def _left_products(stack, shape, others=None):
+    """The flattened products ``x y*`` over the rows ``x`` of ``stack`` and
+    ``y`` of ``others`` (``stack`` itself by default)."""
     m, n = shape
     mats = stack.reshape(-1, m, n)
-    return (mats[:, None] @ mats.conj().transpose(0, 2, 1)[None]).reshape(-1, m * m)
+    ys = mats if others is None else others.reshape(-1, m, n)
+    return (mats[:, None] @ ys.conj().transpose(0, 2, 1)[None]).reshape(-1, m * m)
 
 
-def _right_products(stack, shape):
+def _right_products(stack, shape, others=None):
+    """The flattened products ``x* y`` over the rows ``x`` of ``stack`` and
+    ``y`` of ``others`` (``stack`` itself by default)."""
     m, n = shape
     mats = stack.reshape(-1, m, n)
-    return (mats.conj().transpose(0, 2, 1)[:, None] @ mats[None]).reshape(-1, n * n)
+    ys = mats if others is None else others.reshape(-1, m, n)
+    return (mats.conj().transpose(0, 2, 1)[:, None] @ ys[None]).reshape(-1, n * n)
 
 
 @dataclass(eq=False)
 class TRO:
-    """A ternary ring of ``rows x cols`` operators with its two algebras."""
+    """A ternary ring of ``rows x cols`` operators with its two algebras.
+
+    ``family`` is ``(k, rows, cols)`` orthonormal elements of the TRO whose
+    odd words ``t1 t2* t3 ...`` span it: the family the closure was
+    certified with, set by :func:`generate_tro` and by planted TROs.  None
+    when no such family is known (:func:`tro_from_span`); the basis then
+    stands in for it.
+    """
 
     basis: Subspace
     left_algebra: StarAlgebra
     right_algebra: StarAlgebra
+    family: np.ndarray | None = None
 
     @property
     def rows(self):
@@ -115,7 +141,17 @@ class TRO:
         return self.basis.contains(x, tol=tol)
 
 
-def _build_tro(space, tol):
+def _build_tro(space, family, tol):
+    """The TRO on ``space`` with its algebras ``span(Z T*)`` and
+    ``span(T* Z)`` for the ``(k, rows, cols)`` family ``T`` (None: the
+    basis).
+
+    With a family, ``space`` is the span of the odd words in ``T`` and the
+    algebras get ``span(T T*)`` and ``span(T* T)``, which generate them, as
+    families; the span is closed under ``x y* z`` exactly when
+    ``span(T T*) Z`` lies in it.  Without one the closure check multiplies
+    by the whole left algebra (:class:`ClosureViolation` either way).
+    """
     m, n = space.shape
     if not space.dim:
         return TRO(
@@ -123,18 +159,29 @@ def _build_tro(space, tol):
             left_algebra=StarAlgebra(basis=Subspace.empty(m, m)),
             right_algebra=StarAlgebra(basis=Subspace.empty(n, n)),
         )
+    ts = space.stack if family is None else family.reshape(len(family), m * n)
     # the left span comes first: the closure check multiplies by it, and
     # the units are sought only once the span passed
-    left = StarAlgebra(basis=span_rows(_left_products(space.stack, space.shape), (m, m), tol=tol))
-    defect = _ternary_defect(space, left.basis)
+    left = StarAlgebra(
+        basis=span_rows(_left_products(space.stack, space.shape, ts), (m, m), tol=tol)
+    )
+    closing = left.basis
+    if family is not None:
+        closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
+        left.family = closing.matrices
+    defect = _ternary_defect(space, closing)
     if defect > tol.member:
         raise ClosureViolation(
             f"span is not closed under x y* z (residual {defect:.3e})"
         )
     left.unit = unit_of(left, tol=tol)
-    right = StarAlgebra(basis=span_rows(_right_products(space.stack, space.shape), (n, n), tol=tol))
+    right = StarAlgebra(
+        basis=span_rows(_right_products(ts, space.shape, space.stack), (n, n), tol=tol)
+    )
+    if family is not None:
+        right.family = span_rows(_right_products(ts, space.shape), (n, n), tol=tol).matrices
     right.unit = unit_of(right, tol=tol)
-    tro = TRO(basis=space, left_algebra=left, right_algebra=right)
+    tro = TRO(basis=space, left_algebra=left, right_algebra=right, family=family)
     _check_nondegenerate(tro, tol)
     return tro
 
@@ -161,6 +208,15 @@ def _left_multipliers(mats):
     return _left_products(mats.reshape(k, m * n), (m, n)).reshape(-1, m, m)
 
 
+def _close_tro(generators, shape, tol):
+    """:func:`close_span` for TROs: the span and the ``(k, rows, cols)``
+    family ``T`` whose odd words span it."""
+    space, family = close_span(
+        generators, shape, start=lambda family: family, multipliers=_left_multipliers, tol=tol
+    )
+    return space, family.reshape(-1, *shape)
+
+
 def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     """Smallest TRO of ``rows x cols`` matrices containing the generators.
 
@@ -169,16 +225,15 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     grows under left multiplication by the products ``x y*`` over ``T``.
     Those words are exactly the odd words ``x1 y1* x2 ... z`` that span
     the TRO, so no step forms the ``d^3`` triple products of the basis.
-    Then the TRO is assembled as in :func:`tro_from_span`.
+    The TRO keeps ``T`` as its ``family``, and its algebras are built from
+    it (``span(Z T*)`` and ``span(T* Z)``, ``O(d |T|)`` products).
     """
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
-    space, _ = close_span(
-        gens, (m, n), start=lambda family: family, multipliers=_left_multipliers, tol=tol
-    )
-    return _build_tro(space, tol)
+    space, family = _close_tro(gens, (m, n), tol)
+    return _build_tro(space, family, tol)
 
 
 def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
@@ -188,10 +243,11 @@ def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     ``span(V V*)`` is built; ``V`` is closed under ``x y* z`` exactly when
     ``span(V V*) V`` lies in ``V``, which is checked on the ``dim L * d``
     products of the two bases (:class:`ClosureViolation` otherwise).  Then
-    both algebras get their units and nondegeneracy is verified.
+    both algebras get their units and nondegeneracy is verified.  The TRO
+    has no ``family``: its basis stands in for one.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
-    return _build_tro(space, tol)
+    return _build_tro(space, None, tol)
 
 
 @dataclass(eq=False)
@@ -364,7 +420,8 @@ class Submodule:
 def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     """Right submodule of the TRO generated by the given elements: the
     span of ``g (Z* Z)^1`` (:func:`right_module_span` over the right
-    algebra); each generator must belong to the TRO, to
+    algebra, grown under its family ``span(T* T)`` when the TRO has one);
+    each generator must belong to the TRO, to
     ``tol.member * max(1, ||g||)``."""
     m, n = tro.basis.shape
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
@@ -386,6 +443,12 @@ def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
     multiplication by it, ``J Z`` must recover ``W`` and ``(J Z) Z*`` must
     recover ``J``.
 
+    Each span multiplies by the TRO's ``family`` ``T`` instead of its
+    basis.  ``span(W T*) = span(W Z*)`` once ``W`` is closed under the
+    right algebra's family, which is checked; ``span(J T) = span(J Z)``
+    once ``J`` is a right ideal, which is checked; and ``J Z`` is a right
+    submodule, so ``span(J Z T*) = span(J Z Z*)``.
+
     Returns ``(ideal, report)`` where the report carries the two span
     comparisons.  A verified result is kept on the submodule, so a repeat
     call against its parent with an equal ``tol`` and the same basis
@@ -404,21 +467,24 @@ def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
 def _verify_roundtrip(tro, submodule, tol):
     m, n = tro.basis.shape
     left = tro.left_algebra
-    ws = submodule.basis.matrices
-    zs = tro.basis.matrices
     if submodule.dim == 0:
         ideal = RightIdeal(
             parent=left, generators=[], basis=Subspace.empty(m, m)
         )
         return ideal, {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
-    zs_adj = zs.conj().transpose(0, 2, 1)
-    j_prods = (ws[:, None] @ zs_adj[None]).reshape(-1, m * m)
-    j_space = span_rows(j_prods, (m, m), tol=tol)
+    ts = tro.basis.matrices if tro.family is None else tro.family
+    j_space = span_rows(_left_products(submodule.basis.stack, (m, n), ts), (m, m), tol=tol)
     outside = left.basis.max_relative_residual(j_space.stack)
     if outside > tol.member:
         raise NotInAlgebra(
             f"span(W Z*) is not in the left algebra (relative residual {outside:.3e})"
         )
+    if tro.family is not None:
+        defect = _right_module_defect(tro.right_algebra, submodule.basis)
+        if defect > tol.member:
+            raise VerificationFailure(
+                f"W is not closed under the right algebra (residual {defect:.3e})"
+            )
     defect = _right_module_defect(left, j_space)
     if defect > tol.member:
         raise VerificationFailure(
@@ -426,10 +492,9 @@ def _verify_roundtrip(tro, submodule, tol):
         )
     ideal = RightIdeal(parent=left, generators=list(j_space.matrices), basis=j_space)
 
-    jz = (j_space.matrices[:, None] @ zs[None]).reshape(-1, m * n)
+    jz = (j_space.matrices[:, None] @ ts[None]).reshape(-1, m * n)
     w_back = span_rows(jz, (m, n), tol=tol)
-    back_prods = (w_back.matrices[:, None] @ zs_adj[None]).reshape(-1, m * m)
-    j_back = span_rows(back_prods, (m, m), tol=tol)
+    j_back = span_rows(_left_products(w_back.stack, (m, n), ts), (m, m), tol=tol)
 
     report = {
         "module_roundtrip": w_back.distance(submodule.basis),
@@ -473,6 +538,13 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     ``sum z_i z_i* = e`` exactly.  The returned certificate carries the
     ``z_i`` and ``e`` plus the verified residuals.
 
+    ``residuals["projection_in_WWstar"]`` is an upper bound on the distance
+    from ``e`` to ``span(W W*)``, not that distance, and no span of ``W W*``
+    is formed: with ``z_i = w_i' + r_i``, ``w_i'`` the projection onto
+    ``W`` and ``r_i`` the residual that ``generators_in_module`` reports,
+    ``z_i z_i* - w_i' w_i'* = w_i' r_i* + r_i z_i*``, so the distance is
+    at most ``sum_i 2 ||r_i|| ||z_i||``.
+
     Raises :class:`ZeroSubmodule` for the zero submodule, which has no
     spanning family to normalize (its certificate is vacuous).
     """
@@ -483,20 +555,24 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     s = 0.5 * (s + s.conj().T)
     g = pseudo_inverse_sqrt(s, tol=tol)
     zs = np.einsum("ij,ajk->aik", g, ws)
+    support = support_projection_of_psd(s, tol=tol)
+    return _certify_generation(submodule.basis, zs, support, tol)
+
+
+def _certify_generation(space, zs, support, tol):
+    """The certificate for generators ``zs`` of the submodule spanned by
+    ``space``, with the support projection ``support`` of ``sum w w*``;
+    :class:`VerificationFailure` when a residual exceeds
+    ``tol.composite``."""
     e = np.einsum("aij,akj->ik", zs, zs.conj())
     e = 0.5 * (e + e.conj().T)
-    support = support_projection_of_psd(s, tol=tol)
-
-    fix = identity_defect(e, ws)
-    members = float(np.max(submodule.basis.row_residuals(zs.reshape(len(zs), -1))))
-    left_prods = _left_products(submodule.basis.stack, submodule.basis.shape)
-    left_span = span_rows(left_prods, e.shape, tol=tol)
+    resid = space.row_residuals(zs.reshape(len(zs), -1))
     residuals = {
         "projection": hs_norm(e @ e - e),
         "support_agreement": hs_norm(e - support),
-        "reproduces_basis": fix,
-        "generators_in_module": members,
-        "projection_in_WWstar": left_span.residual(e),
+        "reproduces_basis": identity_defect(e, space.matrices),
+        "generators_in_module": float(np.max(resid)),
+        "projection_in_WWstar": float(2.0 * np.sum(resid * np.linalg.norm(zs, axis=(1, 2)))),
     }
     worst = max(residuals.values())
     if worst > tol.composite:

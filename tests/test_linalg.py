@@ -349,7 +349,10 @@ def grow_span_by_svd(stack, candidates, tol_rank):
     keep = int(np.sum(svals > tol_rank * scale))
     if keep == 0:
         return stack, False
-    return np.vstack([stack, vh[:keep]]), True
+    fresh = vh[:keep]
+    if stack.shape[0]:
+        fresh = fresh - (fresh @ stack.conj().T) @ stack
+    return np.vstack([stack, fresh]), True
 
 
 def test_grow_span_confirms_closed_span_without_svd(monkeypatch):
@@ -418,6 +421,26 @@ def test_grow_span_growth_matches_svd_path(seed, dim, new):
     ref, ref_grew = grow_span_by_svd(stack, cands, DEFAULT_TOL.rank)
     assert grew and ref_grew
     assert np.array_equal(out, ref)
+
+
+@pytest.mark.parametrize("dim", [0, 3])
+def test_grow_span_refuses_rows_that_are_not_orthonormal(monkeypatch, dim):
+    """A defective SVD whose right singular vectors are not orthonormal is
+    refused instead of being appended to the stack."""
+    rng = np.random.default_rng(31)
+    stack = orthonormalize(list(rng.standard_normal((dim, 3, 3))), shape=(3, 3)).stack
+    cands = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    real_svd = np.linalg.svd
+
+    def skewed(a, *args, **kwargs):
+        u, svals, vh = real_svd(a, *args, **kwargs)
+        vh = vh.copy()
+        vh[1] += 1e-6 * vh[0]
+        return u, svals, vh
+
+    monkeypatch.setattr(np.linalg, "svd", skewed)
+    with pytest.raises(NumericalFailure, match="not orthonormal"):
+        grow_span(stack, cands)
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,7 @@ def test_roundtrip_with_another_tol_or_tro_recomputes(monkeypatch):
     assert submodule_ideal_roundtrip(p.tro, w, tol=loose)[1] == report
     assert len(calls) == 3
     twin = TRO(basis=p.tro.basis, left_algebra=p.tro.left_algebra,
-               right_algebra=p.tro.right_algebra)
+               right_algebra=p.tro.right_algebra, family=p.tro.family)
     assert submodule_ideal_roundtrip(twin, w)[1] == report
     assert len(calls) == 6
     # the other TRO's result is not kept: the parent's call still hits the

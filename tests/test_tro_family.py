@@ -1,0 +1,237 @@
+"""TRO spans built from the closure family against the all-pairs spans.
+
+A TRO from :func:`generate_tro` or :func:`planted_block_tro` keeps the
+family ``T`` its closure was certified with, and every span on the TRO
+side multiplies by ``T`` instead of a basis.  The references below are
+the all-pairs constructions that replaced: ``span(Z Z*)``, ``span(Z* Z)``,
+the roundtrip spans over the whole basis, ``g A^1`` over a basis of the
+unitization and the distance from ``e`` to ``span(W W*)``.  Spans must
+agree to 1e-12 on planted TROs, whose bases are exact to roundoff.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cstarlab.tro as tro_mod
+from cstarlab import (
+    finite_generation_certificate,
+    generate_algebra,
+    generate_right_ideal,
+    generate_submodule,
+    generate_tro,
+    minimal_projection_below,
+    planted_block_tro,
+    submodule_ideal_roundtrip,
+    tro_from_span,
+)
+from cstarlab.algebra import sample_element
+from cstarlab.config import DEFAULT_TOL
+from cstarlab.errors import NotInAlgebra, VerificationFailure
+from cstarlab.ideals import right_module_span
+from cstarlab.instances import (
+    planted_block_algebra,
+    random_block_structure,
+    random_projection,
+    random_tro_blocks,
+)
+from cstarlab.linalg import Subspace, span_rows
+from cstarlab.tro import Submodule, _certify_generation, _left_products, _right_products
+
+SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
+SPAN_TOL = 1e-12
+# A TRO from generate_tro is closed over several rounds of products and its
+# basis is exact only to about 1e-12: the all-pairs block Z Z* keeps
+# singular values up to 5e-12 below its cut.  Products with the exact family
+# and with that basis carry the error differently, so on these TROs the two
+# constructions of a span agree only to about that level (up to 2.1e-11 over
+# 500 sampled TROs and both OpenBLAS kernel sets), as the closure tests
+# allow for one-generator TROs.
+GENERATED_SPAN_TOL = 1e-10
+# Closing span(T T*) by generators builds the algebra over several rounds
+# of products, and forward errors grow with each round (as for the
+# one-generator TROs of test_closure.py): over 600 sampled TROs the closure
+# sat up to 3.3e-11 from the spans built in one step.
+CLOSURE_TOL = 1e-10
+# roundoff by which the WW* bound may undershoot the computed distance
+BOUND_SLACK = 1e-14
+
+
+def family_tro(seed, path):
+    """A TRO with a family, its span tolerance and a generator: planted,
+    or generated by two elements of a planted TRO (often a proper
+    sub-TRO)."""
+    rng = np.random.default_rng(seed)
+    planted = planted_block_tro(random_tro_blocks(rng), seed=seed).tro
+    if path == "planted":
+        return planted, SPAN_TOL, rng
+    gens = [sample_element(planted, rng) for _ in range(2)]
+    return generate_tro(planted.rows, planted.cols, gens), GENERATED_SPAN_TOL, rng
+
+
+def maximal_submodule(tro, rng):
+    """``(u - e) Z`` for a minimal projection ``e`` of the left algebra."""
+    left = tro.left_algebra
+    e = minimal_projection_below(left, left.unit, seed=int(rng.integers(2**31)))
+    return generate_submodule(tro, list((left.unit - e) @ tro.basis.matrices))
+
+
+def left_span(stack, shape, others=None):
+    return span_rows(_left_products(stack, shape, others), (shape[0], shape[0]), tol=DEFAULT_TOL)
+
+
+PATHS = st.sampled_from(["planted", "generated"])
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, PATHS)
+def test_algebras_match_the_all_pairs_spans(seed, path):
+    tro, span_tol, _ = family_tro(seed, path)
+    assert tro.family is not None
+    m, n = tro.basis.shape
+    left_ref = left_span(tro.basis.stack, (m, n))
+    right_ref = span_rows(_right_products(tro.basis.stack, (m, n)), (n, n), tol=DEFAULT_TOL)
+    assert tro.left_algebra.basis.distance(left_ref) <= span_tol
+    assert tro.right_algebra.basis.distance(right_ref) <= span_tol
+
+
+@settings(max_examples=15, derandomize=True, deadline=None)
+@given(SEEDS, PATHS)
+def test_closing_the_algebra_families_gives_the_algebras(seed, path):
+    tro, _, _ = family_tro(seed, path)
+    for alg in (tro.left_algebra, tro.right_algebra):
+        closed = generate_algebra(alg.ambient_dim, list(alg.family))
+        assert closed.basis.distance(alg.basis) <= CLOSURE_TOL
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, PATHS)
+def test_roundtrip_spans_match_the_all_pairs_spans(seed, path):
+    tro, span_tol, rng = family_tro(seed, path)
+    w = maximal_submodule(tro, rng)
+    if not w.dim:
+        return
+    seen = []
+
+    def capture(candidates, shape, tol):
+        seen.append(span_rows(candidates, shape, tol=tol))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tro_mod, "span_rows", capture)
+        submodule_ideal_roundtrip(tro, w)
+    m, n = tro.basis.shape
+    zs = tro.basis.matrices
+    j_ref = left_span(w.basis.stack, (m, n), tro.basis.stack)
+    jz = (j_ref.matrices[:, None] @ zs[None]).reshape(-1, m * n)
+    w_back_ref = span_rows(jz, (m, n), tol=DEFAULT_TOL)
+    j_back_ref = left_span(w_back_ref.stack, (m, n), tro.basis.stack)
+    assert len(seen) == 3
+    for got, ref in zip(seen, (j_ref, w_back_ref, j_back_ref)):
+        assert got.distance(ref) <= span_tol
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, PATHS)
+def test_family_grown_submodules_match_the_unitized_path(seed, path):
+    tro, span_tol, rng = family_tro(seed, path)
+    gens = list(maximal_submodule(tro, rng).basis.matrices[:1])
+    gens += [sample_element(tro, rng) for _ in range(int(rng.integers(0, 2)))]
+    right = tro.right_algebra
+    grown = right_module_span(right, gens, tro.rows)
+    ref = right_module_span(dataclasses.replace(right, family=None), gens, tro.rows)
+    assert grown.distance(ref) <= span_tol
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 3))
+def test_family_grown_ideals_match_the_unitized_path(seed, count):
+    rng = np.random.default_rng(seed)
+    sizes, mults = random_block_structure(rng, max_ambient=8)
+    planted = planted_block_algebra(sizes, mults, seed=seed).algebra
+    alg = generate_algebra(planted.ambient_dim, list(planted.basis.matrices))
+    assert alg.family is not None
+    gens = [random_projection(alg, rng) @ sample_element(alg, rng) for _ in range(count)]
+    grown = generate_right_ideal(alg, gens)
+    ref = right_module_span(dataclasses.replace(alg, family=None), gens, alg.ambient_dim)
+    assert grown.basis.distance(ref) <= SPAN_TOL
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, PATHS)
+def test_the_wwstar_bound_covers_the_distance(seed, path):
+    tro, _, rng = family_tro(seed, path)
+    w = maximal_submodule(tro, rng)
+    if not w.dim:
+        return
+    cert = finite_generation_certificate(w)
+    exact = left_span(w.basis.stack, w.basis.shape).residual(cert.projection)
+    assert cert.residuals["projection_in_WWstar"] >= exact - BOUND_SLACK
+
+
+def test_a_generator_moved_off_the_submodule_is_refused():
+    """Moving one z_i by 1e-6 out of W puts e about that far from
+    span(W W*); the bound and the membership residual both see it."""
+    p = planted_block_tro([(3, 2), (2, 2)], seed=5)
+    rng = np.random.default_rng(5)
+    w = maximal_submodule(p.tro, rng)
+    assert 0 < w.dim < p.tro.dim
+    cert = finite_generation_certificate(w)
+    zs = np.array(cert.generators)
+    away = sample_element(p.tro, rng)
+    away = away.ravel() - (away.ravel() @ w.basis.stack.conj().T) @ w.basis.stack
+    zs[0] += 1e-6 * away.reshape(zs[0].shape) / np.linalg.norm(away)
+    s = np.einsum("aij,akj->ik", w.basis.matrices, w.basis.matrices.conj())
+    support = tro_mod.support_projection_of_psd(0.5 * (s + s.conj().T))
+    with pytest.raises(VerificationFailure):
+        _certify_generation(w.basis, zs, support, DEFAULT_TOL)
+
+
+def with_and_without_family(blocks, seed):
+    p = planted_block_tro(blocks, seed=seed)
+    bare = tro_from_span(list(p.tro.basis.matrices))
+    assert p.tro.family is not None and bare.family is None
+    return [p.tro, bare]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["family", "basis"])
+def test_a_submodule_that_is_not_right_closed_is_refused_either_way(which):
+    tro = with_and_without_family([(3, 3), (2, 2)], seed=1)[which]
+    z = tro.basis
+    w = Submodule(parent=tro, generators=[z.matrices[0]],
+                  basis=Subspace(z.rows, z.cols, z.stack[:1]))
+    with pytest.raises(VerificationFailure):
+        submodule_ideal_roundtrip(tro, w)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["family", "basis"])
+def test_a_submodule_outside_the_tro_is_refused_either_way(which):
+    tro = with_and_without_family([(2, 2), (1, 1)], seed=3)[which]
+    z = tro.basis
+    outside = np.ones((1, z.rows * z.cols)) / np.sqrt(z.rows * z.cols)
+    w = Submodule(parent=tro, generators=[], basis=Subspace(z.rows, z.cols, outside))
+    with pytest.raises(NotInAlgebra):
+        submodule_ideal_roundtrip(tro, w)
+
+
+def test_a_planted_tro_keeps_its_basis_and_gets_a_family():
+    """The planted basis is the rotated matrix units, unchanged, so
+    ``random tro`` fixtures keep their bytes; the family spans the same
+    TRO."""
+    blocks = [(2, 3), (1, 2)]
+    p = planted_block_tro(blocks, seed=9)
+    units = []
+    r_off = c_off = 0
+    for m_k, n_k in blocks:
+        for i in range(m_k):
+            for j in range(n_k):
+                mat = np.zeros((3, 5), dtype=complex)
+                mat[r_off + i, c_off + j] = 1.0
+                units.append(mat)
+        r_off, c_off = r_off + m_k, c_off + n_k
+    planted = p.left_conjugator @ np.array(units) @ p.right_conjugator.conj().T
+    assert np.array_equal(p.tro.basis.matrices, planted)
+    closed = generate_tro(3, 5, list(p.tro.family))
+    assert closed.basis.distance(p.tro.basis) <= SPAN_TOL
