@@ -27,6 +27,7 @@ from .errors import (
     NumericalFailure,
     ParamError,
     ShapeMismatch,
+    check,
 )
 from .linalg import (
     Subspace,
@@ -94,20 +95,17 @@ class StarAlgebra:
 
     def require_member(self, x, tol=DEFAULT_TOL, what="element"):
         x = as_matrix(x, shape=self.basis.shape)
-        if not self.contains(x, tol=tol):
-            raise NotInAlgebra(
-                f"{what} is not in the algebra "
-                f"(residual {self.basis.residual(x):.3e})"
-            )
+        check(f"{what} is not in the algebra", self.basis.residual(x),
+              tol.member * max(1.0, hs_norm(x)), NotInAlgebra)
         return x
 
     def require_projection(self, e, tol=DEFAULT_TOL, what="element"):
         """``e`` as a member of the algebra that is a self-adjoint
         idempotent, both to within ``tol.member * max(1, ||e||)``."""
         e = self.require_member(e, tol=tol, what=what)
-        bound = tol.member * max(1.0, hs_norm(e))
-        if hs_norm(e @ e - e) > bound or hs_norm(e - e.conj().T) > bound:
-            raise NotAProjection(f"{what} is not a self-adjoint idempotent")
+        check(f"{what} is not a self-adjoint idempotent",
+              max(hs_norm(e @ e - e), hs_norm(e - e.conj().T)),
+              tol.member * max(1.0, hs_norm(e)), NotAProjection)
         return e
 
     @classmethod
@@ -251,12 +249,8 @@ def center(algebra, tol=DEFAULT_TOL):
     cm = np.array([c / hs_norm(c) for c in found])
     gens = space.matrices if algebra.family is None else algebra.family
     comm = cm[:, None] @ gens[None] - gens[None] @ cm[:, None]
-    worst = float(np.max(np.abs(comm), initial=0.0))
-    if worst > tol.member:
-        raise NumericalFailure(
-            f"center candidate fails to commute with the algebra "
-            f"(residual {worst:.3e}, bound {tol.member:.3e})"
-        )
+    check("center candidate fails to commute with the algebra",
+          float(np.max(np.abs(comm), initial=0.0)), tol.member, NumericalFailure)
     return StarAlgebra(basis=Subspace(*space.shape, cm.reshape(len(cm), -1)), unit=algebra.unit)
 
 

@@ -4,6 +4,10 @@ All errors raised by this package derive from :class:`CStarError`, so callers
 can catch one base class.  The split between "bad input" and "a verified
 invariant failed" matters for the command-line front end: input problems map
 to exit code 1, verification problems to exit code 2.
+
+Every certificate ends in :func:`check`: one comparison of a residual with
+its bound, raising a typed error that names the identity, the residual and
+the bound.
 """
 
 
@@ -105,3 +109,13 @@ INPUT_ERRORS = (
     ParamError,
     ParseError,
 )
+
+
+def check(identity, residual, bound, error=VerificationFailure):
+    """``residual`` when ``residual <= bound``, else ``error`` naming the
+    failed ``identity``, the residual and the bound.  The comparison is
+    written so that a NaN residual (an overflowed ratio, say) never
+    passes."""
+    if residual <= bound:
+        return residual
+    raise error(f"{identity} (residual {residual:.3e}, bound {bound:.3e})")

@@ -24,6 +24,7 @@ from .errors import (
     NotMaximal,
     NotUnital,
     VerificationFailure,
+    check,
 )
 from .algebra import StarAlgebra, unitize
 from .linalg import (
@@ -160,11 +161,8 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
 
         start = span_rows(np.array(generators).reshape(len(generators), -1), (rows, n), tol=tol)
         space = Subspace(rows, n, saturate(start.stack, start.stack, products, tol=tol))
-    defect = _right_module_defect(algebra, space)
-    if defect > tol.member:
-        raise VerificationFailure(
-            f"generated span is not right-module closed (residual {defect:.3e})"
-        )
+    check("generated span is not right-module closed",
+          _right_module_defect(algebra, space), tol.member)
     return space
 
 
@@ -241,11 +239,10 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     # the rank cut is the package's, so the minimum-norm solution does not
     # depend on which orthonormal basis of the algebra spans the columns
     coeff, _, _, _ = np.linalg.lstsq(cols.T, quarter.ravel(), rcond=tol.rank)
-    solve_residual = float(np.linalg.norm(cols.T @ coeff - quarter.ravel()))
-    if solve_residual > tol.member * max(1.0, hs_norm(quarter)):
-        raise CoefficientSolveFailed(
-            f"b^(1/4) is at distance {solve_residual:.3e} from the generated span"
-        )
+    solve_residual = check(
+        "b^(1/4) is not in the span generated by the generators",
+        float(np.linalg.norm(cols.T @ coeff - quarter.ravel())),
+        tol.member * max(1.0, hs_norm(quarter)), CoefficientSolveFailed)
     coeff = coeff.reshape(len(gens), d1)
     cs = np.einsum("ga,aij->gij", coeff, amats)
     bound = float(max(op_norm(c) ** 2 for c in cs))
@@ -255,11 +252,9 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
 
     p = dec.apply(lambda t: 1.0 if t > cut else 0.0)
 
-    if pos_lo < threshold - tol.member * max(1.0, threshold):
-        raise VerificationFailure(
-            f"spectral bound violated: min positive eigenvalue {pos_lo:.6e} "
-            f"below proven threshold {threshold:.6e}"
-        )
+    check(f"spectral bound violated: min positive eigenvalue {pos_lo:.6e} "
+          f"below proven threshold {threshold:.6e}",
+          threshold - pos_lo, tol.member * max(1.0, threshold))
 
     residuals = {
         "idempotent": hs_norm(p @ p - p),
@@ -268,10 +263,8 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
         "p_in_ideal": ideal.basis.residual(p),
         "ideal_equals_pA": identity_defect(p, ideal.basis.matrices),
     }
-    worst = max(residuals.values())
-    if worst > tol.member:
-        name = max(residuals, key=residuals.get)
-        raise VerificationFailure(f"certificate identity '{name}' off by {worst:.3e}")
+    for name, value in residuals.items():
+        check(f"certificate identity '{name}' fails", value, tol.member)
 
     return ProjectionCertificate(
         projection=p,
@@ -371,8 +364,9 @@ def maximal_ideal_minimality_certificate(parent, ideal, tol=DEFAULT_TOL):
     p = support_projection(parent, ideal, tol=tol)
     q = u - p
     corner = _corner_space(parent, q, q, tol)
-    if corner.dim != 1 or corner.residual(q) > tol.member * max(1.0, hs_norm(q)):
-        raise VerificationFailure("corner of the complement is not the scalars")
-    if ideal.basis.residual(p) > tol.member:
-        raise VerificationFailure("unit does not split as (ideal element) + q")
+    if corner.dim != 1:
+        raise VerificationFailure(f"corner of the complement has dimension {corner.dim}")
+    check("corner of the complement is not the scalars", corner.residual(q),
+          tol.member * max(1.0, hs_norm(q)))
+    check("unit does not split as (ideal element) + q", ideal.basis.residual(p), tol.member)
     return q, corner

@@ -13,7 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
-from .errors import ClosureViolation, ParamError
+from .errors import ClosureViolation, ParamError, check
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
 from .linalg import Subspace, cluster_partition, hermitian_eig
@@ -152,9 +152,8 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
     conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
     closed, family = _close_tro(conj, (m_tot, n_tot), tol)
-    gap = closed.distance(space)
-    if gap > tol.member:
-        raise ClosureViolation(f"the planted span is not its closure (distance {gap:.3e})")
+    check("the planted span is not its closure", closed.distance(space), tol.member,
+          ClosureViolation)
     tro = _build_tro(space, family, tol)
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v

@@ -33,6 +33,7 @@ from .errors import (
     NumericalFailure,
     ShapeMismatch,
     ThresholdInsideSpectrum,
+    check,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "adjoint",
     "hs_inner",
     "hs_norm",
+    "safe_norm",
     "op_norm",
     "SpectralDecomposition",
     "hermitian_eig",
@@ -82,7 +84,34 @@ def hs_inner(x, y):
 
 def hs_norm(x):
     """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(x))
+    return float(safe_norm(x))
+
+
+# Largest magnitudes whose squares neither overflow nor sink into the
+# subnormals, so that np.linalg.norm stays accurate to roundoff
+_SAFE_NORM = (1e-140, 1e140)
+
+
+def safe_norm(x, axis=None):
+    """``np.linalg.norm(x, axis=axis)`` (Frobenius norm, or 2-norms along
+    ``axis``) without overflow or underflow of the squares.
+
+    ``np.linalg.norm`` squares entries without rescaling, so its result is
+    ``inf`` above about 1e154 and 0 below about 1e-154.  When a norm falls
+    outside ``_SAFE_NORM`` every slice whose largest entry does too is
+    divided by that entry first; results inside the range are
+    ``np.linalg.norm``'s, bit for bit.
+    """
+    n = np.linalg.norm(x, axis=axis)
+    lo, hi = _SAFE_NORM
+    if axis is None:
+        if lo <= n <= hi or n == 0.0 and not x.any():
+            return n
+    elif lo <= n.min(initial=hi) and n.max(initial=lo) <= hi:
+        return n
+    top = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
+    top = np.where((top == 0.0) | ((top >= lo) & (top <= hi)), 1.0, top)
+    return (np.linalg.norm(x / top, axis=axis, keepdims=True) * top).reshape(np.shape(n))
 
 
 def op_norm(m):
@@ -122,9 +151,8 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {m.shape}")
-    dev = hs_norm(m - m.conj().T)
-    if dev > tol.spec * max(1.0, hs_norm(m)):
-        raise NotSelfAdjoint(f"||m - m*|| = {dev:.3e} exceeds tolerance")
+    check("matrix is not self-adjoint: ||m - m*||", hs_norm(m - m.conj().T),
+          tol.spec * max(1.0, hs_norm(m)), NotSelfAdjoint)
     h = 0.5 * (m + m.conj().T)
     try:
         w, v = np.linalg.eigh(h)
@@ -250,7 +278,7 @@ class Subspace:
         # conjugating the vector, not the stack, avoids copying the basis
         c = (self.stack @ flat.conj()).conj()
         resid = flat - c @ self.stack
-        return c, float(np.linalg.norm(resid))
+        return c, float(safe_norm(resid))
 
     def residual(self, x):
         return self.coords(x)[1]
@@ -262,12 +290,12 @@ class Subspace:
     def row_residuals(self, flat):
         """Distance to the span of every row of a ``(k, rows*cols)`` block,
         by one batched projection ``flat - (flat S*) S``."""
-        return np.linalg.norm(flat - (flat @ self.stack.conj().T) @ self.stack, axis=1)
+        return safe_norm(flat - (flat @ self.stack.conj().T) @ self.stack, axis=1)
 
     def max_relative_residual(self, flat):
         """Largest ``dist(row, span) / max(1, ||row||)`` over the rows of
         ``flat``; 0.0 for no rows."""
-        scales = np.maximum(1.0, np.linalg.norm(flat, axis=1))
+        scales = np.maximum(1.0, safe_norm(flat, axis=1))
         return float(np.max(self.row_residuals(flat) / scales, initial=0.0))
 
     def distance(self, other):
@@ -341,8 +369,7 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
     candidates = np.asarray(candidates, dtype=np.complex128)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
         return stack, False
-    norms = np.linalg.norm(candidates, axis=1)
-    scale = float(np.max(norms))
+    scale = float(np.max(safe_norm(candidates, axis=1)))
     if scale == 0.0:
         return stack, False
     resid = candidates
@@ -352,7 +379,7 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
             # no singular value exceeds the Frobenius norm, and a second pass
             # cannot raise it: below the cutoff the SVD would keep nothing, so
             # a closure that is already closed costs one pass and no SVD
-            if np.linalg.norm(resid) <= tol.rank * scale:
+            if safe_norm(resid) <= tol.rank * scale:
                 return stack, False
     try:
         _, svals, vh = np.linalg.svd(resid, full_matrices=False)
@@ -372,11 +399,8 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
         float(np.max(np.abs(fresh @ fresh.conj().T - np.eye(keep)))),
         float(np.max(np.abs(fresh @ stack.conj().T), initial=0.0)),
     )
-    if worst > tol.member:
-        raise NumericalFailure(
-            f"svd returned rows that are not orthonormal (inner product off by "
-            f"{worst:.3e}, bound {tol.member:.3e})"
-        )
+    check("svd returned rows that are not orthonormal: inner products off",
+          worst, tol.member, NumericalFailure)
     return np.vstack([stack, fresh]), True
 
 
@@ -549,8 +573,8 @@ def psd_cut(s, tol=DEFAULT_TOL):
     top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
     zero_hi, pos_lo = split_spectrum_at_zero(dec.eigenvalues, tol=tol)
     if pos_lo is None:
-        if zero_hi > tol.member * max(1.0, top):
-            raise GapNotFound("spectrum is one cluster not separated from zero")
+        check("spectrum is one cluster not separated from zero", zero_hi,
+              tol.member * max(1.0, top), GapNotFound)
         return dec, None, None
     cut = place_cut_in_gap(zero_hi, pos_lo, top, tol=tol)
     return dec, cut, pos_lo

@@ -36,6 +36,7 @@ from .errors import (
     NotUnital,
     ParamError,
     VerificationFailure,
+    check,
 )
 from .algebra import central_projections
 from .ideals import (
@@ -189,15 +190,13 @@ def _block_data(parent, central, rng, tol):
 
     mult_f = traces[0]
     mult = int(round(mult_f))
-    if abs(mult_f - mult) > tol.member * max(1.0, mult_f) or mult < 1:
-        raise VerificationFailure(
-            f"multiplicity is not a positive integer: trace {mult_f!r}"
-        )
+    if mult < 1:
+        raise VerificationFailure(f"multiplicity is not a positive integer: trace {mult_f!r}")
+    check(f"multiplicity is not an integer: trace {mult_f!r}", abs(mult_f - mult),
+          tol.member * max(1.0, mult_f))
     rank_f = float(np.real(np.trace(central)))
-    if abs(rank_f - size * mult) > tol.member * max(1.0, rank_f):
-        raise VerificationFailure(
-            f"block rank {rank_f!r} is not size*multiplicity = {size * mult}"
-        )
+    check(f"block rank {rank_f!r} is not size*multiplicity = {size * mult}",
+          abs(rank_f - size * mult), tol.member * max(1.0, rank_f))
     return {
         "central": central,
         "size": size,
@@ -231,9 +230,8 @@ def _basis_change(parent, blocks, tol):
         raise VerificationFailure(
             f"basis change is not square: {u.shape}; block data inconsistent"
         )
-    defect = hs_norm(u.conj().T @ u - np.eye(n_amb))
-    if defect > tol.member * n_amb:
-        raise VerificationFailure(f"basis change is not unitary (defect {defect:.3e})")
+    check("basis change is not unitary", hs_norm(u.conj().T @ u - np.eye(n_amb)),
+          tol.member * n_amb)
     return u
 
 
@@ -292,9 +290,8 @@ def wedderburn_decompose(parent, seed=0, tol=DEFAULT_TOL):
         )
 
     u = _basis_change(parent, blocks, tol)
-    worst = _block_form_residual(parent, blocks, u)
-    if worst > tol.composite:
-        raise VerificationFailure(f"block form residual {worst:.3e} too large")
+    worst = check("basis elements miss the block form",
+                  _block_form_residual(parent, blocks, u), tol.composite)
 
     return BlockDecomposition(
         central_projections=[blk["central"] for blk in blocks],
@@ -339,11 +336,8 @@ def unit_partition_certificate(parent, decomposition=None, seed=0, tol=DEFAULT_T
             raise VerificationFailure("a diagonal matrix unit is not minimal")
     coefficients = [e.copy() for e in projections]
     total = sum(e @ a for e, a in zip(projections, coefficients))
-    residual = hs_norm(total - parent.unit)
-    if residual > tol.member * max(1.0, hs_norm(parent.unit)):
-        raise VerificationFailure(
-            f"partition of unity misses the unit by {residual:.3e}"
-        )
+    residual = check("partition of unity misses the unit", hs_norm(total - parent.unit),
+                     tol.member * max(1.0, hs_norm(parent.unit)))
     return UnitPartition(
         projections=projections, coefficients=coefficients, residual=residual
     )

@@ -44,6 +44,7 @@ from .errors import (
     ParamError,
     VerificationFailure,
     ZeroSubmodule,
+    check,
 )
 from .algebra import StarAlgebra, unit_of
 from .ideals import (
@@ -169,11 +170,8 @@ def _build_tro(space, family, tol):
     if family is not None:
         closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
         left.family = closing.matrices
-    defect = _ternary_defect(space, closing)
-    if defect > tol.member:
-        raise ClosureViolation(
-            f"span is not closed under x y* z (residual {defect:.3e})"
-        )
+    check("span is not closed under x y* z", _ternary_defect(space, closing), tol.member,
+          ClosureViolation)
     left.unit = unit_of(left, tol=tol)
     right = StarAlgebra(
         basis=span_rows(_right_products(ts, space.shape, space.stack), (n, n), tol=tol)
@@ -195,11 +193,8 @@ def _check_nondegenerate(tro, tol):
     u_r = tro.right_algebra.unit
     if u_l is None or u_r is None:
         raise VerificationFailure("a TRO algebra came out without a unit")
-    worst = max(identity_defect(u_l, zs), identity_defect(u_r, zs, right=True))
-    if worst > tol.member:
-        raise VerificationFailure(
-            f"TRO is degenerate over its algebras (residual {worst:.3e})"
-        )
+    check("TRO is degenerate over its algebras",
+          max(identity_defect(u_l, zs), identity_defect(u_r, zs, right=True)), tol.member)
 
 
 def _left_multipliers(mats):
@@ -295,7 +290,8 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     products per block, and must stay within ``tol.composite``.
     """
     if tro.dim == 0:
-        return TROClassification(blocks=[], isometries=[], central_projections=[])
+        return TROClassification(blocks=[], isometries=[], central_projections=[],
+                                 residuals={"ternary_morphism": 0.0})
     dec = wedderburn_decompose(tro.left_algebra, seed=seed, tol=tol)
     zs = tro.basis.matrices
     entries = []
@@ -315,11 +311,10 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
         sel = edec.eigenvalues > 0.5
         n_k = int(np.sum(sel))
         trace = float(np.real(np.trace(g)))
-        if n_k < 1 or abs(trace - n_k) > tol.member * max(1.0, n_k):
-            raise VerificationFailure(
-                f"column projection of a block has trace {trace!r} "
-                f"and {n_k} eigenvalues above 1/2"
-            )
+        if n_k < 1:
+            raise VerificationFailure("column projection of a block has no eigenvalue above 1/2")
+        check(f"column projection of a block has trace {trace!r} "
+              f"and {n_k} eigenvalues above 1/2", abs(trace - n_k), tol.member * max(1.0, n_k))
         entries.append(
             {"shape": (m_k, n_k), "U": u_iso, "V": edec.basis[:, sel],
              "central": dec.central_projections[k]}
@@ -344,15 +339,11 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     )
     for u_iso, v_iso in cls.isometries:
         for g, lbl in ((u_iso, "U"), (v_iso, "V")):
-            defect = _isometry_defect(g)
-            if defect > tol.member * max(1.0, g.shape[1]):
-                raise VerificationFailure(f"{lbl} is not an isometry ({defect:.3e})")
-    cls.residuals["ternary_morphism"] = _morphism_defect(tro, cls)
-    if cls.residuals["ternary_morphism"] > tol.composite:
-        raise VerificationFailure(
-            "classification maps fail the ternary morphism identity "
-            f"({cls.residuals['ternary_morphism']:.3e})"
-        )
+            check(f"{lbl} is not an isometry", _isometry_defect(g),
+                  tol.member * max(1.0, g.shape[1]))
+    cls.residuals["ternary_morphism"] = check(
+        "classification maps fail the ternary morphism identity",
+        _morphism_defect(tro, cls), tol.composite)
     return cls
 
 
@@ -425,13 +416,10 @@ def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     ``tol.member * max(1, ||g||)``."""
     m, n = tro.basis.shape
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
-    worst = tro.basis.max_relative_residual(
-        np.array(gens, dtype=np.complex128).reshape(len(gens), m * n)
-    )
-    if worst > tol.member:
-        raise MembershipViolation(
-            f"submodule generator is not in the TRO (relative residual {worst:.3e})"
-        )
+    check("submodule generator is not in the TRO, relative to its norm",
+          tro.basis.max_relative_residual(
+              np.array(gens, dtype=np.complex128).reshape(len(gens), m * n)),
+          tol.member, MembershipViolation)
     space = right_module_span(tro.right_algebra, gens, m, tol=tol)
     return Submodule(parent=tro, generators=gens, basis=space)
 
@@ -474,22 +462,13 @@ def _verify_roundtrip(tro, submodule, tol):
         return ideal, {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
     ts = tro.basis.matrices if tro.family is None else tro.family
     j_space = span_rows(_left_products(submodule.basis.stack, (m, n), ts), (m, m), tol=tol)
-    outside = left.basis.max_relative_residual(j_space.stack)
-    if outside > tol.member:
-        raise NotInAlgebra(
-            f"span(W Z*) is not in the left algebra (relative residual {outside:.3e})"
-        )
+    check("span(W Z*) is not in the left algebra, relative to its norm",
+          left.basis.max_relative_residual(j_space.stack), tol.member, NotInAlgebra)
     if tro.family is not None:
-        defect = _right_module_defect(tro.right_algebra, submodule.basis)
-        if defect > tol.member:
-            raise VerificationFailure(
-                f"W is not closed under the right algebra (residual {defect:.3e})"
-            )
-    defect = _right_module_defect(left, j_space)
-    if defect > tol.member:
-        raise VerificationFailure(
-            f"span(W Z*) is not a right ideal of the left algebra (residual {defect:.3e})"
-        )
+        check("W is not closed under the right algebra",
+              _right_module_defect(tro.right_algebra, submodule.basis), tol.member)
+    check("span(W Z*) is not a right ideal of the left algebra",
+          _right_module_defect(left, j_space), tol.member)
     ideal = RightIdeal(parent=left, generators=list(j_space.matrices), basis=j_space)
 
     jz = (j_space.matrices[:, None] @ ts[None]).reshape(-1, m * n)
@@ -574,12 +553,8 @@ def _certify_generation(space, zs, support, tol):
         "generators_in_module": float(np.max(resid)),
         "projection_in_WWstar": float(2.0 * np.sum(resid * np.linalg.norm(zs, axis=(1, 2)))),
     }
-    worst = max(residuals.values())
-    if worst > tol.composite:
-        name = max(residuals, key=residuals.get)
-        raise VerificationFailure(
-            f"generation certificate identity '{name}' off by {worst:.3e}"
-        )
+    for name, value in residuals.items():
+        check(f"generation certificate identity '{name}' fails", value, tol.composite)
     return ModuleGenerationCertificate(
         generators=list(zs), projection=e, residuals=residuals
     )

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CLI = [sys.executable, "-m", "cstarlab.cli"]
@@ -263,3 +264,57 @@ def test_json_flag_matches_stdout(tmp_path):
     r_file = run_cli("decompose", fix, "--json", out)
     assert r_file.returncode == 0
     assert out.read_text() == r_stdout.stdout
+
+
+# ---------------------------------------------------------------------------
+# degenerate and extreme-scale fixtures
+
+
+def matrix(m):
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "entries": [[z.real, z.imag] for z in m.ravel()]}
+
+
+E12 = [[0.0, 1.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("generators", [[], [np.zeros((2, 3))]])
+def test_zero_tro_classifies(tmp_path, generators):
+    fix = tmp_path / "tro.json"
+    fix.write_text(json.dumps({"kind": "tro", "ambient": [2, 3],
+                               "generators": [matrix(g) for g in generators]}))
+    r = run_cli("tro-classify", fix)
+    assert r.returncode == 0, r.stderr
+    assert "Traceback" not in r.stderr
+    report = json.loads(r.stdout)
+    assert report["blocks"] == [] and report["tro_dim"] == 0
+    assert report["ternary_morphism_residual"] == 0.0
+
+
+def test_decompose_of_a_huge_generator(tmp_path):
+    """1e300 E12 generates M2, whose squares overflow: the report is M2's."""
+    fix = tmp_path / "alg.json"
+    fix.write_text(json.dumps({"kind": "algebra", "ambient": 2,
+                               "generators": [matrix(1e300 * np.array(E12))]}))
+    r = run_cli("decompose", fix)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["algebra_dim"] == 4
+    assert report["blocks"] == [{"size": 2, "multiplicity": 1}]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_ideal_of_an_extreme_generator_fails_typed(tmp_path, scale):
+    """The ideal is two-dimensional, but its Gram element leaves the
+    doubles: the command fails with exit code 2 and reports no ideal."""
+    fix = tmp_path / "ideal.json"
+    fix.write_text(json.dumps({"kind": "ideal", "ambient": 2,
+                               "algebra_generators": [matrix(E12)],
+                               "ideal_generators": [matrix(scale * np.array(E12))]}))
+    r = run_cli("ideal", fix)
+    assert r.returncode == 2
+    # numpy's overflow warnings may come first
+    assert r.stderr.splitlines()[-1].startswith("verification failed:")
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""

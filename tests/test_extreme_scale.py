@@ -1,0 +1,91 @@
+"""Inputs far from norm one: entries near 1e300 or 1e-200, whose squares
+overflow or underflow a double.
+
+Every span, membership and rank decision is relative to the scale of its
+input, so such inputs must give the structure of the unscaled input.
+Where a certificate's own quadratic quantity (the Gram element
+``b = sum g g*`` of a right ideal) still leaves the doubles, the result is
+a typed :class:`CStarError`, never a wrong dimension.
+"""
+
+import numpy as np
+import pytest
+
+from cstarlab import generate_algebra, generate_right_ideal, generate_tro, projection_generator
+from cstarlab.errors import CStarError, NotInAlgebra
+from cstarlab.linalg import grow_span, hs_norm, safe_norm, span_rows
+
+E11 = np.diag([1.0, 0.0]).astype(complex)
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def test_safe_norm_is_numpys_norm_on_ordinary_inputs():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
+    assert safe_norm(x) == np.linalg.norm(x)
+    assert np.array_equal(safe_norm(x, axis=1), np.linalg.norm(x, axis=1))
+    stack = x.reshape(7, 3, 4)
+    assert np.array_equal(safe_norm(stack, axis=(1, 2)), np.linalg.norm(stack, axis=(1, 2)))
+    assert safe_norm(np.zeros((2, 2))) == 0.0
+    assert safe_norm(np.zeros((0, 4)), axis=1).shape == (0,)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200, 1e-200, 1e-300])
+def test_safe_norm_scales_exactly(scale):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    np.testing.assert_allclose(safe_norm(scale * x) / scale, np.linalg.norm(x), rtol=1e-14)
+    np.testing.assert_allclose(hs_norm(scale * x) / scale, np.linalg.norm(x), rtol=1e-14)
+
+
+def test_safe_norm_rescales_each_row_on_its_own():
+    """A row at 1e300 next to an ordinary row and a zero row: the ordinary
+    row keeps its norm bit for bit, rather than vanishing under a common
+    rescaling by 1e300."""
+    rng = np.random.default_rng(7)
+    rows = rng.standard_normal((3, 5)) + 0j
+    rows[0] *= 1e300
+    rows[2] = 0.0
+    norms = safe_norm(rows, axis=1)
+    np.testing.assert_allclose(norms[0] / 1e300, np.linalg.norm(rows[0] / 1e300), rtol=1e-14)
+    assert norms[1] == np.linalg.norm(rows[1])
+    assert norms[2] == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_span_residuals_at_extreme_scale(scale):
+    space = span_rows(np.array([E11.ravel()]), (2, 2))
+    _, resid = space.coords(scale * E12)
+    np.testing.assert_allclose(resid / scale, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(space.row_residuals(scale * E12.reshape(1, 4)) / scale, [1.0])
+    stack, grew = grow_span(space.stack, scale * E12.reshape(1, 4))
+    assert grew and stack.shape[0] == 2
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_algebra_of_a_scaled_generator_is_m2(scale):
+    assert generate_algebra(2, [scale * E12]).dim == 4
+
+
+def test_a_huge_non_member_is_refused():
+    """Once ``||x||`` overflowed, the bound ``tol.member * ||x||`` was inf
+    and every element passed."""
+    with pytest.raises(NotInAlgebra):
+        generate_algebra(2, [E11]).require_member(1e160 * E12)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200])
+def test_tro_of_a_scaled_generator_is_one_dimensional(scale):
+    assert generate_tro(2, 3, [scale * np.ones((2, 3))]).dim == 1
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_scaled_ideal_generator(scale):
+    """The ideal ``E12 M2`` has dimension 2 at any scale; its Gram element
+    ``b`` is 1e400 or 1e-400, outside the doubles, so the certificate ends
+    in a typed error."""
+    alg = generate_algebra(2, [E12])
+    ideal = generate_right_ideal(alg, [scale * E12])
+    assert ideal.dim == 2
+    with pytest.raises(CStarError):
+        projection_generator(alg, ideal)

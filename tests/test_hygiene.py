@@ -9,6 +9,10 @@ name by listing it in its ``__all__``.
 Tolerances follow one convention (see ``cstarlab.config``): a routine
 that decides anything takes a whole :class:`Tolerances` as ``tol`` and
 every library call to it passes one on.
+
+Every residual checked against a tolerance goes through
+``cstarlab.errors.check``, which names the identity, the residual and the
+bound, and refuses a NaN residual that ``residual > bound`` would let pass.
 """
 
 import ast
@@ -118,6 +122,54 @@ def test_tolerances_are_passed_whole():
             if not passed and len(call.args) <= min(positions[name]):
                 problems.append(f"{module} line {call.lineno}: {name}() without tol")
     assert not problems, "\n".join(problems)
+
+
+def tol_derived(node, names):
+    """Whether an expression reads ``tol.<field>`` or a local name bound to
+    such an expression."""
+    return any(
+        isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "tol"
+        or isinstance(n, ast.Name) and n.id in names
+        for n in ast.walk(node)
+    )
+
+
+def residual_checks(fn):
+    """Line numbers of the ``if`` statements in ``fn`` that raise because a
+    quantity exceeds a tolerance-derived bound: ``residual > bound``, or
+    ``value < threshold - slack`` with a tolerance-derived ``slack``.  A
+    refusal of a quantity at or below a tolerance (a zero projection, a cut
+    inside the spectrum) is not a residual check and is not matched."""
+    names = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign) and tol_derived(node.value, names):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    found = []
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.If) or not any(
+            isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)
+        ):
+            continue
+        for cmp in (n for n in ast.walk(node.test) if isinstance(n, ast.Compare)):
+            for op, right in zip(cmp.ops, cmp.comparators):
+                if isinstance(op, ast.Gt) and tol_derived(right, names) or (
+                    isinstance(op, ast.Lt) and isinstance(right, ast.BinOp)
+                    and isinstance(right.op, ast.Sub) and tol_derived(right.right, names)
+                ):
+                    found.append(node.lineno)
+    return found
+
+
+def test_residual_checks_go_through_check():
+    """No ``if residual > bound: raise`` blocks: each such comparison is a
+    call to ``errors.check`` instead."""
+    sites = [
+        f"{module} line {line} ({fn.name})"
+        for module, tree in TREES.items()
+        for fn, _ in definitions(tree)
+        for line in sorted(set(residual_checks(fn)))
+    ]
+    assert not sites, "raise through errors.check instead:\n" + "\n".join(sites)
 
 
 def test_benchmark_traced_names_resolve():
