@@ -5,7 +5,8 @@ matrix algebra is singly generated by a projection ``p`` of the algebra:
 ``J = pA``.  The constructive route implemented here goes through the
 positive element ``b = sum_j g_j g_j*`` built from the generators.
 Factoring the fourth root ``b^(1/4) = sum_j g_j c_j`` through the
-generators (coefficients in the unitization) gives the operator bound
+generators, in closed form ``c_j = g_j* b^(-3/4)`` (inverse power on the
+positive part of ``b``), gives the operator bound
 ``b^(1/2) <= n K b`` with ``K = max_j ||c_j||^2``, which pins the nonzero
 spectrum of ``b`` away from zero: ``spec(b) \\ {0} >= (nK)^(-2)``.  A
 spectral cut in the resulting gap produces ``p``, and all claimed
@@ -62,7 +63,8 @@ class ProjectionCertificate:
     gram : ndarray
         ``b = sum_j g_j g_j*`` over the nonzero generators.
     coefficients : list of ndarray
-        The ``c_j`` in the unitization with ``b^(1/4) = sum_j g_j c_j``.
+        The ``c_j = g_j* b^(-3/4)`` in the algebra, with
+        ``b^(1/4) = sum_j g_j c_j``: the minimum-norm factorization.
     coefficient_bound : float
         ``K = max_j ||c_j||_op^2``.
     generator_count : int
@@ -78,7 +80,8 @@ class ProjectionCertificate:
     cut : float
         The spectral cut used to extract ``p`` from ``b``.
     solve_residual : float
-        Residual of the least-squares factorization of ``b^(1/4)``.
+        ``||sum_j g_j c_j - b^(1/4)||``, the roundoff of the closed-form
+        factorization.
     residuals : dict
         Named residuals of the verified identities (idempotency,
         self-adjointness, ``pb = b``, membership of ``p`` in ``J``,
@@ -204,8 +207,10 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     Raises
     ------
     CoefficientSolveFailed
-        If ``b^(1/4)`` does not factor through the generators (which
-        means ``ideal``'s span was not generated by its generator list).
+        If ``sum_j g_j c_j`` misses ``b^(1/4)`` beyond tolerance, which
+        only roundoff in the eigendecomposition of ``b`` can cause.  An
+        ``ideal`` whose span is not generated by its generator list fails
+        the ``p_in_ideal`` or ``ideal_equals_pA`` identity instead.
     GapNotFound
         If the spectrum of ``b`` has no usable gap above zero — cannot
         happen for a genuine ideal unless tolerances are misconfigured.
@@ -231,20 +236,14 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     # roundoff-sized eigenvalues up to the fourth root of machine epsilon
     quarter = dec.apply(lambda t: t ** 0.25 if t > cut else 0.0)
 
-    # factor b^(1/4) = sum_j g_j c_j with c_j in the unitization
-    unital = unitize(parent, tol=tol)
-    amats = unital.basis.matrices
-    d1 = unital.dim
-    cols = (gmats[:, None] @ amats[None]).reshape(len(gens) * d1, n * n)
-    # the rank cut is the package's, so the minimum-norm solution does not
-    # depend on which orthonormal basis of the algebra spans the columns
-    coeff, _, _, _ = np.linalg.lstsq(cols.T, quarter.ravel(), rcond=tol.rank)
+    # c_j = g_j* b^(-3/4) lies in A, and sum_j g_j c_j = b b^(-3/4) = b^(1/4);
+    # it lies in the range of the adjoint of (c_j) -> sum_j g_j c_j, so it is
+    # the minimum-norm factorization
+    cs = gmats.conj().transpose(0, 2, 1) @ dec.apply(lambda t: t ** -0.75 if t > cut else 0.0)
     solve_residual = check(
-        "b^(1/4) is not in the span generated by the generators",
-        float(np.linalg.norm(cols.T @ coeff - quarter.ravel())),
+        "sum_j g_j c_j does not reproduce b^(1/4)",
+        hs_norm((gmats @ cs).sum(axis=0) - quarter),
         tol.member * max(1.0, hs_norm(quarter)), CoefficientSolveFailed)
-    coeff = coeff.reshape(len(gens), d1)
-    cs = np.einsum("ga,aij->gij", coeff, amats)
     bound = float(max(op_norm(c) ** 2 for c in cs))
 
     count = len(gens)

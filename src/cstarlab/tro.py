@@ -475,20 +475,19 @@ def _verify_roundtrip(tro, submodule, tol):
     w_back = span_rows(jz, (m, n), tol=tol)
     j_back = span_rows(_left_products(w_back.stack, (m, n), ts), (m, m), tol=tol)
 
-    report = {
-        "module_roundtrip": w_back.distance(submodule.basis),
-        "ideal_roundtrip": j_back.distance(j_space),
-    }
-    report["ok"] = (
-        w_back.dim == submodule.dim
-        and j_back.dim == j_space.dim
-        and max(report["module_roundtrip"], report["ideal_roundtrip"]) <= tol.member
-    )
-    if not report["ok"]:
+    if w_back.dim != submodule.dim:
         raise VerificationFailure(
-            "submodule/ideal correspondence failed to close: "
-            f"{report['module_roundtrip']:.3e} / {report['ideal_roundtrip']:.3e}"
-        )
+            f"module roundtrip (W Z*) Z has dimension {w_back.dim}, W has {submodule.dim}")
+    if j_back.dim != j_space.dim:
+        raise VerificationFailure(
+            f"ideal roundtrip ((W Z*) Z) Z* has dimension {j_back.dim}, W Z* has {j_space.dim}")
+    report = {
+        "module_roundtrip": check("module roundtrip (W Z*) Z does not recover W",
+                                  w_back.distance(submodule.basis), tol.member),
+        "ideal_roundtrip": check("ideal roundtrip ((W Z*) Z) Z* does not recover W Z*",
+                                 j_back.distance(j_space), tol.member),
+        "ok": True,
+    }
     return ideal, report
 
 

@@ -23,6 +23,7 @@ from cstarlab import (
     projection_generator,
     support_projection,
     unit_of,
+    unitize,
 )
 from cstarlab.errors import NotAProjection, NotInAlgebra, NotProper, NotUnital
 from cstarlab.instances import (
@@ -31,7 +32,7 @@ from cstarlab.instances import (
     random_projection,
     random_right_ideal,
 )
-from cstarlab.linalg import hs_norm, orthonormalize
+from cstarlab.linalg import hs_norm, op_norm, orthonormalize, psd_cut
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -170,10 +171,11 @@ def test_certificate_reconstructs_quartic_root_random():
 
 
 def test_coefficient_bound_does_not_depend_on_the_algebra_basis():
-    """``K`` comes from the minimum-norm factorization of ``b^(1/4)``; with
-    the package's rank cut it is the same for every orthonormal basis of the
-    algebra.  Ideals generated by projections, each certified once over the
-    planted basis and once over a unitary rotation of it."""
+    """``K`` comes from the minimum-norm factorization of ``b^(1/4)``, which
+    is a function of ``b`` and the generators alone, so it is the same for
+    every orthonormal basis of the algebra.  Ideals generated by projections,
+    each certified once over the planted basis and once over a unitary
+    rotation of it."""
     worst = 0.0
     for seed in range(1, 9):
         a = planted_block_algebra([3, 2, 1], [2, 1, 2], seed=seed).algebra
@@ -191,6 +193,44 @@ def test_coefficient_bound_does_not_depend_on_the_algebra_basis():
             ]
             worst = max(worst, abs(bounds[0] - bounds[1]))
     assert worst <= 1e-12
+
+
+def lstsq_coefficients(algebra, gens, quarter, tol=DEFAULT_TOL):
+    """The minimum-norm ``c_j`` in the unitization with
+    ``sum_j g_j c_j = quarter``, by least squares over a basis of ``A^1``."""
+    amats = unitize(algebra, tol=tol).basis.matrices
+    cols = (gens[:, None] @ amats[None]).reshape(len(gens) * len(amats), -1)
+    coeff = np.linalg.lstsq(cols.T, quarter.ravel(), rcond=tol.rank)[0]
+    return np.einsum("ga,aij->gij", coeff.reshape(len(gens), len(amats)), amats)
+
+
+def test_closed_form_coefficients_are_the_least_squares_solution():
+    """``c_j = g_j* b^(-3/4)`` lies in A, factors ``b^(1/4)`` exactly and is
+    the minimum-norm solution that a least-squares solve over the
+    unitization returns, so ``K`` is the same either way."""
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for trial in range(12):
+        sizes, mults = random_block_structure(rng)
+        a = planted_block_algebra(sizes, mults, seed=4100 + trial).algebra
+        ideal = random_right_ideal(a, 1 + trial % 4, rng)
+        cert = projection_generator(a, ideal)
+        if cert.is_trivial:
+            continue
+        scale = max(hs_norm(g) for g in ideal.generators)
+        gens = np.array([g for g in ideal.generators if hs_norm(g) > DEFAULT_TOL.rank * scale])
+        dec, cut, _ = psd_cut(cert.gram)
+        quarter = dec.apply(lambda t: t ** 0.25 if t > cut else 0.0)
+        reference = lstsq_coefficients(a, gens, quarter)
+        cs = np.asarray(cert.coefficients)
+        ref_bound = max(op_norm(c) ** 2 for c in reference)
+        assert abs(cert.coefficient_bound - ref_bound) <= 1e-10 * ref_bound
+        for c, ref in zip(cs, reference):
+            assert hs_norm(c - ref) <= 1e-10 * max(1.0, hs_norm(c))
+            assert a.basis.residual(c) <= 1e-10 * max(1.0, hs_norm(c))
+        assert hs_norm((gens @ cs).sum(axis=0) - quarter) <= 1e-12 * max(1.0, hs_norm(quarter))
+        checked += 1
+    assert checked >= 8
 
 
 # ---------------------------------------------------------------------------

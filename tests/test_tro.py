@@ -308,6 +308,25 @@ def test_a_submodule_that_is_not_right_closed_is_refused():
     assert w._roundtrip is None
 
 
+def test_a_lost_module_roundtrip_row_is_named(monkeypatch):
+    """When span(J Z) comes back one row short, the refusal names the module
+    roundtrip and both dimensions."""
+    p = planted_block_tro([(3, 2), (2, 1)], seed=5)
+    w = maximal_submodule(p, seed=1)
+    shape = p.tro.basis.shape
+    assert shape[0] != shape[1]
+
+    def lossy(candidates, shape_, tol):
+        space = span_rows(candidates, shape_, tol=tol)
+        if shape_ != shape:
+            return space
+        return Subspace(space.rows, space.cols, space.stack[:-1])
+
+    monkeypatch.setattr(tro_mod, "span_rows", lossy)
+    with pytest.raises(VerificationFailure, match=f"module roundtrip .* dimension {w.dim - 1}, W has {w.dim}"):
+        submodule_ideal_roundtrip(p.tro, w)
+
+
 def test_a_submodule_outside_the_tro_is_refused():
     """span(W Z*) must lie in the left algebra: a hand-built basis element
     that is not in Z puts it outside."""
