@@ -140,7 +140,7 @@ def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     for _ in range(_MAX_DRAWS):
         found = _clusters(parent.basis, start, rng, tol)
         if found and parent.contains(found[-1], tol=tol):
-            if _corner_space(parent, found[-1], found[-1], tol).dim == 1:
+            if _corner_space(parent, found[-1], found[-1], tol) == 1:
                 return found[-1]
     raise DegenerateRandomness(
         f"{_MAX_DRAWS} random corner elements failed to isolate a minimal projection"
@@ -351,7 +351,7 @@ def corner_dimension(parent, e, f, tol=DEFAULT_TOL):
     """
     e = parent.require_projection(e, tol=tol, what="left projection")
     f = parent.require_projection(f, tol=tol, what="right projection")
-    dim = _corner_space(parent, e, f, tol).dim
+    dim = _corner_space(parent, e, f, tol)
     nonzero = hs_norm(e) > tol.member and hs_norm(f) > tol.member
     if nonzero and dim > 1:
         if is_minimal_projection(parent, e, tol=tol) and is_minimal_projection(

@@ -13,6 +13,8 @@ import pytest
 from cstarlab import (
     DEFAULT_TOL,
     StarAlgebra,
+    Subspace,
+    corner_dimension,
     generate_algebra,
     generate_right_ideal,
     is_maximal_right_ideal,
@@ -25,7 +27,15 @@ from cstarlab import (
     unit_of,
     unitize,
 )
-from cstarlab.errors import NotAProjection, NotInAlgebra, NotProper, NotUnital
+from cstarlab.algebra import sample_self_adjoint
+from cstarlab.errors import (
+    NotAProjection,
+    NotInAlgebra,
+    NotProper,
+    NotUnital,
+    VerificationFailure,
+)
+from cstarlab.ideals import _corner_space
 from cstarlab.instances import (
     haar_unitary,
     random_block_structure,
@@ -318,3 +328,58 @@ def test_complement_of_minimal_generates_maximal_ideal():
         q, corner = maximal_ideal_minimality_certificate(a, ideal)
         assert corner.dim == 1
         assert hs_norm(q @ q - q) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# corner dimensions from the trace sum_i ||e b_i f||^2
+
+
+@pytest.fixture(scope="module")
+def planted14():
+    """Blocks 3, 2, 1 with multiplicities 2, 1, 3: dimension 14 in 11 x 11."""
+    return planted_block_algebra([3, 2, 1], [2, 1, 3], seed=14)
+
+
+def rank_one_minimal(planted):
+    """The conjugated diagonal unit at position 6, the one row of the
+    size-2 block of multiplicity 1: a minimal projection of rank one."""
+    v = planted.conjugator[:, [6]]
+    return v @ v.conj().T
+
+
+@pytest.mark.parametrize("direction", ["radial", "generic"])
+def test_corner_dimension_at_the_edge_of_the_projection_tolerance(planted14, direction):
+    """A minimal projection and the unit, each moved by 0.9 tol.member
+    along a unit self-adjoint member (the projection itself, or a generic
+    draw), are still accepted as projections, and their corner dimensions
+    are still exact.  Moving the rank-one ``e`` along itself shifts the
+    trace by about 3.6e-8, more than the bound ``tol.member * max(1, S)``."""
+    a = planted14.algebra
+    rng = np.random.default_rng(5)
+
+    def moved(e):
+        h = e if direction == "radial" else sample_self_adjoint(a, rng)
+        return e + 0.9 * DEFAULT_TOL.member * h / hs_norm(h)
+
+    e, u = moved(rank_one_minimal(planted14)), moved(a.unit)
+    assert is_minimal_projection(a, e)
+    assert not is_minimal_projection(a, u)
+    assert corner_dimension(a, e, e) == 1
+    assert corner_dimension(a, e, u) == 2  # e A is a row of the size-2 block
+    assert corner_dimension(a, u, u) == a.dim
+
+
+@pytest.mark.parametrize("corrupt", ["scaled", "nan"])
+def test_corner_trace_off_an_integer_is_refused_by_name(planted14, corrupt):
+    """A basis that is not orthonormal (rows scaled by 1.5) or holds a NaN
+    refuses the corner trace by name: no wrong dimension, no ValueError
+    from rounding a NaN."""
+    a = planted14.algebra
+    stack = 1.5 * a.basis.stack
+    if corrupt == "nan":
+        stack = a.basis.stack.copy()
+        stack[0, 0] = np.nan
+    bad = StarAlgebra(basis=Subspace(a.ambient_dim, a.ambient_dim, stack), unit=a.unit)
+    e = rank_one_minimal(planted14)
+    with pytest.raises(VerificationFailure, match="corner trace"):
+        _corner_space(bad, e, e, DEFAULT_TOL)

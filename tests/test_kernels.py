@@ -2,7 +2,8 @@
 
 Each kernel runs as BLAS matrix products; the references below are the
 plain ``einsum`` contractions and Python loops they replaced.  Random
-complex stacks must agree to a relative difference of 1e-12.
+complex stacks must agree to a relative difference of 1e-12.  The corner
+trace must give the rank of the corner span it replaced, exactly.
 
 The ternary-morphism residual is a closed-form upper bound, not an
 enumeration: against the loop over every basis triple it must never fall
@@ -22,6 +23,7 @@ from cstarlab import (
     StarAlgebra,
     classify_tro,
     generate_tro,
+    minimal_projection_below,
     planted_block_algebra,
     planted_block_tro,
     wedderburn_decompose,
@@ -29,7 +31,8 @@ from cstarlab import (
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import VerificationFailure
 from cstarlab.ideals import _corner_space, _right_module_defect
-from cstarlab.linalg import Subspace, hs_norm, orthonormalize
+from cstarlab.instances import random_block_structure
+from cstarlab.linalg import Subspace, hs_norm, orthonormalize, span_rows
 from cstarlab.structure import _block_data, _block_form_residual, _central_projections
 from cstarlab.tro import (
     TRO,
@@ -82,25 +85,41 @@ def loop_morphism_defects(tro, cls):
     return np.array(out)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(SEEDS, st.integers(2, 6), st.integers(1, 8))
-def test_corner_space_products_match_einsum(seed, n, d):
+def corner_span_rank(parent, e, f):
+    """The route the corner trace replaced: the SVD rank of the products
+    ``e b_i f``, after flushing those at or below ``tol.rank`` times the
+    inputs' scale."""
+    flat = (e @ parent.basis.matrices @ f).reshape(parent.dim, -1)
+    scale = max(1.0, hs_norm(e)) * max(1.0, hs_norm(f))
+    keep = np.linalg.norm(flat, axis=1) > DEFAULT_TOL.rank * scale
+    return span_rows(flat[keep], (parent.ambient_dim, parent.ambient_dim)).dim
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_corner_trace_matches_the_corner_span_rank(seed, monkeypatch):
+    """Over the unit, the central projections, the diagonal matrix units,
+    a sum of two of them, a descended minimal projection and its
+    complement, every corner dimension is the integer the corner span's
+    rank gave, and no span is formed."""
     rng = np.random.default_rng(seed)
-    mats = cplx(rng, d, n, n)
-    e, f = cplx(rng, n, n), cplx(rng, n, n)
-    parent = StarAlgebra(basis=Subspace(n, n, mats.reshape(d, -1)))
-    seen = []
-    real_span_rows = ideals_mod.span_rows
+    sizes, mults = random_block_structure(rng)
+    a = planted_block_algebra(sizes, mults, seed=900 + seed).algebra
+    dec = wedderburn_decompose(a, seed=seed)
+    diag = [units[i, i] for units in dec.matrix_units for i in range(units.shape[0])]
+    e = minimal_projection_below(a, a.unit, seed=seed)
+    family = [a.unit, *dec.central_projections, *diag, e, a.unit - e]
+    if len(diag) > 1:
+        family.append(diag[0] + diag[-1])
 
-    def capture(candidates, shape, tol):
-        seen.append(candidates)
-        return real_span_rows(candidates, shape, tol=tol)
+    def no_span(*args, **kwargs):
+        raise AssertionError("the corner trace formed a span")
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals_mod, "span_rows", capture)
-        _corner_space(parent, e, f, DEFAULT_TOL)
-    ref = np.einsum("ij,ajk,kl->ail", e, mats, f).reshape(d, -1)
-    assert_rel_close(seen[0], ref)
+    monkeypatch.setattr(ideals_mod, "span_rows", no_span)
+    for left in family:
+        for right in family:
+            dim = _corner_space(a, left, right, DEFAULT_TOL)
+            assert type(dim) is int
+            assert dim == corner_span_rank(a, left, right)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
