@@ -68,19 +68,22 @@ class StarAlgebra:
     unit : ndarray or None
         The multiplicative identity of the algebra (a projection in the
         ambient matrices), or None for the zero algebra.
-    family : ndarray or None
+    family : ndarray
         ``(k, N, N)`` orthonormal elements whose products span the
         algebra: the family the closure was certified with, set by
-        :func:`generate_algebra` and so by :meth:`from_span`, or
-        ``span(T T*)`` and ``span(T* T)`` for the algebras of a TRO with
-        family ``T``.  None when no such family is known (a planted
-        algebra, a center, the algebras of a TRO without a family); the
-        basis then stands in for it.
+        :func:`generate_algebra` and so by :meth:`from_span`, the three
+        elements a planted algebra is written down with, or ``span(T T*)``
+        and ``span(T* T)`` for the algebras of a TRO with family ``T``.
+        Left out, it is the basis, which generates what it spans.
     """
 
     basis: Subspace
     unit: np.ndarray | None = None
     family: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.family is None:
+            self.family = self.basis.matrices
 
     @property
     def ambient_dim(self):
@@ -166,7 +169,9 @@ def unit_of(algebra, tol=DEFAULT_TOL):
     if space.dim == 0:
         return None
     mats = space.matrices
-    s = np.einsum("aij,aik->jk", mats.conj(), mats)
+    # the basis stacked as one (dim * N, N) matrix F, so the sum is F* F
+    flat = space.stack.reshape(-1, space.cols)
+    s = flat.conj().T @ flat
     u = support_projection_of_psd(s, tol=tol)
     checks = [
         hs_norm(u @ u - u),
@@ -234,7 +239,7 @@ def center(algebra, tol=DEFAULT_TOL):
     of the :func:`central_projections` of one probe with a fixed seed.
     Raises :class:`DegenerateRandomness` when the probe does not separate
     the blocks, and :class:`NumericalFailure` when a projection fails to
-    commute with the ``family`` (or, without one, the basis).
+    commute with the ``family``.
     """
     space = algebra.basis
     if space.dim == 0:
@@ -247,7 +252,7 @@ def center(algebra, tol=DEFAULT_TOL):
     if found is None:
         raise DegenerateRandomness("the center probe failed to separate the blocks")
     cm = np.array([c / hs_norm(c) for c in found])
-    gens = space.matrices if algebra.family is None else algebra.family
+    gens = algebra.family
     comm = cm[:, None] @ gens[None] - gens[None] @ cm[:, None]
     check("center candidate fails to commute with the algebra",
           float(np.max(np.abs(comm), initial=0.0)), tol.member, NumericalFailure)

@@ -26,7 +26,7 @@ from .errors import (
     NotUnital,
     check,
 )
-from .algebra import StarAlgebra, unitize
+from .algebra import StarAlgebra
 from .linalg import (
     Subspace,
     hs_norm,
@@ -125,13 +125,12 @@ class RightIdeal:
 
 
 def _right_module_defect(parent, space):
-    """Largest residual of ``x a`` against ``space`` for basis ``x`` of
-    ``space`` and ``a`` in ``parent.family``, or in its basis when it has
-    no family: ``J t`` inside ``J`` for every ``t`` of a family whose
-    products span ``A`` gives ``J A`` inside ``J``."""
+    """Largest residual of ``x t`` against ``space`` for basis ``x`` of
+    ``space`` and ``t`` in ``parent.family``: ``J t`` inside ``J`` for
+    every ``t`` of a family whose products span ``A`` gives ``J A`` inside
+    ``J``."""
     xs = space.matrices
-    bs = parent.basis.matrices if parent.family is None else parent.family
-    prods = (xs[:, None] @ bs[None]).reshape(-1, space.rows * space.cols)
+    prods = (xs[:, None] @ parent.family[None]).reshape(-1, space.rows * space.cols)
     return space.max_relative_residual(prods)
 
 
@@ -141,28 +140,20 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     closed under right multiplication by ``algebra``.  Right ideals
     ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here.
 
-    With a ``family``, whose products span the algebra, ``span(g)`` grows
-    semi-naively under right multiplication by it (:func:`saturate`): each
+    ``span(g)`` grows semi-naively under right multiplication by the
+    algebra's ``family``, whose products span it (:func:`saturate`): each
     round multiplies only the rows the last one added, and neither the
-    unitization nor the ``|g| * dim A^1`` products are formed.  Without one
-    the products with a basis of the unitization are spanned at once.
+    unitization nor the ``|g| * dim A^1`` products are formed.
     """
     n = algebra.ambient_dim
-    if not generators:
-        space = Subspace.empty(rows, n)
-    elif algebra.family is None:
-        amats = unitize(algebra, tol=tol).basis.matrices
-        gmats = np.array(generators)
-        prods = (gmats[:, None] @ amats[None]).reshape(-1, rows * n)
-        space = span_rows(prods, (rows, n), tol=tol)
-    else:
-        family = algebra.family
+    family = algebra.family
 
-        def products(fresh):
-            return (fresh.reshape(-1, rows, n)[:, None] @ family[None]).reshape(-1, rows * n)
+    def products(fresh):
+        return (fresh.reshape(-1, rows, n)[:, None] @ family[None]).reshape(-1, rows * n)
 
-        start = span_rows(np.array(generators).reshape(len(generators), -1), (rows, n), tol=tol)
-        space = Subspace(rows, n, saturate(start.stack, start.stack, products, tol=tol))
+    gens = np.array(generators, dtype=np.complex128).reshape(len(generators), rows * n)
+    start = span_rows(gens, (rows, n), tol=tol)
+    space = Subspace(rows, n, saturate(start.stack, start.stack, products, tol=tol))
     check("generated span is not right-module closed",
           _right_module_defect(algebra, space), tol.member)
     return space
@@ -288,8 +279,9 @@ def support_projection(parent, ideal, tol=DEFAULT_TOL):
     n = parent.ambient_dim
     if ideal.basis.dim == 0:
         return np.zeros((n, n), dtype=np.complex128)
-    xs = ideal.basis.matrices
-    s = np.einsum("aij,akj->ik", xs, xs.conj())
+    # the basis side by side as one (N, dim * N) matrix F, so the sum is F F*
+    flat = ideal.basis.matrices.transpose(1, 0, 2).reshape(n, -1)
+    s = flat @ flat.conj().T
     s = 0.5 * (s + s.conj().T)
     return support_projection_of_psd(s, tol=tol)
 
@@ -331,12 +323,13 @@ def is_minimal_projection(parent, e, tol=DEFAULT_TOL):
     return _corner_space(parent, e, e, tol) == 1
 
 
-def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
-    """Whether ``J`` is maximal among proper right ideals.
+def _maximal_complement(parent, ideal, tol):
+    """``q = u - p`` for the support projection ``p`` of ``J`` when ``J`` is
+    maximal among proper right ideals, None otherwise.
 
-    For a unital algebra this is equivalent to ``J = pA`` with ``u - p``
-    minimal, which is what gets checked: the support projection must
-    single-generate ``J``, and its complement in the unit must have a
+    For a unital algebra maximality is equivalent to ``J = pA`` with
+    ``u - p`` minimal, which is what gets checked: the support projection
+    must single-generate ``J``, and its complement in the unit must have a
     one-dimensional corner.
     """
     u = parent.unit
@@ -346,14 +339,20 @@ def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
         raise NotProper("the ideal contains the unit, so it is not proper")
     p = support_projection(parent, ideal, tol=tol)
     if not parent.contains(p, tol=tol):
-        return False
+        return None
     fix = identity_defect(p, ideal.basis.matrices)
     if fix > tol.member or ideal.basis.residual(p) > tol.member:
-        return False
-    e = u - p
-    if hs_norm(e) <= tol.member:  # pragma: no cover - excluded by properness
-        return False
-    return is_minimal_projection(parent, e, tol=tol)
+        return None
+    q = u - p
+    if hs_norm(q) <= tol.member:  # pragma: no cover - excluded by properness
+        return None
+    return q if is_minimal_projection(parent, q, tol=tol) else None
+
+
+def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
+    """Whether ``J`` is maximal among proper right ideals: ``J = pA`` for
+    its support projection ``p``, with ``u - p`` minimal."""
+    return _maximal_complement(parent, ideal, tol) is not None
 
 
 def maximal_ideal_minimality_certificate(parent, ideal, tol=DEFAULT_TOL):
@@ -364,7 +363,7 @@ def maximal_ideal_minimality_certificate(parent, ideal, tol=DEFAULT_TOL):
     maximality test has certified that it is one-dimensional, so it is
     ``span(q)``.  Raises :class:`NotMaximal` when ``J`` is not maximal.
     """
-    if not is_maximal_right_ideal(parent, ideal, tol=tol):
+    q = _maximal_complement(parent, ideal, tol)
+    if q is None:
         raise NotMaximal("ideal is not a maximal right ideal")
-    q = parent.unit - support_projection(parent, ideal, tol=tol)
     return q, span_rows(q.reshape(1, -1), q.shape, tol=tol)

@@ -71,10 +71,11 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
     """Conjugated ``sum_k I_{m_k} (x) M_{n_k}`` with known ground truth.
 
     The orthonormal basis is written down directly (scaled embedded
-    matrix units stay orthonormal under unitary conjugation), so no
-    closure iteration is involved.  ``ambient_dim`` beyond the occupied
-    rank pads the algebra with a kernel, making the algebra unit a
-    proper subprojection of the ambient identity.
+    matrix units stay orthonormal under unitary conjugation), and so is a
+    generating family of at most three elements, so no closure iteration
+    is involved.  ``ambient_dim`` beyond the occupied rank pads the
+    algebra with a kernel, making the algebra unit a proper subprojection
+    of the ambient identity.
     """
     sizes = [int(n) for n in block_sizes]
     mults = [int(m) for m in multiplicities]
@@ -94,7 +95,9 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
     basis = []
     offset = 0
     unit = np.zeros((n_amb, n_amb), dtype=np.complex128)
-    for n_k, m_k in zip(sizes, mults):
+    shift = np.zeros((n_amb, n_amb), dtype=np.complex128)
+    weights = np.zeros((n_amb, n_amb), dtype=np.complex128)
+    for k, (n_k, m_k) in enumerate(zip(sizes, mults)):
         scale = 1.0 / np.sqrt(m_k)
         for p in range(n_k):
             for q in range(n_k):
@@ -102,14 +105,30 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
                 for j in range(m_k):
                     mat[offset + j * n_k + p, offset + j * n_k + q] = scale
                 basis.append(mat)
+                if q == p + 1:
+                    shift += mat
+                elif p == q == 0:
+                    weights += (k + 1) / scale * mat
         span = n_k * m_k
         unit[offset : offset + span, offset : offset + span] = np.eye(span)
         offset += span
 
+    # The family S = sum_{k,p} E^k_{p,p+1}, S* and D = sum_k (k+1) P_k, for
+    # the unscaled P_k = E^k_11 (x) I_{m_k}, generates the algebra.  D has
+    # the distinct eigenvalues k+1 on the ranges of the P_k and 0 elsewhere,
+    # so each P_k is a polynomial in D without constant term (a Vandermonde
+    # system), and (S*)^p P_k S^q is a nonzero multiple of E^k_{p+1,q+1}:
+    # words in the family reach every matrix unit.  P_k must not be scaled
+    # by 1/sqrt(m_k) as the basis is: blocks with equal (k+1)/sqrt(m_k),
+    # such as sizes [1, 1] with multiplicities [1, 4], would then share an
+    # eigenvalue of D and never be told apart.  S is zero when every block
+    # is 1 x 1, and D alone generates the algebra.
+    family = [x / np.linalg.norm(x) for x in (shift, shift.conj().T, weights) if x.any()]
     conj = u @ np.array(basis) @ u.conj().T
     algebra = StarAlgebra(
         basis=Subspace(n_amb, n_amb, conj.reshape(len(basis), -1)),
         unit=u @ unit @ u.conj().T,
+        family=u @ np.array(family) @ u.conj().T,
     )
     return PlantedAlgebra(
         algebra=algebra,

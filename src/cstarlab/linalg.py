@@ -500,7 +500,7 @@ def identity_defect(e, mats, right=False):
     """Largest ``||e x - x||`` over a ``(k, rows, cols)`` stack ``x``, or
     ``||x e - x||`` when ``right`` is set: how far ``e`` is from acting as
     the identity on the stack; 0.0 for an empty stack."""
-    prods = np.einsum("aij,jk->aik", mats, e) if right else np.einsum("ij,ajk->aik", e, mats)
+    prods = mats @ e if right else e @ mats
     return float(np.max(np.linalg.norm(prods - mats, axis=(1, 2)), initial=0.0))
 
 

@@ -28,8 +28,8 @@ of each product then runs over ``T`` instead of a basis, so a span costs
 ``span(Z* Z) = span(T* Z)``, ``span(W Z*) = span(W T*)`` for a right
 submodule ``W``, and ``span(J Z) = span(J T)`` for a right ideal ``J``.
 The two algebras get ``span(T T*)`` and ``span(T* T)`` as families, so
-their module checks multiply by a handful of elements too.  A TRO without
-a family (:func:`tro_from_span`) lets its basis stand in for ``T``.
+their module checks multiply by a handful of elements too.  A TRO built
+from a span (:func:`tro_from_span`) takes its basis as ``T``.
 """
 
 import numpy as np
@@ -57,6 +57,7 @@ from .linalg import (
     Subspace,
     as_matrix,
     close_span,
+    grow_span,
     hermitian_eig,
     hs_norm,
     identity_defect,
@@ -84,10 +85,9 @@ __all__ = [
 
 def _ternary_defect(space, left):
     """Largest residual of ``l z`` against the span, over the basis ``z``
-    and the basis ``l`` of ``left``, either ``span(V V*)`` or ``span(T T*)``
-    for the family ``T`` of ``V``: ``V`` is closed under ``x y* z``
-    exactly when ``left V`` lies in ``V``, which costs ``dim(left) * d``
-    products instead of ``d^3``."""
+    and the basis ``l`` of ``left = span(T T*)`` for the family ``T`` of
+    ``V``: ``V`` is closed under ``x y* z`` exactly when ``left V`` lies in
+    ``V``, which costs ``dim(left) * d`` products instead of ``d^3``."""
     prods = left.matrices[:, None] @ space.matrices[None]
     return space.max_relative_residual(prods.reshape(-1, space.rows * space.cols))
 
@@ -116,15 +116,19 @@ class TRO:
 
     ``family`` is ``(k, rows, cols)`` orthonormal elements of the TRO whose
     odd words ``t1 t2* t3 ...`` span it: the family the closure was
-    certified with, set by :func:`generate_tro` and by planted TROs.  None
-    when no such family is known (:func:`tro_from_span`); the basis then
-    stands in for it.
+    certified with, set by :func:`generate_tro` and by planted TROs.  Left
+    out, it is the basis, which spans the TRO by itself
+    (:func:`tro_from_span`).
     """
 
     basis: Subspace
     left_algebra: StarAlgebra
     right_algebra: StarAlgebra
     family: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.family is None:
+            self.family = self.basis.matrices
 
     @property
     def rows(self):
@@ -144,14 +148,12 @@ class TRO:
 
 def _build_tro(space, family, tol):
     """The TRO on ``space`` with its algebras ``span(Z T*)`` and
-    ``span(T* Z)`` for the ``(k, rows, cols)`` family ``T`` (None: the
-    basis).
+    ``span(T* Z)`` for the ``(k, rows, cols)`` family ``T`` whose odd words
+    span ``space``.
 
-    With a family, ``space`` is the span of the odd words in ``T`` and the
-    algebras get ``span(T T*)`` and ``span(T* T)``, which generate them, as
-    families; the span is closed under ``x y* z`` exactly when
-    ``span(T T*) Z`` lies in it.  Without one the closure check multiplies
-    by the whole left algebra (:class:`ClosureViolation` either way).
+    The algebras get ``span(T T*)`` and ``span(T* T)``, which generate
+    them, as families; the span is closed under ``x y* z`` exactly when
+    ``span(T T*) Z`` lies in it (:class:`ClosureViolation` otherwise).
     """
     m, n = space.shape
     if not space.dim:
@@ -160,24 +162,23 @@ def _build_tro(space, family, tol):
             left_algebra=StarAlgebra(basis=Subspace.empty(m, m)),
             right_algebra=StarAlgebra(basis=Subspace.empty(n, n)),
         )
-    ts = space.stack if family is None else family.reshape(len(family), m * n)
-    # the left span comes first: the closure check multiplies by it, and
+    ts = family.reshape(len(family), m * n)
+    # the closing span comes first: the closure check multiplies by it, and
     # the units are sought only once the span passed
-    left = StarAlgebra(
-        basis=span_rows(_left_products(space.stack, space.shape, ts), (m, m), tol=tol)
-    )
-    closing = left.basis
-    if family is not None:
-        closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
-        left.family = closing.matrices
+    closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
     check("span is not closed under x y* z", _ternary_defect(space, closing), tol.member,
           ClosureViolation)
+    # each algebra's basis grows from its family, which it contains, so a
+    # family that spans the TRO (tro_from_span) adds one projection pass,
+    # not a second SVD of the d^2 products
+    left_stack, _ = grow_span(
+        closing.stack, _left_products(space.stack, space.shape, ts), tol=tol)
+    left = StarAlgebra(basis=Subspace(m, m, left_stack), family=closing.matrices)
     left.unit = unit_of(left, tol=tol)
-    right = StarAlgebra(
-        basis=span_rows(_right_products(ts, space.shape, space.stack), (n, n), tol=tol)
-    )
-    if family is not None:
-        right.family = span_rows(_right_products(ts, space.shape), (n, n), tol=tol).matrices
+    right_family = span_rows(_right_products(ts, space.shape), (n, n), tol=tol)
+    right_stack, _ = grow_span(
+        right_family.stack, _right_products(ts, space.shape, space.stack), tol=tol)
+    right = StarAlgebra(basis=Subspace(n, n, right_stack), family=right_family.matrices)
     right.unit = unit_of(right, tol=tol)
     tro = TRO(basis=space, left_algebra=left, right_algebra=right, family=family)
     _check_nondegenerate(tro, tol)
@@ -238,11 +239,11 @@ def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     ``span(V V*)`` is built; ``V`` is closed under ``x y* z`` exactly when
     ``span(V V*) V`` lies in ``V``, which is checked on the ``dim L * d``
     products of the two bases (:class:`ClosureViolation` otherwise).  Then
-    both algebras get their units and nondegeneracy is verified.  The TRO
-    has no ``family``: its basis stands in for one.
+    both algebras get their units and nondegeneracy is verified.  The basis
+    is the TRO's ``family``.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
-    return _build_tro(space, None, tol)
+    return _build_tro(space, space.matrices, tol)
 
 
 @dataclass(eq=False)
@@ -411,7 +412,7 @@ class Submodule:
 def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     """Right submodule of the TRO generated by the given elements: the
     span of ``g (Z* Z)^1`` (:func:`right_module_span` over the right
-    algebra, grown under its family ``span(T* T)`` when the TRO has one);
+    algebra, grown under its family ``span(T* T)``);
     each generator must belong to the TRO, to
     ``tol.member * max(1, ||g||)``."""
     m, n = tro.basis.shape
@@ -460,13 +461,12 @@ def _verify_roundtrip(tro, submodule, tol):
             parent=left, generators=[], basis=Subspace.empty(m, m)
         )
         return ideal, {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
-    ts = tro.basis.matrices if tro.family is None else tro.family
+    ts = tro.family
     j_space = span_rows(_left_products(submodule.basis.stack, (m, n), ts), (m, m), tol=tol)
     check("span(W Z*) is not in the left algebra, relative to its norm",
           left.basis.max_relative_residual(j_space.stack), tol.member, NotInAlgebra)
-    if tro.family is not None:
-        check("W is not closed under the right algebra",
-              _right_module_defect(tro.right_algebra, submodule.basis), tol.member)
+    check("W is not closed under the right algebra",
+          _right_module_defect(tro.right_algebra, submodule.basis), tol.member)
     check("span(W Z*) is not a right ideal of the left algebra",
           _right_module_defect(left, j_space), tol.member)
     ideal = RightIdeal(parent=left, generators=list(j_space.matrices), basis=j_space)

@@ -9,7 +9,7 @@ adjoints of the basis (algebras) or all triple products ``x y* z``
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cstarlab.linalg as linalg_mod
 from cstarlab import (
@@ -167,6 +167,31 @@ def test_two_generator_closure_offers_linearly_many_rows():
     d = alg.dim
     assert d == planted.algebra.dim == 136
     assert sum(offered) <= 5 * d
+
+
+# (size, multiplicity) pairs, occupied rank at most 16
+PLANTED_BLOCKS = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(1, 4)), min_size=1, max_size=3
+).filter(lambda blocks: sum(n * m for n, m in blocks) <= 16)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(PLANTED_BLOCKS, st.integers(0, 2), SEEDS)
+@example([(1, 1), (1, 4)], 0, 0)
+def test_a_planted_family_generates_the_planted_algebra(blocks, pad, seed):
+    """The family a planted algebra is written down with closes to the
+    planted span, padded ambient or not.  Sizes [1, 1] with multiplicities
+    [1, 4] are the case a ``D`` built from the scaled units would not
+    separate: both blocks would get eigenvalue 1, and the closure would be
+    the one-dimensional span of the unit."""
+    sizes = [n for n, _ in blocks]
+    mults = [m for _, m in blocks]
+    occupied = sum(n * m for n, m in blocks)
+    planted = planted_block_algebra(sizes, mults, ambient_dim=occupied + pad, seed=seed).algebra
+    closed = generate_algebra(planted.ambient_dim, list(planted.family))
+    assert len(planted.family) <= 3
+    assert closed.dim == planted.dim
+    assert closed.basis.distance(planted.basis) <= SPAN_TOL
 
 
 def non_ideal_near(alg, rng, offset):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cstarlab.algebra as algebra_mod
 import cstarlab.ideals as ideals_mod
 import cstarlab.tro as tro_mod
 from cstarlab import (
@@ -30,9 +31,9 @@ from cstarlab import (
 )
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import VerificationFailure
-from cstarlab.ideals import _corner_space, _right_module_defect
+from cstarlab.ideals import RightIdeal, _corner_space, _right_module_defect, support_projection
 from cstarlab.instances import random_block_structure
-from cstarlab.linalg import Subspace, hs_norm, orthonormalize, span_rows
+from cstarlab.linalg import Subspace, hs_norm, identity_defect, orthonormalize, span_rows
 from cstarlab.structure import _block_data, _block_form_residual, _central_projections
 from cstarlab.tro import (
     TRO,
@@ -131,6 +132,49 @@ def test_tro_products_match_einsum(seed, m, n, d):
     assert_rel_close(_left_products(stack, (m, n)), left.reshape(-1, m * m))
     right = np.einsum("aji,bjk->abik", mats.conj(), mats)
     assert_rel_close(_right_products(stack, (m, n)), right.reshape(-1, n * n))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.integers(1, 6))
+def test_identity_defect_matches_einsum(seed, m, n, d):
+    rng = np.random.default_rng(seed)
+    mats = cplx(rng, d, m, n)
+    e_left, e_right = cplx(rng, m, m), cplx(rng, n, n)
+    left = np.einsum("ij,ajk->aik", e_left, mats) - mats
+    right = np.einsum("aij,jk->aik", mats, e_right) - mats
+    assert identity_defect(e_left, mats) == pytest.approx(
+        np.max(np.linalg.norm(left, axis=(1, 2))), rel=REL)
+    assert identity_defect(e_right, mats, right=True) == pytest.approx(
+        np.max(np.linalg.norm(right, axis=(1, 2))), rel=REL)
+
+
+class GramSeen(Exception):
+    """Raised by the patched support projection, carrying the Gram sum."""
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 4), st.integers(1, 6))
+def test_gram_sums_match_einsum(seed, n, d):
+    """The Gram sums ``sum b* b`` of ``unit_of`` and ``sum x x*`` of
+    ``support_projection``, captured where they are handed on."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, min(d, n * n), n, n)
+    mats = space.matrices
+
+    def capture(s, tol):
+        raise GramSeen(s)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra_mod, "support_projection_of_psd", capture)
+        mp.setattr(ideals_mod, "support_projection_of_psd", capture)
+        with pytest.raises(GramSeen) as unit_gram:
+            algebra_mod.unit_of(StarAlgebra(basis=space))
+        parent = StarAlgebra(basis=Subspace.empty(n, n))
+        with pytest.raises(GramSeen) as ideal_gram:
+            support_projection(parent, RightIdeal(parent=parent, generators=[], basis=space))
+    assert_rel_close(unit_gram.value.args[0], np.einsum("aij,aik->jk", mats.conj(), mats))
+    ref = np.einsum("aij,akj->ik", mats, mats.conj())
+    assert_rel_close(ideal_gram.value.args[0], 0.5 * (ref + ref.conj().T))
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
