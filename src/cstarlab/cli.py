@@ -343,7 +343,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Extreme-scale inputs overflow or underflow in unscaled first passes
+        # (safe_norm) that detect it and rescale, or end in a typed error;
+        # numpy's warnings about them would only precede that outcome.
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return args.func(args)
     except INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

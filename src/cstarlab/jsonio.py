@@ -1,13 +1,23 @@
 """JSON encoding of matrices, problem fixtures and result reports.
 
-Complex numbers travel as ``[re, im]`` pairs of doubles; a matrix is
-``{"rows": m, "cols": n, "entries": [[re, im], ...]}`` with entries in
-row-major order.  Fixtures carry a ``kind`` tag (``algebra``, ``tro`` or
-``ideal``) plus generator lists and optional ground truth.  Reports are
-dumped with sorted keys and no volatile fields, so identical runs
-produce byte-identical output.
+A matrix is a JSON object in one of two forms, both with entries in
+row-major order:
+
+- dense: ``{"rows": m, "cols": n, "data": "<base64>"}``, where ``data`` is
+  the standard padded base64 of the matrix's little-endian complex128
+  bytes (``'<c16'``, 16 bytes an entry);
+- pairs: ``{"rows": m, "cols": n, "entries": [[re, im], ...]}``.
+
+Fixtures carry a ``kind`` tag (``algebra``, ``tro`` or ``ideal``) plus
+generator lists and optional ground truth.  The fixture writers use the
+dense form; every reader accepts both, so fixtures in the ``entries`` form
+still load.  Both forms decode bit for bit (a float's repr round-trips), so
+a report does not depend on its fixture's form.  Reports keep the
+``[re, im]`` pairs, are dumped with sorted keys and hold no volatile
+fields, so identical runs produce byte-identical output.
 """
 
+import base64
 import json
 import numpy as np
 
@@ -15,28 +25,78 @@ from .errors import ParseError
 
 __all__ = [
     "encode_matrix",
+    "encode_dense_matrix",
     "decode_matrix",
     "decode_fixture",
     "dumps_report",
 ]
 
+_DENSE = np.dtype("<c16")
+
 
 def encode_matrix(m):
-    m = np.asarray(m, dtype=np.complex128)
+    """The ``[re, im]`` pairs form of a matrix, as reports carry it."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel()],
+        "entries": m.view(float).reshape(-1, 2).tolist(),
+    }
+
+
+def encode_dense_matrix(m):
+    """The dense form of a matrix: base64 of its ``'<c16'`` bytes."""
+    m = np.asarray(m, dtype=_DENSE)
+    return {
+        "rows": int(m.shape[0]),
+        "cols": int(m.shape[1]),
+        "data": base64.b64encode(m.tobytes()).decode("ascii"),
     }
 
 
 def decode_matrix(obj):
-    """The matrix of an encoded object, its ``[re, im]`` entries converted
-    as one float array and reinterpreted bit for bit as complex128."""
+    """The matrix of an encoded object in either form, as a native,
+    writable complex128 array equal bit for bit to the encoded one."""
     try:
         rows, cols = int(obj["rows"]), int(obj["cols"])
-        pairs = np.asarray(obj["entries"], dtype=float)
+        dense, pairs = "data" in obj, "entries" in obj
     except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed matrix object: {exc}") from exc
+    if rows < 0 or cols < 0:
+        raise ParseError(f"matrix shape ({rows}, {cols}) is negative")
+    if dense == pairs:
+        raise ParseError("a matrix object holds exactly one of 'data' and 'entries'")
+    if dense:
+        m = _decode_dense(obj["data"], rows, cols)
+    else:
+        m = _decode_pairs(obj["entries"], rows, cols)
+    # numpy reads a JSON null as nan
+    if not np.all(np.isfinite(m)):
+        raise ParseError("matrix has a null or non-finite entry")
+    return m
+
+
+def _decode_dense(data, rows, cols):
+    if not isinstance(data, str):
+        raise ParseError(f"matrix data must be a base64 string, got {type(data).__name__}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ParseError(f"matrix data is not valid base64: {exc}") from exc
+    if len(raw) != rows * cols * _DENSE.itemsize:
+        raise ParseError(
+            f"matrix data holds {len(raw)} bytes, expected "
+            f"{rows * cols * _DENSE.itemsize} for a {rows}x{cols} complex128 matrix"
+        )
+    return np.frombuffer(raw, dtype=_DENSE).astype(np.complex128).reshape(rows, cols)
+
+
+def _decode_pairs(entries, rows, cols):
+    """The ``[re, im]`` entries converted as one float array and
+    reinterpreted bit for bit as complex128."""
+    try:
+        pairs = np.asarray(entries, dtype=float)
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if pairs.shape == (0,):  # the empty matrix
         pairs = pairs.reshape(0, 2)
@@ -45,9 +105,6 @@ def decode_matrix(obj):
             f"matrix entries have shape {pairs.shape}, expected "
             f"({rows * cols}, 2) [re, im] pairs"
         )
-    # numpy reads a JSON null as nan
-    if not np.all(np.isfinite(pairs)):
-        raise ParseError("matrix has a null or non-finite entry")
     return pairs.view(np.complex128).reshape(rows, cols)
 
 
@@ -55,7 +112,7 @@ def encode_algebra_fixture(ambient_dim, generators, ground_truth=None):
     out = {
         "kind": "algebra",
         "ambient": int(ambient_dim),
-        "generators": [encode_matrix(g) for g in generators],
+        "generators": [encode_dense_matrix(g) for g in generators],
     }
     if ground_truth is not None:
         out["ground_truth"] = {
@@ -69,7 +126,7 @@ def encode_tro_fixture(rows, cols, generators, ground_truth=None):
     out = {
         "kind": "tro",
         "ambient": [int(rows), int(cols)],
-        "generators": [encode_matrix(g) for g in generators],
+        "generators": [encode_dense_matrix(g) for g in generators],
     }
     if ground_truth is not None:
         out["ground_truth"] = {"blocks": [[int(m), int(n)] for m, n in ground_truth]}
@@ -80,8 +137,8 @@ def encode_ideal_fixture(ambient_dim, algebra_generators, ideal_generators):
     return {
         "kind": "ideal",
         "ambient": int(ambient_dim),
-        "algebra_generators": [encode_matrix(g) for g in algebra_generators],
-        "ideal_generators": [encode_matrix(g) for g in ideal_generators],
+        "algebra_generators": [encode_dense_matrix(g) for g in algebra_generators],
+        "ideal_generators": [encode_dense_matrix(g) for g in ideal_generators],
     }
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line tests: fixture generation, analysis commands,
 exit codes, and byte-level determinism of the JSON reports."""
 
+import base64
 import json
 import os
 import subprocess
@@ -24,6 +25,15 @@ def run_cli(*args, env_extra=None):
         env=env,
         timeout=120,
     )
+
+
+def matrix(m):
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1],
+            "entries": [[z.real, z.imag] for z in m.ravel()]}
+
+
+E12 = [[0.0, 1.0], [0.0, 0.0]]
 
 
 def test_selftest_passes():
@@ -173,11 +183,53 @@ def test_non_finite_tolerance_is_input_error(tmp_path, command, kind, flag, valu
     [],  # one entry short
 ])
 def test_malformed_matrix_entries_are_input_errors(tmp_path, replacement):
+    """The ``[re, im]`` pairs form, which fixtures written before the dense
+    form use."""
+    gen = matrix(E12)
+    gen["entries"][1:2] = replacement
+    assert_input_error(tmp_path, gen)
+
+
+def with_bytes(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+def dense(m):
+    """The dense form of a matrix: base64 of its little-endian complex128
+    bytes."""
+    m = np.asarray(m, dtype="<c16")
+    return {"rows": m.shape[0], "cols": m.shape[1], "data": with_bytes(m.tobytes())}
+
+
+ENTRY = 16  # bytes of one complex128 entry
+E12_BYTES = np.asarray(E12, dtype="<c16").tobytes()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("data", "!!!!" + dense(E12)["data"][4:]),  # not base64
+    ("data", dense(E12)["data"].rstrip("=")),  # padding missing
+    ("data", with_bytes(E12_BYTES[:-ENTRY])),  # one entry short
+    ("data", with_bytes(E12_BYTES + bytes(ENTRY))),  # one entry long
+    ("data", with_bytes(np.array([np.nan, 0, 0, 0], "<c16").tobytes())),
+    ("data", with_bytes(np.array([0, np.inf, 0, 0], "<c16").tobytes())),
+    ("data", 5),  # not a string
+    ("data", [[0.0, 1.0]]),
+    ("entries", matrix(E12)["entries"]),  # both forms at once
+    ("rows", -2),
+    ("cols", -2),
+], ids=["non-base64", "bad-padding", "entry-short", "entry-long", "nan", "inf",
+        "number", "list", "data-and-entries", "negative-rows", "negative-cols"])
+def test_malformed_dense_matrix_is_input_error(tmp_path, field, value):
+    gen = dense(E12)
+    gen[field] = value
+    assert_input_error(tmp_path, gen)
+
+
+def assert_input_error(tmp_path, generator):
+    """``decompose`` of the algebra the one generator gives ends in exit 1."""
     fix = tmp_path / "alg.json"
-    run_cli("random", "algebra", "--blocks", "2", "--seed", 5, "--json", fix)
-    obj = json.loads(fix.read_text())
-    obj["generators"][0]["entries"][1:2] = replacement
-    fix.write_text(json.dumps(obj))
+    fix.write_text(json.dumps({"kind": "algebra", "ambient": 2,
+                               "generators": [generator]}))
     r = run_cli("decompose", fix)
     assert r.returncode == 1
     assert "error:" in r.stderr
@@ -270,15 +322,6 @@ def test_json_flag_matches_stdout(tmp_path):
 # degenerate and extreme-scale fixtures
 
 
-def matrix(m):
-    m = np.asarray(m, dtype=complex)
-    return {"rows": m.shape[0], "cols": m.shape[1],
-            "entries": [[z.real, z.imag] for z in m.ravel()]}
-
-
-E12 = [[0.0, 1.0], [0.0, 0.0]]
-
-
 @pytest.mark.parametrize("generators", [[], [np.zeros((2, 3))]])
 def test_zero_tro_classifies(tmp_path, generators):
     fix = tmp_path / "tro.json"
@@ -299,6 +342,7 @@ def test_decompose_of_a_huge_generator(tmp_path):
                                "generators": [matrix(1e300 * np.array(E12))]}))
     r = run_cli("decompose", fix)
     assert r.returncode == 0, r.stderr
+    assert r.stderr == ""  # no numpy overflow warnings either
     report = json.loads(r.stdout)
     assert report["algebra_dim"] == 4
     assert report["blocks"] == [{"size": 2, "multiplicity": 1}]
@@ -314,7 +358,7 @@ def test_ideal_of_an_extreme_generator_fails_typed(tmp_path, scale):
                                "ideal_generators": [matrix(scale * np.array(E12))]}))
     r = run_cli("ideal", fix)
     assert r.returncode == 2
-    # numpy's overflow warnings may come first
-    assert r.stderr.splitlines()[-1].startswith("verification failed:")
+    [line] = r.stderr.splitlines()
+    assert line.startswith("verification failed:")
     assert "Traceback" not in r.stderr
     assert r.stdout == ""

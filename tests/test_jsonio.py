@@ -1,0 +1,95 @@
+"""Matrix encodings: the dense base64 form the fixture writers use and the
+``[re, im]`` pairs form of reports and older fixtures.
+
+Both must decode to the encoded bits exactly, and a fixture must give the
+same report bytes whichever form it is written in.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from cstarlab import cli
+from cstarlab.jsonio import decode_fixture, decode_matrix, encode_dense_matrix, encode_matrix
+from test_golden import FIXTURES
+
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+SPECIAL = np.array(
+    [[-0.0 + 0.0j, complex(0.0, -0.0), TINY - 1j * TINY],
+     [2.5e-310 + 1e300j, -1e300 - 4.9e-324j, 1 / 3 + 1j * np.pi]]
+)
+
+
+def bits(m):
+    return np.ascontiguousarray(m, dtype=np.complex128).view(np.uint8)
+
+
+def through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
+def inputs():
+    """Special values as given, non-contiguous, big-endian and empty."""
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    return [
+        SPECIAL,
+        SPECIAL.T,  # Fortran order
+        wide[::2, ::3],  # strided
+        SPECIAL.astype(">c16"),  # big-endian
+        np.zeros((0, 3)),
+        np.array([[1, 2], [3, 4]]),  # integers
+    ]
+
+
+@pytest.mark.parametrize("encode", [encode_dense_matrix, encode_matrix])
+@pytest.mark.parametrize("m", inputs(), ids=["special", "transposed", "strided",
+                                              "big-endian", "empty", "integer"])
+def test_encoding_round_trips_bit_for_bit(encode, m):
+    out = decode_matrix(through_text(encode(m)))
+    assert out.shape == m.shape
+    assert out.dtype == np.complex128 and out.dtype.isnative
+    assert out.flags.writeable
+    np.testing.assert_array_equal(bits(out), bits(m))
+
+
+def test_dense_data_is_little_endian_row_major():
+    m = np.array([[1.0, 2j]])
+    data = encode_dense_matrix(m)["data"]
+    assert data == "AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAEA="
+
+
+def test_pairs_match_the_per_entry_loop():
+    """The vectorized report encoder writes the floats the per-entry
+    ``float()`` loop wrote, in the same order."""
+    for m in inputs():
+        loop = [[float(z.real), float(z.imag)] for z in np.asarray(m, complex).ravel()]
+        assert json.dumps(encode_matrix(m)["entries"]) == json.dumps(loop)
+
+
+def legacy(raw):
+    """A fixture dict with every matrix rewritten in the pairs form."""
+    return {
+        key: [encode_matrix(g) for g in decode_fixture(raw)[key]]
+        if key.endswith("generators") else value
+        for key, value in raw.items()
+    }
+
+
+@pytest.mark.parametrize("command", sorted(FIXTURES))
+def test_report_bytes_do_not_depend_on_the_fixture_form(tmp_path, command):
+    fixture = tmp_path / "dense.json"
+    argv = ["random", *FIXTURES[command], "--seed", "2", "--json", str(fixture)]
+    assert cli.main(argv) == 0
+    raw = json.loads(fixture.read_text())
+    assert all("data" in g and "entries" not in g
+               for key in raw if key.endswith("generators") for g in raw[key])
+    old = tmp_path / "legacy.json"
+    old.write_text(json.dumps(legacy(raw)))
+    reports = []
+    for path in (fixture, old):
+        out = tmp_path / f"{path.stem}.report.json"
+        assert cli.main([command, str(path), "--seed", "2", "--json", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
