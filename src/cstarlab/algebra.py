@@ -217,7 +217,7 @@ def central_projections(algebra, h, tol=DEFAULT_TOL):
     probes = np.stack([h + h.conj().T, np.eye(algebra.ambient_dim)])
     phi, s = np.tensordot(mats @ probes[:, None], mats.conj(), axes=([1, 3], [0, 2]))
     shifted = phi + 2.0 * hs_norm(phi) * u
-    found = [q for _, q in spectral_clusters(shifted, tol=tol) if q is not None]
+    found = spectral_clusters(shifted, tol=tol)
     if hs_norm(sum(found) - u) > tol.member * max(1.0, hs_norm(u)):
         return None
     if algebra.basis.max_relative_residual(np.array([c.ravel() for c in found])) > tol.member:

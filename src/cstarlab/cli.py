@@ -94,6 +94,17 @@ def _emit(report, args):
         sys.stdout.write(text)
 
 
+def _finish(report, args, ok, failure):
+    """Write the report with its verdict ``ok``; exit code 0, or 2 with
+    ``verification failed: <failure>`` on stderr."""
+    report["ok"] = ok
+    _emit(report, args)
+    if not ok:
+        sys.stderr.write(f"verification failed: {failure}\n")
+        return 2
+    return 0
+
+
 def _cmd_decompose(args):
     tol = _resolve_tol(args)
     fix = _load_fixture(args.fixture, ("algebra",))
@@ -115,12 +126,7 @@ def _cmd_decompose(args):
         expected = sorted(zip(gt[0], gt[1]), reverse=True)
         report["ground_truth_match"] = dec.block_signature() == expected
     ok = report["dimension_identity_ok"] and report.get("ground_truth_match", True)
-    report["ok"] = ok
-    _emit(report, args)
-    if not ok:
-        sys.stderr.write("verification failed: block structure mismatch\n")
-        return 2
-    return 0
+    return _finish(report, args, ok, "block structure mismatch")
 
 
 def _cmd_ideal(args):
@@ -141,12 +147,7 @@ def _cmd_ideal(args):
     ok = agreement <= tol.member and (
         cert.is_trivial or max(cert.residuals.values()) <= tol.member
     )
-    report["ok"] = ok
-    _emit(report, args)
-    if not ok:
-        sys.stderr.write("verification failed: projection certificate residuals\n")
-        return 2
-    return 0
+    return _finish(report, args, ok, "projection certificate residuals")
 
 
 def _cmd_tro_classify(args):
@@ -172,12 +173,7 @@ def _cmd_tro_classify(args):
             gt, reverse=True
         )
     ok = report["dimension_identity_ok"] and report.get("ground_truth_match", True)
-    report["ok"] = ok
-    _emit(report, args)
-    if not ok:
-        sys.stderr.write("verification failed: TRO block structure mismatch\n")
-        return 2
-    return 0
+    return _finish(report, args, ok, "TRO block structure mismatch")
 
 
 def _cmd_verify_dz(args):
@@ -204,24 +200,15 @@ def _cmd_verify_dz(args):
             }
             for t in result.trials
         ],
-        "ok": result.all_ok,
     }
-    _emit(report, args)
-    if not result.all_ok:
-        sys.stderr.write("verification failed: maximal ideal certificates\n")
-        return 2
-    return 0
+    return _finish(report, args, result.all_ok, "maximal ideal certificates")
 
 
 def _cmd_selftest(args):
     tol = _resolve_tol(args)
     report = run_selftest(seed=_resolve_seed(args), tol=tol)
-    _emit(report, args)
-    if not report["ok"]:
-        failed = [c["name"] for c in report["checks"] if not c["ok"]]
-        sys.stderr.write(f"verification failed: {', '.join(failed)}\n")
-        return 2
-    return 0
+    failed = ", ".join(c["name"] for c in report["checks"] if not c["ok"])
+    return _finish(report, args, report["ok"], failed)
 
 
 def _parse_blocks(text):

@@ -224,12 +224,12 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
         raise GapNotFound("spectrum has no positive part separated from zero")
     # the quartic root must flush the zero cluster: raw t**0.25 would blow
     # roundoff-sized eigenvalues up to the fourth root of machine epsilon
-    quarter = dec.apply(lambda t: t ** 0.25 if t > cut else 0.0)
+    quarter = dec.above(cut, lambda t: t ** 0.25)
 
     # c_j = g_j* b^(-3/4) lies in A, and sum_j g_j c_j = b b^(-3/4) = b^(1/4);
     # it lies in the range of the adjoint of (c_j) -> sum_j g_j c_j, so it is
     # the minimum-norm factorization
-    cs = gmats.conj().transpose(0, 2, 1) @ dec.apply(lambda t: t ** -0.75 if t > cut else 0.0)
+    cs = gmats.conj().transpose(0, 2, 1) @ dec.above(cut, lambda t: t ** -0.75)
     solve_residual = check(
         "sum_j g_j c_j does not reproduce b^(1/4)",
         hs_norm((gmats @ cs).sum(axis=0) - quarter),

@@ -215,14 +215,8 @@ def random_projection(algebra, rng, tol=DEFAULT_TOL):
     s = x @ x
     s = 0.5 * (s + s.conj().T)
     dec = hermitian_eig(s, tol=tol)
-    clusters = cluster_partition(dec.eigenvalues, tol=tol)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    if top == 0.0:
-        return np.zeros_like(s)
-    gap = tol.gap * top
-    positive = [
-        cl for cl in clusters if np.min(np.abs(dec.eigenvalues[cl])) > gap
-    ]
+    clusters, zero = cluster_partition(dec.eigenvalues, tol=tol)
+    positive = clusters[zero.stop:]
     if not positive:
         return np.zeros_like(s)
     # a uniformly chosen positive cluster and everything above it

@@ -54,11 +54,19 @@ def encode_dense_matrix(m):
     }
 
 
+def _integer(value, what):
+    """``value`` when it is a JSON integer; :class:`ParseError` for a float,
+    a string or a bool, which ``int()`` would truncate, parse or accept."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def decode_matrix(obj):
     """The matrix of an encoded object in either form, as a native,
     writable complex128 array equal bit for bit to the encoded one."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _integer(obj["rows"], "matrix rows"), _integer(obj["cols"], "matrix cols")
         dense, pairs = "data" in obj, "entries" in obj
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
@@ -153,7 +161,7 @@ def decode_fixture(obj):
     kind = obj.get("kind")
     try:
         if kind == "algebra":
-            n = int(obj["ambient"])
+            n = _integer(obj["ambient"], "ambient")
             out = {
                 "kind": kind,
                 "ambient": n,
@@ -161,8 +169,8 @@ def decode_fixture(obj):
             }
             gt = obj.get("ground_truth")
             if gt is not None:
-                sizes = [int(x) for x in gt["block_sizes"]]
-                mults = [int(x) for x in gt["multiplicities"]]
+                sizes = [_integer(x, "a block size") for x in gt["block_sizes"]]
+                mults = [_integer(x, "a multiplicity") for x in gt["multiplicities"]]
                 if len(sizes) != len(mults):
                     raise ParseError(
                         f"ground truth lists {len(sizes)} block sizes but "
@@ -171,7 +179,7 @@ def decode_fixture(obj):
                 out["ground_truth"] = (sizes, mults)
             return out
         if kind == "tro":
-            rows, cols = (int(x) for x in obj["ambient"])
+            rows, cols = (_integer(x, "ambient") for x in obj["ambient"])
             out = {
                 "kind": kind,
                 "ambient": (rows, cols),
@@ -179,10 +187,13 @@ def decode_fixture(obj):
             }
             gt = obj.get("ground_truth")
             if gt is not None:
-                out["ground_truth"] = [(int(m), int(n)) for m, n in gt["blocks"]]
+                out["ground_truth"] = [
+                    (_integer(m, "a block size"), _integer(n, "a block size"))
+                    for m, n in gt["blocks"]
+                ]
             return out
         if kind == "ideal":
-            n = int(obj["ambient"])
+            n = _integer(obj["ambient"], "ambient")
             return {
                 "kind": kind,
                 "ambient": n,

@@ -11,8 +11,16 @@ The spectral side (``hermitian_eig``, ``functional_calculus``,
 ``spectral_projection_above``) deliberately keeps a single code path: a
 spectral projection *is* the functional calculus of an indicator function
 evaluated on the same eigendecomposition, so the two agree exactly.
-:func:`spectral_clusters` is the one grouping of a spectrum and, for
-positive semidefinite matrices, :func:`psd_cut` the one zero/positive cut.
+:func:`cluster_partition` is the one grouping of a spectrum and the one
+rule for which eigenvalues are zero: the clusters, split at steps larger
+than ``tol.gap * max|lambda|``, that hold an eigenvalue within that gap of
+0.  :func:`spectral_clusters` returns the projections of the other
+clusters, and :func:`psd_cut`, the one zero/positive cut of a positive
+semidefinite matrix, places its cut between the zero clusters and the next
+eigenvalue.  Each step is compared with the gap once, so an eigenvalue one
+gap above the zero clusters, up to roundoff, either joins them or is that
+next eigenvalue; a cut needs 2.5 gaps, so it raises :class:`GapNotFound`
+there rather than cut past the eigenvalue.
 
 :func:`close_span` is the one closure loop of algebras and TROs.  It
 closes by generators rather than by all pairs: a small seeded generating
@@ -23,8 +31,10 @@ span is closed.  Its inner loop, :func:`saturate`, is the one semi-naive
 growth of a span under a fixed family, which right modules share.
 """
 
-import numpy as np
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -54,7 +64,6 @@ __all__ = [
     "close_span",
     "saturate",
     "identity_defect",
-    "split_spectrum_at_zero",
     "psd_cut",
     "support_projection_of_psd",
 ]
@@ -137,6 +146,14 @@ class SpectralDecomposition:
         vals = np.array([float(f(t)) for t in self.eigenvalues])
         return (self.basis * vals) @ self.basis.conj().T
 
+    def above(self, cut, f):
+        """:meth:`apply` of ``f`` above ``cut`` and 0 at or below it; the
+        zero matrix when ``cut`` is None, a spectrum with no positive part
+        (:func:`psd_cut`)."""
+        if cut is None:
+            return np.zeros_like(self.basis)
+        return self.apply(lambda t: f(t) if t > cut else 0.0)
+
     def reconstruct(self):
         return (self.basis * self.eigenvalues) @ self.basis.conj().T
 
@@ -193,40 +210,43 @@ def spectral_projection_above(m, threshold, tol=DEFAULT_TOL):
 
 def cluster_partition(eigenvalues, tol=DEFAULT_TOL):
     """Partition a real spectrum into clusters separated by more than
-    ``tol.gap * max|lambda|``.  Returns a list of index arrays into the
-    ascending sort, each one cluster."""
+    ``gap = tol.gap * max|lambda|``, and find its zero cluster.
+
+    Returns ``(clusters, zero)``: ``clusters`` lists index arrays into
+    ``eigenvalues``, one per cluster in ascending order, and ``zero`` is the
+    slice of ``clusters`` holding an eigenvalue within ``gap`` of 0.  A
+    cluster is a run of the sorted spectrum, so the clusters that meet
+    ``[-gap, gap]`` are consecutive; ``zero`` is empty, and placed where
+    that interval falls, when none does.  This is the one rule for which
+    eigenvalues count as zero.
+    """
     w = np.asarray(eigenvalues, dtype=float)
     order = np.argsort(w)
     ws = w[order]
-    top = float(np.max(np.abs(ws), initial=0.0))
-    if ws.size == 0:
-        return []
-    gap = tol.gap * top
-    groups = [[order[0]]]
-    for prev, idx in zip(ws[:-1], order[1:]):
-        if w[idx] - prev <= gap:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    return [np.array(g) for g in groups]
+    vals = ws.tolist()
+    if not vals:
+        return [], slice(0, 0)
+    # the largest magnitude of a sorted spectrum is at one of its ends
+    gap = tol.gap * max(abs(vals[0]), abs(vals[-1]))
+    # a cluster starts at 0 and after every step larger than the gap
+    starts = (np.flatnonzero(ws[1:] - ws[:-1] > gap) + 1).tolist()
+    bounds = [0, *starts, len(vals)]
+    clusters = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+    # the sorted positions lo .. hi-1 hold [-gap, gap], and the cluster of
+    # a position is the number of starts at or before it
+    lo, hi = bisect_left(vals, -gap), bisect_right(vals, gap)
+    first = bisect_right(starts, lo)
+    return clusters, slice(first, bisect_right(starts, hi - 1) + 1 if hi > lo else first)
 
 
 def spectral_clusters(x, tol=DEFAULT_TOL):
-    """Eigenvalue clusters of a self-adjoint ``x`` in ascending order, as
-    ``(eigenvalues, projection)`` pairs; ``projection`` is None for the
-    cluster within ``tol.gap * max|lambda|`` of zero, and the list is empty
-    for ``x = 0``."""
+    """Projections onto the nonzero eigenvalue clusters of a self-adjoint
+    ``x``, in ascending order; the zero cluster is that of
+    :func:`cluster_partition`, and the list is empty for ``x = 0``."""
     dec = hermitian_eig(x, tol=tol)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    if top == 0.0:
-        return []
-    gap = tol.gap * top
-    out = []
-    for cl in cluster_partition(dec.eigenvalues, tol=tol):
-        vals = dec.eigenvalues[cl]
-        cols = dec.basis[:, cl]
-        out.append((vals, None if np.min(np.abs(vals)) <= gap else cols @ cols.conj().T))
-    return out
+    clusters, zero = cluster_partition(dec.eigenvalues, tol=tol)
+    cols = [dec.basis[:, cl] for cl in clusters[:zero.start] + clusters[zero.stop:]]
+    return [c @ c.conj().T for c in cols]
 
 
 # --------------------------------------------------------------------------
@@ -508,39 +528,6 @@ def identity_defect(e, mats, right=False):
 # spectral gap utilities
 
 
-def split_spectrum_at_zero(eigenvalues, tol=DEFAULT_TOL):
-    """Partition a real spectrum into its zero cluster and the rest.
-
-    The zero cluster is grown by chaining: starting from 0, an eigenvalue
-    joins when it lies within ``gap = tol.gap * max|lambda|`` of the cluster
-    built so far (on either side).  Returns ``(zero_hi, pos_lo)`` where
-    ``zero_hi`` is the largest magnitude inside the cluster and ``pos_lo``
-    the smallest eigenvalue above it, or ``None`` when the chain swallows
-    the whole spectrum.
-    """
-    w = np.sort(np.asarray(eigenvalues, dtype=float))
-    top = float(np.max(np.abs(w), initial=0.0))
-    if top == 0.0:
-        return 0.0, None
-    gap = tol.gap * top
-    upper = 0.0
-    for t in w[w > 0]:
-        if t - upper <= gap:
-            upper = float(t)
-        else:
-            break
-    lower = 0.0
-    for t in w[w < 0][::-1]:
-        if lower - t <= gap:
-            lower = float(t)
-        else:
-            break
-    zero_hi = max(upper, -lower)
-    above = w[w > upper + gap]
-    pos_lo = float(above[0]) if above.size else None
-    return zero_hi, pos_lo
-
-
 def place_cut_in_gap(zero_hi, pos_lo, scale, tol=DEFAULT_TOL):
     """Pick a spectral cut between a zero cluster and the positive part.
 
@@ -562,20 +549,28 @@ def place_cut_in_gap(zero_hi, pos_lo, scale, tol=DEFAULT_TOL):
 
 def psd_cut(s, tol=DEFAULT_TOL):
     """``(dec, cut, pos_lo)``: the eigendecomposition of a positive
-    semidefinite ``s``, the cut between its zero cluster and positive part
-    (:func:`place_cut_in_gap`) and the smallest eigenvalue above the cut.
+    semidefinite ``s``, the cut (:func:`place_cut_in_gap`) between its zero
+    cluster (:func:`cluster_partition`) and positive part, and the smallest
+    eigenvalue above the cut.
 
     ``cut`` and ``pos_lo`` are None when the spectrum is one negligible
     zero cluster; :class:`GapNotFound` is raised when it is one cluster
     that is not negligible, or when no gap separates the two parts.
     """
     dec = hermitian_eig(s, tol=tol)
-    top = float(np.max(np.abs(dec.eigenvalues), initial=0.0))
-    zero_hi, pos_lo = split_spectrum_at_zero(dec.eigenvalues, tol=tol)
-    if pos_lo is None:
+    # w ascends, so its largest magnitude is at an end, and so is that of
+    # the zero clusters, one run of it; the next cluster starts the positive
+    # part
+    w = dec.eigenvalues
+    top = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
+    clusters, zero = cluster_partition(w, tol=tol)
+    run = clusters[zero]
+    zero_hi = float(max(abs(w[run[0][0]]), abs(w[run[-1][-1]]))) if run else 0.0
+    if zero.stop == len(clusters):
         check("spectrum is one cluster not separated from zero", zero_hi,
               tol.member * max(1.0, top), GapNotFound)
         return dec, None, None
+    pos_lo = float(w[clusters[zero.stop][0]])
     cut = place_cut_in_gap(zero_hi, pos_lo, top, tol=tol)
     return dec, cut, pos_lo
 
@@ -585,9 +580,7 @@ def support_projection_of_psd(s, tol=DEFAULT_TOL):
     the positive side of :func:`psd_cut`, or the zero matrix when the
     spectrum is all zero cluster."""
     dec, cut, _ = psd_cut(s, tol=tol)
-    if cut is None:
-        return np.zeros_like(np.asarray(s, dtype=np.complex128))
-    return dec.apply(lambda t: 1.0 if t > cut else 0.0)
+    return dec.above(cut, lambda t: 1.0)
 
 
 def pseudo_inverse_sqrt(s, tol=DEFAULT_TOL):
@@ -599,6 +592,4 @@ def pseudo_inverse_sqrt(s, tol=DEFAULT_TOL):
     projection of ``s``.
     """
     dec, cut, _ = psd_cut(s, tol=tol)
-    if cut is None:
-        return np.zeros_like(np.asarray(s, dtype=np.complex128))
-    return dec.apply(lambda t: t ** -0.5 if t > cut else 0.0)
+    return dec.above(cut, lambda t: t ** -0.5)

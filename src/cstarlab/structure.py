@@ -121,7 +121,7 @@ def _clusters(space, p, rng, tol):
     y = _draw(space, rng)
     h = 0.5 * (y + y.conj().T)
     x = p @ h @ p + 2.0 * hs_norm(h) * p
-    return [q for _, q in spectral_clusters(x, tol) if q is not None]
+    return spectral_clusters(x, tol)
 
 
 def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):

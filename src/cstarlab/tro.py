@@ -62,9 +62,8 @@ from .linalg import (
     hs_norm,
     identity_defect,
     orthonormalize,
-    pseudo_inverse_sqrt,
+    psd_cut,
     span_rows,
-    support_projection_of_psd,
 )
 from .structure import wedderburn_decompose
 
@@ -531,10 +530,10 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     ws = submodule.basis.matrices
     s = np.einsum("aij,akj->ik", ws, ws.conj())
     s = 0.5 * (s + s.conj().T)
-    g = pseudo_inverse_sqrt(s, tol=tol)
-    zs = np.einsum("ij,ajk->aik", g, ws)
-    support = support_projection_of_psd(s, tol=tol)
-    return _certify_generation(submodule.basis, zs, support, tol)
+    # one eigendecomposition gives both s^(-1/2) and the support of s
+    dec, cut, _ = psd_cut(s, tol=tol)
+    zs = np.einsum("ij,ajk->aik", dec.above(cut, lambda t: t ** -0.5), ws)
+    return _certify_generation(submodule.basis, zs, dec.above(cut, lambda t: 1.0), tol)
 
 
 def _certify_generation(space, zs, support, tol):

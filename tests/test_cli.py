@@ -225,15 +225,37 @@ def test_malformed_dense_matrix_is_input_error(tmp_path, field, value):
     assert_input_error(tmp_path, gen)
 
 
-def assert_input_error(tmp_path, generator):
-    """``decompose`` of the algebra the one generator gives ends in exit 1."""
+def assert_input_error(tmp_path, generator, **fields):
+    """``decompose`` of the algebra the one generator gives, with the
+    top-level ``fields`` set, ends in exit 1."""
     fix = tmp_path / "alg.json"
     fix.write_text(json.dumps({"kind": "algebra", "ambient": 2,
-                               "generators": [generator]}))
+                               "generators": [generator], **fields}))
     r = run_cli("decompose", fix)
     assert r.returncode == 1
     assert "error:" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("form", [matrix, dense])
+@pytest.mark.parametrize("field, value", [
+    ("rows", 2.9),
+    ("rows", "2"),
+    ("cols", 2.0),
+    ("ambient", 2.7),
+    ("block_sizes", [1.5]),
+], ids=["float-rows", "string-rows", "float-cols", "float-ambient", "float-block-size"])
+def test_sizes_that_are_not_json_integers_are_input_errors(tmp_path, form, field, value):
+    """``int()`` read these as 2, 2, 2, 2 and 1."""
+    gen = form(E12)
+    if field in gen:
+        gen[field] = value
+        assert_input_error(tmp_path, gen)
+    elif field == "ambient":
+        assert_input_error(tmp_path, gen, ambient=value)
+    else:
+        truth = {"block_sizes": [2], "multiplicities": [1], field: value}
+        assert_input_error(tmp_path, gen, ground_truth=truth)
 
 
 @pytest.mark.parametrize("seed_args, env", [

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cstarlab import cli
+from cstarlab.errors import ParseError
 from cstarlab.jsonio import decode_fixture, decode_matrix, encode_dense_matrix, encode_matrix
 from test_golden import FIXTURES
 
@@ -93,3 +94,56 @@ def test_report_bytes_do_not_depend_on_the_fixture_form(tmp_path, command):
         assert cli.main([command, str(path), "--seed", "2", "--json", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+NOT_INTEGERS = [2.9, "2", 2.0, True, None]
+
+
+@pytest.mark.parametrize("encode", [encode_dense_matrix, encode_matrix])
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("value", NOT_INTEGERS)
+def test_matrix_shape_must_be_a_json_integer(encode, field, value):
+    """``int()`` would read 2.9 and "2" as 2, and True as 1."""
+    obj = through_text(encode(E12))
+    obj[field] = value
+    with pytest.raises(ParseError):
+        decode_matrix(obj)
+
+
+def fixtures(encode):
+    """One fixture of each kind around E12, with ground truth."""
+    gens = [encode(E12)]
+    return {
+        "algebra": {"kind": "algebra", "ambient": 2, "generators": gens,
+                    "ground_truth": {"block_sizes": [2], "multiplicities": [1]}},
+        "tro": {"kind": "tro", "ambient": [2, 2], "generators": gens,
+                "ground_truth": {"blocks": [[1, 1]]}},
+        "ideal": {"kind": "ideal", "ambient": 2, "algebra_generators": gens,
+                  "ideal_generators": gens},
+    }
+
+
+BAD_FIELDS = [
+    ("algebra", ["ambient"], 2.7),
+    ("algebra", ["ambient"], "2"),
+    ("algebra", ["ground_truth", "block_sizes"], [1.5]),
+    ("algebra", ["ground_truth", "multiplicities"], [True]),
+    ("tro", ["ambient"], [2, 2.5]),
+    ("tro", ["ground_truth", "blocks"], [[1, 1.0]]),
+    ("ideal", ["ambient"], 2.7),
+]
+
+
+@pytest.mark.parametrize("encode", [encode_dense_matrix, encode_matrix])
+@pytest.mark.parametrize("kind, path, value", BAD_FIELDS)
+def test_fixture_sizes_must_be_json_integers(encode, kind, path, value):
+    fixture = through_text(fixtures(encode)[kind])
+    assert decode_fixture(fixture)["kind"] == kind
+    *parents, last = path
+    target = fixture
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError):
+        decode_fixture(fixture)

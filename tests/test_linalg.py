@@ -29,7 +29,6 @@ from cstarlab.linalg import (
     pseudo_inverse_sqrt,
     span_rows,
     spectral_projection_above,
-    split_spectrum_at_zero,
     support_projection_of_psd,
 )
 
@@ -487,12 +486,108 @@ def test_zero_matrix_has_no_cut():
         assert out.shape == (3, 3) and not np.any(out)
 
 
-def test_split_spectrum_at_zero():
-    zero_hi, pos_lo = split_spectrum_at_zero(np.array([0.0, 1e-14, 0.5, 1.0]))
-    assert zero_hi == pytest.approx(1e-14, abs=1e-20)
-    assert pos_lo == pytest.approx(0.5)
-    zero_hi, pos_lo = split_spectrum_at_zero(np.array([0.0, 0.0]))
-    assert pos_lo is None
+def test_psd_cut_joins_roundoff_to_the_zero_cluster():
+    """A 1e-14 eigenvalue is zero, the next one starts the positive part,
+    and an all-zero spectrum has no cut."""
+    _, cut, pos_lo = psd_cut(np.diag([0.0, 1e-14, 0.5, 1.0]).astype(complex))
+    assert pos_lo == 0.5
+    assert cut == place_cut_in_gap(1e-14, 0.5, 1.0)
+    _, cut, pos_lo = psd_cut(np.zeros((2, 2), dtype=complex))
+    assert cut is None and pos_lo is None
+
+
+def split_spectrum_at_zero(eigenvalues, tol=DEFAULT_TOL):
+    """The zero/positive split ``psd_cut`` made before the zero cluster
+    came from ``cluster_partition``, kept as the reference: two chains
+    walk out from 0, and ``pos_lo`` is the first eigenvalue above
+    ``upper + gap``."""
+    w = np.sort(np.asarray(eigenvalues, dtype=float))
+    top = float(np.max(np.abs(w), initial=0.0))
+    if top == 0.0:
+        return 0.0, None
+    gap = tol.gap * top
+    upper = 0.0
+    for t in w[w > 0]:
+        if t - upper <= gap:
+            upper = float(t)
+        else:
+            break
+    lower = 0.0
+    for t in w[w < 0][::-1]:
+        if lower - t <= gap:
+            lower = float(t)
+        else:
+            break
+    zero_hi = max(upper, -lower)
+    above = w[w > upper + gap]
+    pos_lo = float(above[0]) if above.size else None
+    return zero_hi, pos_lo
+
+
+def reference_cut(w, tol=DEFAULT_TOL):
+    """``(cut, pos_lo)`` of ``psd_cut`` through the reference split."""
+    top = float(np.max(np.abs(w), initial=0.0))
+    zero_hi, pos_lo = split_spectrum_at_zero(w, tol=tol)
+    if pos_lo is None:
+        if zero_hi > tol.member * max(1.0, top):
+            raise GapNotFound("one cluster")
+        return None, None
+    return place_cut_in_gap(zero_hi, pos_lo, top, tol=tol), pos_lo
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except GapNotFound:
+        return GapNotFound
+
+
+# eigenvalues near the edge of the zero cluster, in units of the gap g
+EDGE = (0.0, 0.5, -0.5, 0.9, 1.0, -1.0, 1.1, 1.9, 2.0)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    top=st.floats(1e-3, 1e3),
+    edge=st.lists(st.sampled_from(EDGE), max_size=5),
+    quarters=st.lists(st.integers(0, 16), max_size=5),
+    negative=st.booleans(),
+)
+def test_psd_cut_matches_the_chain_on_edge_spectra(top, edge, quarters, negative):
+    """On spectra with steps of g/4 and eigenvalues near g, the zero cluster
+    of ``cluster_partition`` gives the reference's cut and ``pos_lo`` bit
+    for bit, unless the reference skips an eigenvalue: one that is neither
+    in its chain nor above ``upper + gap``, at a step equal to the gap up to
+    roundoff.  Then ``psd_cut`` reports that eigenvalue as ``pos_lo`` or
+    raises GapNotFound."""
+    g = DEFAULT_TOL.gap * top
+    vals = [top, *(x * g for x in edge), *(k * 0.25 * g for k in quarters)]
+    if negative:
+        vals.append(-0.5 * top)
+    s = np.diag(vals).astype(complex)
+    w = hermitian_eig(s).eigenvalues
+    ref = outcome(reference_cut, w)
+    new = outcome(lambda m: psd_cut(m)[1:], s)
+    zero_hi, pos_lo = split_spectrum_at_zero(w)
+    skipped = w[(w > zero_hi) & (w < (np.inf if pos_lo is None else pos_lo))]
+    if skipped.size:
+        assert new is GapNotFound or new[1] == skipped[0]
+    else:
+        assert new == ref
+
+
+def test_psd_cut_refuses_a_step_equal_to_the_gap():
+    """1.25 g lies one gap, up to roundoff, above 0.25 g.  The reference
+    chain neither joined it to the zero cluster nor took it as ``pos_lo``,
+    and cut far above it; the zero cluster ends at 0.25 g, so the gap to
+    1.25 g is below the 2.5 g a cut needs."""
+    top = 504.4082462406216
+    g = DEFAULT_TOL.gap * top
+    s = np.diag([0.0, 0.25 * g, 1.25 * g, top]).astype(complex)
+    cut, pos_lo = reference_cut(hermitian_eig(s).eigenvalues)
+    assert pos_lo == top and cut > 1.25 * g
+    with pytest.raises(GapNotFound):
+        psd_cut(s)
 
 
 def test_place_cut_in_gap_oracle():

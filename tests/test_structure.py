@@ -45,20 +45,35 @@ def diag_algebra(n):
 
 def test_cluster_partition_oracle():
     vals = np.array([0.0, 1e-9, 0.5, 0.50000001, 2.0])
-    groups = [list(g) for g in cluster_partition(vals)]
-    assert groups == [[0, 1], [2, 3], [4]]
+    clusters, zero = cluster_partition(vals)
+    assert [list(g) for g in clusters] == [[0, 1], [2, 3], [4]]
+    assert zero == slice(0, 1)
 
 
 def test_cluster_partition_single_value():
-    groups = cluster_partition(np.array([3.0]))
-    assert len(groups) == 1
+    clusters, zero = cluster_partition(np.array([3.0]))
+    assert len(clusters) == 1
+    assert zero == slice(0, 0)
+
+
+def test_cluster_partition_zero_cluster_is_one_slice():
+    """Every cluster meeting [-gap, gap] is zero, also when two of them are
+    more than the gap apart; an empty zero slice sits where 0 would."""
+    g = 1e-7  # the default gap at max|lambda| = 1
+    clusters, zero = cluster_partition(np.array([-1.0, -0.6 * g, 0.6 * g, 1.0]))
+    assert [list(c) for c in clusters] == [[0], [1], [2], [3]]
+    assert zero == slice(1, 3)
+    clusters, zero = cluster_partition(np.array([1.0, -1.0, 0.5]))
+    assert [list(c) for c in clusters] == [[1], [2], [0]]
+    assert zero == slice(1, 1)
+    assert cluster_partition(np.zeros(0)) == ([], slice(0, 0))
+    clusters, zero = cluster_partition(np.zeros(3))
+    assert len(clusters) == 1 and zero == slice(0, 1)
 
 
 def test_spectral_clusters_oracle():
-    clusters = spectral_clusters(np.diag([-2.0, 0.0, 0.0, 3.0, 3.0 + 1e-9]).astype(complex))
-    assert [list(vals) for vals, _ in clusters] == [[-2.0], [0.0, 0.0], [3.0, 3.0 + 1e-9]]
-    (_, lo), (_, zero), (_, hi) = clusters
-    assert zero is None
+    """The nonzero clusters' projections, in ascending order."""
+    lo, hi = spectral_clusters(np.diag([-2.0, 0.0, 0.0, 3.0, 3.0 + 1e-9]).astype(complex))
     np.testing.assert_array_equal(lo, np.diag([1.0, 0, 0, 0, 0]))
     np.testing.assert_array_equal(hi, np.diag([0.0, 0, 0, 1, 1]))
     assert spectral_clusters(np.zeros((3, 3), dtype=complex)) == []

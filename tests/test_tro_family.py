@@ -38,7 +38,7 @@ from cstarlab.instances import (
     random_projection,
     random_tro_blocks,
 )
-from cstarlab.linalg import Subspace, span_rows
+from cstarlab.linalg import Subspace, span_rows, support_projection_of_psd
 from cstarlab.tro import Submodule, _certify_generation, _left_products, _right_products
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
@@ -203,7 +203,7 @@ def test_a_generator_moved_off_the_submodule_is_refused():
     away = away.ravel() - (away.ravel() @ w.basis.stack.conj().T) @ w.basis.stack
     zs[0] += 1e-6 * away.reshape(zs[0].shape) / np.linalg.norm(away)
     s = np.einsum("aij,akj->ik", w.basis.matrices, w.basis.matrices.conj())
-    support = tro_mod.support_projection_of_psd(0.5 * (s + s.conj().T))
+    support = support_projection_of_psd(0.5 * (s + s.conj().T))
     with pytest.raises(VerificationFailure):
         _certify_generation(w.basis, zs, support, DEFAULT_TOL)
 
