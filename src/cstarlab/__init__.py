@@ -31,17 +31,14 @@ from .errors import (
     ParamError,
     ParseError,
     ShapeMismatch,
-    ThresholdInsideSpectrum,
     VerificationFailure,
     ZeroSubmodule,
 )
 from .linalg import (
     SpectralDecomposition,
     Subspace,
-    functional_calculus,
     hermitian_eig,
     orthonormalize,
-    spectral_projection_above,
 )
 from .algebra import (
     StarAlgebra,

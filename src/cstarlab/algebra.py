@@ -5,8 +5,9 @@ products and adjoints, held as an orthonormal basis.  Closedness is what
 separates an algebra from a mere subspace, and it has one certificate:
 closing the span under products and adjoints adds no direction.
 :func:`generate_algebra` closes a generating family and keeps it;
-:meth:`StarAlgebra.from_span` closes a family that should already span an
-algebra and refuses it when the closure is larger.
+:meth:`StarAlgebra.from_span` keeps a span that should already be an
+algebra and takes its family from closing it, refusing it when the
+closure is not the span.
 
 Every such algebra is semisimple and has a unit ``u`` (usually not the
 ambient identity): the sum of squares of any spanning family has range
@@ -19,7 +20,6 @@ from dataclasses import dataclass, replace
 
 from .config import DEFAULT_TOL
 from .errors import (
-    ClosureViolation,
     DegenerateRandomness,
     NotAProjection,
     NotInAlgebra,
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
+    _closed_span_family,
     as_matrix,
     close_span,
     grow_span,
@@ -71,7 +72,7 @@ class StarAlgebra:
     family : ndarray
         ``(k, N, N)`` orthonormal elements whose products span the
         algebra: the family the closure was certified with, set by
-        :func:`generate_algebra` and so by :meth:`from_span`, the three
+        :func:`generate_algebra` and :meth:`from_span`, the three
         elements a planted algebra is written down with, or ``span(T T*)``
         and ``span(T* T)`` for the algebras of a TRO with family ``T``.
         Left out, it is the basis, which generates what it spans.
@@ -115,22 +116,20 @@ class StarAlgebra:
     def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL):
         """Build an algebra from a family already spanning one.
 
-        The family is orthonormalized and closed by :func:`generate_algebra`.
-        A span is a *-closed algebra exactly when its closure has the same
-        dimension (both spans decided by the ``tol.rank`` rule of
-        :func:`grow_span`); otherwise :class:`ClosureViolation` is raised.
-        Returns the generated algebra, with its unit and ``family``.
+        The family is orthonormalized into the algebra's basis, and
+        :func:`~cstarlab.linalg._closed_span_family` closes that basis as
+        :func:`generate_algebra` closes generators: the span is a *-closed
+        algebra exactly when its closure is the span, and the closure's
+        family becomes the algebra's ``family`` (:class:`ClosureViolation`
+        otherwise).  The unit is :func:`unit_of` the span.
         """
         shape = None if ambient_dim is None else (ambient_dim, ambient_dim)
         space = orthonormalize(mats, tol=tol, shape=shape)
         if space.rows != space.cols:
             raise ShapeMismatch("algebra elements must be square")
-        alg = generate_algebra(space.rows, space.matrices, tol=tol)
-        if alg.dim > space.dim:
-            raise ClosureViolation(
-                f"span of dimension {space.dim} is not a *-closed algebra: "
-                f"its closure has dimension {alg.dim}"
-            )
+        family = _closed_span_family(space, _with_adjoints, lambda family: family, tol=tol)
+        alg = StarAlgebra(basis=space, family=family)
+        alg.unit = unit_of(alg, tol=tol)
         return alg
 
 

@@ -73,10 +73,6 @@ class NumericalFailure(CStarError):
     """A numerical routine failed to converge or produced garbage."""
 
 
-class ThresholdInsideSpectrum(CStarError):
-    """A spectral cut was requested too close to an eigenvalue."""
-
-
 class GapNotFound(CStarError):
     """The spectrum has no usable gap above its zero cluster."""
 

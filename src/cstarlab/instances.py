@@ -13,11 +13,11 @@ import numpy as np
 from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
-from .errors import ClosureViolation, ParamError, check
+from .errors import ParamError
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
-from .linalg import Subspace, cluster_partition, hermitian_eig
-from .tro import _build_tro, _close_tro
+from .linalg import Subspace, _closed_span_family, cluster_partition, hermitian_eig
+from .tro import _build_tro, _left_multipliers
 
 __all__ = [
     "haar_unitary",
@@ -143,10 +143,11 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     Blocks are embedded at diagonal offsets of an ``(sum m_k) x
     (sum n_k)`` ambient rectangle and rotated by independent Haar
-    unitaries on each side.  The TRO keeps that basis and gets the family
-    of closing it once, which must give the same span
-    (:class:`ClosureViolation` otherwise); the whole span is then verified
-    to be a TRO.
+    unitaries on each side.  The TRO keeps that basis and takes its family
+    from :func:`~cstarlab.linalg._closed_span_family`, as
+    :func:`~cstarlab.tro.tro_from_span` does: the closure of the basis must
+    be the span (:class:`ClosureViolation` otherwise).  The whole span is
+    then verified to be a TRO.
     """
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:
@@ -170,9 +171,7 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
-    closed, family = _close_tro(conj, (m_tot, n_tot), tol)
-    check("the planted span is not its closure", closed.distance(space), tol.member,
-          ClosureViolation)
+    family = _closed_span_family(space, lambda family: family, _left_multipliers, tol=tol)
     tro = _build_tro(space, family, tol)
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v

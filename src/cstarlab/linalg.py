@@ -7,10 +7,9 @@ under which the norm of a matrix equals the Frobenius norm of its entries;
 flattening therefore turns subspaces of matrices into ordinary row spaces,
 and that is how :class:`Subspace` stores them.
 
-The spectral side (``hermitian_eig``, ``functional_calculus``,
-``spectral_projection_above``) deliberately keeps a single code path: a
-spectral projection *is* the functional calculus of an indicator function
-evaluated on the same eigendecomposition, so the two agree exactly.
+The spectral side keeps a single code path: every function of a
+Hermitian matrix, spectral projections included, is
+:meth:`SpectralDecomposition.apply` on its :func:`hermitian_eig`.
 :func:`cluster_partition` is the one grouping of a spectrum and the one
 rule for which eigenvalues are zero: the clusters, split at steps larger
 than ``tol.gap * max|lambda|``, that hold an eigenvalue within that gap of
@@ -29,6 +28,8 @@ dimension ``d`` offers :func:`grow_span` O(d) candidate rows instead of
 ``d^2`` per round, and it returns the family as the certificate that the
 span is closed.  Its inner loop, :func:`saturate`, is the one semi-naive
 growth of a span under a fixed family, which right modules share.
+:func:`_closed_span_family` runs it on a span that is given as closed, and
+is the one judge of whether it is.
 """
 
 from bisect import bisect_left, bisect_right
@@ -38,11 +39,11 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
+    ClosureViolation,
     GapNotFound,
     NotSelfAdjoint,
     NumericalFailure,
     ShapeMismatch,
-    ThresholdInsideSpectrum,
     check,
 )
 
@@ -55,8 +56,6 @@ __all__ = [
     "op_norm",
     "SpectralDecomposition",
     "hermitian_eig",
-    "functional_calculus",
-    "spectral_projection_above",
     "cluster_partition",
     "spectral_clusters",
     "Subspace",
@@ -176,36 +175,6 @@ def hermitian_eig(m, tol=DEFAULT_TOL):
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalFailure(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(eigenvalues=w, basis=v)
-
-
-def functional_calculus(m, f, tol=DEFAULT_TOL):
-    """Apply a real scalar function to a Hermitian matrix spectrally.
-
-    Returns ``U diag(f(lambda)) U*`` for the eigendecomposition
-    ``m = U diag(lambda) U*``.
-    """
-    return hermitian_eig(m, tol=tol).apply(f)
-
-
-def spectral_projection_above(m, threshold, tol=DEFAULT_TOL):
-    """Orthogonal projection onto the span of eigenvectors with
-    eigenvalue strictly above ``threshold``.
-
-    The cut must fall in a genuine gap: if any eigenvalue lies within
-    ``tol.gap * max(1, |lambda|_max)`` of ``threshold`` the result would be
-    ill-conditioned and :class:`ThresholdInsideSpectrum` is raised.
-
-    Equals ``functional_calculus(m, indicator(> threshold))`` exactly, as
-    both evaluate the same indicator on the same eigendecomposition.
-    """
-    dec = hermitian_eig(m, tol=tol)
-    scale = max(1.0, float(np.max(np.abs(dec.eigenvalues), initial=0.0)))
-    closest = float(np.min(np.abs(dec.eigenvalues - threshold)))
-    if closest <= tol.gap * scale:
-        raise ThresholdInsideSpectrum(
-            f"eigenvalue at distance {closest:.3e} from cut {threshold:.6g}"
-        )
-    return dec.apply(lambda t: 1.0 if t > threshold else 0.0)
 
 
 def cluster_partition(eigenvalues, tol=DEFAULT_TOL):
@@ -493,6 +462,25 @@ def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
         family = np.vstack([family, stack[before:]])
         mults = multipliers(family.reshape(-1, r, c))
     raise NumericalFailure("span closure failed to stabilize")
+
+
+def _closed_span_family(space, start, multipliers, tol=DEFAULT_TOL):
+    """The family certifying that the orthonormal ``space``, given as
+    closed, is: :func:`close_span` of its basis under ``start`` and
+    ``multipliers``, as a ``(k, rows, cols)`` stack.
+
+    The closure must be the span itself, of the same dimension and within
+    ``tol.member`` of it in :meth:`Subspace.distance`; otherwise
+    :class:`ClosureViolation`.
+    """
+    closed, family = close_span(space.matrices, space.shape, start, multipliers, tol=tol)
+    if closed.dim != space.dim:
+        raise ClosureViolation(
+            f"span of dimension {space.dim} is not closed: "
+            f"its closure has dimension {closed.dim}"
+        )
+    check("span is not its closure", closed.distance(space), tol.member, ClosureViolation)
+    return family.reshape(-1, *space.shape)
 
 
 def saturate(stack, fresh, products, tol=DEFAULT_TOL):

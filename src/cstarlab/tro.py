@@ -28,8 +28,7 @@ of each product then runs over ``T`` instead of a basis, so a span costs
 ``span(Z* Z) = span(T* Z)``, ``span(W Z*) = span(W T*)`` for a right
 submodule ``W``, and ``span(J Z) = span(J T)`` for a right ideal ``J``.
 The two algebras get ``span(T T*)`` and ``span(T* T)`` as families, so
-their module checks multiply by a handful of elements too.  A TRO built
-from a span (:func:`tro_from_span`) takes its basis as ``T``.
+their module checks multiply by a handful of elements too.
 """
 
 import numpy as np
@@ -55,6 +54,7 @@ from .ideals import (
 )
 from .linalg import (
     Subspace,
+    _closed_span_family,
     as_matrix,
     close_span,
     grow_span,
@@ -115,9 +115,9 @@ class TRO:
 
     ``family`` is ``(k, rows, cols)`` orthonormal elements of the TRO whose
     odd words ``t1 t2* t3 ...`` span it: the family the closure was
-    certified with, set by :func:`generate_tro` and by planted TROs.  Left
-    out, it is the basis, which spans the TRO by itself
-    (:func:`tro_from_span`).
+    certified with, set by :func:`generate_tro`, :func:`tro_from_span`
+    and planted TROs.  Left out, it is the basis, which spans the TRO by
+    itself.
     """
 
     basis: Subspace
@@ -167,9 +167,6 @@ def _build_tro(space, family, tol):
     closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
     check("span is not closed under x y* z", _ternary_defect(space, closing), tol.member,
           ClosureViolation)
-    # each algebra's basis grows from its family, which it contains, so a
-    # family that spans the TRO (tro_from_span) adds one projection pass,
-    # not a second SVD of the d^2 products
     left_stack, _ = grow_span(
         closing.stack, _left_products(space.stack, space.shape, ts), tol=tol)
     left = StarAlgebra(basis=Subspace(m, m, left_stack), family=closing.matrices)
@@ -203,15 +200,6 @@ def _left_multipliers(mats):
     return _left_products(mats.reshape(k, m * n), (m, n)).reshape(-1, m, m)
 
 
-def _close_tro(generators, shape, tol):
-    """:func:`close_span` for TROs: the span and the ``(k, rows, cols)``
-    family ``T`` whose odd words span it."""
-    space, family = close_span(
-        generators, shape, start=lambda family: family, multipliers=_left_multipliers, tol=tol
-    )
-    return space, family.reshape(-1, *shape)
-
-
 def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     """Smallest TRO of ``rows x cols`` matrices containing the generators.
 
@@ -227,22 +215,25 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
-    space, family = _close_tro(gens, (m, n), tol)
-    return _build_tro(space, family, tol)
+    space, family = close_span(
+        gens, (m, n), start=lambda family: family, multipliers=_left_multipliers, tol=tol
+    )
+    return _build_tro(space, family.reshape(-1, m, n), tol)
 
 
 def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     """Build a TRO from a family already spanning one.
 
-    The family is orthonormalized into ``V`` and the left algebra
-    ``span(V V*)`` is built; ``V`` is closed under ``x y* z`` exactly when
-    ``span(V V*) V`` lies in ``V``, which is checked on the ``dim L * d``
-    products of the two bases (:class:`ClosureViolation` otherwise).  Then
-    both algebras get their units and nondegeneracy is verified.  The basis
-    is the TRO's ``family``.
+    The family is orthonormalized into the TRO's basis, and
+    :func:`~cstarlab.linalg._closed_span_family` closes that basis as
+    :func:`generate_tro` closes generators: the span is a TRO exactly when
+    its closure is the span, and the closure's family ``T`` becomes the
+    TRO's ``family`` (:class:`ClosureViolation` otherwise).  The algebras
+    are built from ``T``, and nondegeneracy is verified.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
-    return _build_tro(space, space.matrices, tol)
+    family = _closed_span_family(space, lambda family: family, _left_multipliers, tol=tol)
+    return _build_tro(space, family, tol)
 
 
 @dataclass(eq=False)

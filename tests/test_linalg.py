@@ -12,12 +12,10 @@ from cstarlab.errors import (
     NotSelfAdjoint,
     NumericalFailure,
     ShapeMismatch,
-    ThresholdInsideSpectrum,
 )
 from cstarlab.linalg import (
     Subspace,
     adjoint,
-    functional_calculus,
     grow_span,
     hermitian_eig,
     hs_inner,
@@ -28,7 +26,6 @@ from cstarlab.linalg import (
     psd_cut,
     pseudo_inverse_sqrt,
     span_rows,
-    spectral_projection_above,
     support_projection_of_psd,
 )
 
@@ -78,45 +75,17 @@ def test_functional_calculus_polynomial():
     rng = np.random.default_rng(7)
     for _ in range(10):
         m = random_hermitian(rng, 5)
-        sq = functional_calculus(m, lambda t: t * t)
+        dec = hermitian_eig(m)
+        sq = dec.apply(lambda t: t * t)
         np.testing.assert_allclose(sq, m @ m, atol=1e-10)
-        ident = functional_calculus(m, lambda t: t)
+        ident = dec.apply(lambda t: t)
         np.testing.assert_allclose(ident, m, atol=1e-12)
 
 
 def test_functional_calculus_exp_diagonal():
     m = np.diag([0.0, np.log(2.0)])
-    out = functional_calculus(m, np.exp)
+    out = hermitian_eig(m).apply(np.exp)
     np.testing.assert_allclose(out, np.diag([1.0, 2.0]), atol=1e-14)
-
-
-def test_spectral_projection_above_diagonal_oracle():
-    m = np.diag([0.0, 0.0, 1.0, 3.0])
-    p = spectral_projection_above(m, 0.5)
-    np.testing.assert_allclose(p, np.diag([0.0, 0.0, 1.0, 1.0]), atol=1e-14)
-
-
-def test_spectral_projection_matches_indicator_calculus():
-    """The spectral projection is computed by the same code path as the
-    indicator function, so the two must agree to the bit."""
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        m = random_hermitian(rng, 6)
-        dec = hermitian_eig(m)
-        vals = dec.eigenvalues
-        gaps = np.diff(vals)
-        k = int(np.argmax(gaps))
-        cut = 0.5 * (vals[k] + vals[k + 1])
-        p = spectral_projection_above(m, cut)
-        q = functional_calculus(m, lambda t: 1.0 if t > cut else 0.0)
-        assert np.array_equal(p, q)
-        np.testing.assert_allclose(p @ p, p, atol=1e-12)
-        np.testing.assert_allclose(p, p.conj().T, atol=1e-12)
-
-
-def test_spectral_projection_rejects_threshold_in_spectrum():
-    with pytest.raises(ThresholdInsideSpectrum):
-        spectral_projection_above(np.diag([0.0, 1.0]), 1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

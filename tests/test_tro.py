@@ -32,8 +32,9 @@ from cstarlab.errors import (
     VerificationFailure,
     ZeroSubmodule,
 )
-from cstarlab.instances import haar_unitary, random_tro_blocks
-from cstarlab.linalg import Subspace, hs_norm, span_rows
+from cstarlab.algebra import StarAlgebra
+from cstarlab.instances import haar_unitary, planted_block_algebra, random_tro_blocks
+from cstarlab.linalg import Subspace, hs_norm, orthonormalize, span_rows
 from cstarlab.tro import TRO, Submodule
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -120,20 +121,44 @@ def test_classification_is_a_ternary_morphism():
             )
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_classification_at_the_old_rank_edge(seed):
-    """Blocks (3,3), (4,1), (4,3) with every basis element moved by 3e-10
-    along a unit-norm complex Gaussian direction.  Deciding dim(c_k Z) by a
-    singular-value cut at tol.rank split a 4-row block into 14, 18 and 7
-    dimensions on seeds 1, 3 and 10; reading U_k off the basis change and
-    n_k off a projection recovers the planted blocks on every seed."""
-    blocks = [(3, 3), (4, 1), (4, 3)]
-    mats = planted_block_tro(blocks, seed=seed).tro.basis.matrices
+EDGE_BLOCKS = [(3, 3), (4, 1), (4, 3)]
+
+
+def moved_by_roundoff(mats, seed):
+    """Every matrix moved by 3e-10 of its norm along a unit-norm complex
+    Gaussian direction, below ``tol.member`` but above ``tol.rank``."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(mats.shape) + 1j * rng.standard_normal(mats.shape)
     g /= np.linalg.norm(g, axis=(1, 2), keepdims=True)
-    z = tro_from_span(list(mats + 3e-10 * g))
-    assert sorted(classify_tro(z, seed=seed).blocks) == sorted(blocks)
+    return list(mats + 3e-10 * g)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_classification_at_the_old_rank_edge(seed):
+    """Blocks (3,3), (4,1), (4,3) with every basis element moved by 3e-10.
+    Deciding dim(c_k Z) by a singular-value cut at tol.rank split a 4-row
+    block into 14, 18 and 7 dimensions on seeds 1, 3 and 10; reading U_k
+    off the basis change and n_k off a projection recovers the planted
+    blocks on every seed.  The TRO is built by hand with its basis as its
+    family, since no constructor accepts the span (next test)."""
+    mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
+    space = orthonormalize(moved_by_roundoff(mats, seed))
+    z = tro_mod._build_tro(space, space.matrices, DEFAULT_TOL)
+    assert sorted(classify_tro(z, seed=seed).blocks) == sorted(EDGE_BLOCKS)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_span_moved_by_roundoff_is_refused_by_both_constructors(seed):
+    """One verdict for a span 3e-10 off closed: closing it keeps the
+    directions roundoff made (the TRO's 25 dimensions grow to 77, the
+    algebra's 14 to all of M_8), so tro_from_span and
+    StarAlgebra.from_span both refuse it."""
+    mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
+    with pytest.raises(ClosureViolation):
+        tro_from_span(moved_by_roundoff(mats, seed))
+    mats = planted_block_algebra([3, 2, 1], [1, 2, 1], seed=seed).algebra.basis.matrices
+    with pytest.raises(ClosureViolation):
+        StarAlgebra.from_span(moved_by_roundoff(mats, seed))
 
 
 def test_classification_of_a_repeated_block():
