@@ -99,8 +99,8 @@ class StarAlgebra:
 
     def require_member(self, x, tol=DEFAULT_TOL, what="element"):
         x = as_matrix(x, shape=self.basis.shape)
-        check(f"{what} is not in the algebra", self.basis.residual(x),
-              tol.member * max(1.0, hs_norm(x)), NotInAlgebra)
+        check(f"{what} is not in the algebra, relative to its norm",
+              self.basis.max_relative_residual(x.reshape(1, -1)), tol.member, NotInAlgebra)
         return x
 
     def require_projection(self, e, tol=DEFAULT_TOL, what="element"):

@@ -31,6 +31,7 @@ from .linalg import (
     Subspace,
     hs_norm,
     identity_defect,
+    module_defect,
     op_norm,
     psd_cut,
     saturate,
@@ -124,16 +125,6 @@ class RightIdeal:
         return self.basis.contains(x, tol=tol)
 
 
-def _right_module_defect(parent, space):
-    """Largest residual of ``x t`` against ``space`` for basis ``x`` of
-    ``space`` and ``t`` in ``parent.family``: ``J t`` inside ``J`` for
-    every ``t`` of a family whose products span ``A`` gives ``J A`` inside
-    ``J``."""
-    xs = space.matrices
-    prods = (xs[:, None] @ parent.family[None]).reshape(-1, space.rows * space.cols)
-    return space.max_relative_residual(prods)
-
-
 def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     """Span of ``g a`` over the ``rows x N`` generators ``g`` and ``a`` in
     the unitization of ``algebra`` (so the generators belong to it), verified
@@ -155,7 +146,7 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     start = span_rows(gens, (rows, n), tol=tol)
     space = Subspace(rows, n, saturate(start.stack, start.stack, products, tol=tol))
     check("generated span is not right-module closed",
-          _right_module_defect(algebra, space), tol.member)
+          module_defect(space, family, right=True), tol.member)
     return space
 
 
@@ -341,7 +332,7 @@ def _maximal_complement(parent, ideal, tol):
     if not parent.contains(p, tol=tol):
         return None
     fix = identity_defect(p, ideal.basis.matrices)
-    if fix > tol.member or ideal.basis.residual(p) > tol.member:
+    if fix > tol.member or not ideal.basis.contains(p, tol=tol):
         return None
     q = u - p
     if hs_norm(q) <= tol.member:  # pragma: no cover - excluded by properness

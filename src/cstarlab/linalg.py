@@ -30,6 +30,11 @@ span is closed.  Its inner loop, :func:`saturate`, is the one semi-naive
 growth of a span under a fixed family, which right modules share.
 :func:`_closed_span_family` runs it on a span that is given as closed, and
 is the one judge of whether it is.
+
+Residuals against a span have one routine per idea: :func:`project` is
+the one projection onto a span, :meth:`Subspace.max_relative_residual` at
+most ``tol.member`` the one membership rule, and :func:`module_defect` the
+one check that a span is closed under multiplication by a family.
 """
 
 from bisect import bisect_left, bisect_right
@@ -49,8 +54,6 @@ from .errors import (
 
 __all__ = [
     "as_matrix",
-    "adjoint",
-    "hs_inner",
     "hs_norm",
     "safe_norm",
     "op_norm",
@@ -59,10 +62,12 @@ __all__ = [
     "cluster_partition",
     "spectral_clusters",
     "Subspace",
+    "project",
     "orthonormalize",
     "close_span",
     "saturate",
     "identity_defect",
+    "module_defect",
     "psd_cut",
     "support_projection_of_psd",
 ]
@@ -78,16 +83,6 @@ def as_matrix(x, shape=None):
     if not np.all(np.isfinite(m)):
         raise NumericalFailure("matrix has non-finite entries")
     return m
-
-
-def adjoint(m):
-    """Conjugate transpose."""
-    return m.conj().T
-
-
-def hs_inner(x, y):
-    """Hilbert-Schmidt inner product tr(y* x)."""
-    return np.vdot(y, x)
 
 
 def hs_norm(x):
@@ -110,7 +105,9 @@ def safe_norm(x, axis=None):
     divided by that entry first; results inside the range are
     ``np.linalg.norm``'s, bit for bit.
     """
-    n = np.linalg.norm(x, axis=axis)
+    # an overflow here is detected below and rescaled away
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(x, axis=axis)
     lo, hi = _SAFE_NORM
     if axis is None:
         if lo <= n <= hi or n == 0.0 and not x.any():
@@ -222,6 +219,12 @@ def spectral_clusters(x, tol=DEFAULT_TOL):
 # subspaces of matrices
 
 
+def project(stack, rows):
+    """Orthogonal projection ``(rows S*) S`` of flattened ``rows`` onto the
+    span of the orthonormal row ``stack`` ``S``."""
+    return (rows @ stack.conj().T) @ stack
+
+
 class Subspace:
     """A linear subspace of ``rows x cols`` complex matrices.
 
@@ -259,31 +262,26 @@ class Subspace:
         """Basis as a (dim, rows, cols) array."""
         return self.stack.reshape(-1, self.rows, self.cols)
 
-    def coords(self, x):
-        """Coefficients of the orthogonal projection of ``x`` onto the span,
-        together with the residual norm of ``x`` minus that projection."""
-        x = as_matrix(x, shape=self.shape)
-        flat = x.ravel()
-        # conjugating the vector, not the stack, avoids copying the basis
-        c = (self.stack @ flat.conj()).conj()
-        resid = flat - c @ self.stack
-        return c, float(safe_norm(resid))
-
     def residual(self, x):
-        return self.coords(x)[1]
+        """Absolute distance from the matrix ``x`` to the span."""
+        flat = as_matrix(x, shape=self.shape).reshape(1, -1)
+        return float(safe_norm(flat - project(self.stack, flat)))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        x = as_matrix(x, shape=self.shape)
-        return self.residual(x) <= tol.member * max(1.0, hs_norm(x))
+        """Whether the matrix ``x`` is in the span by the membership rule of
+        :meth:`max_relative_residual`."""
+        flat = as_matrix(x, shape=self.shape).reshape(1, -1)
+        return self.max_relative_residual(flat) <= tol.member
 
     def row_residuals(self, flat):
         """Distance to the span of every row of a ``(k, rows*cols)`` block,
-        by one batched projection ``flat - (flat S*) S``."""
-        return safe_norm(flat - (flat @ self.stack.conj().T) @ self.stack, axis=1)
+        by one batched :func:`project`."""
+        return safe_norm(flat - project(self.stack, flat), axis=1)
 
     def max_relative_residual(self, flat):
         """Largest ``dist(row, span) / max(1, ||row||)`` over the rows of
-        ``flat``; 0.0 for no rows."""
+        ``flat``; 0.0 for no rows.  Rows are in the span when it is at most
+        ``tol.member``."""
         scales = np.maximum(1.0, safe_norm(flat, axis=1))
         return float(np.max(self.row_residuals(flat) / scales, initial=0.0))
 
@@ -364,7 +362,7 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
     resid = candidates
     if stack.shape[0]:
         for _ in range(2):
-            resid = resid - (resid @ stack.conj().T) @ stack
+            resid = resid - project(stack, resid)
             # no singular value exceeds the Frobenius norm, and a second pass
             # cannot raise it: below the cutoff the SVD would keep nothing, so
             # a closure that is already closed costs one pass and no SVD
@@ -383,7 +381,7 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
         # residual's roundoff along the stack magnified by scale / sval
         # (up to 2e-8 with an accurate SVD); one more projection of the new
         # rows removes it and moves their inner products by its square
-        fresh = fresh - (fresh @ stack.conj().T) @ stack
+        fresh = fresh - project(stack, fresh)
     worst = max(
         float(np.max(np.abs(fresh @ fresh.conj().T - np.eye(keep)))),
         float(np.max(np.abs(fresh @ stack.conj().T), initial=0.0)),
@@ -510,6 +508,16 @@ def identity_defect(e, mats, right=False):
     the identity on the stack; 0.0 for an empty stack."""
     prods = mats @ e if right else e @ mats
     return float(np.max(np.linalg.norm(prods - mats, axis=(1, 2)), initial=0.0))
+
+
+def module_defect(space, family, right=False):
+    """:meth:`Subspace.max_relative_residual` of the products ``t x`` over
+    ``t`` in the ``(k, m, m)`` ``family`` and the basis ``x`` of ``space``,
+    family outermost, or of ``x t``, basis outermost, when ``right`` is set:
+    how far ``space`` is from closed under multiplication by the family."""
+    xs = space.matrices
+    prods = xs[:, None] @ family[None] if right else family[:, None] @ xs[None]
+    return space.max_relative_residual(prods.reshape(-1, space.rows * space.cols))
 
 
 # --------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .ideals import (
     is_minimal_projection,
     projection_generator,
 )
-from .linalg import hermitian_eig, hs_norm, pseudo_inverse_sqrt, spectral_clusters
+from .linalg import hermitian_eig, hs_norm, project, pseudo_inverse_sqrt, spectral_clusters
 
 __all__ = [
     "BlockDecomposition",
@@ -110,7 +110,7 @@ def _draw(space, rng):
     matrix.  For a fixed generator state the result depends on the span
     only, not on the orthonormal basis that represents it."""
     g = rng.standard_normal(space.shape) + 1j * rng.standard_normal(space.shape)
-    return ((space.stack @ g.ravel().conj()).conj() @ space.stack).reshape(space.shape)
+    return project(space.stack, g.reshape(1, -1)).reshape(space.shape)
 
 
 def _clusters(space, p, rng, tol):
@@ -173,8 +173,9 @@ def _block_data(parent, central, rng, tol):
     for _ in range(_MAX_DRAWS):
         minimals = _clusters(parent.basis, central, rng, tol)
         traces = [float(np.real(np.trace(e))) for e in minimals]
-        if traces and max(traces) - min(traces) <= 0.5 and all(
-            parent.contains(e, tol=tol) for e in minimals
+        flat = np.array([e.ravel() for e in minimals])
+        if traces and max(traces) - min(traces) <= 0.5 and (
+            parent.basis.max_relative_residual(flat) <= tol.member
         ):
             break
     else:

@@ -48,7 +48,6 @@ from .errors import (
 from .algebra import StarAlgebra, unit_of
 from .ideals import (
     RightIdeal,
-    _right_module_defect,
     is_maximal_right_ideal,
     right_module_span,
 )
@@ -61,6 +60,7 @@ from .linalg import (
     hermitian_eig,
     hs_norm,
     identity_defect,
+    module_defect,
     orthonormalize,
     psd_cut,
     span_rows,
@@ -80,15 +80,6 @@ __all__ = [
     "finite_generation_certificate",
     "linking_algebra",
 ]
-
-
-def _ternary_defect(space, left):
-    """Largest residual of ``l z`` against the span, over the basis ``z``
-    and the basis ``l`` of ``left = span(T T*)`` for the family ``T`` of
-    ``V``: ``V`` is closed under ``x y* z`` exactly when ``left V`` lies in
-    ``V``, which costs ``dim(left) * d`` products instead of ``d^3``."""
-    prods = left.matrices[:, None] @ space.matrices[None]
-    return space.max_relative_residual(prods.reshape(-1, space.rows * space.cols))
 
 
 def _left_products(stack, shape, others=None):
@@ -163,10 +154,11 @@ def _build_tro(space, family, tol):
         )
     ts = family.reshape(len(family), m * n)
     # the closing span comes first: the closure check multiplies by it, and
-    # the units are sought only once the span passed
+    # the units are sought only once the span passed; it costs
+    # dim(span(T T*)) * d products instead of the d^3 triples
     closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
-    check("span is not closed under x y* z", _ternary_defect(space, closing), tol.member,
-          ClosureViolation)
+    check("span is not closed under x y* z", module_defect(space, closing.matrices),
+          tol.member, ClosureViolation)
     left_stack, _ = grow_span(
         closing.stack, _left_products(space.stack, space.shape, ts), tol=tol)
     left = StarAlgebra(basis=Subspace(m, m, left_stack), family=closing.matrices)
@@ -456,9 +448,9 @@ def _verify_roundtrip(tro, submodule, tol):
     check("span(W Z*) is not in the left algebra, relative to its norm",
           left.basis.max_relative_residual(j_space.stack), tol.member, NotInAlgebra)
     check("W is not closed under the right algebra",
-          _right_module_defect(tro.right_algebra, submodule.basis), tol.member)
+          module_defect(submodule.basis, tro.right_algebra.family, right=True), tol.member)
     check("span(W Z*) is not a right ideal of the left algebra",
-          _right_module_defect(left, j_space), tol.member)
+          module_defect(j_space, left.family, right=True), tol.member)
     ideal = RightIdeal(parent=left, generators=list(j_space.matrices), basis=j_space)
 
     jz = (j_space.matrices[:, None] @ ts[None]).reshape(-1, m * n)

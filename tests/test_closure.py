@@ -22,7 +22,6 @@ from cstarlab import (
 from cstarlab.algebra import sample_element
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import ClosureViolation
-from cstarlab.ideals import _right_module_defect
 from cstarlab.instances import (
     haar_unitary,
     planted_block_algebra,
@@ -31,7 +30,7 @@ from cstarlab.instances import (
     random_projection,
     random_tro_blocks,
 )
-from cstarlab.linalg import Subspace, grow_span, hs_norm, orthonormalize
+from cstarlab.linalg import Subspace, grow_span, hs_norm, module_defect, orthonormalize
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -216,8 +215,8 @@ def test_right_module_verdict_ignores_the_scale_of_the_algebra_generators(scale)
     alg = generate_algebra(planted.algebra.ambient_dim, gens)
     ideal, moved = non_ideal_near(alg, np.random.default_rng(7), 1e-4)
     assert 0 < ideal.dim < alg.dim
-    assert _right_module_defect(alg, ideal.basis) <= DEFAULT_TOL.member
-    assert _right_module_defect(alg, moved) > 1e3 * DEFAULT_TOL.member
+    assert module_defect(ideal.basis, alg.family, right=True) <= DEFAULT_TOL.member
+    assert module_defect(moved, alg.family, right=True) > 1e3 * DEFAULT_TOL.member
 
 
 # ---------------------------------------------------------------------------

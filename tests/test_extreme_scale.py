@@ -8,6 +8,8 @@ Where a certificate's own quadratic quantity (the Gram element
 a typed :class:`CStarError`, never a wrong dimension.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,20 @@ def test_safe_norm_rescales_each_row_on_its_own():
 @pytest.mark.parametrize("scale", [1e300, 1e-200])
 def test_span_residuals_at_extreme_scale(scale):
     space = span_rows(np.array([E11.ravel()]), (2, 2))
-    _, resid = space.coords(scale * E12)
-    np.testing.assert_allclose(resid / scale, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(space.residual(scale * E12) / scale, 1.0, rtol=1e-14)
     np.testing.assert_allclose(space.row_residuals(scale * E12.reshape(1, 4)) / scale, [1.0])
     stack, grew = grow_span(space.stack, scale * E12.reshape(1, 4))
     assert grew and stack.shape[0] == 2
+
+
+def test_a_huge_generator_raises_no_runtime_warning():
+    """``safe_norm`` rescales the norms that overflow, and its first,
+    unscaled pass reports no overflow outside the command line either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert safe_norm(1e300 * E12) == 1e300
+        assert generate_algebra(2, [1e300 * E12]).dim == 4
+        assert generate_tro(2, 2, [1e300 * E12]).dim == 1
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-200])

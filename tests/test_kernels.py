@@ -31,17 +31,24 @@ from cstarlab import (
 )
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import VerificationFailure
-from cstarlab.ideals import RightIdeal, _corner_space, _right_module_defect, support_projection
+from cstarlab.ideals import RightIdeal, _corner_space, support_projection
 from cstarlab.instances import random_block_structure
-from cstarlab.linalg import Subspace, hs_norm, identity_defect, orthonormalize, span_rows
-from cstarlab.structure import _block_data, _block_form_residual, _central_projections
+from cstarlab.linalg import (
+    Subspace,
+    hs_norm,
+    identity_defect,
+    module_defect,
+    orthonormalize,
+    safe_norm,
+    span_rows,
+)
+from cstarlab.structure import _block_data, _block_form_residual, _central_projections, _draw
 from cstarlab.tro import (
     TRO,
     TROClassification,
     _left_products,
     _morphism_defect,
     _right_products,
-    _ternary_defect,
 )
 
 REL = 1e-12
@@ -184,7 +191,7 @@ def test_right_module_defect_matches_loop(seed, n, d_parent, d_space):
     parent = StarAlgebra(basis=random_space(rng, d_parent, n, n))
     space = random_space(rng, d_space, n, n)
     ref = loop_defect(space, parent.basis.matrices)
-    assert _right_module_defect(parent, space) == pytest.approx(ref, rel=REL)
+    assert module_defect(space, parent.family, right=True) == pytest.approx(ref, rel=REL)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
@@ -195,13 +202,15 @@ def test_module_defect_matches_loop(seed, m, n, d_right, d_space):
     space = random_space(rng, d_space, m, n)
     tro = TRO(basis=space, left_algebra=None, right_algebra=right)
     ref = loop_defect(space, right.basis.matrices)
-    assert _right_module_defect(tro.right_algebra, space) == pytest.approx(ref, rel=REL)
+    assert module_defect(space, tro.right_algebra.family, right=True) == pytest.approx(
+        ref, rel=REL)
 
 
 def removed_max_relative_residual(space, prods):
     """The formula that ``_max_membership_residual``,
     ``_right_module_defect``, ``_ternary_defect`` and ``_module_defect``
-    each spelled out before they shared ``Subspace.max_relative_residual``."""
+    each spelled out before they shared ``Subspace.max_relative_residual``
+    and the last three became ``module_defect``."""
     coeff = prods @ space.stack.conj().T
     resid = prods - coeff @ space.stack
     norms = np.linalg.norm(resid, axis=1)
@@ -219,15 +228,66 @@ def test_shared_residual_is_bit_identical_to_removed_copies(seed, m, n, d_alg, d
     space = random_space(rng, min(d_space, n * n), n, n)
     xs, bs = space.matrices, parent.basis.matrices
     right = (xs[:, None] @ bs[None]).reshape(-1, n * n)
-    assert _right_module_defect(parent, space) == removed_max_relative_residual(space, right)
+    assert module_defect(space, parent.family, right=True) == removed_max_relative_residual(
+        space, right)
 
     tspace = random_space(rng, min(d_space, m * n), m, n)
     tro = TRO(basis=tspace, left_algebra=None, right_algebra=parent)
     mod = (tspace.matrices[:, None] @ bs[None]).reshape(-1, m * n)
-    assert _right_module_defect(tro.right_algebra, tspace) == removed_max_relative_residual(tspace, mod)
+    assert module_defect(
+        tspace, tro.right_algebra.family, right=True) == removed_max_relative_residual(tspace, mod)
     lspace = random_space(rng, min(d_alg, m * m), m, m)
     lz = (lspace.matrices[:, None] @ tspace.matrices[None]).reshape(-1, m * n)
-    assert _ternary_defect(tspace, lspace) == removed_max_relative_residual(tspace, lz)
+    assert module_defect(tspace, lspace.matrices) == removed_max_relative_residual(tspace, lz)
+
+
+def removed_coords_residual(space, x):
+    """``Subspace.residual`` as the deleted ``Subspace.coords`` computed it,
+    through the coefficients of one vector's projection."""
+    flat = x.ravel()
+    c = (space.stack @ flat.conj()).conj()
+    return float(safe_norm(flat - c @ space.stack))
+
+
+def removed_draw(space, rng):
+    """``structure._draw`` as it projected its Gaussian before ``project``."""
+    g = rng.standard_normal(space.shape) + 1j * rng.standard_normal(space.shape)
+    return ((space.stack @ g.ravel().conj()).conj() @ space.stack).reshape(space.shape)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 24), st.integers(0, 40))
+def test_projection_is_bit_identical_to_removed_vector_forms(seed, n, d):
+    """The reported ``p_in_ideal`` and every seeded draw keep their bits:
+    ``residual`` and ``_draw`` give exactly what the vector forms gave, on
+    a member of the span and on a generic matrix."""
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, min(d, n * n), n, n)
+    member = np.tensordot(cplx(rng, space.dim), space.matrices, axes=1)
+    for x in (member, cplx(rng, n, n)):
+        assert space.residual(x) == removed_coords_residual(space, x)
+    draw = _draw(space, np.random.default_rng(seed))
+    assert np.array_equal(draw, removed_draw(space, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e300])
+def test_contains_is_the_relative_membership_rule(scale):
+    """``contains`` is ``max_relative_residual <= tol.member`` on one row,
+    for members, near-members on both sides of the bound and non-members."""
+    rng = np.random.default_rng(4)
+    space = random_space(rng, 4, 3, 3)
+    member = np.tensordot(cplx(rng, 4), space.matrices, axes=1)
+    away = cplx(rng, 3, 3).ravel()
+    away = (away - space.stack.T @ (space.stack.conj() @ away)).reshape(3, 3)
+    away *= hs_norm(member) / hs_norm(away)
+    verdicts = set()
+    for offset in (0.0, 1e-9, 1e-7, 1.0):
+        x = scale * (member + offset * away)
+        rule = space.max_relative_residual(x.reshape(1, -1)) <= DEFAULT_TOL.member
+        assert space.contains(x) == rule
+        verdicts.add(rule)
+    if scale == 1.0:
+        assert verdicts == {True, False}
 
 
 # roundoff by which the bound may undershoot the enumerated maximum

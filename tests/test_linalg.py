@@ -15,10 +15,8 @@ from cstarlab.errors import (
 )
 from cstarlab.linalg import (
     Subspace,
-    adjoint,
     grow_span,
     hermitian_eig,
-    hs_inner,
     hs_norm,
     op_norm,
     orthonormalize,
@@ -31,7 +29,6 @@ from cstarlab.linalg import (
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 E22 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
 
 
@@ -93,8 +90,6 @@ def test_functional_calculus_exp_diagonal():
 
 
 def test_hs_inner_matrix_units():
-    assert hs_inner(E12, E12) == pytest.approx(1.0)
-    assert hs_inner(E12, E21) == pytest.approx(0.0)
     assert hs_norm(np.eye(2)) == pytest.approx(np.sqrt(2.0))
 
 
@@ -105,21 +100,10 @@ def test_op_norm_oracles():
 
 @settings(max_examples=40, derandomize=True)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_hs_inner_conjugate_symmetry(seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert hs_inner(x, y) == pytest.approx(np.conj(hs_inner(y, x)))
-    # consistency with the norm
-    assert hs_inner(x, x).real == pytest.approx(hs_norm(x) ** 2)
-
-
-@settings(max_examples=40, derandomize=True)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_op_norm_adjoint_invariant(seed):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert op_norm(adjoint(x)) == pytest.approx(op_norm(x), rel=1e-10)
+    assert op_norm(x.conj().T) == pytest.approx(op_norm(x), rel=1e-10)
     assert op_norm(x) <= hs_norm(x) + 1e-12
 
 
@@ -170,10 +154,7 @@ def test_subspace_membership_and_coords():
     assert space.contains(np.diag([2.0, -1.0]))
     assert not space.contains(E12)
     assert space.residual(E12) == pytest.approx(1.0)
-    coords, resid = space.coords(np.diag([2.0, -1.0]))
-    assert resid == pytest.approx(0.0, abs=1e-14)
-    rebuilt = (coords @ space.stack).reshape(2, 2)
-    np.testing.assert_allclose(rebuilt, np.diag([2.0, -1.0]), atol=1e-14)
+    assert space.residual(np.diag([2.0, -1.0])) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_subspace_shape_mismatch():
