@@ -118,7 +118,8 @@ class StarAlgebra:
 
         The family is orthonormalized into the algebra's basis, and
         :func:`~cstarlab.linalg._closed_span_family` closes that basis as
-        :func:`generate_algebra` closes generators: the span is a *-closed
+        :func:`generate_algebra` closes generators, from ``span(g, g*)``
+        for one generic combination ``g`` of it: the span is a *-closed
         algebra exactly when its closure is the span, and the closure's
         family becomes the algebra's ``family`` (:class:`ClosureViolation`
         otherwise).  The unit is :func:`unit_of` the span.
@@ -127,7 +128,8 @@ class StarAlgebra:
         space = orthonormalize(mats, tol=tol, shape=shape)
         if space.rows != space.cols:
             raise ShapeMismatch("algebra elements must be square")
-        family = _closed_span_family(space, _with_adjoints, lambda family: family, tol=tol)
+        family = _closed_span_family(
+            space, _with_adjoints, lambda family: family, draws=1, tol=tol)
         alg = StarAlgebra(basis=space, family=family)
         alg.unit = unit_of(alg, tol=tol)
         return alg
@@ -138,17 +140,20 @@ def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
     containing the generators.
 
     :func:`close_span` closes by generators: ``T`` is an orthonormal
-    basis of ``span(G u G*)`` for two generic combinations ``G`` of the
+    basis of ``span(g, g*)`` for one generic combination ``g`` of the
     generators, the span grows under left multiplication by ``T``, and no
-    step forms all pairwise products of the basis.  The returned algebra
-    keeps ``T`` as its ``family``.
+    step forms all pairwise products of the basis.  A generic element of a
+    finite-dimensional *-algebra generates it with its adjoint; a generator
+    left outside the closure of ``g`` joins ``T`` (:func:`close_span`).
+    The returned algebra keeps ``T`` as its ``family``.
     """
     n = int(ambient_dim)
     if n < 1:
         raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
     seeds = [as_matrix(g, shape=(n, n)) for g in generators]
     space, family = close_span(
-        seeds, (n, n), start=_with_adjoints, multipliers=lambda family: family, tol=tol
+        seeds, (n, n), start=_with_adjoints, multipliers=lambda family: family,
+        draws=1, tol=tol,
     )
     alg = StarAlgebra(basis=space, family=family.reshape(-1, n, n))
     alg.unit = unit_of(alg, tol=tol)

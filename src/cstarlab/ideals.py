@@ -29,6 +29,7 @@ from .errors import (
 from .algebra import StarAlgebra
 from .linalg import (
     Subspace,
+    gram_sum,
     hs_norm,
     identity_defect,
     module_defect,
@@ -207,8 +208,7 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
         return _trivial_certificate(n)
 
     gmats = np.array(gens)
-    b = np.einsum("gij,gkj->ik", gmats, gmats.conj())
-    b = 0.5 * (b + b.conj().T)
+    b = gram_sum(gmats)
 
     dec, cut, pos_lo = psd_cut(b, tol=tol)
     if cut is None:
@@ -270,11 +270,7 @@ def support_projection(parent, ideal, tol=DEFAULT_TOL):
     n = parent.ambient_dim
     if ideal.basis.dim == 0:
         return np.zeros((n, n), dtype=np.complex128)
-    # the basis side by side as one (N, dim * N) matrix F, so the sum is F F*
-    flat = ideal.basis.matrices.transpose(1, 0, 2).reshape(n, -1)
-    s = flat @ flat.conj().T
-    s = 0.5 * (s + s.conj().T)
-    return support_projection_of_psd(s, tol=tol)
+    return support_projection_of_psd(gram_sum(ideal.basis.matrices), tol=tol)
 
 
 def _corner_space(parent, e, f, tol):

@@ -171,7 +171,8 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
-    family = _closed_span_family(space, lambda family: family, _left_multipliers, tol=tol)
+    family = _closed_span_family(
+        space, lambda family: family, _left_multipliers, draws=2, tol=tol)
     tro = _build_tro(space, family, tol)
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v

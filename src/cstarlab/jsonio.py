@@ -237,9 +237,11 @@ def dumps_report(report):
 
 
 def certificate_report(cert):
-    """JSON-ready view of a :class:`ProjectionCertificate`."""
+    """JSON-ready view of a :class:`ProjectionCertificate`; the projection
+    stays an array, which :func:`_plain` encodes once with
+    :func:`encode_matrix`."""
     return {
-        "projection": encode_matrix(cert.projection),
+        "projection": cert.projection,
         "generator_count": cert.generator_count,
         "coefficient_bound": cert.coefficient_bound,
         "threshold": cert.threshold,

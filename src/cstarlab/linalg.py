@@ -26,8 +26,12 @@ closes by generators rather than by all pairs: a small seeded generating
 family multiplies only the rows each round adds, so closing a span of
 dimension ``d`` offers :func:`grow_span` O(d) candidate rows instead of
 ``d^2`` per round, and it returns the family as the certificate that the
-span is closed.  Its inner loop, :func:`saturate`, is the one semi-naive
-growth of a span under a fixed family, which right modules share.
+span is closed.  The family starts from ``draws`` generic combinations of
+the generators: one for algebras, whose generic element ``g`` generates
+the algebra with ``g*``, and two for TROs, since the one multiplier
+``t t*`` of a single draw generates a commutative algebra.  The inner
+loop, :func:`saturate`, is the one semi-naive growth of a span under a
+fixed family, which right modules share.
 :func:`_closed_span_family` runs it on a span that is given as closed, and
 is the one judge of whether it is.
 
@@ -68,6 +72,7 @@ __all__ = [
     "saturate",
     "identity_defect",
     "module_defect",
+    "gram_sum",
     "psd_cut",
     "support_projection_of_psd",
 ]
@@ -404,21 +409,24 @@ def span_rows(candidates, shape, tol=DEFAULT_TOL):
 _FAMILY_SEED = 0xFA317
 
 
-def _family_draw(gens):
-    """Two seeded complex-Gaussian combinations of the generator rows."""
+def _family_draw(gens, draws):
+    """``draws`` seeded complex-Gaussian combinations of the generator rows."""
     rng = np.random.default_rng(_FAMILY_SEED)
     k = gens.shape[0]
-    return (rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))) @ gens
+    return (rng.standard_normal((draws, k)) + 1j * rng.standard_normal((draws, k))) @ gens
 
 
-def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
+def close_span(generators, shape, start, multipliers, draws, tol=DEFAULT_TOL):
     """Smallest span containing the ``generators`` and closed under the
     products they generate, with a family ``T`` certifying the closure.
 
     Semi-naive closure by generators.  ``T`` starts as the orthonormal
-    basis :func:`grow_span` keeps from ``start`` of two generic
-    combinations of the generators, so its rows have unit Hilbert-Schmidt
-    norm and are well conditioned however the generators are written down.
+    basis :func:`grow_span` keeps from ``start`` of ``draws`` generic
+    combinations of the generators (:func:`_family_draw`), so its rows
+    have unit Hilbert-Schmidt norm and are well conditioned however the
+    generators are written down.  Any ``draws`` gives the closure: a
+    family that generates too little leaves generators outside the span,
+    and they join it below; fewer draws make each round cheaper.
     The span grows under left multiplication by ``multipliers(T)`` (both
     callables map a ``(k, rows, cols)`` stack to a stack of matrices), and
     each round multiplies only the rows the last round added, so the first
@@ -444,7 +452,7 @@ def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
         return (mults[:, None] @ rows.reshape(-1, r, c)[None]).reshape(-1, r * c)
 
     stack = np.zeros((0, r * c), dtype=np.complex128)
-    stack, _ = grow_span(stack, started(_family_draw(gens)), tol=tol)
+    stack, _ = grow_span(stack, started(_family_draw(gens, draws)), tol=tol)
     family = stack
     mults = multipliers(family.reshape(-1, r, c))
     for _ in range(r * c + 1):
@@ -462,16 +470,17 @@ def close_span(generators, shape, start, multipliers, tol=DEFAULT_TOL):
     raise NumericalFailure("span closure failed to stabilize")
 
 
-def _closed_span_family(space, start, multipliers, tol=DEFAULT_TOL):
+def _closed_span_family(space, start, multipliers, draws, tol=DEFAULT_TOL):
     """The family certifying that the orthonormal ``space``, given as
-    closed, is: :func:`close_span` of its basis under ``start`` and
-    ``multipliers``, as a ``(k, rows, cols)`` stack.
+    closed, is: :func:`close_span` of its basis under ``start``,
+    ``multipliers`` and ``draws``, as a ``(k, rows, cols)`` stack.
 
     The closure must be the span itself, of the same dimension and within
     ``tol.member`` of it in :meth:`Subspace.distance`; otherwise
     :class:`ClosureViolation`.
     """
-    closed, family = close_span(space.matrices, space.shape, start, multipliers, tol=tol)
+    closed, family = close_span(
+        space.matrices, space.shape, start, multipliers, draws, tol=tol)
     if closed.dim != space.dim:
         raise ClosureViolation(
             f"span of dimension {space.dim} is not closed: "
@@ -518,6 +527,15 @@ def module_defect(space, family, right=False):
     xs = space.matrices
     prods = xs[:, None] @ family[None] if right else family[:, None] @ xs[None]
     return space.max_relative_residual(prods.reshape(-1, space.rows * space.cols))
+
+
+def gram_sum(mats):
+    """``sum_x x x*`` over a ``(k, m, n)`` stack, made exactly self-adjoint:
+    one product ``F F*`` of the stack laid side by side as the ``(m, k n)``
+    matrix ``F``."""
+    flat = mats.transpose(1, 0, 2).reshape(mats.shape[1], -1)
+    s = flat @ flat.conj().T
+    return 0.5 * (s + s.conj().T)
 
 
 # --------------------------------------------------------------------------

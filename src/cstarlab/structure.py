@@ -420,7 +420,8 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
         g = rng.standard_normal((n_k, n_k)) + 1j * rng.standard_normal((n_k, n_k))
         q, _ = np.linalg.qr(g)
         w = q[:, 0]
-        e = np.einsum("i,j,ijab->ab", w, w.conj(), units)
+        # e = sum_ij w_i conj(w_j) e_ij, one row of weights against the units
+        e = (np.outer(w, w.conj()).ravel() @ units.reshape(n_k * n_k, -1)).reshape(u.shape)
         e = 0.5 * (e + e.conj().T)
         g = u - e
         # e = u means the zero ideal; flush the roundoff left in u - e

@@ -56,6 +56,7 @@ from .linalg import (
     _closed_span_family,
     as_matrix,
     close_span,
+    gram_sum,
     grow_span,
     hermitian_eig,
     hs_norm,
@@ -198,6 +199,10 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     :func:`close_span` closes by generators: ``T`` is an orthonormal
     basis of two generic combinations of the generators, and ``span(T)``
     grows under left multiplication by the products ``x y*`` over ``T``.
+    Two draws, not one: the one multiplier ``t t*`` of a single draw
+    ``t`` generates a commutative algebra, so the closure would reach the
+    TRO only through the generators it leaves out, a Krylov direction per
+    round, with roundoff growing every round.
     Those words are exactly the odd words ``x1 y1* x2 ... z`` that span
     the TRO, so no step forms the ``d^3`` triple products of the basis.
     The TRO keeps ``T`` as its ``family``, and its algebras are built from
@@ -208,7 +213,8 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
         raise ParamError("TRO ambient dimensions must be positive")
     gens = [as_matrix(g, shape=(m, n)) for g in generators]
     space, family = close_span(
-        gens, (m, n), start=lambda family: family, multipliers=_left_multipliers, tol=tol
+        gens, (m, n), start=lambda family: family, multipliers=_left_multipliers,
+        draws=2, tol=tol,
     )
     return _build_tro(space, family.reshape(-1, m, n), tol)
 
@@ -224,7 +230,8 @@ def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     are built from ``T``, and nondegeneracy is verified.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
-    family = _closed_span_family(space, lambda family: family, _left_multipliers, tol=tol)
+    family = _closed_span_family(
+        space, lambda family: family, _left_multipliers, draws=2, tol=tol)
     return _build_tro(space, family, tol)
 
 
@@ -511,11 +518,9 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     if submodule.dim == 0:
         raise ZeroSubmodule("the zero submodule has no generation certificate")
     ws = submodule.basis.matrices
-    s = np.einsum("aij,akj->ik", ws, ws.conj())
-    s = 0.5 * (s + s.conj().T)
     # one eigendecomposition gives both s^(-1/2) and the support of s
-    dec, cut, _ = psd_cut(s, tol=tol)
-    zs = np.einsum("ij,ajk->aik", dec.above(cut, lambda t: t ** -0.5), ws)
+    dec, cut, _ = psd_cut(gram_sum(ws), tol=tol)
+    zs = dec.above(cut, lambda t: t ** -0.5) @ ws
     return _certify_generation(submodule.basis, zs, dec.above(cut, lambda t: 1.0), tol)
 
 
@@ -524,8 +529,7 @@ def _certify_generation(space, zs, support, tol):
     ``space``, with the support projection ``support`` of ``sum w w*``;
     :class:`VerificationFailure` when a residual exceeds
     ``tol.composite``."""
-    e = np.einsum("aij,akj->ik", zs, zs.conj())
-    e = 0.5 * (e + e.conj().T)
+    e = gram_sum(zs)
     resid = space.row_residuals(zs.reshape(len(zs), -1))
     residuals = {
         "projection": hs_norm(e @ e - e),

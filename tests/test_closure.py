@@ -130,7 +130,7 @@ def test_tro_closure_matches_all_triples(kind, seed):
     assert_same_tro(*tro_generators(kind, seed))
 
 
-def first_generator_only(gens):
+def first_generator_only(gens, draws):
     return gens[:1]
 
 
@@ -147,9 +147,10 @@ def test_closure_from_the_first_generator_still_reaches_every_generator(kind, se
 
 
 def test_two_generator_closure_offers_linearly_many_rows():
-    """At N=48 (dimension 136) the closure offers grow_span a few rows per
-    basis element, not the d^2 products of every round of the all-pairs
-    loop."""
+    """At N=48 (dimension 136) the closure starts from one generic draw
+    ``g``, so its family is ``span(g, g*)``, and it offers grow_span a
+    couple of rows per basis element, not the d^2 products of every round
+    of the all-pairs loop.  A span given as closed is closed the same way."""
     planted = planted_block_algebra([8, 6, 4, 4, 2], [2, 2, 2, 2, 2], seed=1)
     rng = np.random.default_rng(2)
     gens = [sample_element(planted.algebra, rng) for _ in range(2)]
@@ -165,7 +166,31 @@ def test_two_generator_closure_offers_linearly_many_rows():
         alg = generate_algebra(48, gens)
     d = alg.dim
     assert d == planted.algebra.dim == 136
-    assert sum(offered) <= 5 * d
+    assert len(alg.family) == 2
+    assert sum(offered) <= 3 * d
+    assert len(StarAlgebra.from_span(list(alg.basis.matrices)).family) == 2
+
+
+def test_tro_closures_start_from_two_draws():
+    """With one draw ``t`` a TRO family has the one multiplier ``t t*``,
+    which generates a commutative algebra; ``generate_tro``,
+    ``tro_from_span`` and ``planted_block_tro`` keep two."""
+    draws = []
+    real_family_draw = linalg_mod._family_draw
+
+    def recording(gens, count):
+        draws.append(count)
+        return real_family_draw(gens, count)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg_mod, "_family_draw", recording)
+        planted = planted_block_tro([(3, 4), (2, 2), (1, 3)], seed=5).tro
+        gens = list(planted.basis.matrices)
+        generated = generate_tro(*planted.basis.shape, gens)
+        given_closed = tro_from_span(gens)
+    assert draws == [2, 2, 2]
+    for tro in (generated, given_closed):
+        assert tro.basis.distance(planted.basis) <= SPAN_TOL
 
 
 # (size, multiplicity) pairs, occupied rank at most 16

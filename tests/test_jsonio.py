@@ -12,7 +12,13 @@ import pytest
 
 from cstarlab import cli
 from cstarlab.errors import ParseError
-from cstarlab.jsonio import decode_fixture, decode_matrix, encode_dense_matrix, encode_matrix
+from cstarlab.jsonio import (
+    certificate_report,
+    decode_fixture,
+    decode_matrix,
+    encode_dense_matrix,
+    encode_matrix,
+)
 from test_golden import FIXTURES
 
 TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
@@ -93,6 +99,31 @@ def test_report_bytes_do_not_depend_on_the_fixture_form(tmp_path, command):
         out = tmp_path / f"{path.stem}.report.json"
         assert cli.main([command, str(path), "--seed", "2", "--json", str(out)]) == 0
         reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def pairs_first_certificate_report(cert):
+    """The earlier route: the projection encoded as ``[re, im]`` pairs
+    before the report reaches ``_plain``, which then walks every float."""
+    report = certificate_report(cert)
+    report["projection"] = encode_matrix(cert.projection)
+    return report
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("command", ["ideal", "verify-dz"])
+def test_certificate_projection_encoded_once_keeps_the_report_bytes(tmp_path, command, seed):
+    fixture = tmp_path / "fixture.json"
+    argv = ["random", *FIXTURES[command], "--seed", str(seed), "--json", str(fixture)]
+    assert cli.main(argv) == 0
+    reports = []
+    for route in (certificate_report, pairs_first_certificate_report):
+        out = tmp_path / f"{route.__name__}.json"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "certificate_report", route)
+            assert cli.main([command, str(fixture), "--seed", str(seed), "--json", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert b'"projection"' in reports[0]
     assert reports[0] == reports[1]
 
 

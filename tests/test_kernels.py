@@ -35,6 +35,7 @@ from cstarlab.ideals import RightIdeal, _corner_space, support_projection
 from cstarlab.instances import random_block_structure
 from cstarlab.linalg import (
     Subspace,
+    gram_sum,
     hs_norm,
     identity_defect,
     module_defect,
@@ -182,6 +183,17 @@ def test_gram_sums_match_einsum(seed, n, d):
     assert_rel_close(unit_gram.value.args[0], np.einsum("aij,aik->jk", mats.conj(), mats))
     ref = np.einsum("aij,akj->ik", mats, mats.conj())
     assert_rel_close(ideal_gram.value.args[0], 0.5 * (ref + ref.conj().T))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(SEEDS, st.integers(1, 5), st.integers(1, 5), st.integers(1, 6))
+def test_gram_sum_matches_einsum(seed, m, n, k):
+    """``sum x x*`` over rectangular stacks, as the TRO generation
+    certificate forms it, and exactly self-adjoint."""
+    mats = cplx(np.random.default_rng(seed), k, m, n)
+    s = gram_sum(mats)
+    assert_rel_close(s, np.einsum("aij,akj->ik", mats, mats.conj()))
+    np.testing.assert_array_equal(s, s.conj().T)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
