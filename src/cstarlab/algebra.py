@@ -150,9 +150,8 @@ def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
     n = int(ambient_dim)
     if n < 1:
         raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
-    seeds = [as_matrix(g, shape=(n, n)) for g in generators]
     space, family = close_span(
-        seeds, (n, n), start=_with_adjoints, multipliers=lambda family: family,
+        generators, (n, n), start=_with_adjoints, multipliers=lambda family: family,
         draws=1, tol=tol,
     )
     alg = StarAlgebra(basis=space, family=family.reshape(-1, n, n))

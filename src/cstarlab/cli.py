@@ -16,6 +16,7 @@ input/usage, 2 a verified invariant failed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -271,8 +272,22 @@ def _cmd_random(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with code 1, the code of every other input error
+    (argparse's own is 2, the code of a failed verification).  The
+    subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process on first use:
+    parsing keeps no state between calls, and each subcommand's function
+    reads the module's names when it runs."""
+    parser = _Parser(
         prog="cstarlab",
         description="structure computations for finite-dimensional matrix *-algebras",
     )
@@ -327,8 +342,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Extreme-scale inputs overflow or underflow in unscaled first passes
         # (safe_norm) that detect it and rescale, or end in a typed error;

@@ -15,10 +15,17 @@ still load.  Both forms decode bit for bit (a float's repr round-trips), so
 a report does not depend on its fixture's form.  Reports keep the
 ``[re, im]`` pairs, are dumped with sorted keys and hold no volatile
 fields, so identical runs produce byte-identical output.
+
+:func:`dumps_report` writes a report as ``json.dumps`` with ``indent=2``
+and sorted keys writes it, byte for byte, without going through
+``json``'s pure-Python indenting encoder: it walks the report once, and
+writes each 2-d array from one ``float.__repr__`` pass over its floats
+joined with the fixed separators of the array's indentation.
 """
 
 import base64
-import json
+from json.encoder import encode_basestring_ascii
+
 import numpy as np
 
 from .errors import ParseError
@@ -209,37 +216,91 @@ def decode_fixture(obj):
     raise ParseError(f"unknown fixture kind {kind!r}")
 
 
-def _plain(value):
-    """Recursively convert numpy scalars/arrays to JSON-safe python."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            return encode_matrix(value)
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, complex):
-        return [float(value.real), float(value.imag)]
-    return value
-
-
 def dumps_report(report):
     """Deterministic JSON text for a report dict (sorted keys, trailing
-    newline, no timestamps or other volatile content)."""
-    return json.dumps(_plain(report), sort_keys=True, indent=2) + "\n"
+    newline, no timestamps or other volatile content).
+
+    The text is ``json.dumps(report, sort_keys=True, indent=2) + "\n"``
+    after keys become strings, numpy scalars Python numbers, complex
+    numbers ``[re, im]`` pairs, 2-d arrays the pairs form of
+    :func:`encode_matrix` and other arrays nested lists; it is written
+    here in one walk (:func:`_write`)."""
+    out = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+# json's spelling of the floats that float.__repr__ writes nan, inf and -inf
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write(value, indent, out):
+    """Append to ``out`` the JSON text of ``value`` as ``json.dumps`` with
+    ``indent=2`` and sorted keys writes it at the line start ``indent``
+    (a newline and the value's indentation)."""
+    if isinstance(value, (dict, list, tuple)):
+        if isinstance(value, dict):
+            value = {str(k): v for k, v in value.items()}
+            items = [(encode_basestring_ascii(k) + ": ", value[k]) for k in sorted(value)]
+            brackets = "{}"
+        else:
+            items = [("", v) for v in value]
+            brackets = "[]"
+        if not items:
+            out.append(brackets)
+            return
+        inner = indent + "  "
+        sep = brackets[0] + inner
+        for prefix, item in items:
+            out.append(sep + prefix)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + brackets[1])
+    elif isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            out.append(_matrix_text(value, indent))
+        else:
+            _write(value.tolist(), indent, out)
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, (bool, np.bool_)):
+        out.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        out.append(repr(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        text = repr(float(value))
+        out.append(_NON_FINITE.get(text, text))
+    elif isinstance(value, complex):
+        _write([float(value.real), float(value.imag)], indent, out)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _matrix_text(m, indent):
+    """The JSON text of :func:`encode_matrix` of ``m`` at ``indent``, from
+    one pass over its floats: ``re`` and ``im`` are joined by the
+    separator inside a pair, and the pairs by the separator between two."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    keys = indent + "  "
+    pairs = keys + "  "
+    floats = pairs + "  "
+    texts = list(map(float.__repr__, m.view(float).ravel().tolist()))
+    entries = "[]"
+    if texts:
+        it = iter(map(_NON_FINITE.get, texts, texts))
+        body = (pairs + "]," + pairs + "[" + floats).join(map(("," + floats).join, zip(it, it)))
+        entries = "[" + pairs + "[" + floats + body + pairs + "]" + keys + "]"
+    return (f'{{{keys}"cols": {m.shape[1]},{keys}"entries": {entries},'
+            f'{keys}"rows": {m.shape[0]}{indent}}}')
 
 
 def certificate_report(cert):
     """JSON-ready view of a :class:`ProjectionCertificate`; the projection
-    stays an array, which :func:`_plain` encodes once with
-    :func:`encode_matrix`."""
+    stays an array, which :func:`dumps_report` writes in the pairs form
+    of :func:`encode_matrix`."""
     return {
         "projection": cert.projection,
         "generator_count": cert.generator_count,

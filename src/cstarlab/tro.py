@@ -211,9 +211,8 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
-    gens = [as_matrix(g, shape=(m, n)) for g in generators]
     space, family = close_span(
-        gens, (m, n), start=lambda family: family, multipliers=_left_multipliers,
+        generators, (m, n), start=lambda family: family, multipliers=_left_multipliers,
         draws=2, tol=tol,
     )
     return _build_tro(space, family.reshape(-1, m, n), tol)

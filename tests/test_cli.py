@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from cstarlab import cli
+
 CLI = [sys.executable, "-m", "cstarlab.cli"]
 
 
@@ -134,6 +136,28 @@ def test_unwritable_report_path_is_input_error(tmp_path):
         assert "error: cannot write" in r.stderr
         assert "Traceback" not in r.stderr
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose"],  # no fixture
+    ["frobnicate"],  # no such command
+    ["verify-dz", "x", "--trials", "abc"],  # not an integer
+])
+def test_usage_error_is_input_error(argv):
+    """A malformed command line exits 1, like every other input error,
+    not with argparse's 2, which is the code of a failed verification."""
+    r = run_cli(*argv)
+    assert r.returncode == 1
+    assert "error:" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: cstarlab decompose")
 
 
 @pytest.mark.parametrize("trials", [0, -1])
@@ -338,6 +362,41 @@ def test_json_flag_matches_stdout(tmp_path):
     r_file = run_cli("decompose", fix, "--json", out)
     assert r_file.returncode == 0
     assert out.read_text() == r_stdout.stdout
+
+
+def test_calls_in_one_process_share_the_parser_and_nothing_else(tmp_path, capsys, monkeypatch):
+    """``cli.main`` builds its parser once per process; flags and defaults
+    of one call do not reach the next, and each report is the report of a
+    fresh process."""
+    monkeypatch.delenv("CSTAR_SEED", raising=False)
+    alg, ideal = tmp_path / "alg.json", tmp_path / "ideal.json"
+    run_cli("random", "algebra", "--blocks", "3,1", "--mults", "2,1", "--seed", 11, "--json", alg)
+    run_cli("random", "ideal", "--blocks", "2,2", "--gens", 2, "--seed", 9, "--json", ideal)
+    parser = cli.build_parser()
+
+    first = tmp_path / "first.json"
+    flagged = ["decompose", str(alg), "--tol-member", "1e-7", "--json", str(first)]
+    assert cli.main(flagged) == 0
+    assert capsys.readouterr().out == ""
+    fresh = tmp_path / "fresh.json"
+    assert run_cli(*flagged[:-1], fresh).returncode == 0
+    assert first.read_bytes() == fresh.read_bytes()
+
+    assert cli.main(["ideal", str(ideal)]) == 0
+    assert capsys.readouterr().out == run_cli("ideal", ideal).stdout
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["decompose"])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+    assert cli.main(["decompose", str(alg)]) == 0
+    assert capsys.readouterr().out == run_cli("decompose", alg).stdout
+
+    args = cli.build_parser().parse_args(["decompose", str(alg)])
+    assert (args.tol_member, args.json, args.seed) == (None, None, None)
+    assert cli.build_parser() is parser
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,17 @@
 ``[re, im]`` pairs form of reports and older fixtures.
 
 Both must decode to the encoded bits exactly, and a fixture must give the
-same report bytes whichever form it is written in.
+same report bytes whichever form it is written in.  The report writer must
+write the bytes ``json.dumps`` writes.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cstarlab import cli
 from cstarlab.errors import ParseError
@@ -16,10 +20,11 @@ from cstarlab.jsonio import (
     certificate_report,
     decode_fixture,
     decode_matrix,
+    dumps_report,
     encode_dense_matrix,
     encode_matrix,
 )
-from test_golden import FIXTURES
+from test_golden import CASES, FIXTURES, produce
 
 TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
 SPECIAL = np.array(
@@ -104,7 +109,8 @@ def test_report_bytes_do_not_depend_on_the_fixture_form(tmp_path, command):
 
 def pairs_first_certificate_report(cert):
     """The earlier route: the projection encoded as ``[re, im]`` pairs
-    before the report reaches ``_plain``, which then walks every float."""
+    before the report reaches ``dumps_report``, which then walks every
+    float as a generic list."""
     report = certificate_report(cert)
     report["projection"] = encode_matrix(cert.projection)
     return report
@@ -125,6 +131,87 @@ def test_certificate_projection_encoded_once_keeps_the_report_bytes(tmp_path, co
         reports.append(out.read_bytes())
     assert b'"projection"' in reports[0]
     assert reports[0] == reports[1]
+
+
+def plain(value):
+    """The earlier report conversion, kept as the reference: numpy values
+    to JSON-safe Python, which ``json.dumps`` then wrote."""
+    if isinstance(value, dict):
+        return {str(k): plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            return encode_matrix(value)
+        return [plain(v) for v in value.tolist()]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    return value
+
+
+def json_report(report):
+    return json.dumps(plain(report), sort_keys=True, indent=2) + "\n"
+
+
+FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+COMPLEX = st.builds(complex, FLOATS, FLOATS)
+TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é☃\U0001d11e", "\u2028"])
+DTYPES = st.sampled_from([np.complex128, np.float64, np.int64, np.bool_])
+MATRIX_SHAPES = st.one_of(
+    st.sampled_from([(0, 0), (0, 3), (3, 0)]),
+    st.tuples(st.just(1), st.integers(1, 4)),
+    st.tuples(st.integers(1, 4), st.just(1)),
+    hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, COMPLEX, TEXT,
+    st.booleans().map(np.bool_),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    hnp.arrays(DTYPES, MATRIX_SHAPES),
+    hnp.arrays(DTYPES, hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=4)),
+    hnp.arrays(DTYPES, hnp.array_shapes(min_dims=3, max_dims=3, min_side=0, max_side=3)),
+)
+KEYS = TEXT | st.integers(-3, 3)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(KEYS, children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(KEYS, TREES, max_size=5))
+def test_report_writer_matches_json(report):
+    assert dumps_report(report) == json_report(report)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_live_reports_match_json(tmp_path, monkeypatch, case):
+    """Every report and fixture a golden case writes, the ``cstarlab
+    random`` fixture included, is the text ``json.dumps`` writes."""
+    written = []
+
+    def checked(report):
+        text = dumps_report(report)
+        assert text == json_report(report)
+        written.append(report)
+        return text
+
+    monkeypatch.setattr(cli, "dumps_report", checked)
+    produce(case, tmp_path)
+    assert len(written) == (1 if case.startswith("selftest") else 2)
 
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]])
