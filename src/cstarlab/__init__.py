@@ -23,7 +23,6 @@ from .errors import (
     MembershipViolation,
     NotAProjection,
     NotInAlgebra,
-    NotMaximal,
     NotProper,
     NotSelfAdjoint,
     NotUnital,
@@ -54,7 +53,6 @@ from .ideals import (
     generate_right_ideal,
     is_maximal_right_ideal,
     is_minimal_projection,
-    maximal_ideal_minimality_certificate,
     projection_generator,
     support_projection,
 )
@@ -78,7 +76,6 @@ from .tro import (
     generate_submodule,
     generate_tro,
     is_maximal_submodule,
-    linking_algebra,
     submodule_ideal_roundtrip,
     tro_from_span,
 )

@@ -50,10 +50,6 @@ class NotProper(CStarError):
     """An ideal/submodule expected to be proper equals the whole object."""
 
 
-class NotMaximal(CStarError):
-    """A certificate was requested for an ideal that is not maximal."""
-
-
 class ZeroSubmodule(CStarError):
     """A generation certificate was requested for the zero submodule."""
 
@@ -100,7 +96,6 @@ INPUT_ERRORS = (
     ClosureViolation,
     NotUnital,
     NotProper,
-    NotMaximal,
     ZeroSubmodule,
     ParamError,
     ParseError,

@@ -22,7 +22,6 @@ from .errors import (
     GapNotFound,
     NotAProjection,
     NotProper,
-    NotMaximal,
     NotUnital,
     check,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "support_projection",
     "is_minimal_projection",
     "is_maximal_right_ideal",
-    "maximal_ideal_minimality_certificate",
 ]
 
 
@@ -230,7 +228,7 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     count = len(gens)
     threshold = (count * bound) ** -2 if bound > 0 else 0.0
 
-    p = dec.apply(lambda t: 1.0 if t > cut else 0.0)
+    p = dec.above(cut, lambda t: 1.0)
 
     check(f"spectral bound violated: min positive eigenvalue {pos_lo:.6e} "
           f"below proven threshold {threshold:.6e}",
@@ -310,14 +308,13 @@ def is_minimal_projection(parent, e, tol=DEFAULT_TOL):
     return _corner_space(parent, e, e, tol) == 1
 
 
-def _maximal_complement(parent, ideal, tol):
-    """``q = u - p`` for the support projection ``p`` of ``J`` when ``J`` is
-    maximal among proper right ideals, None otherwise.
+def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
+    """Whether ``J`` is maximal among proper right ideals.
 
     For a unital algebra maximality is equivalent to ``J = pA`` with
     ``u - p`` minimal, which is what gets checked: the support projection
-    must single-generate ``J``, and its complement in the unit must have a
-    one-dimensional corner.
+    ``p`` of ``J`` must single-generate ``J``, and its complement in the
+    unit must have a one-dimensional corner.
     """
     u = parent.unit
     if u is None:
@@ -326,31 +323,11 @@ def _maximal_complement(parent, ideal, tol):
         raise NotProper("the ideal contains the unit, so it is not proper")
     p = support_projection(parent, ideal, tol=tol)
     if not parent.contains(p, tol=tol):
-        return None
+        return False
     fix = identity_defect(p, ideal.basis.matrices)
     if fix > tol.member or not ideal.basis.contains(p, tol=tol):
-        return None
+        return False
     q = u - p
     if hs_norm(q) <= tol.member:  # pragma: no cover - excluded by properness
-        return None
-    return q if is_minimal_projection(parent, q, tol=tol) else None
-
-
-def is_maximal_right_ideal(parent, ideal, tol=DEFAULT_TOL):
-    """Whether ``J`` is maximal among proper right ideals: ``J = pA`` for
-    its support projection ``p``, with ``u - p`` minimal."""
-    return _maximal_complement(parent, ideal, tol) is not None
-
-
-def maximal_ideal_minimality_certificate(parent, ideal, tol=DEFAULT_TOL):
-    """For a maximal ``J = pA``, the complement ``q = u - p`` and the
-    one-dimensional corner ``q A q = C q`` witnessing minimality.
-
-    Returns ``(q, corner)`` with ``corner`` the subspace ``q A q``: the
-    maximality test has certified that it is one-dimensional, so it is
-    ``span(q)``.  Raises :class:`NotMaximal` when ``J`` is not maximal.
-    """
-    q = _maximal_complement(parent, ideal, tol)
-    if q is None:
-        raise NotMaximal("ideal is not a maximal right ideal")
-    return q, span_rows(q.reshape(1, -1), q.shape, tol=tol)
+        return False
+    return is_minimal_projection(parent, q, tol=tol)

@@ -79,7 +79,6 @@ __all__ = [
     "submodule_ideal_roundtrip",
     "is_maximal_submodule",
     "finite_generation_certificate",
-    "linking_algebra",
 ]
 
 
@@ -543,28 +542,3 @@ def _certify_generation(space, zs, support, tol):
         generators=list(zs), projection=e, residuals=residuals
     )
 
-
-def linking_algebra(tro, tol=DEFAULT_TOL):
-    """The *-algebra of ``(rows+cols)^2`` matrices spanned by the corner
-    embeddings of Z, Z*, the left algebra and the right algebra.  Useful
-    as a cross-check: it is closed because the four corners multiply into
-    each other exactly as the TRO identities dictate."""
-    m, n = tro.basis.shape
-    big = m + n
-    mats = []
-    for z in tro.basis.matrices:
-        blk = np.zeros((big, big), dtype=np.complex128)
-        blk[:m, m:] = z
-        mats.append(blk)
-        blk2 = np.zeros((big, big), dtype=np.complex128)
-        blk2[m:, :m] = z.conj().T
-        mats.append(blk2)
-    for a in tro.left_algebra.basis.matrices:
-        blk = np.zeros((big, big), dtype=np.complex128)
-        blk[:m, :m] = a
-        mats.append(blk)
-    for b in tro.right_algebra.basis.matrices:
-        blk = np.zeros((big, big), dtype=np.complex128)
-        blk[m:, m:] = b
-        mats.append(blk)
-    return StarAlgebra.from_span(mats, ambient_dim=big, tol=tol)

@@ -10,6 +10,8 @@ import pytest
 from cstarlab import (
     corner_dimension,
     generate_algebra,
+    generate_right_ideal,
+    is_maximal_right_ideal,
     is_minimal_projection,
     minimal_projection_below,
     planted_block_algebra,
@@ -373,3 +375,47 @@ def test_verify_single_generation_planted():
         assert sorted(report.block_sizes, reverse=True) == sorted(
             [s for s, _ in planted.signature()], reverse=True
         )
+
+
+def sweep_with_ideals(monkeypatch, algebra, trials, seed):
+    """``verify_dales_zelazko`` with every right ideal it builds recorded."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(generate_right_ideal(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(structure_module, "generate_right_ideal", recording)
+    return verify_dales_zelazko(algebra, trials=trials, seed=seed), built
+
+
+@pytest.mark.parametrize("trials", [1, 4])
+def test_dales_zelazko_builds_one_ideal_per_trial(monkeypatch, trials):
+    """Each trial builds only its ideal ``J = (u - e) A``: single generation
+    and maximality are read off the one certificate of ``J = pA``."""
+    planted = planted_block_algebra([2, 1], [2, 1], seed=5)
+    report, built = sweep_with_ideals(monkeypatch, planted.algebra, trials, seed=1)
+    assert report.all_ok
+    assert len(built) == trials
+
+
+@pytest.mark.parametrize("sizes, mults", [
+    ([2], [2]),
+    ([3, 1], [1, 2]),
+    ([2, 2], [2, 1]),
+    ([3, 2, 1], [2, 1, 2]),
+    ([1, 1, 2], [3, 1, 2]),
+])
+def test_dales_zelazko_verdicts_match_the_span_route(monkeypatch, sizes, mults):
+    """Reference: the ideal regenerated from the certificate's projection
+    spans the trial's ideal (single generation), and the support-projection
+    test :func:`is_maximal_right_ideal` agrees with the maximality read off
+    the certificate, on every trial of every block."""
+    a = planted_block_algebra(sizes, mults, seed=sum(sizes) + 10 * len(mults)).algebra
+    report, built = sweep_with_ideals(monkeypatch, a, 2 * len(sizes), seed=len(sizes))
+    assert report.all_ok
+    assert len(built) == len(report.trials)
+    for trial, ideal in zip(report.trials, built):
+        regen = generate_right_ideal(a, [trial.certificate.projection])
+        assert regen.basis.equals(ideal.basis) == trial.single_generation
+        assert is_maximal_right_ideal(a, ideal) == trial.is_maximal

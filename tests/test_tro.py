@@ -17,7 +17,6 @@ from cstarlab import (
     generate_tro,
     is_maximal_right_ideal,
     is_maximal_submodule,
-    linking_algebra,
     minimal_projection_below,
     planted_block_tro,
     submodule_ideal_roundtrip,
@@ -202,14 +201,32 @@ def test_classification_surjective_on_blocks():
                 assert p.tro.contains(u @ unit @ v.conj().T)
 
 
+def linking_algebra(tro):
+    """The *-algebra of ``(rows+cols)^2`` matrices spanned by the corner
+    embeddings of Z, Z*, the left algebra and the right algebra: closed
+    because the four corners multiply into each other as the TRO
+    identities dictate."""
+    m, n = tro.basis.shape
+    corners = [(z, slice(None, m), slice(m, None)) for z in tro.basis.matrices]
+    corners += [(z.conj().T, slice(m, None), slice(None, m)) for z in tro.basis.matrices]
+    corners += [(a, slice(None, m), slice(None, m)) for a in tro.left_algebra.basis.matrices]
+    corners += [(b, slice(m, None), slice(m, None)) for b in tro.right_algebra.basis.matrices]
+    mats = np.zeros((len(corners), m + n, m + n), dtype=complex)
+    for mat, (x, rows, cols) in zip(mats, corners):
+        mat[rows, cols] = x
+    return StarAlgebra.from_span(list(mats), ambient_dim=m + n)
+
+
 def test_linking_algebra_blocks():
     """The corner embedding of Z into (m+n)-square matrices generates one
-    block of size m_k + n_k per TRO block."""
+    block of size m_k + n_k per TRO block, a cross-check of
+    :func:`classify_tro` through the algebra decomposition."""
     p = planted_block_tro([(2, 3), (1, 1)], seed=4)
     link = linking_algebra(p.tro)
-    assert link.ambient_dim == 7  # (2+3) rows vs (1+1) appended… ambient is m+n
+    assert link.ambient_dim == 7  # rows + cols of the TRO's 3 x 4 matrices
     dec = wedderburn_decompose(link)
     assert dec.block_signature() == [(5, 1), (2, 1)]
+    assert sorted(dec.block_sizes) == sorted(m + n for m, n in classify_tro(p.tro).blocks)
     assert link.dim == 25 + 4
 
 
