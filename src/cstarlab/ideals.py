@@ -11,6 +11,7 @@ positive part of ``b``), gives the operator bound
 spectrum of ``b`` away from zero: ``spec(b) \\ {0} >= (nK)^(-2)``.  A
 spectral cut in the resulting gap produces ``p``, and all claimed
 identities are verified numerically before the certificate is returned.
+``p`` is scale-free, so it is certified for the generators over their largest norm.
 """
 
 import numpy as np
@@ -60,7 +61,7 @@ class ProjectionCertificate:
     projection : ndarray
         The projection ``p`` with ``J = pA``; zero for the zero ideal.
     gram : ndarray
-        ``b = sum_j g_j g_j*`` over the nonzero generators.
+        ``b = sum_j g_j g_j*`` over the nonzero generators (``inf`` or 0 outside the doubles).
     coefficients : list of ndarray
         The ``c_j = g_j* b^(-3/4)`` in the algebra, with
         ``b^(1/4) = sum_j g_j c_j``: the minimum-norm factorization.
@@ -200,12 +201,12 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     n = parent.ambient_dim
     # drop generators that are zero relative to the largest one (the span
     # construction is scale-invariant, so the filter must be too)
-    gen_scale = max((hs_norm(g) for g in ideal.generators), default=0.0)
-    gens = [g for g in ideal.generators if hs_norm(g) > tol.rank * gen_scale]
+    scale = max((hs_norm(g) for g in ideal.generators), default=0.0)
+    gens = [g for g in ideal.generators if hs_norm(g) > tol.rank * scale]
     if not gens or ideal.basis.dim == 0:
         return _trivial_certificate(n)
 
-    gmats = np.array(gens)
+    gmats = np.array(gens) / scale
     b = gram_sum(gmats)
 
     dec, cut, pos_lo = psd_cut(b, tol=tol)
@@ -244,17 +245,20 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
     for name, value in residuals.items():
         check(f"certificate identity '{name}' fails", value, tol.member)
 
+    # at the generators' scale s, b scales by s^2 and the c_j by s^(-1/2)
+    with np.errstate(over="ignore"):
+        gram, spectrum = b * scale * scale, dec.eigenvalues * scale * scale
     return ProjectionCertificate(
         projection=p,
-        gram=b,
-        coefficients=list(cs),
-        coefficient_bound=bound,
+        gram=gram,
+        coefficients=list(cs / np.sqrt(scale)),
+        coefficient_bound=bound / scale,
         generator_count=count,
-        threshold=threshold,
-        min_positive_eigenvalue=float(pos_lo),
-        spectrum=dec.eigenvalues.copy(),
-        cut=cut,
-        solve_residual=solve_residual,
+        threshold=threshold * scale * scale,
+        min_positive_eigenvalue=pos_lo * scale * scale,
+        spectrum=spectrum,
+        cut=cut * scale * scale,
+        solve_residual=solve_residual * np.sqrt(scale),
         residuals=residuals,
     )
 

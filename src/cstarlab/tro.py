@@ -15,18 +15,18 @@ come from the projection ``sum z* u u* z`` over the basis of ``Z``, for
 one column ``u`` of ``U_k``.
 
 Submodules (right-ideal analogues) correspond bijectively to right
-ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``; that
-correspondence carries maximality back and forth and turns the projection
-generator of an ideal into a finite generation certificate for the
-matching submodule.
+ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``: a closed
+submodule is ``W = pZ`` for the support projection ``p`` in ``L`` of
+``sum w w*``, its ideal is ``pL``, and it is maximal exactly when
+``u_L - p`` is minimal.  The same ``p`` gives ``W`` a finite generation
+certificate.
 
 Every span on the TRO side is built from the closure family ``T``: the
 few elements of ``Z`` whose odd words ``t1 t2* t3 ...`` span it, which
 :func:`generate_tro` closes with and keeps as ``TRO.family``.  One factor
 of each product then runs over ``T`` instead of a basis, so a span costs
-``O(d |T|)`` products instead of ``d^2``: ``span(Z Z*) = span(Z T*)``,
-``span(Z* Z) = span(T* Z)``, ``span(W Z*) = span(W T*)`` for a right
-submodule ``W``, and ``span(J Z) = span(J T)`` for a right ideal ``J``.
+``O(d |T|)`` products instead of ``d^2``: ``span(Z Z*) = span(Z T*)`` and
+``span(Z* Z) = span(T* Z)``.
 The two algebras get ``span(T T*)`` and ``span(T* T)`` as families, so
 their module checks multiply by a handful of elements too.
 """
@@ -48,7 +48,8 @@ from .errors import (
 from .algebra import StarAlgebra, unit_of
 from .ideals import (
     RightIdeal,
-    is_maximal_right_ideal,
+    _corner_space,
+    is_minimal_projection,
     right_module_span,
 )
 from .linalg import (
@@ -381,7 +382,8 @@ class Submodule:
 
     ``_roundtrip`` holds the last verified
     :func:`submodule_ideal_roundtrip` against ``parent`` as
-    ``(tol, basis, ideal, report)``."""
+    ``(tol, basis, dec, cut, ideal, report)``, where ``(dec, cut)`` is the
+    :func:`psd_cut` of ``sum w w*`` over the basis."""
 
     parent: TRO
     generators: list
@@ -394,6 +396,11 @@ class Submodule:
 
     def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
+
+    def _kept(self, tol):
+        """The kept roundtrip if it was verified with ``tol`` on this basis."""
+        kept = self._roundtrip
+        return kept if kept is not None and kept[0] == tol and kept[1] is self.basis else None
 
 
 def generate_submodule(tro, generators, tol=DEFAULT_TOL):
@@ -413,83 +420,71 @@ def generate_submodule(tro, generators, tol=DEFAULT_TOL):
 
 
 def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
-    """The right ideal ``J = span(W Z*)`` of the left algebra, with both
-    directions of the correspondence verified: ``J`` must lie in the left
-    algebra (:class:`NotInAlgebra` otherwise) and be closed under right
-    multiplication by it, ``J Z`` must recover ``W`` and ``(J Z) Z*`` must
-    recover ``J``.
+    """The right ideal ``J = W Z*`` of the left algebra, read off the
+    support projection ``p`` of ``sum w w*`` over the basis of ``W``.
 
-    Each span multiplies by the TRO's ``family`` ``T`` instead of its
-    basis.  ``span(W T*) = span(W Z*)`` once ``W`` is closed under the
-    right algebra's family, which is checked; ``span(J T) = span(J Z)``
-    once ``J`` is a right ideal, which is checked; and ``J Z`` is a right
-    submodule, so ``span(J Z T*) = span(J Z Z*)``.
+    Checked: ``p`` in the left algebra (:class:`NotInAlgebra`), ``W`` in
+    ``Z`` (:class:`MembershipViolation`), ``p w = w``, ``dim pZ = dim W``
+    by a corner trace (:class:`VerificationFailure` naming both) and ``W``
+    closed under the right algebra's family.  Then ``W = pZ``, so
+    ``J = pL``, ``J Z = W`` and ``(J Z) Z* = J``; ``J`` is returned as
+    ``pL`` with generator ``p``, and no span of ``W Z*`` is formed.
 
-    Returns ``(ideal, report)`` where the report carries the two span
-    comparisons.  A verified result is kept on the submodule, so a repeat
-    call against its parent with an equal ``tol`` and the same basis
-    returns the same ideal and a copy of the report without recomputing.
+    Returns ``(ideal, report)``: ``module_roundtrip`` is the larger of
+    the ``W in Z`` and ``p w = w`` residuals, ``ideal_roundtrip`` the
+    residual of ``p`` against the left algebra.  A verified result is
+    kept on the submodule, so a repeat call against its parent with an
+    equal ``tol`` and the same basis returns the same ideal and a copy of
+    the report without recomputing.
     """
-    kept = submodule._roundtrip
-    if (tro is submodule.parent and kept is not None and kept[0] == tol
-            and kept[1] is submodule.basis):
-        return kept[2], dict(kept[3])
-    ideal, report = _verify_roundtrip(tro, submodule, tol)
+    kept = submodule._kept(tol) if tro is submodule.parent else None
+    if kept is not None:
+        return kept[4], dict(kept[5])
+    dec, cut, ideal, report = _verify_roundtrip(tro, submodule, tol)
     if tro is submodule.parent:
-        submodule._roundtrip = (tol, submodule.basis, ideal, dict(report))
+        submodule._roundtrip = (tol, submodule.basis, dec, cut, ideal, dict(report))
     return ideal, report
 
 
 def _verify_roundtrip(tro, submodule, tol):
-    m, n = tro.basis.shape
     left = tro.left_algebra
-    if submodule.dim == 0:
-        ideal = RightIdeal(
-            parent=left, generators=[], basis=Subspace.empty(m, m)
-        )
-        return ideal, {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
-    ts = tro.family
-    j_space = span_rows(_left_products(submodule.basis.stack, (m, n), ts), (m, m), tol=tol)
-    check("span(W Z*) is not in the left algebra, relative to its norm",
-          left.basis.max_relative_residual(j_space.stack), tol.member, NotInAlgebra)
+    ws = submodule.basis.matrices
+    # one eigendecomposition, shared with finite_generation_certificate
+    dec, cut, _ = psd_cut(gram_sum(ws), tol=tol)
+    p = dec.above(cut, lambda t: 1.0)
+    ideal_resid = check(
+        "support projection p of W W* is not in the left algebra, relative to its norm",
+        left.basis.max_relative_residual(p.reshape(1, -1)), tol.member, NotInAlgebra)
+    module_resid = max(
+        check("W is not in the TRO, relative to its norm",
+              tro.basis.max_relative_residual(submodule.basis.stack), tol.member,
+              MembershipViolation),
+        check("p w = w fails on W", identity_defect(p, ws), tol.member),
+    )
+    # pZ is 0 for p = 0, and the zero TRO has no unit to take the trace with
+    dim_pz = _corner_space(tro, p, tro.right_algebra.unit, tol) if submodule.dim else 0
+    if dim_pz != submodule.dim:
+        raise VerificationFailure(f"W is not pZ: dim pZ = {dim_pz}, dim W = {submodule.dim}")
     check("W is not closed under the right algebra",
           module_defect(submodule.basis, tro.right_algebra.family, right=True), tol.member)
-    check("span(W Z*) is not a right ideal of the left algebra",
-          module_defect(j_space, left.family, right=True), tol.member)
-    ideal = RightIdeal(parent=left, generators=list(j_space.matrices), basis=j_space)
-
-    jz = (j_space.matrices[:, None] @ ts[None]).reshape(-1, m * n)
-    w_back = span_rows(jz, (m, n), tol=tol)
-    j_back = span_rows(_left_products(w_back.stack, (m, n), ts), (m, m), tol=tol)
-
-    if w_back.dim != submodule.dim:
-        raise VerificationFailure(
-            f"module roundtrip (W Z*) Z has dimension {w_back.dim}, W has {submodule.dim}")
-    if j_back.dim != j_space.dim:
-        raise VerificationFailure(
-            f"ideal roundtrip ((W Z*) Z) Z* has dimension {j_back.dim}, W Z* has {j_space.dim}")
-    report = {
-        "module_roundtrip": check("module roundtrip (W Z*) Z does not recover W",
-                                  w_back.distance(submodule.basis), tol.member),
-        "ideal_roundtrip": check("ideal roundtrip ((W Z*) Z) Z* does not recover W Z*",
-                                 j_back.distance(j_space), tol.member),
-        "ok": True,
-    }
-    return ideal, report
+    ideal = RightIdeal(parent=left, generators=[p], basis=span_rows(
+        (p @ left.basis.matrices).reshape(-1, left.ambient_dim ** 2), left.basis.shape, tol=tol))
+    report = {"module_roundtrip": module_resid, "ideal_roundtrip": ideal_resid, "ok": True}
+    return dec, cut, ideal, report
 
 
 def is_maximal_submodule(tro, submodule, tol=DEFAULT_TOL):
-    """Whether ``W`` is maximal among proper submodules: pushed through
-    the correspondence, its ideal ``W Z*`` must be a maximal right ideal
-    of the left algebra, and ``(W Z*) Z`` must recover ``W``."""
+    """Whether ``W`` is maximal among proper submodules: with ``W = pZ``
+    certified by :func:`submodule_ideal_roundtrip`, exactly when
+    ``u_L - p`` is a minimal projection of the left algebra, the paper's
+    criterion for its ideal ``pL`` to be a maximal right ideal."""
     if submodule.dim == tro.dim:
         raise NotProper("the submodule is the whole TRO")
-    # the roundtrip raises unless W Z* Z recovers W, and stays on the
-    # submodule for a caller that asks for it next; the zero submodule maps
-    # to the zero ideal, maximal only when the TRO has no proper nonzero
-    # submodule
+    # the roundtrip stays on the submodule for a caller that asks for it
+    # next; the zero submodule has p = 0, maximal only when u_L is minimal
     ideal, _ = submodule_ideal_roundtrip(tro, submodule, tol=tol)
-    return is_maximal_right_ideal(tro.left_algebra, ideal, tol=tol)
+    left = tro.left_algebra
+    return is_minimal_projection(left, left.unit - ideal.generators[0], tol=tol)
 
 
 def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
@@ -516,8 +511,9 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     if submodule.dim == 0:
         raise ZeroSubmodule("the zero submodule has no generation certificate")
     ws = submodule.basis.matrices
-    # one eigendecomposition gives both s^(-1/2) and the support of s
-    dec, cut, _ = psd_cut(gram_sum(ws), tol=tol)
+    # one eigendecomposition, kept by a verified roundtrip, gives s^(-1/2) and the support of s
+    kept = submodule._kept(tol)
+    dec, cut = kept[2:4] if kept is not None else psd_cut(gram_sum(ws), tol=tol)[:2]
     zs = dec.above(cut, lambda t: t ** -0.5) @ ws
     return _certify_generation(submodule.basis, zs, dec.above(cut, lambda t: 1.0), tol)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cstarlab import cli
+from cstarlab.jsonio import decode_matrix
 
 CLI = [sys.executable, "-m", "cstarlab.cli"]
 
@@ -430,16 +431,18 @@ def test_decompose_of_a_huge_generator(tmp_path):
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
-def test_ideal_of_an_extreme_generator_fails_typed(tmp_path, scale):
-    """The ideal is two-dimensional, but its Gram element leaves the
-    doubles: the command fails with exit code 2 and reports no ideal."""
+def test_ideal_of_an_extreme_generator_is_certified(tmp_path, scale):
+    """The ideal is two-dimensional and generated by ``p = E11`` at any
+    scale: the certificate is formed from the generator divided by its
+    norm, and only the reported Gram spectrum leaves the doubles."""
     fix = tmp_path / "ideal.json"
     fix.write_text(json.dumps({"kind": "ideal", "ambient": 2,
                                "algebra_generators": [matrix(E12)],
                                "ideal_generators": [matrix(scale * np.array(E12))]}))
     r = run_cli("ideal", fix)
-    assert r.returncode == 2
-    [line] = r.stderr.splitlines()
-    assert line.startswith("verification failed:")
-    assert "Traceback" not in r.stderr
-    assert r.stdout == ""
+    assert r.returncode == 0, r.stderr
+    assert r.stderr == ""
+    report = json.loads(r.stdout)
+    assert report["ok"] and report["ideal_dim"] == 2
+    p = decode_matrix(report["certificate"]["projection"])
+    assert np.abs(p - np.diag([1.0, 0.0])).max() <= 1e-12

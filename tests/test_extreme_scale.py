@@ -2,10 +2,10 @@
 overflow or underflow a double.
 
 Every span, membership and rank decision is relative to the scale of its
-input, so such inputs must give the structure of the unscaled input.
-Where a certificate's own quadratic quantity (the Gram element
-``b = sum g g*`` of a right ideal) still leaves the doubles, the result is
-a typed :class:`CStarError`, never a wrong dimension.
+input, so such inputs must give the structure of the unscaled input,
+never a wrong dimension.  A right ideal's Gram element ``b = sum g g*``
+is formed from its generators divided by their largest norm, so its
+certificate holds at any scale.
 """
 
 import warnings
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cstarlab import generate_algebra, generate_right_ideal, generate_tro, projection_generator
-from cstarlab.errors import CStarError, NotInAlgebra
+from cstarlab.errors import NotInAlgebra
 from cstarlab.linalg import grow_span, hs_norm, safe_norm, span_rows
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -92,11 +92,16 @@ def test_tro_of_a_scaled_generator_is_one_dimensional(scale):
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_scaled_ideal_generator(scale):
-    """The ideal ``E12 M2`` has dimension 2 at any scale; its Gram element
-    ``b`` is 1e400 or 1e-400, outside the doubles, so the certificate ends
-    in a typed error."""
+    """The ideal ``E12 M2`` has dimension 2 at any scale, and its
+    certificate ``p = E11`` too: ``b`` is formed from the generator divided
+    by its norm, so only the reported Gram element (1e400 or 1e-400) and
+    its spectral figures leave the doubles."""
     alg = generate_algebra(2, [E12])
     ideal = generate_right_ideal(alg, [scale * E12])
     assert ideal.dim == 2
-    with pytest.raises(CStarError):
-        projection_generator(alg, ideal)
+    cert = projection_generator(alg, ideal)
+    assert hs_norm(cert.projection - E11) <= 1e-12
+    assert max(cert.residuals.values()) <= 1e-12
+    assert cert.threshold == pytest.approx(scale * scale)
+    # g c = b^(1/4) = sqrt(scale) E11
+    assert hs_norm(scale * E12 @ cert.coefficients[0] / np.sqrt(scale) - E11) <= 1e-12

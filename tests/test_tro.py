@@ -33,7 +33,7 @@ from cstarlab.errors import (
 )
 from cstarlab.algebra import StarAlgebra
 from cstarlab.instances import haar_unitary, planted_block_algebra, random_tro_blocks
-from cstarlab.linalg import Subspace, hs_norm, orthonormalize, span_rows
+from cstarlab.linalg import Subspace, hs_norm, orthonormalize, psd_cut
 from cstarlab.tro import TRO, Submodule
 
 E11 = np.diag([1.0, 0.0]).astype(complex)
@@ -268,15 +268,16 @@ def test_submodule_ideal_roundtrip():
             assert p.tro.left_algebra.contains(x)
 
 
-def count_spans(monkeypatch):
-    """Count the ``span_rows`` calls the TRO module makes from now on."""
+def count_cuts(monkeypatch):
+    """Count the ``psd_cut`` calls the TRO module makes from now on: one
+    per eigendecomposition of ``sum w w*``."""
     calls = []
 
-    def counted(candidates, shape, tol):
-        calls.append(shape)
-        return span_rows(candidates, shape, tol=tol)
+    def counted(s, tol):
+        calls.append(s.shape)
+        return psd_cut(s, tol=tol)
 
-    monkeypatch.setattr(tro_mod, "span_rows", counted)
+    monkeypatch.setattr(tro_mod, "psd_cut", counted)
     return calls
 
 
@@ -290,17 +291,20 @@ def maximal_submodule(p, seed):
 
 
 def test_repeat_roundtrip_is_not_recomputed(monkeypatch):
+    """Maximality, a repeat roundtrip and the generation certificate share
+    one eigendecomposition of ``sum w w*``."""
     p = planted_block_tro([(2, 3), (2, 1)], seed=11)
     w = maximal_submodule(p, seed=1)
-    calls = count_spans(monkeypatch)
+    calls = count_cuts(monkeypatch)
     assert is_maximal_submodule(p.tro, w)
-    assert len(calls) == 3
+    assert len(calls) == 1
     ideal, report = submodule_ideal_roundtrip(p.tro, w)
-    assert len(calls) == 3
     again_ideal, again = submodule_ideal_roundtrip(p.tro, w, tol=dataclasses.replace(DEFAULT_TOL))
-    assert len(calls) == 3
+    cert = finite_generation_certificate(w)
+    assert len(calls) == 1
     assert again_ideal is ideal
     assert again == report and report["ok"]
+    assert max(cert.residuals.values()) <= 1e-8
 
 
 def test_mutating_a_returned_report_does_not_change_the_next():
@@ -320,18 +324,18 @@ def test_roundtrip_with_another_tol_or_tro_recomputes(monkeypatch):
     p = planted_block_tro([(2, 3), (2, 1)], seed=11)
     w = maximal_submodule(p, seed=1)
     _, report = submodule_ideal_roundtrip(p.tro, w)
-    calls = count_spans(monkeypatch)
+    calls = count_cuts(monkeypatch)
     loose = dataclasses.replace(DEFAULT_TOL, member=2e-8)
     assert submodule_ideal_roundtrip(p.tro, w, tol=loose)[1] == report
-    assert len(calls) == 3
+    assert len(calls) == 1
     twin = TRO(basis=p.tro.basis, left_algebra=p.tro.left_algebra,
                right_algebra=p.tro.right_algebra, family=p.tro.family)
     assert submodule_ideal_roundtrip(twin, w)[1] == report
-    assert len(calls) == 6
+    assert len(calls) == 2
     # the other TRO's result is not kept: the parent's call still hits the
     # result kept under the loose tolerance
     assert submodule_ideal_roundtrip(p.tro, w, tol=loose)[1] == report
-    assert len(calls) == 6
+    assert len(calls) == 2
 
 
 def test_a_submodule_that_is_not_right_closed_is_refused():
@@ -350,23 +354,17 @@ def test_a_submodule_that_is_not_right_closed_is_refused():
     assert w._roundtrip is None
 
 
-def test_a_lost_module_roundtrip_row_is_named(monkeypatch):
-    """When span(J Z) comes back one row short, the refusal names the module
-    roundtrip and both dimensions."""
+def test_a_lost_module_roundtrip_row_is_named():
+    """A maximal submodule with one basis row dropped keeps its support
+    projection p, so it is no longer pZ: the refusal names both
+    dimensions, and nothing is kept."""
     p = planted_block_tro([(3, 2), (2, 1)], seed=5)
     w = maximal_submodule(p, seed=1)
-    shape = p.tro.basis.shape
-    assert shape[0] != shape[1]
-
-    def lossy(candidates, shape_, tol):
-        space = span_rows(candidates, shape_, tol=tol)
-        if shape_ != shape:
-            return space
-        return Subspace(space.rows, space.cols, space.stack[:-1])
-
-    monkeypatch.setattr(tro_mod, "span_rows", lossy)
-    with pytest.raises(VerificationFailure, match=f"module roundtrip .* dimension {w.dim - 1}, W has {w.dim}"):
-        submodule_ideal_roundtrip(p.tro, w)
+    short = Submodule(parent=p.tro, generators=[],
+                      basis=Subspace(w.basis.rows, w.basis.cols, w.basis.stack[:-1]))
+    with pytest.raises(VerificationFailure, match=f"dim pZ = {w.dim}, dim W = {w.dim - 1}"):
+        submodule_ideal_roundtrip(p.tro, short)
+    assert short._roundtrip is None
 
 
 def test_a_submodule_outside_the_tro_is_refused():
@@ -425,6 +423,16 @@ def test_zero_submodule_maximal_only_for_one_block_lines():
     double = planted_block_tro([(1, 1), (1, 1)], seed=7)
     zero2 = generate_submodule(double.tro, [])
     assert not is_maximal_submodule(double.tro, zero2)
+
+
+def test_zero_tro_roundtrip_is_the_zero_ideal():
+    z = generate_tro(2, 3, [])
+    zero = generate_submodule(z, [])
+    ideal, report = submodule_ideal_roundtrip(z, zero)
+    assert ideal.dim == 0
+    assert report == {"module_roundtrip": 0.0, "ideal_roundtrip": 0.0, "ok": True}
+    with pytest.raises(NotProper):
+        is_maximal_submodule(z, zero)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ side multiplies by ``T`` instead of a basis; right ideals and submodules
 grow under the family of their algebra, which for a planted algebra is
 the three elements it is written down with.  The references below are
 the all-pairs constructions that replaced: ``span(Z Z*)``, ``span(Z* Z)``,
-the roundtrip spans over the whole basis, ``g A^1`` over a basis of the
-unitization and the distance from ``e`` to ``span(W W*)``.  Spans must
+the ideal ``span(W Z*)`` that the support projection of a submodule
+replaced, ``g A^1`` over a basis of the unitization and the distance from
+``e`` to ``span(W W*)``.  Spans must
 agree to 1e-12 on planted TROs, whose bases are exact to roundoff.
 """
 
@@ -18,13 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cstarlab.tro as tro_mod
 from cstarlab import (
     finite_generation_certificate,
     generate_algebra,
     generate_right_ideal,
     generate_submodule,
     generate_tro,
+    is_maximal_right_ideal,
+    is_maximal_submodule,
     minimal_projection_below,
     planted_block_tro,
     submodule_ideal_roundtrip,
@@ -32,7 +34,7 @@ from cstarlab import (
 )
 from cstarlab.algebra import sample_element, unitize
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.errors import NotInAlgebra, VerificationFailure
+from cstarlab.errors import NotInAlgebra, NotProper, VerificationFailure
 from cstarlab.ideals import right_module_span
 from cstarlab.instances import (
     planted_block_algebra,
@@ -122,31 +124,37 @@ def test_closing_the_algebra_families_gives_the_algebras(seed, path):
         assert closed.basis.distance(alg.basis) <= CLOSURE_TOL
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
-@given(SEEDS, PATHS)
-def test_roundtrip_spans_match_the_all_pairs_spans(seed, path):
+def sampled_submodule(tro, rng, kind):
+    """A maximal submodule, the submodule one sampled element generates
+    (often neither maximal nor the whole TRO), or the zero submodule."""
+    if kind == "maximal":
+        return maximal_submodule(tro, rng)
+    if kind == "sampled":
+        return generate_submodule(tro, [sample_element(tro, rng)])
+    return generate_submodule(tro, [])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(SEEDS, PATHS, st.sampled_from(["maximal", "sampled", "zero"]))
+def test_roundtrip_spans_match_the_all_pairs_spans(seed, path, kind):
+    """The ideal ``pL`` read off the support projection is the all-pairs
+    ``span(W Z*)``, and maximality read off ``u_L - p`` is the verdict on
+    the right ideal that span generates."""
     tro, span_tol, rng = family_tro(seed, path)
-    w = maximal_submodule(tro, rng)
-    if not w.dim:
-        return
-    seen = []
-
-    def capture(candidates, shape, tol):
-        seen.append(span_rows(candidates, shape, tol=tol))
-        return seen[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tro_mod, "span_rows", capture)
-        submodule_ideal_roundtrip(tro, w)
+    w = sampled_submodule(tro, rng, kind)
     m, n = tro.basis.shape
-    zs = tro.basis.matrices
-    j_ref = left_span(w.basis.stack, (m, n), tro.basis.stack)
-    jz = (j_ref.matrices[:, None] @ zs[None]).reshape(-1, m * n)
-    w_back_ref = span_rows(jz, (m, n), tol=DEFAULT_TOL)
-    j_back_ref = left_span(w_back_ref.stack, (m, n), tro.basis.stack)
-    assert len(seen) == 3
-    for got, ref in zip(seen, (j_ref, w_back_ref, j_back_ref)):
-        assert got.distance(ref) <= span_tol
+    ref = left_span(w.basis.stack, (m, n), tro.basis.stack)
+    ideal, _ = submodule_ideal_roundtrip(tro, w)
+    assert ideal.basis.distance(ref) <= span_tol
+    left = tro.left_algebra
+    ref_ideal = generate_right_ideal(left, list(ref.matrices))
+    if w.dim == tro.dim:
+        with pytest.raises(NotProper):
+            is_maximal_submodule(tro, w)
+        with pytest.raises(NotProper):
+            is_maximal_right_ideal(left, ref_ideal)
+        return
+    assert is_maximal_submodule(tro, w) == is_maximal_right_ideal(left, ref_ideal)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
