@@ -27,8 +27,8 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .errors import CStarError, INPUT_ERRORS, ParamError, ParseError
 from .algebra import generate_algebra
-from .ideals import generate_right_ideal, projection_generator, support_projection
-from .instances import planted_block_algebra, planted_block_tro, random_right_ideal
+from .ideals import projection_generator
+from .instances import planted_block_algebra, planted_block_tro, random_ideal_generators
 from .jsonio import (
     certificate_report,
     decode_fixture,
@@ -37,7 +37,7 @@ from .jsonio import (
     encode_ideal_fixture,
     encode_tro_fixture,
 )
-from .linalg import hs_norm
+from .linalg import gram_sum, hs_norm, psd_cut, support_projection_of_psd
 from .selftest import run_selftest
 from .structure import verify_dales_zelazko, wedderburn_decompose
 from .tro import classify_tro, generate_tro
@@ -134,14 +134,18 @@ def _cmd_ideal(args):
     tol = _resolve_tol(args)
     fix = _load_fixture(args.fixture, ("ideal",))
     alg = generate_algebra(fix["ambient"], fix["algebra_generators"], tol=tol)
-    ideal = generate_right_ideal(alg, fix["ideal_generators"], tol=tol)
-    cert = projection_generator(alg, ideal, tol=tol)
-    agreement = hs_norm(cert.projection - support_projection(alg, ideal, tol=tol))
+    cert = projection_generator(alg, fix["ideal_generators"], tol=tol)
+    # dim pA is the rank of the products p b_i over A's basis, which span it;
+    # their support, by an eigendecomposition of its own, is checked against p
+    pb = cert.projection @ alg.basis.matrices
+    dec, cut, _ = psd_cut(gram_sum(pb.reshape(1, alg.dim, -1)), tol=tol)
+    ideal_dim = 0 if cut is None else int(np.count_nonzero(dec.eigenvalues > cut))
+    agreement = hs_norm(cert.projection - support_projection_of_psd(gram_sum(pb), tol=tol))
     report = {
         "command": "ideal",
         "ambient": alg.ambient_dim,
         "algebra_dim": alg.dim,
-        "ideal_dim": ideal.dim,
+        "ideal_dim": ideal_dim,
         "certificate": certificate_report(cert),
         "support_agreement": agreement,
     }
@@ -264,9 +268,9 @@ def _cmd_random(args):
             )
         else:  # ideal
             rng = np.random.default_rng([seed, 0x1DEA1])
-            ideal = random_right_ideal(planted.algebra, args.gens, rng, tol=tol)
+            gens = random_ideal_generators(planted.algebra, args.gens, rng, tol=tol)
             fixture = encode_ideal_fixture(
-                planted.algebra.ambient_dim, generators, ideal.generators
+                planted.algebra.ambient_dim, generators, gens
             )
     _emit(fixture, args)
     return 0

@@ -10,7 +10,9 @@ positive part of ``b``), gives the operator bound
 ``b^(1/2) <= n K b`` with ``K = max_j ||c_j||^2``, which pins the nonzero
 spectrum of ``b`` away from zero: ``spec(b) \\ {0} >= (nK)^(-2)``.  A
 spectral cut in the resulting gap produces ``p``, and all claimed
-identities are verified numerically before the certificate is returned.
+identities are verified numerically before the certificate is returned;
+``p g_j = g_j`` and ``p = sum_j g_j d_j`` with ``d_j = g_j* b^+`` in A
+give ``J = pA``.
 ``p`` is scale-free, so it is certified for the generators over their largest norm.
 """
 
@@ -177,8 +179,8 @@ def _trivial_certificate(ambient_dim):
     )
 
 
-def projection_generator(parent, ideal, tol=DEFAULT_TOL):
-    """Projection ``p`` in ``J`` with ``J = pA``, plus its certificate.
+def projection_generator(parent, generators, tol=DEFAULT_TOL):
+    """Projection ``p`` with ``J = pA``, certified from the generators of ``J``.
 
     Implements the constructive factorization described in the module
     docstring.  The degenerate case — every generator numerically zero —
@@ -187,11 +189,11 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
 
     Raises
     ------
+    NotInAlgebra
+        If a generator is not in the algebra.
     CoefficientSolveFailed
         If ``sum_j g_j c_j`` misses ``b^(1/4)`` beyond tolerance, which
-        only roundoff in the eigendecomposition of ``b`` can cause.  An
-        ``ideal`` whose span is not generated by its generator list fails
-        the ``p_in_ideal`` or ``ideal_equals_pA`` identity instead.
+        only roundoff in the eigendecomposition of ``b`` can cause.
     GapNotFound
         If the spectrum of ``b`` has no usable gap above zero — cannot
         happen for a genuine ideal unless tolerances are misconfigured.
@@ -199,11 +201,12 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
         If any of the certified identities fails its tolerance.
     """
     n = parent.ambient_dim
-    # drop generators that are zero relative to the largest one (the span
-    # construction is scale-invariant, so the filter must be too)
-    scale = max((hs_norm(g) for g in ideal.generators), default=0.0)
-    gens = [g for g in ideal.generators if hs_norm(g) > tol.rank * scale]
-    if not gens or ideal.basis.dim == 0:
+    gens = [parent.require_member(g, tol=tol, what="ideal generator") for g in generators]
+    # drop generators that are zero relative to the largest one (the ideal
+    # they generate is scale-invariant, so the filter must be too)
+    scale = max((hs_norm(g) for g in gens), default=0.0)
+    gens = [g for g in gens if hs_norm(g) > tol.rank * scale]
+    if not gens:
         return _trivial_certificate(n)
 
     gmats = np.array(gens) / scale
@@ -235,15 +238,22 @@ def projection_generator(parent, ideal, tol=DEFAULT_TOL):
           f"below proven threshold {threshold:.6e}",
           threshold - pos_lo, tol.member * max(1.0, threshold))
 
+    # d_j = g_j* b^+ lies in A, and sum_j g_j d_j = b b^+ = p puts p in J; the
+    # roundoff of that sum grows with the d_j, so it is measured relative to them
+    ds = gmats.conj().transpose(0, 2, 1) @ dec.above(cut, lambda t: 1.0 / t)
     residuals = {
         "idempotent": hs_norm(p @ p - p),
         "self_adjoint": hs_norm(p - p.conj().T),
         "pb_minus_b": hs_norm(p @ b - b) / max(1.0, hs_norm(b)),
-        "p_in_ideal": ideal.basis.residual(p),
-        "ideal_equals_pA": identity_defect(p, ideal.basis.matrices),
+        "ideal_equals_pA": identity_defect(p, gmats),
+        "p_in_ideal": max(hs_norm((gmats @ ds).sum(axis=0) - p) / max(1.0, hs_norm(ds)),
+                          parent.basis.max_relative_residual(ds.reshape(count, -1))),
     }
     for name, value in residuals.items():
-        check(f"certificate identity '{name}' fails", value, tol.member)
+        # what p misses of a generator must fall under the cutoff that would
+        # have dropped the generator as zero
+        limit = tol.rank if name == "ideal_equals_pA" else tol.member
+        check(f"certificate identity '{name}' fails", value, limit)
 
     # at the generators' scale s, b scales by s^2 and the c_j by s^(-1/2)
     with np.errstate(over="ignore"):

@@ -28,6 +28,7 @@ __all__ = [
     "random_block_structure",
     "random_tro_blocks",
     "random_projection",
+    "random_ideal_generators",
     "random_right_ideal",
 ]
 
@@ -225,12 +226,12 @@ def random_projection(algebra, rng, tol=DEFAULT_TOL):
     return dec.apply(lambda t: 1.0 if t >= lo else 0.0)
 
 
-def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):
-    """A random right ideal with the requested number of generators.
+def random_ideal_generators(algebra, n_generators, rng, tol=DEFAULT_TOL):
+    """The requested number of random right-ideal generators in the algebra.
 
     Mixes full random elements (which tend to generate everything) with
     range-restricted ones ``p x`` for a random projection ``p``, so the
-    sampled ideals cover the whole lattice.  A negative count is refused.
+    generated ideals cover the whole lattice.  A negative count is refused.
     """
     if n_generators < 0:
         raise ParamError(f"need a non-negative number of generators, got {n_generators}")
@@ -241,4 +242,10 @@ def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):
             p = random_projection(algebra, rng, tol=tol)
             x = p @ x
         gens.append(x)
+    return gens
+
+
+def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):
+    """The right ideal spanned by :func:`random_ideal_generators`."""
+    gens = random_ideal_generators(algebra, n_generators, rng, tol=tol)
     return generate_right_ideal(algebra, gens, tol=tol)

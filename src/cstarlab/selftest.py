@@ -55,7 +55,7 @@ def _check_projection_generator(seed, tol):
         )
         alg = planted.algebra
         ideal = random_right_ideal(alg, int(rng.integers(1, 4)), rng, tol=tol)
-        cert = projection_generator(alg, ideal, tol=tol)
+        cert = projection_generator(alg, ideal.generators, tol=tol)
         if cert.is_trivial:
             continue
         agree = hs_norm(cert.projection - support_projection(alg, ideal, tol=tol))

@@ -428,8 +428,7 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
         g = u - e
         # e = u means the zero ideal; flush the roundoff left in u - e
         gens = [] if hs_norm(g) <= tol.member * max(1.0, hs_norm(u)) else [g]
-        ideal = generate_right_ideal(parent, gens, tol=tol)
-        cert = projection_generator(parent, ideal, tol=tol)
+        cert = projection_generator(parent, gens, tol=tol)
         out.append(
             DalesZelazkoTrial(
                 block_index=k,
@@ -438,7 +437,7 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
                 # J = pA with u - p minimal is the paper's criterion
                 is_maximal=is_minimal_projection(parent, u - cert.projection, tol=tol),
                 # projection_generator has certified p in J (p_in_ideal) and
-                # p x = x on J's basis (ideal_equals_pA): J = pA
+                # p g = g (ideal_equals_pA): J = pA
                 single_generation=True,
                 tol_member=tol.member,
             )

@@ -87,7 +87,7 @@ def test_criterion_1_projection_generators(scoreboard):
         a = planted.algebra
         n_gens = int(rng.integers(1, 5))
         ideal = random_right_ideal(a, n_gens, rng)
-        cert = projection_generator(a, ideal)
+        cert = projection_generator(a, ideal.generators)
         p = cert.projection
         resid = max(hs_norm(p @ p - p), hs_norm(p - p.conj().T))
         # pA = J by mutual membership of the two bases
@@ -178,7 +178,7 @@ def test_criterion_3_maximal_ideals(scoreboard):
             if hs_norm(p) <= TOL:
                 p = np.zeros_like(p)  # scalar block: the zero ideal is maximal
             ideal = generate_right_ideal(a, [p])
-            cert = projection_generator(a, ideal)
+            cert = projection_generator(a, ideal.generators)
             resid = hs_norm(cert.projection - p)
             worst = max(worst, resid)
             q = a.unit - p

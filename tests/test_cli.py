@@ -10,8 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from cstarlab import cli
-from cstarlab.jsonio import decode_matrix
+from cstarlab import cli, generate_algebra, ideals, instances, projection_generator, structure, tro
+from cstarlab.errors import GapNotFound, VerificationFailure
+from cstarlab.instances import planted_block_algebra, random_ideal_generators
+from cstarlab.jsonio import decode_matrix, encode_ideal_fixture
 
 CLI = [sys.executable, "-m", "cstarlab.cli"]
 
@@ -446,3 +448,95 @@ def test_ideal_of_an_extreme_generator_is_certified(tmp_path, scale):
     assert report["ok"] and report["ideal_dim"] == 2
     p = decode_matrix(report["certificate"]["projection"])
     assert np.abs(p - np.diag([1.0, 0.0])).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the ideal certificate is read off the generators
+
+
+def planted_ideal_fixture(path, seed):
+    """Three seeded generators of a right ideal of the planted algebra with
+    blocks 2, 4, 3 and multiplicities 2, 2, 1 in M16 (dimension 29)."""
+    planted = planted_block_algebra([2, 4, 3], [2, 2, 1], ambient_dim=16, seed=seed)
+    gens = random_ideal_generators(planted.algebra, 3, np.random.default_rng(seed))
+    path.write_text(json.dumps(encode_ideal_fixture(16, planted.algebra.basis.matrices, gens)))
+    return planted.algebra, gens
+
+
+@pytest.mark.parametrize("seed", [363, 1132])
+def test_ideal_whose_span_drifts_out_of_the_algebra_is_certified(tmp_path, seed):
+    """These ideals are all of the 29-dimensional algebra.  Spanned by
+    saturation, roundoff carried them past it to all of M16, and the
+    certificate failed ``ideal_equals_pA`` against that span; read off the
+    generators, ``J = pA`` is certified."""
+    fix = tmp_path / "ideal.json"
+    planted_ideal_fixture(fix, seed)
+    r = run_cli("ideal", fix)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["ok"]
+    assert report["algebra_dim"] == report["ideal_dim"] == 29
+
+
+def test_near_degenerate_ideal_ends_in_gap_not_found(tmp_path):
+    """The Gram element of these generators has an eigenvalue near 6.6e-8,
+    inside the band where zero and positive spectrum cannot be told apart:
+    a typed refusal with exit code 2, never a wrong ``ideal_dim``."""
+    fix = tmp_path / "ideal.json"
+    algebra, gens = planted_ideal_fixture(fix, 585)
+    with pytest.raises(GapNotFound, match="too narrow"):
+        projection_generator(generate_algebra(16, list(algebra.basis.matrices)), gens)
+    r = run_cli("ideal", fix)
+    assert r.returncode == 2
+    assert r.stdout == "" and "too narrow" in r.stderr and "Traceback" not in r.stderr
+
+
+E11, E22 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+@pytest.mark.parametrize("gens, code, ideal_dim", [
+    ([E11, 5e-9 * E22], 2, None),
+    ([E11 + 5e-9 * E22], 2, None),
+    ([E11 + 5e-10 * E22], 0, 1),
+], ids=["two-generators", "one-generator", "below-rank"])
+def test_generator_part_outside_p_above_rank_cutoff_is_refused(tmp_path, gens, code, ideal_dim):
+    """Ideals of the diagonal D2 whose ``E22`` part, relative to the largest
+    generator, lies between ``tol.rank`` and ``tol.member``: it leaves ``b``
+    an eigenvalue near 2.5e-17, in the zero cluster, so ``p = E11``, and the
+    certificate must be refused rather than claim ``ideal_dim`` 1 for an
+    ideal that is all of D2.  Below ``tol.rank`` the part counts as zero,
+    as it does in the span of J."""
+    fix = tmp_path / "ideal.json"
+    fix.write_text(json.dumps(encode_ideal_fixture(2, [E11, E22], gens)))
+    r = run_cli("ideal", fix)
+    assert r.returncode == code, r.stderr
+    if ideal_dim is None:
+        with pytest.raises(VerificationFailure, match="ideal_equals_pA"):
+            projection_generator(generate_algebra(2, [E11, E22]), gens)
+        assert r.stdout == "" and "ideal_equals_pA" in r.stderr and "Traceback" not in r.stderr
+    else:
+        report = json.loads(r.stdout)
+        assert report["ok"] and report["ideal_dim"] == ideal_dim
+
+
+def test_ideal_commands_span_no_right_ideal(tmp_path, capsys, monkeypatch):
+    """``random ideal``, ``ideal`` and ``verify-dz`` neither build a
+    :class:`RightIdeal` nor saturate a right-module span."""
+    calls = []
+    for module in (ideals, instances, structure, tro):
+        for name in ("generate_right_ideal", "right_module_span"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _inner(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    monkeypatch.delenv("CSTAR_SEED", raising=False)
+    alg, ideal = tmp_path / "alg.json", tmp_path / "ideal.json"
+    assert cli.main(["random", "algebra", "--blocks", "3,1", "--mults", "2,1",
+                     "--json", str(alg)]) == 0
+    assert cli.main(["random", "ideal", "--blocks", "3,2,1", "--mults", "2,1,2",
+                     "--gens", "3", "--json", str(ideal)]) == 0
+    assert cli.main(["ideal", str(ideal)]) == 0
+    assert cli.main(["verify-dz", str(alg), "--trials", "4"]) == 0
+    capsys.readouterr()
+    assert calls == []

@@ -99,7 +99,7 @@ def test_scaled_ideal_generator(scale):
     alg = generate_algebra(2, [E12])
     ideal = generate_right_ideal(alg, [scale * E12])
     assert ideal.dim == 2
-    cert = projection_generator(alg, ideal)
+    cert = projection_generator(alg, ideal.generators)
     assert hs_norm(cert.projection - E11) <= 1e-12
     assert max(cert.residuals.values()) <= 1e-12
     assert cert.threshold == pytest.approx(scale * scale)

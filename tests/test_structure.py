@@ -15,15 +15,17 @@ from cstarlab import (
     is_minimal_projection,
     minimal_projection_below,
     planted_block_algebra,
+    projection_generator,
     socle,
     unit_partition_certificate,
     verify_dales_zelazko,
     wedderburn_decompose,
 )
 from cstarlab.config import DEFAULT_TOL
-from cstarlab import structure as structure_module
+from cstarlab import ideals as ideals_module, structure as structure_module
 from cstarlab.algebra import central_projections
 from cstarlab.errors import CStarError, DegenerateRandomness, VerificationFailure
+from cstarlab.ideals import right_module_span
 from cstarlab.instances import haar_unitary, random_block_structure
 from cstarlab.linalg import Subspace, cluster_partition, hs_norm, spectral_clusters
 from cstarlab.structure import (
@@ -377,26 +379,35 @@ def test_verify_single_generation_planted():
         )
 
 
-def sweep_with_ideals(monkeypatch, algebra, trials, seed):
-    """``verify_dales_zelazko`` with every right ideal it builds recorded."""
-    built = []
+def sweep_recording(monkeypatch, algebra, trials, seed):
+    """``verify_dales_zelazko`` with the generators of every certificate it
+    asks for, and every right-module span it builds, recorded."""
+    certified, spans = [], []
 
-    def recording(*args, **kwargs):
-        built.append(generate_right_ideal(*args, **kwargs))
-        return built[-1]
+    def certifying(parent, generators, *args, **kwargs):
+        certified.append(list(generators))
+        return projection_generator(parent, generators, *args, **kwargs)
 
-    monkeypatch.setattr(structure_module, "generate_right_ideal", recording)
-    return verify_dales_zelazko(algebra, trials=trials, seed=seed), built
+    def spanning(*args, **kwargs):
+        spans.append(right_module_span(*args, **kwargs))
+        return spans[-1]
+
+    monkeypatch.setattr(structure_module, "projection_generator", certifying)
+    monkeypatch.setattr(ideals_module, "right_module_span", spanning)
+    report = verify_dales_zelazko(algebra, trials=trials, seed=seed)
+    return report, certified, spans
 
 
 @pytest.mark.parametrize("trials", [1, 4])
 def test_dales_zelazko_builds_one_ideal_per_trial(monkeypatch, trials):
-    """Each trial builds only its ideal ``J = (u - e) A``: single generation
-    and maximality are read off the one certificate of ``J = pA``."""
+    """Each trial certifies only its ideal ``J = (u - e) A``, from its one
+    generator and with no span of ``J``: single generation and maximality
+    are read off the one certificate of ``J = pA``."""
     planted = planted_block_algebra([2, 1], [2, 1], seed=5)
-    report, built = sweep_with_ideals(monkeypatch, planted.algebra, trials, seed=1)
+    report, certified, spans = sweep_recording(monkeypatch, planted.algebra, trials, seed=1)
     assert report.all_ok
-    assert len(built) == trials
+    assert [len(gens) for gens in certified] == [1] * trials
+    assert spans == []
 
 
 @pytest.mark.parametrize("sizes, mults", [
@@ -407,15 +418,18 @@ def test_dales_zelazko_builds_one_ideal_per_trial(monkeypatch, trials):
     ([1, 1, 2], [3, 1, 2]),
 ])
 def test_dales_zelazko_verdicts_match_the_span_route(monkeypatch, sizes, mults):
-    """Reference: the ideal regenerated from the certificate's projection
-    spans the trial's ideal (single generation), and the support-projection
-    test :func:`is_maximal_right_ideal` agrees with the maximality read off
-    the certificate, on every trial of every block."""
+    """Reference: the span of each trial's ideal, built here from the
+    generators the sweep certified, is spanned by the ideal regenerated
+    from its projection (single generation), and the support-projection test
+    :func:`is_maximal_right_ideal` agrees with the maximality read off the
+    certificate, on every trial of every block."""
     a = planted_block_algebra(sizes, mults, seed=sum(sizes) + 10 * len(mults)).algebra
-    report, built = sweep_with_ideals(monkeypatch, a, 2 * len(sizes), seed=len(sizes))
+    report, certified, _ = sweep_recording(monkeypatch, a, 2 * len(sizes), seed=len(sizes))
+    monkeypatch.undo()
     assert report.all_ok
-    assert len(built) == len(report.trials)
-    for trial, ideal in zip(report.trials, built):
+    assert len(certified) == len(report.trials)
+    for trial, gens in zip(report.trials, certified):
+        ideal = generate_right_ideal(a, gens)
         regen = generate_right_ideal(a, [trial.certificate.projection])
         assert regen.basis.equals(ideal.basis) == trial.single_generation
         assert is_maximal_right_ideal(a, ideal) == trial.is_maximal
