@@ -7,7 +7,9 @@ The three pillars:
   projection, produced constructively with a verifiable certificate
   (:func:`projection_generator`);
 - every algebra decomposes into full matrix blocks with multiplicities,
-  realized by an explicit unitary (:func:`wedderburn_decompose`);
+  realized by an explicit unitary (:func:`wedderburn_decompose`), also
+  read off its generators without forming its span
+  (:func:`decompose_generators`);
 - every TRO is a direct sum of rectangular matrix blocks, with its
   submodule lattice mirrored in the right ideals of its left algebra
   (:func:`classify_tro`, :func:`submodule_ideal_roundtrip`).
@@ -60,6 +62,7 @@ from .structure import (
     BlockDecomposition,
     UnitPartition,
     corner_dimension,
+    decompose_generators,
     minimal_projection_below,
     socle,
     unit_partition_certificate,

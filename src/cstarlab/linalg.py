@@ -14,9 +14,10 @@ Hermitian matrix, spectral projections included, is
 rule for which eigenvalues are zero: the clusters, split at steps larger
 than ``tol.gap * max|lambda|``, that hold an eigenvalue within that gap of
 0.  :func:`spectral_clusters` returns the projections of the other
-clusters, and :func:`psd_cut`, the one zero/positive cut of a positive
-semidefinite matrix, places its cut between the zero clusters and the next
-eigenvalue.  Each step is compared with the gap once, so an eigenvalue one
+clusters, and :func:`spectrum_cut`, the one zero/positive cut of a
+spectrum, places its cut between the zero clusters and the next value;
+:func:`psd_cut` applies it to the eigenvalues of a positive semidefinite
+matrix.  Each step is compared with the gap once, so an eigenvalue one
 gap above the zero clusters, up to roundoff, either joins them or is that
 next eigenvalue; a cut needs 2.5 gaps, so it raises :class:`GapNotFound`
 there rather than cut past the eigenvalue.
@@ -73,6 +74,7 @@ __all__ = [
     "identity_defect",
     "module_defect",
     "gram_sum",
+    "spectrum_cut",
     "psd_cut",
     "support_projection_of_psd",
 ]
@@ -109,10 +111,27 @@ def safe_norm(x, axis=None):
     outside ``_SAFE_NORM`` every slice whose largest entry does too is
     divided by that entry first; results inside the range are
     ``np.linalg.norm``'s, bit for bit.
+
+    The Frobenius norm (``axis=None``) is ``np.linalg.norm``'s own formula,
+    the square root of the dot products of the real and imaginary parts
+    over ``ravel(order="K")``, without its dispatch.  ``np.vdot`` forms the
+    dot products because it reports no floating-point overflow: like the
+    overflow that ``np.errstate`` silences for the axis norms, it is
+    detected below and rescaled away.
     """
-    # an overflow here is detected below and rescaled away
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(x, axis=axis)
+    if axis is None:
+        flat = np.asarray(x).ravel(order="K")
+        if flat.dtype.kind == "c":
+            re, im = flat.real, flat.imag
+            # Python floats, so that a sum past the largest double is inf
+            # without a warning
+            n = np.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
+        else:
+            flat = flat.astype(float, copy=False)
+            n = np.sqrt(np.vdot(flat, flat))
+    else:
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(x, axis=axis)
     lo, hi = _SAFE_NORM
     if axis is None:
         if lo <= n <= hi or n == 0.0 and not x.any():
@@ -561,21 +580,18 @@ def place_cut_in_gap(zero_hi, pos_lo, scale, tol=DEFAULT_TOL):
     return float(np.clip(cut, zero_hi + 1.25 * g, pos_lo - 1.25 * g))
 
 
-def psd_cut(s, tol=DEFAULT_TOL):
-    """``(dec, cut, pos_lo)``: the eigendecomposition of a positive
-    semidefinite ``s``, the cut (:func:`place_cut_in_gap`) between its zero
-    cluster (:func:`cluster_partition`) and positive part, and the smallest
-    eigenvalue above the cut.
+def spectrum_cut(w, tol=DEFAULT_TOL):
+    """``(cut, pos_lo)``: the cut (:func:`place_cut_in_gap`) between the
+    zero cluster (:func:`cluster_partition`) of an ascending real spectrum
+    ``w`` and the rest, and the smallest value above the cut.
 
-    ``cut`` and ``pos_lo`` are None when the spectrum is one negligible
-    zero cluster; :class:`GapNotFound` is raised when it is one cluster
-    that is not negligible, or when no gap separates the two parts.
+    Both are None when the spectrum is one negligible zero cluster;
+    :class:`GapNotFound` is raised when it is one cluster that is not
+    negligible, or when no gap separates the two parts.
     """
-    dec = hermitian_eig(s, tol=tol)
     # w ascends, so its largest magnitude is at an end, and so is that of
     # the zero clusters, one run of it; the next cluster starts the positive
     # part
-    w = dec.eigenvalues
     top = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
     clusters, zero = cluster_partition(w, tol=tol)
     run = clusters[zero]
@@ -583,10 +599,22 @@ def psd_cut(s, tol=DEFAULT_TOL):
     if zero.stop == len(clusters):
         check("spectrum is one cluster not separated from zero", zero_hi,
               tol.member * max(1.0, top), GapNotFound)
-        return dec, None, None
+        return None, None
     pos_lo = float(w[clusters[zero.stop][0]])
-    cut = place_cut_in_gap(zero_hi, pos_lo, top, tol=tol)
-    return dec, cut, pos_lo
+    return place_cut_in_gap(zero_hi, pos_lo, top, tol=tol), pos_lo
+
+
+def psd_cut(s, tol=DEFAULT_TOL):
+    """``(dec, cut, pos_lo)``: the eigendecomposition of a positive
+    semidefinite ``s`` and the :func:`spectrum_cut` of its eigenvalues,
+    between its zero cluster and positive part.
+
+    ``cut`` and ``pos_lo`` are None when the spectrum is one negligible
+    zero cluster; :class:`GapNotFound` is raised when it is one cluster
+    that is not negligible, or when no gap separates the two parts.
+    """
+    dec = hermitian_eig(s, tol=tol)
+    return (dec, *spectrum_cut(dec.eigenvalues, tol=tol))
 
 
 def support_projection_of_psd(s, tol=DEFAULT_TOL):

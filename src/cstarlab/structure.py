@@ -3,55 +3,83 @@
 Such an algebra is a direct sum of full matrix blocks, each appearing
 with a multiplicity: conjugating by a suitable unitary turns every
 element into ``blockdiag_k (I_{m_k} (x) alpha_k)`` with ``alpha_k`` an
-arbitrary ``n_k x n_k`` matrix.  :func:`wedderburn_decompose` finds that
-unitary constructively:
+arbitrary ``n_k x n_k`` matrix.  One routine, :func:`_decompose`, finds
+that unitary from a family ``F`` that generates the algebra ``A`` and two
+random elements ``y``, ``z`` of it:
 
-1. central projections from the spectral clusters of one central element
-   ``sum_i b_i h b_i*`` over an orthonormal basis ``(b_i)``, for a generic
-   ``h`` (:func:`~cstarlab.algebra.central_projections`);
-2. inside each block ``c A``, the minimal projections as the spectral
-   clusters of one generic self-adjoint element, all at once; their count
-   ``n_k`` is certified by ``dim A = sum n_k^2``;
-3. matrix units from the polar parts of ``e_i y e_1`` for one generic
-   ``y``, the transporters from each minimal projection to the first;
-4. the basis change from eigenvectors of the first minimal projection,
-   moved around by the matrix units.
+1. the unit ``u`` is the support projection of ``sum x x*`` over ``F``
+   and its adjoints, since the range of ``A`` is the sum of their ranges;
+2. the minimal projections are the spectral clusters of the Hermitian
+   part of ``y`` on the range of ``u``;
+3. they fall into blocks by which corners ``e_i z e_j`` are nonzero, at a
+   cut placed in the gap of the corners' norms; one first-order step with
+   ``z`` moves their bases onto the blocks' ranges, which ``y`` resolves
+   only as well as the gaps between its eigenvalues of different blocks
+   allow, and the transporters from each minimal projection to the first
+   of its block are the polar parts of ``e_i z e_1``;
+4. the basis change ``U`` lists, block by block, each copy of the block
+   as one column of every transporter, then the kernel of ``u``.
 
-Every random element is the orthogonal projection of a seeded Gaussian
-matrix onto a span, so for a given seed it depends on the span only, not
-on the basis that represents it.
+With ``B = U (sum_k M_{n_k} (x) 1_{m_k}) U*`` the certificate is: ``y``
+and ``z`` lie in ``B``; in each block their compressions and adjoints
+have the scalars as commutant (Burnside), and no two blocks of one size
+are intertwined by them, so ``y`` and ``z`` generate ``B`` and ``B`` lies
+in ``A``; and every member of ``F`` lies in ``B``, so ``A`` lies in
+``B``.  Hence ``dim A = sum n_k^2``, without forming the span of ``A``.
 
-Everything downstream (socle, unit partition, the identity
-``dim A = sum n_k^2``, the Dales-Zelazko style maximal-ideal check) reads
-off this decomposition and re-verifies what it claims.
+:func:`decompose_generators` draws ``y`` and ``z`` as seeded polynomials
+in the generators.  :func:`wedderburn_decompose` of a closed algebra
+certifies against its orthonormal basis and draws orthogonal projections
+of seeded Gaussian matrices onto its span, so for a given seed its result
+depends on the span only, not on the basis that represents it.
+
+Everything downstream (socle, unit partition, the Dales-Zelazko style
+maximal-ideal check) reads off this decomposition and re-verifies what it
+claims.
 """
 
-import numpy as np
+import functools
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
+    GapNotFound,
     NotAProjection,
     NotUnital,
     ParamError,
     VerificationFailure,
     check,
 )
-from .algebra import central_projections
 from .ideals import (
     _corner_space,
     generate_right_ideal,
     is_minimal_projection,
     projection_generator,
 )
-from .linalg import hermitian_eig, hs_norm, project, pseudo_inverse_sqrt, spectral_clusters
+from .linalg import (
+    _stack_inputs,
+    cluster_partition,
+    gram_sum,
+    hermitian_eig,
+    hs_norm,
+    place_cut_in_gap,
+    project,
+    psd_cut,
+    safe_norm,
+    spectral_clusters,
+    spectrum_cut,
+)
 
 __all__ = [
     "BlockDecomposition",
     "UnitPartition",
     "DalesZelazkoReport",
     "wedderburn_decompose",
+    "decompose_generators",
     "socle",
     "unit_partition_certificate",
     "corner_dimension",
@@ -60,29 +88,38 @@ __all__ = [
 ]
 
 _MAX_DRAWS = 3
+# degree of the polynomials in a generating family that decompose_generators draws
+_DEGREE = 2
 
 
 @dataclass(eq=False)
 class BlockDecomposition:
     """Complete structure data for one algebra.
 
-    ``matrix_units[k]`` has shape ``(n_k, n_k, N, N)``; its ``[i, j]``
-    entry maps the ``j``-th copy of the block's column space onto the
-    ``i``-th.  ``basis_change`` is the ambient unitary bringing every
-    element to the form ``blockdiag_k (I_{m_k} (x) alpha_k)`` followed by
-    zeros on the kernel of the algebra unit.
+    ``transporters[k]`` has shape ``(n_k, N, m_k)``: its ``i``-th entry is
+    an isometry onto the range of the block's ``i``-th minimal projection,
+    and ``matrix_units[k]``, of shape ``(n_k, n_k, N, N)``, is formed from
+    them on first use.  ``basis_change`` is the ambient unitary bringing
+    every element to the form ``blockdiag_k (I_{m_k} (x) alpha_k)``
+    followed by zeros on the kernel of the algebra unit.
     """
 
     central_projections: list
     block_sizes: list
     multiplicities: list
-    matrix_units: list
+    transporters: list
     basis_change: np.ndarray
     residuals: dict = field(default_factory=dict)
 
     @property
     def num_blocks(self):
         return len(self.block_sizes)
+
+    @functools.cached_property
+    def matrix_units(self):
+        """Per block, the ``[i, j]`` entry maps the ``j``-th copy of the
+        block's column space onto the ``i``-th."""
+        return [_matrix_units(t) for t in self.transporters]
 
     def block_signature(self):
         """Sorted (size, multiplicity) pairs, the isomorphism invariant."""
@@ -146,86 +183,146 @@ def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     )
 
 
-def _central_projections(parent, rng, tol):
-    """:func:`central_projections` of generic draws, until one separates."""
-    for _ in range(_MAX_DRAWS):
-        found = central_projections(parent, _draw(parent.basis, rng), tol=tol)
-        if found is not None:
-            return found
-    raise DegenerateRandomness(
-        f"{_MAX_DRAWS} random central elements failed to separate the blocks"
-    )
+def _polynomial(family, unit, rng):
+    """A seeded polynomial of degree :data:`_DEGREE` in the ``(k, N, N)``
+    ``family``, evaluated by Horner: ``c_0 u + l_1 (c_1 u + l_2 (... l_d))``
+    for the unit ``u``, complex Gaussian scalars ``c_i`` and complex
+    Gaussian combinations ``l_i`` of the members and their adjoints."""
+    k = family.shape[0]
+    coeff = rng.standard_normal((2, _DEGREE, k)) + 1j * rng.standard_normal((2, _DEGREE, k))
+    parts = (coeff / np.sqrt(2 * k) @ family.reshape(k, -1)).reshape(2, _DEGREE, *unit.shape)
+    terms = parts[0] + parts[1].conj().transpose(0, 2, 1)
+    consts = rng.standard_normal(_DEGREE) + 1j * rng.standard_normal(_DEGREE)
+    y = terms[-1]
+    for c, term in zip(consts[-1:0:-1], terms[-2::-1]):
+        y = term @ (c * unit + y)
+    return consts[0] * unit + y
 
 
-def _block_data(parent, central, rng, tol):
-    """Minimal projections, matrix units and (size, multiplicity) of the
-    block cut out by one minimal central projection ``c``.
+def _minimal_bases(y, range_basis, tol):
+    """Orthonormal bases of the spectral clusters, in ascending order, of
+    the Hermitian part ``h`` of ``y`` on the range of the unit (given by
+    its orthonormal ``range_basis``), with the eigenvalue of each basis
+    column: the minimal projections when ``y`` is generic.  These are the
+    nonzero clusters of ``u h u + 2||h|| u``; compressing ``h`` to the
+    range instead of shifting it keeps the eigensolver's error at the
+    scale of ``h``.  A cluster is one eigenvalue to the accuracy of the
+    eigensolver, ``tol.spec`` of the spectrum's scale; one that spreads
+    wider holds eigenvalues neither equal nor separated by ``tol.gap``
+    (:class:`GapNotFound`)."""
+    h = 0.5 * (y + y.conj().T)
+    dec = hermitian_eig(range_basis.conj().T @ h @ range_basis, tol=tol)
+    w = dec.eigenvalues
+    clusters, _ = cluster_partition(w, tol=tol)
+    spread = max(float(np.ptp(w[cl])) for cl in clusters)
+    check("an eigenvalue cluster of the draw spreads into the gap band", spread,
+          tol.spec * max(abs(w[0]), abs(w[-1])), GapNotFound)
+    return [range_basis @ dec.basis[:, cl] for cl in clusters], w[np.concatenate(clusters)]
 
-    The minimal projections are the spectral clusters of one generic
-    self-adjoint element of ``c A``; a draw whose clusters have unequal
-    traces or leave the algebra is redrawn.  Their minimality is certified
-    by the caller's identity ``dim A = sum n_k^2``: ``r`` orthogonal nonzero
-    projections of ``A`` summing to ``c`` have ``r <= n_k``, with equality
-    only when every one is minimal.  The transporters ``e_i -> e_1`` are the
-    polar parts of ``e_i y e_1`` for one generic ``y`` in ``A``.
+
+def _separation(corners, cols, values):
+    """``1 + K``: one first-order step that moves the basis columns, grouped
+    into blocks by the index arrays ``cols``, onto the blocks' ranges.
+
+    The eigenvectors of ``h`` (eigenvalues ``values``) resolve two
+    different blocks only to the eigensolver's error over the smallest gap
+    between their eigenvalues, and eigenvalues of different blocks do not
+    repel.  The Hermitian part ``g`` of the second draw, with the
+    compression ``G`` given by ``corners``, has no block off the diagonal
+    on the true ranges; where its spectra on two blocks are further apart
+    than those of ``h`` (relative to each spectrum's scale), ``K_kl``
+    solves the first-order condition ``G_kl + G_kk K_kl - K_kl G_ll = 0``,
+    and ``K_lk = -K_kl*``.
     """
-    for _ in range(_MAX_DRAWS):
-        minimals = _clusters(parent.basis, central, rng, tol)
-        traces = [float(np.real(np.trace(e))) for e in minimals]
-        flat = np.array([e.ravel() for e in minimals])
-        if traces and max(traces) - min(traces) <= 0.5 and (
-            parent.basis.max_relative_residual(flat) <= tol.member
+    g = 0.5 * (corners + corners.conj().T)
+    k = np.zeros_like(g)
+    eig = [np.linalg.eigh(g[np.ix_(c, c)]) for c in cols]
+    top_h = float(np.max(np.abs(values)))
+    top_g = max(float(np.max(np.abs(gam))) for gam, _ in eig)
+    if top_g == 0.0:
+        return np.eye(len(g)) + k
+    for (ca, (ga, pa)), (cb, (gb, pb)) in itertools.combinations(zip(cols, eig), 2):
+        gap_h = float(np.min(np.abs(values[ca][:, None] - values[cb][None]))) / top_h
+        gap_g = float(np.min(np.abs(ga[:, None] - gb[None]))) / top_g
+        if gap_g > gap_h:
+            rotated = (pa.conj().T @ g[np.ix_(ca, cb)] @ pb) / (gb[None] - ga[:, None])
+            k[np.ix_(ca, cb)] = pa @ rotated @ pb.conj().T
+            k[np.ix_(cb, ca)] = -k[np.ix_(ca, cb)].conj().T
+    return np.eye(len(g)) + k
+
+
+def _blocks(bases, values, z, tol):
+    """Group the minimal projections ``e_i`` (by their ``bases``) into
+    blocks by which corners ``e_i z e_j`` of a second draw are nonzero,
+    at a cut :func:`spectrum_cut` places in the gap of their norms, and
+    move the bases onto the blocks' ranges (:func:`_separation`).  Each
+    block's transporters are the polar parts of ``e_i z e_1``, for its
+    first projection ``e_1``, as ``N x m`` isometries onto the ranges.
+
+    A draw whose links are not a union of cliques of equal-rank
+    projections did not separate the blocks (:class:`DegenerateRandomness`).
+    """
+    v = np.concatenate(bases, axis=1)
+    sizes = [b.shape[1] for b in bases]
+    starts = np.cumsum([0, *sizes[:-1]])
+    corners = v.conj().T @ z @ v
+    sq = np.add.reduceat(np.add.reduceat(np.abs(corners) ** 2, starts, axis=0), starts, axis=1)
+    norms = np.sqrt(sq)
+    cut, _ = spectrum_cut(np.sort(norms.ravel()), tol=tol)
+    if cut is None:
+        raise DegenerateRandomness("the second draw vanishes on the algebra")
+    linked = norms > cut
+    groups, seen = [], set()
+    for i in range(len(bases)):
+        if i in seen:
+            continue
+        members = np.flatnonzero(linked[i]).tolist()
+        if i not in members or any(
+            not np.array_equal(linked[j], linked[i]) or sizes[j] != sizes[i] for j in members
         ):
-            break
-    else:
-        raise DegenerateRandomness(
-            f"{_MAX_DRAWS} random elements failed to split a block into minimal projections"
-        )
-    size = len(minimals)
-
-    y = _draw(parent.basis, rng)
-    ws = [e @ y @ minimals[0] for e in minimals]
-    varr = np.array([w @ pseudo_inverse_sqrt(w.conj().T @ w, tol=tol) for w in ws])
-    units = varr[:, None] @ varr.conj().transpose(0, 2, 1)[None]
-
-    mult_f = traces[0]
-    mult = int(round(mult_f))
-    if mult < 1:
-        raise VerificationFailure(f"multiplicity is not a positive integer: trace {mult_f!r}")
-    check(f"multiplicity is not an integer: trace {mult_f!r}", abs(mult_f - mult),
-          tol.member * max(1.0, mult_f))
-    rank_f = float(np.real(np.trace(central)))
-    check(f"block rank {rank_f!r} is not size*multiplicity = {size * mult}",
-          abs(rank_f - size * mult), tol.member * max(1.0, rank_f))
-    return {
-        "central": central,
-        "size": size,
-        "multiplicity": mult,
-        "units": units,
-        "transporters": varr,
-    }
+            raise DegenerateRandomness("the second draw links minimal projections inconsistently")
+        seen.update(members)
+        groups.append(members)
+    cols = [np.concatenate([np.arange(starts[j], starts[j] + sizes[j]) for j in members])
+            for members in groups]
+    step = _separation(corners, cols, values)
+    v = v @ step
+    corners = step.conj().T @ corners @ step
+    blocks = []
+    for members, rows in zip(groups, cols):
+        m, first = sizes[members[0]], starts[members[0]]
+        c = corners[rows, first : first + m].reshape(len(members), m, m)
+        # the polar part c (c* c)^(-1/2) of every corner at once
+        w, vecs = np.linalg.eigh(c.conj().transpose(0, 2, 1) @ c)
+        if not w.min() > cut * cut:
+            raise DegenerateRandomness("a corner of the second draw between linked "
+                                       "minimal projections is singular")
+        polar = c @ (vecs / np.sqrt(w)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+        range_basis = v[:, rows]
+        blocks.append({
+            "size": len(members),
+            "multiplicity": m,
+            "transporters": range_basis.reshape(-1, len(members), m).transpose(1, 0, 2) @ polar,
+            "central": range_basis @ range_basis.conj().T,
+        })
+    return blocks
 
 
-def _basis_change(parent, blocks, tol):
-    """Assemble the block-diagonalizing unitary from the sorted blocks."""
-    n_amb = parent.ambient_dim
-    cols = []
-    for blk in blocks:
-        e11 = blk["units"][0, 0]
-        dec = hermitian_eig(e11, tol=tol)
-        sel = dec.eigenvalues > 0.5
-        if int(np.sum(sel)) != blk["multiplicity"]:
-            raise VerificationFailure("rank of a diagonal unit disagrees with multiplicity")
-        u_cols = dec.basis[:, sel]
-        for j in range(blk["multiplicity"]):
-            uj = u_cols[:, j]
-            for v in blk["transporters"]:
-                cols.append(v @ uj)
-    dec = hermitian_eig(parent.unit, tol=tol)
-    kernel = dec.basis[:, dec.eigenvalues < 0.5]
-    for j in range(kernel.shape[1]):
-        cols.append(kernel[:, j])
-    u = np.array(cols).T
+def _matrix_units(transporters):
+    """The ``(n, n, N, N)`` matrix units ``e_ij = v_i v_j*`` of a block's
+    ``(n, N, m)`` transporters, as one batched product."""
+    return transporters[:, None] @ transporters.conj().transpose(0, 2, 1)[None]
+
+
+def _basis_change(blocks, kernel, tol):
+    """Assemble the block-diagonalizing unitary from the sorted blocks:
+    block by block, copy ``j`` of the block is column ``j`` of every
+    transporter ``v_i`` (an ``N x m`` isometry onto the range of ``e_i``),
+    and the ``kernel`` columns of the unit close it."""
+    cols = [blk["transporters"].transpose(1, 2, 0).reshape(kernel.shape[0], -1)
+            for blk in blocks]
+    u = np.concatenate([*cols, kernel], axis=1)
+    n_amb = u.shape[0]
     if u.shape != (n_amb, n_amb):
         raise VerificationFailure(
             f"basis change is not square: {u.shape}; block data inconsistent"
@@ -235,72 +332,183 @@ def _basis_change(parent, blocks, tol):
     return u
 
 
-def _block_form_residual(parent, blocks, u):
-    """Largest deviation of any basis element from blockdiag(I_m (x) alpha)."""
-    t = u.conj().T @ parent.basis.matrices @ u
+def _block_form(mats, blocks, u):
+    """``(alphas, residual)`` for a ``(k, N, N)`` stack: per block, the
+    stack of its first diagonal copy ``alpha`` in ``U* x U``, and the
+    largest deviation of ``U* x U`` from ``blockdiag(I_m (x) alpha)``."""
+    t = u.conj().T @ mats @ u
     recon = np.zeros_like(t)
+    alphas = []
     off = 0
     for blk in blocks:
         n_k = blk["size"]
         alpha = t[:, off : off + n_k, off : off + n_k]
+        alphas.append(alpha)
         for _ in range(blk["multiplicity"]):
             recon[:, off : off + n_k, off : off + n_k] = alpha
             off += n_k
-    return float(np.max(np.linalg.norm(t - recon, axis=(1, 2)), initial=0.0))
+    return alphas, float(np.max(np.linalg.norm(t - recon, axis=(1, 2)), initial=0.0))
+
+
+def _singular_values(a, b):
+    """Ascending singular values of ``X -> (a_p X - X b_p)`` stacked over
+    the ``(p, n, n)`` and ``(p, m, m)`` stacks ``a`` and ``b``, from the
+    eigenvalues of its Gram matrix.  On row-major ``X`` the map is
+    ``a_p (x) 1 - 1 (x) b_p^T``."""
+    p, n, m = a.shape[0], a.shape[1], b.shape[1]
+    lmap = (a[:, :, None, :, None] * np.eye(m)[None, None, :, None, :]
+            - np.eye(n)[None, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :])
+    lmap = lmap.reshape(p * n * m, n * m)
+    return np.sqrt(np.clip(np.linalg.eigvalsh(lmap.conj().T @ lmap), 0.0, None))
+
+
+def _certify_draws(blocks, alphas, tol):
+    """Burnside and inequivalence for the compressions ``alphas`` of the
+    two draws ``y, z``: each block's commutant of ``{y, z, y*, z*}`` is the
+    scalars (the second-smallest singular value of the commutator map
+    clear of the gap band), and no two blocks of one size are intertwined
+    by ``y`` and ``z`` (the smallest singular value clear of it).  Either
+    failure raises :class:`GapNotFound`."""
+    for blk, (ay, az) in zip(blocks, alphas):
+        if blk["size"] > 1:
+            ops = np.array([ay, az, ay.conj().T, az.conj().T])
+            s = _singular_values(ops, ops)
+            place_cut_in_gap(s[0], s[1], s[-1], tol=tol)
+    for k, l in itertools.combinations(range(len(blocks)), 2):
+        if blocks[k]["size"] == blocks[l]["size"]:
+            s = _singular_values(alphas[k], alphas[l])
+            place_cut_in_gap(0.0, s[0], s[-1], tol=tol)
+
+
+def _decompose(draw, family, rng, tol, dim=None):
+    """Block decomposition of the *-algebra A generated by the ``(k, N, N)``
+    ``family``, read off two random elements ``draw(unit, rng)`` of A and
+    certified against the family.
+
+    The unit is the support projection of ``gram_sum`` of the family and
+    its adjoints.  The first draw's Hermitian part gives the minimal
+    projections (:func:`_minimal_bases`), the second groups them into
+    blocks and gives the transporters (:func:`_blocks`), and
+    :func:`_basis_change` assembles ``U``.  With ``B = U (sum M_{n_k} (x)
+    1_{m_k}) U*``, the certificate is: both draws are in ``B``, each
+    block's compressions of them have scalar commutant, blocks of one size
+    are inequivalent (:func:`_certify_draws`), so the draws generate ``B``
+    and ``B`` lies in A; and every family member is in ``B`` within
+    ``tol.composite``, so A lies in ``B``.  Hence ``dim A = sum n_k^2``.
+    When the caller knows ``dim`` A, a smaller ``sum n_k^2`` shows the
+    draws generate a proper subalgebra.
+
+    A draw that fails before the family is checked is redrawn; after
+    :data:`_MAX_DRAWS` attempts, :class:`DegenerateRandomness`.  A family
+    member outside ``B``, a basis change that is not unitary and a
+    ``sum n_k^2`` above ``dim`` raise :class:`VerificationFailure`.
+    """
+    n_amb = family.shape[-1]
+    gram = gram_sum(family) + gram_sum(family.conj().transpose(0, 2, 1))
+    dec, cut, _ = psd_cut(gram, tol=tol)
+    if cut is None:
+        return BlockDecomposition(
+            central_projections=[],
+            block_sizes=[],
+            multiplicities=[],
+            transporters=[],
+            basis_change=np.eye(n_amb, dtype=np.complex128),
+            residuals={"block_form": 0.0},
+        )
+    inside = dec.eigenvalues > cut
+    range_basis, kernel = dec.basis[:, inside], dec.basis[:, ~inside]
+    unit = range_basis @ range_basis.conj().T
+
+    def fingerprint(blk):
+        return tuple(np.round(np.real(np.diag(blk["central"])), 6))
+
+    failure = None
+    for _ in range(_MAX_DRAWS):
+        draws = np.array([draw(unit, rng), draw(unit, rng)])
+        try:
+            scales = safe_norm(draws, axis=(1, 2))
+            if not scales.all():
+                raise DegenerateRandomness("a random element of the algebra vanishes")
+            bases, values = _minimal_bases(draws[0], range_basis, tol)
+            blocks = _blocks(bases, values, draws[1], tol)
+            blocks.sort(key=lambda blk: (-blk["size"], -blk["multiplicity"], fingerprint(blk)))
+            u = _basis_change(blocks, kernel, tol)
+            alphas, miss = _block_form(draws / scales[:, None, None], blocks, u)
+            check("the draws miss the block form read off them", miss, tol.composite,
+                  DegenerateRandomness)
+            _certify_draws(blocks, alphas, tol)
+            total = sum(blk["size"] ** 2 for blk in blocks)
+            if dim is not None and total < dim:
+                raise DegenerateRandomness(
+                    f"the draws generate a subalgebra of dimension {total} < {dim}")
+        except (GapNotFound, DegenerateRandomness) as exc:
+            failure = exc
+            continue
+        break
+    else:
+        raise DegenerateRandomness(
+            f"{_MAX_DRAWS} pairs of random elements failed to certify a decomposition: {failure}"
+        )
+    if dim is not None and total != dim:
+        raise VerificationFailure(
+            f"dimension identity failed: sum n_k^2 = {total} != dim A = {dim}"
+        )
+    _, worst = _block_form(family, blocks, u)
+    check("family members miss the block form", worst, tol.composite)
+    return BlockDecomposition(
+        central_projections=[blk["central"] for blk in blocks],
+        block_sizes=[blk["size"] for blk in blocks],
+        multiplicities=[blk["multiplicity"] for blk in blocks],
+        transporters=[blk["transporters"] for blk in blocks],
+        basis_change=u,
+        residuals={"block_form": worst},
+    )
+
+
+def decompose_generators(ambient_dim, generators, seed=0, tol=DEFAULT_TOL):
+    """Block decomposition of the *-algebra the ``generators`` generate,
+    without forming its span.
+
+    The draws are seeded polynomials (:func:`_polynomial`) in the
+    generators divided by their largest norm, so a scaling of the
+    generators changes nothing; the certificate of :func:`_decompose` is
+    checked against the same scaled generators, and
+    ``residuals["block_form"]`` is taken over them.  ``dim A`` is the
+    certified ``sum n_k^2``.
+    """
+    n = int(ambient_dim)
+    if n < 1:
+        raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
+    _, flat = _stack_inputs(generators, shape=(n, n))
+    gens = flat.reshape(-1, n, n)
+    top = float(np.max(safe_norm(gens, axis=(1, 2)), initial=0.0))
+    if top > 0.0:
+        gens = gens / top
+    return _decompose(lambda unit, rng: _polynomial(gens, unit, rng), gens,
+                      np.random.default_rng(seed), tol)
 
 
 def wedderburn_decompose(parent, seed=0, tol=DEFAULT_TOL):
     """Block decomposition of a *-closed matrix algebra.
 
-    Deterministic given ``(parent, seed)``.  Blocks are ordered by
-    descending size, then descending multiplicity, then a fingerprint of
-    the central projection, so equal inputs give equal outputs.
+    :func:`_decompose` on the algebra's orthonormal basis, with draws that
+    project seeded Gaussian matrices onto its span (:func:`_draw`), so the
+    result depends on the span and the seed, not on the basis; the
+    identity ``dim A = sum n_k^2`` is checked against ``parent.dim``.
+    Blocks are ordered by descending size, then descending multiplicity,
+    then a fingerprint of the central projection, so equal inputs give
+    equal outputs.
 
-    Raises :class:`DegenerateRandomness` when three successive random
-    draws fail to separate spectral clusters, and
-    :class:`VerificationFailure` when a structural identity (integrality
-    of multiplicities, ``dim A = sum n_k^2``, unitarity of the basis
-    change) fails numerically.
+    Raises :class:`DegenerateRandomness` when three successive pairs of
+    random draws fail to certify a decomposition, and
+    :class:`VerificationFailure` when a structural identity (the block form
+    of the basis, ``dim A = sum n_k^2``, unitarity of the basis change)
+    fails numerically.
     """
-    n_amb = parent.ambient_dim
-    if parent.dim == 0:
-        return BlockDecomposition(
-            central_projections=[],
-            block_sizes=[],
-            multiplicities=[],
-            matrix_units=[],
-            basis_change=np.eye(n_amb, dtype=np.complex128),
-            residuals={"block_form": 0.0},
-        )
-    if parent.unit is None:
+    if parent.dim and parent.unit is None:
         raise NotUnital("algebra has no detected unit; cannot decompose")
-    rng = np.random.default_rng(seed)
-    centrals = _central_projections(parent, rng, tol)
-    blocks = [_block_data(parent, c, rng, tol) for c in centrals]
-
-    def fingerprint(blk):
-        return tuple(np.round(np.real(np.diag(blk["central"])), 6))
-
-    blocks.sort(key=lambda blk: (-blk["size"], -blk["multiplicity"], fingerprint(blk)))
-
-    total = sum(blk["size"] ** 2 for blk in blocks)
-    if total != parent.dim:
-        raise VerificationFailure(
-            f"dimension identity failed: sum n_k^2 = {total} != dim A = {parent.dim}"
-        )
-
-    u = _basis_change(parent, blocks, tol)
-    worst = check("basis elements miss the block form",
-                  _block_form_residual(parent, blocks, u), tol.composite)
-
-    return BlockDecomposition(
-        central_projections=[blk["central"] for blk in blocks],
-        block_sizes=[blk["size"] for blk in blocks],
-        multiplicities=[blk["multiplicity"] for blk in blocks],
-        matrix_units=[blk["units"] for blk in blocks],
-        basis_change=u,
-        residuals={"block_form": worst},
-    )
+    return _decompose(lambda unit, rng: _draw(parent.basis, rng), parent.basis.matrices,
+                      np.random.default_rng(seed), tol, dim=parent.dim)
 
 
 def socle(parent, decomposition=None, seed=0, tol=DEFAULT_TOL):

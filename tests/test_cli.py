@@ -10,7 +10,17 @@ import sys
 import numpy as np
 import pytest
 
-from cstarlab import cli, generate_algebra, ideals, instances, projection_generator, structure, tro
+from cstarlab import (
+    algebra,
+    cli,
+    generate_algebra,
+    ideals,
+    instances,
+    linalg,
+    projection_generator,
+    structure,
+    tro,
+)
 from cstarlab.errors import GapNotFound, VerificationFailure
 from cstarlab.instances import planted_block_algebra, random_ideal_generators
 from cstarlab.jsonio import decode_matrix, encode_ideal_fixture
@@ -539,4 +549,24 @@ def test_ideal_commands_span_no_right_ideal(tmp_path, capsys, monkeypatch):
     assert cli.main(["ideal", str(ideal)]) == 0
     assert cli.main(["verify-dz", str(alg), "--trials", "4"]) == 0
     capsys.readouterr()
+    assert calls == []
+
+
+def test_decompose_closes_no_span(tmp_path, capsys, monkeypatch):
+    """``decompose`` reads the blocks off the fixture's generators: it
+    neither generates the algebra nor grows or closes a span."""
+    fix = tmp_path / "alg.json"
+    assert cli.main(["random", "algebra", "--blocks", "3,2,1", "--mults", "2,1,2",
+                     "--seed", "1", "--json", str(fix)]) == 0
+    calls = []
+    for module in (algebra, cli, ideals, instances, linalg, structure, tro):
+        for name in ("generate_algebra", "grow_span", "close_span"):
+            if hasattr(module, name):
+                def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+                    calls.append(_name)
+                    return _inner(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
+    assert cli.main(["decompose", str(fix), "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["algebra_dim"] == 14
     assert calls == []

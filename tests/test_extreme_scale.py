@@ -22,9 +22,23 @@ E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
 def test_safe_norm_is_numpys_norm_on_ordinary_inputs():
+    """``np.linalg.norm``'s value, bit for bit and as a numpy float, also
+    from ``safe_norm``'s own Frobenius formula on inputs in range: complex
+    and real, transposed and strided, of one to three axes."""
     rng = np.random.default_rng(5)
     x = rng.standard_normal((7, 12)) + 1j * rng.standard_normal((7, 12))
     assert safe_norm(x) == np.linalg.norm(x)
+    for _ in range(300):
+        shape = tuple(rng.integers(1, 24, size=rng.integers(1, 4)))
+        y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100)
+        if rng.random() < 0.7:
+            y = y + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100)
+        if y.ndim > 1 and rng.random() < 0.3:
+            y = y.T
+        if y.shape[0] > 2 and rng.random() < 0.3:
+            y = y[::2]
+        expect = np.linalg.norm(y)
+        assert safe_norm(y) == expect and type(safe_norm(y)) is type(expect)
     assert np.array_equal(safe_norm(x, axis=1), np.linalg.norm(x, axis=1))
     stack = x.reshape(7, 3, 4)
     assert np.array_equal(safe_norm(stack, axis=(1, 2)), np.linalg.norm(stack, axis=(1, 2)))
@@ -34,9 +48,15 @@ def test_safe_norm_is_numpys_norm_on_ordinary_inputs():
 
 @pytest.mark.parametrize("scale", [1e300, 1e200, 1e-200, 1e-300])
 def test_safe_norm_scales_exactly(scale):
+    """The rescaled pass gives the norm of entries whose squares leave the
+    doubles, and the unscaled pass before it warns of nothing."""
     rng = np.random.default_rng(6)
     x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-    np.testing.assert_allclose(safe_norm(scale * x) / scale, np.linalg.norm(x), rtol=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        np.testing.assert_allclose(safe_norm(scale * x) / scale, np.linalg.norm(x), rtol=1e-14)
+        np.testing.assert_allclose(safe_norm(scale * x.real) / scale, np.linalg.norm(x.real),
+                                   rtol=1e-14)
     np.testing.assert_allclose(hs_norm(scale * x) / scale, np.linalg.norm(x), rtol=1e-14)
 
 

@@ -43,7 +43,7 @@ from cstarlab.linalg import (
     safe_norm,
     span_rows,
 )
-from cstarlab.structure import _block_data, _block_form_residual, _central_projections, _draw
+from cstarlab.structure import _block_form, _blocks, _draw, _matrix_units, _minimal_bases
 from cstarlab.tro import (
     TRO,
     TROClassification,
@@ -391,10 +391,11 @@ def test_matrix_units_match_einsum(sizes, mults, seed):
     """Each block's matrix units ``v_i v_j*`` over its transporters."""
     algebra = planted_block_algebra(sizes, mults, seed=seed).algebra
     rng = np.random.default_rng(seed)
-    for central in _central_projections(algebra, rng, DEFAULT_TOL):
-        blk = _block_data(algebra, central, rng, DEFAULT_TOL)
+    identity = np.eye(algebra.ambient_dim, dtype=complex)  # the unit: no kernel
+    bases, values = _minimal_bases(_draw(algebra.basis, rng), identity, DEFAULT_TOL)
+    for blk in _blocks(bases, values, _draw(algebra.basis, rng), DEFAULT_TOL):
         varr = blk["transporters"]
-        assert_rel_close(blk["units"], np.einsum("iab,jcb->ijac", varr, varr.conj()))
+        assert_rel_close(_matrix_units(varr), np.einsum("iab,jcb->ijac", varr, varr.conj()))
 
 
 def loop_block_form_residual(parent, blocks, u):
@@ -432,4 +433,5 @@ def test_block_form_residual_matches_kron_loop(sizes, mults, seed):
     bent = u + 1e-3 * cplx(np.random.default_rng(seed), *u.shape)
     for basis_change in (u, bent):
         ref = loop_block_form_residual(algebra, blocks, basis_change)
-        assert _block_form_residual(algebra, blocks, basis_change) == pytest.approx(ref, rel=REL)
+        _, residual = _block_form(algebra.basis.matrices, blocks, basis_change)
+        assert residual == pytest.approx(ref, rel=REL)

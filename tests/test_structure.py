@@ -1,6 +1,7 @@
-"""Tests for block decomposition: central projections, minimal projections,
-matrix units, the block-diagonalizing basis change, and the
-maximal-ideal/single-generator verification built on top of them."""
+"""Tests for block decomposition: minimal projections, blocks, matrix
+units, the block-diagonalizing basis change, the decomposition read off
+generators, and the maximal-ideal/single-generator verification built on
+top of them."""
 
 import dataclasses
 
@@ -9,6 +10,7 @@ import pytest
 
 from cstarlab import (
     corner_dimension,
+    decompose_generators,
     generate_algebra,
     generate_right_ideal,
     is_maximal_right_ideal,
@@ -23,16 +25,18 @@ from cstarlab import (
 )
 from cstarlab.config import DEFAULT_TOL
 from cstarlab import ideals as ideals_module, structure as structure_module
-from cstarlab.algebra import central_projections
-from cstarlab.errors import CStarError, DegenerateRandomness, VerificationFailure
+from cstarlab.algebra import central_projections, sample_element
+from cstarlab.errors import CStarError, DegenerateRandomness, GapNotFound, VerificationFailure
 from cstarlab.ideals import right_module_span
 from cstarlab.instances import haar_unitary, random_block_structure
 from cstarlab.linalg import Subspace, cluster_partition, hs_norm, spectral_clusters
 from cstarlab.structure import (
+    _MAX_DRAWS,
     _basis_change,
-    _block_data,
-    _central_projections,
+    _blocks,
+    _certify_draws,
     _draw,
+    _minimal_bases,
 )
 
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -155,26 +159,14 @@ def test_planted_structures_recovered_exactly():
 def test_basis_change_unitarity_uses_callers_member_tolerance():
     alg = planted_block_algebra([2, 1], [2, 1], seed=3).algebra
     rng = np.random.default_rng(0)
-    centrals = _central_projections(alg, rng, DEFAULT_TOL)
-    blocks = [_block_data(alg, c, rng, DEFAULT_TOL) for c in centrals]
-    u = _basis_change(alg, blocks, DEFAULT_TOL)
+    identity = np.eye(alg.ambient_dim, dtype=complex)  # the unit
+    bases, values = _minimal_bases(_draw(alg.basis, rng), identity, DEFAULT_TOL)
+    blocks = _blocks(bases, values, _draw(alg.basis, rng), DEFAULT_TOL)
+    kernel = np.zeros((alg.ambient_dim, 0), dtype=complex)
+    u = _basis_change(blocks, kernel, DEFAULT_TOL)
     assert hs_norm(u.conj().T @ u - np.eye(alg.ambient_dim)) > 0.0
     with pytest.raises(VerificationFailure, match="not unitary"):
-        _basis_change(alg, blocks, dataclasses.replace(DEFAULT_TOL, member=1e-30))
-
-
-@pytest.mark.parametrize("m", [1, 3])
-def test_block_integrality_uses_callers_member_tolerance(m):
-    """A block whose trace is ``1e-7 m`` off the integer ``m`` fails the
-    multiplicity check under the default ``member`` bound and passes a
-    caller's ``member=1e-6``."""
-    alg = generate_algebra(m, [np.eye(m)])
-    central = (1.0 + 1e-7) * np.eye(m, dtype=complex)
-    rng = np.random.default_rng(0)
-    with pytest.raises(VerificationFailure, match="multiplicity"):
-        _block_data(alg, central, rng, DEFAULT_TOL)
-    blk = _block_data(alg, central, rng, dataclasses.replace(DEFAULT_TOL, member=1e-6))
-    assert (blk["size"], blk["multiplicity"]) == (1, m)
+        _basis_change(blocks, kernel, dataclasses.replace(DEFAULT_TOL, member=1e-30))
 
 
 def test_matrix_units_multiply_correctly():
@@ -206,7 +198,8 @@ def test_central_projections_sum_to_unit():
 
 
 def test_decomposition_runs_without_an_svd(monkeypatch):
-    """The central projections come from one averaged element, not from a
+    """The minimal projections, the blocks and the Burnside and
+    inequivalence certificates come from eigendecompositions, not from a
     null space: no step of the decomposition calls an SVD."""
     planted = planted_block_algebra([3, 2, 1], [1, 2, 2], seed=17)
 
@@ -232,26 +225,32 @@ def force_draws(monkeypatch, unit, forced):
 
 
 def test_central_draw_at_the_unit_is_redrawn(monkeypatch):
-    """On blocks of sizes 2 and 2 with multiplicities 1 and 1, Phi(u) = 2u
-    is one cluster with tr(c S) = 8, not a square: that draw is redrawn,
-    and when every central draw is the unit the decomposition raises."""
+    """On blocks of sizes 2 and 2 with multiplicities 1 and 1, a first draw
+    at the unit is one cluster, so its candidate is one 1x1 block; the
+    second draw is not in that block form, and the pair is redrawn.  When
+    every draw is the unit, the draws generate only the scalars, of
+    dimension 1 < 8, and the decomposition raises."""
     planted = planted_block_algebra([2, 2], [1, 1], seed=4)
     force_draws(monkeypatch, planted.algebra.unit, 1)
     assert wedderburn_decompose(planted.algebra).block_signature() == planted.signature()
-    force_draws(monkeypatch, planted.algebra.unit, 3)
+    force_draws(monkeypatch, planted.algebra.unit, 2 * _MAX_DRAWS)
     with pytest.raises(DegenerateRandomness):
         wedderburn_decompose(planted.algebra)
 
 
 def test_merged_blocks_never_decompose(monkeypatch):
     """Blocks of sizes 3 and 4 with multiplicities 3 and 4 have n/m = 1 and
-    3^2 + 4^2 = 5^2, so the unit passes as one central projection; the
-    block step must refuse that merge rather than return a result."""
+    3^2 + 4^2 = 5^2, so the unit passes as one central projection.  A draw
+    at the unit merges both blocks into one cluster; that candidate must
+    never be returned: the pair is redrawn, and when every draw is the
+    unit the decomposition raises rather than return a result."""
     planted = planted_block_algebra([3, 4], [3, 4], seed=9)
     u = planted.algebra.unit
     merged = central_projections(planted.algebra, u)
     assert len(merged) == 1 and hs_norm(merged[0] - u) <= 1e-8
     force_draws(monkeypatch, u, 1)
+    assert wedderburn_decompose(planted.algebra).block_signature() == planted.signature()
+    force_draws(monkeypatch, u, 2 * _MAX_DRAWS)
     with pytest.raises(CStarError):
         wedderburn_decompose(planted.algebra)
 
@@ -263,6 +262,97 @@ def test_decomposition_is_deterministic():
     assert np.array_equal(d1.basis_change, d2.basis_change)
     for a, b in zip(d1.central_projections, d2.central_projections):
         assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# decomposition from generators
+
+
+def cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def planted_or_refused(ambient, gens, signature, seed):
+    """``decompose_generators`` ends in the planted signature or a typed
+    error, never in another signature; returns which."""
+    try:
+        dec = decompose_generators(ambient, gens, seed=seed)
+    except CStarError as exc:
+        return type(exc)
+    assert dec.block_signature() == signature
+    return "planted"
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_near_equivalent_blocks_are_never_merged(seed):
+    """Two 3x3 blocks whose generators are unitarily equivalent up to a
+    relative 1e-8 generate M3 (+) M3, not M3 seen twice.  Their
+    eigenvalues pair up within the gap band, so no draw certifies either
+    reading."""
+    rng = np.random.default_rng(seed)
+    w, u = haar_unitary(3, rng), haar_unitary(6, rng)
+    gens = []
+    for _ in range(2):
+        x, e = cplx(rng, 3, 3), cplx(rng, 3, 3)
+        e *= 1e-8 * np.linalg.norm(x) / np.linalg.norm(e)
+        gens.append(u @ np.block([[x, np.zeros((3, 3))],
+                                  [np.zeros((3, 3)), w @ (x + e) @ w.conj().T]]) @ u.conj().T)
+    assert planted_or_refused(6, gens, [(3, 1), (3, 1)], seed) is DegenerateRandomness
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_just_outside_the_block_form(seed):
+    """A generator 1e-9 (relative) outside the planted block form: the
+    planted signature, within ``tol.composite``, or a typed error."""
+    planted = planted_block_algebra([3, 2, 1], [2, 1, 2], seed=seed)
+    rng = np.random.default_rng(seed)
+    gens = [sample_element(planted.algebra, rng) for _ in range(2)]
+    e = cplx(rng, *gens[1].shape)
+    gens[1] = gens[1] + 1e-9 * np.linalg.norm(gens[1]) / np.linalg.norm(e) * e
+    assert planted_or_refused(planted.algebra.ambient_dim, gens, planted.signature(), seed) in (
+        "planted", DegenerateRandomness, VerificationFailure)
+
+
+def test_draw_without_an_eigen_gap_is_refused(monkeypatch):
+    """Draws whose two eigenvalues lie 1e-8 apart, inside the gap band
+    between ``tol.spec`` and ``tol.gap``, are neither one cluster nor two:
+    every draw is redrawn, then DegenerateRandomness."""
+    gens = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    no_gap = np.diag([1.0, 1.0 + 1e-8]).astype(complex)
+    monkeypatch.setattr(structure_module, "_polynomial", lambda family, unit, rng: no_gap)
+    with pytest.raises(DegenerateRandomness, match="gap band"):
+        decompose_generators(2, gens)
+
+
+def test_burnside_and_inequivalence_refuse_what_they_should():
+    """A block whose compressed draws leave an invariant subspace has a
+    commutant larger than the scalars, and two blocks of one size with the
+    same compressions are intertwined by the identity: both are refused
+    (GapNotFound), while generic compressions pass."""
+    rng = np.random.default_rng(0)
+    generic = [cplx(rng, 2, 3, 3), cplx(rng, 2, 3, 3)]
+    _certify_draws([{"size": 3}, {"size": 3}], generic, DEFAULT_TOL)
+    reducible = np.zeros((2, 3, 3), dtype=complex)
+    reducible[:, :2, :2] = cplx(rng, 2, 2, 2)
+    reducible[:, 2, 2] = cplx(rng, 2)
+    with pytest.raises(GapNotFound):
+        _certify_draws([{"size": 3}], [reducible], DEFAULT_TOL)
+    with pytest.raises(GapNotFound):
+        _certify_draws([{"size": 3}, {"size": 3}], [generic[0], generic[0]], DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("sizes", [[8, 6, 4, 4, 2], [16, 12, 8, 6, 4, 2]],
+                         ids=["N=48", "N=96"])
+def test_two_sample_elements_give_the_planted_blocks(sizes):
+    """Two sample elements of a planted algebra with every multiplicity 2
+    generate it; their decomposition is the planted one, and the
+    generators are in its block form to roundoff."""
+    planted = planted_block_algebra(sizes, [2] * len(sizes), seed=1)
+    rng = np.random.default_rng(1)
+    gens = [sample_element(planted.algebra, rng) for _ in range(2)]
+    dec = decompose_generators(planted.algebra.ambient_dim, gens, seed=1)
+    assert dec.block_signature() == planted.signature()
+    assert dec.residuals["block_form"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------
