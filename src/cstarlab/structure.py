@@ -66,9 +66,7 @@ from .linalg import (
     gram_sum,
     hermitian_eig,
     hs_norm,
-    place_cut_in_gap,
     project,
-    psd_cut,
     safe_norm,
     spectral_clusters,
     spectrum_cut,
@@ -333,51 +331,24 @@ def _basis_change(blocks, kernel, tol):
 
 
 def _block_form(mats, blocks, u):
-    """``(alphas, residual)`` for a ``(k, N, N)`` stack: per block, the
-    stack of its first diagonal copy ``alpha`` in ``U* x U``, and the
-    largest deviation of ``U* x U`` from ``blockdiag(I_m (x) alpha)``."""
+    """``(residual, spread)`` for a ``(k, N, N)`` stack: the largest
+    deviation of ``U* x U`` from ``blockdiag(I_m (x) alpha)``, for
+    ``alpha`` the first diagonal copy of each block, and the largest
+    deviation of a block's other diagonal copies from its first, the part
+    of the residual that the multiplicities account for."""
     t = u.conj().T @ mats @ u
     recon = np.zeros_like(t)
-    alphas = []
+    spread = 0.0
     off = 0
     for blk in blocks:
         n_k = blk["size"]
         alpha = t[:, off : off + n_k, off : off + n_k]
-        alphas.append(alpha)
         for _ in range(blk["multiplicity"]):
+            copy = t[:, off : off + n_k, off : off + n_k]
+            spread = max(spread, float(np.max(np.linalg.norm(copy - alpha, axis=(1, 2)))))
             recon[:, off : off + n_k, off : off + n_k] = alpha
             off += n_k
-    return alphas, float(np.max(np.linalg.norm(t - recon, axis=(1, 2)), initial=0.0))
-
-
-def _singular_values(a, b):
-    """Ascending singular values of ``X -> (a_p X - X b_p)`` stacked over
-    the ``(p, n, n)`` and ``(p, m, m)`` stacks ``a`` and ``b``, from the
-    eigenvalues of its Gram matrix.  On row-major ``X`` the map is
-    ``a_p (x) 1 - 1 (x) b_p^T``."""
-    p, n, m = a.shape[0], a.shape[1], b.shape[1]
-    lmap = (a[:, :, None, :, None] * np.eye(m)[None, None, :, None, :]
-            - np.eye(n)[None, :, None, :, None] * b.transpose(0, 2, 1)[:, None, :, None, :])
-    lmap = lmap.reshape(p * n * m, n * m)
-    return np.sqrt(np.clip(np.linalg.eigvalsh(lmap.conj().T @ lmap), 0.0, None))
-
-
-def _certify_draws(blocks, alphas, tol):
-    """Burnside and inequivalence for the compressions ``alphas`` of the
-    two draws ``y, z``: each block's commutant of ``{y, z, y*, z*}`` is the
-    scalars (the second-smallest singular value of the commutator map
-    clear of the gap band), and no two blocks of one size are intertwined
-    by ``y`` and ``z`` (the smallest singular value clear of it).  Either
-    failure raises :class:`GapNotFound`."""
-    for blk, (ay, az) in zip(blocks, alphas):
-        if blk["size"] > 1:
-            ops = np.array([ay, az, ay.conj().T, az.conj().T])
-            s = _singular_values(ops, ops)
-            place_cut_in_gap(s[0], s[1], s[-1], tol=tol)
-    for k, l in itertools.combinations(range(len(blocks)), 2):
-        if blocks[k]["size"] == blocks[l]["size"]:
-            s = _singular_values(alphas[k], alphas[l])
-            place_cut_in_gap(0.0, s[0], s[-1], tol=tol)
+    return float(np.max(np.linalg.norm(t - recon, axis=(1, 2)), initial=0.0)), spread
 
 
 def _decompose(draw, family, rng, tol, dim=None):
@@ -386,26 +357,45 @@ def _decompose(draw, family, rng, tol, dim=None):
     certified against the family.
 
     The unit is the support projection of ``gram_sum`` of the family and
-    its adjoints.  The first draw's Hermitian part gives the minimal
-    projections (:func:`_minimal_bases`), the second groups them into
-    blocks and gives the transporters (:func:`_blocks`), and
+    its adjoints, cut on the singular values of the family laid side by
+    side.  The first draw's Hermitian part ``h`` gives the minimal
+    projections (:func:`_minimal_bases`), the second draw ``z`` groups
+    them into blocks and gives the transporters (:func:`_blocks`), and
     :func:`_basis_change` assembles ``U``.  With ``B = U (sum M_{n_k} (x)
-    1_{m_k}) U*``, the certificate is: both draws are in ``B``, each
-    block's compressions of them have scalar commutant, blocks of one size
-    are inequivalent (:func:`_certify_draws`), so the draws generate ``B``
-    and ``B`` lies in A; and every family member is in ``B`` within
-    ``tol.composite``, so A lies in ``B``.  Hence ``dim A = sum n_k^2``.
-    When the caller knows ``dim`` A, a smaller ``sum n_k^2`` shows the
-    draws generate a proper subalgebra.
+    1_{m_k}) U*``, the certificate is:
 
-    A draw that fails before the family is checked is redrawn; after
+    - both draws are in ``B`` within ``tol.composite``;
+    - Burnside: in each block the compression of ``h`` is diagonal with
+      eigenvalues more than ``tol.gap`` of the spectrum apart (the cluster
+      gap), so a matrix commuting with it is diagonal, and every corner
+      ``e_i z e_j`` of the block is above the link cut, so a diagonal
+      matrix commuting with ``z`` is scalar: the compressions of the draws
+      have the scalars as commutant;
+    - inequivalence: no eigenvalue of ``h`` is shared between two blocks
+      (the same cluster gap), so no nonzero matrix intertwines their
+      compressions of ``h``;
+    - so the draws generate ``B`` and ``B`` lies in A; every family member
+      is in ``B`` within ``tol.composite``, so A lies in ``B``, and the
+      copies of each block agree on the family within ``tol.spec`` of its
+      scale, the accuracy to which a cluster of ``h`` is one eigenvalue,
+      so a multiplicity never merges two blocks the family tells apart.
+
+    Hence ``dim A = sum n_k^2``.  When the caller knows ``dim`` A, a
+    smaller ``sum n_k^2`` shows the draws generate a proper subalgebra.
+
+    A draw that fails before the family's block form is checked, or whose
+    copies of a block disagree on the family, is redrawn; after
     :data:`_MAX_DRAWS` attempts, :class:`DegenerateRandomness`.  A family
     member outside ``B``, a basis change that is not unitary and a
     ``sum n_k^2`` above ``dim`` raise :class:`VerificationFailure`.
     """
     n_amb = family.shape[-1]
-    gram = gram_sum(family) + gram_sum(family.conj().transpose(0, 2, 1))
-    dec, cut, _ = psd_cut(gram, tol=tol)
+    dec = hermitian_eig(gram_sum(family) + gram_sum(family.conj().transpose(0, 2, 1)), tol=tol)
+    # the square roots of the Gram eigenvalues are the singular values of the
+    # family and its adjoints laid side by side: cut on the members' scale,
+    # not on its square, which would drop parts below sqrt(tol.gap) of it
+    singular = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
+    cut, _ = spectrum_cut(singular, tol=tol)
     if cut is None:
         return BlockDecomposition(
             central_projections=[],
@@ -415,9 +405,10 @@ def _decompose(draw, family, rng, tol, dim=None):
             basis_change=np.eye(n_amb, dtype=np.complex128),
             residuals={"block_form": 0.0},
         )
-    inside = dec.eigenvalues > cut
+    inside = singular > cut
     range_basis, kernel = dec.basis[:, inside], dec.basis[:, ~inside]
     unit = range_basis @ range_basis.conj().T
+    top = float(np.max(safe_norm(family, axis=(1, 2))))
 
     def fingerprint(blk):
         return tuple(np.round(np.real(np.diag(blk["central"])), 6))
@@ -433,14 +424,16 @@ def _decompose(draw, family, rng, tol, dim=None):
             blocks = _blocks(bases, values, draws[1], tol)
             blocks.sort(key=lambda blk: (-blk["size"], -blk["multiplicity"], fingerprint(blk)))
             u = _basis_change(blocks, kernel, tol)
-            alphas, miss = _block_form(draws / scales[:, None, None], blocks, u)
+            miss, _ = _block_form(draws / scales[:, None, None], blocks, u)
             check("the draws miss the block form read off them", miss, tol.composite,
                   DegenerateRandomness)
-            _certify_draws(blocks, alphas, tol)
             total = sum(blk["size"] ** 2 for blk in blocks)
             if dim is not None and total < dim:
                 raise DegenerateRandomness(
                     f"the draws generate a subalgebra of dimension {total} < {dim}")
+            worst, spread = _block_form(family, blocks, u)
+            check("copies of a block disagree on the family", spread, tol.spec * top,
+                  DegenerateRandomness)
         except (GapNotFound, DegenerateRandomness) as exc:
             failure = exc
             continue
@@ -453,7 +446,6 @@ def _decompose(draw, family, rng, tol, dim=None):
         raise VerificationFailure(
             f"dimension identity failed: sum n_k^2 = {total} != dim A = {dim}"
         )
-    _, worst = _block_form(family, blocks, u)
     check("family members miss the block form", worst, tol.composite)
     return BlockDecomposition(
         central_projections=[blk["central"] for blk in blocks],

@@ -433,5 +433,5 @@ def test_block_form_residual_matches_kron_loop(sizes, mults, seed):
     bent = u + 1e-3 * cplx(np.random.default_rng(seed), *u.shape)
     for basis_change in (u, bent):
         ref = loop_block_form_residual(algebra, blocks, basis_change)
-        _, residual = _block_form(algebra.basis.matrices, blocks, basis_change)
+        residual, _ = _block_form(algebra.basis.matrices, blocks, basis_change)
         assert residual == pytest.approx(ref, rel=REL)

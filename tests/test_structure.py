@@ -34,7 +34,6 @@ from cstarlab.structure import (
     _MAX_DRAWS,
     _basis_change,
     _blocks,
-    _certify_draws,
     _draw,
     _minimal_bases,
 )
@@ -284,20 +283,36 @@ def planted_or_refused(ambient, gens, signature, seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_near_equivalent_blocks_are_never_merged(seed):
+@pytest.mark.parametrize("eps", [1e-8, 3e-9, 1e-9, 3e-10])
+def test_near_equivalent_blocks_are_never_merged(eps, seed):
     """Two 3x3 blocks whose generators are unitarily equivalent up to a
-    relative 1e-8 generate M3 (+) M3, not M3 seen twice.  Their
+    relative ``eps`` generate M3 (+) M3, not M3 seen twice.  Their
     eigenvalues pair up within the gap band, so no draw certifies either
-    reading."""
+    reading: a draw that clusters the pairs as one eigenvalue reads a
+    multiplicity whose copies disagree on the generators by more than
+    ``tol.spec``, and is redrawn."""
     rng = np.random.default_rng(seed)
     w, u = haar_unitary(3, rng), haar_unitary(6, rng)
     gens = []
     for _ in range(2):
         x, e = cplx(rng, 3, 3), cplx(rng, 3, 3)
-        e *= 1e-8 * np.linalg.norm(x) / np.linalg.norm(e)
+        e *= eps * np.linalg.norm(x) / np.linalg.norm(e)
         gens.append(u @ np.block([[x, np.zeros((3, 3))],
                                   [np.zeros((3, 3)), w @ (x + e) @ w.conj().T]]) @ u.conj().T)
     assert planted_or_refused(6, gens, [(3, 1), (3, 1)], seed) is DegenerateRandomness
+
+
+@pytest.mark.parametrize("gens", [
+    [np.diag([1.0, 1e-4])],
+    [np.diag([1.0, 0.0]), np.diag([0.0, 1e-5])],
+], ids=["diag(1,1e-4)", "E11,1e-5*E22"])
+def test_small_generator_directions_stay_in_the_unit(gens):
+    """The unit is cut on the generators' singular values, not on their
+    squares: a direction at 1e-4 or 1e-5 of the largest generator is part
+    of the algebra, which is D2."""
+    dec = decompose_generators(2, [g.astype(complex) for g in gens])
+    assert dec.block_signature() == [(1, 1), (1, 1)]
+    assert dec.residuals["block_form"] <= 1e-15
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -324,21 +339,65 @@ def test_draw_without_an_eigen_gap_is_refused(monkeypatch):
         decompose_generators(2, gens)
 
 
-def test_burnside_and_inequivalence_refuse_what_they_should():
-    """A block whose compressed draws leave an invariant subspace has a
-    commutant larger than the scalars, and two blocks of one size with the
-    same compressions are intertwined by the identity: both are refused
-    (GapNotFound), while generic compressions pass."""
-    rng = np.random.default_rng(0)
-    generic = [cplx(rng, 2, 3, 3), cplx(rng, 2, 3, 3)]
-    _certify_draws([{"size": 3}, {"size": 3}], generic, DEFAULT_TOL)
-    reducible = np.zeros((2, 3, 3), dtype=complex)
-    reducible[:, :2, :2] = cplx(rng, 2, 2, 2)
-    reducible[:, 2, 2] = cplx(rng, 2)
-    with pytest.raises(GapNotFound):
-        _certify_draws([{"size": 3}], [reducible], DEFAULT_TOL)
-    with pytest.raises(GapNotFound):
-        _certify_draws([{"size": 3}, {"size": 3}], [generic[0], generic[0]], DEFAULT_TOL)
+def commutator_singular_values(a, b):
+    """Ascending singular values of ``X -> (a_p X - X b_p)`` stacked over
+    the ``(p, n, n)`` and ``(p, m, m)`` stacks ``a`` and ``b``; on
+    row-major ``X`` the map is ``a_p (x) 1 - 1 (x) b_p^T``."""
+    n, m = a.shape[1], b.shape[1]
+    lmap = np.concatenate([np.kron(ap, np.eye(m)) - np.kron(np.eye(n), bp.T)
+                           for ap, bp in zip(a, b)])
+    return np.linalg.svd(lmap, compute_uv=False)[::-1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cluster_gap_and_links_imply_burnside_and_inequivalence(seed, monkeypatch):
+    """The core certifies Burnside and inequivalence through the cluster
+    gap of ``h`` and the link cut of ``z``, without the dense commutator
+    map.  On the accepted draws that map says the same, clear of the gap
+    band: each block's compressions of ``{y, z, y*, z*}`` have only the
+    scalars as commutant, and two blocks of one size are intertwined by
+    nothing."""
+    drawn = []
+
+    def recorded(family, unit, rng):
+        drawn.append(polynomial(family, unit, rng))
+        return drawn[-1]
+
+    polynomial = structure_module._polynomial
+    monkeypatch.setattr(structure_module, "_polynomial", recorded)
+    planted = planted_block_algebra([3, 2, 2], [1, 2, 1], seed=seed)
+    rng = np.random.default_rng(seed)
+    gens = [sample_element(planted.algebra, rng) for _ in range(2)]
+    dec = decompose_generators(planted.algebra.ambient_dim, gens, seed=seed)
+    assert dec.block_signature() == planted.signature()
+    y, z = drawn[-2:]
+    ops = dec.block_form(np.array([y, z, y.conj().T, z.conj().T]))
+    ops /= np.linalg.norm(ops, axis=(1, 2), keepdims=True)
+    band = 2.5 * DEFAULT_TOL.gap
+    offsets = np.cumsum([0, *[n * m for n, m in zip(dec.block_sizes, dec.multiplicities)]])
+    alphas = [ops[:, o : o + n, o : o + n] for o, n in zip(offsets, dec.block_sizes)]
+    for alpha in alphas:
+        s = commutator_singular_values(alpha, alpha)
+        assert s[0] <= 1e-12 * s[-1] and s[1] > band * s[-1]
+    for k in range(dec.num_blocks):
+        for l in range(k + 1, dec.num_blocks):
+            if dec.block_sizes[k] == dec.block_sizes[l]:
+                s = commutator_singular_values(alphas[k], alphas[l])
+                assert s[0] > band * s[-1]
+
+
+def test_a_second_draw_that_misses_a_corner_is_refused(monkeypatch):
+    """A second draw with ``e_3 z e_1 = e_3 z e_2 = 0`` inside one M3
+    splits it into M2 (+) M1 on which both draws lie; the generators do
+    not, so the family check refuses the reading."""
+    gens = [np.array([[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=complex),
+            np.diag([1.0, 2.0, 3.0]).astype(complex)]
+    y = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    z = np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]], dtype=complex)
+    draws = iter([y, z])
+    monkeypatch.setattr(structure_module, "_polynomial", lambda family, unit, rng: next(draws))
+    with pytest.raises(VerificationFailure, match="family members miss the block form"):
+        decompose_generators(3, gens)
 
 
 @pytest.mark.parametrize("sizes", [[8, 6, 4, 4, 2], [16, 12, 8, 6, 4, 2]],
