@@ -8,9 +8,10 @@ that unitary from a family ``F`` that generates the algebra ``A`` and two
 random elements ``y``, ``z`` of it:
 
 1. the unit ``u`` is the support projection of ``sum x x*`` over ``F``
-   and its adjoints, since the range of ``A`` is the sum of their ranges;
+   and its adjoints, since the range of ``A`` is the sum of their ranges,
+   cut on the square roots of its eigenvalues (the scale of ``F``);
 2. the minimal projections are the spectral clusters of the Hermitian
-   part of ``y`` on the range of ``u``;
+   part ``h`` of ``y`` on the range of ``u``;
 3. they fall into blocks by which corners ``e_i z e_j`` are nonzero, at a
    cut placed in the gap of the corners' norms; one first-order step with
    ``z`` moves their bases onto the blocks' ranges, which ``y`` resolves
@@ -21,11 +22,14 @@ random elements ``y``, ``z`` of it:
    as one column of every transporter, then the kernel of ``u``.
 
 With ``B = U (sum_k M_{n_k} (x) 1_{m_k}) U*`` the certificate is: ``y``
-and ``z`` lie in ``B``; in each block their compressions and adjoints
-have the scalars as commutant (Burnside), and no two blocks of one size
-are intertwined by them, so ``y`` and ``z`` generate ``B`` and ``B`` lies
-in ``A``; and every member of ``F`` lies in ``B``, so ``A`` lies in
-``B``.  Hence ``dim A = sum n_k^2``, without forming the span of ``A``.
+and ``z`` lie in ``B``; in each block the compression of ``h`` has a
+simple spectrum, gapped and shared with no other block, and every corner
+of ``z`` inside the block is nonzero, so the compressions have the
+scalars as commutant (Burnside) and no two blocks are intertwined by
+them: ``y`` and ``z`` generate ``B`` and ``B`` lies in ``A``; every
+member of ``F`` lies in ``B``, so ``A`` lies in ``B``; and the copies of
+each block agree on ``F``, so no multiplicity merges blocks ``F`` tells
+apart.  Hence ``dim A = sum n_k^2``, without forming the span of ``A``.
 
 :func:`decompose_generators` draws ``y`` and ``z`` as seeded polynomials
 in the generators.  :func:`wedderburn_decompose` of a closed algebra
