@@ -26,7 +26,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import CStarError, INPUT_ERRORS, ParamError, ParseError
-from .algebra import generate_algebra
 from .ideals import projection_generator
 from .instances import planted_block_algebra, planted_block_tro, random_ideal_generators
 from .jsonio import (
@@ -131,11 +130,10 @@ def _cmd_decompose(args):
     return _finish(report, args, report.get("ground_truth_match", True), "block structure mismatch")
 
 
-def _cmd_ideal(args):
-    tol = _resolve_tol(args)
-    fix = _load_fixture(args.fixture, ("ideal",))
-    alg = generate_algebra(fix["ambient"], fix["algebra_generators"], tol=tol)
-    cert = projection_generator(alg, fix["ideal_generators"], tol=tol)
+def _ideal_report(alg, ideal_generators, tol):
+    """The ``ideal`` report of the certificate ``J = pA`` for the right
+    ideal the generators generate in ``alg``, and its verdict."""
+    cert = projection_generator(alg, ideal_generators, tol=tol)
     # dim pA is the rank of the products p b_i over A's basis, which span it;
     # their support, by an eigendecomposition of its own, is checked against p
     pb = cert.projection @ alg.basis.matrices
@@ -153,6 +151,16 @@ def _cmd_ideal(args):
     ok = agreement <= tol.member and (
         cert.is_trivial or max(cert.residuals.values()) <= tol.member
     )
+    return report, ok
+
+
+def _cmd_ideal(args):
+    tol = _resolve_tol(args)
+    fix = _load_fixture(args.fixture, ("ideal",))
+    # A's orthonormal basis is its certified decomposition's matrix units
+    alg = decompose_generators(fix["ambient"], fix["algebra_generators"],
+                               seed=_resolve_seed(args), tol=tol).algebra
+    report, ok = _ideal_report(alg, fix["ideal_generators"], tol)
     return _finish(report, args, ok, "projection certificate residuals")
 
 
@@ -185,10 +193,10 @@ def _cmd_tro_classify(args):
 def _cmd_verify_dz(args):
     tol = _resolve_tol(args)
     fix = _load_fixture(args.fixture, ("algebra",))
-    alg = generate_algebra(fix["ambient"], fix["generators"], tol=tol)
-    result = verify_dales_zelazko(
-        alg, trials=args.trials, seed=_resolve_seed(args), tol=tol
-    )
+    seed = _resolve_seed(args)
+    dec = decompose_generators(fix["ambient"], fix["generators"], seed=seed, tol=tol)
+    alg = dec.algebra
+    result = verify_dales_zelazko(alg, trials=args.trials, seed=seed, tol=tol, decomposition=dec)
     report = {
         "command": "verify-dz",
         "ambient": alg.ambient_dim,

@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .algebra import StarAlgebra
 from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
@@ -65,6 +66,7 @@ from .ideals import (
     projection_generator,
 )
 from .linalg import (
+    Subspace,
     _stack_inputs,
     cluster_partition,
     gram_sum,
@@ -101,7 +103,7 @@ class BlockDecomposition:
     ``transporters[k]`` has shape ``(n_k, N, m_k)``: its ``i``-th entry is
     an isometry onto the range of the block's ``i``-th minimal projection,
     and ``matrix_units[k]``, of shape ``(n_k, n_k, N, N)``, is formed from
-    them on first use.  ``basis_change`` is the ambient unitary bringing
+    them on first use, as is the certified ``algebra`` they span.  ``basis_change`` is the ambient unitary bringing
     every element to the form ``blockdiag_k (I_{m_k} (x) alpha_k)``
     followed by zeros on the kernel of the algebra unit.
     """
@@ -122,6 +124,22 @@ class BlockDecomposition:
         """Per block, the ``[i, j]`` entry maps the ``j``-th copy of the
         block's column space onto the ``i``-th."""
         return [_matrix_units(t) for t in self.transporters]
+
+    @functools.cached_property
+    def algebra(self):
+        """The certified algebra ``B = U (sum M_{n_k} (x) 1_{m_k}) U*`` as a
+        :class:`StarAlgebra`, without closing a span: its basis is the
+        matrix units ``e_ij / sqrt(m_k)``, orthonormal in the
+        Hilbert-Schmidt product, its unit the sum of the central
+        projections (None for the zero algebra), and its family the basis,
+        since matrix units multiply among themselves."""
+        n = self.basis_change.shape[0]
+        stack = np.zeros((0, n * n), dtype=np.complex128)
+        if self.num_blocks:
+            stack = np.concatenate([units.reshape(-1, n * n) / np.sqrt(m)
+                                    for units, m in zip(self.matrix_units, self.multiplicities)])
+        unit = sum(self.central_projections) if self.central_projections else None
+        return StarAlgebra(basis=Subspace(n, n, stack), unit=unit)
 
     def block_signature(self):
         """Sorted (size, multiplicity) pairs, the isomorphism invariant."""
@@ -597,37 +615,43 @@ class DalesZelazkoReport:
         return self.dimension_identity_ok and all(t.ok for t in self.trials)
 
 
-def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
+def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decomposition=None):
     """Check that every sampled maximal right ideal is singly generated
     by a projection.
 
-    Samples ``trials`` maximal ideals by conjugating a diagonal matrix
-    unit inside a cycling choice of block (trial ``t`` takes block
-    ``t % num_blocks``) with a random block unitary, and forms
-    ``J = (u - e) A``.  One :func:`projection_generator` certificate per
+    Samples ``trials`` maximal ideals in a cycling choice of block (trial
+    ``t`` takes block ``t % num_blocks``): ``e`` is the top eigenprojection,
+    in that block, of the Hermitian part of a seeded Gaussian matrix
+    projected onto A, a Haar-random minimal projection of the block, and
+    ``J = (u - e) A``.  It is read off the projection's coordinates against
+    the block's matrix units, so it depends on A and the seed, not on the
+    matrix units that represent A.  One :func:`projection_generator` certificate per
     trial carries both verdicts: it certifies ``J = pA``, so single
     generation holds, and ``J`` is maximal when ``u - p`` is minimal.
     Also records the dimension identity ``dim A = sum n_k^2``.  At least
     one trial is required: a sweep of none would certify nothing
-    (:class:`ParamError`).
+    (:class:`ParamError`).  A ``decomposition`` of ``parent`` already at
+    hand is used instead of :func:`wedderburn_decompose`.
     """
     if trials < 1:
         raise ParamError(f"need at least one trial, got {trials}")
     if parent.unit is None:
         raise NotUnital("maximal ideal analysis needs a unital algebra")
-    dec = wedderburn_decompose(parent, seed=seed, tol=tol)
+    dec = decomposition or wedderburn_decompose(parent, seed=seed, tol=tol)
     rng = np.random.default_rng([seed, 0xDA1E5])
     u = parent.unit
     out = []
     for t in range(trials):
         k = t % dec.num_blocks
         n_k = dec.block_sizes[k]
-        units = dec.matrix_units[k]
-        g = rng.standard_normal((n_k, n_k)) + 1j * rng.standard_normal((n_k, n_k))
-        q, _ = np.linalg.qr(g)
-        w = q[:, 0]
+        units = dec.matrix_units[k].reshape(n_k * n_k, -1)
+        g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+        # the block's part of g's projection onto A is sum_ij <e_ij, g> e_ij / m_k;
+        # a change of matrix units conjugates these coordinates, and w with them
+        coords = (units.conj() @ g.ravel()).reshape(n_k, n_k)
+        w = np.linalg.eigh(coords + coords.conj().T)[1][:, -1]
         # e = sum_ij w_i conj(w_j) e_ij, one row of weights against the units
-        e = (np.outer(w, w.conj()).ravel() @ units.reshape(n_k * n_k, -1)).reshape(u.shape)
+        e = (np.outer(w, w.conj()).ravel() @ units).reshape(u.shape)
         e = 0.5 * (e + e.conj().T)
         g = u - e
         # e = u means the zero ideal; flush the roundoff left in u - e

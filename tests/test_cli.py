@@ -21,9 +21,16 @@ from cstarlab import (
     structure,
     tro,
 )
+from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import GapNotFound, VerificationFailure
 from cstarlab.instances import planted_block_algebra, random_ideal_generators
-from cstarlab.jsonio import decode_matrix, encode_ideal_fixture
+from cstarlab.jsonio import (
+    decode_matrix,
+    dumps_report,
+    encode_algebra_fixture,
+    encode_ideal_fixture,
+)
+from test_golden import assert_matches
 
 CLI = [sys.executable, "-m", "cstarlab.cli"]
 
@@ -300,9 +307,10 @@ def test_sizes_that_are_not_json_integers_are_input_errors(tmp_path, form, field
     ([], {"CSTAR_SEED": "-2"}),
 ])
 def test_negative_seed_is_input_error(tmp_path, seed_args, env):
-    fix = tmp_path / "alg.json"
+    fix, ideal = tmp_path / "alg.json", tmp_path / "ideal.json"
     run_cli("random", "algebra", "--blocks", "2", "--seed", 5, "--json", fix)
-    for argv in (["random", "algebra", "--blocks", "2"], ["decompose", fix]):
+    run_cli("random", "ideal", "--blocks", "2", "--seed", 5, "--json", ideal)
+    for argv in (["random", "algebra", "--blocks", "2"], ["decompose", fix], ["ideal", ideal]):
         r = run_cli(*argv, *seed_args, env_extra=env)
         assert r.returncode == 1
         assert "error:" in r.stderr
@@ -552,11 +560,14 @@ def test_ideal_commands_span_no_right_ideal(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-def test_decompose_closes_no_span(tmp_path, capsys, monkeypatch):
-    """``decompose`` reads the blocks off the fixture's generators: it
-    neither generates the algebra nor grows or closes a span."""
-    fix = tmp_path / "alg.json"
-    assert cli.main(["random", "algebra", "--blocks", "3,2,1", "--mults", "2,1,2",
+@pytest.mark.parametrize("command", ["decompose", "ideal", "verify-dz"])
+def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
+    """``decompose``, ``ideal`` and ``verify-dz`` take A from its
+    decomposition, read off the fixture's generators: none of them
+    generates the algebra or grows or closes a span."""
+    kind = "ideal" if command == "ideal" else "algebra"
+    fix = tmp_path / f"{kind}.json"
+    assert cli.main(["random", kind, "--blocks", "3,2,1", "--mults", "2,1,2",
                      "--seed", "1", "--json", str(fix)]) == 0
     calls = []
     for module in (algebra, cli, ideals, instances, linalg, structure, tro):
@@ -566,7 +577,95 @@ def test_decompose_closes_no_span(tmp_path, capsys, monkeypatch):
                     calls.append(_name)
                     return _inner(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
-    assert cli.main(["decompose", str(fix), "--seed", "1"]) == 0
+    assert cli.main([command, str(fix), "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["algebra_dim"] == 14
     assert calls == []
+
+
+def direct_sum(*blocks):
+    n = sum(len(b) for b in blocks)
+    out = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
+
+
+@pytest.mark.parametrize("doubled, scale, rotated", [
+    (False, 1e-2, False),
+    (True, 1e-2, False),
+    (True, 1e-2, True),
+    (True, 1e-5, True),
+], ids=["x+sy", "doubled", "rotated-1e-2", "rotated-1e-5"])
+def test_blocks_far_apart_in_scale_are_not_closed_past(tmp_path, capsys, doubled, scale, rotated):
+    """Two generators ``x (+) s y`` generate M3 (+) M3 (dimension 18) at
+    every scale ``s``; doubled, ``x (+) x (+) s y (+) s y``, the same blocks
+    at multiplicity 2.  Closing their span reached past the algebra to
+    dimension 27 (doubled: 54; rotated by a Haar unitary: all of M12), so
+    ``ideal`` reported ``algebra_dim`` 27 and ``ideal_dim`` 18 for the
+    generator ``g (+) 0``, and ``verify-dz`` failed its dimension identity.
+    Read off the decomposition, A and the ideal ``M3 (+) 0`` keep their
+    dimensions 18 and 9."""
+    rng = np.random.default_rng(0)
+    gaussian = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                for _ in range(5)]
+    pairs, g = [gaussian[0:2], gaussian[2:4]], gaussian[4]
+    copies = 2 if doubled else 1
+    gens = [direct_sum(*[x] * copies, *[scale * y] * copies) for x, y in pairs]
+    ideal_gen = direct_sum(*[g] * copies, *[np.zeros((3, 3))] * copies)
+    n = 6 * copies
+    if rotated:
+        q = instances.haar_unitary(n, np.random.default_rng(1))
+        gens, ideal_gen = [q @ x @ q.conj().T for x in gens], q @ ideal_gen @ q.conj().T
+    ideal_fix, alg_fix = tmp_path / "ideal.json", tmp_path / "alg.json"
+    ideal_fix.write_text(json.dumps(encode_ideal_fixture(n, gens, [ideal_gen])))
+    alg_fix.write_text(json.dumps(encode_algebra_fixture(n, gens)))
+    assert cli.main(["ideal", str(ideal_fix)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and (report["algebra_dim"], report["ideal_dim"]) == (18, 9)
+    assert cli.main(["verify-dz", str(alg_fix), "--trials", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["algebra_dim"] == 18
+    assert report["block_sizes"] == [3, 3]
+    assert report["multiplicities"] == [copies, copies]
+
+
+IDEAL_SWEEP = [
+    (16, [2, 4, 3], [2, 2, 1]),
+    (16, [3, 2, 1], [2, 3, 1]),
+    (20, [5, 4, 1], [2, 2, 2]),
+    (20, [3, 3, 2], [2, 3, 1]),
+]
+
+
+@pytest.mark.parametrize("corner", [False, True], ids=["mixed", "corner"])
+@pytest.mark.parametrize("gens", [1, 2, 3, 4])
+@pytest.mark.parametrize("ambient, sizes, mults", IDEAL_SWEEP)
+def test_ideal_report_matches_the_closure_route(tmp_path, capsys, ambient, sizes, mults,
+                                                gens, corner):
+    """Oracle: the algebra closed from the fixture's generators, the same
+    certificate and the same Gram-rank report.  Read off the decomposition
+    instead, the report keeps every integer field and verdict, and its
+    floats to 1e-12; with A's basis from the decomposition, it is the same
+    under every ``--seed``.  The ideal generators are those of
+    ``random ideal`` (mostly all of A) or elements ``q x`` for one random
+    projection ``q`` (proper ideals ``qA``)."""
+    seed = 100 * ambient + 10 * len(sizes) + gens
+    planted = planted_block_algebra(sizes, mults, ambient_dim=ambient, seed=seed)
+    rng = np.random.default_rng(seed)
+    if corner:
+        q = instances.random_projection(planted.algebra, rng)
+        ideal_gens = [q @ algebra.sample_element(planted.algebra, rng) for _ in range(gens)]
+    else:
+        ideal_gens = random_ideal_generators(planted.algebra, gens, rng)
+    algebra_gens = list(planted.algebra.basis.matrices)
+    fix = tmp_path / "ideal.json"
+    fix.write_text(json.dumps(encode_ideal_fixture(ambient, algebra_gens, ideal_gens)))
+    closed = generate_algebra(ambient, algebra_gens)
+    report, ok = cli._ideal_report(closed, ideal_gens, DEFAULT_TOL)
+    oracle = json.loads(dumps_report({**report, "ok": ok}))
+    for run_seed in range(4):
+        assert cli.main(["ideal", str(fix), "--seed", str(run_seed)]) == (0 if ok else 2)
+        assert_matches(json.loads(capsys.readouterr().out), oracle)
