@@ -36,6 +36,8 @@ in the generators.  :func:`wedderburn_decompose` of a closed algebra
 certifies against its orthonormal basis and draws orthogonal projections
 of seeded Gaussian matrices onto its span, so for a given seed its result
 depends on the span only, not on the basis that represents it.
+``BlockDecomposition.algebra`` hands the certified algebra back with the
+matrix units as its basis, so generators alone give A without a closure.
 
 Everything downstream (socle, unit partition, the Dales-Zelazko style
 maximal-ideal check) reads off this decomposition and re-verifies what it
@@ -103,9 +105,10 @@ class BlockDecomposition:
     ``transporters[k]`` has shape ``(n_k, N, m_k)``: its ``i``-th entry is
     an isometry onto the range of the block's ``i``-th minimal projection,
     and ``matrix_units[k]``, of shape ``(n_k, n_k, N, N)``, is formed from
-    them on first use, as is the certified ``algebra`` they span.  ``basis_change`` is the ambient unitary bringing
-    every element to the form ``blockdiag_k (I_{m_k} (x) alpha_k)``
-    followed by zeros on the kernel of the algebra unit.
+    them on first use, as is the certified ``algebra`` they span.
+    ``basis_change`` is the ambient unitary bringing every element to the
+    form ``blockdiag_k (I_{m_k} (x) alpha_k)`` followed by zeros on the
+    kernel of the algebra unit.
     """
 
     central_projections: list
@@ -625,9 +628,10 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
     projected onto A, a Haar-random minimal projection of the block, and
     ``J = (u - e) A``.  It is read off the projection's coordinates against
     the block's matrix units, so it depends on A and the seed, not on the
-    matrix units that represent A.  One :func:`projection_generator` certificate per
-    trial carries both verdicts: it certifies ``J = pA``, so single
-    generation holds, and ``J`` is maximal when ``u - p`` is minimal.
+    matrix units that represent A.  One :func:`projection_generator`
+    certificate per trial carries both verdicts: it certifies ``J = pA``,
+    so single generation holds, and ``J`` is maximal when ``u - p`` is
+    minimal.
     Also records the dimension identity ``dim A = sum n_k^2``.  At least
     one trial is required: a sweep of none would certify nothing
     (:class:`ParamError`).  A ``decomposition`` of ``parent`` already at

@@ -414,6 +414,25 @@ def test_two_sample_elements_give_the_planted_blocks(sizes):
     assert dec.residuals["block_form"] <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decomposition_algebra_is_the_generated_algebra(seed):
+    """``dec.algebra`` is the planted algebra, read off two of its
+    elements: its basis, the matrix units over ``sqrt(m_k)``, is
+    orthonormal and spans it, and its unit is the planted unit.  The zero
+    family gives the zero algebra, without a unit."""
+    planted = planted_block_algebra([3, 2, 1], [2, 1, 3], seed=seed)
+    rng = np.random.default_rng(seed)
+    gens = [sample_element(planted.algebra, rng) for _ in range(2)]
+    alg = decompose_generators(planted.algebra.ambient_dim, gens, seed=seed).algebra
+    stack = alg.basis.stack
+    assert alg.dim == 3 * 3 + 2 * 2 + 1 == planted.algebra.dim
+    assert np.abs(stack.conj() @ stack.T - np.eye(alg.dim)).max() <= 1e-12
+    assert alg.basis.distance(planted.algebra.basis) <= 1e-12
+    assert hs_norm(alg.unit - planted.algebra.unit) <= 1e-12
+    zero = decompose_generators(3, [np.zeros((3, 3))]).algebra
+    assert zero.dim == 0 and zero.unit is None
+
+
 # ---------------------------------------------------------------------------
 # corners, socle, unit partition
 
