@@ -53,11 +53,6 @@ __all__ = [
 ]
 
 
-def _with_adjoints(mats):
-    """A ``(k, n, n)`` family followed by its adjoints."""
-    return np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
-
-
 @dataclass(eq=False)
 class StarAlgebra:
     """A *-closed algebra of ``N x N`` complex matrices.
@@ -72,10 +67,10 @@ class StarAlgebra:
     family : ndarray
         ``(k, N, N)`` orthonormal elements whose products span the
         algebra: the family the closure was certified with, set by
-        :func:`generate_algebra` and :meth:`from_span`, the three
-        elements a planted algebra is written down with, or ``span(T T*)``
-        and ``span(T* T)`` for the algebras of a TRO with family ``T``.
-        Left out, it is the basis, which generates what it spans.
+        :func:`generate_algebra` and :meth:`from_span`, or the three
+        elements a planted algebra, or either algebra of a TRO, is written
+        down with.  Left out, it is the basis, which generates what it
+        spans.
     """
 
     basis: Subspace
@@ -128,8 +123,7 @@ class StarAlgebra:
         space = orthonormalize(mats, tol=tol, shape=shape)
         if space.rows != space.cols:
             raise ShapeMismatch("algebra elements must be square")
-        family = _closed_span_family(
-            space, _with_adjoints, lambda family: family, draws=1, tol=tol)
+        family = _closed_span_family(space, tol=tol)
         alg = StarAlgebra(basis=space, family=family)
         alg.unit = unit_of(alg, tol=tol)
         return alg
@@ -150,10 +144,7 @@ def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
     n = int(ambient_dim)
     if n < 1:
         raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
-    space, family = close_span(
-        generators, (n, n), start=_with_adjoints, multipliers=lambda family: family,
-        draws=1, tol=tol,
-    )
+    space, family = close_span(generators, n, tol=tol)
     alg = StarAlgebra(basis=space, family=family.reshape(-1, n, n))
     alg.unit = unit_of(alg, tol=tol)
     return alg

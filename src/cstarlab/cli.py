@@ -137,7 +137,7 @@ def _ideal_report(alg, ideal_generators, tol):
     # dim pA is the rank of the products p b_i over A's basis, which span it;
     # their support, by an eigendecomposition of its own, is checked against p
     pb = cert.projection @ alg.basis.matrices
-    dec, cut, _ = psd_cut(gram_sum(pb.reshape(1, alg.dim, -1)), tol=tol)
+    dec, cut, _ = psd_cut(gram_sum(pb.reshape(1, alg.dim, alg.ambient_dim ** 2)), tol=tol)
     ideal_dim = 0 if cut is None else int(np.count_nonzero(dec.eigenvalues > cut))
     agreement = hs_norm(cert.projection - support_projection_of_psd(gram_sum(pb), tol=tol))
     report = {

@@ -16,8 +16,8 @@ from .config import DEFAULT_TOL
 from .errors import ParamError
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
-from .linalg import Subspace, _closed_span_family, cluster_partition, hermitian_eig
-from .tro import _build_tro, _left_multipliers
+from .linalg import Subspace, cluster_partition, hermitian_eig
+from .tro import _tro_from_blocks
 
 __all__ = [
     "haar_unitary",
@@ -144,11 +144,12 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     Blocks are embedded at diagonal offsets of an ``(sum m_k) x
     (sum n_k)`` ambient rectangle and rotated by independent Haar
-    unitaries on each side.  The TRO keeps that basis and takes its family
-    from :func:`~cstarlab.linalg._closed_span_family`, as
-    :func:`~cstarlab.tro.tro_from_span` does: the closure of the basis must
-    be the span (:class:`ClosureViolation` otherwise).  The whole span is
-    then verified to be a TRO.
+    unitaries ``U`` and ``V`` on each side.  The TRO keeps that basis, and
+    its blocks are written down from the unitaries: block ``k``'s row
+    isometries are its ``m_k`` columns of ``U`` and its column isometries
+    its ``n_k`` columns of ``V``, from which the algebras and the family
+    follow (:func:`~cstarlab.tro._tro_from_blocks`), so no closure is
+    involved.  Nondegeneracy is verified.
     """
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:
@@ -160,6 +161,7 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
     v = haar_unitary(n_tot, rng)
 
     basis = []
+    isometries = []
     r_off = c_off = 0
     for m_k, n_k in blocks:
         for p in range(m_k):
@@ -167,14 +169,14 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
                 mat = np.zeros((m_tot, n_tot), dtype=np.complex128)
                 mat[r_off + p, c_off + q] = 1.0
                 basis.append(mat)
+        isometries.append((u[:, r_off : r_off + m_k].T[:, :, None],
+                           v[:, c_off : c_off + n_k].T[:, :, None]))
         r_off += m_k
         c_off += n_k
 
     conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
-    family = _closed_span_family(
-        space, lambda family: family, _left_multipliers, draws=2, tol=tol)
-    tro = _build_tro(space, family, tol)
+    tro = _tro_from_blocks(space, isometries, tol)
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v
     )

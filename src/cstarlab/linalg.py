@@ -22,15 +22,14 @@ gap above the zero clusters, up to roundoff, either joins them or is that
 next eigenvalue; a cut needs 2.5 gaps, so it raises :class:`GapNotFound`
 there rather than cut past the eigenvalue.
 
-:func:`close_span` is the one closure loop of algebras and TROs.  It
-closes by generators rather than by all pairs: a small seeded generating
-family multiplies only the rows each round adds, so closing a span of
-dimension ``d`` offers :func:`grow_span` O(d) candidate rows instead of
-``d^2`` per round, and it returns the family as the certificate that the
-span is closed.  The family starts from ``draws`` generic combinations of
-the generators: one for algebras, whose generic element ``g`` generates
-the algebra with ``g*``, and two for TROs, since the one multiplier
-``t t*`` of a single draw generates a commutative algebra.  The inner
+:func:`close_span` is the closure loop of algebras; TROs are read off
+their linking algebra's decomposition and not closed.  It closes by
+generators rather than by all pairs: a small seeded generating family
+multiplies only the rows each round adds, so closing a span of dimension
+``d`` offers :func:`grow_span` O(d) candidate rows instead of ``d^2`` per
+round, and it returns the family as the certificate that the span is
+closed.  The family starts from one generic combination ``g`` of the
+generators and ``g*``, which generate the algebra.  The inner
 loop, :func:`saturate`, is the one semi-naive growth of a span under a
 fixed family, which right modules share.
 :func:`_closed_span_family` runs it on a span that is given as closed, and
@@ -112,12 +111,13 @@ def safe_norm(x, axis=None):
     divided by that entry first; results inside the range are
     ``np.linalg.norm``'s, bit for bit.
 
-    The Frobenius norm (``axis=None``) is ``np.linalg.norm``'s own formula,
-    the square root of the dot products of the real and imaginary parts
-    over ``ravel(order="K")``, without its dispatch.  ``np.vdot`` forms the
-    dot products because it reports no floating-point overflow: like the
-    overflow that ``np.errstate`` silences for the axis norms, it is
-    detected below and rescaled away.
+    Both paths are ``np.linalg.norm``'s own formulas without its dispatch.
+    The Frobenius norm (``axis=None``) is the square root of the dot
+    products of the real and imaginary parts over ``ravel(order="K")``;
+    the axis norms are ``sqrt(add.reduce((x.conj() * x).real, axis))``.
+    ``np.vdot`` forms the dot products because it reports no
+    floating-point overflow: like the overflow that ``np.errstate``
+    silences for the axis norms, it is detected below and rescaled away.
     """
     if axis is None:
         flat = np.asarray(x).ravel(order="K")
@@ -130,8 +130,9 @@ def safe_norm(x, axis=None):
             flat = flat.astype(float, copy=False)
             n = np.sqrt(np.vdot(flat, flat))
     else:
+        x = np.asarray(x)
         with np.errstate(over="ignore"):
-            n = np.linalg.norm(x, axis=axis)
+            n = np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
     lo, hi = _SAFE_NORM
     if axis is None:
         if lo <= n <= hi or n == 0.0 and not x.any():
@@ -428,78 +429,73 @@ def span_rows(candidates, shape, tol=DEFAULT_TOL):
 _FAMILY_SEED = 0xFA317
 
 
-def _family_draw(gens, draws):
-    """``draws`` seeded complex-Gaussian combinations of the generator rows."""
+def _family_draw(gens):
+    """One seeded complex-Gaussian combination of the generator rows."""
     rng = np.random.default_rng(_FAMILY_SEED)
     k = gens.shape[0]
-    return (rng.standard_normal((draws, k)) + 1j * rng.standard_normal((draws, k))) @ gens
+    return (rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))) @ gens
 
 
-def close_span(generators, shape, start, multipliers, draws, tol=DEFAULT_TOL):
-    """Smallest span containing the ``generators`` and closed under the
-    products they generate, with a family ``T`` certifying the closure.
+def close_span(generators, n, tol=DEFAULT_TOL):
+    """Smallest *-closed algebra of ``n x n`` matrices containing the
+    ``generators``, with a family ``T`` certifying the closure.
 
     Semi-naive closure by generators.  ``T`` starts as the orthonormal
-    basis :func:`grow_span` keeps from ``start`` of ``draws`` generic
-    combinations of the generators (:func:`_family_draw`), so its rows
+    basis :func:`grow_span` keeps from ``g`` and ``g*`` for one generic
+    combination ``g`` of the generators (:func:`_family_draw`), so its rows
     have unit Hilbert-Schmidt norm and are well conditioned however the
-    generators are written down.  Any ``draws`` gives the closure: a
-    family that generates too little leaves generators outside the span,
-    and they join it below; fewer draws make each round cheaper.
-    The span grows under left multiplication by ``multipliers(T)`` (both
-    callables map a ``(k, rows, cols)`` stack to a stack of matrices), and
-    each round multiplies only the rows the last round added, so the first
-    round that adds nothing certifies the span closed under ``T``.  The
-    generators are then offered to :func:`grow_span`, under its own rank
-    rule; the directions they add, with those ``start`` adds to them, are
-    in the closure of the generators, join ``T`` and the loop runs again.
-    So the span contains the generators and lies inside their closure: it
-    is the closure.
+    generators are written down; a generic element of a finite-dimensional
+    *-algebra generates it with its adjoint.  The span grows under left
+    multiplication by ``T``, and each round multiplies only the rows the
+    last round added, so the first round that adds nothing certifies the
+    span closed under ``T``.  The generators are then offered to
+    :func:`grow_span`, under its own rank rule; the directions they add,
+    with their adjoints, are in the closure of the generators, join ``T``
+    and the loop runs again.  So the span contains the generators and lies
+    inside their closure: it is the closure.
 
     Returns ``(space, family)``: the Subspace and ``T`` as flattened rows.
     The dimension grows every round that does not return, so more than
-    ``rows * cols + 1`` rounds means the arithmetic went bad:
+    ``n^2 + 1`` rounds means the arithmetic went bad:
     :class:`NumericalFailure`.
     """
-    r, c = shape
-    _, gens = _stack_inputs(generators, shape=shape)
+    _, gens = _stack_inputs(generators, shape=(n, n))
 
-    def started(rows):
-        return start(rows.reshape(-1, r, c)).reshape(-1, r * c)
+    def with_adjoints(rows):
+        mats = rows.reshape(-1, n, n)
+        return np.concatenate([mats, mats.conj().transpose(0, 2, 1)]).reshape(-1, n * n)
 
     def products(rows):
-        return (mults[:, None] @ rows.reshape(-1, r, c)[None]).reshape(-1, r * c)
+        return (mults[:, None] @ rows.reshape(-1, n, n)[None]).reshape(-1, n * n)
 
-    stack = np.zeros((0, r * c), dtype=np.complex128)
-    stack, _ = grow_span(stack, started(_family_draw(gens, draws)), tol=tol)
+    stack = np.zeros((0, n * n), dtype=np.complex128)
+    stack, _ = grow_span(stack, with_adjoints(_family_draw(gens)), tol=tol)
     family = stack
-    mults = multipliers(family.reshape(-1, r, c))
-    for _ in range(r * c + 1):
+    mults = family.reshape(-1, n, n)
+    for _ in range(n * n + 1):
         stack = saturate(stack, stack, products, tol=tol)
         before = stack.shape[0]
         stack, grew = grow_span(stack, gens, tol=tol)
         if not grew:
-            return Subspace(r, c, stack), family
-        # a generator left the span: its new directions, and what start
-        # adds to them, join the family, and the whole span meets the new
-        # multipliers once
-        stack, _ = grow_span(stack, started(stack[before:]), tol=tol)
+            return Subspace(n, n, stack), family
+        # a generator left the span: its new directions and their adjoints
+        # join the family, and the whole span meets the new multipliers once
+        stack, _ = grow_span(stack, with_adjoints(stack[before:]), tol=tol)
         family = np.vstack([family, stack[before:]])
-        mults = multipliers(family.reshape(-1, r, c))
+        mults = family.reshape(-1, n, n)
     raise NumericalFailure("span closure failed to stabilize")
 
 
-def _closed_span_family(space, start, multipliers, draws, tol=DEFAULT_TOL):
-    """The family certifying that the orthonormal ``space``, given as
-    closed, is: :func:`close_span` of its basis under ``start``,
-    ``multipliers`` and ``draws``, as a ``(k, rows, cols)`` stack.
+def _closed_span_family(space, tol=DEFAULT_TOL):
+    """The family certifying that the orthonormal square ``space``, given
+    as a *-closed algebra, is one: :func:`close_span` of its basis, as a
+    ``(k, n, n)`` stack.
 
     The closure must be the span itself, of the same dimension and within
     ``tol.member`` of it in :meth:`Subspace.distance`; otherwise
     :class:`ClosureViolation`.
     """
-    closed, family = close_span(
-        space.matrices, space.shape, start, multipliers, draws, tol=tol)
+    closed, family = close_span(space.matrices, space.rows, tol=tol)
     if closed.dim != space.dim:
         raise ClosureViolation(
             f"span of dimension {space.dim} is not closed: "
@@ -552,7 +548,8 @@ def gram_sum(mats):
     """``sum_x x x*`` over a ``(k, m, n)`` stack, made exactly self-adjoint:
     one product ``F F*`` of the stack laid side by side as the ``(m, k n)``
     matrix ``F``."""
-    flat = mats.transpose(1, 0, 2).reshape(mats.shape[1], -1)
+    k, m, n = mats.shape
+    flat = mats.transpose(1, 0, 2).reshape(m, k * n)
     s = flat @ flat.conj().T
     return 0.5 * (s + s.conj().T)
 

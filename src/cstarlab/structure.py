@@ -376,10 +376,11 @@ def _block_form(mats, blocks, u):
     return float(np.max(np.linalg.norm(t - recon, axis=(1, 2)), initial=0.0)), spread
 
 
-def _decompose(draw, family, rng, tol, dim=None):
+def _decompose(draw, family, rng, tol, dim=None, first=None):
     """Block decomposition of the *-algebra A generated by the ``(k, N, N)``
     ``family``, read off two random elements ``draw(unit, rng)`` of A and
-    certified against the family.
+    certified against the family.  ``first(y, rng)``, when given, replaces
+    the first draw ``y`` by another element of A.
 
     The unit is the support projection of ``gram_sum`` of the family and
     its adjoints, cut on the singular values of the family laid side by
@@ -440,7 +441,8 @@ def _decompose(draw, family, rng, tol, dim=None):
 
     failure = None
     for _ in range(_MAX_DRAWS):
-        draws = np.array([draw(unit, rng), draw(unit, rng)])
+        y = draw(unit, rng)
+        draws = np.array([y if first is None else first(y, rng), draw(unit, rng)])
         try:
             scales = safe_norm(draws, axis=(1, 2))
             if not scales.all():

@@ -1,18 +1,29 @@
 """Ternary rings of operators (TROs) and their submodules.
 
-A TRO is a subspace ``Z`` of ``m x n`` complex matrices closed under the
+A TRO is a subspace ``Z`` of ``r x c`` complex matrices closed under the
 triple product ``x y* z``.  Multiplying out pairs gives two *-closed
-algebras: the left algebra ``span(Z Z*)`` acting on rows and the right
-algebra ``span(Z* Z)`` acting on columns; ``Z`` is a bimodule between the
-two, and a right Hilbert module over its right algebra via the pairing
+algebras: the left algebra ``L = span(Z Z*)`` acting on rows and the right
+algebra ``R = span(Z* Z)`` acting on columns; ``Z`` is a bimodule between
+the two, and a right Hilbert module over ``R`` via the pairing
 ``<x, y> = x* y``.
 
-Structurally ``Z`` is a direct sum of rectangular blocks
-``B(C^{n_k}, C^{m_k})``, discovered here through the left algebra's block
-decomposition: its basis change gives the isometry ``U_k`` onto one
-copy of the block's rows, and the column isometry ``V_k`` and ``n_k``
-come from the projection ``sum z* u u* z`` over the basis of ``Z``, for
-one column ``u`` of ``U_k``.
+Structurally ``Z = U_L (sum_k M_{a_k x b_k} (x) 1_{m_k}) U_R*``, and its
+linking algebra ``[[L, Z], [Z*, R]]`` in ``M_{r+c}`` is
+``U (sum_k M_{a_k+b_k} (x) 1_{m_k}) U*`` for ``U = diag(U_L, U_R)``
+(Brown, Green and Rieffel, "Stable isomorphism and strong Morita
+equivalence of C*-algebras", 1977; Zettl, "A characterization of ternary
+rings of operators", 1983).  That algebra is the *-algebra the embedded
+generators ``g^ = [[0, g], [0, 0]]`` generate, so every TRO here is built
+from one certified block decomposition of it
+(:func:`~cstarlab.structure._decompose`), and no span of ``Z``, ``L`` or
+``R`` is closed.  The first draw of the decomposition has its
+off-diagonal corners zeroed, so every minimal projection lies in one
+corner: a block's row transporters ``a_i`` (``r x m_k`` isometries) give
+``U_L`` and its column transporters ``b_j`` give ``U_R``, and their counts
+are ``a_k`` and ``b_k``.  ``Z`` then has the orthonormal basis
+``a_i b_j* / sqrt(m_k)``, ``L`` the matrix units ``a_i a_i'* / sqrt(m_k)``
+and ``R`` the units ``b_j b_j'* / sqrt(m_k)``, and :func:`classify_tro`
+reads the blocks and isometries off the same data.
 
 Submodules (right-ideal analogues) correspond bijectively to right
 ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``: a closed
@@ -20,15 +31,6 @@ submodule is ``W = pZ`` for the support projection ``p`` in ``L`` of
 ``sum w w*``, its ideal is ``pL``, and it is maximal exactly when
 ``u_L - p`` is minimal.  The same ``p`` gives ``W`` a finite generation
 certificate.
-
-Every span on the TRO side is built from the closure family ``T``: the
-few elements of ``Z`` whose odd words ``t1 t2* t3 ...`` span it, which
-:func:`generate_tro` closes with and keeps as ``TRO.family``.  One factor
-of each product then runs over ``T`` instead of a basis, so a span costs
-``O(d |T|)`` products instead of ``d^2``: ``span(Z Z*) = span(Z T*)`` and
-``span(Z* Z) = span(T* Z)``.
-The two algebras get ``span(T T*)`` and ``span(T* T)`` as families, so
-their module checks multiply by a handful of elements too.
 """
 
 import numpy as np
@@ -45,7 +47,7 @@ from .errors import (
     ZeroSubmodule,
     check,
 )
-from .algebra import StarAlgebra, unit_of
+from .algebra import StarAlgebra
 from .ideals import (
     RightIdeal,
     _corner_space,
@@ -54,20 +56,18 @@ from .ideals import (
 )
 from .linalg import (
     Subspace,
-    _closed_span_family,
+    _stack_inputs,
     as_matrix,
-    close_span,
     gram_sum,
-    grow_span,
-    hermitian_eig,
     hs_norm,
     identity_defect,
     module_defect,
     orthonormalize,
     psd_cut,
+    safe_norm,
     span_rows,
 )
-from .structure import wedderburn_decompose
+from .structure import _decompose, _polynomial
 
 __all__ = [
     "TRO",
@@ -75,6 +75,7 @@ __all__ = [
     "TROClassification",
     "ModuleGenerationCertificate",
     "generate_tro",
+    "tro_from_span",
     "classify_tro",
     "generate_submodule",
     "submodule_ideal_roundtrip",
@@ -82,40 +83,30 @@ __all__ = [
     "finite_generation_certificate",
 ]
 
-
-def _left_products(stack, shape, others=None):
-    """The flattened products ``x y*`` over the rows ``x`` of ``stack`` and
-    ``y`` of ``others`` (``stack`` itself by default)."""
-    m, n = shape
-    mats = stack.reshape(-1, m, n)
-    ys = mats if others is None else others.reshape(-1, m, n)
-    return (mats[:, None] @ ys.conj().transpose(0, 2, 1)[None]).reshape(-1, m * m)
-
-
-def _right_products(stack, shape, others=None):
-    """The flattened products ``x* y`` over the rows ``x`` of ``stack`` and
-    ``y`` of ``others`` (``stack`` itself by default)."""
-    m, n = shape
-    mats = stack.reshape(-1, m, n)
-    ys = mats if others is None else others.reshape(-1, m, n)
-    return (mats.conj().transpose(0, 2, 1)[:, None] @ ys[None]).reshape(-1, n * n)
+# Seed of the draws that decompose a TRO's linking algebra: fixed, so a TRO
+# is deterministic without a seed parameter.
+_LINK_SEED = 0x7E0
 
 
 @dataclass(eq=False)
 class TRO:
     """A ternary ring of ``rows x cols`` operators with its two algebras.
 
-    ``family`` is ``(k, rows, cols)`` orthonormal elements of the TRO whose
-    odd words ``t1 t2* t3 ...`` span it: the family the closure was
-    certified with, set by :func:`generate_tro`, :func:`tro_from_span`
-    and planted TROs.  Left out, it is the basis, which spans the TRO by
-    itself.
+    ``blocks`` lists, per rectangular block, the pair ``(a, b)`` of its
+    ``(a_k, rows, m_k)`` row and ``(b_k, cols, m_k)`` column isometry
+    stacks: the products ``a_i b_j*`` span the block, and the ranges of
+    all the ``a_i`` (of all the ``b_j``) are orthogonal.  ``family`` is
+    orthonormal elements of the TRO whose odd words ``t1 t2* t3 ...`` span
+    it.  Both are set by :func:`generate_tro`, :func:`tro_from_span` and
+    planted TROs; left out, ``blocks`` is None and ``family`` the basis,
+    which spans the TRO by itself.
     """
 
     basis: Subspace
     left_algebra: StarAlgebra
     right_algebra: StarAlgebra
     family: np.ndarray | None = None
+    blocks: list | None = None
 
     def __post_init__(self):
         if self.family is None:
@@ -137,40 +128,128 @@ class TRO:
         return self.basis.contains(x, tol=tol)
 
 
-def _build_tro(space, family, tol):
-    """The TRO on ``space`` with its algebras ``span(Z T*)`` and
-    ``span(T* Z)`` for the ``(k, rows, cols)`` family ``T`` whose odd words
-    span ``space``.
+def _units(left, right):
+    """The products ``x y* / sqrt(m)`` over the ``(p, n, m)`` stack ``left``
+    and the ``(q, n', m)`` stack ``right``, as ``(p q, n, n')``: for
+    isometries with orthogonal ranges, orthonormal matrix units."""
+    prods = left[:, None] @ right.conj().transpose(0, 2, 1)[None]
+    return prods.reshape(-1, left.shape[1], right.shape[1]) / np.sqrt(left.shape[2])
 
-    The algebras get ``span(T T*)`` and ``span(T* T)``, which generate
-    them, as families; the span is closed under ``x y* z`` exactly when
-    ``span(T T*) Z`` lies in it (:class:`ClosureViolation` otherwise).
+
+def _block_algebra(stacks, n):
+    """The *-algebra ``sum_k M_{n_k} (x) 1_{m_k}`` on ``C^n`` whose block
+    ``k`` has the matrix units ``v_i v_j*`` of the ``(n_k, n, m_k)``
+    isometry stack ``stacks[k]``, written down: its basis is the units over
+    ``sqrt(m_k)``, its unit the sum of the ``v_i v_i*``, and its family the
+    shift ``S = sum v_p v_{p+1}*``, ``S*`` and ``D = sum_k (k+1) v_1 v_1*``,
+    whose words reach every unit as in
+    :func:`~cstarlab.instances.planted_block_algebra`."""
+    if not stacks:
+        return StarAlgebra(basis=Subspace.empty(n, n))
+    basis = np.concatenate([_units(v, v).reshape(-1, n * n) for v in stacks])
+    shift = sum((v[:-1] @ v[1:].conj().transpose(0, 2, 1)).sum(axis=0) for v in stacks)
+    weights = sum((k + 1) * v[0] @ v[0].conj().T for k, v in enumerate(stacks))
+    family = [x / hs_norm(x) for x in (shift, shift.conj().T, weights) if x.any()]
+    return StarAlgebra(basis=Subspace(n, n, basis), unit=sum(gram_sum(v) for v in stacks),
+                       family=np.array(family))
+
+
+def _block_space(blocks, shape):
+    """The TRO's orthonormal basis ``a_i b_j* / sqrt(m_k)``, block by block."""
+    r, c = shape
+    stack = np.zeros((0, r * c), dtype=np.complex128)
+    return Subspace(r, c, np.concatenate([stack, *(_units(a, b).reshape(-1, r * c)
+                                                    for a, b in blocks)]))
+
+
+def _block_family(blocks):
+    """Orthonormal elements whose odd words span the TRO: ``t_0 = sum_k
+    (k+1) a_1 b_1*``, and per index ``i > 1`` the sums of ``a_i b_1*`` and
+    of ``a_1 b_i*`` over the blocks that have it.  Polynomials in
+    ``t_0 t_0*`` separate the blocks (distinct weights), and
+    ``(a_i b_1*)(a_1 b_1*)* (a_1 b_j*) = a_i b_j*``."""
+    tall = max(len(a) for a, _ in blocks)
+    wide = max(len(b) for _, b in blocks)
+    family = np.zeros((tall + wide - 1, blocks[0][0].shape[1], blocks[0][1].shape[1]),
+                      dtype=np.complex128)
+    for k, (a, b) in enumerate(blocks):
+        family[0] += (k + 1) * a[0] @ b[0].conj().T
+        family[1 : len(a)] += a[1:] @ b[0].conj().T
+        family[tall : tall + len(b) - 1] += a[0] @ b[1:].conj().transpose(0, 2, 1)
+    return family / safe_norm(family, axis=(1, 2))[:, None, None]
+
+
+def _corner_terms(gens, rng):
+    """``(sum_t x_t y_t*, sum_t x'_t* y'_t)`` over ``s = max(r, c)`` seeded
+    complex Gaussian combinations of the ``(k, r, c)`` generators each: a
+    generic element of ``span(G G*)`` and one of ``span(G* G)``."""
+    k, r, c = gens.shape
+    s = max(r, c)
+    coeff = rng.standard_normal((4, s, k)) + 1j * rng.standard_normal((4, s, k))
+    x, y, xr, yr = (coeff / np.sqrt(2 * k) @ gens.reshape(k, -1)).reshape(4, s, r, c)
+    left = x.transpose(1, 0, 2).reshape(r, -1) @ y.transpose(1, 0, 2).reshape(r, -1).conj().T
+    return left, xr.reshape(-1, c).conj().T @ yr.reshape(-1, c)
+
+
+def _linking_blocks(gens, rng, tol):
+    """The blocks, as :attr:`TRO.blocks`, of the TRO that the ``(k, r, c)``
+    generators generate, read off one block decomposition of its linking
+    algebra, the *-algebra the ``g^ = [[0, g], [0, 0]]`` generate.
+
+    The generators are divided by their largest norm, as in
+    :func:`~cstarlab.structure.decompose_generators`, and both draws are
+    seeded polynomials in them.  The first draw's off-diagonal corners are
+    zeroed (its corners are in the algebra, since ``diag(u_L, 0)`` is), so
+    its minimal projections each lie in one corner; its diagonal corners
+    get :func:`_corner_terms`, without which thin blocks such as ``4 x 1``
+    keep one eigenvalue, the polynomial's constant, on several of their
+    rows.  Each transporter belongs to the corner that holds its weight;
+    the part outside it must stay within ``tol.member`` and is dropped,
+    and a block must have transporters in both corners
+    (:class:`VerificationFailure` otherwise).
     """
-    m, n = space.shape
-    if not space.dim:
-        return TRO(
-            basis=space,
-            left_algebra=StarAlgebra(basis=Subspace.empty(m, m)),
-            right_algebra=StarAlgebra(basis=Subspace.empty(n, n)),
-        )
-    ts = family.reshape(len(family), m * n)
-    # the closing span comes first: the closure check multiplies by it, and
-    # the units are sought only once the span passed; it costs
-    # dim(span(T T*)) * d products instead of the d^3 triples
-    closing = span_rows(_left_products(ts, space.shape), (m, m), tol=tol)
-    check("span is not closed under x y* z", module_defect(space, closing.matrices),
-          tol.member, ClosureViolation)
-    left_stack, _ = grow_span(
-        closing.stack, _left_products(space.stack, space.shape, ts), tol=tol)
-    left = StarAlgebra(basis=Subspace(m, m, left_stack), family=closing.matrices)
-    left.unit = unit_of(left, tol=tol)
-    right_family = span_rows(_right_products(ts, space.shape), (n, n), tol=tol)
-    right_stack, _ = grow_span(
-        right_family.stack, _right_products(ts, space.shape, space.stack), tol=tol)
-    right = StarAlgebra(basis=Subspace(n, n, right_stack), family=right_family.matrices)
-    right.unit = unit_of(right, tol=tol)
-    tro = TRO(basis=space, left_algebra=left, right_algebra=right, family=family)
-    _check_nondegenerate(tro, tol)
+    k, r, c = gens.shape
+    top = float(np.max(safe_norm(gens, axis=(1, 2)), initial=0.0))
+    if top > 0.0:
+        gens = gens / top
+    hats = np.zeros((k, r + c, r + c), dtype=np.complex128)
+    hats[:, :r, r:] = gens
+
+    def corners(y, rng):
+        left, right = _corner_terms(gens, rng)
+        out = np.zeros_like(y)
+        out[:r, :r] = y[:r, :r] + left
+        out[r:, r:] = y[r:, r:] + right
+        return out
+
+    dec = _decompose(lambda unit, rng: _polynomial(hats, unit, rng), hats, rng, tol,
+                     first=corners)
+    blocks = []
+    for t in dec.transporters:
+        top_part = safe_norm(t[:, :r], axis=(1, 2))
+        bottom_part = safe_norm(t[:, r:], axis=(1, 2))
+        on_top = top_part > bottom_part
+        check("a minimal projection of the linking algebra straddles its corners",
+              float(np.max(np.minimum(top_part, bottom_part))) / np.sqrt(t.shape[2]),
+              tol.member)
+        if on_top.all() or not on_top.any():
+            raise VerificationFailure("a block of the linking algebra lies in one corner")
+        blocks.append((t[on_top, :r], t[~on_top, r:]))
+    return blocks
+
+
+def _tro_from_blocks(space, blocks, tol):
+    """The TRO on ``space`` with the given :attr:`TRO.blocks`, its algebras
+    and family written down from them (:func:`_block_algebra`,
+    :func:`_block_family`); nondegeneracy is verified."""
+    r, c = space.shape
+    tro = TRO(basis=space,
+              left_algebra=_block_algebra([a for a, _ in blocks], r),
+              right_algebra=_block_algebra([b for _, b in blocks], c),
+              family=_block_family(blocks) if blocks else None,
+              blocks=blocks)
+    if space.dim:
+        _check_nondegenerate(tro, tol)
     return tro
 
 
@@ -187,51 +266,59 @@ def _check_nondegenerate(tro, tol):
           max(identity_defect(u_l, zs), identity_defect(u_r, zs, right=True)), tol.member)
 
 
-def _left_multipliers(mats):
-    """The products ``x y*`` over a ``(k, m, n)`` family, as ``(k^2, m, m)``."""
-    k, m, n = mats.shape
-    return _left_products(mats.reshape(k, m * n), (m, n)).reshape(-1, m, m)
-
-
 def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
     """Smallest TRO of ``rows x cols`` matrices containing the generators.
 
-    :func:`close_span` closes by generators: ``T`` is an orthonormal
-    basis of two generic combinations of the generators, and ``span(T)``
-    grows under left multiplication by the products ``x y*`` over ``T``.
-    Two draws, not one: the one multiplier ``t t*`` of a single draw
-    ``t`` generates a commutative algebra, so the closure would reach the
-    TRO only through the generators it leaves out, a Krylov direction per
-    round, with roundoff growing every round.
-    Those words are exactly the odd words ``x1 y1* x2 ... z`` that span
-    the TRO, so no step forms the ``d^3`` triple products of the basis.
-    The TRO keeps ``T`` as its ``family``, and its algebras are built from
-    it (``span(Z T*)`` and ``span(T* Z)``, ``O(d |T|)`` products).
+    Read off the block decomposition of the linking algebra that the
+    generators generate (:func:`_linking_blocks`), drawn from a fixed
+    seed: the basis ``a_i b_j* / sqrt(m_k)``, both algebras and the family
+    are written down from its blocks (:func:`_tro_from_blocks`), so no
+    span is closed and no triple product of the basis is formed.
+    ``dim Z = sum a_k b_k``.
     """
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
-    space, family = close_span(
-        generators, (m, n), start=lambda family: family, multipliers=_left_multipliers,
-        draws=2, tol=tol,
-    )
-    return _build_tro(space, family.reshape(-1, m, n), tol)
+    _, flat = _stack_inputs(generators, shape=(m, n))
+    blocks = _linking_blocks(flat.reshape(-1, m, n), np.random.default_rng(_LINK_SEED), tol)
+    return _tro_from_blocks(_block_space(blocks, (m, n)), blocks, tol)
 
 
 def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     """Build a TRO from a family already spanning one.
 
-    The family is orthonormalized into the TRO's basis, and
-    :func:`~cstarlab.linalg._closed_span_family` closes that basis as
-    :func:`generate_tro` closes generators: the span is a TRO exactly when
-    its closure is the span, and the closure's family ``T`` becomes the
-    TRO's ``family`` (:class:`ClosureViolation` otherwise).  The algebras
-    are built from ``T``, and nondegeneracy is verified.
+    The family is orthonormalized into the TRO's basis ``S``.  A span that
+    is not closed is refused first by one probe: for unit-norm seeded
+    combinations ``x``, ``y`` of the basis, ``x y* S`` must lie in ``S``
+    within ``tol.member``.  The residual of ``x y* z`` is a polynomial in
+    the coefficients of ``x`` and ``y``, so it vanishes for generic ones
+    only if it vanishes for all, and a span moved off closed by more than
+    the decomposition resolves (1e-6, say) is refused here rather than
+    left to it.  Then the TRO the basis generates is read off as in
+    :func:`generate_tro`: the span is a TRO exactly when that TRO has its
+    dimension, ``sum a_k b_k = dim S``, and lies within ``tol.member`` of
+    it (:class:`ClosureViolation` otherwise).  The TRO keeps the given
+    basis; its algebras and family come from the blocks, and
+    nondegeneracy is verified.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
-    family = _closed_span_family(
-        space, lambda family: family, _left_multipliers, draws=2, tol=tol)
-    return _build_tro(space, family, tol)
+    if space.dim:
+        rng = np.random.default_rng([_LINK_SEED, 1])
+        coeff = rng.standard_normal((2, space.dim)) + 1j * rng.standard_normal((2, space.dim))
+        x, y = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True) @ space.stack).reshape(
+            2, *space.shape)
+        check("span is not closed under x y* z", module_defect(space, (x @ y.conj().T)[None]),
+              tol.member, ClosureViolation)
+    blocks = _linking_blocks(space.matrices, np.random.default_rng(_LINK_SEED), tol)
+    closed = _block_space(blocks, space.shape)
+    if closed.dim != space.dim:
+        raise ClosureViolation(
+            f"span of dimension {space.dim} is not closed: "
+            f"the TRO it generates has dimension {closed.dim}"
+        )
+    check("span is not the TRO it generates", closed.distance(space), tol.member,
+          ClosureViolation)
+    return _tro_from_blocks(space, blocks, tol)
 
 
 @dataclass(eq=False)
@@ -265,50 +352,28 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     """Identify the rectangular blocks of a TRO and build the isometries
     realizing them.
 
-    Works through the left algebra: its block decomposition provides the
-    minimal central projections ``c_k``, the block sizes ``m_k`` and, as
-    the first ``m_k`` of the block's columns of its basis change, ``U_k``.
-    For the first column ``u`` of ``U_k`` and the orthonormal basis of
-    ``Z``, ``sum z* u u* z`` times the block's multiplicity is the
-    projection onto the block's column space: ``V_k`` is its eigenvectors
-    above 1/2 and ``n_k`` their count, which must be at least 1 and match
-    the trace.  The total ``sum m_k n_k`` must equal ``dim Z``.  The
-    ternary-morphism property of the assembled maps is certified for
-    every basis triple at once: ``residuals["ternary_morphism"]`` is an
-    upper bound on the worst triple's defect, built from ``O(d)``
-    products per block, and must stay within ``tol.composite``.
+    Reads the TRO's :attr:`~TRO.blocks`, the corner-split block
+    decomposition of its linking algebra that built it; a TRO built by
+    hand without them gets them from its basis as :func:`tro_from_span`
+    does, with draws seeded by ``seed``.  Block ``k`` has shape
+    ``(a_k, b_k)``, the counts of its row and column transporters;
+    ``U_k`` and ``V_k`` are the first columns of those transporters, one
+    copy of the block, and its central projection in the left algebra is
+    ``sum a_i a_i*``.  The total ``sum a_k b_k`` must equal ``dim Z``, the
+    isometries must be isometric, and the ternary-morphism property of
+    the assembled maps is certified for every basis triple at once:
+    ``residuals["ternary_morphism"]`` is an upper bound on the worst
+    triple's defect, built from ``O(d)`` products per block, and must stay
+    within ``tol.composite``.
     """
     if tro.dim == 0:
         return TROClassification(blocks=[], isometries=[], central_projections=[],
                                  residuals={"ternary_morphism": 0.0})
-    dec = wedderburn_decompose(tro.left_algebra, seed=seed, tol=tol)
-    zs = tro.basis.matrices
-    entries = []
-    off = 0
-    for k in range(dec.num_blocks):
-        m_k, mult = dec.block_sizes[k], dec.multiplicities[k]
-        # the basis change lists each block as `mult` copies of `m_k`
-        # columns; the first copy is U_k
-        u_iso = dec.basis_change[:, off : off + m_k]
-        off += m_k * mult
-        # over the orthonormal basis of Z, sum z* u u* z for the first
-        # column u of U_k is the projection onto the block's column space,
-        # divided by the multiplicity
-        rows = u_iso[:, 0].conj() @ zs
-        g = mult * (rows.conj().T @ rows)
-        edec = hermitian_eig(g, tol=tol)
-        sel = edec.eigenvalues > 0.5
-        n_k = int(np.sum(sel))
-        trace = float(np.real(np.trace(g)))
-        if n_k < 1:
-            raise VerificationFailure("column projection of a block has no eigenvalue above 1/2")
-        check(f"column projection of a block has trace {trace!r} "
-              f"and {n_k} eigenvalues above 1/2", abs(trace - n_k), tol.member * max(1.0, n_k))
-        entries.append(
-            {"shape": (m_k, n_k), "U": u_iso, "V": edec.basis[:, sel],
-             "central": dec.central_projections[k]}
-        )
-
+    blocks = tro.blocks
+    if blocks is None:
+        blocks = _linking_blocks(tro.basis.matrices, np.random.default_rng(seed), tol)
+    entries = [{"shape": (len(a), len(b)), "U": a[:, :, 0].T, "V": b[:, :, 0].T,
+                "central": gram_sum(a)} for a, b in blocks]
     entries.sort(
         key=lambda blk: (
             -blk["shape"][0],

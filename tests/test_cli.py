@@ -437,6 +437,45 @@ def test_zero_tro_classifies(tmp_path, generators):
     assert report["ternary_morphism_residual"] == 0.0
 
 
+@pytest.mark.parametrize("algebra_generators, ideal_generators", [
+    ([], []),
+    ([np.zeros((2, 2))], [np.zeros((2, 2))]),
+])
+def test_ideal_over_the_zero_algebra_is_the_zero_ideal(tmp_path, algebra_generators,
+                                                      ideal_generators):
+    """No algebra generator, or only zero ones, gives the zero algebra; its
+    only ideal is 0, reported without a traceback (the Gram rank step
+    reshaped an empty stack)."""
+    fix = tmp_path / "ideal.json"
+    fix.write_text(json.dumps(encode_ideal_fixture(2, algebra_generators, ideal_generators)))
+    r = run_cli("ideal", fix)
+    assert r.returncode == 0, r.stderr
+    report = json.loads(r.stdout)
+    assert report["ok"] and report["algebra_dim"] == 0 and report["ideal_dim"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decompose_of_a_thin_family_is_m7_or_refused(tmp_path, seed):
+    """``E_i7`` (i = 1..6) generate M7, but the Horner words of the draws
+    all share their left factor, a combination of rank-one members, so the
+    draw leaves one eigenvalue on several rows: ``decompose`` ends in
+    ``DegenerateRandomness`` (exit 2) on every seed.  It must never report
+    another signature."""
+    gens = []
+    for i in range(6):
+        e = np.zeros((7, 7))
+        e[i, 6] = 1.0
+        gens.append(e)
+    fix = tmp_path / "alg.json"
+    fix.write_text(json.dumps(encode_algebra_fixture(7, gens)))
+    r = run_cli("decompose", fix, "--seed", seed)
+    if r.returncode == 0:
+        assert json.loads(r.stdout)["blocks"] == [{"size": 7, "multiplicity": 1}]
+    else:
+        assert r.returncode == 2 and "random elements failed" in r.stderr, r.stderr
+        assert "Traceback" not in r.stderr
+
+
 def test_decompose_of_a_huge_generator(tmp_path):
     """1e300 E12 generates M2, whose squares overflow: the report is M2's."""
     fix = tmp_path / "alg.json"

@@ -1,11 +1,16 @@
-"""Closure by generators against the all-pairs and all-triples loops.
+"""Algebras and TROs from their generators against the all-pairs and
+all-triples loops.
 
-``close_span`` closes a span from a small generic family and multiplies
-only the rows each round adds.  The references below are the loops it
-replaced: every round offers ``grow_span`` all pairwise products and
-adjoints of the basis (algebras) or all triple products ``x y* z``
-(TROs), until a round adds nothing.  Both must give the same span.
+``close_span`` closes an algebra from a small generic family and
+multiplies only the rows each round adds; ``generate_tro`` reads a TRO
+off the block decomposition of its linking algebra.  The references below
+are the loops they replaced: every round offers ``grow_span`` all pairwise
+products and adjoints of the basis (algebras) or all triple products
+``x y* z`` (TROs), until a round adds nothing.  Both must give the same
+span.
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import cstarlab.linalg as linalg_mod
 from cstarlab import (
     StarAlgebra,
+    classify_tro,
     generate_algebra,
     generate_right_ideal,
     generate_tro,
@@ -130,7 +136,7 @@ def test_tro_closure_matches_all_triples(kind, seed):
     assert_same_tro(*tro_generators(kind, seed))
 
 
-def first_generator_only(gens, draws):
+def first_generator_only(gens):
     return gens[:1]
 
 
@@ -143,7 +149,6 @@ def test_closure_from_the_first_generator_still_reaches_every_generator(kind, se
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linalg_mod, "_family_draw", first_generator_only)
         assert_same_algebra(*algebra_generators(kind, seed))
-        assert_same_tro(*tro_generators(kind, seed))
 
 
 def test_two_generator_closure_offers_linearly_many_rows():
@@ -171,24 +176,26 @@ def test_two_generator_closure_offers_linearly_many_rows():
     assert len(StarAlgebra.from_span(list(alg.basis.matrices)).family) == 2
 
 
-def test_tro_closures_start_from_two_draws():
-    """With one draw ``t`` a TRO family has the one multiplier ``t t*``,
-    which generates a commutative algebra; ``generate_tro``,
-    ``tro_from_span`` and ``planted_block_tro`` keep two."""
-    draws = []
-    real_family_draw = linalg_mod._family_draw
-
-    def recording(gens, count):
-        draws.append(count)
-        return real_family_draw(gens, count)
+def test_tro_constructors_close_no_span():
+    """``generate_tro``, ``tro_from_span``, ``classify_tro`` and
+    ``planted_block_tro`` read the TRO off the block decomposition of its
+    linking algebra: none of them calls ``close_span`` or
+    ``_closed_span_family``, under any module's binding."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a TRO constructor closed a span")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg_mod, "_family_draw", recording)
+        for name_, module in list(sys.modules.items()):
+            if name_.startswith("cstarlab"):
+                for name in ("close_span", "_closed_span_family"):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, refuse)
         planted = planted_block_tro([(3, 4), (2, 2), (1, 3)], seed=5).tro
         gens = list(planted.basis.matrices)
         generated = generate_tro(*planted.basis.shape, gens)
         given_closed = tro_from_span(gens)
-    assert draws == [2, 2, 2]
+        for tro in (planted, generated, given_closed):
+            assert sorted(classify_tro(tro).blocks) == [(1, 3), (2, 2), (3, 4)]
     for tro in (generated, given_closed):
         assert tro.basis.distance(planted.basis) <= SPAN_TOL
 

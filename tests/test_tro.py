@@ -136,28 +136,105 @@ def moved_by_roundoff(mats, seed):
 def test_classification_at_the_old_rank_edge(seed):
     """Blocks (3,3), (4,1), (4,3) with every basis element moved by 3e-10.
     Deciding dim(c_k Z) by a singular-value cut at tol.rank split a 4-row
-    block into 14, 18 and 7 dimensions on seeds 1, 3 and 10; reading U_k
-    off the basis change and n_k off a projection recovers the planted
-    blocks on every seed.  The TRO is built by hand with its basis as its
-    family, since no constructor accepts the span (next test)."""
+    block into 14, 18 and 7 dimensions on seeds 1, 3 and 10; reading the
+    blocks off the linking algebra's decomposition recovers the planted
+    blocks on every seed, from the blocks the TRO keeps and, for a TRO
+    built by hand without them, from its basis."""
     mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
-    space = orthonormalize(moved_by_roundoff(mats, seed))
-    z = tro_mod._build_tro(space, space.matrices, DEFAULT_TOL)
+    z = tro_from_span(moved_by_roundoff(mats, seed))
+    assert z.dim == 25
     assert sorted(classify_tro(z, seed=seed).blocks) == sorted(EDGE_BLOCKS)
+    bare = TRO(basis=z.basis, left_algebra=z.left_algebra, right_algebra=z.right_algebra)
+    assert sorted(classify_tro(bare, seed=seed).blocks) == sorted(EDGE_BLOCKS)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_a_span_moved_by_roundoff_is_refused_by_both_constructors(seed):
-    """One verdict for a span 3e-10 off closed: closing it keeps the
-    directions roundoff made (the TRO's 25 dimensions grow to 77, the
-    algebra's 14 to all of M_8), so tro_from_span and
-    StarAlgebra.from_span both refuse it."""
+    """A span 3e-10 off closed.  Closing it kept the directions roundoff
+    made (the TRO's 25 dimensions grew to 77, the algebra's 14 to all of
+    M_8), so both constructors refused it.  tro_from_span now reads the
+    TRO its basis generates off the linking algebra's decomposition, which
+    resolves the span to the planted blocks within tol.member, and accepts
+    it; StarAlgebra.from_span still closes the span and refuses it."""
     mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
-    with pytest.raises(ClosureViolation):
-        tro_from_span(moved_by_roundoff(mats, seed))
+    assert tro_from_span(moved_by_roundoff(mats, seed)).dim == 25
     mats = planted_block_algebra([3, 2, 1], [1, 2, 1], seed=seed).algebra.basis.matrices
     with pytest.raises(ClosureViolation):
         StarAlgebra.from_span(moved_by_roundoff(mats, seed))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_family_moved_by_roundoff_generates_the_planted_tro(seed):
+    """generate_tro of the same moved family raised VerificationFailure
+    (an algebra without a unit) on six seeds and returned dimension 77 on
+    the other six.  It must end in the planted blocks or a typed error,
+    never in another TRO; the planted blocks are what it gives."""
+    planted = planted_block_tro(EDGE_BLOCKS, seed=seed).tro
+    moved = moved_by_roundoff(planted.basis.matrices, seed)
+    z = generate_tro(planted.rows, planted.cols, moved)
+    assert z.dim == 25
+    assert sorted(classify_tro(z, seed=seed).blocks) == sorted(EDGE_BLOCKS)
+    assert z.basis.distance(planted.basis) <= DEFAULT_TOL.member
+
+
+THIN_SHAPES = [[(6, 1)], [(4, 1), (1, 4)], [(4, 1), (2, 1), (1, 4)], [(1, 5), (3, 1)]]
+
+
+@pytest.mark.parametrize("blocks", THIN_SHAPES, ids=str)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_thin_blocks_are_generated_and_classified(blocks, seed):
+    """Blocks one row or one column wide.  A draw whose Horner words all
+    share their left factor leaves the polynomial's constant on several
+    rows of a 4 x 1 block and on both 5 x 5 blocks of the linking algebra
+    of [(4,1), (2,1), (1,4)], the benchmark pool's shape; zeroing the
+    first draw's corners alone still failed 3 of 15 shapes.  With the
+    corner terms the planted blocks come back."""
+    planted = planted_block_tro(blocks, seed=seed).tro
+    z = generate_tro(planted.rows, planted.cols, list(planted.basis.matrices))
+    assert z.dim == planted.dim
+    assert sorted(classify_tro(z).blocks) == sorted(blocks)
+    assert z.basis.distance(planted.basis) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_generic_elements_of_a_column_block_generate_two_rows(seed):
+    """Two elements of a 4 x 1 block span a 2 x 1 sub-TRO: a word
+    ``x y* z`` is ``x`` times the scalar ``y* z``."""
+    planted = planted_block_tro([(4, 1)], seed=seed).tro
+    rng = np.random.default_rng(seed)
+    gens = [sample_member(planted, rng) for _ in range(2)]
+    z = generate_tro(planted.rows, planted.cols, gens)
+    assert z.dim == 2
+    assert classify_tro(z).blocks == [(2, 1)]
+    assert z.basis.distance(orthonormalize(gens)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_doubled_block_is_one_block(seed):
+    """Generic elements ``x (+) x`` of two equal 2 x 3 blocks generate one
+    block of multiplicity 2 in the linking algebra: one 2 x 3 TRO block,
+    whose left algebra is M2 doubled."""
+    rng = np.random.default_rng(seed)
+    u, v = haar_unitary(4, rng), haar_unitary(6, rng)
+    gens = []
+    for _ in range(2):
+        x = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        doubled = np.zeros((4, 6), dtype=complex)
+        doubled[:2, :3] = doubled[2:, 3:] = x
+        gens.append(u @ doubled @ v.conj().T)
+    z = generate_tro(4, 6, gens)
+    assert z.dim == 6 and z.left_algebra.dim == 4 and z.right_algebra.dim == 9
+    cls = classify_tro(z)
+    assert cls.blocks == [(2, 3)]
+    assert all(z.contains(g) for g in gens)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_scaled_generators_give_the_planted_blocks(scale):
+    planted = planted_block_tro([(3, 2), (4, 1), (1, 1)], seed=8).tro
+    z = generate_tro(planted.rows, planted.cols, list(scale * planted.basis.matrices))
+    assert sorted(classify_tro(z).blocks) == [(1, 1), (3, 2), (4, 1)]
+    assert z.basis.distance(planted.basis) <= 1e-12
 
 
 def test_classification_of_a_repeated_block():

@@ -43,7 +43,7 @@ from cstarlab.instances import (
     random_tro_blocks,
 )
 from cstarlab.linalg import Subspace, span_rows, support_projection_of_psd
-from cstarlab.tro import Submodule, _certify_generation, _left_products, _right_products
+from cstarlab.tro import Submodule, _certify_generation
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -85,6 +85,22 @@ def maximal_submodule(tro, rng):
     left = tro.left_algebra
     e = minimal_projection_below(left, left.unit, seed=int(rng.integers(2**31)))
     return generate_submodule(tro, list((left.unit - e) @ tro.basis.matrices))
+
+
+def _left_products(stack, shape, others=None):
+    """The flattened products ``x y*`` over the rows ``x`` of ``stack`` and
+    ``y`` of ``others`` (``stack`` itself by default)."""
+    m, n = shape
+    mats = stack.reshape(-1, m, n)
+    ys = mats if others is None else others.reshape(-1, m, n)
+    return (mats[:, None] @ ys.conj().transpose(0, 2, 1)[None]).reshape(-1, m * m)
+
+
+def _right_products(stack, shape):
+    """The flattened products ``x* y`` over the rows of ``stack``."""
+    m, n = shape
+    mats = stack.reshape(-1, m, n)
+    return (mats.conj().transpose(0, 2, 1)[:, None] @ mats[None]).reshape(-1, n * n)
 
 
 def left_span(stack, shape, others=None):
