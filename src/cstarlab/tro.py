@@ -28,9 +28,16 @@ reads the blocks and isometries off the same data.
 Submodules (right-ideal analogues) correspond bijectively to right
 ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``: a closed
 submodule is ``W = pZ`` for the support projection ``p`` in ``L`` of
-``sum w w*``, its ideal is ``pL``, and it is maximal exactly when
-``u_L - p`` is minimal.  The same ``p`` gives ``W`` a finite generation
-certificate.
+``sum g g*`` over its generators (of ``sum w w*`` over its basis), its
+ideal is ``pL``, and it is maximal exactly when ``u_L - p`` is minimal.
+All of it is read in the blocks' coordinates: ``p`` compresses to the
+``a_k x a_k`` matrices ``P_k[i, i'] = tr(a_i* p a_i') / m_k``, and with
+``v_q = sum_i q_i a_i`` over an orthonormal basis ``q`` of the range of
+``P_k``, ``W`` has the orthonormal basis ``v_q b_j* / sqrt(m_k)`` and
+``pL`` the basis ``v_q a_i'* / sqrt(m_k)``.  So ``dim W = sum_k rank(P_k)
+b_k``, ``W`` is maximal when ``sum_k (a_k - rank P_k) = 1``, and the
+finite generation certificate's ``s^(-1/2)`` is ``sum_k sqrt(m_k / b_k)
+sum_q v_q v_q*``; no span is grown, spanned or traced.
 """
 
 import numpy as np
@@ -48,16 +55,10 @@ from .errors import (
     check,
 )
 from .algebra import StarAlgebra
-from .ideals import (
-    RightIdeal,
-    _corner_space,
-    is_minimal_projection,
-    right_module_span,
-)
+from .ideals import RightIdeal
 from .linalg import (
     Subspace,
     _stack_inputs,
-    as_matrix,
     gram_sum,
     hs_norm,
     identity_defect,
@@ -65,7 +66,6 @@ from .linalg import (
     orthonormalize,
     psd_cut,
     safe_norm,
-    span_rows,
 )
 from .structure import _decompose, _polynomial
 
@@ -155,7 +155,9 @@ def _block_algebra(stacks, n):
 
 
 def _block_space(blocks, shape):
-    """The TRO's orthonormal basis ``a_i b_j* / sqrt(m_k)``, block by block."""
+    """The orthonormal units ``x y* / sqrt(m_k)`` over the stacks ``(x, y)``
+    of each block: the TRO's basis ``a_i b_j* / sqrt(m_k)`` for its blocks,
+    and that of a submodule or its ideal for the ranges of ``p``."""
     r, c = shape
     stack = np.zeros((0, r * c), dtype=np.complex128)
     return Subspace(r, c, np.concatenate([stack, *(_units(a, b).reshape(-1, r * c)
@@ -369,9 +371,7 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     if tro.dim == 0:
         return TROClassification(blocks=[], isometries=[], central_projections=[],
                                  residuals={"ternary_morphism": 0.0})
-    blocks = tro.blocks
-    if blocks is None:
-        blocks = _linking_blocks(tro.basis.matrices, np.random.default_rng(seed), tol)
+    blocks = _tro_blocks(tro, seed, tol)
     entries = [{"shape": (len(a), len(b)), "U": a[:, :, 0].T, "V": b[:, :, 0].T,
                 "central": gram_sum(a)} for a, b in blocks]
     entries.sort(
@@ -447,8 +447,10 @@ class Submodule:
 
     ``_roundtrip`` holds the last verified
     :func:`submodule_ideal_roundtrip` against ``parent`` as
-    ``(tol, basis, dec, cut, ideal, report)``, where ``(dec, cut)`` is the
-    :func:`psd_cut` of ``sum w w*`` over the basis."""
+    ``(tol, basis, blocks, ranges, ideal, report)``, where ``ranges[k]``
+    stacks the isometries ``v_q`` of ``blocks[k]`` that :func:`_compress`
+    reads off the support projection ``p``, so ``W = pZ`` has the basis
+    ``v_q b_j* / sqrt(m_k)``."""
 
     parent: TRO
     generators: list
@@ -468,88 +470,177 @@ class Submodule:
         return kept if kept is not None and kept[0] == tol and kept[1] is self.basis else None
 
 
-def generate_submodule(tro, generators, tol=DEFAULT_TOL):
-    """Right submodule of the TRO generated by the given elements: the
-    span of ``g (Z* Z)^1`` (:func:`right_module_span` over the right
-    algebra, grown under its family ``span(T* T)``);
-    each generator must belong to the TRO, to
-    ``tol.member * max(1, ||g||)``."""
-    m, n = tro.basis.shape
-    gens = [as_matrix(g, shape=(m, n)) for g in generators]
-    check("submodule generator is not in the TRO, relative to its norm",
-          tro.basis.max_relative_residual(
-              np.array(gens, dtype=np.complex128).reshape(len(gens), m * n)),
-          tol.member, MembershipViolation)
-    space = right_module_span(tro.right_algebra, gens, m, tol=tol)
-    return Submodule(parent=tro, generators=gens, basis=space)
+def _tro_blocks(tro, seed, tol):
+    """The TRO's :attr:`~TRO.blocks`; a TRO built by hand without them gets
+    those of the linking algebra its basis generates, drawn from ``seed``."""
+    if tro.blocks is not None:
+        return tro.blocks
+    return _linking_blocks(tro.basis.matrices, np.random.default_rng(seed), tol)
 
 
-def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
-    """The right ideal ``J = W Z*`` of the left algebra, read off the
-    support projection ``p`` of ``sum w w*`` over the basis of ``W``.
+def _compress(blocks, p, tol):
+    """``(ranges, residual)`` of a projection ``p`` against the blocks.
 
-    Checked: ``p`` in the left algebra (:class:`NotInAlgebra`), ``W`` in
-    ``Z`` (:class:`MembershipViolation`), ``p w = w``, ``dim pZ = dim W``
-    by a corner trace (:class:`VerificationFailure` naming both) and ``W``
-    closed under the right algebra's family.  Then ``W = pZ``, so
-    ``J = pL``, ``J Z = W`` and ``(J Z) Z* = J``; ``J`` is returned as
-    ``pL`` with generator ``p``, and no span of ``W Z*`` is formed.
-
-    Returns ``(ideal, report)``: ``module_roundtrip`` is the larger of
-    the ``W in Z`` and ``p w = w`` residuals, ``ideal_roundtrip`` the
-    residual of ``p`` against the left algebra.  A verified result is
-    kept on the submodule, so a repeat call against its parent with an
-    equal ``tol`` and the same basis returns the same ideal and a copy of
-    the report without recomputing.
+    Block ``(a, b)`` compresses ``p`` to ``P_k[i, i'] = tr(a_i* p a_i') /
+    m_k``, and ``sum_k sum P_k[i, i'] a_i a_i'*`` is the orthogonal
+    projection of ``p`` onto L: ``residual``, its distance to ``p`` over
+    ``max(1, ||p||)``, must stay within ``tol.member``
+    (:class:`NotInAlgebra`).  The ``P_k``, padded with zeros to one size,
+    take one batched eigendecomposition: together they must lie within
+    ``tol.member`` of a projection (:class:`VerificationFailure`), and
+    ``ranges[k]`` stacks the ``r x m_k`` isometries ``v_q = sum_i q_i a_i``
+    over the eigenvectors ``q`` of ``P_k`` above 1/2, an orthonormal basis
+    of its range.
     """
-    kept = submodule._kept(tol) if tro is submodule.parent else None
-    if kept is not None:
-        return kept[4], dict(kept[5])
-    dec, cut, ideal, report = _verify_roundtrip(tro, submodule, tol)
-    if tro is submodule.parent:
-        submodule._roundtrip = (tol, submodule.basis, dec, cut, ideal, dict(report))
-    return ideal, report
+    width = max((len(a) for a, _ in blocks), default=0)
+    comps = np.zeros((len(blocks), width, width), dtype=np.complex128)
+    rebuilt = np.zeros_like(p)
+    for k, (a, _) in enumerate(blocks):
+        count, r, mult = a.shape
+        flat = a.transpose(1, 0, 2).reshape(r, count * mult)
+        pk = np.einsum("iuju->ij", (flat.conj().T @ p @ flat).reshape(count, mult, count, mult))
+        pk /= mult
+        comps[k, :count, :count] = pk
+        # sum_ij P_k[i, j] a_i a_j* = sum_j (sum_i P_k[i, j] a_i) a_j*
+        mixed = (pk.T @ a.reshape(count, -1)).reshape(count, r, mult)
+        rebuilt += mixed.transpose(1, 0, 2).reshape(r, -1) @ flat.conj().T
+    resid = check("support projection p of W W* is not in the left algebra, relative to its norm",
+                  hs_norm(rebuilt - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
+    w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
+    check("a block compression of p is not a projection",
+          hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
+    ranges = [(q[k][:len(a), w[k] > 0.5].T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
+              for k, (a, _) in enumerate(blocks)]
+    return ranges, resid
 
 
-def _verify_roundtrip(tro, submodule, tol):
-    left = tro.left_algebra
-    ws = submodule.basis.matrices
-    # one eigendecomposition, shared with finite_generation_certificate
-    dec, cut, _ = psd_cut(gram_sum(ws), tol=tol)
-    p = dec.above(cut, lambda t: 1.0)
-    ideal_resid = check(
-        "support projection p of W W* is not in the left algebra, relative to its norm",
-        left.basis.max_relative_residual(p.reshape(1, -1)), tol.member, NotInAlgebra)
+def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
+    """The roundtrip record ``(tol, basis, blocks, ranges, ideal, report)``
+    of :class:`Submodule` for the support projection ``p`` of ``W``, whose
+    ``compressed = _compress(blocks, p, tol)`` has checked ``p`` in L.
+
+    Checked here: ``W`` in ``Z`` (:class:`MembershipViolation`), ``p w =
+    w``, ``dim pZ = sum_k rank(P_k) b_k = dim W``
+    (:class:`VerificationFailure` naming both) and ``W`` closed under the
+    right algebra's family.  Then ``W = pZ`` and its ideal ``J = pL`` has
+    the basis ``v_q a_i'* / sqrt(m_k)``.
+    """
+    ranges, ideal_resid = compressed
     module_resid = max(
         check("W is not in the TRO, relative to its norm",
               tro.basis.max_relative_residual(submodule.basis.stack), tol.member,
               MembershipViolation),
-        check("p w = w fails on W", identity_defect(p, ws), tol.member),
+        check("p w = w fails on W", identity_defect(p, submodule.basis.matrices), tol.member),
     )
-    # pZ is 0 for p = 0, and the zero TRO has no unit to take the trace with
-    dim_pz = _corner_space(tro, p, tro.right_algebra.unit, tol) if submodule.dim else 0
+    dim_pz = sum(len(v) * len(b) for v, (_, b) in zip(ranges, blocks))
     if dim_pz != submodule.dim:
         raise VerificationFailure(f"W is not pZ: dim pZ = {dim_pz}, dim W = {submodule.dim}")
     check("W is not closed under the right algebra",
           module_defect(submodule.basis, tro.right_algebra.family, right=True), tol.member)
-    ideal = RightIdeal(parent=left, generators=[p], basis=span_rows(
-        (p @ left.basis.matrices).reshape(-1, left.ambient_dim ** 2), left.basis.shape, tol=tol))
+    r = tro.rows
+    ideal = RightIdeal(parent=tro.left_algebra, generators=[p], basis=_block_space(
+        [(v, a) for v, (a, _) in zip(ranges, blocks)], (r, r)))
     report = {"module_roundtrip": module_resid, "ideal_roundtrip": ideal_resid, "ok": True}
-    return dec, cut, ideal, report
+    return tol, submodule.basis, blocks, ranges, ideal, report
+
+
+def generate_submodule(tro, generators, tol=DEFAULT_TOL):
+    """Right submodule ``sum_j g_j (Z* Z)^1`` of the TRO generated by the
+    given elements, written down as ``pZ``.
+
+    Each generator must belong to the TRO, to ``tol.member * max(1,
+    ||g||)``.  Over the generators divided by their largest norm, one
+    :func:`psd_cut` of ``b = sum_j g_j g_j*`` gives its support projection
+    ``p``, certified by ``p g_j = g_j`` within ``tol.rank`` and by ``p =
+    sum_j g_j (g_j* b^+)`` within ``tol.member`` relative to the ``g_j*
+    b^+`` in ``Z*``: so ``pZ`` lies in the submodule and contains every
+    generator.  ``p`` is compressed against the TRO's blocks
+    (:func:`_compress`), and ``W`` gets the orthonormal basis ``v_q b_j* /
+    sqrt(m_k)``; no span is grown.  The roundtrip of
+    :func:`_verify_roundtrip` runs on this ``p`` and stays on the
+    submodule, for :func:`submodule_ideal_roundtrip`,
+    :func:`is_maximal_submodule` and :func:`finite_generation_certificate`
+    with the same ``tol``.
+    """
+    m, n = tro.basis.shape
+    _, flat = _stack_inputs(generators, shape=(m, n))
+    check("submodule generator is not in the TRO, relative to its norm",
+          tro.basis.max_relative_residual(flat), tol.member, MembershipViolation)
+    gens = flat.reshape(-1, m, n)
+    p = np.zeros((m, m), dtype=np.complex128)
+    scale = float(np.max(safe_norm(gens, axis=(1, 2)), initial=0.0))
+    if scale > 0.0:
+        gmats = gens / scale
+        dec, cut, _ = psd_cut(gram_sum(gmats), tol=tol)
+        p = dec.above(cut, lambda t: 1.0)
+        check("p g = g fails on the generators", identity_defect(p, gmats), tol.rank)
+        ds = gmats.conj().transpose(0, 2, 1) @ dec.above(cut, lambda t: 1.0 / t)
+        reproduced = gmats.transpose(1, 0, 2).reshape(m, -1) @ ds.reshape(-1, m)
+        check("p = sum_j g_j g_j* b^+ fails",
+              hs_norm(reproduced - p) / max(1.0, hs_norm(ds)), tol.member)
+    blocks = _tro_blocks(tro, 0, tol)
+    compressed = _compress(blocks, p, tol)
+    space = _block_space([(v, b) for v, (_, b) in zip(compressed[0], blocks)], (m, n))
+    submodule = Submodule(parent=tro, generators=list(gens), basis=space)
+    submodule._roundtrip = _verify_roundtrip(tro, submodule, p, blocks, compressed, tol)
+    return submodule
+
+
+def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
+    """The right ideal ``J = W Z*`` of the left algebra, read off the
+    support projection ``p`` of ``W`` in block coordinates.
+
+    A submodule from :func:`generate_submodule` keeps the roundtrip it was
+    verified with, for its ``tol``.  Otherwise ``p`` is the
+    :func:`psd_cut` support of ``sum w w*`` over the basis of ``W``, and
+    :func:`_verify_roundtrip` checks ``p`` in the left algebra through its
+    block compressions
+    (:class:`NotInAlgebra`), ``W`` in ``Z`` (:class:`MembershipViolation`),
+    ``p w = w``, ``dim pZ = sum_k rank(P_k) b_k = dim W``
+    (:class:`VerificationFailure` naming both) and ``W`` closed under the
+    right algebra's family.  Then ``W = pZ``, so ``J = pL``, ``J Z = W``
+    and ``(J Z) Z* = J``; ``J`` is returned as ``pL`` with generator ``p``
+    and the basis ``v_q a_i'* / sqrt(m_k)``, and no span is formed.
+
+    Returns ``(ideal, report)``: ``module_roundtrip`` is the larger of
+    the ``W in Z`` and ``p w = w`` residuals, ``ideal_roundtrip`` the
+    distance from ``p`` to the element of L rebuilt from its compressions,
+    over ``max(1, ||p||)``.  A verified result is kept on the submodule,
+    so a repeat call against its parent with an equal ``tol`` and the same
+    basis returns the same ideal and a copy of the report without
+    recomputing.
+    """
+    record = _roundtrip(tro, submodule, tol)
+    return record[4], dict(record[5])
+
+
+def _roundtrip(tro, submodule, tol):
+    """The kept roundtrip record of the submodule, or a new one from the
+    support of ``sum w w*``, kept when ``tro`` is its parent."""
+    kept = submodule._kept(tol) if tro is submodule.parent else None
+    if kept is not None:
+        return kept
+    dec, cut, _ = psd_cut(gram_sum(submodule.basis.matrices), tol=tol)
+    p = dec.above(cut, lambda t: 1.0)
+    blocks = _tro_blocks(tro, 0, tol)
+    record = _verify_roundtrip(tro, submodule, p, blocks, _compress(blocks, p, tol), tol)
+    if tro is submodule.parent:
+        submodule._roundtrip = record
+    return record
 
 
 def is_maximal_submodule(tro, submodule, tol=DEFAULT_TOL):
     """Whether ``W`` is maximal among proper submodules: with ``W = pZ``
     certified by :func:`submodule_ideal_roundtrip`, exactly when
     ``u_L - p`` is a minimal projection of the left algebra, the paper's
-    criterion for its ideal ``pL`` to be a maximal right ideal."""
+    criterion for its ideal ``pL`` to be a maximal right ideal.  Its
+    compressions are the ``1 - P_k``, so that is ``sum_k (a_k - rank P_k)
+    = 1``."""
     if submodule.dim == tro.dim:
         raise NotProper("the submodule is the whole TRO")
-    # the roundtrip stays on the submodule for a caller that asks for it
-    # next; the zero submodule has p = 0, maximal only when u_L is minimal
-    ideal, _ = submodule_ideal_roundtrip(tro, submodule, tol=tol)
-    left = tro.left_algebra
-    return is_minimal_projection(left, left.unit - ideal.generators[0], tol=tol)
+    # the zero submodule has p = 0, maximal only when L is the scalars
+    _, _, blocks, ranges, _, _ = _roundtrip(tro, submodule, tol)
+    return sum(len(a) - len(v) for v, (a, _) in zip(ranges, blocks)) == 1
 
 
 def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
@@ -560,8 +651,13 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     element ``s = sum w_i w_i*`` has support projection ``e`` acting as
     identity on ``W``; pushing the basis through ``s^(-1/2)`` (on the
     support) gives new elements ``z_i = s^(-1/2) w_i`` of ``W`` with
-    ``sum z_i z_i* = e`` exactly.  The returned certificate carries the
-    ``z_i`` and ``e`` plus the verified residuals.
+    ``sum z_i z_i* = e`` exactly.  With ``W = pZ`` verified by the
+    roundtrip (run first when the submodule keeps none for ``tol``), ``s =
+    sum_k (b_k / m_k) sum_q v_q v_q*`` over the isometries ``v_q`` of the
+    kept ranges, so ``s^(-1/2) = sum_k sqrt(m_k / b_k) sum_q v_q v_q*`` and
+    ``e = sum_k sum_q v_q v_q*`` are written down without an
+    eigendecomposition.  The returned certificate carries the ``z_i`` and
+    ``e`` plus the verified residuals.
 
     ``residuals["projection_in_WWstar"]`` is an upper bound on the distance
     from ``e`` to ``span(W W*)``, not that distance, and no span of ``W W*``
@@ -575,12 +671,11 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     """
     if submodule.dim == 0:
         raise ZeroSubmodule("the zero submodule has no generation certificate")
-    ws = submodule.basis.matrices
-    # one eigendecomposition, kept by a verified roundtrip, gives s^(-1/2) and the support of s
-    kept = submodule._kept(tol)
-    dec, cut = kept[2:4] if kept is not None else psd_cut(gram_sum(ws), tol=tol)[:2]
-    zs = dec.above(cut, lambda t: t ** -0.5) @ ws
-    return _certify_generation(submodule.basis, zs, dec.above(cut, lambda t: 1.0), tol)
+    _, _, blocks, ranges, _, _ = _roundtrip(submodule.parent, submodule, tol)
+    ranged = [(gram_sum(v), v.shape[2] / len(b)) for v, (_, b) in zip(ranges, blocks)]
+    support = sum(e for e, _ in ranged)
+    inv_sqrt = sum(np.sqrt(ratio) * e for e, ratio in ranged)
+    return _certify_generation(submodule.basis, inv_sqrt @ submodule.basis.matrices, support, tol)
 
 
 def _certify_generation(space, zs, support, tol):

@@ -10,6 +10,7 @@ products and adjoints of the basis (algebras) or all triple products
 span.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -20,9 +21,14 @@ import cstarlab.linalg as linalg_mod
 from cstarlab import (
     StarAlgebra,
     classify_tro,
+    finite_generation_certificate,
     generate_algebra,
     generate_right_ideal,
+    generate_submodule,
     generate_tro,
+    is_maximal_submodule,
+    minimal_projection_below,
+    submodule_ideal_roundtrip,
     tro_from_span,
 )
 from cstarlab.algebra import sample_element
@@ -37,6 +43,7 @@ from cstarlab.instances import (
     random_tro_blocks,
 )
 from cstarlab.linalg import Subspace, grow_span, hs_norm, module_defect, orthonormalize
+from cstarlab.tro import TRO, Submodule
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -198,6 +205,41 @@ def test_tro_constructors_close_no_span():
             assert sorted(classify_tro(tro).blocks) == [(1, 3), (2, 2), (3, 4)]
     for tro in (generated, given_closed):
         assert tro.basis.distance(planted.basis) <= SPAN_TOL
+
+
+def test_submodules_close_no_span():
+    """``generate_submodule``, ``submodule_ideal_roundtrip``,
+    ``is_maximal_submodule`` and ``finite_generation_certificate`` read
+    ``W = pZ`` and ``J = pL`` off the TRO's blocks: none of them saturates
+    a span, spans rows or takes a corner trace, under any module's binding,
+    for a generated submodule, one built by hand, another tolerance and a
+    TRO built by hand without blocks."""
+    planted = planted_block_tro([(3, 4), (2, 2), (1, 3)], seed=5).tro
+    left = planted.left_algebra
+    e = minimal_projection_below(left, left.unit, seed=5)
+    gens = list((left.unit - e) @ planted.basis.matrices)
+    bare = TRO(basis=planted.basis, left_algebra=left, right_algebra=planted.right_algebra)
+    loose = dataclasses.replace(DEFAULT_TOL, member=2e-8)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the submodule path formed a span")
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name_, module in list(sys.modules.items()):
+            if name_.startswith("cstarlab"):
+                for name in ("saturate", "right_module_span", "span_rows", "_corner_space"):
+                    if hasattr(module, name):
+                        mp.setattr(module, name, refuse)
+        for tro in (planted, bare):
+            w = generate_submodule(tro, gens)
+            by_hand = Submodule(parent=tro, generators=[], basis=w.basis)
+            for sub in (w, by_hand):
+                assert is_maximal_submodule(tro, sub)
+                for tol in (DEFAULT_TOL, loose):
+                    ideal, report = submodule_ideal_roundtrip(tro, sub, tol=tol)
+                    assert report["ok"] and 0 < ideal.dim < left.dim
+                    cert = finite_generation_certificate(sub, tol=tol)
+                    assert max(cert.residuals.values()) <= tol.composite
 
 
 # (size, multiplicity) pairs, occupied rank at most 16

@@ -43,7 +43,7 @@ from cstarlab.instances import (
     random_tro_blocks,
 )
 from cstarlab.linalg import Subspace, span_rows, support_projection_of_psd
-from cstarlab.tro import Submodule, _certify_generation
+from cstarlab.tro import TRO, Submodule, _certify_generation
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -282,3 +282,47 @@ def test_a_planted_tro_keeps_its_basis_and_gets_a_family():
     assert np.array_equal(p.tro.basis.matrices, planted)
     closed = generate_tro(3, 5, list(p.tro.family))
     assert closed.basis.distance(p.tro.basis) <= SPAN_TOL
+
+
+def generated_submodule(tro, rng):
+    """The submodule ``p z`` generates, for a random projection ``p`` of the
+    left algebra and a sampled element ``z``: often neither zero, maximal
+    nor the whole TRO."""
+    return [random_projection(tro.left_algebra, rng) @ sample_element(tro, rng)]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(SEEDS, PATHS)
+def test_submodules_lie_in_z_and_match_the_saturation_oracle(seed, path):
+    """``W = pZ`` is written down from Z's own block units, so it lies in
+    Z to roundoff, where growing ``span(g)`` under the right algebra's
+    family once put a basis 1.2e-10 off Z; and it is the span that
+    saturation grows from the same generators."""
+    tro, _, rng = family_tro(seed, path)
+    left = tro.left_algebra
+    e = minimal_projection_below(left, left.unit, seed=int(rng.integers(2**31)))
+    for gens in (list((left.unit - e) @ tro.basis.matrices), generated_submodule(tro, rng)):
+        w = generate_submodule(tro, gens)
+        assert tro.basis.max_relative_residual(w.basis.stack) <= 1e-13
+        oracle = right_module_span(tro.right_algebra, gens, tro.rows)
+        assert w.basis.distance(oracle) <= SPAN_TOL
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_tro_without_blocks_gives_the_same_submodules(seed):
+    """A TRO built by hand without :attr:`TRO.blocks` takes them from the
+    linking algebra its basis generates: its submodules have the planted
+    TRO's dimensions and maximality verdicts."""
+    rng = np.random.default_rng(seed)
+    planted = planted_block_tro(random_tro_blocks(rng), seed=seed).tro
+    bare = TRO(basis=planted.basis, left_algebra=planted.left_algebra,
+               right_algebra=planted.right_algebra, family=planted.family)
+    assert bare.blocks is None
+    left = planted.left_algebra
+    e = minimal_projection_below(left, left.unit, seed=seed)
+    for gens in ([], list((left.unit - e) @ planted.basis.matrices),
+                 generated_submodule(planted, rng)):
+        ws = [generate_submodule(tro, gens) for tro in (planted, bare)]
+        assert ws[0].dim == ws[1].dim
+        if ws[0].dim < planted.dim:
+            assert is_maximal_submodule(planted, ws[0]) == is_maximal_submodule(bare, ws[1])
