@@ -2,12 +2,13 @@
 
 A :class:`StarAlgebra` is a subspace of ``N x N`` matrices closed under
 products and adjoints, held as an orthonormal basis.  Closedness is what
-separates an algebra from a mere subspace, and it has one certificate:
-closing the span under products and adjoints adds no direction.
-:func:`generate_algebra` closes a generating family and keeps it;
-:meth:`StarAlgebra.from_span` keeps a span that should already be an
-algebra and takes its family from closing it, refusing it when the
-closure is not the span.
+separates an algebra from a mere subspace, and no span is closed to
+certify it: :func:`generate_algebra` reads the algebra off the block
+decomposition of its generators
+(:func:`~cstarlab.structure.decompose_generators`), and
+:meth:`StarAlgebra.from_span` decomposes a span that should already be an
+algebra, refusing it when the algebra its basis generates is not the
+span.  Both keep the decomposition's two certified draws as the family.
 
 Every such algebra is semisimple and has a unit ``u`` (usually not the
 ambient identity): the sum of squares of any spanning family has range
@@ -20,6 +21,7 @@ from dataclasses import dataclass, replace
 
 from .config import DEFAULT_TOL
 from .errors import (
+    ClosureViolation,
     DegenerateRandomness,
     NotAProjection,
     NotInAlgebra,
@@ -31,9 +33,7 @@ from .errors import (
 )
 from .linalg import (
     Subspace,
-    _closed_span_family,
     as_matrix,
-    close_span,
     grow_span,
     hs_norm,
     identity_defect,
@@ -52,6 +52,10 @@ __all__ = [
     "random_self_adjoint",
 ]
 
+# Seed of the draws that decompose an algebra given by generators or by a
+# span: fixed, so both are deterministic without a seed parameter.
+_DECOMPOSE_SEED = 0
+
 
 @dataclass(eq=False)
 class StarAlgebra:
@@ -65,12 +69,12 @@ class StarAlgebra:
         The multiplicative identity of the algebra (a projection in the
         ambient matrices), or None for the zero algebra.
     family : ndarray
-        ``(k, N, N)`` orthonormal elements whose products span the
-        algebra: the family the closure was certified with, set by
-        :func:`generate_algebra` and :meth:`from_span`, or the three
-        elements a planted algebra, or either algebra of a TRO, is written
-        down with.  Left out, it is the basis, which generates what it
-        spans.
+        ``(k, N, N)`` unit-norm elements that generate the algebra with
+        their adjoints: the two draws its block decomposition was
+        certified with, set by :func:`generate_algebra` and
+        :meth:`from_span`, or the three elements a planted algebra, or
+        either algebra of a TRO, is written down with.  Left out, it is
+        the basis, which generates what it spans.
     """
 
     basis: Subspace
@@ -111,43 +115,62 @@ class StarAlgebra:
     def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL):
         """Build an algebra from a family already spanning one.
 
-        The family is orthonormalized into the algebra's basis, and
-        :func:`~cstarlab.linalg._closed_span_family` closes that basis as
-        :func:`generate_algebra` closes generators, from ``span(g, g*)``
-        for one generic combination ``g`` of it: the span is a *-closed
-        algebra exactly when its closure is the span, and the closure's
-        family becomes the algebra's ``family`` (:class:`ClosureViolation`
-        otherwise).  The unit is :func:`unit_of` the span.
+        The family is orthonormalized into the algebra's basis ``S``.  A
+        span that is not closed is refused first by one probe: for
+        unit-norm seeded combinations ``x``, ``y`` of the basis, ``x y``
+        and ``x*`` must lie in ``S`` within ``tol.member``.  Their
+        residuals are polynomials in the coefficients of ``x`` and ``y``
+        and their conjugates, so they vanish for generic ones only if they
+        vanish for all.  Then the algebra the basis generates is read off
+        as in :func:`generate_algebra`: the span is an algebra exactly when
+        that algebra has its dimension, ``sum n_k^2 = dim S``, and lies
+        within ``tol.member`` of it (:class:`ClosureViolation` otherwise).
+        The algebra keeps the given basis; its unit is the sum of the
+        central projections and its family the decomposition's draws.
         """
+        from .structure import decompose_generators  # structure imports this module
+
         shape = None if ambient_dim is None else (ambient_dim, ambient_dim)
         space = orthonormalize(mats, tol=tol, shape=shape)
         if space.rows != space.cols:
             raise ShapeMismatch("algebra elements must be square")
-        family = _closed_span_family(space, tol=tol)
-        alg = StarAlgebra(basis=space, family=family)
-        alg.unit = unit_of(alg, tol=tol)
-        return alg
+        if space.dim:
+            rng = np.random.default_rng([_DECOMPOSE_SEED, 1])
+            coeff = rng.standard_normal((2, space.dim)) + 1j * rng.standard_normal((2, space.dim))
+            x, y = (coeff / np.linalg.norm(coeff, axis=1, keepdims=True) @ space.stack).reshape(
+                2, *space.shape)
+            check("span is not closed under products and adjoints",
+                  space.max_relative_residual(np.array([(x @ y).ravel(), x.conj().T.ravel()])),
+                  tol.member, ClosureViolation)
+        closed = decompose_generators(space.rows, space.matrices, seed=_DECOMPOSE_SEED,
+                                      tol=tol).algebra
+        if closed.dim != space.dim:
+            raise ClosureViolation(
+                f"span of dimension {space.dim} is not closed: "
+                f"the algebra it generates has dimension {closed.dim}"
+            )
+        check("span is not the algebra it generates", closed.basis.distance(space), tol.member,
+              ClosureViolation)
+        return StarAlgebra(basis=space, unit=closed.unit, family=closed.family)
 
 
 def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
     """Smallest *-closed algebra of ``ambient_dim`` square matrices
     containing the generators.
 
-    :func:`close_span` closes by generators: ``T`` is an orthonormal
-    basis of ``span(g, g*)`` for one generic combination ``g`` of the
-    generators, the span grows under left multiplication by ``T``, and no
-    step forms all pairwise products of the basis.  A generic element of a
-    finite-dimensional *-algebra generates it with its adjoint; a generator
-    left outside the closure of ``g`` joins ``T`` (:func:`close_span`).
-    The returned algebra keeps ``T`` as its ``family``.
+    The certified algebra of
+    :func:`~cstarlab.structure.decompose_generators` drawn from a fixed
+    seed: its basis is the matrix units, its unit the sum of the central
+    projections and its family the two draws, so no span is closed.  The
+    generators are divided by their largest norm: a part of them below
+    ``tol.composite`` of it is dropped within that bound, and one up to a
+    few times that is refused (:class:`GapNotFound` where the unit's cut
+    finds no gap, :class:`VerificationFailure` where the generators miss
+    the block form).
     """
-    n = int(ambient_dim)
-    if n < 1:
-        raise ParamError(f"ambient dimension must be >= 1, got {ambient_dim}")
-    space, family = close_span(generators, n, tol=tol)
-    alg = StarAlgebra(basis=space, family=family.reshape(-1, n, n))
-    alg.unit = unit_of(alg, tol=tol)
-    return alg
+    from .structure import decompose_generators  # structure imports this module
+
+    return decompose_generators(ambient_dim, generators, seed=_DECOMPOSE_SEED, tol=tol).algebra
 
 
 def unit_of(algebra, tol=DEFAULT_TOL):

@@ -26,8 +26,8 @@ class Tolerances:
     rank : float
         Rank decisions when orthonormalizing spanning sets; singular values
         or residual norms at or below ``rank * scale`` count as zero.  It
-        also decides closure certificates: a span is closed when closing
-        it adds no direction above this cut.
+        also decides which products of a right module's generators add a
+        direction to its span.
     member : float
         Subspace membership: largest acceptable residual of a vector
         against an orthonormal basis.

@@ -32,12 +32,12 @@ from .algebra import StarAlgebra
 from .linalg import (
     Subspace,
     gram_sum,
+    grow_span,
     hs_norm,
     identity_defect,
     module_defect,
     op_norm,
     psd_cut,
-    saturate,
     span_rows,
     support_projection_of_psd,
 )
@@ -133,22 +133,27 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     closed under right multiplication by ``algebra``.  Right ideals
     ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here.
 
-    ``span(g)`` grows semi-naively under right multiplication by the
-    algebra's ``family``, whose products span it (:func:`saturate`): each
-    round multiplies only the rows the last one added, and neither the
-    unitization nor the ``|g| * dim A^1`` products are formed.
+    One round over the algebra's orthonormal basis, which spans it: the
+    span of the generators grows by ``s b_i`` for every orthonormal row
+    ``s`` of it, one :func:`grow_span` per row, so each rank cut is at the
+    scale of unit-norm products and no row is multiplied again.  The
+    result is checked closed under right multiplication by the algebra's
+    ``family`` and its adjoints, which generate the algebra.
     """
     n = algebra.ambient_dim
-    family = algebra.family
-
-    def products(fresh):
-        return (fresh.reshape(-1, rows, n)[:, None] @ family[None]).reshape(-1, rows * n)
-
+    basis = algebra.basis.matrices
     gens = np.array(generators, dtype=np.complex128).reshape(len(generators), rows * n)
     start = span_rows(gens, (rows, n), tol=tol)
-    space = Subspace(rows, n, saturate(start.stack, start.stack, products, tol=tol))
+    stack = start.stack
+    for s in start.matrices:
+        stack, _ = grow_span(stack, (s @ basis).reshape(-1, rows * n), tol=tol)
+    space = Subspace(rows, n, stack)
+    # one family member at a time: dim J products in memory, not 2 k dim J
     check("generated span is not right-module closed",
-          module_defect(space, family, right=True), tol.member)
+          max((module_defect(space, t[None], right=True)
+               for t in (*algebra.family, *algebra.family.conj().transpose(0, 2, 1))),
+              default=0.0),
+          tol.member)
     return space
 
 

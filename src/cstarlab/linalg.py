@@ -22,18 +22,10 @@ gap above the zero clusters, up to roundoff, either joins them or is that
 next eigenvalue; a cut needs 2.5 gaps, so it raises :class:`GapNotFound`
 there rather than cut past the eigenvalue.
 
-:func:`close_span` is the closure loop of algebras; TROs are read off
-their linking algebra's decomposition and not closed.  It closes by
-generators rather than by all pairs: a small seeded generating family
-multiplies only the rows each round adds, so closing a span of dimension
-``d`` offers :func:`grow_span` O(d) candidate rows instead of ``d^2`` per
-round, and it returns the family as the certificate that the span is
-closed.  The family starts from one generic combination ``g`` of the
-generators and ``g*``, which generate the algebra.  The inner
-loop, :func:`saturate`, is the one semi-naive growth of a span under a
-fixed family, which right modules share.
-:func:`_closed_span_family` runs it on a span that is given as closed, and
-is the one judge of whether it is.
+:func:`grow_span` is the one routine that extends a span, and nothing
+here iterates it to a fixed point: algebras and TROs are read off a block
+decomposition (:mod:`cstarlab.structure`), and a right module grows in one
+round over its algebra's basis (:func:`~cstarlab.ideals.right_module_span`).
 
 Residuals against a span have one routine per idea: :func:`project` is
 the one projection onto a span, :meth:`Subspace.max_relative_residual` at
@@ -48,7 +40,6 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
-    ClosureViolation,
     GapNotFound,
     NotSelfAdjoint,
     NumericalFailure,
@@ -68,8 +59,6 @@ __all__ = [
     "Subspace",
     "project",
     "orthonormalize",
-    "close_span",
-    "saturate",
     "identity_defect",
     "module_defect",
     "gram_sum",
@@ -368,7 +357,7 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
     block with singular value above ``tol.rank * scale`` are appended.
     When the residual block's Frobenius norm is at most that cutoff after
     either pass no singular value can pass it, and the rest is skipped.
-    Used for the inner loops of algebraic closure and, through
+    Used for right modules, the unitization and, through
     :func:`span_rows`, for every orthonormal basis in the package.
 
     The kept rows are projected off ``stack`` once more and checked
@@ -390,7 +379,7 @@ def grow_span(stack, candidates, tol=DEFAULT_TOL):
             resid = resid - project(stack, resid)
             # no singular value exceeds the Frobenius norm, and a second pass
             # cannot raise it: below the cutoff the SVD would keep nothing, so
-            # a closure that is already closed costs one pass and no SVD
+            # candidates already in the span cost one pass and no SVD
             if safe_norm(resid) <= tol.rank * scale:
                 return stack, False
     try:
@@ -422,108 +411,6 @@ def span_rows(candidates, shape, tol=DEFAULT_TOL):
     empty = np.zeros((0, r * c), dtype=np.complex128)
     stack, _ = grow_span(empty, candidates, tol=tol)
     return Subspace(r, c, stack)
-
-
-# Seed of the generic combinations a closure draws its generating family
-# from: fixed, so a closure is deterministic without a seed parameter.
-_FAMILY_SEED = 0xFA317
-
-
-def _family_draw(gens):
-    """One seeded complex-Gaussian combination of the generator rows."""
-    rng = np.random.default_rng(_FAMILY_SEED)
-    k = gens.shape[0]
-    return (rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k))) @ gens
-
-
-def close_span(generators, n, tol=DEFAULT_TOL):
-    """Smallest *-closed algebra of ``n x n`` matrices containing the
-    ``generators``, with a family ``T`` certifying the closure.
-
-    Semi-naive closure by generators.  ``T`` starts as the orthonormal
-    basis :func:`grow_span` keeps from ``g`` and ``g*`` for one generic
-    combination ``g`` of the generators (:func:`_family_draw`), so its rows
-    have unit Hilbert-Schmidt norm and are well conditioned however the
-    generators are written down; a generic element of a finite-dimensional
-    *-algebra generates it with its adjoint.  The span grows under left
-    multiplication by ``T``, and each round multiplies only the rows the
-    last round added, so the first round that adds nothing certifies the
-    span closed under ``T``.  The generators are then offered to
-    :func:`grow_span`, under its own rank rule; the directions they add,
-    with their adjoints, are in the closure of the generators, join ``T``
-    and the loop runs again.  So the span contains the generators and lies
-    inside their closure: it is the closure.
-
-    Returns ``(space, family)``: the Subspace and ``T`` as flattened rows.
-    The dimension grows every round that does not return, so more than
-    ``n^2 + 1`` rounds means the arithmetic went bad:
-    :class:`NumericalFailure`.
-    """
-    _, gens = _stack_inputs(generators, shape=(n, n))
-
-    def with_adjoints(rows):
-        mats = rows.reshape(-1, n, n)
-        return np.concatenate([mats, mats.conj().transpose(0, 2, 1)]).reshape(-1, n * n)
-
-    def products(rows):
-        return (mults[:, None] @ rows.reshape(-1, n, n)[None]).reshape(-1, n * n)
-
-    stack = np.zeros((0, n * n), dtype=np.complex128)
-    stack, _ = grow_span(stack, with_adjoints(_family_draw(gens)), tol=tol)
-    family = stack
-    mults = family.reshape(-1, n, n)
-    for _ in range(n * n + 1):
-        stack = saturate(stack, stack, products, tol=tol)
-        before = stack.shape[0]
-        stack, grew = grow_span(stack, gens, tol=tol)
-        if not grew:
-            return Subspace(n, n, stack), family
-        # a generator left the span: its new directions and their adjoints
-        # join the family, and the whole span meets the new multipliers once
-        stack, _ = grow_span(stack, with_adjoints(stack[before:]), tol=tol)
-        family = np.vstack([family, stack[before:]])
-        mults = family.reshape(-1, n, n)
-    raise NumericalFailure("span closure failed to stabilize")
-
-
-def _closed_span_family(space, tol=DEFAULT_TOL):
-    """The family certifying that the orthonormal square ``space``, given
-    as a *-closed algebra, is one: :func:`close_span` of its basis, as a
-    ``(k, n, n)`` stack.
-
-    The closure must be the span itself, of the same dimension and within
-    ``tol.member`` of it in :meth:`Subspace.distance`; otherwise
-    :class:`ClosureViolation`.
-    """
-    closed, family = close_span(space.matrices, space.rows, tol=tol)
-    if closed.dim != space.dim:
-        raise ClosureViolation(
-            f"span of dimension {space.dim} is not closed: "
-            f"its closure has dimension {closed.dim}"
-        )
-    check("span is not its closure", closed.distance(space), tol.member, ClosureViolation)
-    return family.reshape(-1, *space.shape)
-
-
-def saturate(stack, fresh, products, tol=DEFAULT_TOL):
-    """Grow an orthonormal row ``stack`` until ``products`` of the rows it
-    adds offer :func:`grow_span` no new direction, starting from the
-    products of its rows ``fresh``.
-
-    Semi-naive: each round multiplies only the rows the last round added,
-    so for a ``products`` that is linear in the rows and multiplies by a
-    fixed family the result is closed under that family.  The dimension
-    grows every round that does not return, so more rounds than the
-    flattened row length plus one means the arithmetic went bad:
-    :class:`NumericalFailure`.
-    """
-    for _ in range(stack.shape[1] + 1):
-        before = stack.shape[0]
-        stack, grew = grow_span(stack, products(fresh), tol=tol)
-        if not grew:
-            return stack
-        fresh = stack[before:]
-    raise NumericalFailure("span saturation failed to stabilize")
 
 
 def identity_defect(e, mats, right=False):

@@ -37,7 +37,8 @@ certifies against its orthonormal basis and draws orthogonal projections
 of seeded Gaussian matrices onto its span, so for a given seed its result
 depends on the span only, not on the basis that represents it.
 ``BlockDecomposition.algebra`` hands the certified algebra back with the
-matrix units as its basis, so generators alone give A without a closure.
+matrix units as its basis and the two draws as its family, so generators
+alone give A without a closure.
 
 Everything downstream (socle, unit partition, the Dales-Zelazko style
 maximal-ideal check) reads off this decomposition and re-verifies what it
@@ -108,7 +109,10 @@ class BlockDecomposition:
     them on first use, as is the certified ``algebra`` they span.
     ``basis_change`` is the ambient unitary bringing every element to the
     form ``blockdiag_k (I_{m_k} (x) alpha_k)`` followed by zeros on the
-    kernel of the algebra unit.
+    kernel of the algebra unit.  ``draws`` is the ``(2, N, N)`` stack of
+    the two random elements the decomposition was certified with, at unit
+    norm, which generate the algebra with their adjoints (None for the
+    zero algebra).
     """
 
     central_projections: list
@@ -117,6 +121,7 @@ class BlockDecomposition:
     transporters: list
     basis_change: np.ndarray
     residuals: dict = field(default_factory=dict)
+    draws: np.ndarray | None = None
 
     @property
     def num_blocks(self):
@@ -134,15 +139,15 @@ class BlockDecomposition:
         :class:`StarAlgebra`, without closing a span: its basis is the
         matrix units ``e_ij / sqrt(m_k)``, orthonormal in the
         Hilbert-Schmidt product, its unit the sum of the central
-        projections (None for the zero algebra), and its family the basis,
-        since matrix units multiply among themselves."""
+        projections (None for the zero algebra), and its family the two
+        certified ``draws``."""
         n = self.basis_change.shape[0]
         stack = np.zeros((0, n * n), dtype=np.complex128)
         if self.num_blocks:
             stack = np.concatenate([units.reshape(-1, n * n) / np.sqrt(m)
                                     for units, m in zip(self.matrix_units, self.multiplicities)])
         unit = sum(self.central_projections) if self.central_projections else None
-        return StarAlgebra(basis=Subspace(n, n, stack), unit=unit)
+        return StarAlgebra(basis=Subspace(n, n, stack), unit=unit, family=self.draws)
 
     def block_signature(self):
         """Sorted (size, multiplicity) pairs, the isomorphism invariant."""
@@ -481,6 +486,7 @@ def _decompose(draw, family, rng, tol, dim=None, first=None):
         transporters=[blk["transporters"] for blk in blocks],
         basis_change=u,
         residuals={"block_form": worst},
+        draws=draws / scales[:, None, None],
     )
 
 

@@ -23,9 +23,11 @@ from cstarlab.errors import (
     ClosureViolation,
     CStarError,
     DegenerateRandomness,
+    GapNotFound,
     NotInAlgebra,
     NumericalFailure,
     ShapeMismatch,
+    VerificationFailure,
 )
 from test_closure import closure_defect
 
@@ -60,6 +62,37 @@ def test_diagonal_algebra():
     a = generate_algebra(3, gens)
     assert a.dim == 3
     np.testing.assert_allclose(a.unit, np.eye(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("eps, outcome", [
+    (1e-2, 18), (1e-4, 18), (1e-6, 18),
+    (3e-7, GapNotFound), (2e-7, GapNotFound), (1.5e-7, VerificationFailure),
+    (5e-8, 9), (1e-9, 9), (1e-12, 9),
+])
+def test_small_generator_parts_are_kept_refused_or_dropped(eps, outcome):
+    """``x (+) eps y`` and ``y (+) eps x`` generate ``M3 (+) M3`` for every
+    ``eps > 0``.  Closing their span kept the ``eps`` parts down to
+    ``tol.rank`` and closed past the algebra, to 24 or 27 for ``eps``
+    from 1e-4 to 1e-9.  Read off the decomposition, a part is kept from
+    about 5e-7 of the largest generator up; below ``tol.composite`` it is
+    dropped within that bound, leaving ``M3 (+) 0``; in between it is
+    refused with a typed error, as the unit's cut finds no gap or the
+    generators miss the block form by more than ``tol.composite``."""
+    rng = np.random.default_rng(0)
+    x, y = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+    top, bottom = np.eye(6)[:, :3], np.eye(6)[:, 3:]
+
+    def direct_sum(a, b):
+        return top @ a @ top.T + bottom @ b @ bottom.T
+
+    gens = [direct_sum(x, eps * y), direct_sum(y, eps * x)]
+    if isinstance(outcome, int):
+        a = generate_algebra(6, gens)
+        assert a.dim == outcome
+        assert a.contains(direct_sum(x, eps * y) if outcome == 18 else direct_sum(x, 0 * y))
+    else:
+        with pytest.raises(outcome):
+            generate_algebra(6, gens)
 
 
 def test_from_span_validates_closure():

@@ -603,14 +603,14 @@ def test_ideal_commands_span_no_right_ideal(tmp_path, capsys, monkeypatch):
 def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
     """``decompose``, ``ideal`` and ``verify-dz`` take A from its
     decomposition, read off the fixture's generators: none of them
-    generates the algebra or grows or closes a span."""
+    generates the algebra or grows a span."""
     kind = "ideal" if command == "ideal" else "algebra"
     fix = tmp_path / f"{kind}.json"
     assert cli.main(["random", kind, "--blocks", "3,2,1", "--mults", "2,1,2",
                      "--seed", "1", "--json", str(fix)]) == 0
     calls = []
     for module in (algebra, cli, ideals, instances, linalg, structure, tro):
-        for name in ("generate_algebra", "grow_span", "close_span"):
+        for name in ("generate_algebra", "grow_span"):
             if hasattr(module, name):
                 def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
                     calls.append(_name)
@@ -644,9 +644,10 @@ def test_blocks_far_apart_in_scale_are_not_closed_past(tmp_path, capsys, doubled
     at multiplicity 2.  Closing their span reached past the algebra to
     dimension 27 (doubled: 54; rotated by a Haar unitary: all of M12), so
     ``ideal`` reported ``algebra_dim`` 27 and ``ideal_dim`` 18 for the
-    generator ``g (+) 0``, and ``verify-dz`` failed its dimension identity.
+    generator ``g (+) 0``, and ``verify-dz`` failed its dimension identity;
+    the library's ``generate_algebra`` closed to 27, 36, 54 and 144.
     Read off the decomposition, A and the ideal ``M3 (+) 0`` keep their
-    dimensions 18 and 9."""
+    dimensions 18 and 9, in the commands and in ``generate_algebra``."""
     rng = np.random.default_rng(0)
     gaussian = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
                 for _ in range(5)]
@@ -658,6 +659,7 @@ def test_blocks_far_apart_in_scale_are_not_closed_past(tmp_path, capsys, doubled
     if rotated:
         q = instances.haar_unitary(n, np.random.default_rng(1))
         gens, ideal_gen = [q @ x @ q.conj().T for x in gens], q @ ideal_gen @ q.conj().T
+    assert generate_algebra(n, gens).dim == 18
     ideal_fix, alg_fix = tmp_path / "ideal.json", tmp_path / "alg.json"
     ideal_fix.write_text(json.dumps(encode_ideal_fixture(n, gens, [ideal_gen])))
     alg_fix.write_text(json.dumps(encode_algebra_fixture(n, gens)))

@@ -1,13 +1,13 @@
 """Algebras and TROs from their generators against the all-pairs and
 all-triples loops.
 
-``close_span`` closes an algebra from a small generic family and
-multiplies only the rows each round adds; ``generate_tro`` reads a TRO
-off the block decomposition of its linking algebra.  The references below
-are the loops they replaced: every round offers ``grow_span`` all pairwise
-products and adjoints of the basis (algebras) or all triple products
-``x y* z`` (TROs), until a round adds nothing.  Both must give the same
-span.
+``generate_algebra`` reads an algebra off the block decomposition of its
+generators, and ``generate_tro`` reads a TRO off the block decomposition
+of its linking algebra; neither closes a span.  The references below are
+the closure loops they replaced: every round offers ``grow_span`` all
+pairwise products and adjoints of the basis (algebras) or all triple
+products ``x y* z`` (TROs), until a round adds nothing.  Both must give
+the same span.
 """
 
 import dataclasses
@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cstarlab.algebra as algebra_mod
 import cstarlab.linalg as linalg_mod
+import cstarlab.structure as structure_mod
 from cstarlab import (
     StarAlgebra,
     classify_tro,
@@ -33,7 +35,7 @@ from cstarlab import (
 )
 from cstarlab.algebra import sample_element
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.errors import ClosureViolation
+from cstarlab.errors import ClosureViolation, DegenerateRandomness, VerificationFailure
 from cstarlab.instances import (
     haar_unitary,
     planted_block_algebra,
@@ -143,66 +145,79 @@ def test_tro_closure_matches_all_triples(kind, seed):
     assert_same_tro(*tro_generators(kind, seed))
 
 
-def first_generator_only(gens):
-    return gens[:1]
+real_polynomial = structure_mod._polynomial
+
+
+def first_generator_only(family, unit, rng):
+    """The seeded polynomial of the decomposition in the first generator
+    alone."""
+    return real_polynomial(family[:1], unit, rng)
 
 
 @settings(max_examples=15, derandomize=True, deadline=None)
 @given(st.sampled_from(["basis", "elements"]), SEEDS)
-def test_closure_from_the_first_generator_still_reaches_every_generator(kind, seed):
-    """With a family that generates too little, the generators that stay
-    outside its closure join the family until the span is the closure of
-    all of them."""
+def test_draws_from_the_first_generator_are_refused_or_reach_every_generator(kind, seed):
+    """With draws that generate too little, the certificate's check that
+    every generator lies in the algebra the draws generate refuses the
+    decomposition: the result is the closure of all the generators, or a
+    typed error exactly when the first generator alone generates less."""
+    n, gens = algebra_generators(kind, seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg_mod, "_family_draw", first_generator_only)
-        assert_same_algebra(*algebra_generators(kind, seed))
+        mp.setattr(structure_mod, "_polynomial", first_generator_only)
+        try:
+            alg = generate_algebra(n, gens)
+        except (VerificationFailure, DegenerateRandomness):
+            alg = None
+    ref = all_products_closure(gens, (n, n), all_pairs)
+    if all_products_closure(gens[:1], (n, n), all_pairs).dim < ref.dim:
+        assert alg is None
+    else:
+        assert alg is not None and alg.basis.distance(ref) <= SPAN_TOL
 
 
-def test_two_generator_closure_offers_linearly_many_rows():
-    """At N=48 (dimension 136) the closure starts from one generic draw
-    ``g``, so its family is ``span(g, g*)``, and it offers grow_span a
-    couple of rows per basis element, not the d^2 products of every round
-    of the all-pairs loop.  A span given as closed is closed the same way."""
+def test_two_generator_algebra_grows_no_span():
+    """At N=48 (dimension 136) the algebra is read off the decomposition
+    of two sample elements: no span is grown, its basis is the matrix
+    units and its family the two certified draws.  A span given as closed
+    is orthonormalized once and decomposed the same way."""
     planted = planted_block_algebra([8, 6, 4, 4, 2], [2, 2, 2, 2, 2], seed=1)
     rng = np.random.default_rng(2)
     gens = [sample_element(planted.algebra, rng) for _ in range(2)]
-    offered = []
-    real_grow_span = linalg_mod.grow_span
+    calls = []
+    real_grow_span, real_orthonormalize = linalg_mod.grow_span, algebra_mod.orthonormalize
 
-    def counting(stack, candidates, tol):
-        offered.append(np.shape(candidates)[0])
+    def counting_grow_span(stack, candidates, tol):
+        calls.append("grow_span")
         return real_grow_span(stack, candidates, tol=tol)
 
+    def counting_orthonormalize(mats, tol, shape):
+        calls.append("orthonormalize")
+        return real_orthonormalize(mats, tol=tol, shape=shape)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linalg_mod, "grow_span", counting)
+        mp.setattr(linalg_mod, "grow_span", counting_grow_span)
         alg = generate_algebra(48, gens)
-    d = alg.dim
-    assert d == planted.algebra.dim == 136
-    assert len(alg.family) == 2
-    assert sum(offered) <= 3 * d
-    assert len(StarAlgebra.from_span(list(alg.basis.matrices)).family) == 2
+        assert calls == []
+        mp.setattr(algebra_mod, "orthonormalize", counting_orthonormalize)
+        given_closed = StarAlgebra.from_span(list(alg.basis.matrices))
+    assert calls == ["orthonormalize", "grow_span"]
+    assert alg.dim == planted.algebra.dim == 136
+    assert len(alg.family) == len(given_closed.family) == 2
+    assert given_closed.basis.distance(alg.basis) <= SPAN_TOL
+    assert hs_norm(given_closed.unit - planted.algebra.unit) <= DEFAULT_TOL.member
 
 
 def test_tro_constructors_close_no_span():
     """``generate_tro``, ``tro_from_span``, ``classify_tro`` and
     ``planted_block_tro`` read the TRO off the block decomposition of its
-    linking algebra: none of them calls ``close_span`` or
-    ``_closed_span_family``, under any module's binding."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("a TRO constructor closed a span")
-
-    with pytest.MonkeyPatch.context() as mp:
-        for name_, module in list(sys.modules.items()):
-            if name_.startswith("cstarlab"):
-                for name in ("close_span", "_closed_span_family"):
-                    if hasattr(module, name):
-                        mp.setattr(module, name, refuse)
-        planted = planted_block_tro([(3, 4), (2, 2), (1, 3)], seed=5).tro
-        gens = list(planted.basis.matrices)
-        generated = generate_tro(*planted.basis.shape, gens)
-        given_closed = tro_from_span(gens)
-        for tro in (planted, generated, given_closed):
-            assert sorted(classify_tro(tro).blocks) == [(1, 3), (2, 2), (3, 4)]
+    linking algebra, and the library has no closure routine left for them
+    to call (``test_hygiene``): they recover the planted blocks."""
+    planted = planted_block_tro([(3, 4), (2, 2), (1, 3)], seed=5).tro
+    gens = list(planted.basis.matrices)
+    generated = generate_tro(*planted.basis.shape, gens)
+    given_closed = tro_from_span(gens)
+    for tro in (planted, generated, given_closed):
+        assert sorted(classify_tro(tro).blocks) == [(1, 3), (2, 2), (3, 4)]
     for tro in (generated, given_closed):
         assert tro.basis.distance(planted.basis) <= SPAN_TOL
 
@@ -227,7 +242,7 @@ def test_submodules_close_no_span():
     with pytest.MonkeyPatch.context() as mp:
         for name_, module in list(sys.modules.items()):
             if name_.startswith("cstarlab"):
-                for name in ("saturate", "right_module_span", "span_rows", "_corner_space"):
+                for name in ("right_module_span", "span_rows", "_corner_space"):
                     if hasattr(module, name):
                         mp.setattr(module, name, refuse)
         for tro in (planted, bare):

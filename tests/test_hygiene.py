@@ -193,3 +193,22 @@ def test_benchmark_traced_names_resolve():
             missing.append(name)
     assert not missing, f"perfbench/tracing.py traces missing names {missing}"
     assert isinstance(inspect.getattr_static(StarAlgebra, "from_span"), classmethod)
+
+
+# The fixed-point closure engine that algebras and right modules no longer use
+RETIRED = ("close_span", "_closed_span_family", "_family_draw", "_FAMILY_SEED", "saturate")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_defines_or_binds_a_retired_name(path):
+    """No library module defines, imports or otherwise binds a name of the
+    retired closure engine.  This stands in for the route guards that
+    refused those names wherever a module bound them, which would pass
+    vacuously once no module does."""
+    stem = "" if path.stem == "__init__" else "." + path.stem
+    module = importlib.import_module("cstarlab" + stem)
+    tree = ast.parse(path.read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    bound = named | set(imported_names(tree)) | {fn.name for fn, _ in definitions(tree)}
+    found = sorted(name for name in RETIRED if name in bound or hasattr(module, name))
+    assert not found, f"{path.name} binds retired names {found}"

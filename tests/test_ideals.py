@@ -26,7 +26,7 @@ from cstarlab import (
     unit_of,
     unitize,
 )
-from cstarlab.algebra import sample_self_adjoint
+from cstarlab.algebra import sample_element, sample_self_adjoint
 from cstarlab.errors import (
     NotAProjection,
     NotInAlgebra,
@@ -162,7 +162,7 @@ def test_projection_generator_random_ideals():
 
 
 def test_generator_certificate_matches_the_span_route():
-    """Reference: wherever the saturated span of ``J`` stays inside A, the
+    """Reference: wherever the span of ``J`` stays inside A, the
     projection read off the generators has ``dim pA = dim J`` (the corner
     trace), and it is the support projection of that span.  Planted
     algebras in up to M20, with 1-4 generators."""
@@ -181,6 +181,28 @@ def test_generator_certificate_matches_the_span_route():
         assert hs_norm(cert.projection - support_projection(a, ideal)) <= 1e-12
         checked += 1
     assert checked >= 36
+
+
+@pytest.mark.parametrize("sizes, seed, dim", [
+    ([8, 6, 4, 4, 2], 2, 134),
+    ([10, 8, 6, 4, 2], 1, 218),
+    ([10, 8, 6, 4, 2], 4, 126),
+])
+def test_right_ideal_span_does_not_drift_past_the_algebra(sizes, seed, dim):
+    """Growing ``span(g)`` to a fixed point under the algebra's family kept
+    rows at relative singular values down to 2.8e-3 and multiplied their
+    roundoff again every round: with Haswell kernels the first ideal,
+    of dimension 134 in an algebra of dimension 136, grew to all of M48.
+    One round over A's orthonormal basis multiplies no row twice, so ``J``
+    stays in A with the dimension of ``pA``, the corner trace of the
+    certified ``p``."""
+    a = planted_block_algebra(sizes, [2] * 5, seed=seed).algebra
+    rng = np.random.default_rng(seed)
+    gens = [random_projection(a, rng) @ sample_element(a, rng) for _ in range(2)]
+    ideal = generate_right_ideal(a, gens)
+    p = projection_generator(a, gens).projection
+    assert ideal.dim == _corner_space(a, p, a.unit, DEFAULT_TOL) == dim
+    assert a.basis.max_relative_residual(ideal.basis.stack) <= DEFAULT_TOL.member
 
 
 def test_certificate_reconstructs_quartic_root_random():

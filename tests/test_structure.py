@@ -418,8 +418,9 @@ def test_two_sample_elements_give_the_planted_blocks(sizes):
 def test_decomposition_algebra_is_the_generated_algebra(seed):
     """``dec.algebra`` is the planted algebra, read off two of its
     elements: its basis, the matrix units over ``sqrt(m_k)``, is
-    orthonormal and spans it, and its unit is the planted unit.  The zero
-    family gives the zero algebra, without a unit."""
+    orthonormal and spans it, its unit is the planted unit and its family
+    the two certified draws.  The zero family gives the zero algebra,
+    without a unit, whose only right ideal is zero."""
     planted = planted_block_algebra([3, 2, 1], [2, 1, 3], seed=seed)
     rng = np.random.default_rng(seed)
     gens = [sample_element(planted.algebra, rng) for _ in range(2)]
@@ -429,8 +430,10 @@ def test_decomposition_algebra_is_the_generated_algebra(seed):
     assert np.abs(stack.conj() @ stack.T - np.eye(alg.dim)).max() <= 1e-12
     assert alg.basis.distance(planted.algebra.basis) <= 1e-12
     assert hs_norm(alg.unit - planted.algebra.unit) <= 1e-12
+    assert len(alg.family) == 2 and np.allclose(hs_norm(alg.family), np.sqrt(2))
     zero = decompose_generators(3, [np.zeros((3, 3))]).algebra
     assert zero.dim == 0 and zero.unit is None
+    assert generate_right_ideal(zero, [np.zeros((3, 3))]).dim == 0
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from cstarlab import (
 )
 from cstarlab.errors import (
     ClosureViolation,
+    DegenerateRandomness,
     MembershipViolation,
     NotInAlgebra,
     NotProper,
@@ -155,11 +156,15 @@ def test_a_span_moved_by_roundoff_is_refused_by_both_constructors(seed):
     M_8), so both constructors refused it.  tro_from_span now reads the
     TRO its basis generates off the linking algebra's decomposition, which
     resolves the span to the planted blocks within tol.member, and accepts
-    it; StarAlgebra.from_span still closes the span and refuses it."""
+    it.  StarAlgebra.from_span decomposes the algebra's basis as
+    generators: the roundoff passes its product probe, but the copies of a
+    multiplicity-2 block disagree on the basis by more than tol.spec (or a
+    draw's eigenvalue cluster spreads into the gap band), so it refuses the
+    span as a degenerate decomposition."""
     mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
     assert tro_from_span(moved_by_roundoff(mats, seed)).dim == 25
     mats = planted_block_algebra([3, 2, 1], [1, 2, 1], seed=seed).algebra.basis.matrices
-    with pytest.raises(ClosureViolation):
+    with pytest.raises(DegenerateRandomness):
         StarAlgebra.from_span(moved_by_roundoff(mats, seed))
 
 
