@@ -125,8 +125,12 @@ class StarAlgebra:
         as in :func:`generate_algebra`: the span is an algebra exactly when
         that algebra has its dimension, ``sum n_k^2 = dim S``, and lies
         within ``tol.member`` of it (:class:`ClosureViolation` otherwise).
-        The algebra keeps the given basis; its unit is the sum of the
-        central projections and its family the decomposition's draws.
+        Below what the probe resolves, the copies of a block disagree on
+        the basis beyond ``tol.spec``, so no draw certifies a decomposition;
+        that :class:`DegenerateRandomness` becomes a chained
+        :class:`ClosureViolation`.  The algebra keeps the given basis; its
+        unit is the sum of the central projections and its family the
+        decomposition's draws.
         """
         from .structure import decompose_generators  # structure imports this module
 
@@ -142,8 +146,13 @@ class StarAlgebra:
             check("span is not closed under products and adjoints",
                   space.max_relative_residual(np.array([(x @ y).ravel(), x.conj().T.ravel()])),
                   tol.member, ClosureViolation)
-        closed = decompose_generators(space.rows, space.matrices, seed=_DECOMPOSE_SEED,
-                                      tol=tol).algebra
+        try:
+            closed = decompose_generators(space.rows, space.matrices, seed=_DECOMPOSE_SEED,
+                                          tol=tol).algebra
+        except DegenerateRandomness as exc:
+            raise ClosureViolation(
+                "span is not closed: the copies of a block disagree on its basis, "
+                f"so no decomposition of it is certified ({exc})") from exc
         if closed.dim != space.dim:
             raise ClosureViolation(
                 f"span of dimension {space.dim} is not closed: "

@@ -36,9 +36,9 @@ from .jsonio import (
     encode_ideal_fixture,
     encode_tro_fixture,
 )
-from .linalg import gram_sum, hs_norm, psd_cut, support_projection_of_psd
+from .linalg import hs_norm, support_projection_of_psd
 from .selftest import run_selftest
-from .structure import decompose_generators, verify_dales_zelazko
+from .structure import _compress, decompose_generators, verify_dales_zelazko
 from .tro import classify_tro, generate_tro
 
 
@@ -130,21 +130,25 @@ def _cmd_decompose(args):
     return _finish(report, args, report.get("ground_truth_match", True), "block structure mismatch")
 
 
-def _ideal_report(alg, ideal_generators, tol):
+def _ideal_report(dec, ideal_generators, tol):
     """The ``ideal`` report of the certificate ``J = pA`` for the right
-    ideal the generators generate in ``alg``, and its verdict."""
+    ideal the generators generate in the algebra ``A`` of the block
+    decomposition ``dec``, and its verdict."""
+    alg = dec.algebra
     cert = projection_generator(alg, ideal_generators, tol=tol)
-    # dim pA is the rank of the products p b_i over A's basis, which span it;
-    # their support, by an eigendecomposition of its own, is checked against p
-    pb = cert.projection @ alg.basis.matrices
-    dec, cut, _ = psd_cut(gram_sum(pb.reshape(1, alg.dim, alg.ambient_dim ** 2)), tol=tol)
-    ideal_dim = 0 if cut is None else int(np.count_nonzero(dec.eigenvalues > cut))
-    agreement = hs_norm(cert.projection - support_projection_of_psd(gram_sum(pb), tol=tol))
+    p = cert.projection
+    # p's block compressions check p in A and give dim pA = sum_k n_k rank P_k;
+    # over the matrix units b_i, sum_i (p b_i)(p b_i)* = p (sum_k (n_k/m_k) c_k) p,
+    # whose support, by an eigendecomposition of its own, is checked against p
+    ranges, _ = _compress(dec.transporters, p, tol)
+    weight = sum(((n / m) * c for n, m, c in zip(dec.block_sizes, dec.multiplicities,
+                                                dec.central_projections)), np.zeros_like(p))
+    agreement = hs_norm(p - support_projection_of_psd(p @ weight @ p, tol=tol))
     report = {
         "command": "ideal",
         "ambient": alg.ambient_dim,
         "algebra_dim": alg.dim,
-        "ideal_dim": ideal_dim,
+        "ideal_dim": sum(n * len(v) for n, v in zip(dec.block_sizes, ranges)),
         "certificate": certificate_report(cert),
         "support_agreement": agreement,
     }
@@ -158,9 +162,9 @@ def _cmd_ideal(args):
     tol = _resolve_tol(args)
     fix = _load_fixture(args.fixture, ("ideal",))
     # A's orthonormal basis is its certified decomposition's matrix units
-    alg = decompose_generators(fix["ambient"], fix["algebra_generators"],
-                               seed=_resolve_seed(args), tol=tol).algebra
-    report, ok = _ideal_report(alg, fix["ideal_generators"], tol)
+    dec = decompose_generators(fix["ambient"], fix["algebra_generators"],
+                               seed=_resolve_seed(args), tol=tol)
+    report, ok = _ideal_report(dec, fix["ideal_generators"], tol)
     return _finish(report, args, ok, "projection certificate residuals")
 
 

@@ -17,6 +17,7 @@ from .errors import ParamError
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
 from .linalg import Subspace, cluster_partition, hermitian_eig
+from .structure import _block_algebra
 from .tro import _tro_from_blocks
 
 __all__ = [
@@ -71,9 +72,10 @@ class PlantedTRO:
 def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0):
     """Conjugated ``sum_k I_{m_k} (x) M_{n_k}`` with known ground truth.
 
-    The orthonormal basis is written down directly (scaled embedded
-    matrix units stay orthonormal under unitary conjugation), and so is a
-    generating family of at most three elements, so no closure iteration
+    Each block's transporters are cut from the Haar unitary's columns at
+    the block's offset, and the basis ``e_ij / sqrt(m_k)``, the unit and a
+    generating family of at most three elements are written down from them
+    (:func:`~cstarlab.structure._block_algebra`), so no closure iteration
     is involved.  ``ambient_dim`` beyond the occupied rank pads the
     algebra with a kernel, making the algebra unit a proper subprojection
     of the ambient identity.
@@ -90,47 +92,14 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
         raise ParamError(
             f"ambient dimension {n_amb} cannot hold occupied rank {occupied}"
         )
-    rng = np.random.default_rng(seed)
-    u = haar_unitary(n_amb, rng)
-
-    basis = []
-    offset = 0
-    unit = np.zeros((n_amb, n_amb), dtype=np.complex128)
-    shift = np.zeros((n_amb, n_amb), dtype=np.complex128)
-    weights = np.zeros((n_amb, n_amb), dtype=np.complex128)
-    for k, (n_k, m_k) in enumerate(zip(sizes, mults)):
-        scale = 1.0 / np.sqrt(m_k)
-        for p in range(n_k):
-            for q in range(n_k):
-                mat = np.zeros((n_amb, n_amb), dtype=np.complex128)
-                for j in range(m_k):
-                    mat[offset + j * n_k + p, offset + j * n_k + q] = scale
-                basis.append(mat)
-                if q == p + 1:
-                    shift += mat
-                elif p == q == 0:
-                    weights += (k + 1) / scale * mat
-        span = n_k * m_k
-        unit[offset : offset + span, offset : offset + span] = np.eye(span)
-        offset += span
-
-    # The family S = sum_{k,p} E^k_{p,p+1}, S* and D = sum_k (k+1) P_k, for
-    # the unscaled P_k = E^k_11 (x) I_{m_k}, generates the algebra.  D has
-    # the distinct eigenvalues k+1 on the ranges of the P_k and 0 elsewhere,
-    # so each P_k is a polynomial in D without constant term (a Vandermonde
-    # system), and (S*)^p P_k S^q is a nonzero multiple of E^k_{p+1,q+1}:
-    # words in the family reach every matrix unit.  P_k must not be scaled
-    # by 1/sqrt(m_k) as the basis is: blocks with equal (k+1)/sqrt(m_k),
-    # such as sizes [1, 1] with multiplicities [1, 4], would then share an
-    # eigenvalue of D and never be told apart.  S is zero when every block
-    # is 1 x 1, and D alone generates the algebra.
-    family = [x / np.linalg.norm(x) for x in (shift, shift.conj().T, weights) if x.any()]
-    conj = u @ np.array(basis) @ u.conj().T
-    algebra = StarAlgebra(
-        basis=Subspace(n_amb, n_amb, conj.reshape(len(basis), -1)),
-        unit=u @ unit @ u.conj().T,
-        family=u @ np.array(family) @ u.conj().T,
-    )
+    u = haar_unitary(n_amb, np.random.default_rng(seed))
+    # block k copies M_{n_k} m_k times at its offset, copy j on the rows
+    # off + j n_k + p: the transporter v_p stacks those m_k columns of u
+    stacks, off = [], 0
+    for n_k, m_k in zip(sizes, mults):
+        stacks.append(u[:, off : off + n_k * m_k].reshape(n_amb, m_k, n_k).transpose(2, 0, 1))
+        off += n_k * m_k
+    algebra = _block_algebra(stacks, n_amb)
     return PlantedAlgebra(
         algebra=algebra,
         block_sizes=sizes,

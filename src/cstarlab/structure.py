@@ -36,9 +36,11 @@ in the generators.  :func:`wedderburn_decompose` of a closed algebra
 certifies against its orthonormal basis and draws orthogonal projections
 of seeded Gaussian matrices onto its span, so for a given seed its result
 depends on the span only, not on the basis that represents it.
-``BlockDecomposition.algebra`` hands the certified algebra back with the
-matrix units as its basis and the two draws as its family, so generators
-alone give A without a closure.
+Block structure is held as ``(n_k, N, m_k)`` isometry stacks, the
+transporters: :func:`_block_algebra` writes an algebra down from them
+(``BlockDecomposition.algebra``, planted algebras, a TRO's two algebras),
+and :func:`_compress` reads ``dim pA`` and the minimality of ``u - p`` off
+the compressions of a projection ``p`` against them.
 
 Everything downstream (socle, unit partition, the Dales-Zelazko style
 maximal-ideal check) reads off this decomposition and re-verifies what it
@@ -57,6 +59,7 @@ from .errors import (
     DegenerateRandomness,
     GapNotFound,
     NotAProjection,
+    NotInAlgebra,
     NotUnital,
     ParamError,
     VerificationFailure,
@@ -131,23 +134,15 @@ class BlockDecomposition:
     def matrix_units(self):
         """Per block, the ``[i, j]`` entry maps the ``j``-th copy of the
         block's column space onto the ``i``-th."""
-        return [_matrix_units(t) for t in self.transporters]
+        return [_units(t, t) for t in self.transporters]
 
     @functools.cached_property
     def algebra(self):
         """The certified algebra ``B = U (sum M_{n_k} (x) 1_{m_k}) U*`` as a
-        :class:`StarAlgebra`, without closing a span: its basis is the
-        matrix units ``e_ij / sqrt(m_k)``, orthonormal in the
-        Hilbert-Schmidt product, its unit the sum of the central
-        projections (None for the zero algebra), and its family the two
-        certified ``draws``."""
-        n = self.basis_change.shape[0]
-        stack = np.zeros((0, n * n), dtype=np.complex128)
-        if self.num_blocks:
-            stack = np.concatenate([units.reshape(-1, n * n) / np.sqrt(m)
-                                    for units, m in zip(self.matrix_units, self.multiplicities)])
-        unit = sum(self.central_projections) if self.central_projections else None
-        return StarAlgebra(basis=Subspace(n, n, stack), unit=unit, family=self.draws)
+        :class:`StarAlgebra`, without closing a span: written down from the
+        transporters by :func:`_block_algebra`, with the two certified
+        ``draws`` as its family."""
+        return _block_algebra(self.transporters, self.basis_change.shape[0], family=self.draws)
 
     def block_signature(self):
         """Sorted (size, multiplicity) pairs, the isomorphism invariant."""
@@ -336,10 +331,95 @@ def _blocks(bases, values, z, tol):
     return blocks
 
 
-def _matrix_units(transporters):
-    """The ``(n, n, N, N)`` matrix units ``e_ij = v_i v_j*`` of a block's
-    ``(n, N, m)`` transporters, as one batched product."""
-    return transporters[:, None] @ transporters.conj().transpose(0, 2, 1)[None]
+def _units(left, right, out=None):
+    """The products ``x y*`` over the ``(p, n, m)`` isometry stack ``left``
+    and the ``(q, n', m)`` stack ``right``, as one batched product of shape
+    ``(p, q, n, n')``, into ``out`` when given: the matrix units ``e_ij =
+    v_i v_j*`` of a block's transporters, and a TRO block's ``a_i b_j*``."""
+    return np.matmul(left[:, None], right.conj().transpose(0, 2, 1)[None], out=out)
+
+
+def _block_space(blocks, shape):
+    """The orthonormal units ``x y* / sqrt(m_k)`` over the stacks ``(x,
+    y)`` of each block, written into one allocation: an algebra's basis
+    ``e_ij / sqrt(m_k)`` for the blocks ``(v, v)``, a TRO's ``a_i b_j* /
+    sqrt(m_k)``, and that of a submodule or its ideal for the ranges of
+    ``p``."""
+    r, c = shape
+    stack = np.empty((sum(len(x) * len(y) for x, y in blocks), r, c), dtype=np.complex128)
+    at = 0
+    for x, y in blocks:
+        end = at + len(x) * len(y)
+        _units(x, y, out=stack[at:end].reshape(len(x), len(y), r, c))
+        stack[at:end] /= np.sqrt(x.shape[2])
+        at = end
+    return Subspace(r, c, stack.reshape(-1, r * c))
+
+
+def _block_algebra(stacks, n, family=None):
+    """The *-algebra ``sum_k M_{n_k} (x) 1_{m_k}`` on ``C^n`` whose block
+    ``k`` has the matrix units ``v_i v_j*`` of the ``(n_k, n, m_k)``
+    isometry stack ``stacks[k]``, written down: its basis is the units over
+    ``sqrt(m_k)`` (:func:`_block_space`), its unit the sum of the ``v_i
+    v_i*`` (None for no blocks), and its family the given one or the shift
+    ``S = sum v_p v_{p+1}*``, ``S*`` and ``D = sum_k (k+1) v_1 v_1*``, whose
+    words reach every unit: each ``v_1 v_1*`` is a polynomial in ``D``
+    (distinct eigenvalues), and ``(S*)^p v_1 v_1* S^q = v_{p+1} v_{q+1}*``."""
+    if family is None and stacks:
+        shift = sum((v[:-1] @ v[1:].conj().transpose(0, 2, 1)).sum(axis=0) for v in stacks)
+        weights = sum((k + 1) * v[0] @ v[0].conj().T for k, v in enumerate(stacks))
+        family = np.array([x / hs_norm(x) for x in (shift, shift.conj().T, weights) if x.any()])
+    return StarAlgebra(basis=_block_space([(v, v) for v in stacks], (n, n)),
+                       unit=sum(gram_sum(v) for v in stacks) if stacks else None, family=family)
+
+
+def _coordinates(v, x):
+    """``X[i, j] = tr(v_i* x v_j)`` over the ``(n, N, m)`` isometry stack
+    ``v``: the Hilbert-Schmidt products ``<v_i v_j*, x>`` of ``x`` with the
+    block's matrix units, from one ``(n m) x (n m)`` compression."""
+    count, r, mult = v.shape
+    flat = v.transpose(1, 0, 2).reshape(r, count * mult)
+    return np.einsum("iuju->ij", (flat.conj().T @ x @ flat).reshape(count, mult, count, mult))
+
+
+def _compress(stacks, p, tol):
+    """``(ranges, residual)`` of a projection ``p`` against the ``(n_k, N,
+    m_k)`` isometry stacks of an algebra's blocks: a decomposition's
+    transporters, or a TRO's row stacks for its left algebra.
+
+    Block ``k`` compresses ``p`` to ``P_k[i, i'] = tr(v_i* p v_i') / m_k``
+    (:func:`_coordinates`), and ``sum_k sum P_k[i, i'] v_i v_i'*`` is the
+    orthogonal projection of ``p`` onto the algebra: ``residual``, its
+    distance to ``p`` over ``max(1, ||p||)``, must stay within
+    ``tol.member`` (:class:`NotInAlgebra`).  The ``P_k``, padded with zeros
+    to one size,
+    take one batched eigendecomposition: together they must lie within
+    ``tol.member`` of a projection (:class:`VerificationFailure`), and
+    ``ranges[k]`` stacks the ``N x m_k`` isometries ``v_q = sum_i q_i v_i``
+    over the eigenvectors ``q`` of ``P_k`` above 1/2, an orthonormal basis
+    of its range.  So ``dim pA = sum_k n_k rank P_k``, and ``u - p``, with
+    the compressions ``1 - P_k``, is minimal exactly when ``sum_k (n_k -
+    rank P_k) = 1``.
+    """
+    width = max((len(v) for v in stacks), default=0)
+    comps = np.zeros((len(stacks), width, width), dtype=np.complex128)
+    rebuilt = np.zeros_like(p)
+    for k, v in enumerate(stacks):
+        count, r, mult = v.shape
+        flat = v.transpose(1, 0, 2).reshape(r, count * mult)
+        pk = _coordinates(v, p) / mult
+        comps[k, :count, :count] = pk
+        # sum_ij P_k[i, j] v_i v_j* = sum_j (sum_i P_k[i, j] v_i) v_j*
+        mixed = (pk.T @ v.reshape(count, -1)).reshape(count, r, mult)
+        rebuilt += mixed.transpose(1, 0, 2).reshape(r, -1) @ flat.conj().T
+    resid = check("projection p is not in the algebra of its blocks, relative to its norm",
+                  hs_norm(rebuilt - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
+    w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
+    check("a block compression of p is not a projection",
+          hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
+    ranges = [(q[k][:len(v), w[k] > 0.5].T @ v.reshape(len(v), -1)).reshape(-1, *v.shape[1:])
+              for k, v in enumerate(stacks)]
+    return ranges, resid
 
 
 def _basis_change(blocks, kernel, tol):
@@ -639,7 +719,8 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
     matrix units that represent A.  One :func:`projection_generator`
     certificate per trial carries both verdicts: it certifies ``J = pA``,
     so single generation holds, and ``J`` is maximal when ``u - p`` is
-    minimal.
+    minimal, read off the compressions of ``p`` against the blocks'
+    transporters (:func:`_compress`) with no corner trace.
     Also records the dimension identity ``dim A = sum n_k^2``.  At least
     one trial is required: a sweep of none would certify nothing
     (:class:`ParamError`).  A ``decomposition`` of ``parent`` already at
@@ -655,27 +736,29 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
     out = []
     for t in range(trials):
         k = t % dec.num_blocks
-        n_k = dec.block_sizes[k]
-        units = dec.matrix_units[k].reshape(n_k * n_k, -1)
+        v = dec.transporters[k]
         g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
         # the block's part of g's projection onto A is sum_ij <e_ij, g> e_ij / m_k;
         # a change of matrix units conjugates these coordinates, and w with them
-        coords = (units.conj() @ g.ravel()).reshape(n_k, n_k)
+        coords = _coordinates(v, g)
         w = np.linalg.eigh(coords + coords.conj().T)[1][:, -1]
-        # e = sum_ij w_i conj(w_j) e_ij, one row of weights against the units
-        e = (np.outer(w, w.conj()).ravel() @ units).reshape(u.shape)
+        # e = sum_ij w_i conj(w_j) e_ij = x x* for the isometry x = sum_i w_i v_i
+        x = np.tensordot(w, v, axes=1)
+        e = x @ x.conj().T
         e = 0.5 * (e + e.conj().T)
         g = u - e
         # e = u means the zero ideal; flush the roundoff left in u - e
         gens = [] if hs_norm(g) <= tol.member * max(1.0, hs_norm(u)) else [g]
         cert = projection_generator(parent, gens, tol=tol)
+        ranges, _ = _compress(dec.transporters, cert.projection, tol)
         out.append(
             DalesZelazkoTrial(
                 block_index=k,
                 certificate=cert,
                 support_agreement=hs_norm(cert.projection - g),
-                # J = pA with u - p minimal is the paper's criterion
-                is_maximal=is_minimal_projection(parent, u - cert.projection, tol=tol),
+                # J = pA with u - p minimal is the paper's criterion; u - p
+                # compresses to the 1 - P_k, of total rank sum_k (n_k - rank P_k)
+                is_maximal=sum(n - len(v) for n, v in zip(dec.block_sizes, ranges)) == 1,
                 # projection_generator has certified p in J (p_in_ideal) and
                 # p g = g (ideal_equals_pA): J = pA
                 single_generation=True,

@@ -47,7 +47,6 @@ from .config import DEFAULT_TOL
 from .errors import (
     ClosureViolation,
     MembershipViolation,
-    NotInAlgebra,
     NotProper,
     ParamError,
     VerificationFailure,
@@ -67,7 +66,7 @@ from .linalg import (
     psd_cut,
     safe_norm,
 )
-from .structure import _decompose, _polynomial
+from .structure import _block_algebra, _block_space, _compress, _decompose, _polynomial
 
 __all__ = [
     "TRO",
@@ -126,42 +125,6 @@ class TRO:
 
     def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
-
-
-def _units(left, right):
-    """The products ``x y* / sqrt(m)`` over the ``(p, n, m)`` stack ``left``
-    and the ``(q, n', m)`` stack ``right``, as ``(p q, n, n')``: for
-    isometries with orthogonal ranges, orthonormal matrix units."""
-    prods = left[:, None] @ right.conj().transpose(0, 2, 1)[None]
-    return prods.reshape(-1, left.shape[1], right.shape[1]) / np.sqrt(left.shape[2])
-
-
-def _block_algebra(stacks, n):
-    """The *-algebra ``sum_k M_{n_k} (x) 1_{m_k}`` on ``C^n`` whose block
-    ``k`` has the matrix units ``v_i v_j*`` of the ``(n_k, n, m_k)``
-    isometry stack ``stacks[k]``, written down: its basis is the units over
-    ``sqrt(m_k)``, its unit the sum of the ``v_i v_i*``, and its family the
-    shift ``S = sum v_p v_{p+1}*``, ``S*`` and ``D = sum_k (k+1) v_1 v_1*``,
-    whose words reach every unit as in
-    :func:`~cstarlab.instances.planted_block_algebra`."""
-    if not stacks:
-        return StarAlgebra(basis=Subspace.empty(n, n))
-    basis = np.concatenate([_units(v, v).reshape(-1, n * n) for v in stacks])
-    shift = sum((v[:-1] @ v[1:].conj().transpose(0, 2, 1)).sum(axis=0) for v in stacks)
-    weights = sum((k + 1) * v[0] @ v[0].conj().T for k, v in enumerate(stacks))
-    family = [x / hs_norm(x) for x in (shift, shift.conj().T, weights) if x.any()]
-    return StarAlgebra(basis=Subspace(n, n, basis), unit=sum(gram_sum(v) for v in stacks),
-                       family=np.array(family))
-
-
-def _block_space(blocks, shape):
-    """The orthonormal units ``x y* / sqrt(m_k)`` over the stacks ``(x, y)``
-    of each block: the TRO's basis ``a_i b_j* / sqrt(m_k)`` for its blocks,
-    and that of a submodule or its ideal for the ranges of ``p``."""
-    r, c = shape
-    stack = np.zeros((0, r * c), dtype=np.complex128)
-    return Subspace(r, c, np.concatenate([stack, *(_units(a, b).reshape(-1, r * c)
-                                                    for a, b in blocks)]))
 
 
 def _block_family(blocks):
@@ -478,46 +441,11 @@ def _tro_blocks(tro, seed, tol):
     return _linking_blocks(tro.basis.matrices, np.random.default_rng(seed), tol)
 
 
-def _compress(blocks, p, tol):
-    """``(ranges, residual)`` of a projection ``p`` against the blocks.
-
-    Block ``(a, b)`` compresses ``p`` to ``P_k[i, i'] = tr(a_i* p a_i') /
-    m_k``, and ``sum_k sum P_k[i, i'] a_i a_i'*`` is the orthogonal
-    projection of ``p`` onto L: ``residual``, its distance to ``p`` over
-    ``max(1, ||p||)``, must stay within ``tol.member``
-    (:class:`NotInAlgebra`).  The ``P_k``, padded with zeros to one size,
-    take one batched eigendecomposition: together they must lie within
-    ``tol.member`` of a projection (:class:`VerificationFailure`), and
-    ``ranges[k]`` stacks the ``r x m_k`` isometries ``v_q = sum_i q_i a_i``
-    over the eigenvectors ``q`` of ``P_k`` above 1/2, an orthonormal basis
-    of its range.
-    """
-    width = max((len(a) for a, _ in blocks), default=0)
-    comps = np.zeros((len(blocks), width, width), dtype=np.complex128)
-    rebuilt = np.zeros_like(p)
-    for k, (a, _) in enumerate(blocks):
-        count, r, mult = a.shape
-        flat = a.transpose(1, 0, 2).reshape(r, count * mult)
-        pk = np.einsum("iuju->ij", (flat.conj().T @ p @ flat).reshape(count, mult, count, mult))
-        pk /= mult
-        comps[k, :count, :count] = pk
-        # sum_ij P_k[i, j] a_i a_j* = sum_j (sum_i P_k[i, j] a_i) a_j*
-        mixed = (pk.T @ a.reshape(count, -1)).reshape(count, r, mult)
-        rebuilt += mixed.transpose(1, 0, 2).reshape(r, -1) @ flat.conj().T
-    resid = check("support projection p of W W* is not in the left algebra, relative to its norm",
-                  hs_norm(rebuilt - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
-    w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
-    check("a block compression of p is not a projection",
-          hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
-    ranges = [(q[k][:len(a), w[k] > 0.5].T @ a.reshape(len(a), -1)).reshape(-1, *a.shape[1:])
-              for k, (a, _) in enumerate(blocks)]
-    return ranges, resid
-
-
 def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     """The roundtrip record ``(tol, basis, blocks, ranges, ideal, report)``
     of :class:`Submodule` for the support projection ``p`` of ``W``, whose
-    ``compressed = _compress(blocks, p, tol)`` has checked ``p`` in L.
+    ``compressed``, from :func:`~cstarlab.structure._compress` against the
+    row stacks, has checked ``p`` in L.
 
     Checked here: ``W`` in ``Z`` (:class:`MembershipViolation`), ``p w =
     w``, ``dim pZ = sum_k rank(P_k) b_k = dim W``
@@ -579,7 +507,7 @@ def generate_submodule(tro, generators, tol=DEFAULT_TOL):
         check("p = sum_j g_j g_j* b^+ fails",
               hs_norm(reproduced - p) / max(1.0, hs_norm(ds)), tol.member)
     blocks = _tro_blocks(tro, 0, tol)
-    compressed = _compress(blocks, p, tol)
+    compressed = _compress([a for a, _ in blocks], p, tol)
     space = _block_space([(v, b) for v, (_, b) in zip(compressed[0], blocks)], (m, n))
     submodule = Submodule(parent=tro, generators=list(gens), basis=space)
     submodule._roundtrip = _verify_roundtrip(tro, submodule, p, blocks, compressed, tol)
@@ -623,7 +551,8 @@ def _roundtrip(tro, submodule, tol):
     dec, cut, _ = psd_cut(gram_sum(submodule.basis.matrices), tol=tol)
     p = dec.above(cut, lambda t: 1.0)
     blocks = _tro_blocks(tro, 0, tol)
-    record = _verify_roundtrip(tro, submodule, p, blocks, _compress(blocks, p, tol), tol)
+    record = _verify_roundtrip(tro, submodule, p, blocks,
+                              _compress([a for a, _ in blocks], p, tol), tol)
     if tro is submodule.parent:
         submodule._roundtrip = record
     return record

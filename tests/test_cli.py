@@ -14,8 +14,10 @@ from cstarlab import (
     algebra,
     cli,
     generate_algebra,
+    generate_right_ideal,
     ideals,
     instances,
+    jsonio,
     linalg,
     projection_generator,
     structure,
@@ -603,23 +605,34 @@ def test_ideal_commands_span_no_right_ideal(tmp_path, capsys, monkeypatch):
 def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
     """``decompose``, ``ideal`` and ``verify-dz`` take A from its
     decomposition, read off the fixture's generators: none of them
-    generates the algebra or grows a span."""
+    generates the algebra, grows a span or takes a corner trace over A's
+    basis (``verify-dz`` took one per trial), and no eigendecomposition is
+    larger than the ambient 10 x 10 (``ideal`` took one of the 14 x 14 Gram
+    matrix of the products ``p b_i``): dimensions and minimality are read
+    off the compressions of ``p`` against the blocks."""
     kind = "ideal" if command == "ideal" else "algebra"
     fix = tmp_path / f"{kind}.json"
     assert cli.main(["random", kind, "--blocks", "3,2,1", "--mults", "2,1,2",
                      "--seed", "1", "--json", str(fix)]) == 0
-    calls = []
+    calls, sizes = [], []
     for module in (algebra, cli, ideals, instances, linalg, structure, tro):
-        for name in ("generate_algebra", "grow_span"):
+        for name in ("generate_algebra", "grow_span", "_corner_space"):
             if hasattr(module, name):
                 def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
                     calls.append(_name)
                     return _inner(*args, **kwargs)
                 monkeypatch.setattr(module, name, counted)
+
+    def eigh(a, *args, _inner=np.linalg.eigh, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return _inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert cli.main([command, str(fix), "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["algebra_dim"] == 14
     assert calls == []
+    assert sizes and max(sizes) <= report["ambient"] == 10
 
 
 def direct_sum(*blocks):
@@ -678,21 +691,61 @@ IDEAL_SWEEP = [
     (16, [3, 2, 1], [2, 3, 1]),
     (20, [5, 4, 1], [2, 2, 2]),
     (20, [3, 3, 2], [2, 3, 1]),
+    (24, [4, 2, 1], [3, 2, 4]),
 ]
 
 
+def gram_route_report(alg, ideal_generators, tol):
+    """The ``ideal`` report as it was read off A's dense basis: ``dim pA``
+    is the rank of the ``dim A`` products ``p b_i``, which span ``pA``, and
+    the support of their Gram sum is checked against ``p``."""
+    cert = projection_generator(alg, ideal_generators, tol=tol)
+    pb = cert.projection @ alg.basis.matrices
+    dec, cut, _ = linalg.psd_cut(
+        linalg.gram_sum(pb.reshape(1, alg.dim, alg.ambient_dim ** 2)), tol=tol)
+    agreement = linalg.hs_norm(
+        cert.projection - linalg.support_projection_of_psd(linalg.gram_sum(pb), tol=tol))
+    report = {
+        "command": "ideal",
+        "ambient": alg.ambient_dim,
+        "algebra_dim": alg.dim,
+        "ideal_dim": 0 if cut is None else int(np.count_nonzero(dec.eigenvalues > cut)),
+        "certificate": jsonio.certificate_report(cert),
+        "support_agreement": agreement,
+    }
+    ok = agreement <= tol.member and (
+        cert.is_trivial or max(cert.residuals.values()) <= tol.member)
+    return report, ok
+
+
+def assert_matches_the_closure_route(tmp_path, capsys, ambient, algebra_gens, ideal_gens):
+    """Oracle: the algebra closed from the generators, the same certificate,
+    the Gram-rank report of :func:`gram_route_report` and the dimension of
+    the right ideal spanned in one round over A's basis.  Read off the
+    block decomposition's compressions instead, the report keeps every
+    integer field and verdict, and its floats to 1e-12; with A's basis from
+    the decomposition, it is the same under every ``--seed``."""
+    fix = tmp_path / "ideal.json"
+    fix.write_text(json.dumps(encode_ideal_fixture(ambient, algebra_gens, ideal_gens)))
+    closed = generate_algebra(ambient, algebra_gens)
+    report, ok = gram_route_report(closed, ideal_gens, DEFAULT_TOL)
+    assert report["ideal_dim"] == generate_right_ideal(closed, ideal_gens).dim
+    oracle = json.loads(dumps_report({**report, "ok": ok}))
+    for run_seed in range(4):
+        assert cli.main(["ideal", str(fix), "--seed", str(run_seed)]) == (0 if ok else 2)
+        assert_matches(json.loads(capsys.readouterr().out), oracle)
+
+
 @pytest.mark.parametrize("corner", [False, True], ids=["mixed", "corner"])
-@pytest.mark.parametrize("gens", [1, 2, 3, 4])
+@pytest.mark.parametrize("gens", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("ambient, sizes, mults", IDEAL_SWEEP)
 def test_ideal_report_matches_the_closure_route(tmp_path, capsys, ambient, sizes, mults,
                                                 gens, corner):
-    """Oracle: the algebra closed from the fixture's generators, the same
-    certificate and the same Gram-rank report.  Read off the decomposition
-    instead, the report keeps every integer field and verdict, and its
-    floats to 1e-12; with A's basis from the decomposition, it is the same
-    under every ``--seed``.  The ideal generators are those of
-    ``random ideal`` (mostly all of A) or elements ``q x`` for one random
-    projection ``q`` (proper ideals ``qA``)."""
+    """Planted algebras with multiplicities up to 4 and kernels padded up to
+    4, against :func:`assert_matches_the_closure_route`.  The ideal
+    generators are those of ``random ideal`` (mostly all of A) or elements
+    ``q x`` for one random projection ``q`` (proper ideals ``qA``); no
+    generator gives the zero ideal."""
     seed = 100 * ambient + 10 * len(sizes) + gens
     planted = planted_block_algebra(sizes, mults, ambient_dim=ambient, seed=seed)
     rng = np.random.default_rng(seed)
@@ -701,12 +754,13 @@ def test_ideal_report_matches_the_closure_route(tmp_path, capsys, ambient, sizes
         ideal_gens = [q @ algebra.sample_element(planted.algebra, rng) for _ in range(gens)]
     else:
         ideal_gens = random_ideal_generators(planted.algebra, gens, rng)
-    algebra_gens = list(planted.algebra.basis.matrices)
-    fix = tmp_path / "ideal.json"
-    fix.write_text(json.dumps(encode_ideal_fixture(ambient, algebra_gens, ideal_gens)))
-    closed = generate_algebra(ambient, algebra_gens)
-    report, ok = cli._ideal_report(closed, ideal_gens, DEFAULT_TOL)
-    oracle = json.loads(dumps_report({**report, "ok": ok}))
-    for run_seed in range(4):
-        assert cli.main(["ideal", str(fix), "--seed", str(run_seed)]) == (0 if ok else 2)
-        assert_matches(json.loads(capsys.readouterr().out), oracle)
+    assert_matches_the_closure_route(tmp_path, capsys, ambient,
+                                     list(planted.algebra.basis.matrices), ideal_gens)
+
+
+@pytest.mark.parametrize("algebra_gens", [[], [np.zeros((3, 3))]], ids=["none", "zero"])
+def test_ideal_report_of_the_zero_algebra_matches_the_closure_route(tmp_path, capsys,
+                                                                   algebra_gens):
+    """The zero algebra has no blocks to compress ``p`` against: its zero
+    ideal keeps ``ideal_dim`` 0 on both routes, with no traceback."""
+    assert_matches_the_closure_route(tmp_path, capsys, 3, algebra_gens, [])

@@ -43,7 +43,7 @@ from cstarlab.linalg import (
     safe_norm,
     span_rows,
 )
-from cstarlab.structure import _block_form, _blocks, _draw, _matrix_units, _minimal_bases
+from cstarlab.structure import _block_form, _blocks, _draw, _minimal_bases, _units
 from cstarlab.tro import TRO, TROClassification, _morphism_defect
 
 REL = 1e-12
@@ -360,14 +360,30 @@ def test_isometric_rotation_of_one_block_is_refused(block):
     ([4, 1], [1, 3], 2),
 ])
 def test_matrix_units_match_einsum(sizes, mults, seed):
-    """Each block's matrix units ``v_i v_j*`` over its transporters."""
-    algebra = planted_block_algebra(sizes, mults, seed=seed).algebra
+    """Each block's matrix units ``v_i v_j*`` over its transporters, and
+    the planted basis over the transporters cut from the conjugator ``W``:
+    block by block, ``W (E_pq (x) 1_m) W* / sqrt(m)`` with the copies of
+    ``M_n`` at the block's offset, one ``einsum`` over the embedded units
+    per block, ``p`` and ``q`` in row-major order."""
+    planted = planted_block_algebra(sizes, mults, seed=seed)
+    algebra, w = planted.algebra, planted.conjugator
+    n_amb = algebra.ambient_dim
     rng = np.random.default_rng(seed)
-    identity = np.eye(algebra.ambient_dim, dtype=complex)  # the unit: no kernel
+    identity = np.eye(n_amb, dtype=complex)  # the unit: no kernel
     bases, values = _minimal_bases(_draw(algebra.basis, rng), identity, DEFAULT_TOL)
     for blk in _blocks(bases, values, _draw(algebra.basis, rng), DEFAULT_TOL):
         varr = blk["transporters"]
-        assert_rel_close(_matrix_units(varr), np.einsum("iab,jcb->ijac", varr, varr.conj()))
+        assert_rel_close(_units(varr, varr), np.einsum("iab,jcb->ijac", varr, varr.conj()))
+    ref, off = [], 0
+    for n, m in zip(sizes, mults):
+        embedded = np.zeros((n, n, n_amb, n_amb))
+        for p, q in itertools.product(range(n), repeat=2):
+            embedded[p, q, off : off + n * m, off : off + n * m] = np.kron(
+                np.eye(m), np.eye(n)[:, [p]] @ np.eye(n)[[q]])
+        ref.append(np.einsum("ab,pqbc,dc->pqad", w, embedded, w.conj()).reshape(-1, n_amb, n_amb)
+                   / np.sqrt(m))
+        off += n * m
+    assert_rel_close(algebra.basis.matrices, np.concatenate(ref))
 
 
 def loop_block_form_residual(parent, blocks, u):

@@ -159,13 +159,15 @@ def test_a_span_moved_by_roundoff_is_refused_by_both_constructors(seed):
     it.  StarAlgebra.from_span decomposes the algebra's basis as
     generators: the roundoff passes its product probe, but the copies of a
     multiplicity-2 block disagree on the basis by more than tol.spec (or a
-    draw's eigenvalue cluster spreads into the gap band), so it refuses the
-    span as a degenerate decomposition."""
+    draw's eigenvalue cluster spreads into the gap band), so no draw
+    certifies a decomposition, and it refuses the span as not closed,
+    chained from the decomposition's DegenerateRandomness."""
     mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
     assert tro_from_span(moved_by_roundoff(mats, seed)).dim == 25
     mats = planted_block_algebra([3, 2, 1], [1, 2, 1], seed=seed).algebra.basis.matrices
-    with pytest.raises(DegenerateRandomness):
+    with pytest.raises(ClosureViolation, match="copies of a block disagree") as info:
         StarAlgebra.from_span(moved_by_roundoff(mats, seed))
+    assert isinstance(info.value.__cause__, DegenerateRandomness)
 
 
 @pytest.mark.parametrize("seed", range(12))
