@@ -45,7 +45,6 @@ from .algebra import (
     StarAlgebra,
     center,
     generate_algebra,
-    random_self_adjoint,
     unit_of,
     unitize,
 )

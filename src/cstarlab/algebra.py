@@ -17,7 +17,7 @@ it that way and verifies the result.
 """
 
 import numpy as np
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -25,7 +25,6 @@ from .errors import (
     DegenerateRandomness,
     NotAProjection,
     NotInAlgebra,
-    NotUnital,
     NumericalFailure,
     ParamError,
     ShapeMismatch,
@@ -38,7 +37,6 @@ from .linalg import (
     hs_norm,
     identity_defect,
     orthonormalize,
-    spectral_clusters,
     support_projection_of_psd,
 )
 
@@ -47,9 +45,7 @@ __all__ = [
     "generate_algebra",
     "unit_of",
     "unitize",
-    "central_projections",
     "center",
-    "random_self_adjoint",
 ]
 
 # Seed of the draws that decompose an algebra given by generators or by a
@@ -226,86 +222,41 @@ def unitize(algebra, tol=DEFAULT_TOL):
     return StarAlgebra(basis=Subspace(n, n, stack), unit=eye)
 
 
-def central_projections(algebra, h, tol=DEFAULT_TOL):
-    """The minimal central projections of the algebra, read off one
-    element ``h`` of it, or None when ``h`` does not separate the blocks.
-
-    ``Phi(h) = sum_i b_i h b_i*`` over an orthonormal basis is
-    ``tr(c_k h) / m_k^2`` times ``c_k`` on each block and ``S = Phi(1)`` is
-    ``n_k / m_k`` times ``c_k``.  The candidates are the nonzero spectral
-    clusters of ``x + 2||x|| u``, ``x = Phi(h + h*)``, for the unit ``u``.
-    They must sum to ``u``, lie in the algebra and have ``S c = (n^2/tr c) c``
-    for an integer ``n >= 1``: a cluster merging two blocks fails unless
-    they share ``n / m`` and ``n_i^2 + n_j^2`` is a square.
-    """
-    u = algebra.unit
-    mats = algebra.basis.matrices
-    probes = np.stack([h + h.conj().T, np.eye(algebra.ambient_dim)])
-    phi, s = np.tensordot(mats @ probes[:, None], mats.conj(), axes=([1, 3], [0, 2]))
-    shifted = phi + 2.0 * hs_norm(phi) * u
-    found = spectral_clusters(shifted, tol=tol)
-    if hs_norm(sum(found) - u) > tol.member * max(1.0, hs_norm(u)):
-        return None
-    if algebra.basis.max_relative_residual(np.array([c.ravel() for c in found])) > tol.member:
-        return None
-    for c in found:
-        sc = s @ c
-        n = round(float(np.real(np.trace(sc))) ** 0.5)  # S >= u / N, so tr(c S) > 0
-        rho = n * n / float(np.real(np.trace(c)))
-        if n < 1 or hs_norm(sc - rho * c) > tol.member * max(1.0, hs_norm(sc)):
-            return None
-    return found
-
-
-_PROBE_SEED = 0x0C57A  # fixed, so center() is deterministic without a seed
-
-
 def center(algebra, tol=DEFAULT_TOL):
     """The center of the algebra, as a (commutative) StarAlgebra: the span
-    of the :func:`central_projections` of one probe with a fixed seed.
-    Raises :class:`DegenerateRandomness` when the probe does not separate
-    the blocks, and :class:`NumericalFailure` when a projection fails to
-    commute with the ``family``.
+    of the central projections of the block decomposition of its
+    ``family`` (:func:`~cstarlab.structure.decompose_generators`, drawn
+    from a fixed seed), each at unit norm.  Its unit is the algebra's, or
+    the sum of the central projections when the algebra keeps none.
+    Raises :class:`NumericalFailure` when a projection fails to commute
+    with the ``family``.
     """
+    from .structure import decompose_generators  # structure imports this module
+
     space = algebra.basis
     if space.dim == 0:
         return algebra
-    if algebra.unit is None:
-        algebra = replace(algebra, unit=unit_of(algebra, tol=tol))
-        if algebra.unit is None:
-            raise NotUnital("algebra has no detected unit; cannot find its center")
-    found = central_projections(algebra, random_self_adjoint(algebra, _PROBE_SEED), tol=tol)
-    if found is None:
-        raise DegenerateRandomness("the center probe failed to separate the blocks")
-    cm = np.array([c / hs_norm(c) for c in found])
     gens = algebra.family
+    found = decompose_generators(algebra.ambient_dim, gens, seed=_DECOMPOSE_SEED,
+                                 tol=tol).central_projections
+    cm = np.array([c / hs_norm(c) for c in found])
     comm = cm[:, None] @ gens[None] - gens[None] @ cm[:, None]
     check("center candidate fails to commute with the algebra",
           float(np.max(np.abs(comm), initial=0.0)), tol.member, NumericalFailure)
-    return StarAlgebra(basis=Subspace(*space.shape, cm.reshape(len(cm), -1)), unit=algebra.unit)
-
-
-def random_self_adjoint(algebra, seed):
-    """A reproducible random self-adjoint element of the algebra.
-
-    The Hermitian part of a complex standard-normal combination of the
-    orthonormal basis, so every self-adjoint direction is reached whatever
-    the phases of the basis; the same seed always gives the same element.
-    """
-    x = sample_element(algebra, np.random.default_rng(seed))
-    return 0.5 * (x + x.conj().T)
+    unit = sum(found) if algebra.unit is None else algebra.unit
+    return StarAlgebra(basis=Subspace(*space.shape, cm.reshape(len(cm), -1)), unit=unit)
 
 
 def sample_self_adjoint(algebra, rng):
-    """A random self-adjoint element drawn from a live generator: real
-    standard-normal coefficients against the Hermitian parts of the
-    orthonormal basis."""
+    """A random self-adjoint element drawn from a live generator: the
+    Hermitian part of a real standard-normal combination of the
+    orthonormal basis, formed after the combination so the basis is not
+    copied."""
     if algebra.dim == 0:
         raise ParamError("cannot sample from the zero algebra")
-    mats = algebra.basis.matrices
-    herm = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
     coeff = rng.standard_normal(algebra.dim)
-    return np.einsum("a,aij->ij", coeff, herm)
+    x = (coeff @ algebra.basis.stack).reshape(algebra.basis.shape)
+    return 0.5 * (x + x.conj().T)
 
 
 def sample_element(algebra, rng):

@@ -212,7 +212,6 @@ def _cmd_verify_dz(args):
             {
                 "block": t.block_index,
                 "is_maximal": t.is_maximal,
-                "single_generation": t.single_generation,
                 "support_agreement": t.support_agreement,
                 "certificate": certificate_report(t.certificate),
             }

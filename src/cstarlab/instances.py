@@ -116,9 +116,9 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
     unitaries ``U`` and ``V`` on each side.  The TRO keeps that basis, and
     its blocks are written down from the unitaries: block ``k``'s row
     isometries are its ``m_k`` columns of ``U`` and its column isometries
-    its ``n_k`` columns of ``V``, from which the algebras and the family
-    follow (:func:`~cstarlab.tro._tro_from_blocks`), so no closure is
-    involved.  Nondegeneracy is verified.
+    its ``n_k`` columns of ``V``, from which the algebras follow
+    (:func:`~cstarlab.tro._tro_from_blocks`), so no closure is involved.
+    Nondegeneracy is verified.
     """
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:

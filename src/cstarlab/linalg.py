@@ -235,8 +235,9 @@ def spectral_clusters(x, tol=DEFAULT_TOL):
 
 def project(stack, rows):
     """Orthogonal projection ``(rows S*) S`` of flattened ``rows`` onto the
-    span of the orthonormal row ``stack`` ``S``."""
-    return (rows @ stack.conj().T) @ stack
+    span of the orthonormal row ``stack`` ``S``, with ``rows S*`` formed as
+    ``(S rows*)*`` so the stack is not copied to conjugate it."""
+    return (stack @ rows.conj().T).conj().T @ stack
 
 
 class Subspace:

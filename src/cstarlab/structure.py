@@ -682,16 +682,11 @@ class DalesZelazkoTrial:
     certificate: object
     support_agreement: float
     is_maximal: bool
-    single_generation: bool
     tol_member: float
 
     @property
     def ok(self):
-        return (
-            self.is_maximal
-            and self.single_generation
-            and self.support_agreement <= self.tol_member
-        )
+        return self.is_maximal and self.support_agreement <= self.tol_member
 
 
 @dataclass(eq=False)
@@ -759,9 +754,6 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
                 # J = pA with u - p minimal is the paper's criterion; u - p
                 # compresses to the 1 - P_k, of total rank sum_k (n_k - rank P_k)
                 is_maximal=sum(n - len(v) for n, v in zip(dec.block_sizes, ranges)) == 1,
-                # projection_generator has certified p in J (p_in_ideal) and
-                # p g = g (ideal_equals_pA): J = pA
-                single_generation=True,
                 tol_member=tol.member,
             )
         )

@@ -94,22 +94,15 @@ class TRO:
     ``blocks`` lists, per rectangular block, the pair ``(a, b)`` of its
     ``(a_k, rows, m_k)`` row and ``(b_k, cols, m_k)`` column isometry
     stacks: the products ``a_i b_j*`` span the block, and the ranges of
-    all the ``a_i`` (of all the ``b_j``) are orthogonal.  ``family`` is
-    orthonormal elements of the TRO whose odd words ``t1 t2* t3 ...`` span
-    it.  Both are set by :func:`generate_tro`, :func:`tro_from_span` and
-    planted TROs; left out, ``blocks`` is None and ``family`` the basis,
-    which spans the TRO by itself.
+    all the ``a_i`` (of all the ``b_j``) are orthogonal.  They are set by
+    :func:`generate_tro`, :func:`tro_from_span` and planted TROs; left
+    out, ``blocks`` is None.
     """
 
     basis: Subspace
     left_algebra: StarAlgebra
     right_algebra: StarAlgebra
-    family: np.ndarray | None = None
     blocks: list | None = None
-
-    def __post_init__(self):
-        if self.family is None:
-            self.family = self.basis.matrices
 
     @property
     def rows(self):
@@ -125,23 +118,6 @@ class TRO:
 
     def contains(self, x, tol=DEFAULT_TOL):
         return self.basis.contains(x, tol=tol)
-
-
-def _block_family(blocks):
-    """Orthonormal elements whose odd words span the TRO: ``t_0 = sum_k
-    (k+1) a_1 b_1*``, and per index ``i > 1`` the sums of ``a_i b_1*`` and
-    of ``a_1 b_i*`` over the blocks that have it.  Polynomials in
-    ``t_0 t_0*`` separate the blocks (distinct weights), and
-    ``(a_i b_1*)(a_1 b_1*)* (a_1 b_j*) = a_i b_j*``."""
-    tall = max(len(a) for a, _ in blocks)
-    wide = max(len(b) for _, b in blocks)
-    family = np.zeros((tall + wide - 1, blocks[0][0].shape[1], blocks[0][1].shape[1]),
-                      dtype=np.complex128)
-    for k, (a, b) in enumerate(blocks):
-        family[0] += (k + 1) * a[0] @ b[0].conj().T
-        family[1 : len(a)] += a[1:] @ b[0].conj().T
-        family[tall : tall + len(b) - 1] += a[0] @ b[1:].conj().transpose(0, 2, 1)
-    return family / safe_norm(family, axis=(1, 2))[:, None, None]
 
 
 def _corner_terms(gens, rng):
@@ -205,13 +181,12 @@ def _linking_blocks(gens, rng, tol):
 
 def _tro_from_blocks(space, blocks, tol):
     """The TRO on ``space`` with the given :attr:`TRO.blocks`, its algebras
-    and family written down from them (:func:`_block_algebra`,
-    :func:`_block_family`); nondegeneracy is verified."""
+    written down from them (:func:`_block_algebra`); nondegeneracy is
+    verified."""
     r, c = space.shape
     tro = TRO(basis=space,
               left_algebra=_block_algebra([a for a, _ in blocks], r),
               right_algebra=_block_algebra([b for _, b in blocks], c),
-              family=_block_family(blocks) if blocks else None,
               blocks=blocks)
     if space.dim:
         _check_nondegenerate(tro, tol)
@@ -236,9 +211,9 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
 
     Read off the block decomposition of the linking algebra that the
     generators generate (:func:`_linking_blocks`), drawn from a fixed
-    seed: the basis ``a_i b_j* / sqrt(m_k)``, both algebras and the family
-    are written down from its blocks (:func:`_tro_from_blocks`), so no
-    span is closed and no triple product of the basis is formed.
+    seed: the basis ``a_i b_j* / sqrt(m_k)`` and both algebras are written
+    down from its blocks (:func:`_tro_from_blocks`), so no span is closed
+    and no triple product of the basis is formed.
     ``dim Z = sum a_k b_k``.
     """
     m, n = int(rows), int(cols)
@@ -263,8 +238,8 @@ def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     :func:`generate_tro`: the span is a TRO exactly when that TRO has its
     dimension, ``sum a_k b_k = dim S``, and lies within ``tol.member`` of
     it (:class:`ClosureViolation` otherwise).  The TRO keeps the given
-    basis; its algebras and family come from the blocks, and
-    nondegeneracy is verified.
+    basis; its algebras come from the blocks, and nondegeneracy is
+    verified.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
     if space.dim:
@@ -448,10 +423,11 @@ def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     row stacks, has checked ``p`` in L.
 
     Checked here: ``W`` in ``Z`` (:class:`MembershipViolation`), ``p w =
-    w``, ``dim pZ = sum_k rank(P_k) b_k = dim W``
-    (:class:`VerificationFailure` naming both) and ``W`` closed under the
-    right algebra's family.  Then ``W = pZ`` and its ideal ``J = pL`` has
-    the basis ``v_q a_i'* / sqrt(m_k)``.
+    w`` and ``dim pZ = sum_k rank(P_k) b_k = dim W``
+    (:class:`VerificationFailure` naming both).  The first two put ``W``
+    in ``pZ`` and the third gives it that dimension, so ``W = pZ``, which
+    is closed under R since ``Z R`` lies in ``Z``: no closure check is
+    needed.  Its ideal ``J = pL`` has the basis ``v_q a_i'* / sqrt(m_k)``.
     """
     ranges, ideal_resid = compressed
     module_resid = max(
@@ -463,8 +439,6 @@ def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     dim_pz = sum(len(v) * len(b) for v, (_, b) in zip(ranges, blocks))
     if dim_pz != submodule.dim:
         raise VerificationFailure(f"W is not pZ: dim pZ = {dim_pz}, dim W = {submodule.dim}")
-    check("W is not closed under the right algebra",
-          module_defect(submodule.basis, tro.right_algebra.family, right=True), tol.member)
     r = tro.rows
     ideal = RightIdeal(parent=tro.left_algebra, generators=[p], basis=_block_space(
         [(v, a) for v, (a, _) in zip(ranges, blocks)], (r, r)))
@@ -522,12 +496,12 @@ def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
     verified with, for its ``tol``.  Otherwise ``p`` is the
     :func:`psd_cut` support of ``sum w w*`` over the basis of ``W``, and
     :func:`_verify_roundtrip` checks ``p`` in the left algebra through its
-    block compressions
-    (:class:`NotInAlgebra`), ``W`` in ``Z`` (:class:`MembershipViolation`),
-    ``p w = w``, ``dim pZ = sum_k rank(P_k) b_k = dim W``
-    (:class:`VerificationFailure` naming both) and ``W`` closed under the
-    right algebra's family.  Then ``W = pZ``, so ``J = pL``, ``J Z = W``
-    and ``(J Z) Z* = J``; ``J`` is returned as ``pL`` with generator ``p``
+    block compressions (:class:`NotInAlgebra`), ``W`` in ``Z``
+    (:class:`MembershipViolation`), ``p w = w`` and ``dim pZ = sum_k
+    rank(P_k) b_k = dim W`` (:class:`VerificationFailure` naming both).
+    Then ``W`` lies in ``pZ`` with its dimension, so ``W = pZ``, closed
+    under R because ``Z R`` lies in ``Z``; so ``J = pL``, ``J Z = W`` and
+    ``(J Z) Z* = J``.  ``J`` is returned as ``pL`` with generator ``p``
     and the basis ``v_q a_i'* / sqrt(m_k)``, and no span is formed.
 
     Returns ``(ideal, report)``: ``module_roundtrip`` is the larger of

@@ -11,18 +11,16 @@ from cstarlab import (
     center,
     generate_algebra,
     planted_block_algebra,
-    random_self_adjoint,
     unit_of,
     unitize,
 )
-from cstarlab import algebra as algebra_module
+from cstarlab import structure as structure_module
 from cstarlab.algebra import sample_element, sample_self_adjoint
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.linalg import Subspace
 from cstarlab.errors import (
     ClosureViolation,
     CStarError,
-    DegenerateRandomness,
     GapNotFound,
     NotInAlgebra,
     NumericalFailure,
@@ -130,37 +128,27 @@ def test_center_oracles():
 
 def test_center_of_an_imaginary_basis():
     """Every basis element of M2 times i has a traceless Hermitian part, so
-    a real combination of those parts averages to zero; the probe must
-    still reach the unit direction and find the one-dimensional center."""
+    a real combination of those parts averages to zero; the decomposition
+    of that family still finds the one-dimensional center."""
     rotated = StarAlgebra(basis=Subspace(2, 2, 1j * np.eye(4)), unit=np.eye(2, dtype=complex))
-    assert abs(np.trace(random_self_adjoint(rotated, seed=0))) > 1e-3
     assert center(rotated).dim == 1
 
 
 def test_center_that_fails_to_commute_raises(monkeypatch):
-    """The projections are checked against the generating family: when
-    one is not central, as diag(1, 0) in M2 is not, the commutator check
-    fails and names the residual and the bound."""
+    """The central projections of the decomposition are checked against the
+    generating family: when one is not central, as diag(1, 0) in M2 is
+    not, the commutator check fails and names the residual and the
+    bound."""
     full = generate_algebra(2, [E12])
-    monkeypatch.setattr(
-        algebra_module,
-        "central_projections",
-        lambda algebra, h, tol: [np.diag([1.0, 0.0]).astype(complex)],
-    )
+    decompose = structure_module.decompose_generators
+
+    def off_center(*args, **kwargs):
+        return replace(decompose(*args, **kwargs),
+                       central_projections=[np.diag([1.0, 0.0]).astype(complex)])
+
+    monkeypatch.setattr(structure_module, "decompose_generators", off_center)
     with pytest.raises(NumericalFailure, match=r"residual .*, bound 1\.000e-08"):
         center(full)
-
-
-def test_center_probe_at_the_unit_is_refused(monkeypatch):
-    """On blocks of sizes 2 and 2 with multiplicities 1 and 1, Phi(u) is
-    twice the unit: one cluster with tr(c S) = 8, not a square.  A probe
-    that does not separate the blocks raises, never returns a
-    one-dimensional center."""
-    alg = planted_block_algebra([2, 2], [1, 1], seed=4).algebra
-    assert center(alg).dim == 2
-    monkeypatch.setattr(algebra_module, "random_self_adjoint", lambda algebra, seed: algebra.unit)
-    with pytest.raises(DegenerateRandomness):
-        center(alg)
 
 
 def test_center_uses_callers_tolerance():
@@ -199,17 +187,6 @@ def test_require_member_errors():
         a.require_member(np.eye(3))
     with pytest.raises(NotInAlgebra):
         a.require_member(E12)
-
-
-def test_random_self_adjoint_is_deterministic_member():
-    a = generate_algebra(2, [E12])
-    x = random_self_adjoint(a, seed=3)
-    y = random_self_adjoint(a, seed=3)
-    z = random_self_adjoint(a, seed=4)
-    assert np.array_equal(x, y)
-    assert not np.array_equal(x, z)
-    np.testing.assert_allclose(x, x.conj().T, atol=1e-12)
-    assert a.contains(x)
 
 
 def test_samplers_stay_inside_algebra():

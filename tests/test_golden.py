@@ -8,11 +8,13 @@ must match exactly; floats (residuals, spectra, projection entries) may
 move by roundoff, at most 1e-12 absolute.  A refactor that changes a rank
 decision, a block signature or a verdict fails here.
 
-``verify-dz`` samples its maximal ideals through matrix units built from
-random draws.  Each draw is the orthogonal projection of a seeded Gaussian
-matrix onto a span, which does not depend on the basis that represents the
-span, so its sampled projections are pinned to roundoff like every other
-float (``test_invariance`` checks the same under changes of the generators).
+``verify-dz`` samples its maximal ideals off the block decomposition of
+the fixture's generators (``decompose_generators``): each trial reads its
+minimal projection ``e`` off the coordinates ``tr(v_i* g v_j)`` of a seeded
+Gaussian matrix ``g`` against one block's transporters ``v_i``.  A change of
+transporters conjugates those coordinates, and ``e`` with them, so the
+sampled projections are pinned to roundoff like every other float
+(``test_invariance`` checks the same under changes of the generators).
 
 The fixtures are regenerated by ``cstarlab random`` on each run (they are
 written down directly from the seed, without closure or rank decisions).

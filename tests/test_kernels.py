@@ -205,8 +205,11 @@ def removed_max_relative_residual(space, prods):
     """The formula that ``_max_membership_residual``,
     ``_right_module_defect``, ``_ternary_defect`` and ``_module_defect``
     each spelled out before they shared ``Subspace.max_relative_residual``
-    and the last three became ``module_defect``."""
-    coeff = prods @ space.stack.conj().T
+    and the last three became ``module_defect``.  The coefficients ``prods
+    S*`` are formed as ``(S prods*)*``, as :func:`~cstarlab.linalg.project`
+    forms them without copying ``S``: the two orders agree only to roundoff
+    under some BLAS kernels, and the comparison is bit for bit."""
+    coeff = (space.stack @ prods.conj().T).conj().T
     resid = prods - coeff @ space.stack
     norms = np.linalg.norm(resid, axis=1)
     scales = np.maximum(1.0, np.linalg.norm(prods, axis=1))

@@ -21,6 +21,7 @@ from cstarlab.linalg import (
     op_norm,
     orthonormalize,
     place_cut_in_gap,
+    project,
     psd_cut,
     pseudo_inverse_sqrt,
     span_rows,
@@ -288,19 +289,22 @@ def test_grow_span_appends_only_new_directions():
 
 
 def grow_span_by_svd(stack, candidates, tol_rank):
-    """Reference: ``grow_span`` deciding every call by the SVD alone."""
+    """Reference: ``grow_span`` deciding every call by the SVD alone.  It
+    projects with :func:`~cstarlab.linalg.project`, as ``grow_span`` does:
+    the SVD's complex phases follow the roundoff of the residual, so
+    another product order would not give the same rows bit for bit."""
     scale = float(np.max(np.linalg.norm(candidates, axis=1)))
     resid = candidates
     if stack.shape[0]:
         for _ in range(2):
-            resid = resid - (resid @ stack.conj().T) @ stack
+            resid = resid - project(stack, resid)
     _, svals, vh = np.linalg.svd(resid, full_matrices=False)
     keep = int(np.sum(svals > tol_rank * scale))
     if keep == 0:
         return stack, False
     fresh = vh[:keep]
     if stack.shape[0]:
-        fresh = fresh - (fresh @ stack.conj().T) @ stack
+        fresh = fresh - project(stack, fresh)
     return np.vstack([stack, fresh]), True
 
 

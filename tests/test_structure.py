@@ -25,7 +25,7 @@ from cstarlab import (
 )
 from cstarlab.config import DEFAULT_TOL
 from cstarlab import ideals as ideals_module, structure as structure_module
-from cstarlab.algebra import central_projections, sample_element
+from cstarlab.algebra import sample_element
 from cstarlab.errors import CStarError, DegenerateRandomness, GapNotFound, VerificationFailure
 from cstarlab.ideals import right_module_span
 from cstarlab.instances import haar_unitary, random_block_structure
@@ -238,15 +238,14 @@ def test_central_draw_at_the_unit_is_redrawn(monkeypatch):
 
 
 def test_merged_blocks_never_decompose(monkeypatch):
-    """Blocks of sizes 3 and 4 with multiplicities 3 and 4 have n/m = 1 and
-    3^2 + 4^2 = 5^2, so the unit passes as one central projection.  A draw
+    """Blocks of sizes 3 and 4 with multiplicities 3 and 4 have 3^2 + 4^2 =
+    5^2 and 3 * 3 + 4 * 4 = 5 * 5, so one block of size 5 and multiplicity
+    5 would match both the algebra's dimension and its unit's rank.  A draw
     at the unit merges both blocks into one cluster; that candidate must
     never be returned: the pair is redrawn, and when every draw is the
     unit the decomposition raises rather than return a result."""
     planted = planted_block_algebra([3, 4], [3, 4], seed=9)
     u = planted.algebra.unit
-    merged = central_projections(planted.algebra, u)
-    assert len(merged) == 1 and hs_norm(merged[0] - u) <= 1e-8
     force_draws(monkeypatch, u, 1)
     assert wedderburn_decompose(planted.algebra).block_signature() == planted.signature()
     force_draws(monkeypatch, u, 2 * _MAX_DRAWS)
@@ -509,7 +508,6 @@ def test_verify_single_generation_of_maximal_ideals_m2():
     for t in report.trials:
         assert t.ok
         assert t.is_maximal
-        assert t.single_generation
         assert t.support_agreement <= 1e-8
 
 
@@ -602,5 +600,5 @@ def test_dales_zelazko_verdicts_match_the_span_route(monkeypatch, sizes, mults):
     for trial, gens in zip(report.trials, certified):
         ideal = generate_right_ideal(a, gens)
         regen = generate_right_ideal(a, [trial.certificate.projection])
-        assert regen.basis.equals(ideal.basis) == trial.single_generation
+        assert regen.basis.equals(ideal.basis)
         assert is_maximal_right_ideal(a, ideal) == trial.is_maximal

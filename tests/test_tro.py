@@ -435,7 +435,7 @@ def test_roundtrip_with_another_tol_or_tro_recomputes(monkeypatch):
     _, loose_report = submodule_ideal_roundtrip(p.tro, w, tol=loose)
     assert len(calls) == 1
     twin = TRO(basis=p.tro.basis, left_algebra=p.tro.left_algebra,
-               right_algebra=p.tro.right_algebra, family=p.tro.family)
+               right_algebra=p.tro.right_algebra)
     _, twin_report = submodule_ideal_roundtrip(twin, w)
     assert len(calls) == 2
     for other in (loose_report, twin_report):

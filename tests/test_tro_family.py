@@ -1,16 +1,17 @@
-"""TRO and right-module spans built from a generating family against the
-all-pairs spans.
+"""TRO and right-module spans written down in block coordinates against
+the all-pairs spans.
 
 A TRO from :func:`generate_tro` or :func:`planted_block_tro` keeps the
-family ``T`` its closure was certified with, and every span on the TRO
-side multiplies by ``T`` instead of a basis; right ideals and submodules
-grow under the family of their algebra, which for a planted algebra is
-the three elements it is written down with.  The references below are
-the all-pairs constructions that replaced: ``span(Z Z*)``, ``span(Z* Z)``,
-the ideal ``span(W Z*)`` that the support projection of a submodule
-replaced, ``g A^1`` over a basis of the unitization and the distance from
-``e`` to ``span(W W*)``.  Spans must
-agree to 1e-12 on planted TROs, whose bases are exact to roundoff.
+blocks of its linking algebra, and its algebras, its submodules ``W =
+pZ`` and their ideals ``pL`` are written down from them; right ideals
+and submodules grown from generators (:func:`right_module_span`) take
+one round over their algebra's basis and are checked closed under its
+family, which for a planted algebra or either algebra of a TRO is the
+three elements it is written down with.  The references below are the
+all-pairs constructions those replaced: ``span(Z Z*)``, ``span(Z* Z)``,
+the ideal ``span(W Z*)``, ``g A^1`` over a basis of the unitization and
+the distance from ``e`` to ``span(W W*)``.  Spans must agree to 1e-12 on
+planted TROs, whose bases are exact to roundoff.
 """
 
 import dataclasses
@@ -30,7 +31,6 @@ from cstarlab import (
     minimal_projection_below,
     planted_block_tro,
     submodule_ideal_roundtrip,
-    tro_from_span,
 )
 from cstarlab.algebra import sample_element, unitize
 from cstarlab.config import DEFAULT_TOL
@@ -69,8 +69,7 @@ BOUND_SLACK = 1e-14
 
 
 def family_tro(seed, path):
-    """A TRO with a family, its span tolerance and a generator: planted,
-    or generated by two elements of a planted TRO (often a proper
+    """A TRO, its span tolerance and a generator: planted, or generated by two elements of a planted TRO (often a proper
     sub-TRO)."""
     rng = np.random.default_rng(seed)
     planted = planted_block_tro(random_tro_blocks(rng), seed=seed).tro
@@ -234,28 +233,38 @@ def test_a_generator_moved_off_the_submodule_is_refused():
         _certify_generation(w.basis, zs, support, DEFAULT_TOL)
 
 
-def closure_and_basis_family(blocks, seed):
-    """A planted TRO with its closure family, and the same TRO with its
-    basis as its family, the family of a TRO built without one."""
-    p = planted_block_tro(blocks, seed=seed)
-    assert len(p.tro.family) < p.tro.dim
-    assert len(tro_from_span(list(p.tro.basis.matrices)).family) < p.tro.dim
-    return [p.tro, dataclasses.replace(p.tro, family=p.tro.basis.matrices)]
-
-
-@pytest.mark.parametrize("which", [0, 1], ids=["family", "basis"])
-def test_a_submodule_that_is_not_right_closed_is_refused_either_way(which):
-    tro = closure_and_basis_family([(3, 3), (2, 2)], seed=1)[which]
+@pytest.mark.parametrize("blocks, seed", [
+    ([(3, 3), (2, 2)], 1),
+    ([(2, 3), (1, 2)], 9),
+    ([(4, 1), (1, 4), (2, 2)], 2),
+], ids=["3x3,2x2", "2x3,1x2", "4x1,1x4,2x2"])
+def test_single_element_submodules_are_refused_exactly_when_not_closed(blocks, seed):
+    """``span(z)`` for one basis element ``z`` is a submodule exactly when
+    ``z R^1`` is one-dimensional.  The roundtrip checks no closure: ``W``
+    in ``Z``, ``p w = w`` and ``dim pZ = dim W`` refuse every ``span(z)``
+    that ``right_module_span`` grows, and accept every one it does not."""
+    tro = planted_block_tro(blocks, seed=seed).tro
     z = tro.basis
-    w = Submodule(parent=tro, generators=[z.matrices[0]],
-                  basis=Subspace(z.rows, z.cols, z.stack[:1]))
-    with pytest.raises(VerificationFailure):
-        submodule_ideal_roundtrip(tro, w)
+    verdicts = set()
+    for row, mat in zip(z.stack, z.matrices):
+        closed = right_module_span(tro.right_algebra, [mat], tro.rows).dim == 1
+        w = Submodule(parent=tro, generators=[mat], basis=Subspace(z.rows, z.cols, row[None]))
+        if closed:
+            assert submodule_ideal_roundtrip(tro, w)[1]["ok"]
+        else:
+            with pytest.raises(VerificationFailure, match="W is not pZ"):
+                submodule_ideal_roundtrip(tro, w)
+        verdicts.add(closed)
+    assert verdicts == ({True, False} if any(b == 1 for _, b in blocks) else {False})
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["family", "basis"])
-def test_a_submodule_outside_the_tro_is_refused_either_way(which):
-    tro = closure_and_basis_family([(2, 2), (1, 1)], seed=3)[which]
+@pytest.mark.parametrize("bare", [False, True], ids=["blocks", "bare"])
+def test_a_submodule_outside_the_tro_is_refused_either_way(bare):
+    """Refused by a planted TRO, and by the same TRO built by hand without
+    its :attr:`~cstarlab.tro.TRO.blocks`, which reads them off its basis."""
+    tro = planted_block_tro([(2, 2), (1, 1)], seed=3).tro
+    if bare:
+        tro = dataclasses.replace(tro, blocks=None)
     z = tro.basis
     outside = np.ones((1, z.rows * z.cols)) / np.sqrt(z.rows * z.cols)
     w = Submodule(parent=tro, generators=[], basis=Subspace(z.rows, z.cols, outside))
@@ -263,10 +272,9 @@ def test_a_submodule_outside_the_tro_is_refused_either_way(which):
         submodule_ideal_roundtrip(tro, w)
 
 
-def test_a_planted_tro_keeps_its_basis_and_gets_a_family():
+def test_a_planted_tro_keeps_its_basis():
     """The planted basis is the rotated matrix units, unchanged, so
-    ``random tro`` fixtures keep their bytes; the family spans the same
-    TRO."""
+    ``random tro`` fixtures keep their bytes."""
     blocks = [(2, 3), (1, 2)]
     p = planted_block_tro(blocks, seed=9)
     units = []
@@ -280,8 +288,6 @@ def test_a_planted_tro_keeps_its_basis_and_gets_a_family():
         r_off, c_off = r_off + m_k, c_off + n_k
     planted = p.left_conjugator @ np.array(units) @ p.right_conjugator.conj().T
     assert np.array_equal(p.tro.basis.matrices, planted)
-    closed = generate_tro(3, 5, list(p.tro.family))
-    assert closed.basis.distance(p.tro.basis) <= SPAN_TOL
 
 
 def generated_submodule(tro, rng):
@@ -316,7 +322,7 @@ def test_a_tro_without_blocks_gives_the_same_submodules(seed):
     rng = np.random.default_rng(seed)
     planted = planted_block_tro(random_tro_blocks(rng), seed=seed).tro
     bare = TRO(basis=planted.basis, left_algebra=planted.left_algebra,
-               right_algebra=planted.right_algebra, family=planted.family)
+               right_algebra=planted.right_algebra)
     assert bare.blocks is None
     left = planted.left_algebra
     e = minimal_projection_below(left, left.unit, seed=seed)
