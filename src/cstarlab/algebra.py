@@ -1,8 +1,9 @@
 """Concrete finite-dimensional *-algebras of complex matrices.
 
 A :class:`StarAlgebra` is a subspace of ``N x N`` matrices closed under
-products and adjoints, held as an orthonormal basis.  Closedness is what
-separates an algebra from a mere subspace, and no span is closed to
+products and adjoints, held as the isometry stacks of its blocks; its
+dense basis is written down only when a caller reads it.  Closedness is
+what separates an algebra from a mere subspace, and no span is closed to
 certify it: :func:`generate_algebra` reads the algebra off the block
 decomposition of its generators
 (:func:`~cstarlab.structure.decompose_generators`), and
@@ -16,8 +17,10 @@ projection acting as the identity on the whole span.  ``unit_of`` computes
 it that way and verifies the result.
 """
 
-import numpy as np
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -33,10 +36,11 @@ from .errors import (
 from .linalg import (
     Subspace,
     as_matrix,
-    grow_span,
+    gram_sum,
     hs_norm,
     identity_defect,
     orthonormalize,
+    safe_norm,
     support_projection_of_psd,
 )
 
@@ -53,49 +57,126 @@ __all__ = [
 _DECOMPOSE_SEED = 0
 
 
+def _units(left, right, out=None):
+    """The products ``x y*`` over the ``(p, n, m)`` isometry stack ``left``
+    and the ``(q, n', m)`` stack ``right``, as one batched product of shape
+    ``(p, q, n, n')``, into ``out`` when given: the matrix units ``e_ij =
+    v_i v_j*`` of a block's transporters, and a TRO block's ``a_i b_j*``."""
+    return np.matmul(left[:, None], right.conj().transpose(0, 2, 1)[None], out=out)
+
+
+def _block_space(blocks, shape):
+    """The orthonormal units ``x y* / sqrt(m_k)`` over the stacks ``(x, y)``
+    of each block, in one allocation: an algebra's basis for the blocks
+    ``(v, v)``, a TRO's, and a submodule's or its ideal's for the ranges of ``p``."""
+    r, c = shape
+    stack = np.empty((sum(len(x) * len(y) for x, y in blocks), r, c), dtype=np.complex128)
+    at = 0
+    for x, y in blocks:
+        end = at + len(x) * len(y)
+        _units(x, y, out=stack[at:end].reshape(len(x), len(y), r, c))
+        stack[at:end] /= np.sqrt(x.shape[2])
+        at = end
+    return Subspace(r, c, stack.reshape(-1, r * c))
+
+
+def _coordinates(v, xs):
+    """``X[s, i, j] = tr(v_i* x_s v_j) = <v_i v_j*, x_s>`` over the ``(n, N,
+    m)`` isometry stack ``v`` and the ``(s, N, N)`` stack ``xs``, from one
+    ``(n m) x (n m)`` compression per element."""
+    count, r, mult = v.shape
+    flat = v.transpose(1, 0, 2).reshape(r, count * mult)
+    comp = (flat.conj().T @ xs @ flat).reshape(-1, count, mult, count, mult)
+    return np.einsum("siuju->sij", comp)
+
+
+def _block_projection(stacks, xs):
+    """``(coords, projected)`` of the ``(s, N, N)`` stack ``xs`` against the
+    ``(n_k, N, m_k)`` isometry stacks of an algebra's blocks: ``coords[k][s]``
+    is ``P_k[i, j] = tr(v_i* x_s v_j) / m_k`` (:func:`_coordinates`), and
+    ``projected[s] = sum_k sum_ij P_k[i, j] v_i v_j*`` the orthogonal
+    projection of ``x_s`` onto the algebra, in ``O(N^2 sum_k n_k m_k)``."""
+    projected = np.zeros(xs.shape, dtype=np.complex128)
+    coords = []
+    for v in stacks:
+        count, r, mult = v.shape
+        flat = v.transpose(1, 0, 2).reshape(r, count * mult)
+        pk = _coordinates(v, xs) / mult
+        coords.append(pk)
+        # sum_ij P[i, j] v_i v_j* = sum_j (sum_i P[i, j] v_i) v_j*
+        mixed = (pk.transpose(0, 2, 1) @ v.reshape(count, -1)).reshape(-1, count, r, mult)
+        projected += mixed.transpose(0, 2, 1, 3).reshape(-1, r, count * mult) @ flat.conj().T
+    return coords, projected
+
+
 @dataclass(eq=False)
 class StarAlgebra:
-    """A *-closed algebra of ``N x N`` complex matrices.
+    """A *-closed algebra of ``N x N`` complex matrices, held as its blocks.
 
     Attributes
     ----------
-    basis : Subspace
-        Orthonormal basis of the underlying subspace.
-    unit : ndarray or None
-        The multiplicative identity of the algebra (a projection in the
-        ambient matrices), or None for the zero algebra.
+    ambient_dim : int
+        ``N``.
+    blocks : list of ndarray
+        Per block, the ``(n_k, N, m_k)`` isometry stack of its transporters
+        ``v_i``, with orthogonal ranges: the matrix units ``v_i v_j*`` span
+        the block ``M_{n_k} (x) 1_{m_k}``.  No blocks is the zero algebra.
     family : ndarray
         ``(k, N, N)`` unit-norm elements that generate the algebra with
         their adjoints: the two draws its block decomposition was
         certified with, set by :func:`generate_algebra` and
-        :meth:`from_span`, or the three elements a planted algebra, or
-        either algebra of a TRO, is written down with.  Left out, it is
-        the basis, which generates what it spans.
+        :meth:`from_span`.  Left out, it is the shift ``S = sum v_p
+        v_{p+1}*``, ``S*`` and ``D = sum_k (k+1) v_1 v_1*``, whose words
+        reach every unit: each ``v_1 v_1*`` is a polynomial in ``D``, and
+        ``(S*)^p v_1 v_1* S^q = v_{p+1} v_{q+1}*``.
+
+    The ``unit`` ``sum v_i v_i*`` (None for the zero algebra) and the
+    orthonormal ``basis`` ``e_ij / sqrt(m_k)`` (:func:`_block_space`) are
+    formed on first use.
     """
 
-    basis: Subspace
-    unit: np.ndarray | None = None
+    ambient_dim: int
+    blocks: list
     family: np.ndarray | None = None
 
     def __post_init__(self):
         if self.family is None:
-            self.family = self.basis.matrices
-
-    @property
-    def ambient_dim(self):
-        return self.basis.rows
+            n = self.ambient_dim
+            shift = sum(((v[:-1] @ v[1:].conj().transpose(0, 2, 1)).sum(axis=0)
+                         for v in self.blocks), np.zeros((n, n), dtype=np.complex128))
+            weights = sum((k + 1) * v[0] @ v[0].conj().T for k, v in enumerate(self.blocks))
+            self.family = np.array([x / hs_norm(x) for x in (shift, shift.conj().T, weights)
+                                    if np.any(x)], dtype=np.complex128).reshape(-1, n, n)
 
     @property
     def dim(self):
-        return self.basis.dim
+        return sum(len(v) ** 2 for v in self.blocks)
+
+    @functools.cached_property
+    def unit(self):
+        return sum(gram_sum(v) for v in self.blocks) if self.blocks else None
+
+    @functools.cached_property
+    def basis(self):
+        return _block_space([(v, v) for v in self.blocks], (self.ambient_dim,) * 2)
+
+    def max_relative_residual(self, xs):
+        """Largest ``||x - Px|| / max(1, ||x||)`` over the ``(s, N, N)`` stack
+        ``xs`` (0.0 for none), ``P`` the projection onto the algebra
+        (:func:`_block_projection`): ``x`` is in it when at most ``tol.member``."""
+        xs = np.asarray(xs, dtype=np.complex128).reshape(-1, self.ambient_dim, self.ambient_dim)
+        _, projected = _block_projection(self.blocks, xs)
+        scales = np.maximum(1.0, safe_norm(xs, axis=(1, 2)))
+        return float(np.max(safe_norm(xs - projected, axis=(1, 2)) / scales, initial=0.0))
 
     def contains(self, x, tol=DEFAULT_TOL):
-        return self.basis.contains(x, tol=tol)
+        x = as_matrix(x, shape=(self.ambient_dim,) * 2)
+        return self.max_relative_residual(x[None]) <= tol.member
 
     def require_member(self, x, tol=DEFAULT_TOL, what="element"):
-        x = as_matrix(x, shape=self.basis.shape)
+        x = as_matrix(x, shape=(self.ambient_dim,) * 2)
         check(f"{what} is not in the algebra, relative to its norm",
-              self.basis.max_relative_residual(x.reshape(1, -1)), tol.member, NotInAlgebra)
+              self.max_relative_residual(x[None]), tol.member, NotInAlgebra)
         return x
 
     def require_projection(self, e, tol=DEFAULT_TOL, what="element"):
@@ -124,9 +205,8 @@ class StarAlgebra:
         Below what the probe resolves, the copies of a block disagree on
         the basis beyond ``tol.spec``, so no draw certifies a decomposition;
         that :class:`DegenerateRandomness` becomes a chained
-        :class:`ClosureViolation`.  The algebra keeps the given basis; its
-        unit is the sum of the central projections and its family the
-        decomposition's draws.
+        :class:`ClosureViolation`.  The decomposition's algebra is returned
+        with the given basis, not the one its blocks write down.
         """
         from .structure import decompose_generators  # structure imports this module
 
@@ -156,7 +236,8 @@ class StarAlgebra:
             )
         check("span is not the algebra it generates", closed.basis.distance(space), tol.member,
               ClosureViolation)
-        return StarAlgebra(basis=space, unit=closed.unit, family=closed.family)
+        closed.basis = space
+        return closed
 
 
 def generate_algebra(ambient_dim, generators, tol=DEFAULT_TOL):
@@ -211,40 +292,32 @@ def unitize(algebra, tol=DEFAULT_TOL):
     """Adjoin the ambient identity, returning a unital algebra.
 
     If the algebra already contains the ambient identity it is returned
-    unchanged; otherwise the span is extended by the identity (which keeps
-    it closed: products of members with the identity are members).
+    unchanged; otherwise the kernel of its unit ``u`` (eigenvalues below
+    1/2) joins its blocks as one block of size one.
     """
     n = algebra.ambient_dim
     eye = np.eye(n, dtype=np.complex128)
-    if algebra.basis.contains(eye, tol=tol):
+    if algebra.contains(eye, tol=tol):
         return algebra
-    stack, _ = grow_span(algebra.basis.stack, eye.ravel()[None, :], tol=tol)
-    return StarAlgebra(basis=Subspace(n, n, stack), unit=eye)
+    w, q = np.linalg.eigh(np.zeros_like(eye) if algebra.unit is None else algebra.unit)
+    return StarAlgebra(n, [*algebra.blocks, q[:, w < 0.5][None]])
 
 
 def center(algebra, tol=DEFAULT_TOL):
-    """The center of the algebra, as a (commutative) StarAlgebra: the span
-    of the central projections of the block decomposition of its
-    ``family`` (:func:`~cstarlab.structure.decompose_generators`, drawn
-    from a fixed seed), each at unit norm.  Its unit is the algebra's, or
-    the sum of the central projections when the algebra keeps none.
-    Raises :class:`NumericalFailure` when a projection fails to commute
-    with the ``family``.
+    """The center of the algebra, as a (commutative) StarAlgebra: one block
+    of size one per block of the algebra, its stack the block's
+    transporters laid side by side, so that its basis is the central
+    projections ``sum_i v_i v_i*`` at unit norm and its unit the
+    algebra's.  Raises :class:`NumericalFailure` when a projection fails
+    to commute with the ``family``.
     """
-    from .structure import decompose_generators  # structure imports this module
-
-    space = algebra.basis
-    if space.dim == 0:
-        return algebra
-    gens = algebra.family
-    found = decompose_generators(algebra.ambient_dim, gens, seed=_DECOMPOSE_SEED,
-                                 tol=tol).central_projections
-    cm = np.array([c / hs_norm(c) for c in found])
+    n = algebra.ambient_dim
+    z = StarAlgebra(n, [v.transpose(1, 0, 2).reshape(1, n, -1) for v in algebra.blocks])
+    cm, gens = z.basis.matrices, algebra.family
     comm = cm[:, None] @ gens[None] - gens[None] @ cm[:, None]
     check("center candidate fails to commute with the algebra",
           float(np.max(np.abs(comm), initial=0.0)), tol.member, NumericalFailure)
-    unit = sum(found) if algebra.unit is None else algebra.unit
-    return StarAlgebra(basis=Subspace(*space.shape, cm.reshape(len(cm), -1)), unit=unit)
+    return z
 
 
 def sample_self_adjoint(algebra, rng):

@@ -36,7 +36,7 @@ from .jsonio import (
     encode_ideal_fixture,
     encode_tro_fixture,
 )
-from .linalg import hs_norm, support_projection_of_psd
+from .linalg import gram_sum, hs_norm, support_projection_of_psd
 from .selftest import run_selftest
 from .structure import _compress, decompose_generators, verify_dales_zelazko
 from .tro import classify_tro, generate_tro
@@ -130,25 +130,22 @@ def _cmd_decompose(args):
     return _finish(report, args, report.get("ground_truth_match", True), "block structure mismatch")
 
 
-def _ideal_report(dec, ideal_generators, tol):
+def _ideal_report(alg, ideal_generators, tol):
     """The ``ideal`` report of the certificate ``J = pA`` for the right
-    ideal the generators generate in the algebra ``A`` of the block
-    decomposition ``dec``, and its verdict."""
-    alg = dec.algebra
+    ideal the generators generate in the algebra ``alg``, and its verdict."""
     cert = projection_generator(alg, ideal_generators, tol=tol)
     p = cert.projection
     # p's block compressions check p in A and give dim pA = sum_k n_k rank P_k;
-    # over the matrix units b_i, sum_i (p b_i)(p b_i)* = p (sum_k (n_k/m_k) c_k) p,
-    # whose support, by an eigendecomposition of its own, is checked against p
-    ranges, _ = _compress(dec.transporters, p, tol)
-    weight = sum(((n / m) * c for n, m, c in zip(dec.block_sizes, dec.multiplicities,
-                                                dec.central_projections)), np.zeros_like(p))
+    # over the matrix units b_i, sum_i (p b_i)(p b_i)* = p (sum_k (n_k/m_k) c_k) p for
+    # c_k = sum_i v_i v_i*; its support, by an eigendecomposition of its own, is checked against p
+    ranges, _ = _compress(alg.blocks, p, tol)
+    weight = sum(((len(v) / v.shape[2]) * gram_sum(v) for v in alg.blocks), np.zeros_like(p))
     agreement = hs_norm(p - support_projection_of_psd(p @ weight @ p, tol=tol))
     report = {
         "command": "ideal",
         "ambient": alg.ambient_dim,
         "algebra_dim": alg.dim,
-        "ideal_dim": sum(n * len(v) for n, v in zip(dec.block_sizes, ranges)),
+        "ideal_dim": sum(len(v) * len(r) for v, r in zip(alg.blocks, ranges)),
         "certificate": certificate_report(cert),
         "support_agreement": agreement,
     }
@@ -161,10 +158,10 @@ def _ideal_report(dec, ideal_generators, tol):
 def _cmd_ideal(args):
     tol = _resolve_tol(args)
     fix = _load_fixture(args.fixture, ("ideal",))
-    # A's orthonormal basis is its certified decomposition's matrix units
-    dec = decompose_generators(fix["ambient"], fix["algebra_generators"],
-                               seed=_resolve_seed(args), tol=tol)
-    report, ok = _ideal_report(dec, fix["ideal_generators"], tol)
+    # A is its certified decomposition's blocks
+    alg = decompose_generators(fix["ambient"], fix["algebra_generators"],
+                               seed=_resolve_seed(args), tol=tol).algebra
+    report, ok = _ideal_report(alg, fix["ideal_generators"], tol)
     return _finish(report, args, ok, "projection certificate residuals")
 
 
@@ -198,9 +195,8 @@ def _cmd_verify_dz(args):
     tol = _resolve_tol(args)
     fix = _load_fixture(args.fixture, ("algebra",))
     seed = _resolve_seed(args)
-    dec = decompose_generators(fix["ambient"], fix["generators"], seed=seed, tol=tol)
-    alg = dec.algebra
-    result = verify_dales_zelazko(alg, trials=args.trials, seed=seed, tol=tol, decomposition=dec)
+    alg = decompose_generators(fix["ambient"], fix["generators"], seed=seed, tol=tol).algebra
+    result = verify_dales_zelazko(alg, trials=args.trials, seed=seed, tol=tol)
     report = {
         "command": "verify-dz",
         "ambient": alg.ambient_dim,

@@ -252,7 +252,7 @@ def projection_generator(parent, generators, tol=DEFAULT_TOL):
         "pb_minus_b": hs_norm(p @ b - b) / max(1.0, hs_norm(b)),
         "ideal_equals_pA": identity_defect(p, gmats),
         "p_in_ideal": max(hs_norm((gmats @ ds).sum(axis=0) - p) / max(1.0, hs_norm(ds)),
-                          parent.basis.max_relative_residual(ds.reshape(count, -1))),
+                          parent.max_relative_residual(ds)),
     }
     for name, value in residuals.items():
         # what p misses of a generator must fall under the cutoff that would

@@ -17,7 +17,6 @@ from .errors import ParamError
 from .algebra import StarAlgebra, sample_element, sample_self_adjoint
 from .ideals import generate_right_ideal
 from .linalg import Subspace, cluster_partition, hermitian_eig
-from .structure import _block_algebra
 from .tro import _tro_from_blocks
 
 __all__ = [
@@ -73,10 +72,9 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
     """Conjugated ``sum_k I_{m_k} (x) M_{n_k}`` with known ground truth.
 
     Each block's transporters are cut from the Haar unitary's columns at
-    the block's offset, and the basis ``e_ij / sqrt(m_k)``, the unit and a
-    generating family of at most three elements are written down from them
-    (:func:`~cstarlab.structure._block_algebra`), so no closure iteration
-    is involved.  ``ambient_dim`` beyond the occupied rank pads the
+    the block's offset, and the algebra is those isometry stacks
+    (:class:`~cstarlab.algebra.StarAlgebra`), so no closure iteration is
+    involved.  ``ambient_dim`` beyond the occupied rank pads the
     algebra with a kernel, making the algebra unit a proper subprojection
     of the ambient identity.
     """
@@ -99,9 +97,8 @@ def planted_block_algebra(block_sizes, multiplicities, ambient_dim=None, seed=0)
     for n_k, m_k in zip(sizes, mults):
         stacks.append(u[:, off : off + n_k * m_k].reshape(n_amb, m_k, n_k).transpose(2, 0, 1))
         off += n_k * m_k
-    algebra = _block_algebra(stacks, n_amb)
     return PlantedAlgebra(
-        algebra=algebra,
+        algebra=StarAlgebra(n_amb, stacks),
         block_sizes=sizes,
         multiplicities=mults,
         conjugator=u,

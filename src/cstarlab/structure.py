@@ -37,7 +37,7 @@ certifies against its orthonormal basis and draws orthogonal projections
 of seeded Gaussian matrices onto its span, so for a given seed its result
 depends on the span only, not on the basis that represents it.
 Block structure is held as ``(n_k, N, m_k)`` isometry stacks, the
-transporters: :func:`_block_algebra` writes an algebra down from them
+transporters: a :class:`~cstarlab.algebra.StarAlgebra` is its stacks
 (``BlockDecomposition.algebra``, planted algebras, a TRO's two algebras),
 and :func:`_compress` reads ``dim pA`` and the minimality of ``u - p`` off
 the compressions of a projection ``p`` against them.
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import StarAlgebra
+from .algebra import StarAlgebra, _block_projection, _coordinates, _units
 from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
@@ -72,7 +72,6 @@ from .ideals import (
     projection_generator,
 )
 from .linalg import (
-    Subspace,
     _stack_inputs,
     cluster_partition,
     gram_sum,
@@ -139,10 +138,9 @@ class BlockDecomposition:
     @functools.cached_property
     def algebra(self):
         """The certified algebra ``B = U (sum M_{n_k} (x) 1_{m_k}) U*`` as a
-        :class:`StarAlgebra`, without closing a span: written down from the
-        transporters by :func:`_block_algebra`, with the two certified
-        ``draws`` as its family."""
-        return _block_algebra(self.transporters, self.basis_change.shape[0], family=self.draws)
+        :class:`StarAlgebra`, without closing a span: its blocks are the
+        transporters, and its family the two certified ``draws``."""
+        return StarAlgebra(self.basis_change.shape[0], self.transporters, family=self.draws)
 
     def block_signature(self):
         """Sorted (size, multiplicity) pairs, the isomorphism invariant."""
@@ -331,89 +329,31 @@ def _blocks(bases, values, z, tol):
     return blocks
 
 
-def _units(left, right, out=None):
-    """The products ``x y*`` over the ``(p, n, m)`` isometry stack ``left``
-    and the ``(q, n', m)`` stack ``right``, as one batched product of shape
-    ``(p, q, n, n')``, into ``out`` when given: the matrix units ``e_ij =
-    v_i v_j*`` of a block's transporters, and a TRO block's ``a_i b_j*``."""
-    return np.matmul(left[:, None], right.conj().transpose(0, 2, 1)[None], out=out)
-
-
-def _block_space(blocks, shape):
-    """The orthonormal units ``x y* / sqrt(m_k)`` over the stacks ``(x,
-    y)`` of each block, written into one allocation: an algebra's basis
-    ``e_ij / sqrt(m_k)`` for the blocks ``(v, v)``, a TRO's ``a_i b_j* /
-    sqrt(m_k)``, and that of a submodule or its ideal for the ranges of
-    ``p``."""
-    r, c = shape
-    stack = np.empty((sum(len(x) * len(y) for x, y in blocks), r, c), dtype=np.complex128)
-    at = 0
-    for x, y in blocks:
-        end = at + len(x) * len(y)
-        _units(x, y, out=stack[at:end].reshape(len(x), len(y), r, c))
-        stack[at:end] /= np.sqrt(x.shape[2])
-        at = end
-    return Subspace(r, c, stack.reshape(-1, r * c))
-
-
-def _block_algebra(stacks, n, family=None):
-    """The *-algebra ``sum_k M_{n_k} (x) 1_{m_k}`` on ``C^n`` whose block
-    ``k`` has the matrix units ``v_i v_j*`` of the ``(n_k, n, m_k)``
-    isometry stack ``stacks[k]``, written down: its basis is the units over
-    ``sqrt(m_k)`` (:func:`_block_space`), its unit the sum of the ``v_i
-    v_i*`` (None for no blocks), and its family the given one or the shift
-    ``S = sum v_p v_{p+1}*``, ``S*`` and ``D = sum_k (k+1) v_1 v_1*``, whose
-    words reach every unit: each ``v_1 v_1*`` is a polynomial in ``D``
-    (distinct eigenvalues), and ``(S*)^p v_1 v_1* S^q = v_{p+1} v_{q+1}*``."""
-    if family is None and stacks:
-        shift = sum((v[:-1] @ v[1:].conj().transpose(0, 2, 1)).sum(axis=0) for v in stacks)
-        weights = sum((k + 1) * v[0] @ v[0].conj().T for k, v in enumerate(stacks))
-        family = np.array([x / hs_norm(x) for x in (shift, shift.conj().T, weights) if x.any()])
-    return StarAlgebra(basis=_block_space([(v, v) for v in stacks], (n, n)),
-                       unit=sum(gram_sum(v) for v in stacks) if stacks else None, family=family)
-
-
-def _coordinates(v, x):
-    """``X[i, j] = tr(v_i* x v_j)`` over the ``(n, N, m)`` isometry stack
-    ``v``: the Hilbert-Schmidt products ``<v_i v_j*, x>`` of ``x`` with the
-    block's matrix units, from one ``(n m) x (n m)`` compression."""
-    count, r, mult = v.shape
-    flat = v.transpose(1, 0, 2).reshape(r, count * mult)
-    return np.einsum("iuju->ij", (flat.conj().T @ x @ flat).reshape(count, mult, count, mult))
-
-
 def _compress(stacks, p, tol):
     """``(ranges, residual)`` of a projection ``p`` against the ``(n_k, N,
     m_k)`` isometry stacks of an algebra's blocks: a decomposition's
     transporters, or a TRO's row stacks for its left algebra.
 
-    Block ``k`` compresses ``p`` to ``P_k[i, i'] = tr(v_i* p v_i') / m_k``
-    (:func:`_coordinates`), and ``sum_k sum P_k[i, i'] v_i v_i'*`` is the
-    orthogonal projection of ``p`` onto the algebra: ``residual``, its
+    Block ``k`` compresses ``p`` to ``P_k[i, i'] = tr(v_i* p v_i') / m_k``,
+    and ``sum_k sum P_k[i, i'] v_i v_i'*`` is the orthogonal projection of
+    ``p`` onto the algebra (:func:`_block_projection`): ``residual``, its
     distance to ``p`` over ``max(1, ||p||)``, must stay within
     ``tol.member`` (:class:`NotInAlgebra`).  The ``P_k``, padded with zeros
-    to one size,
-    take one batched eigendecomposition: together they must lie within
-    ``tol.member`` of a projection (:class:`VerificationFailure`), and
-    ``ranges[k]`` stacks the ``N x m_k`` isometries ``v_q = sum_i q_i v_i``
-    over the eigenvectors ``q`` of ``P_k`` above 1/2, an orthonormal basis
-    of its range.  So ``dim pA = sum_k n_k rank P_k``, and ``u - p``, with
+    to one size, take one batched eigendecomposition: together they must
+    lie within ``tol.member`` of a projection (:class:`VerificationFailure`),
+    and ``ranges[k]`` stacks the ``N x m_k`` isometries ``v_q = sum_i q_i
+    v_i`` over the eigenvectors ``q`` of ``P_k`` above 1/2, an orthonormal
+    basis of its range.  So ``dim pA = sum_k n_k rank P_k``, and ``u - p``, with
     the compressions ``1 - P_k``, is minimal exactly when ``sum_k (n_k -
     rank P_k) = 1``.
     """
+    coords, rebuilt = _block_projection(stacks, p[None])
     width = max((len(v) for v in stacks), default=0)
     comps = np.zeros((len(stacks), width, width), dtype=np.complex128)
-    rebuilt = np.zeros_like(p)
-    for k, v in enumerate(stacks):
-        count, r, mult = v.shape
-        flat = v.transpose(1, 0, 2).reshape(r, count * mult)
-        pk = _coordinates(v, p) / mult
-        comps[k, :count, :count] = pk
-        # sum_ij P_k[i, j] v_i v_j* = sum_j (sum_i P_k[i, j] v_i) v_j*
-        mixed = (pk.T @ v.reshape(count, -1)).reshape(count, r, mult)
-        rebuilt += mixed.transpose(1, 0, 2).reshape(r, -1) @ flat.conj().T
+    for k, pk in enumerate(coords):
+        comps[k, :len(pk[0]), :len(pk[0])] = pk[0]
     resid = check("projection p is not in the algebra of its blocks, relative to its norm",
-                  hs_norm(rebuilt - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
+                  hs_norm(rebuilt[0] - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
     w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
     check("a block compression of p is not a projection",
           hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
@@ -610,8 +550,6 @@ def wedderburn_decompose(parent, seed=0, tol=DEFAULT_TOL):
     of the basis, ``dim A = sum n_k^2``, unitarity of the basis change)
     fails numerically.
     """
-    if parent.dim and parent.unit is None:
-        raise NotUnital("algebra has no detected unit; cannot decompose")
     return _decompose(lambda unit, rng: _draw(parent.basis, rng), parent.basis.matrices,
                       np.random.default_rng(seed), tol, dim=parent.dim)
 
@@ -701,7 +639,7 @@ class DalesZelazkoReport:
         return self.dimension_identity_ok and all(t.ok for t in self.trials)
 
 
-def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decomposition=None):
+def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
     """Check that every sampled maximal right ideal is singly generated
     by a projection.
 
@@ -718,24 +656,23 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
     transporters (:func:`_compress`) with no corner trace.
     Also records the dimension identity ``dim A = sum n_k^2``.  At least
     one trial is required: a sweep of none would certify nothing
-    (:class:`ParamError`).  A ``decomposition`` of ``parent`` already at
-    hand is used instead of :func:`wedderburn_decompose`.
+    (:class:`ParamError`).
     """
     if trials < 1:
         raise ParamError(f"need at least one trial, got {trials}")
     if parent.unit is None:
         raise NotUnital("maximal ideal analysis needs a unital algebra")
-    dec = decomposition or wedderburn_decompose(parent, seed=seed, tol=tol)
+    stacks, sizes = parent.blocks, [len(v) for v in parent.blocks]
     rng = np.random.default_rng([seed, 0xDA1E5])
     u = parent.unit
     out = []
     for t in range(trials):
-        k = t % dec.num_blocks
-        v = dec.transporters[k]
+        k = t % len(stacks)
+        v = stacks[k]
         g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
         # the block's part of g's projection onto A is sum_ij <e_ij, g> e_ij / m_k;
         # a change of matrix units conjugates these coordinates, and w with them
-        coords = _coordinates(v, g)
+        coords = _coordinates(v, g[None])[0]
         w = np.linalg.eigh(coords + coords.conj().T)[1][:, -1]
         # e = sum_ij w_i conj(w_j) e_ij = x x* for the isometry x = sum_i w_i v_i
         x = np.tensordot(w, v, axes=1)
@@ -745,7 +682,7 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
         # e = u means the zero ideal; flush the roundoff left in u - e
         gens = [] if hs_norm(g) <= tol.member * max(1.0, hs_norm(u)) else [g]
         cert = projection_generator(parent, gens, tol=tol)
-        ranges, _ = _compress(dec.transporters, cert.projection, tol)
+        ranges, _ = _compress(stacks, cert.projection, tol)
         out.append(
             DalesZelazkoTrial(
                 block_index=k,
@@ -753,14 +690,14 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL, decompositi
                 support_agreement=hs_norm(cert.projection - g),
                 # J = pA with u - p minimal is the paper's criterion; u - p
                 # compresses to the 1 - P_k, of total rank sum_k (n_k - rank P_k)
-                is_maximal=sum(n - len(v) for n, v in zip(dec.block_sizes, ranges)) == 1,
+                is_maximal=sum(n - len(v) for n, v in zip(sizes, ranges)) == 1,
                 tol_member=tol.member,
             )
         )
-    dim_ok = sum(n * n for n in dec.block_sizes) == parent.dim
+    dim_ok = sum(n * n for n in sizes) == parent.dim
     return DalesZelazkoReport(
-        block_sizes=list(dec.block_sizes),
-        multiplicities=list(dec.multiplicities),
+        block_sizes=sizes,
+        multiplicities=[v.shape[2] for v in stacks],
         dimension_identity_ok=dim_ok,
         trials=out,
     )

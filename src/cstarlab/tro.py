@@ -53,7 +53,7 @@ from .errors import (
     ZeroSubmodule,
     check,
 )
-from .algebra import StarAlgebra
+from .algebra import StarAlgebra, _block_space
 from .ideals import RightIdeal
 from .linalg import (
     Subspace,
@@ -66,7 +66,7 @@ from .linalg import (
     psd_cut,
     safe_norm,
 )
-from .structure import _block_algebra, _block_space, _compress, _decompose, _polynomial
+from .structure import _compress, _decompose, _polynomial
 
 __all__ = [
     "TRO",
@@ -181,12 +181,12 @@ def _linking_blocks(gens, rng, tol):
 
 def _tro_from_blocks(space, blocks, tol):
     """The TRO on ``space`` with the given :attr:`TRO.blocks`, its algebras
-    written down from them (:func:`_block_algebra`); nondegeneracy is
+    those of their row and of their column stacks; nondegeneracy is
     verified."""
     r, c = space.shape
     tro = TRO(basis=space,
-              left_algebra=_block_algebra([a for a, _ in blocks], r),
-              right_algebra=_block_algebra([b for _, b in blocks], c),
+              left_algebra=StarAlgebra(r, [a for a, _ in blocks]),
+              right_algebra=StarAlgebra(c, [b for _, b in blocks]),
               blocks=blocks)
     if space.dim:
         _check_nondegenerate(tro, tol)
@@ -198,12 +198,9 @@ def _check_nondegenerate(tro, tol):
     and Z right_alg spans Z.  Automatic for spans closed under x y* z,
     but a cheap guard against inconsistent hand-built inputs."""
     zs = tro.basis.matrices
-    u_l = tro.left_algebra.unit
-    u_r = tro.right_algebra.unit
-    if u_l is None or u_r is None:
-        raise VerificationFailure("a TRO algebra came out without a unit")
     check("TRO is degenerate over its algebras",
-          max(identity_defect(u_l, zs), identity_defect(u_r, zs, right=True)), tol.member)
+          max(identity_defect(tro.left_algebra.unit, zs),
+              identity_defect(tro.right_algebra.unit, zs, right=True)), tol.member)
 
 
 def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):

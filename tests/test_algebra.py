@@ -14,10 +14,8 @@ from cstarlab import (
     unit_of,
     unitize,
 )
-from cstarlab import structure as structure_module
 from cstarlab.algebra import sample_element, sample_self_adjoint
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.linalg import Subspace
 from cstarlab.errors import (
     ClosureViolation,
     CStarError,
@@ -128,27 +126,23 @@ def test_center_oracles():
 
 def test_center_of_an_imaginary_basis():
     """Every basis element of M2 times i has a traceless Hermitian part, so
-    a real combination of those parts averages to zero; the decomposition
-    of that family still finds the one-dimensional center."""
-    rotated = StarAlgebra(basis=Subspace(2, 2, 1j * np.eye(4)), unit=np.eye(2, dtype=complex))
+    a real combination of those parts averages to zero; the span of
+    ``i E_ij`` is still M2, with the one-dimensional center."""
+    rotated = StarAlgebra.from_span([1j * m for m in np.eye(4).reshape(4, 2, 2)])
+    assert rotated.dim == 4
     assert center(rotated).dim == 1
 
 
-def test_center_that_fails_to_commute_raises(monkeypatch):
-    """The central projections of the decomposition are checked against the
-    generating family: when one is not central, as diag(1, 0) in M2 is
-    not, the commutator check fails and names the residual and the
-    bound."""
-    full = generate_algebra(2, [E12])
-    decompose = structure_module.decompose_generators
-
-    def off_center(*args, **kwargs):
-        return replace(decompose(*args, **kwargs),
-                       central_projections=[np.diag([1.0, 0.0]).astype(complex)])
-
-    monkeypatch.setattr(structure_module, "decompose_generators", off_center)
+def test_center_that_fails_to_commute_raises():
+    """The central projections of the blocks are checked against the
+    generating family: with two size-one blocks on ``e_1`` and ``e_2`` but
+    the family of M2, ``diag(1, 0)`` is not central, and the commutator
+    check fails and names the residual and the bound."""
+    e1, e2 = np.eye(2, dtype=complex)
+    split = StarAlgebra(2, [e1[None, :, None], e2[None, :, None]],
+                        family=generate_algebra(2, [E12]).family)
     with pytest.raises(NumericalFailure, match=r"residual .*, bound 1\.000e-08"):
-        center(full)
+        center(split)
 
 
 def test_center_uses_callers_tolerance():
@@ -156,14 +150,6 @@ def test_center_uses_callers_tolerance():
     assert center(alg).dim == 2
     with pytest.raises(CStarError):
         center(alg, tol=replace(DEFAULT_TOL, member=1e-30))
-
-
-def test_center_without_a_stored_unit_matches_the_unital_one():
-    alg = planted_block_algebra([3, 1], [1, 2], ambient_dim=7, seed=8).algebra
-    bare = center(StarAlgebra(basis=alg.basis))
-    z = center(alg)
-    assert bare.basis.equals(z.basis)
-    np.testing.assert_allclose(bare.unit, alg.unit, atol=1e-12)
 
 
 def test_center_of_planted_algebras_counts_blocks():
@@ -175,6 +161,7 @@ def test_center_of_planted_algebras_counts_blocks():
         planted = planted_block_algebra(sizes, mults, seed=100 + trial)
         z = center(planted.algebra)
         assert z.dim == k
+        np.testing.assert_allclose(z.unit, planted.algebra.unit, atol=1e-12)
         # central elements commute with every basis element
         for c in z.basis.matrices:
             for b in planted.algebra.basis.matrices:

@@ -601,18 +601,22 @@ def test_ideal_commands_span_no_right_ideal(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("command", ["decompose", "ideal", "verify-dz"])
+@pytest.mark.parametrize("command", ["decompose", "ideal", "verify-dz", "tro-classify"])
 def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
     """``decompose``, ``ideal`` and ``verify-dz`` take A from its
-    decomposition, read off the fixture's generators: none of them
-    generates the algebra, grows a span or takes a corner trace over A's
-    basis (``verify-dz`` took one per trial), and no eigendecomposition is
-    larger than the ambient 10 x 10 (``ideal`` took one of the 14 x 14 Gram
-    matrix of the products ``p b_i``): dimensions and minimality are read
-    off the compressions of ``p`` against the blocks."""
-    kind = "ideal" if command == "ideal" else "algebra"
+    decomposition, read off the fixture's generators, and ``tro-classify``
+    takes Z, L and R from that of the linking algebra: none of them
+    generates the algebra, grows a span, takes a corner trace over A's
+    basis (``verify-dz`` took one per trial) or writes an algebra's dense
+    basis (``StarAlgebra.basis`` raises here), and no eigendecomposition is
+    larger than the ambient 10 x 10, or the 13 x 13 linking algebra
+    (``ideal`` took one of the 14 x 14 Gram matrix of the products ``p
+    b_i``): dimensions and minimality are read off the compressions of
+    ``p`` against the blocks, and membership off the block projection."""
+    kind = {"ideal": "ideal", "tro-classify": "tro"}.get(command, "algebra")
     fix = tmp_path / f"{kind}.json"
-    assert cli.main(["random", kind, "--blocks", "3,2,1", "--mults", "2,1,2",
+    blocks = ["3x2,2x2,1x3"] if kind == "tro" else ["3,2,1", "--mults", "2,1,2"]
+    assert cli.main(["random", kind, "--blocks", *blocks,
                      "--seed", "1", "--json", str(fix)]) == 0
     calls, sizes = [], []
     for module in (algebra, cli, ideals, instances, linalg, structure, tro):
@@ -627,12 +631,57 @@ def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
         sizes.append(np.shape(a)[-1])
         return _inner(a, *args, **kwargs)
 
+    def dense(alg):
+        raise AssertionError("a command wrote an algebra's dense basis")
+
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(algebra.StarAlgebra, "basis", property(dense))
     assert cli.main([command, str(fix), "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["ok"] and report["algebra_dim"] == 14
     assert calls == []
-    assert sizes and max(sizes) <= report["ambient"] == 10
+    if kind == "tro":
+        assert report["ok"] and report["tro_dim"] == 13
+        assert sizes and max(sizes) <= sum(report["ambient"]) == 13
+    else:
+        assert report["ok"] and report["algebra_dim"] == 14
+        assert sizes and max(sizes) <= report["ambient"] == 10
+
+
+def integer_fields(report):
+    """The report's integer and boolean fields, its certificate's included."""
+    flat = {**report, **{f"certificate.{k}": v for k, v in report["certificate"].items()}}
+    return {k: v for k, v in flat.items() if isinstance(v, (bool, int))}
+
+
+def test_ideal_generator_off_the_block_form_is_refused(tmp_path, capsys):
+    """At N=48 an ideal generator moved 1e-6 of its norm along a direction
+    orthogonal to A is refused by the block projection's membership rule
+    (exit code 1, naming the generator); moved 1e-10, below
+    ``tol.member``, it keeps every integer field of the unmoved report."""
+    planted = planted_block_algebra([8, 6, 4, 4, 2], [2] * 5, seed=2)
+    alg = planted.algebra
+    rng = np.random.default_rng(2)
+    gens = [algebra.sample_element(alg, rng) for _ in range(2)]
+    # (u - e) x for the minimal projection e = v v* of the first block
+    v = alg.blocks[0][0]
+    g = (alg.unit - v @ v.conj().T) @ gens[0]
+    away = (rng.standard_normal((1, 48 * 48)) + 1j * rng.standard_normal((1, 48 * 48)))
+    away = (away - linalg.project(alg.basis.stack, away)).reshape(48, 48)
+    away *= linalg.hs_norm(g) / linalg.hs_norm(away)
+    reports = []
+    for offset in (0.0, 1e-10, 1e-6):
+        fix = tmp_path / f"ideal-{offset}.json"
+        fix.write_text(json.dumps(encode_ideal_fixture(48, gens, [g + offset * away])))
+        code = cli.main(["ideal", str(fix), "--seed", "1"])
+        out, err = capsys.readouterr()
+        if offset == 1e-6:
+            assert code == 1 and out == ""
+            assert "ideal generator is not in the algebra" in err
+        else:
+            assert code == 0, err
+            reports.append(json.loads(out))
+    assert reports[0]["ok"] and (reports[0]["algebra_dim"], reports[0]["ideal_dim"]) == (136, 128)
+    assert integer_fields(reports[1]) == integer_fields(reports[0])
 
 
 def direct_sum(*blocks):

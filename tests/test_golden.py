@@ -19,11 +19,15 @@ sampled projections are pinned to roundoff like every other float
 The fixtures are regenerated by ``cstarlab random`` on each run (they are
 written down directly from the seed, without closure or rank decisions).
 To rewrite the committed reports, when a change is meant to alter them,
-run ``PYTHONPATH=src python tests/test_golden.py``.
+run ``PYTHONPATH=src python tests/test_golden.py``; to rewrite only some,
+name them, as in ``PYTHONPATH=src python tests/test_golden.py
+ideal-seed1 verify-dz-seed2``.  An unknown name rewrites nothing and exits
+with the list of ``CASES``.
 """
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -97,7 +101,11 @@ def test_comparison_catches_structural_change():
 if __name__ == "__main__":
     import tempfile
 
+    names = sys.argv[1:] or CASES
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden cases {unknown}; the cases are: {' '.join(CASES)}")
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name in CASES:
+        for name in names:
             (GOLDEN / f"{name}.json").write_text(produce(name, tmp))

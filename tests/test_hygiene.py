@@ -197,9 +197,12 @@ def test_benchmark_traced_names_resolve():
 
 # The fixed-point closure engine that algebras and right modules no longer
 # use, the probe that found an algebra's center before it was read off the
-# block decomposition, and the spanning family a TRO no longer keeps
+# block decomposition, the spanning family a TRO no longer keeps, and the
+# writer of an algebra's dense basis beside its blocks, which are now the
+# algebra
 RETIRED = ("close_span", "_closed_span_family", "_family_draw", "_FAMILY_SEED", "saturate",
-           "central_projections", "random_self_adjoint", "_PROBE_SEED", "_block_family")
+           "central_projections", "random_self_adjoint", "_PROBE_SEED", "_block_family",
+           "_block_algebra")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

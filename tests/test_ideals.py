@@ -325,13 +325,14 @@ def test_whole_algebra_is_not_proper(m2):
 
 
 def test_maximality_requires_unit():
-    # a *-closed span that is not an algebra has no unit; the maximality
-    # test refuses to run on it
-    span = StarAlgebra(basis=orthonormalize([E12, E12.conj().T]))
+    # a *-closed span that is not an algebra has no unit on its basis, and
+    # the zero algebra has none; the maximality test refuses to run on it
+    span = StarAlgebra(2, [])
+    span.basis = orthonormalize([E12, E12.conj().T])
     assert unit_of(span) is None
-    ideal = generate_right_ideal(span, [])
+    zero = StarAlgebra(2, [])
     with pytest.raises(NotUnital):
-        is_maximal_right_ideal(span, ideal)
+        is_maximal_right_ideal(zero, generate_right_ideal(zero, []))
 
 
 def test_minimal_projection_below_descends():
@@ -424,7 +425,8 @@ def test_corner_trace_off_an_integer_is_refused_by_name(planted14, corrupt):
     if corrupt == "nan":
         stack = a.basis.stack.copy()
         stack[0, 0] = np.nan
-    bad = StarAlgebra(basis=Subspace(a.ambient_dim, a.ambient_dim, stack), unit=a.unit)
+    bad = StarAlgebra(a.ambient_dim, a.blocks)
+    bad.basis = Subspace(a.ambient_dim, a.ambient_dim, stack)
     e = rank_one_minimal(planted14)
     with pytest.raises(VerificationFailure, match="corner trace"):
         _corner_space(bad, e, e, DEFAULT_TOL)

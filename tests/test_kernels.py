@@ -30,16 +30,16 @@ from cstarlab import (
     wedderburn_decompose,
 )
 from cstarlab.config import DEFAULT_TOL
-from cstarlab.errors import VerificationFailure
+from cstarlab.errors import NotInAlgebra, VerificationFailure
 from cstarlab.ideals import RightIdeal, _corner_space, support_projection
 from cstarlab.instances import random_block_structure
 from cstarlab.linalg import (
-    Subspace,
     gram_sum,
     hs_norm,
     identity_defect,
     module_defect,
     orthonormalize,
+    project,
     safe_norm,
     span_rows,
 )
@@ -158,9 +158,11 @@ def test_gram_sums_match_einsum(seed, n, d):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algebra_mod, "support_projection_of_psd", capture)
         mp.setattr(ideals_mod, "support_projection_of_psd", capture)
+        spanned = StarAlgebra(n, [])
+        spanned.basis = space
         with pytest.raises(GramSeen) as unit_gram:
-            algebra_mod.unit_of(StarAlgebra(basis=space))
-        parent = StarAlgebra(basis=Subspace.empty(n, n))
+            algebra_mod.unit_of(spanned)
+        parent = StarAlgebra(n, [])
         with pytest.raises(GramSeen) as ideal_gram:
             support_projection(parent, RightIdeal(parent=parent, generators=[], basis=space))
     assert_rel_close(unit_gram.value.args[0], np.einsum("aij,aik->jk", mats.conj(), mats))
@@ -183,22 +185,20 @@ def test_gram_sum_matches_einsum(seed, m, n, k):
 @given(SEEDS, st.integers(2, 4), st.integers(1, 5), st.integers(1, 3))
 def test_right_module_defect_matches_loop(seed, n, d_parent, d_space):
     rng = np.random.default_rng(seed)
-    parent = StarAlgebra(basis=random_space(rng, d_parent, n, n))
+    factors = random_space(rng, d_parent, n, n).matrices
     space = random_space(rng, d_space, n, n)
-    ref = loop_defect(space, parent.basis.matrices)
-    assert module_defect(space, parent.family, right=True) == pytest.approx(ref, rel=REL)
+    ref = loop_defect(space, factors)
+    assert module_defect(space, factors, right=True) == pytest.approx(ref, rel=REL)
 
 
 @settings(max_examples=25, derandomize=True, deadline=None)
 @given(SEEDS, st.integers(1, 4), st.integers(2, 4), st.integers(1, 5), st.integers(1, 3))
 def test_module_defect_matches_loop(seed, m, n, d_right, d_space):
     rng = np.random.default_rng(seed)
-    right = StarAlgebra(basis=random_space(rng, d_right, n, n))
+    factors = random_space(rng, d_right, n, n).matrices
     space = random_space(rng, d_space, m, n)
-    tro = TRO(basis=space, left_algebra=None, right_algebra=right)
-    ref = loop_defect(space, right.basis.matrices)
-    assert module_defect(space, tro.right_algebra.family, right=True) == pytest.approx(
-        ref, rel=REL)
+    ref = loop_defect(space, factors)
+    assert module_defect(space, factors, right=True) == pytest.approx(ref, rel=REL)
 
 
 def removed_max_relative_residual(space, prods):
@@ -222,18 +222,14 @@ def test_shared_residual_is_bit_identical_to_removed_copies(seed, m, n, d_alg, d
     """Each call site builds its products as before and gets exactly the
     value its own copy of the formula gave."""
     rng = np.random.default_rng(seed)
-    parent = StarAlgebra(basis=random_space(rng, min(d_alg, n * n), n, n))
+    bs = random_space(rng, min(d_alg, n * n), n, n).matrices
     space = random_space(rng, min(d_space, n * n), n, n)
-    xs, bs = space.matrices, parent.basis.matrices
-    right = (xs[:, None] @ bs[None]).reshape(-1, n * n)
-    assert module_defect(space, parent.family, right=True) == removed_max_relative_residual(
-        space, right)
+    right = (space.matrices[:, None] @ bs[None]).reshape(-1, n * n)
+    assert module_defect(space, bs, right=True) == removed_max_relative_residual(space, right)
 
     tspace = random_space(rng, min(d_space, m * n), m, n)
-    tro = TRO(basis=tspace, left_algebra=None, right_algebra=parent)
     mod = (tspace.matrices[:, None] @ bs[None]).reshape(-1, m * n)
-    assert module_defect(
-        tspace, tro.right_algebra.family, right=True) == removed_max_relative_residual(tspace, mod)
+    assert module_defect(tspace, bs, right=True) == removed_max_relative_residual(tspace, mod)
     lspace = random_space(rng, min(d_alg, m * m), m, m)
     lz = (lspace.matrices[:, None] @ tspace.matrices[None]).reshape(-1, m * n)
     assert module_defect(tspace, lspace.matrices) == removed_max_relative_residual(tspace, lz)
@@ -286,6 +282,44 @@ def test_contains_is_the_relative_membership_rule(scale):
         verdicts.add(rule)
     if scale == 1.0:
         assert verdicts == {True, False}
+
+
+MEMBERSHIP_ALGEBRAS = {
+    "kernel": lambda: planted_block_algebra([2, 1], [1, 2], ambient_dim=6, seed=3).algebra,
+    "multiplicities": lambda: planted_block_algebra([2, 1], [2, 3], seed=4).algebra,
+    "zero": lambda: StarAlgebra(4, []),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
+@pytest.mark.parametrize("kind", sorted(MEMBERSHIP_ALGEBRAS))
+def test_block_membership_matches_the_dense_basis(kind, scale):
+    """``StarAlgebra.max_relative_residual``, the distance to the block
+    projection over ``max(1, ||x||)``, agrees with the dense basis's to
+    1e-12 of ``min(1, ||x||)``, so also below unit norm, on members, on members moved 1e-9 and
+    1e-7 along a direction orthogonal to A (one on each side of
+    ``tol.member``) and on non-members; ``contains`` and ``require_member``
+    keep the rule's verdicts."""
+    alg = MEMBERSHIP_ALGEBRAS[kind]()
+    n = alg.ambient_dim
+    rng = np.random.default_rng(6)
+    member = np.tensordot(cplx(rng, alg.dim), alg.basis.matrices, axes=1)
+    away = cplx(rng, 1, n * n)
+    away = (away - project(alg.basis.stack, away)).reshape(n, n)
+    away *= max(1.0, hs_norm(member)) / hs_norm(away)
+    verdicts = set()
+    for offset in (0.0, 1e-9, 1e-7, 1.0):
+        x = scale * (member + offset * away)
+        blocks = alg.max_relative_residual(x[None])
+        dense = alg.basis.max_relative_residual(x.reshape(1, -1))
+        assert abs(blocks - dense) <= 1e-12 * min(1.0, hs_norm(x))
+        rule = blocks <= DEFAULT_TOL.member
+        assert alg.contains(x) == rule
+        verdicts.add(rule)
+        if not rule:
+            with pytest.raises(NotInAlgebra, match="is not in the algebra"):
+                alg.require_member(x)
+    assert verdicts == ({True} if scale < 1.0 else {True, False})
 
 
 # roundoff by which the bound may undershoot the enumerated maximum
