@@ -109,6 +109,37 @@ def _block_projection(stacks, xs):
     return coords, projected
 
 
+def _compress(stacks, p, tol):
+    """``(ranges, residual)`` of a projection ``p`` against the ``(n_k, N,
+    m_k)`` isometry stacks of an algebra's blocks: a decomposition's
+    transporters, or a TRO's row stacks for its left algebra.
+
+    ``residual``, the distance from ``p`` to its block projection
+    (:func:`_block_projection`) over ``max(1, ||p||)``, must stay within
+    ``tol.member`` (:class:`NotInAlgebra`).  The compressions ``P_k``, padded
+    with zeros to one size, take one batched eigendecomposition: together
+    they must lie within ``tol.member`` of a projection
+    (:class:`VerificationFailure`), and ``ranges[k]`` stacks the ``N x m_k``
+    isometries ``v_q = sum_i q_i v_i`` over the eigenvectors ``q`` of ``P_k``
+    above 1/2, an orthonormal basis of its range.  So ``dim pA = sum_k n_k
+    rank P_k``, and ``u - p``, with the compressions ``1 - P_k``, is minimal
+    exactly when ``sum_k (n_k - rank P_k) = 1``.
+    """
+    coords, rebuilt = _block_projection(stacks, p[None])
+    width = max((len(v) for v in stacks), default=0)
+    comps = np.zeros((len(stacks), width, width), dtype=np.complex128)
+    for k, pk in enumerate(coords):
+        comps[k, :len(pk[0]), :len(pk[0])] = pk[0]
+    resid = check("projection p is not in the algebra of its blocks, relative to its norm",
+                  hs_norm(rebuilt[0] - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
+    w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
+    check("a block compression of p is not a projection",
+          hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
+    ranges = [(q[k][:len(v), w[k] > 0.5].T @ v.reshape(len(v), -1)).reshape(-1, *v.shape[1:])
+              for k, v in enumerate(stacks)]
+    return ranges, resid
+
+
 @dataclass(eq=False)
 class StarAlgebra:
     """A *-closed algebra of ``N x N`` complex matrices, held as its blocks.

@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .algebra import _compress
 from .config import DEFAULT_TOL
 from .errors import CStarError, INPUT_ERRORS, ParamError, ParseError
 from .ideals import projection_generator
@@ -38,7 +39,7 @@ from .jsonio import (
 )
 from .linalg import gram_sum, hs_norm, support_projection_of_psd
 from .selftest import run_selftest
-from .structure import _compress, decompose_generators, verify_dales_zelazko
+from .structure import decompose_generators, verify_dales_zelazko
 from .tro import classify_tro, generate_tro
 
 

@@ -12,7 +12,8 @@ spectrum of ``b`` away from zero: ``spec(b) \\ {0} >= (nK)^(-2)``.  A
 spectral cut in the resulting gap produces ``p``, and all claimed
 identities are verified numerically before the certificate is returned;
 ``p g_j = g_j`` and ``p = sum_j g_j d_j`` with ``d_j = g_j* b^+`` in A
-give ``J = pA``.
+give ``J = pA``, which :func:`generate_right_ideal` writes down in A's block
+coordinates with no span grown (:func:`right_module_span` is its span oracle).
 ``p`` is scale-free, so it is certified for the generators over their largest norm.
 """
 
@@ -28,9 +29,10 @@ from .errors import (
     NotUnital,
     check,
 )
-from .algebra import StarAlgebra
+from .algebra import StarAlgebra, _block_space, _compress
 from .linalg import (
     Subspace,
+    as_matrix,
     gram_sum,
     grow_span,
     hs_norm,
@@ -109,10 +111,10 @@ class ProjectionCertificate:
 
 @dataclass(eq=False)
 class RightIdeal:
-    """A right ideal ``J`` of a :class:`StarAlgebra`, with its generators.
+    """A right ideal ``J = pA`` of a :class:`StarAlgebra`, with its generators.
 
-    ``basis`` spans ``sum_j g_j A^1`` (unitization coefficients, so the
-    generators themselves belong to ``J``).
+    ``basis`` is orthonormal: the matrix units ``v_q v_j* / sqrt(m_k)`` of
+    ``pA`` when :func:`_ideal_from_ranges` builds it.
     """
 
     parent: StarAlgebra
@@ -130,8 +132,8 @@ class RightIdeal:
 def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     """Span of ``g a`` over the ``rows x N`` generators ``g`` and ``a`` in
     the unitization of ``algebra`` (so the generators belong to it), verified
-    closed under right multiplication by ``algebra``.  Right ideals
-    ``g A^1`` and TRO submodules ``g (Z* Z)^1`` are both built here.
+    closed under right multiplication by ``algebra``: the span oracle for
+    right ideals ``g A^1`` and TRO submodules ``g (Z* Z)^1``.
 
     One round over the algebra's orthonormal basis, which spans it: the
     span of the generators grows by ``s b_i`` for every orthonormal row
@@ -157,14 +159,23 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     return space
 
 
+def _ideal_from_ranges(parent, generators, ranges, stacks):
+    """``pA`` with the basis ``v_q v_j* / sqrt(m_k)`` over the ranges ``v_q`` of ``p``
+    (:func:`~cstarlab.algebra._compress`) and the stacks ``v_j`` of A's blocks."""
+    n = parent.ambient_dim
+    return RightIdeal(parent=parent, generators=list(generators),
+                      basis=_block_space(list(zip(ranges, stacks)), (n, n)))
+
+
 def generate_right_ideal(parent, generators, tol=DEFAULT_TOL):
-    """The right ideal ``sum_j g_j A^1`` of ``parent`` generated by the
-    given elements (:func:`right_module_span`); each generator must belong
-    to the algebra."""
-    gens = [parent.require_member(g, tol=tol, what="ideal generator")
-            for g in generators]
-    space = right_module_span(parent, gens, parent.ambient_dim, tol=tol)
-    return RightIdeal(parent=parent, generators=gens, basis=space)
+    """The right ideal ``sum_j g_j A^1`` of ``parent`` as ``pA``, for the ``p`` of
+    :func:`projection_generator` (:func:`_ideal_from_ranges`): no span is grown.  A
+    generator part from about ``tol.rank`` to 3e-4 of the largest one squares into
+    ``b``'s zero cluster, so ``p`` misses it and :class:`VerificationFailure` is raised."""
+    gens = [as_matrix(g, shape=(parent.ambient_dim,) * 2) for g in generators]
+    p = projection_generator(parent, gens, tol=tol).projection
+    ranges, _ = _compress(parent.blocks, p, tol)
+    return _ideal_from_ranges(parent, gens, ranges, parent.blocks)
 
 
 def _trivial_certificate(ambient_dim):
@@ -283,10 +294,8 @@ def support_projection(parent, ideal, tol=DEFAULT_TOL):
     the ideal: the smallest projection acting as identity on it from the
     left.  Independent of :func:`projection_generator` (no generators, no
     coefficient factorization), which makes the two a cross-check pair.
+    The zero ideal's Gram sum is 0, whose support is the zero projection.
     """
-    n = parent.ambient_dim
-    if ideal.basis.dim == 0:
-        return np.zeros((n, n), dtype=np.complex128)
     return support_projection_of_psd(gram_sum(ideal.basis.matrices), tol=tol)
 
 

@@ -214,6 +214,6 @@ def random_ideal_generators(algebra, n_generators, rng, tol=DEFAULT_TOL):
 
 
 def random_right_ideal(algebra, n_generators, rng, tol=DEFAULT_TOL):
-    """The right ideal spanned by :func:`random_ideal_generators`."""
+    """The right ideal ``pA`` that :func:`random_ideal_generators` generate."""
     gens = random_ideal_generators(algebra, n_generators, rng, tol=tol)
     return generate_right_ideal(algebra, gens, tol=tol)

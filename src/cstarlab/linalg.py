@@ -24,8 +24,8 @@ there rather than cut past the eigenvalue.
 
 :func:`grow_span` is the one routine that extends a span, and nothing
 here iterates it to a fixed point: algebras and TROs are read off a block
-decomposition (:mod:`cstarlab.structure`), and a right module grows in one
-round over its algebra's basis (:func:`~cstarlab.ideals.right_module_span`).
+decomposition (:mod:`cstarlab.structure`), right ideals as ``pA``, and only
+the oracle :func:`~cstarlab.ideals.right_module_span` grows a module.
 
 Residuals against a span have one routine per idea: :func:`project` is
 the one projection onto a span, :meth:`Subspace.max_relative_residual` at

@@ -10,12 +10,12 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .algebra import sample_element
-from .ideals import projection_generator, support_projection
+from .ideals import RightIdeal, projection_generator, right_module_span, support_projection
 from .instances import (
     planted_block_algebra,
     planted_block_tro,
     random_block_structure,
-    random_right_ideal,
+    random_ideal_generators,
     random_tro_blocks,
 )
 from .linalg import hermitian_eig, hs_norm
@@ -54,8 +54,10 @@ def _check_projection_generator(seed, tol):
             seed=int(rng.integers(2**32)),
         )
         alg = planted.algebra
-        ideal = random_right_ideal(alg, int(rng.integers(1, 4)), rng, tol=tol)
-        cert = projection_generator(alg, ideal.generators, tol=tol)
+        gens = random_ideal_generators(alg, int(rng.integers(1, 4)), rng, tol=tol)
+        # J as the span of g A^1, which does not go through p
+        ideal = RightIdeal(alg, gens, right_module_span(alg, gens, alg.ambient_dim, tol=tol))
+        cert = projection_generator(alg, gens, tol=tol)
         if cert.is_trivial:
             continue
         agree = hs_norm(cert.projection - support_projection(alg, ideal, tol=tol))

@@ -39,8 +39,8 @@ depends on the span only, not on the basis that represents it.
 Block structure is held as ``(n_k, N, m_k)`` isometry stacks, the
 transporters: a :class:`~cstarlab.algebra.StarAlgebra` is its stacks
 (``BlockDecomposition.algebra``, planted algebras, a TRO's two algebras),
-and :func:`_compress` reads ``dim pA`` and the minimality of ``u - p`` off
-the compressions of a projection ``p`` against them.
+and :func:`~cstarlab.algebra._compress` reads ``dim pA`` and the minimality
+of ``u - p`` off the compressions of a projection ``p`` against them.
 
 Everything downstream (socle, unit partition, the Dales-Zelazko style
 maximal-ideal check) reads off this decomposition and re-verifies what it
@@ -53,13 +53,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import StarAlgebra, _block_projection, _coordinates, _units
+from .algebra import StarAlgebra, _compress, _coordinates, _units
 from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
     GapNotFound,
     NotAProjection,
-    NotInAlgebra,
     NotUnital,
     ParamError,
     VerificationFailure,
@@ -327,39 +326,6 @@ def _blocks(bases, values, z, tol):
             "central": range_basis @ range_basis.conj().T,
         })
     return blocks
-
-
-def _compress(stacks, p, tol):
-    """``(ranges, residual)`` of a projection ``p`` against the ``(n_k, N,
-    m_k)`` isometry stacks of an algebra's blocks: a decomposition's
-    transporters, or a TRO's row stacks for its left algebra.
-
-    Block ``k`` compresses ``p`` to ``P_k[i, i'] = tr(v_i* p v_i') / m_k``,
-    and ``sum_k sum P_k[i, i'] v_i v_i'*`` is the orthogonal projection of
-    ``p`` onto the algebra (:func:`_block_projection`): ``residual``, its
-    distance to ``p`` over ``max(1, ||p||)``, must stay within
-    ``tol.member`` (:class:`NotInAlgebra`).  The ``P_k``, padded with zeros
-    to one size, take one batched eigendecomposition: together they must
-    lie within ``tol.member`` of a projection (:class:`VerificationFailure`),
-    and ``ranges[k]`` stacks the ``N x m_k`` isometries ``v_q = sum_i q_i
-    v_i`` over the eigenvectors ``q`` of ``P_k`` above 1/2, an orthonormal
-    basis of its range.  So ``dim pA = sum_k n_k rank P_k``, and ``u - p``, with
-    the compressions ``1 - P_k``, is minimal exactly when ``sum_k (n_k -
-    rank P_k) = 1``.
-    """
-    coords, rebuilt = _block_projection(stacks, p[None])
-    width = max((len(v) for v in stacks), default=0)
-    comps = np.zeros((len(stacks), width, width), dtype=np.complex128)
-    for k, pk in enumerate(coords):
-        comps[k, :len(pk[0]), :len(pk[0])] = pk[0]
-    resid = check("projection p is not in the algebra of its blocks, relative to its norm",
-                  hs_norm(rebuilt[0] - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
-    w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
-    check("a block compression of p is not a projection",
-          hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
-    ranges = [(q[k][:len(v), w[k] > 0.5].T @ v.reshape(len(v), -1)).reshape(-1, *v.shape[1:])
-              for k, v in enumerate(stacks)]
-    return ranges, resid
 
 
 def _basis_change(blocks, kernel, tol):

@@ -53,8 +53,8 @@ from .errors import (
     ZeroSubmodule,
     check,
 )
-from .algebra import StarAlgebra, _block_space
-from .ideals import RightIdeal
+from .algebra import StarAlgebra, _block_space, _compress
+from .ideals import _ideal_from_ranges
 from .linalg import (
     Subspace,
     _stack_inputs,
@@ -66,7 +66,7 @@ from .linalg import (
     psd_cut,
     safe_norm,
 )
-from .structure import _compress, _decompose, _polynomial
+from .structure import _decompose, _polynomial
 
 __all__ = [
     "TRO",
@@ -416,7 +416,7 @@ def _tro_blocks(tro, seed, tol):
 def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     """The roundtrip record ``(tol, basis, blocks, ranges, ideal, report)``
     of :class:`Submodule` for the support projection ``p`` of ``W``, whose
-    ``compressed``, from :func:`~cstarlab.structure._compress` against the
+    ``compressed``, from :func:`~cstarlab.algebra._compress` against the
     row stacks, has checked ``p`` in L.
 
     Checked here: ``W`` in ``Z`` (:class:`MembershipViolation`), ``p w =
@@ -424,7 +424,8 @@ def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     (:class:`VerificationFailure` naming both).  The first two put ``W``
     in ``pZ`` and the third gives it that dimension, so ``W = pZ``, which
     is closed under R since ``Z R`` lies in ``Z``: no closure check is
-    needed.  Its ideal ``J = pL`` has the basis ``v_q a_i'* / sqrt(m_k)``.
+    needed.  Its ideal ``J = pL`` has the basis ``v_q a_i'* / sqrt(m_k)``
+    (:func:`~cstarlab.ideals._ideal_from_ranges`).
     """
     ranges, ideal_resid = compressed
     module_resid = max(
@@ -436,9 +437,7 @@ def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     dim_pz = sum(len(v) * len(b) for v, (_, b) in zip(ranges, blocks))
     if dim_pz != submodule.dim:
         raise VerificationFailure(f"W is not pZ: dim pZ = {dim_pz}, dim W = {submodule.dim}")
-    r = tro.rows
-    ideal = RightIdeal(parent=tro.left_algebra, generators=[p], basis=_block_space(
-        [(v, a) for v, (a, _) in zip(ranges, blocks)], (r, r)))
+    ideal = _ideal_from_ranges(tro.left_algebra, [p], ranges, [a for a, _ in blocks])
     report = {"module_roundtrip": module_resid, "ideal_roundtrip": ideal_resid, "ok": True}
     return tol, submodule.basis, blocks, ranges, ideal, report
 

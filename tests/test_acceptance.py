@@ -38,7 +38,7 @@ from cstarlab import (
 from cstarlab import cli
 from cstarlab.errors import ZeroSubmodule
 from cstarlab.ideals import right_module_span
-from cstarlab.instances import random_right_ideal
+from cstarlab.instances import random_ideal_generators
 from cstarlab.linalg import hs_norm
 
 TOL = 1e-8
@@ -71,33 +71,40 @@ def sample_structure(rng, max_total, max_blocks=3, max_size=4, max_mult=4):
             return sizes, mults
 
 
-def test_criterion_1_projection_generators(scoreboard):
-    """200 random subalgebras of M_N (N in 2..12) with 1..4-generator right
-    ideals: the constructed p is a projection, pA = J, p in J, and the Gram
-    spectrum stays above (nK)^-2 outside zero."""
+def criterion_1_ideals():
+    """The 200 random subalgebras of criterion 1, each with the generators
+    of a 1..4-generator right ideal."""
     rng = np.random.default_rng(0xC1)
-    failures = []
-    worst = 0.0
-    t0 = time.perf_counter()
     for i in range(200):
         sizes, mults = sample_structure(rng, 10)
         occupied = sum(m * n for m, n in zip(mults, sizes))
         pad = int(rng.integers(0, min(2, 12 - occupied) + 1))
         ambient = max(2, occupied + pad)
-        planted = planted_block_algebra(sizes, mults, ambient_dim=ambient, seed=[1, i])
-        a = planted.algebra
+        a = planted_block_algebra(sizes, mults, ambient_dim=ambient, seed=[1, i]).algebra
         n_gens = int(rng.integers(1, 5))
-        ideal = random_right_ideal(a, n_gens, rng)
-        cert = projection_generator(a, ideal.generators)
+        yield a, random_ideal_generators(a, n_gens, rng)
+
+
+def test_criterion_1_projection_generators(scoreboard):
+    """200 random subalgebras of M_N (N in 2..12) with 1..4-generator right
+    ideals: the constructed p is a projection, pA = J, p in J, and the Gram
+    spectrum stays above (nK)^-2 outside zero.  J is the span of g A^1
+    (:func:`right_module_span`), which does not go through p."""
+    failures = []
+    worst = 0.0
+    t0 = time.perf_counter()
+    for i, (a, gens) in enumerate(criterion_1_ideals()):
+        span = right_module_span(a, gens, a.ambient_dim)
+        cert = projection_generator(a, gens)
         p = cert.projection
         resid = max(hs_norm(p @ p - p), hs_norm(p - p.conj().T))
         # pA = J by mutual membership of the two bases
         regen = generate_right_ideal(a, [p])
         for x in regen.basis.matrices:
-            resid = max(resid, ideal.basis.residual(x))
-        for x in ideal.basis.matrices:
+            resid = max(resid, span.residual(x))
+        for x in span.matrices:
             resid = max(resid, regen.basis.residual(x))
-        resid = max(resid, ideal.basis.residual(p) if ideal.dim else hs_norm(p))
+        resid = max(resid, span.residual(p) if span.dim else hs_norm(p))
         spectrum_ok = all(
             lam <= TOL or lam >= cert.threshold - TOL for lam in cert.spectrum
         )
@@ -112,6 +119,17 @@ def test_criterion_1_projection_generators(scoreboard):
         ok,
         f"200 instances, worst residual {worst:.2e}, {elapsed:.1f}s",
     )
+
+
+def test_generated_ideal_is_the_span_oracle_on_criterion_1():
+    """``generate_right_ideal`` writes ``J`` down as ``pA`` from the
+    certified projection; on criterion 1's ideals it has the dimension of
+    the span of ``g A^1`` and lies within ``tol.member`` of it."""
+    for a, gens in criterion_1_ideals():
+        ideal = generate_right_ideal(a, gens)
+        span = right_module_span(a, gens, a.ambient_dim)
+        assert ideal.dim == span.dim
+        assert ideal.basis.distance(span) <= TOL
 
 
 # the planted algebras of criterion 2 are reused by criterion 3

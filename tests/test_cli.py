@@ -14,7 +14,6 @@ from cstarlab import (
     algebra,
     cli,
     generate_algebra,
-    generate_right_ideal,
     ideals,
     instances,
     jsonio,
@@ -778,7 +777,7 @@ def assert_matches_the_closure_route(tmp_path, capsys, ambient, algebra_gens, id
     fix.write_text(json.dumps(encode_ideal_fixture(ambient, algebra_gens, ideal_gens)))
     closed = generate_algebra(ambient, algebra_gens)
     report, ok = gram_route_report(closed, ideal_gens, DEFAULT_TOL)
-    assert report["ideal_dim"] == generate_right_ideal(closed, ideal_gens).dim
+    assert report["ideal_dim"] == ideals.right_module_span(closed, ideal_gens, ambient).dim
     oracle = json.loads(dumps_report({**report, "ok": ok}))
     for run_seed in range(4):
         assert cli.main(["ideal", str(fix), "--seed", str(run_seed)]) == (0 if ok else 2)

@@ -7,6 +7,8 @@ from the generators, and the Gram element b = sum g g* has no spectrum in
 (0, (nK)^-2) where K bounds the coefficient norms of b^{1/4} = sum g c.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -34,10 +36,11 @@ from cstarlab.errors import (
     NotUnital,
     VerificationFailure,
 )
-from cstarlab.ideals import _corner_space
+from cstarlab.ideals import RightIdeal, _corner_space, right_module_span
 from cstarlab.instances import (
     haar_unitary,
     random_block_structure,
+    random_ideal_generators,
     random_projection,
     random_right_ideal,
 )
@@ -46,6 +49,13 @@ from cstarlab.linalg import hs_norm, op_norm, orthonormalize, psd_cut
 E11 = np.diag([1.0, 0.0]).astype(complex)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 E22 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def span_oracle(algebra, gens):
+    """The right ideal of the generators as the span of ``g A^1``
+    (:func:`right_module_span`), which does not go through ``p``."""
+    return RightIdeal(parent=algebra, generators=gens,
+                      basis=right_module_span(algebra, gens, algebra.ambient_dim))
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +128,44 @@ def test_generators_must_belong_to_parent(d3):
         projection_generator(d3, [np.ones((3, 3), dtype=complex)])
 
 
+@pytest.mark.parametrize("eps, dim", [(1e-3, 2), (1e-5, None), (1e-7, None), (1e-10, 1)])
+def test_generated_ideal_of_a_small_part_over_d2(eps, dim):
+    """``diag(1, eps)`` generates all of D2, but ``b`` holds its small part
+    as ``eps^2``: at 1e-5 and 1e-7 that falls in the zero cluster while
+    ``p`` misses the part above ``tol.rank``, so ``J = pA`` is refused
+    (:class:`VerificationFailure`), where the span of ``g A^1`` kept it.
+    A support cut on singular values (ROADMAP item 4) would certify these
+    as dimension 2.  Below ``tol.rank`` the part counts as zero."""
+    d2 = generate_algebra(2, [E11, E22])
+    g = np.diag([1.0, eps]).astype(complex)
+    if dim is None:
+        with pytest.raises(VerificationFailure, match="ideal_equals_pA"):
+            generate_right_ideal(d2, [g])
+    else:
+        assert generate_right_ideal(d2, [g]).dim == dim
+
+
+def test_generated_ideal_forms_no_span(monkeypatch):
+    """``generate_right_ideal`` reads ``J`` off its certified projection:
+    it neither grows a span, builds the span oracle nor checks a span for
+    closure, under any module's binding, for a maximal ideal, the whole
+    algebra and the zero ideal."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_right_ideal formed a span")
+
+    for name_, module in list(sys.modules.items()):
+        if name_.startswith("cstarlab"):
+            for name in ("grow_span", "right_module_span", "module_defect"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    a = planted_block_algebra([3, 2, 1], [2, 1, 2], seed=3).algebra
+    v = a.blocks[0][0]  # the first transporter of the block of size 3
+    x = sample_element(a, np.random.default_rng(3))
+    assert generate_right_ideal(a, [(a.unit - v @ v.conj().T) @ x]).dim == a.dim - 3
+    assert generate_right_ideal(a, [x]).dim == a.dim
+    assert generate_right_ideal(a, []).dim == 0
+
+
 def test_support_projection_agrees_on_oracle(m2):
     ideal = generate_right_ideal(m2, [E12])
     cert = projection_generator(m2, ideal.generators)
@@ -139,7 +187,7 @@ def test_projection_generator_random_ideals():
         planted = planted_block_algebra(sizes, mults, seed=3000 + trial)
         a = planted.algebra
         n_gens = int(rng.integers(1, 4))
-        ideal = random_right_ideal(a, n_gens, rng)
+        ideal = span_oracle(a, random_ideal_generators(a, n_gens, rng))
         cert = projection_generator(a, ideal.generators)
         p = cert.projection
         # p is a projection in A generating the same ideal
@@ -173,7 +221,7 @@ def test_generator_certificate_matches_the_span_route():
         occupied = sum(n * m for n, m in zip(sizes, mults))
         a = planted_block_algebra(sizes, mults, ambient_dim=min(20, occupied + trial % 3),
                                   seed=5200 + trial).algebra
-        ideal = random_right_ideal(a, 1 + trial % 4, rng)
+        ideal = span_oracle(a, random_ideal_generators(a, 1 + trial % 4, rng))
         if a.basis.max_relative_residual(ideal.basis.stack) > DEFAULT_TOL.member:
             continue
         cert = projection_generator(a, ideal.generators)
@@ -195,14 +243,16 @@ def test_right_ideal_span_does_not_drift_past_the_algebra(sizes, seed, dim):
     of dimension 134 in an algebra of dimension 136, grew to all of M48.
     One round over A's orthonormal basis multiplies no row twice, so ``J``
     stays in A with the dimension of ``pA``, the corner trace of the
-    certified ``p``."""
+    certified ``p``, which :func:`generate_right_ideal` writes down as
+    ``pA``."""
     a = planted_block_algebra(sizes, [2] * 5, seed=seed).algebra
     rng = np.random.default_rng(seed)
     gens = [random_projection(a, rng) @ sample_element(a, rng) for _ in range(2)]
-    ideal = generate_right_ideal(a, gens)
+    span = right_module_span(a, gens, a.ambient_dim)
     p = projection_generator(a, gens).projection
-    assert ideal.dim == _corner_space(a, p, a.unit, DEFAULT_TOL) == dim
-    assert a.basis.max_relative_residual(ideal.basis.stack) <= DEFAULT_TOL.member
+    assert span.dim == _corner_space(a, p, a.unit, DEFAULT_TOL) == dim
+    assert a.basis.max_relative_residual(span.stack) <= DEFAULT_TOL.member
+    assert generate_right_ideal(a, gens).basis.equals(span)
 
 
 def test_certificate_reconstructs_quartic_root_random():

@@ -27,7 +27,7 @@ from cstarlab.config import DEFAULT_TOL
 from cstarlab import ideals as ideals_module, structure as structure_module
 from cstarlab.algebra import sample_element
 from cstarlab.errors import CStarError, DegenerateRandomness, GapNotFound, VerificationFailure
-from cstarlab.ideals import right_module_span
+from cstarlab.ideals import RightIdeal, right_module_span
 from cstarlab.instances import haar_unitary, random_block_structure
 from cstarlab.linalg import Subspace, cluster_partition, hs_norm, spectral_clusters
 from cstarlab.structure import (
@@ -598,7 +598,8 @@ def test_dales_zelazko_verdicts_match_the_span_route(monkeypatch, sizes, mults):
     assert report.all_ok
     assert len(certified) == len(report.trials)
     for trial, gens in zip(report.trials, certified):
-        ideal = generate_right_ideal(a, gens)
+        ideal = RightIdeal(parent=a, generators=gens,
+                           basis=right_module_span(a, gens, a.ambient_dim))
         regen = generate_right_ideal(a, [trial.certificate.projection])
         assert regen.basis.equals(ideal.basis)
         assert is_maximal_right_ideal(a, ideal) == trial.is_maximal
