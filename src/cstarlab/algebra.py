@@ -140,6 +140,14 @@ def _compress(stacks, p, tol):
     return ranges, resid
 
 
+def _require_idempotent(e, tol, what):
+    """``e``, a self-adjoint idempotent within ``tol.member * max(1, ||e||)``."""
+    check(f"{what} is not a self-adjoint idempotent",
+          max(hs_norm(e @ e - e), hs_norm(e - e.conj().T)),
+          tol.member * max(1.0, hs_norm(e)), NotAProjection)
+    return e
+
+
 @dataclass(eq=False)
 class StarAlgebra:
     """A *-closed algebra of ``N x N`` complex matrices, held as its blocks.
@@ -213,11 +221,7 @@ class StarAlgebra:
     def require_projection(self, e, tol=DEFAULT_TOL, what="element"):
         """``e`` as a member of the algebra that is a self-adjoint
         idempotent, both to within ``tol.member * max(1, ||e||)``."""
-        e = self.require_member(e, tol=tol, what=what)
-        check(f"{what} is not a self-adjoint idempotent",
-              max(hs_norm(e @ e - e), hs_norm(e - e.conj().T)),
-              tol.member * max(1.0, hs_norm(e)), NotAProjection)
-        return e
+        return _require_idempotent(self.require_member(e, tol=tol, what=what), tol, what)
 
     @classmethod
     def from_span(cls, mats, ambient_dim=None, tol=DEFAULT_TOL):

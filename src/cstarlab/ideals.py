@@ -25,6 +25,7 @@ from .errors import (
     CoefficientSolveFailed,
     GapNotFound,
     NotAProjection,
+    NotInAlgebra,
     NotProper,
     NotUnital,
     check,
@@ -217,7 +218,9 @@ def projection_generator(parent, generators, tol=DEFAULT_TOL):
         If any of the certified identities fails its tolerance.
     """
     n = parent.ambient_dim
-    gens = [parent.require_member(g, tol=tol, what="ideal generator") for g in generators]
+    gens = [as_matrix(g, shape=(n, n)) for g in generators]
+    check("ideal generator is not in the algebra, relative to its norm",
+          parent.max_relative_residual(gens), tol.member, NotInAlgebra)
     # drop generators that are zero relative to the largest one (the ideal
     # they generate is scale-invariant, so the filter must be too)
     scale = max((hs_norm(g) for g in gens), default=0.0)

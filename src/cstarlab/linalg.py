@@ -13,9 +13,8 @@ Hermitian matrix, spectral projections included, is
 :func:`cluster_partition` is the one grouping of a spectrum and the one
 rule for which eigenvalues are zero: the clusters, split at steps larger
 than ``tol.gap * max|lambda|``, that hold an eigenvalue within that gap of
-0.  :func:`spectral_clusters` returns the projections of the other
-clusters, and :func:`spectrum_cut`, the one zero/positive cut of a
-spectrum, places its cut between the zero clusters and the next value;
+0.  :func:`spectrum_cut`, the one zero/positive cut of a spectrum,
+places its cut between the zero clusters and the next value;
 :func:`psd_cut` applies it to the eigenvalues of a positive semidefinite
 matrix.  Each step is compared with the gap once, so an eigenvalue one
 gap above the zero clusters, up to roundoff, either joins them or is that
@@ -55,7 +54,6 @@ __all__ = [
     "SpectralDecomposition",
     "hermitian_eig",
     "cluster_partition",
-    "spectral_clusters",
     "Subspace",
     "project",
     "orthonormalize",
@@ -217,16 +215,6 @@ def cluster_partition(eigenvalues, tol=DEFAULT_TOL):
     lo, hi = bisect_left(vals, -gap), bisect_right(vals, gap)
     first = bisect_right(starts, lo)
     return clusters, slice(first, bisect_right(starts, hi - 1) + 1 if hi > lo else first)
-
-
-def spectral_clusters(x, tol=DEFAULT_TOL):
-    """Projections onto the nonzero eigenvalue clusters of a self-adjoint
-    ``x``, in ascending order; the zero cluster is that of
-    :func:`cluster_partition`, and the list is empty for ``x = 0``."""
-    dec = hermitian_eig(x, tol=tol)
-    clusters, zero = cluster_partition(dec.eigenvalues, tol=tol)
-    cols = [dec.basis[:, cl] for cl in clusters[:zero.start] + clusters[zero.stop:]]
-    return [c @ c.conj().T for c in cols]
 
 
 # --------------------------------------------------------------------------

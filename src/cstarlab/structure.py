@@ -38,13 +38,13 @@ of seeded Gaussian matrices onto its span, so for a given seed its result
 depends on the span only, not on the basis that represents it.
 Block structure is held as ``(n_k, N, m_k)`` isometry stacks, the
 transporters: a :class:`~cstarlab.algebra.StarAlgebra` is its stacks
-(``BlockDecomposition.algebra``, planted algebras, a TRO's two algebras),
-and :func:`~cstarlab.algebra._compress` reads ``dim pA`` and the minimality
-of ``u - p`` off the compressions of a projection ``p`` against them.
+(``BlockDecomposition.algebra``, planted algebras, a TRO's two algebras).
+:func:`~cstarlab.algebra._compress` reads ``dim pA`` and minimality off the
+compressions of a projection ``p`` against them, and a minimal projection
+is drawn off a block's coordinates (:func:`_top_projection`).
 
 Everything downstream (socle, unit partition, the Dales-Zelazko style
-maximal-ideal check) reads off this decomposition and re-verifies what it
-claims.
+maximal-ideal check) reads off this decomposition and re-verifies what it claims.
 """
 
 import functools
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import StarAlgebra, _compress, _coordinates, _units
+from .algebra import StarAlgebra, _compress, _coordinates, _require_idempotent, _units
 from .config import DEFAULT_TOL
 from .errors import (
     DegenerateRandomness,
@@ -72,13 +72,13 @@ from .ideals import (
 )
 from .linalg import (
     _stack_inputs,
+    as_matrix,
     cluster_partition,
     gram_sum,
     hermitian_eig,
     hs_norm,
     project,
     safe_norm,
-    spectral_clusters,
     spectrum_cut,
 )
 
@@ -169,38 +169,49 @@ def _draw(space, rng):
     return project(space.stack, g.reshape(1, -1)).reshape(space.shape)
 
 
-def _clusters(space, p, rng, tol):
-    """Nonzero spectral clusters, in ascending order, of ``p h p + 2||h|| p``
-    for the Hermitian part ``h`` of one draw from ``space``.  The shift
-    lifts the range of ``p`` clear of zero, so the discarded zero cluster
-    is the kernel of ``p``."""
-    y = _draw(space, rng)
-    h = 0.5 * (y + y.conj().T)
-    x = p @ h @ p + 2.0 * hs_norm(h) * p
-    return spectral_clusters(x, tol)
+def _top_projection(v, g):
+    """``(values, e)``: the ascending eigenvalues of the Hermitian part of the
+    coordinates ``tr(v_i* g v_j) / m`` of ``g`` against the ``(n, N, m)`` isometry
+    stack ``v``, and ``e = x x*`` for ``x = sum_i q_i v_i`` and the top eigenvector
+    ``q``.  A change of the ``v_i`` conjugates the coordinates, and ``q`` with them."""
+    coords = _coordinates(v, g[None])[0]
+    w, q = np.linalg.eigh(coords + coords.conj().T)
+    x = np.tensordot(q[:, -1], v, axes=1)
+    e = x @ x.conj().T
+    return w / (2 * v.shape[2]), 0.5 * (e + e.conj().T)
 
 
 def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     """A minimal projection of the algebra dominated by ``start``: the top
-    spectral cluster of a generic self-adjoint element of ``start A start``,
-    certified by the one-dimensional corner ``e A e = C e``.
-
-    ``start`` must be a nonzero projection in the algebra, else
-    :class:`NotAProjection` is raised.  The draw is randomized but
-    reproducible through ``seed``.
+    eigenprojection in ``start A start`` of the Hermitian part of
+    :func:`_draw`'s seeded Gaussian projected onto A, read off the ranges of
+    ``start`` in A's blocks (:func:`_compress`, :func:`_top_projection`) with
+    no basis of A.  A draw whose top eigenvalue :func:`cluster_partition`
+    does not set apart is redrawn.  ``e`` is certified by ``start e = e``
+    and by its compressions, of total rank 1.  ``start`` must be a nonzero
+    projection (:class:`NotAProjection`) in A (:class:`NotInAlgebra`).
     """
-    start = parent.require_projection(start, tol=tol, what="starting projection")
-    if hs_norm(start) <= tol.member:
+    n = parent.ambient_dim
+    start = _require_idempotent(as_matrix(start, shape=(n, n)), tol, "starting projection")
+    ranges = [r for r in _compress(parent.blocks, start, tol)[0] if len(r)]
+    if not ranges:
         raise NotAProjection("no minimal projection lies below the zero projection")
     rng = np.random.default_rng(seed)
     for _ in range(_MAX_DRAWS):
-        found = _clusters(parent.basis, start, rng, tol)
-        if found and parent.contains(found[-1], tol=tol):
-            if _corner_space(parent, found[-1], found[-1], tol) == 1:
-                return found[-1]
-    raise DegenerateRandomness(
-        f"{_MAX_DRAWS} random corner elements failed to isolate a minimal projection"
-    )
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        tops = [_top_projection(r, g) for r in ranges]
+        clusters, _ = cluster_partition(np.concatenate([w for w, _ in tops]), tol=tol)
+        if len(clusters[-1]) == 1:
+            break
+    else:
+        raise DegenerateRandomness(
+            f"{_MAX_DRAWS} random corner elements failed to isolate a minimal projection")
+    e = max(tops, key=lambda top: top[0][-1])[1]
+    check("the drawn projection is not below the starting one", hs_norm(start @ e - e),
+          tol.member * max(1.0, hs_norm(e)))
+    if sum(len(r) for r in _compress(parent.blocks, e, tol)[0]) != 1:
+        raise VerificationFailure("the drawn projection's block compressions are not of rank 1")
+    return e
 
 
 def _polynomial(family, unit, rng):
@@ -613,8 +624,8 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
     ``t`` takes block ``t % num_blocks``): ``e`` is the top eigenprojection,
     in that block, of the Hermitian part of a seeded Gaussian matrix
     projected onto A, a Haar-random minimal projection of the block, and
-    ``J = (u - e) A``.  It is read off the projection's coordinates against
-    the block's matrix units, so it depends on A and the seed, not on the
+    ``J = (u - e) A``, read off the block's transporters
+    (:func:`_top_projection`), so it depends on A and the seed, not on the
     matrix units that represent A.  One :func:`projection_generator`
     certificate per trial carries both verdicts: it certifies ``J = pA``,
     so single generation holds, and ``J`` is maximal when ``u - p`` is
@@ -636,14 +647,7 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
         k = t % len(stacks)
         v = stacks[k]
         g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-        # the block's part of g's projection onto A is sum_ij <e_ij, g> e_ij / m_k;
-        # a change of matrix units conjugates these coordinates, and w with them
-        coords = _coordinates(v, g[None])[0]
-        w = np.linalg.eigh(coords + coords.conj().T)[1][:, -1]
-        # e = sum_ij w_i conj(w_j) e_ij = x x* for the isometry x = sum_i w_i v_i
-        x = np.tensordot(w, v, axes=1)
-        e = x @ x.conj().T
-        e = 0.5 * (e + e.conj().T)
+        _, e = _top_projection(v, g)
         g = u - e
         # e = u means the zero ideal; flush the roundoff left in u - e
         gens = [] if hs_norm(g) <= tol.member * max(1.0, hs_norm(u)) else [g]

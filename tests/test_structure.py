@@ -17,6 +17,7 @@ from cstarlab import (
     is_minimal_projection,
     minimal_projection_below,
     planted_block_algebra,
+    planted_block_tro,
     projection_generator,
     socle,
     unit_partition_certificate,
@@ -26,10 +27,17 @@ from cstarlab import (
 from cstarlab.config import DEFAULT_TOL
 from cstarlab import ideals as ideals_module, structure as structure_module
 from cstarlab.algebra import sample_element
-from cstarlab.errors import CStarError, DegenerateRandomness, GapNotFound, VerificationFailure
+from cstarlab.errors import (
+    CStarError,
+    DegenerateRandomness,
+    GapNotFound,
+    NotAProjection,
+    NotInAlgebra,
+    VerificationFailure,
+)
 from cstarlab.ideals import RightIdeal, right_module_span
-from cstarlab.instances import haar_unitary, random_block_structure
-from cstarlab.linalg import Subspace, cluster_partition, hs_norm, spectral_clusters
+from cstarlab.instances import haar_unitary, random_block_structure, random_tro_blocks
+from cstarlab.linalg import Subspace, cluster_partition, gram_sum, hs_norm
 from cstarlab.structure import (
     _MAX_DRAWS,
     _basis_change,
@@ -76,14 +84,6 @@ def test_cluster_partition_zero_cluster_is_one_slice():
     assert cluster_partition(np.zeros(0)) == ([], slice(0, 0))
     clusters, zero = cluster_partition(np.zeros(3))
     assert len(clusters) == 1 and zero == slice(0, 1)
-
-
-def test_spectral_clusters_oracle():
-    """The nonzero clusters' projections, in ascending order."""
-    lo, hi = spectral_clusters(np.diag([-2.0, 0.0, 0.0, 3.0, 3.0 + 1e-9]).astype(complex))
-    np.testing.assert_array_equal(lo, np.diag([1.0, 0, 0, 0, 0]))
-    np.testing.assert_array_equal(hi, np.diag([0.0, 0, 0, 1, 1]))
-    assert spectral_clusters(np.zeros((3, 3), dtype=complex)) == []
 
 
 def test_draw_depends_on_the_span_only():
@@ -483,6 +483,67 @@ def test_unit_partition_certificate():
         assert is_minimal_projection(a, e)
         total = total + e @ c
     np.testing.assert_allclose(total, a.unit, atol=1e-8)
+
+
+def dense_minimal_projection(a, start, seed):
+    """The dense draw: a seeded Gaussian projected onto A's basis, its
+    Hermitian part ``h``, and the top eigenvalue cluster of ``p h p + 2||h||
+    p``, whose shift lifts the range of ``p = start`` clear of its kernel;
+    a cluster whose corner trace is not 1 is drawn again."""
+    rng = np.random.default_rng(seed)
+    for _ in range(_MAX_DRAWS):
+        y = _draw(a.basis, rng)
+        h = 0.5 * (y + y.conj().T)
+        w, q = np.linalg.eigh(start @ h @ start + 2.0 * hs_norm(h) * start)
+        top = q[:, cluster_partition(w)[0][-1]]
+        if is_minimal_projection(a, top @ top.conj().T):
+            return top @ top.conj().T
+    raise AssertionError("the dense draw isolated no minimal projection")
+
+
+def reference_cases():
+    """55 ``(algebra, start, seed)``: planted algebras below their unit and
+    below the central projection of one block, and TRO left algebras below
+    their unit."""
+    rng = np.random.default_rng(39)
+    for trial in range(20):
+        a = planted_block_algebra(*random_block_structure(rng), seed=3900 + trial).algebra
+        yield a, a.unit, trial
+    for trial in range(15):
+        a = planted_block_algebra(*random_block_structure(rng), seed=3920 + trial).algebra
+        v = a.blocks[trial % len(a.blocks)]
+        yield a, gram_sum(v.transpose(1, 0, 2).reshape(1, a.ambient_dim, -1)), [trial, 1]
+    for trial in range(20):
+        left = planted_block_tro(random_tro_blocks(rng), seed=3940 + trial).tro.left_algebra
+        yield left, left.unit, [trial, 2]
+
+
+def test_minimal_projection_below_is_the_dense_draw():
+    """Read off the ranges of ``start`` in A's blocks, the draw gives the
+    dense draw's projection for the same seed, minimal by the corner trace
+    over A's basis."""
+    count = 0
+    for a, start, seed in reference_cases():
+        e = minimal_projection_below(a, start, seed=seed)
+        assert hs_norm(e - dense_minimal_projection(a, start, seed)) <= 1e-10
+        assert is_minimal_projection(a, e)
+        assert hs_norm(start @ e - e) <= 1e-10
+        count += 1
+    assert count == 55
+
+
+def test_minimal_projection_below_errors_are_typed():
+    """A member of A that is not a projection is no projection to descend
+    from, and a projection outside A is not in A (a zero ``start``:
+    ``test_ideals.py::test_minimal_projection_below_zero_is_not_a_projection``)."""
+    a = planted_block_algebra([2, 1], [2, 1], seed=5).algebra
+    with pytest.raises(NotAProjection):
+        minimal_projection_below(a, 0.5 * a.unit)
+    with pytest.raises(NotAProjection):
+        minimal_projection_below(a, sample_element(a, np.random.default_rng(1)))
+    x = np.random.default_rng(2).standard_normal(5) + 0j
+    with pytest.raises(NotInAlgebra):
+        minimal_projection_below(a, np.outer(x, x) / (x @ x))
 
 
 def test_minimal_projection_below_stays_under_start():

@@ -7,6 +7,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import cstarlab.algebra as algebra_mod
+import cstarlab.ideals as ideals_mod
+import cstarlab.structure as structure_mod
 import cstarlab.tro as tro_mod
 from cstarlab import (
     DEFAULT_TOL,
@@ -389,6 +392,42 @@ def maximal_submodule(p, seed):
     e = minimal_projection_below(left, left.unit, seed=seed)
     zs = p.tro.basis.matrices
     return generate_submodule(p.tro, list((left.unit - e) @ zs))
+
+
+def test_submodule_chain_writes_no_dense_basis(monkeypatch):
+    """The ``tro`` benchmark's chain on a generated TRO: the minimal
+    projection ``e`` of L is read off the ranges of L's unit in its blocks,
+    and ``(u_L - e) Z`` is generated, checked maximal, taken round to its
+    ideal and certified finitely generated with at most two block
+    projections of L for the draw, no dense basis of an algebra
+    (``StarAlgebra.basis`` raises here) and no corner trace over one."""
+    p = planted_block_tro([(3, 2), (2, 2), (1, 3)], seed=4)
+
+    def dense(*args):
+        raise AssertionError("the chain wrote an algebra's dense basis or took a corner trace")
+
+    monkeypatch.setattr(StarAlgebra, "basis", property(dense))
+    for module in (ideals_mod, structure_mod):
+        monkeypatch.setattr(module, "_corner_space", dense)
+    z = generate_tro(p.tro.rows, p.tro.cols, list(p.tro.basis.matrices))
+    assert sorted(classify_tro(z, seed=1).blocks, reverse=True) == p.signature()
+    left = z.left_algebra
+    projections = []
+
+    def counted(*args, _inner=algebra_mod._block_projection):
+        projections.append(args[1].shape)
+        return _inner(*args)
+
+    monkeypatch.setattr(algebra_mod, "_block_projection", counted)
+    for seed in range(3):
+        projections.clear()
+        e = minimal_projection_below(left, left.unit, seed=seed)
+        assert len(projections) <= 2
+        w = generate_submodule(z, list((left.unit - e) @ z.basis.matrices))
+        assert is_maximal_submodule(z, w)
+        _, report = submodule_ideal_roundtrip(z, w)
+        assert report["ok"]
+        assert max(finite_generation_certificate(w).residuals.values()) <= 1e-8
 
 
 def test_repeat_roundtrip_is_not_recomputed(monkeypatch):
