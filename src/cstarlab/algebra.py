@@ -18,6 +18,7 @@ it that way and verifies the result.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,42 +81,99 @@ def _block_space(blocks, shape):
     return Subspace(r, c, stack.reshape(-1, r * c))
 
 
+def _side_by_side(v):
+    """The ``(n, N, m)`` isometry stack ``v`` laid side by side as one ``N x (n
+    m)`` isometry ``[v_1 ... v_n]``."""
+    return v.transpose(1, 0, 2).reshape(v.shape[1], -1)
+
+
 def _coordinates(v, xs):
     """``X[s, i, j] = tr(v_i* x_s v_j) = <v_i v_j*, x_s>`` over the ``(n, N,
     m)`` isometry stack ``v`` and the ``(s, N, N)`` stack ``xs``, from one
     ``(n m) x (n m)`` compression per element."""
-    count, r, mult = v.shape
-    flat = v.transpose(1, 0, 2).reshape(r, count * mult)
+    count, _, mult = v.shape
+    flat = _side_by_side(v)
     comp = (flat.conj().T @ xs @ flat).reshape(-1, count, mult, count, mult)
     return np.einsum("siuju->sij", comp)
 
 
-def _block_projection(stacks, xs):
-    """``(coords, projected)`` of the ``(s, N, N)`` stack ``xs`` against the
-    ``(n_k, N, m_k)`` isometry stacks of an algebra's blocks: ``coords[k][s]``
-    is ``P_k[i, j] = tr(v_i* x_s v_j) / m_k`` (:func:`_coordinates`), and
-    ``projected[s] = sum_k sum_ij P_k[i, j] v_i v_j*`` the orthogonal
-    projection of ``x_s`` onto the algebra, in ``O(N^2 sum_k n_k m_k)``."""
-    projected = np.zeros(xs.shape, dtype=np.complex128)
-    coords = []
-    for v in stacks:
-        count, r, mult = v.shape
-        flat = v.transpose(1, 0, 2).reshape(r, count * mult)
-        pk = _coordinates(v, xs) / mult
-        coords.append(pk)
-        # sum_ij P[i, j] v_i v_j* = sum_j (sum_i P[i, j] v_i) v_j*
-        mixed = (pk.transpose(0, 2, 1) @ v.reshape(count, -1)).reshape(-1, count, r, mult)
-        projected += mixed.transpose(0, 2, 1, 3).reshape(-1, r, count * mult) @ flat.conj().T
-    return coords, projected
+def _unitary_completion(stacks, n):
+    """The ``n x n`` unitary whose first columns are the isometry stacks, with
+    orthogonal ranges, laid side by side (:func:`_side_by_side`), and whose
+    other columns complete them."""
+    f = np.concatenate([np.zeros((n, 0)), *(_side_by_side(v) for v in stacks)], axis=1)
+    if f.shape[1] == n:
+        return f
+    return np.concatenate([f, np.linalg.qr(f, mode="complete")[0][:, f.shape[1]:]], axis=1)
 
 
-def _compress(stacks, p, tol):
+def _frame(pairs, shape):
+    """Block coordinates for the orthonormal units ``x_i y_j* / sqrt(m_k)``
+    over one pair ``(x, y)`` of ``(p_k, r, m_k)`` and ``(q_k, c, m_k)``
+    isometry stacks per block (an algebra's blocks ``(v, v)``, or a TRO's
+    row and column stacks) in ``r x c = shape`` matrices.
+
+    Returns ``(left*, right, (rows, cols), starts, mults)`` for the
+    completions ``left`` of all the ``x`` and ``right`` of all the ``y``
+    (:func:`_unitary_completion`).  In ``left* z
+    right`` the unit ``t = (k, i, j)`` sits on the ``mults[t] = m_k``
+    entries ``((i, u), (j, u))``, ``u < m_k``, of block ``k``; they are
+    ``(rows[e], cols[e])`` for ``e`` from ``starts[t]`` on.
+    """
+    rows, cols, mults = [], [], []
+    at_x = at_y = 0
+    for x, y in pairs:
+        (p, _, m), q = x.shape, len(y)
+        for i, j in itertools.product(range(p), range(q)):
+            rows += range(at_x + i * m, at_x + (i + 1) * m)
+            cols += range(at_y + j * m, at_y + (j + 1) * m)
+        mults += [m] * (p * q)
+        at_x, at_y = at_x + p * m, at_y + q * m
+    mults = np.array(mults, dtype=int)
+    left = _unitary_completion([x for x, _ in pairs], shape[0])
+    right = _unitary_completion([y for _, y in pairs], shape[1])
+    return (np.ascontiguousarray(left.conj().T), right,
+            (np.array(rows, dtype=int), np.array(cols, dtype=int)),
+            np.cumsum(mults) - mults, mults)
+
+
+def _block_coordinates(frame, xs):
+    """``(coords, residuals)`` of the ``(s, r, c)`` stack ``xs`` in a
+    :func:`_frame`: ``coords[s, t]`` is ``P_k[i, j] = tr(x_i* x_s y_j) /
+    m_k`` for the ``t``-th unit ``(k, i, j)``, so that ``sum_t coords[s, t]
+    x_i y_j*`` is the orthogonal projection of ``x_s`` onto the units' span,
+    and ``residuals[s]`` the distance from ``x_s`` to it.  In ``left* x_s
+    right`` that projection is ``P_k[i, j]`` on each unit's entries and zero
+    elsewhere, so subtracting it there leaves a matrix with the residual's
+    norm: two products per element, with no cancellation."""
+    left_h, right, (rows, cols), starts, mults = frame
+    y = left_h @ xs @ right
+    diagonal = y[:, rows, cols]
+    if len(starts) == len(rows):  # every m_k is 1: each unit is one entry
+        coords = diagonal
+        y[:, rows, cols] = 0.0
+    else:
+        coords = np.add.reduceat(diagonal, starts, axis=1) / mults
+        y[:, rows, cols] = diagonal - np.repeat(coords, mults, axis=1)
+    return coords, safe_norm(y, axis=(1, 2))
+
+
+def _max_relative_residual(frame, xs):
+    """Largest ``||x - Px|| / max(1, ||x||)`` over the ``(s, r, c)`` stack
+    ``xs`` (0.0 for none), ``P`` the projection onto the span of a
+    :func:`_frame`'s units (:func:`_block_coordinates`): the membership rule
+    of algebras and TROs, ``x`` in the span when at most ``tol.member``."""
+    scales = np.maximum(1.0, safe_norm(xs, axis=(1, 2)))
+    return float(np.max(_block_coordinates(frame, xs)[1] / scales, initial=0.0))
+
+
+def _compress(algebra, p, tol):
     """``(ranges, residual)`` of a projection ``p`` against the ``(n_k, N,
-    m_k)`` isometry stacks of an algebra's blocks: a decomposition's
+    m_k)`` isometry stacks of the algebra's blocks: a decomposition's
     transporters, or a TRO's row stacks for its left algebra.
 
     ``residual``, the distance from ``p`` to its block projection
-    (:func:`_block_projection`) over ``max(1, ||p||)``, must stay within
+    (:func:`_block_coordinates`) over ``max(1, ||p||)``, must stay within
     ``tol.member`` (:class:`NotInAlgebra`).  The compressions ``P_k``, padded
     with zeros to one size, take one batched eigendecomposition: together
     they must lie within ``tol.member`` of a projection
@@ -125,13 +183,17 @@ def _compress(stacks, p, tol):
     rank P_k``, and ``u - p``, with the compressions ``1 - P_k``, is minimal
     exactly when ``sum_k (n_k - rank P_k) = 1``.
     """
-    coords, rebuilt = _block_projection(stacks, p[None])
+    stacks = algebra.blocks
+    coords, dist = _block_coordinates(algebra.frame, p[None])
     width = max((len(v) for v in stacks), default=0)
     comps = np.zeros((len(stacks), width, width), dtype=np.complex128)
-    for k, pk in enumerate(coords):
-        comps[k, :len(pk[0]), :len(pk[0])] = pk[0]
+    at = 0
+    for k, v in enumerate(stacks):
+        n = len(v)
+        comps[k, :n, :n] = coords[0, at:at + n * n].reshape(n, n)
+        at += n * n
     resid = check("projection p is not in the algebra of its blocks, relative to its norm",
-                  hs_norm(rebuilt[0] - p) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
+                  float(dist[0]) / max(1.0, hs_norm(p)), tol.member, NotInAlgebra)
     w, q = np.linalg.eigh(0.5 * (comps + comps.conj().transpose(0, 2, 1)))
     check("a block compression of p is not a projection",
           hs_norm(np.minimum(np.abs(w), np.abs(1.0 - w))), tol.member)
@@ -169,9 +231,10 @@ class StarAlgebra:
         reach every unit: each ``v_1 v_1*`` is a polynomial in ``D``, and
         ``(S*)^p v_1 v_1* S^q = v_{p+1} v_{q+1}*``.
 
-    The ``unit`` ``sum v_i v_i*`` (None for the zero algebra) and the
-    orthonormal ``basis`` ``e_ij / sqrt(m_k)`` (:func:`_block_space`) are
-    formed on first use.
+    The ``unit`` ``sum v_i v_i*`` (None for the zero algebra), the
+    orthonormal ``basis`` ``e_ij / sqrt(m_k)`` (:func:`_block_space`) and
+    the ``frame`` of block coordinates (:func:`_frame`) that membership and
+    :func:`_compress` read are formed on first use.
     """
 
     ambient_dim: int
@@ -199,14 +262,17 @@ class StarAlgebra:
     def basis(self):
         return _block_space([(v, v) for v in self.blocks], (self.ambient_dim,) * 2)
 
+    @functools.cached_property
+    def frame(self):
+        return _frame([(v, v) for v in self.blocks], (self.ambient_dim,) * 2)
+
     def max_relative_residual(self, xs):
         """Largest ``||x - Px|| / max(1, ||x||)`` over the ``(s, N, N)`` stack
         ``xs`` (0.0 for none), ``P`` the projection onto the algebra
-        (:func:`_block_projection`): ``x`` is in it when at most ``tol.member``."""
+        (:func:`_max_relative_residual`): ``x`` is in it when at most
+        ``tol.member``."""
         xs = np.asarray(xs, dtype=np.complex128).reshape(-1, self.ambient_dim, self.ambient_dim)
-        _, projected = _block_projection(self.blocks, xs)
-        scales = np.maximum(1.0, safe_norm(xs, axis=(1, 2)))
-        return float(np.max(safe_norm(xs - projected, axis=(1, 2)) / scales, initial=0.0))
+        return _max_relative_residual(self.frame, xs)
 
     def contains(self, x, tol=DEFAULT_TOL):
         x = as_matrix(x, shape=(self.ambient_dim,) * 2)

@@ -139,7 +139,7 @@ def _ideal_report(alg, ideal_generators, tol):
     # p's block compressions check p in A and give dim pA = sum_k n_k rank P_k;
     # over the matrix units b_i, sum_i (p b_i)(p b_i)* = p (sum_k (n_k/m_k) c_k) p for
     # c_k = sum_i v_i v_i*; its support, by an eigendecomposition of its own, is checked against p
-    ranges, _ = _compress(alg.blocks, p, tol)
+    ranges, _ = _compress(alg, p, tol)
     weight = sum(((len(v) / v.shape[2]) * gram_sum(v) for v in alg.blocks), np.zeros_like(p))
     agreement = hs_norm(p - support_projection_of_psd(p @ weight @ p, tol=tol))
     report = {

@@ -160,12 +160,12 @@ def right_module_span(algebra, generators, rows, tol=DEFAULT_TOL):
     return space
 
 
-def _ideal_from_ranges(parent, generators, ranges, stacks):
+def _ideal_from_ranges(parent, generators, ranges):
     """``pA`` with the basis ``v_q v_j* / sqrt(m_k)`` over the ranges ``v_q`` of ``p``
     (:func:`~cstarlab.algebra._compress`) and the stacks ``v_j`` of A's blocks."""
     n = parent.ambient_dim
     return RightIdeal(parent=parent, generators=list(generators),
-                      basis=_block_space(list(zip(ranges, stacks)), (n, n)))
+                      basis=_block_space(list(zip(ranges, parent.blocks)), (n, n)))
 
 
 def generate_right_ideal(parent, generators, tol=DEFAULT_TOL):
@@ -175,8 +175,8 @@ def generate_right_ideal(parent, generators, tol=DEFAULT_TOL):
     ``b``'s zero cluster, so ``p`` misses it and :class:`VerificationFailure` is raised."""
     gens = [as_matrix(g, shape=(parent.ambient_dim,) * 2) for g in generators]
     p = projection_generator(parent, gens, tol=tol).projection
-    ranges, _ = _compress(parent.blocks, p, tol)
-    return _ideal_from_ranges(parent, gens, ranges, parent.blocks)
+    ranges, _ = _compress(parent, p, tol)
+    return _ideal_from_ranges(parent, gens, ranges)
 
 
 def _trivial_certificate(ambient_dim):

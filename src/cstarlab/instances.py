@@ -110,12 +110,13 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     Blocks are embedded at diagonal offsets of an ``(sum m_k) x
     (sum n_k)`` ambient rectangle and rotated by independent Haar
-    unitaries ``U`` and ``V`` on each side.  The TRO keeps that basis, and
-    its blocks are written down from the unitaries: block ``k``'s row
-    isometries are its ``m_k`` columns of ``U`` and its column isometries
-    its ``n_k`` columns of ``V``, from which the algebras follow
-    (:func:`~cstarlab.tro._tro_from_blocks`), so no closure is involved.
-    Nondegeneracy is verified.
+    unitaries ``U`` and ``V`` on each side.  The TRO is its blocks, written
+    down from the unitaries: block ``k``'s row isometries are its ``m_k``
+    columns of ``U`` and its column isometries its ``n_k`` columns of
+    ``V`` (:func:`~cstarlab.tro._tro_from_blocks`, which verifies
+    nondegeneracy), so no closure is involved.  Its ``basis`` is assigned
+    the rotated matrix units ``U E_pq V*``, conjugated densely, so the
+    ``random tro`` fixtures keep their bytes.
     """
     blocks = [(int(m), int(n)) for m, n in blocks]
     if not blocks or min(min(b) for b in blocks) < 1:
@@ -142,7 +143,8 @@ def planted_block_tro(blocks, seed=0, tol=DEFAULT_TOL):
 
     conj = u @ np.array(basis) @ v.conj().T
     space = Subspace(m_tot, n_tot, conj.reshape(len(basis), -1))
-    tro = _tro_from_blocks(space, isometries, tol)
+    tro = _tro_from_blocks(space.shape, isometries, tol)
+    tro.basis = space
     return PlantedTRO(
         tro=tro, blocks=blocks, left_conjugator=u, right_conjugator=v
     )

@@ -96,7 +96,8 @@ def safe_norm(x, axis=None):
     ``inf`` above about 1e154 and 0 below about 1e-154.  When a norm falls
     outside ``_SAFE_NORM`` every slice whose largest entry does too is
     divided by that entry first; results inside the range are
-    ``np.linalg.norm``'s, bit for bit.
+    ``np.linalg.norm``'s, bit for bit.  A slice whose entries are all zero
+    has norm 0 on either path, so it alone does not take the second.
 
     Both paths are ``np.linalg.norm``'s own formulas without its dispatch.
     The Frobenius norm (``axis=None``) is the square root of the dot
@@ -124,7 +125,8 @@ def safe_norm(x, axis=None):
     if axis is None:
         if lo <= n <= hi or n == 0.0 and not x.any():
             return n
-    elif lo <= n.min(initial=hi) and n.max(initial=lo) <= hi:
+    elif n.max(initial=lo) <= hi and (lo <= n.min(initial=hi) or
+                                      lo <= n.min(initial=hi, where=np.any(x, axis=axis))):
         return n
     top = np.max(np.abs(x), axis=axis, keepdims=True, initial=0.0)
     top = np.where((top == 0.0) | ((top >= lo) & (top <= hi)), 1.0, top)

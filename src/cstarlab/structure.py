@@ -170,15 +170,22 @@ def _draw(space, rng):
 
 
 def _top_projection(v, g):
-    """``(values, e)``: the ascending eigenvalues of the Hermitian part of the
+    """``(values, x)``: the ascending eigenvalues of the Hermitian part of the
     coordinates ``tr(v_i* g v_j) / m`` of ``g`` against the ``(n, N, m)`` isometry
-    stack ``v``, and ``e = x x*`` for ``x = sum_i q_i v_i`` and the top eigenvector
-    ``q``.  A change of the ``v_i`` conjugates the coordinates, and ``q`` with them."""
+    stack ``v``, and the ``N x m`` isometry ``x = sum_i q_i v_i`` for the top
+    eigenvector ``q``, whose range is that of the drawn projection
+    (:func:`_range_projection`).  A change of the ``v_i`` conjugates the
+    coordinates, and ``q`` with them."""
     coords = _coordinates(v, g[None])[0]
     w, q = np.linalg.eigh(coords + coords.conj().T)
-    x = np.tensordot(q[:, -1], v, axes=1)
+    return w / (2 * v.shape[2]), np.tensordot(q[:, -1], v, axes=1)
+
+
+def _range_projection(x):
+    """The projection ``x x*`` onto the range of the isometry ``x``, made
+    exactly self-adjoint."""
     e = x @ x.conj().T
-    return w / (2 * v.shape[2]), 0.5 * (e + e.conj().T)
+    return 0.5 * (e + e.conj().T)
 
 
 def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
@@ -193,7 +200,7 @@ def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     """
     n = parent.ambient_dim
     start = _require_idempotent(as_matrix(start, shape=(n, n)), tol, "starting projection")
-    ranges = [r for r in _compress(parent.blocks, start, tol)[0] if len(r)]
+    ranges = [r for r in _compress(parent, start, tol)[0] if len(r)]
     if not ranges:
         raise NotAProjection("no minimal projection lies below the zero projection")
     rng = np.random.default_rng(seed)
@@ -206,10 +213,10 @@ def minimal_projection_below(parent, start, seed=0, tol=DEFAULT_TOL):
     else:
         raise DegenerateRandomness(
             f"{_MAX_DRAWS} random corner elements failed to isolate a minimal projection")
-    e = max(tops, key=lambda top: top[0][-1])[1]
+    e = _range_projection(max(tops, key=lambda top: top[0][-1])[1])
     check("the drawn projection is not below the starting one", hs_norm(start @ e - e),
           tol.member * max(1.0, hs_norm(e)))
-    if sum(len(r) for r in _compress(parent.blocks, e, tol)[0]) != 1:
+    if sum(len(r) for r in _compress(parent, e, tol)[0]) != 1:
         raise VerificationFailure("the drawn projection's block compressions are not of rank 1")
     return e
 
@@ -647,12 +654,12 @@ def verify_dales_zelazko(parent, trials=10, seed=0, tol=DEFAULT_TOL):
         k = t % len(stacks)
         v = stacks[k]
         g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-        _, e = _top_projection(v, g)
+        e = _range_projection(_top_projection(v, g)[1])
         g = u - e
         # e = u means the zero ideal; flush the roundoff left in u - e
         gens = [] if hs_norm(g) <= tol.member * max(1.0, hs_norm(u)) else [g]
         cert = projection_generator(parent, gens, tol=tol)
-        ranges, _ = _compress(stacks, cert.projection, tol)
+        ranges, _ = _compress(parent, cert.projection, tol)
         out.append(
             DalesZelazkoTrial(
                 block_index=k,

@@ -20,10 +20,15 @@ from one certified block decomposition of it
 off-diagonal corners zeroed, so every minimal projection lies in one
 corner: a block's row transporters ``a_i`` (``r x m_k`` isometries) give
 ``U_L`` and its column transporters ``b_j`` give ``U_R``, and their counts
-are ``a_k`` and ``b_k``.  ``Z`` then has the orthonormal basis
-``a_i b_j* / sqrt(m_k)``, ``L`` the matrix units ``a_i a_i'* / sqrt(m_k)``
-and ``R`` the units ``b_j b_j'* / sqrt(m_k)``, and :func:`classify_tro`
-reads the blocks and isometries off the same data.
+are ``a_k`` and ``b_k``.  A :class:`TRO` is those row and column stacks,
+and nothing else is stored: ``Z`` has the orthonormal units ``a_i b_j* /
+sqrt(m_k)``, ``L`` the matrix units ``a_i a_i'* / sqrt(m_k)`` and ``R``
+the units ``b_j b_j'* / sqrt(m_k)``.  Membership in ``Z`` is the distance
+to the projection onto those units, read in block coordinates
+(:func:`~cstarlab.algebra._block_coordinates`, the rule of algebras too),
+and :func:`classify_tro` reads the blocks, the isometries and the bound on
+the ternary-morphism defect off the same stacks; no dense basis of ``Z``
+is written unless a caller reads :attr:`TRO.basis`.
 
 Submodules (right-ideal analogues) correspond bijectively to right
 ideals of the left algebra via ``W -> W Z*`` and ``J -> J Z``: a closed
@@ -40,8 +45,10 @@ finite generation certificate's ``s^(-1/2)`` is ``sum_k sqrt(m_k / b_k)
 sum_q v_q v_q*``; no span is grown, spanned or traced.
 """
 
-import numpy as np
+import functools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -53,11 +60,12 @@ from .errors import (
     ZeroSubmodule,
     check,
 )
-from .algebra import StarAlgebra, _block_space, _compress
+from .algebra import StarAlgebra, _block_space, _compress, _frame, _max_relative_residual
 from .ideals import _ideal_from_ranges
 from .linalg import (
     Subspace,
     _stack_inputs,
+    as_matrix,
     gram_sum,
     hs_norm,
     identity_defect,
@@ -89,35 +97,54 @@ _LINK_SEED = 0x7E0
 
 @dataclass(eq=False)
 class TRO:
-    """A ternary ring of ``rows x cols`` operators with its two algebras.
+    """A ternary ring of ``rows x cols`` operators, held as its blocks.
 
     ``blocks`` lists, per rectangular block, the pair ``(a, b)`` of its
     ``(a_k, rows, m_k)`` row and ``(b_k, cols, m_k)`` column isometry
-    stacks: the products ``a_i b_j*`` span the block, and the ranges of
-    all the ``a_i`` (of all the ``b_j``) are orthogonal.  They are set by
-    :func:`generate_tro`, :func:`tro_from_span` and planted TROs; left
-    out, ``blocks`` is None.
+    stacks: the units ``a_i b_j* / sqrt(m_k)`` are an orthonormal basis of
+    the block, and the ranges of all the ``a_i`` (of all the ``b_j``) are
+    orthogonal.  So ``dim = sum a_k b_k``, and membership is read off the
+    stacks (:meth:`max_relative_residual`).  The left and right algebras,
+    those of the row and of the column stacks, the ``frame`` of block
+    coordinates (:func:`~cstarlab.algebra._frame`) and the dense ``basis``
+    of the units (:func:`_block_space`) are formed on first use.
     """
 
-    basis: Subspace
-    left_algebra: StarAlgebra
-    right_algebra: StarAlgebra
-    blocks: list | None = None
-
-    @property
-    def rows(self):
-        return self.basis.rows
-
-    @property
-    def cols(self):
-        return self.basis.cols
+    rows: int
+    cols: int
+    blocks: list
 
     @property
     def dim(self):
-        return self.basis.dim
+        return sum(len(a) * len(b) for a, b in self.blocks)
+
+    @functools.cached_property
+    def left_algebra(self):
+        return StarAlgebra(self.rows, [a for a, _ in self.blocks])
+
+    @functools.cached_property
+    def right_algebra(self):
+        return StarAlgebra(self.cols, [b for _, b in self.blocks])
+
+    @functools.cached_property
+    def basis(self):
+        return _block_space(self.blocks, (self.rows, self.cols))
+
+    @functools.cached_property
+    def frame(self):
+        return _frame(self.blocks, (self.rows, self.cols))
+
+    def max_relative_residual(self, xs):
+        """Largest ``||x - Px|| / max(1, ||x||)`` over the ``(s, rows,
+        cols)`` stack ``xs`` (0.0 for none), ``P`` the projection onto the
+        TRO (:func:`~cstarlab.algebra._max_relative_residual`): ``x`` is in
+        it when at most ``tol.member``."""
+        xs = np.asarray(xs, dtype=np.complex128).reshape(-1, self.rows, self.cols)
+        return _max_relative_residual(self.frame, xs)
 
     def contains(self, x, tol=DEFAULT_TOL):
-        return self.basis.contains(x, tol=tol)
+        x = as_matrix(x, shape=(self.rows, self.cols))
+        return self.max_relative_residual(x[None]) <= tol.member
 
 
 def _corner_terms(gens, rng):
@@ -179,28 +206,19 @@ def _linking_blocks(gens, rng, tol):
     return blocks
 
 
-def _tro_from_blocks(space, blocks, tol):
-    """The TRO on ``space`` with the given :attr:`TRO.blocks`, its algebras
-    those of their row and of their column stacks; nondegeneracy is
-    verified."""
-    r, c = space.shape
-    tro = TRO(basis=space,
-              left_algebra=StarAlgebra(r, [a for a, _ in blocks]),
-              right_algebra=StarAlgebra(c, [b for _, b in blocks]),
-              blocks=blocks)
-    if space.dim:
-        _check_nondegenerate(tro, tol)
+def _tro_from_blocks(shape, blocks, tol):
+    """The TRO of ``shape`` with the given :attr:`TRO.blocks`, verified
+    nondegenerate: its algebras act without annihilator, ``u_L a_i = a_i``
+    and ``u_R b_j = b_j`` on the stacks, so ``u_L z = z = z u_R`` on every
+    unit ``a_i b_j* / sqrt(m_k)``.  Automatic for stacks with orthogonal
+    ranges, but a cheap guard against inconsistent inputs."""
+    tro = TRO(*shape, blocks)
+    if blocks:
+        check("TRO is degenerate over its algebras",
+              max(max(identity_defect(tro.left_algebra.unit, a),
+                      identity_defect(tro.right_algebra.unit, b)) / np.sqrt(a.shape[2])
+                  for a, b in blocks), tol.member)
     return tro
-
-
-def _check_nondegenerate(tro, tol):
-    """The two algebras must act without annihilator: left_alg Z spans Z
-    and Z right_alg spans Z.  Automatic for spans closed under x y* z,
-    but a cheap guard against inconsistent hand-built inputs."""
-    zs = tro.basis.matrices
-    check("TRO is degenerate over its algebras",
-          max(identity_defect(tro.left_algebra.unit, zs),
-              identity_defect(tro.right_algebra.unit, zs, right=True)), tol.member)
 
 
 def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
@@ -208,17 +226,15 @@ def generate_tro(rows, cols, generators, tol=DEFAULT_TOL):
 
     Read off the block decomposition of the linking algebra that the
     generators generate (:func:`_linking_blocks`), drawn from a fixed
-    seed: the basis ``a_i b_j* / sqrt(m_k)`` and both algebras are written
-    down from its blocks (:func:`_tro_from_blocks`), so no span is closed
-    and no triple product of the basis is formed.
-    ``dim Z = sum a_k b_k``.
+    seed: the TRO is its blocks (:func:`_tro_from_blocks`), so no span is
+    closed and no triple product is formed.  ``dim Z = sum a_k b_k``.
     """
     m, n = int(rows), int(cols)
     if m < 1 or n < 1:
         raise ParamError("TRO ambient dimensions must be positive")
     _, flat = _stack_inputs(generators, shape=(m, n))
     blocks = _linking_blocks(flat.reshape(-1, m, n), np.random.default_rng(_LINK_SEED), tol)
-    return _tro_from_blocks(_block_space(blocks, (m, n)), blocks, tol)
+    return _tro_from_blocks((m, n), blocks, tol)
 
 
 def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
@@ -234,9 +250,8 @@ def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
     left to it.  Then the TRO the basis generates is read off as in
     :func:`generate_tro`: the span is a TRO exactly when that TRO has its
     dimension, ``sum a_k b_k = dim S``, and lies within ``tol.member`` of
-    it (:class:`ClosureViolation` otherwise).  The TRO keeps the given
-    basis; its algebras come from the blocks, and nondegeneracy is
-    verified.
+    it (:class:`ClosureViolation` otherwise).  The TRO is its blocks
+    (:func:`_tro_from_blocks`), with the given basis as its ``basis``.
     """
     space = orthonormalize(mats, tol=tol, shape=shape)
     if space.dim:
@@ -255,7 +270,9 @@ def tro_from_span(mats, shape=None, tol=DEFAULT_TOL):
         )
     check("span is not the TRO it generates", closed.distance(space), tol.member,
           ClosureViolation)
-    return _tro_from_blocks(space, blocks, tol)
+    tro = _tro_from_blocks(space.shape, blocks, tol)
+    tro.basis = space
+    return tro
 
 
 @dataclass(eq=False)
@@ -265,8 +282,8 @@ class TROClassification:
     to a ternary isomorphism of the block onto full ``m_k x n_k``
     matrices.  ``central_projections[k]`` is the left-algebra central
     support of the block.  ``residuals["ternary_morphism"]`` is an upper
-    bound on ``||T(x) T(y)* T(z) - T(x y* z)||`` over all basis triples
-    and blocks."""
+    bound on ``||T(x) T(y)* T(z) - T(x y* z)||`` over all triples of the
+    units ``a_i b_j* / sqrt(m_k)`` and all blocks."""
 
     blocks: list
     isometries: list
@@ -290,25 +307,24 @@ def classify_tro(tro, seed=0, tol=DEFAULT_TOL):
     realizing them.
 
     Reads the TRO's :attr:`~TRO.blocks`, the corner-split block
-    decomposition of its linking algebra that built it; a TRO built by
-    hand without them gets them from its basis as :func:`tro_from_span`
-    does, with draws seeded by ``seed``.  Block ``k`` has shape
+    decomposition of its linking algebra that built it, so the blocks fix
+    the result and ``seed`` changes nothing.  Block ``k`` has shape
     ``(a_k, b_k)``, the counts of its row and column transporters;
     ``U_k`` and ``V_k`` are the first columns of those transporters, one
     copy of the block, and its central projection in the left algebra is
     ``sum a_i a_i*``.  The total ``sum a_k b_k`` must equal ``dim Z``, the
     isometries must be isometric, and the ternary-morphism property of
-    the assembled maps is certified for every basis triple at once:
-    ``residuals["ternary_morphism"]`` is an upper bound on the worst
-    triple's defect, built from ``O(d)`` products per block, and must stay
-    within ``tol.composite``.
+    the assembled maps is certified for every triple of units ``a_i b_j* /
+    sqrt(m_k)`` at once: ``residuals["ternary_morphism"]`` is an upper
+    bound on the worst triple's defect, read off the row and column
+    stacks (:func:`_morphism_defect`), and must stay within
+    ``tol.composite``.
     """
     if tro.dim == 0:
         return TROClassification(blocks=[], isometries=[], central_projections=[],
                                  residuals={"ternary_morphism": 0.0})
-    blocks = _tro_blocks(tro, seed, tol)
     entries = [{"shape": (len(a), len(b)), "U": a[:, :, 0].T, "V": b[:, :, 0].T,
-                "central": gram_sum(a)} for a, b in blocks]
+                "central": gram_sum(a)} for a, b in tro.blocks]
     entries.sort(
         key=lambda blk: (
             -blk["shape"][0],
@@ -342,27 +358,42 @@ def _isometry_defect(g):
 
 
 def _morphism_defect(tro, cls):
-    """Upper bound on ``||T(x) T(y)* T(z) - T(x y* z)||`` over all basis
-    triples and blocks, from four batched products per block.
+    """Upper bound on ``||T(x) T(y)* T(z) - T(x y* z)||`` over all triples
+    of the units ``a_i b_j* / sqrt(m_k)`` and all blocks, read off the row
+    and column stacks, for every block's maps at once.
 
     For ``T(z) = U* z V``, ``P = U U*`` and ``Q = V V*`` the defect is
-    exactly ``U* x (Q - 1) y* P z V + U* x y* (P - 1) z V``.  Orthonormal
-    basis elements have operator norm at most 1 and ``||P|| = ||U||^2``,
-    so each triple is bounded by ``||U||^2 ||V|| max_x ||U* x (1 - Q)||
-    + ||U|| max_z ||(1 - P) z V||``.  ``||U||^2 <= 1 + ||U* U - 1||``
-    keeps the bound valid for isometries that are exact only to
-    roundoff."""
-    zs = tro.basis.matrices
-    worst = 0.0
-    for u, v in cls.isometries:
-        u_sq = 1.0 + _isometry_defect(u)
-        v_sq = 1.0 + _isometry_defect(v)
-        left = (u.conj().T @ zs) @ (np.eye(v.shape[0]) - v @ v.conj().T)
-        right = (np.eye(u.shape[0]) - u @ u.conj().T) @ (zs @ v)
-        bound = (u_sq * np.sqrt(v_sq) * np.max(np.linalg.norm(left, axis=(1, 2)))
-                 + np.sqrt(u_sq) * np.max(np.linalg.norm(right, axis=(1, 2))))
-        worst = max(worst, float(bound))
-    return worst
+    exactly ``U* x (Q - 1) y* P z V + U* x y* (P - 1) z V``.  The units
+    have operator norm at most 1 and ``||P|| = ||U||^2``, so each triple is
+    bounded by ``||U||^2 ||V|| max_x ||U* x (1 - Q)|| + ||U|| max_z ||(1 -
+    P) z V||``, both maxima over the units (:func:`_largest_unit_norms`).
+    ``||U||^2 <= 1 + ||U* U - 1||`` keeps the bound valid for isometries
+    that are exact only to roundoff.  The ``U`` (the ``V``) are laid side by
+    side, and a 0/1 mask per map keeps its own columns of ``U* a_i`` (of
+    ``V* b_j``)."""
+    us, vs = zip(*cls.isometries)
+    u_all, v_all = np.concatenate(us, axis=1), np.concatenate(vs, axis=1)
+    u_mask, v_mask = (np.repeat(np.eye(len(ws)), [w.shape[1] for w in ws], axis=1)[:, :, None]
+                      for ws in (us, vs))
+    left = right = np.zeros(len(us))
+    for a, b in tro.blocks:
+        ua = (u_all.conj().T @ a)[:, None] * u_mask
+        vb = (v_all.conj().T @ b)[:, None] * v_mask
+        left = np.maximum(left, _largest_unit_norms(ua, b[:, None] - v_all @ vb))
+        right = np.maximum(right, _largest_unit_norms(a[:, None] - u_all @ ua, vb))
+    u_sq = 1.0 + np.array([_isometry_defect(u) for u in us])
+    v_sq = 1.0 + np.array([_isometry_defect(v) for v in vs])
+    return float(np.max(u_sq * np.sqrt(v_sq) * left + np.sqrt(u_sq) * right))
+
+
+def _largest_unit_norms(x, y):
+    """Per map ``k``, the largest ``||x_ik y_jk*|| / sqrt(m)`` over the ``(p,
+    K, r, m)`` and ``(q, K, c, m)`` stacks ``x`` and ``y`` of one block, from
+    ``||x_ik y_jk*||^2 = tr(x_ik* x_ik y_jk* y_jk)``, so no product ``x_ik
+    y_jk*`` is formed."""
+    gx, gy = (w.conj().swapaxes(-1, -2) @ w for w in (x, y))
+    squares = np.einsum("ikuv,jkvu->kij", gx, gy).real.reshape(len(gx[0]), -1)
+    return np.sqrt(np.maximum(squares.max(axis=1), 0.0) / x.shape[3])
 
 
 @dataclass(eq=False)
@@ -382,8 +413,8 @@ class Submodule:
 
     ``_roundtrip`` holds the last verified
     :func:`submodule_ideal_roundtrip` against ``parent`` as
-    ``(tol, basis, blocks, ranges, ideal, report)``, where ``ranges[k]``
-    stacks the isometries ``v_q`` of ``blocks[k]`` that :func:`_compress`
+    ``(tol, basis, ranges, ideal, report)``, where ``ranges[k]`` stacks the
+    isometries ``v_q`` of the parent's block ``k`` that :func:`_compress`
     reads off the support projection ``p``, so ``W = pZ`` has the basis
     ``v_q b_j* / sqrt(m_k)``."""
 
@@ -405,23 +436,15 @@ class Submodule:
         return kept if kept is not None and kept[0] == tol and kept[1] is self.basis else None
 
 
-def _tro_blocks(tro, seed, tol):
-    """The TRO's :attr:`~TRO.blocks`; a TRO built by hand without them gets
-    those of the linking algebra its basis generates, drawn from ``seed``."""
-    if tro.blocks is not None:
-        return tro.blocks
-    return _linking_blocks(tro.basis.matrices, np.random.default_rng(seed), tol)
-
-
-def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
-    """The roundtrip record ``(tol, basis, blocks, ranges, ideal, report)``
-    of :class:`Submodule` for the support projection ``p`` of ``W``, whose
+def _verify_roundtrip(tro, submodule, p, compressed, tol):
+    """The roundtrip record ``(tol, basis, ranges, ideal, report)`` of
+    :class:`Submodule` for the support projection ``p`` of ``W``, whose
     ``compressed``, from :func:`~cstarlab.algebra._compress` against the
     row stacks, has checked ``p`` in L.
 
-    Checked here: ``W`` in ``Z`` (:class:`MembershipViolation`), ``p w =
-    w`` and ``dim pZ = sum_k rank(P_k) b_k = dim W``
-    (:class:`VerificationFailure` naming both).  The first two put ``W``
+    Checked here: ``W`` in ``Z`` by :meth:`TRO.max_relative_residual`
+    (:class:`MembershipViolation`), ``p w = w`` and ``dim pZ = sum_k
+    rank(P_k) b_k = dim W`` (:class:`VerificationFailure` naming both).  The first two put ``W``
     in ``pZ`` and the third gives it that dimension, so ``W = pZ``, which
     is closed under R since ``Z R`` lies in ``Z``: no closure check is
     needed.  Its ideal ``J = pL`` has the basis ``v_q a_i'* / sqrt(m_k)``
@@ -430,16 +453,16 @@ def _verify_roundtrip(tro, submodule, p, blocks, compressed, tol):
     ranges, ideal_resid = compressed
     module_resid = max(
         check("W is not in the TRO, relative to its norm",
-              tro.basis.max_relative_residual(submodule.basis.stack), tol.member,
+              tro.max_relative_residual(submodule.basis.matrices), tol.member,
               MembershipViolation),
         check("p w = w fails on W", identity_defect(p, submodule.basis.matrices), tol.member),
     )
-    dim_pz = sum(len(v) * len(b) for v, (_, b) in zip(ranges, blocks))
+    dim_pz = sum(len(v) * len(b) for v, (_, b) in zip(ranges, tro.blocks))
     if dim_pz != submodule.dim:
         raise VerificationFailure(f"W is not pZ: dim pZ = {dim_pz}, dim W = {submodule.dim}")
-    ideal = _ideal_from_ranges(tro.left_algebra, [p], ranges, [a for a, _ in blocks])
+    ideal = _ideal_from_ranges(tro.left_algebra, [p], ranges)
     report = {"module_roundtrip": module_resid, "ideal_roundtrip": ideal_resid, "ok": True}
-    return tol, submodule.basis, blocks, ranges, ideal, report
+    return tol, submodule.basis, ranges, ideal, report
 
 
 def generate_submodule(tro, generators, tol=DEFAULT_TOL):
@@ -447,11 +470,11 @@ def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     given elements, written down as ``pZ``.
 
     Each generator must belong to the TRO, to ``tol.member * max(1,
-    ||g||)``.  Over the generators divided by their largest norm, one
-    :func:`psd_cut` of ``b = sum_j g_j g_j*`` gives its support projection
-    ``p``, certified by ``p g_j = g_j`` within ``tol.rank`` and by ``p =
-    sum_j g_j (g_j* b^+)`` within ``tol.member`` relative to the ``g_j*
-    b^+`` in ``Z*``: so ``pZ`` lies in the submodule and contains every
+    ||g||)`` (:meth:`TRO.max_relative_residual`).  Over the generators
+    divided by their largest norm, one :func:`psd_cut` of ``b = sum_j g_j
+    g_j*`` gives its support projection ``p``, certified by ``p g_j = g_j``
+    within ``tol.rank`` and by ``p = sum_j g_j (g_j* b^+)`` within
+    ``tol.member`` relative to the ``g_j* b^+`` in ``Z*``: so ``pZ`` lies in the submodule and contains every
     generator.  ``p`` is compressed against the TRO's blocks
     (:func:`_compress`), and ``W`` gets the orthonormal basis ``v_q b_j* /
     sqrt(m_k)``; no span is grown.  The roundtrip of
@@ -460,11 +483,11 @@ def generate_submodule(tro, generators, tol=DEFAULT_TOL):
     :func:`is_maximal_submodule` and :func:`finite_generation_certificate`
     with the same ``tol``.
     """
-    m, n = tro.basis.shape
+    m, n = tro.rows, tro.cols
     _, flat = _stack_inputs(generators, shape=(m, n))
-    check("submodule generator is not in the TRO, relative to its norm",
-          tro.basis.max_relative_residual(flat), tol.member, MembershipViolation)
     gens = flat.reshape(-1, m, n)
+    check("submodule generator is not in the TRO, relative to its norm",
+          tro.max_relative_residual(gens), tol.member, MembershipViolation)
     p = np.zeros((m, m), dtype=np.complex128)
     scale = float(np.max(safe_norm(gens, axis=(1, 2)), initial=0.0))
     if scale > 0.0:
@@ -476,11 +499,10 @@ def generate_submodule(tro, generators, tol=DEFAULT_TOL):
         reproduced = gmats.transpose(1, 0, 2).reshape(m, -1) @ ds.reshape(-1, m)
         check("p = sum_j g_j g_j* b^+ fails",
               hs_norm(reproduced - p) / max(1.0, hs_norm(ds)), tol.member)
-    blocks = _tro_blocks(tro, 0, tol)
-    compressed = _compress([a for a, _ in blocks], p, tol)
-    space = _block_space([(v, b) for v, (_, b) in zip(compressed[0], blocks)], (m, n))
+    compressed = _compress(tro.left_algebra, p, tol)
+    space = _block_space([(v, b) for v, (_, b) in zip(compressed[0], tro.blocks)], (m, n))
     submodule = Submodule(parent=tro, generators=list(gens), basis=space)
-    submodule._roundtrip = _verify_roundtrip(tro, submodule, p, blocks, compressed, tol)
+    submodule._roundtrip = _verify_roundtrip(tro, submodule, p, compressed, tol)
     return submodule
 
 
@@ -509,7 +531,7 @@ def submodule_ideal_roundtrip(tro, submodule, tol=DEFAULT_TOL):
     recomputing.
     """
     record = _roundtrip(tro, submodule, tol)
-    return record[4], dict(record[5])
+    return record[3], dict(record[4])
 
 
 def _roundtrip(tro, submodule, tol):
@@ -520,9 +542,8 @@ def _roundtrip(tro, submodule, tol):
         return kept
     dec, cut, _ = psd_cut(gram_sum(submodule.basis.matrices), tol=tol)
     p = dec.above(cut, lambda t: 1.0)
-    blocks = _tro_blocks(tro, 0, tol)
-    record = _verify_roundtrip(tro, submodule, p, blocks,
-                              _compress([a for a, _ in blocks], p, tol), tol)
+    record = _verify_roundtrip(tro, submodule, p,
+                               _compress(tro.left_algebra, p, tol), tol)
     if tro is submodule.parent:
         submodule._roundtrip = record
     return record
@@ -538,8 +559,8 @@ def is_maximal_submodule(tro, submodule, tol=DEFAULT_TOL):
     if submodule.dim == tro.dim:
         raise NotProper("the submodule is the whole TRO")
     # the zero submodule has p = 0, maximal only when L is the scalars
-    _, _, blocks, ranges, _, _ = _roundtrip(tro, submodule, tol)
-    return sum(len(a) - len(v) for v, (a, _) in zip(ranges, blocks)) == 1
+    ranges = _roundtrip(tro, submodule, tol)[2]
+    return sum(len(a) - len(v) for v, (a, _) in zip(ranges, tro.blocks)) == 1
 
 
 def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
@@ -570,8 +591,9 @@ def finite_generation_certificate(submodule, tol=DEFAULT_TOL):
     """
     if submodule.dim == 0:
         raise ZeroSubmodule("the zero submodule has no generation certificate")
-    _, _, blocks, ranges, _, _ = _roundtrip(submodule.parent, submodule, tol)
-    ranged = [(gram_sum(v), v.shape[2] / len(b)) for v, (_, b) in zip(ranges, blocks)]
+    ranges = _roundtrip(submodule.parent, submodule, tol)[2]
+    ranged = [(gram_sum(v), v.shape[2] / len(b))
+              for v, (_, b) in zip(ranges, submodule.parent.blocks)]
     support = sum(e for e, _ in ranged)
     inv_sqrt = sum(np.sqrt(ratio) * e for e, ratio in ranged)
     return _certify_generation(submodule.basis, inv_sqrt @ submodule.basis.matrices, support, tol)

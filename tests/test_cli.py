@@ -606,12 +606,13 @@ def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
     decomposition, read off the fixture's generators, and ``tro-classify``
     takes Z, L and R from that of the linking algebra: none of them
     generates the algebra, grows a span, takes a corner trace over A's
-    basis (``verify-dz`` took one per trial) or writes an algebra's dense
-    basis (``StarAlgebra.basis`` raises here), and no eigendecomposition is
-    larger than the ambient 10 x 10, or the 13 x 13 linking algebra
-    (``ideal`` took one of the 14 x 14 Gram matrix of the products ``p
-    b_i``): dimensions and minimality are read off the compressions of
-    ``p`` against the blocks, and membership off the block projection."""
+    basis (``verify-dz`` took one per trial) or writes the dense basis of an
+    algebra or a TRO (``StarAlgebra.basis`` and ``TRO.basis`` raise here),
+    and no eigendecomposition is larger than the ambient 10 x 10, or the
+    13 x 13 linking algebra (``ideal`` took one of the 14 x 14 Gram matrix
+    of the products ``p b_i``): dimensions and minimality are read off the
+    compressions of ``p`` against the blocks, and membership off the block
+    projection."""
     kind = {"ideal": "ideal", "tro-classify": "tro"}.get(command, "algebra")
     fix = tmp_path / f"{kind}.json"
     blocks = ["3x2,2x2,1x3"] if kind == "tro" else ["3,2,1", "--mults", "2,1,2"]
@@ -630,11 +631,12 @@ def test_command_closes_no_span(tmp_path, capsys, monkeypatch, command):
         sizes.append(np.shape(a)[-1])
         return _inner(a, *args, **kwargs)
 
-    def dense(alg):
-        raise AssertionError("a command wrote an algebra's dense basis")
+    def dense(space):
+        raise AssertionError("a command wrote a dense basis")
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     monkeypatch.setattr(algebra.StarAlgebra, "basis", property(dense))
+    monkeypatch.setattr(tro.TRO, "basis", property(dense))
     assert cli.main([command, str(fix), "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert calls == []

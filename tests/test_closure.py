@@ -45,7 +45,7 @@ from cstarlab.instances import (
     random_tro_blocks,
 )
 from cstarlab.linalg import Subspace, grow_span, hs_norm, module_defect, orthonormalize
-from cstarlab.tro import TRO, Submodule
+from cstarlab.tro import Submodule
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -227,13 +227,11 @@ def test_submodules_close_no_span():
     ``is_maximal_submodule`` and ``finite_generation_certificate`` read
     ``W = pZ`` and ``J = pL`` off the TRO's blocks: none of them saturates
     a span, spans rows or takes a corner trace, under any module's binding,
-    for a generated submodule, one built by hand, another tolerance and a
-    TRO built by hand without blocks."""
+    for a generated submodule, one built by hand and another tolerance."""
     planted = planted_block_tro([(3, 4), (2, 2), (1, 3)], seed=5).tro
     left = planted.left_algebra
     e = minimal_projection_below(left, left.unit, seed=5)
     gens = list((left.unit - e) @ planted.basis.matrices)
-    bare = TRO(basis=planted.basis, left_algebra=left, right_algebra=planted.right_algebra)
     loose = dataclasses.replace(DEFAULT_TOL, member=2e-8)
 
     def refuse(*args, **kwargs):
@@ -245,16 +243,15 @@ def test_submodules_close_no_span():
                 for name in ("right_module_span", "span_rows", "_corner_space"):
                     if hasattr(module, name):
                         mp.setattr(module, name, refuse)
-        for tro in (planted, bare):
-            w = generate_submodule(tro, gens)
-            by_hand = Submodule(parent=tro, generators=[], basis=w.basis)
-            for sub in (w, by_hand):
-                assert is_maximal_submodule(tro, sub)
-                for tol in (DEFAULT_TOL, loose):
-                    ideal, report = submodule_ideal_roundtrip(tro, sub, tol=tol)
-                    assert report["ok"] and 0 < ideal.dim < left.dim
-                    cert = finite_generation_certificate(sub, tol=tol)
-                    assert max(cert.residuals.values()) <= tol.composite
+        w = generate_submodule(planted, gens)
+        by_hand = Submodule(parent=planted, generators=[], basis=w.basis)
+        for sub in (w, by_hand):
+            assert is_maximal_submodule(planted, sub)
+            for tol in (DEFAULT_TOL, loose):
+                ideal, report = submodule_ideal_roundtrip(planted, sub, tol=tol)
+                assert report["ok"] and 0 < ideal.dim < left.dim
+                cert = finite_generation_certificate(sub, tol=tol)
+                assert max(cert.residuals.values()) <= tol.composite
 
 
 # (size, multiplicity) pairs, occupied rank at most 16

@@ -202,7 +202,7 @@ def test_benchmark_traced_names_resolve():
 # algebra
 RETIRED = ("close_span", "_closed_span_family", "_family_draw", "_FAMILY_SEED", "saturate",
            "central_projections", "random_self_adjoint", "_PROBE_SEED", "_block_family",
-           "_block_algebra", "spectral_clusters", "_clusters")
+           "_block_algebra", "spectral_clusters", "_clusters", "_tro_blocks")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)

@@ -32,7 +32,7 @@ from cstarlab import (
 from cstarlab.config import DEFAULT_TOL
 from cstarlab.errors import NotInAlgebra, VerificationFailure
 from cstarlab.ideals import RightIdeal, _corner_space, support_projection
-from cstarlab.instances import random_block_structure
+from cstarlab.instances import haar_unitary, random_block_structure
 from cstarlab.linalg import (
     gram_sum,
     hs_norm,
@@ -322,26 +322,80 @@ def test_block_membership_matches_the_dense_basis(kind, scale):
     assert verdicts == ({True} if scale < 1.0 else {True, False})
 
 
+MEMBERSHIP_TROS = {
+    "planted": lambda: planted_block_tro([(2, 3), (1, 2), (2, 1)], seed=5).tro,
+    "algebra": lambda: TRO(7, 7, [(v, v) for v in MEMBERSHIP_ALGEBRAS["multiplicities"]().blocks]),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("kind", sorted(MEMBERSHIP_TROS))
+def test_tro_membership_matches_the_dense_basis(kind, scale):
+    """``TRO.max_relative_residual``, the distance to the projection onto
+    the units ``a_i b_j* / sqrt(m_k)`` read off the row and column stacks,
+    agrees with the dense basis's to 1e-12 of ``min(1, ||x||)`` on members
+    and on members moved 1e-9, 1e-7 and 1 along a direction orthogonal to
+    Z, for a planted TRO and for an algebra with multiplicities 2 and 3
+    taken as the TRO of its blocks ``(v, v)``; ``contains`` keeps the
+    rule's verdicts."""
+    tro = MEMBERSHIP_TROS[kind]()
+    rng = np.random.default_rng(7)
+    member = np.tensordot(cplx(rng, tro.dim), tro.basis.matrices, axes=1)
+    away = cplx(rng, 1, tro.rows * tro.cols)
+    away = (away - project(tro.basis.stack, away)).reshape(tro.rows, tro.cols)
+    away *= hs_norm(member) / hs_norm(away)
+    verdicts = set()
+    for offset in (0.0, 1e-9, 1e-7, 1.0):
+        x = scale * (member + offset * away)
+        blocks = tro.max_relative_residual(x[None])
+        dense = tro.basis.max_relative_residual(x.reshape(1, -1))
+        assert abs(blocks - dense) <= 1e-12 * min(1.0, hs_norm(x))
+        rule = blocks <= DEFAULT_TOL.member
+        assert tro.contains(x) == rule
+        verdicts.add(rule)
+    assert verdicts == ({True} if scale < 1.0 else {True, False})
+
+
+def random_stacks(rng, rows, sizes):
+    """Isometry stacks ``(n_k, rows, m_k)`` for the ``(n_k, m_k)`` sizes,
+    cut from one Haar unitary so that all their ranges are orthogonal."""
+    u = haar_unitary(rows, rng)
+    stacks, off = [], 0
+    for n_k, m_k in sizes:
+        stacks.append(u[:, off:off + n_k * m_k].reshape(rows, m_k, n_k).transpose(2, 0, 1))
+        off += n_k * m_k
+    return stacks
+
+
 # roundoff by which the bound may undershoot the enumerated maximum
 BOUND_SLACK = 1e-14
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
-@given(SEEDS, st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.integers(1, 2))
-def test_morphism_bound_dominates_loop(seed, m, n, d, num_blocks):
-    """Random (non-morphism) isometries make every triple's defect O(1);
-    the bound stays at or above the worst of them."""
+@given(SEEDS, st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2)),
+                       min_size=1, max_size=2), st.integers(0, 1), st.integers(0, 1))
+def test_morphism_bound_dominates_loop(seed, shapes, spare_rows, spare_cols):
+    """A TRO made from random row and column stacks (multiplicities 1 and
+    2, with a spare row or column outside every block) and random
+    (non-morphism) isometries make every triple's defect O(1); the bound,
+    read off the stacks, stays at or above the worst triple of the
+    enumerated basis."""
     rng = np.random.default_rng(seed)
-    tro = TRO(basis=random_space(rng, d, m, n), left_algebra=None, right_algebra=None)
+    rows = sum(a * m for a, _, m in shapes) + spare_rows
+    cols = sum(b * m for _, b, m in shapes) + spare_cols
+    lefts = random_stacks(rng, rows, [(a, m) for a, _, m in shapes])
+    rights = random_stacks(rng, cols, [(b, m) for _, b, m in shapes])
+    tro = TRO(rows, cols, list(zip(lefts, rights)))
     isometries = []
-    for _ in range(num_blocks):
-        u, _ = np.linalg.qr(cplx(rng, m, m))
-        v, _ = np.linalg.qr(cplx(rng, n, n))
-        isometries.append((u[:, : int(rng.integers(1, m + 1))], v[:, : int(rng.integers(1, n + 1))]))
+    for _ in shapes:
+        u, _ = np.linalg.qr(cplx(rng, rows, rows))
+        v, _ = np.linalg.qr(cplx(rng, cols, cols))
+        isometries.append((u[:, : int(rng.integers(1, rows + 1))],
+                           v[:, : int(rng.integers(1, cols + 1))]))
     cls = TROClassification(
         blocks=[(u.shape[1], v.shape[1]) for u, v in isometries],
         isometries=isometries,
-        central_projections=[None] * num_blocks,
+        central_projections=[None] * len(shapes),
     )
     ref = loop_morphism_defects(tro, cls).max()
     assert _morphism_defect(tro, cls) >= ref - BOUND_SLACK

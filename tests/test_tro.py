@@ -142,14 +142,11 @@ def test_classification_at_the_old_rank_edge(seed):
     Deciding dim(c_k Z) by a singular-value cut at tol.rank split a 4-row
     block into 14, 18 and 7 dimensions on seeds 1, 3 and 10; reading the
     blocks off the linking algebra's decomposition recovers the planted
-    blocks on every seed, from the blocks the TRO keeps and, for a TRO
-    built by hand without them, from its basis."""
+    blocks on every seed."""
     mats = planted_block_tro(EDGE_BLOCKS, seed=seed).tro.basis.matrices
     z = tro_from_span(moved_by_roundoff(mats, seed))
     assert z.dim == 25
     assert sorted(classify_tro(z, seed=seed).blocks) == sorted(EDGE_BLOCKS)
-    bare = TRO(basis=z.basis, left_algebra=z.left_algebra, right_algebra=z.right_algebra)
-    assert sorted(classify_tro(bare, seed=seed).blocks) == sorted(EDGE_BLOCKS)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -336,6 +333,30 @@ def test_submodule_requires_membership():
         generate_submodule(p.tro, [np.ones((2, 2), dtype=complex)])
 
 
+@pytest.mark.parametrize("offset", [1e-6, 1e-10])
+def test_a_generator_off_z_at_d432(offset):
+    """At d=432 (three 12 x 12 blocks) a generator of the maximal submodule
+    ``(u_L - e) Z`` moved along a direction orthogonal to Z by ``offset``
+    of its norm: 1e-6 is refused by the membership rule read off Z's
+    stacks (:class:`MembershipViolation`), and 1e-10, under
+    ``tol.member``, gives the unmoved maximal submodule."""
+    z = planted_block_tro([(12, 12)] * 3, seed=1).tro
+    left = z.left_algebra
+    e = minimal_projection_below(left, left.unit, seed=1)
+    rng = np.random.default_rng(8)
+    x = (left.unit - e) @ sample_member(z, rng)
+    g = rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size)
+    away = (g - z.basis.stack.T @ (z.basis.stack.conj() @ g)).reshape(x.shape)
+    moved = x + offset * hs_norm(x) / hs_norm(away) * away
+    if offset > DEFAULT_TOL.member:
+        with pytest.raises(MembershipViolation, match="generator is not in the TRO"):
+            generate_submodule(z, [moved])
+        return
+    w = generate_submodule(z, [moved])
+    assert w.dim == generate_submodule(z, [x]).dim == z.dim - 12
+    assert is_maximal_submodule(z, w)
+
+
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6, 1e-8, 5e-9, 1e-10])
 def test_a_small_generator_part_gives_its_dimension_or_a_refusal(eps):
     """A generator ``x + eps y`` with ``x`` and ``y`` in different blocks.
@@ -399,31 +420,36 @@ def test_submodule_chain_writes_no_dense_basis(monkeypatch):
     projection ``e`` of L is read off the ranges of L's unit in its blocks,
     and ``(u_L - e) Z`` is generated, checked maximal, taken round to its
     ideal and certified finitely generated with at most two block
-    projections of L for the draw, no dense basis of an algebra
-    (``StarAlgebra.basis`` raises here) and no corner trace over one."""
+    projections of L for the draw, no dense basis of an algebra or of Z
+    (``StarAlgebra.basis`` and ``TRO.basis`` raise here; the generators
+    are formed from Z's stacks) and no corner trace over one."""
     p = planted_block_tro([(3, 2), (2, 2), (1, 3)], seed=4)
+    planted = list(p.tro.basis.matrices)
 
     def dense(*args):
-        raise AssertionError("the chain wrote an algebra's dense basis or took a corner trace")
+        raise AssertionError("the chain wrote a dense basis or took a corner trace")
 
     monkeypatch.setattr(StarAlgebra, "basis", property(dense))
+    monkeypatch.setattr(TRO, "basis", property(dense))
     for module in (ideals_mod, structure_mod):
         monkeypatch.setattr(module, "_corner_space", dense)
-    z = generate_tro(p.tro.rows, p.tro.cols, list(p.tro.basis.matrices))
+    z = generate_tro(p.tro.rows, p.tro.cols, planted)
     assert sorted(classify_tro(z, seed=1).blocks, reverse=True) == p.signature()
+    units = np.concatenate([(a[:, None] @ b.conj().transpose(0, 2, 1)[None]).reshape(
+        -1, z.rows, z.cols) for a, b in z.blocks])
     left = z.left_algebra
     projections = []
 
-    def counted(*args, _inner=algebra_mod._block_projection):
+    def counted(*args, _inner=algebra_mod._block_coordinates):
         projections.append(args[1].shape)
         return _inner(*args)
 
-    monkeypatch.setattr(algebra_mod, "_block_projection", counted)
+    monkeypatch.setattr(algebra_mod, "_block_coordinates", counted)
     for seed in range(3):
         projections.clear()
         e = minimal_projection_below(left, left.unit, seed=seed)
         assert len(projections) <= 2
-        w = generate_submodule(z, list((left.unit - e) @ z.basis.matrices))
+        w = generate_submodule(z, list((left.unit - e) @ units))
         assert is_maximal_submodule(z, w)
         _, report = submodule_ideal_roundtrip(z, w)
         assert report["ok"]
@@ -473,8 +499,7 @@ def test_roundtrip_with_another_tol_or_tro_recomputes(monkeypatch):
     loose = dataclasses.replace(DEFAULT_TOL, member=2e-8)
     _, loose_report = submodule_ideal_roundtrip(p.tro, w, tol=loose)
     assert len(calls) == 1
-    twin = TRO(basis=p.tro.basis, left_algebra=p.tro.left_algebra,
-               right_algebra=p.tro.right_algebra)
+    twin = TRO(p.tro.rows, p.tro.cols, p.tro.blocks)
     _, twin_report = submodule_ideal_roundtrip(twin, w)
     assert len(calls) == 2
     for other in (loose_report, twin_report):

@@ -14,8 +14,6 @@ the distance from ``e`` to ``span(W W*)``.  Spans must agree to 1e-12 on
 planted TROs, whose bases are exact to roundoff.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +29,7 @@ from cstarlab import (
     minimal_projection_below,
     planted_block_tro,
     submodule_ideal_roundtrip,
+    tro_from_span,
 )
 from cstarlab.algebra import sample_element, unitize
 from cstarlab.config import DEFAULT_TOL
@@ -43,7 +42,7 @@ from cstarlab.instances import (
     random_tro_blocks,
 )
 from cstarlab.linalg import Subspace, span_rows, support_projection_of_psd
-from cstarlab.tro import TRO, Submodule, _certify_generation
+from cstarlab.tro import Submodule, _certify_generation
 
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
 SPAN_TOL = 1e-12
@@ -258,13 +257,13 @@ def test_single_element_submodules_are_refused_exactly_when_not_closed(blocks, s
     assert verdicts == ({True, False} if any(b == 1 for _, b in blocks) else {False})
 
 
-@pytest.mark.parametrize("bare", [False, True], ids=["blocks", "bare"])
-def test_a_submodule_outside_the_tro_is_refused_either_way(bare):
-    """Refused by a planted TRO, and by the same TRO built by hand without
-    its :attr:`~cstarlab.tro.TRO.blocks`, which reads them off its basis."""
+@pytest.mark.parametrize("span", [False, True], ids=["blocks", "span"])
+def test_a_submodule_outside_the_tro_is_refused_either_way(span):
+    """Refused by a planted TRO, and by the same TRO given as a span, whose
+    :attr:`~cstarlab.tro.TRO.blocks` are read off its basis."""
     tro = planted_block_tro([(2, 2), (1, 1)], seed=3).tro
-    if bare:
-        tro = dataclasses.replace(tro, blocks=None)
+    if span:
+        tro = tro_from_span(list(tro.basis.matrices))
     z = tro.basis
     outside = np.ones((1, z.rows * z.cols)) / np.sqrt(z.rows * z.cols)
     w = Submodule(parent=tro, generators=[], basis=Subspace(z.rows, z.cols, outside))
@@ -312,23 +311,3 @@ def test_submodules_lie_in_z_and_match_the_saturation_oracle(seed, path):
         assert tro.basis.max_relative_residual(w.basis.stack) <= 1e-13
         oracle = right_module_span(tro.right_algebra, gens, tro.rows)
         assert w.basis.distance(oracle) <= SPAN_TOL
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_a_tro_without_blocks_gives_the_same_submodules(seed):
-    """A TRO built by hand without :attr:`TRO.blocks` takes them from the
-    linking algebra its basis generates: its submodules have the planted
-    TRO's dimensions and maximality verdicts."""
-    rng = np.random.default_rng(seed)
-    planted = planted_block_tro(random_tro_blocks(rng), seed=seed).tro
-    bare = TRO(basis=planted.basis, left_algebra=planted.left_algebra,
-               right_algebra=planted.right_algebra)
-    assert bare.blocks is None
-    left = planted.left_algebra
-    e = minimal_projection_below(left, left.unit, seed=seed)
-    for gens in ([], list((left.unit - e) @ planted.basis.matrices),
-                 generated_submodule(planted, rng)):
-        ws = [generate_submodule(tro, gens) for tro in (planted, bare)]
-        assert ws[0].dim == ws[1].dim
-        if ws[0].dim < planted.dim:
-            assert is_maximal_submodule(planted, ws[0]) == is_maximal_submodule(bare, ws[1])
